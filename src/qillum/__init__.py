@@ -10,9 +10,6 @@ entangled probe numerically.
 
 from .linalg import (
     DEFAULT_TOL,
-    EigenDecomposition,
-    approx_equal,
-    dagger,
     eigh,
     eigvalsh,
     kron,
@@ -23,7 +20,6 @@ from .linalg import (
 from .states import (
     BipartiteState,
     DensityMatrix,
-    SchmidtData,
     bell_state,
     density_from_dict,
     density_to_dict,
@@ -32,24 +28,14 @@ from .states import (
     idler_reduction,
     schmidt,
     schmidt_family_state,
-    signal_reduction,
     state_from_dict,
     state_to_dict,
 )
-from .illumination import (
-    IlluminationScenario,
-    ci_baseline,
-    remaining_state_full,
-    remaining_state_post_selected,
-    returned_state_full,
-    returned_state_post_selected,
-)
+from .illumination import channel_outputs
 from .discrimination import (
     DiscriminationProblem,
     Povm,
-    advantage,
     h01_closed_form,
-    h01_direct,
     helstrom_error,
     hs_distinguishability,
     optimal_povm,
@@ -61,6 +47,7 @@ from .analysis import (
     SpectrumProbeReport,
     StateFamily,
     SweepRecord,
+    VerificationError,
     bell_family,
     co_monotonicity_violations,
     evaluate_state_metrics,
@@ -68,66 +55,10 @@ from .analysis import (
     run_sweep,
     spectra_with_effective_rank,
     spectrum_dependence_probe,
+    unentangled_error,
     uniform_rank_family,
     verify_bell_optimality,
     verify_monotonicity,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_TOL",
-    "EigenDecomposition",
-    "approx_equal",
-    "dagger",
-    "eigh",
-    "eigvalsh",
-    "kron",
-    "max_abs_diff",
-    "partial_trace",
-    "trace_norm",
-    "BipartiteState",
-    "DensityMatrix",
-    "SchmidtData",
-    "bell_state",
-    "density_from_dict",
-    "density_to_dict",
-    "effective_rank_k",
-    "haar_random_state",
-    "idler_reduction",
-    "schmidt",
-    "schmidt_family_state",
-    "signal_reduction",
-    "state_from_dict",
-    "state_to_dict",
-    "IlluminationScenario",
-    "ci_baseline",
-    "remaining_state_full",
-    "remaining_state_post_selected",
-    "returned_state_full",
-    "returned_state_post_selected",
-    "DiscriminationProblem",
-    "Povm",
-    "advantage",
-    "h01_closed_form",
-    "h01_direct",
-    "helstrom_error",
-    "hs_distinguishability",
-    "optimal_povm",
-    "povm_error",
-    "MonotonicityReport",
-    "OptimalityReport",
-    "SpectrumProbeReport",
-    "StateFamily",
-    "SweepRecord",
-    "bell_family",
-    "co_monotonicity_violations",
-    "evaluate_state_metrics",
-    "fixed_spectrum_family",
-    "run_sweep",
-    "spectra_with_effective_rank",
-    "spectrum_dependence_probe",
-    "uniform_rank_family",
-    "verify_bell_optimality",
-    "verify_monotonicity",
-]

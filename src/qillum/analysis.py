@@ -25,12 +25,7 @@ from .states import (
     idler_reduction,
     schmidt_family_state,
 )
-from .illumination import (
-    IlluminationScenario,
-    ci_baseline,
-    remaining_state_post_selected,
-    returned_state_post_selected,
-)
+from .illumination import channel_outputs
 from .discrimination import (
     DiscriminationProblem,
     h01_closed_form,
@@ -42,6 +37,10 @@ from .discrimination import (
 RECORD_AGREEMENT_TOL = 1e-9
 #: Slack allowed when checking monotone orderings of computed values.
 MONOTONICITY_SLACK = 1e-10
+
+
+class VerificationError(ValueError):
+    """A computed result failed one of its numerical cross-checks."""
 
 
 @dataclass(frozen=True)
@@ -59,16 +58,16 @@ class SweepRecord:
     advantage: float
 
     def validate(self, p_min: float = 0.5, agreement_tol: float = RECORD_AGREEMENT_TOL):
-        """Check internal consistency; raises ``ValueError`` on failure."""
+        """Check internal consistency; raises :class:`VerificationError`."""
         gap = abs(self.h01_closed - self.h01_direct)
         if gap >= agreement_tol:
-            raise ValueError(
+            raise VerificationError(
                 f"closed/direct overlap disagree by {gap:.3e} at "
                 f"(eta={self.eta}, d_s={self.d_s}, k_i={self.k_i})"
             )
         for name, p in (("p_err", self.p_err), ("p_err_ci", self.p_err_ci)):
             if not -1e-12 <= p <= p_min + 1e-10:
-                raise ValueError(f"{name}={p} outside [0, {p_min}]")
+                raise VerificationError(f"{name}={p} outside [0, {p_min}]")
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,25 @@ def evaluate_state_metrics(
     state: BipartiteState, eta: float, p0: float = 0.5, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Direct overlap and minimum error probability for one input state."""
-    scenario = IlluminationScenario(state, eta)
-    rho0 = returned_state_post_selected(scenario, tol)
-    rho1 = remaining_state_post_selected(scenario, tol)
+    rho0, rho1 = channel_outputs(state, eta, tol)
     h01 = hs_distinguishability(rho0, rho1)
     p_err = helstrom_error(DiscriminationProblem(rho0, rho1, p0, tol=tol), tol)
     return h01, p_err
+
+
+def unentangled_error(eta: float, d_s: int, p0: float = 0.5) -> float:
+    """Minimum error probability of the unentangled baseline.
+
+    The baseline probe is a pure signal with the idler pinned to one level
+    (effective idler rank 1).  For every such product probe, with
+    ``c = p0 (1 - eta) - p1``, the operator ``p0 rho0 - p1 rho1`` has the
+    eigenvalue ``p0 eta + c/d_s`` once, ``c/d_s`` ``d_s - 1`` times and 0
+    elsewhere, so the error needs no diagonalization.  At ``p0 = 1/2`` it is
+    ``(1 - eta (1 - 1/d_s)) / 2``.
+    """
+    c = p0 * (1.0 - eta) - (1.0 - p0)
+    norm = abs(p0 * eta + c / d_s) + (d_s - 1) * abs(c) / d_s
+    return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
 
 
 def run_sweep(
@@ -124,7 +136,8 @@ def run_sweep(
     Iterates lexicographically (eta outermost, then dimension, then family)
     and emits one validated record per point.  Raises ``ValueError`` for
     grid entries outside their ranges or families infeasible at a requested
-    dimension.
+    dimension, and its subclass :class:`VerificationError` for a record
+    that fails its cross-checks.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
@@ -147,10 +160,6 @@ def run_sweep(
                 state = family.build(d_s)
                 k_i = effective_rank_k(idler_reduction(state))
                 h01, p_err = evaluate_state_metrics(state, eta, p0, tol)
-                base_scenario = ci_baseline(IlluminationScenario(state, eta))
-                _, p_err_ci = evaluate_state_metrics(
-                    base_scenario.input, eta, p0, tol
-                )
                 record = SweepRecord(
                     eta=eta,
                     d_s=d_s,
@@ -159,7 +168,7 @@ def run_sweep(
                     h01_closed=h01_closed_form(eta, d_s, k_i),
                     h01_direct=h01,
                     p_err=p_err,
-                    p_err_ci=p_err_ci,
+                    p_err_ci=unentangled_error(eta, d_s, p0),
                     advantage=h01_closed_form(eta, d_s, 1.0)
                     - h01_closed_form(eta, d_s, k_i),
                 )

@@ -3,22 +3,25 @@ one-off minimum-error queries on states stored as JSON files.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
 failure.  The ``QI_TOL`` environment variable overrides the default
-validation tolerance of 1e-9.
+validation tolerance of 1e-9; it must be a finite number above 0, else the
+run stops with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .linalg import DEFAULT_TOL
-from .states import density_from_dict, state_from_dict
+from .states import density_from_dict, density_to_dict, state_from_dict
 from .discrimination import DiscriminationProblem, helstrom_error, optimal_povm
 from .analysis import (
     StateFamily,
+    VerificationError,
     bell_family,
     fixed_spectrum_family,
     run_sweep,
@@ -28,6 +31,8 @@ from .analysis import (
 
 CSV_HEADER = "eta,d_s,d_i,k_i,h01_closed,h01_direct,p_err,p_err_ci,advantage"
 MARGIN_FLOOR = -1e-9
+#: Largest number of points a ``start:step:stop`` range may expand to.
+MAX_RANGE_POINTS = 10_000
 
 
 class CliError(Exception):
@@ -39,7 +44,10 @@ def _fmt(x: float) -> str:
 
 
 def parse_float_grid(text: str) -> list[float]:
-    """Parse '0,0.5,1' or 'start:step:stop' (stop inclusive within step/2)."""
+    """Parse '0,0.5,1' or 'start:step:stop' (stop inclusive within step/2).
+
+    A range may expand to at most :data:`MAX_RANGE_POINTS` points.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -54,6 +62,8 @@ def parse_float_grid(text: str) -> list[float]:
         values = []
         v = start
         while v <= stop + step / 2:
+            if len(values) == MAX_RANGE_POINTS:
+                raise CliError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
             values.append(v)
             v = start + step * len(values)
         if not values:
@@ -99,11 +109,10 @@ def parse_family(text: str) -> StateFamily:
     raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
-def render_sweep_csv(records, p_min: float) -> str:
-    """Format records as CSV, re-validating each row before emitting."""
+def render_sweep_csv(records) -> str:
+    """Format validated records as CSV."""
     lines = [CSV_HEADER]
     for r in records:
-        r.validate(p_min)
         lines.append(
             ",".join(
                 [
@@ -153,19 +162,15 @@ def cmd_sweep(args, tol: float) -> int:
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
     families = [parse_family(f) for f in (args.family or ["bell"])]
-    p0 = args.p0
     try:
-        records = run_sweep(etas, dims, families, p0=p0, tol=tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    p_min = min(p0, 1.0 - p0)
-    try:
-        csv_text = render_sweep_csv(records, p_min)
-    except ValueError as exc:
+        records = run_sweep(etas, dims, families, p0=args.p0, tol=tol)
+    except VerificationError as exc:
         print(f"numerical verification failed: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     out = Path(args.out)
-    out.write_text(csv_text)
+    out.write_text(render_sweep_csv(records))
     if args.plot:
         gp = out.with_suffix(".gp")
         gp.write_text(render_gnuplot_script(out, dims))
@@ -203,13 +208,6 @@ def _load_density(path: str, tol: float):
     raise CliError(f"{path!r} holds neither a pure state nor a density matrix")
 
 
-def _matrix_dict(m) -> dict:
-    return {
-        "dim": m.shape[0],
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-    }
-
-
 def cmd_helstrom(args, tol: float) -> int:
     rho0 = _load_density(args.state0, tol)
     rho1 = _load_density(args.state1, tol)
@@ -220,7 +218,7 @@ def cmd_helstrom(args, tol: float) -> int:
     print(_fmt(helstrom_error(problem, tol)))
     if args.povm:
         povm = optimal_povm(problem, tol)
-        print(json.dumps([_matrix_dict(e) for e in povm.elements], sort_keys=True))
+        print(json.dumps([density_to_dict(e) for e in povm.elements], sort_keys=True))
     return 0
 
 
@@ -268,9 +266,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        tol = float(os.environ["QI_TOL"]) if "QI_TOL" in os.environ else DEFAULT_TOL
+        tol = float(os.environ.get("QI_TOL", DEFAULT_TOL))
     except ValueError:
-        print("error: QI_TOL must be a number", file=sys.stderr)
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        print("error: QI_TOL must be a finite number above 0", file=sys.stderr)
         return 1
     try:
         return args.func(args, tol)

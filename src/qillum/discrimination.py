@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_operator, eigh, require_hermitian, trace_norm
-from .states import DensityMatrix, effective_rank_k, idler_reduction
-from .illumination import (
-    IlluminationScenario,
-    remaining_state_post_selected,
-    returned_state_post_selected,
-)
+from .states import DensityMatrix
 
 
 def _real_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -164,26 +159,3 @@ def h01_closed_form(eta: float, d_s: int, k_i: float) -> float:
     if k_i < 1.0:
         raise ValueError(f"effective idler rank must be >= 1, got {k_i}")
     return float(1.0 / np.sqrt(1.0 + eta**2 * (d_s * k_i - 1.0)))
-
-
-def h01_direct(scenario: IlluminationScenario, tol: float = DEFAULT_TOL) -> float:
-    """Overlap of the two hypothesis states, evaluated on the matrices."""
-    rho0 = returned_state_post_selected(scenario, tol)
-    rho1 = remaining_state_post_selected(scenario, tol)
-    return hs_distinguishability(rho0, rho1)
-
-
-def advantage(scenario: IlluminationScenario) -> float:
-    """Distinguishability gained over the unentangled baseline.
-
-    The baseline keeps ``eta`` and ``d_s`` but has effective idler rank 1,
-    so the gain is the difference of the two closed-form overlaps.  Zero
-    exactly when the input is a product state.
-    """
-    if not scenario.post_selected:
-        raise ValueError("advantage is defined for post-selected scenarios")
-    k_i = effective_rank_k(idler_reduction(scenario.input))
-    d_s = scenario.input.d_s
-    return h01_closed_form(scenario.eta, d_s, 1.0) - h01_closed_form(
-        scenario.eta, d_s, k_i
-    )

@@ -3,146 +3,32 @@
 A bipartite probe is split into a signal half (sent out) and an idler half
 (kept in memory).  With the target absent only noise comes back; with the
 target present the detector sees a mixture of the probe and that noise.
-Two noise models are provided: the post-selected one, where a photon is
-always detected and the noise is maximally mixed over the signal modes, and
-the full model, where a vacuum outcome with weight ``1 - lam`` is added on
-an extended signal space (index 0 = vacuum, 1..d_s = modes).
+The noise model is post-selected: a photon is always detected, and the
+noise is maximally mixed over the ``d_s`` signal modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DEFAULT_TOL, kron
-from .states import (
-    BipartiteState,
-    DensityMatrix,
-    idler_reduction,
-    signal_reduction,
-)
+from .states import BipartiteState, DensityMatrix, idler_reduction
 
 
-@dataclass(frozen=True)
-class IlluminationScenario:
-    """One configuration of the detection problem.
+def channel_outputs(
+    state: BipartiteState, eta: float, tol: float = DEFAULT_TOL
+) -> tuple[DensityMatrix, DensityMatrix]:
+    """Target-present and target-absent states ``(rho0, rho1)``.
 
-    ``eta`` is the average fraction of signal photons received, ``lam`` the
-    average fraction of noise photons.  ``post_selected`` restricts to the
-    detected-photon sector and forces ``lam = 1``.
+    ``eta`` is the average fraction of signal photons received.  The
+    target-absent state ``rho1 = I/d_s (x) phi_i`` pairs a random signal
+    mode with the idler reduction ``phi_i``; its purity is the idler purity
+    divided by ``d_s``.  The target-present state is the convex mixture
+    ``rho0 = eta * |psi><psi| + (1 - eta) * rho1``.  Both are positive by
+    construction.
     """
-
-    input: BipartiteState
-    eta: float
-    lam: float = 1.0
-    post_selected: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if self.post_selected and abs(self.lam - 1.0) > 1e-12:
-            raise ValueError("post-selected scenarios require lam = 1")
-
-
-def remaining_state_post_selected(
-    scenario: IlluminationScenario, tol: float = DEFAULT_TOL
-) -> DensityMatrix:
-    """Target-absent state in the post-selected model.
-
-    A random signal mode tensored with the idler reduction; its purity is
-    the idler purity divided by ``d_s``.
-    """
-    if not scenario.post_selected:
-        raise ValueError("scenario is not post-selected")
-    d_s = scenario.input.d_s
-    phi_i = idler_reduction(scenario.input)
-    mat = kron(np.eye(d_s) / d_s, phi_i.mat)
-    return DensityMatrix(mat, tol)
-
-
-def returned_state_post_selected(
-    scenario: IlluminationScenario, tol: float = DEFAULT_TOL
-) -> DensityMatrix:
-    """Target-present state in the post-selected model.
-
-    Convex mixture ``eta * probe + (1 - eta) * noise`` of the input
-    projector and the target-absent state.
-    """
-    if not scenario.post_selected:
-        raise ValueError("scenario is not post-selected")
-    noise = remaining_state_post_selected(scenario, tol)
-    mat = scenario.eta * scenario.input.projector() + (1.0 - scenario.eta) * noise.mat
-    return DensityMatrix(mat, tol)
-
-
-def _extended_signal_noise(d_s: int, lam: float) -> np.ndarray:
-    # vacuum at index 0, equal-weight modes at 1..d_s
-    diag = np.full(d_s + 1, lam / d_s)
-    diag[0] = 1.0 - lam
-    return np.diag(diag).astype(complex)
-
-
-def _embed_amplitudes(state: BipartiteState) -> np.ndarray:
-    # shift every signal mode up by one to make room for the vacuum row
-    ext = np.zeros((state.d_s + 1) * state.d_i, dtype=complex)
-    ext[state.d_i :] = state.amplitudes
-    return ext
-
-
-def remaining_state_full(
-    scenario: IlluminationScenario, tol: float = DEFAULT_TOL
-) -> DensityMatrix:
-    """Target-absent state in the full noise model.
-
-    Lives on the vacuum-extended signal space of dimension ``d_s + 1``:
-    weight ``1 - lam`` on the vacuum, ``lam`` spread over the modes, all
-    tensored with the idler reduction.  At ``lam = 1`` the vacuum block is
-    zero and the mode block is the post-selected state.
-    """
-    phi_i = idler_reduction(scenario.input)
-    noise = _extended_signal_noise(scenario.input.d_s, scenario.lam)
-    return DensityMatrix(kron(noise, phi_i.mat), tol)
-
-
-def returned_state_full(
-    scenario: IlluminationScenario, tol: float = DEFAULT_TOL
-) -> DensityMatrix:
-    """Target-present state in the full noise model.
-
-    The input projector, embedded in the vacuum-extended space, mixed with
-    the full-model noise state with weight ``eta``.
-    """
-    noise = remaining_state_full(scenario, tol)
-    ext = _embed_amplitudes(scenario.input)
-    probe = np.outer(ext, ext.conj())
-    mat = scenario.eta * probe + (1.0 - scenario.eta) * noise.mat
-    return DensityMatrix(mat, tol)
-
-
-def ci_baseline(scenario: IlluminationScenario) -> IlluminationScenario:
-    """Unentangled counterpart of a post-selected scenario.
-
-    The input is replaced by a product state: the signal carries the
-    original signal reduction's spectrum (descending, in the computational
-    basis) as populations, and the idler is pinned to the first basis
-    vector, so its effective rank is exactly 1.  Dimensions and ``eta`` are
-    unchanged.
-    """
-    if not scenario.post_selected:
-        raise ValueError("the baseline is defined for post-selected scenarios")
-    state = scenario.input
-    spectrum = np.linalg.eigvalsh(signal_reduction(state).mat)[::-1]
-    signal_amp = np.sqrt(np.clip(spectrum, 0.0, None))
-    signal_amp /= np.linalg.norm(signal_amp)
-    amp = np.zeros(state.d_s * state.d_i, dtype=complex)
-    amp[:: state.d_i] = signal_amp  # idler locked to level 0
-    product = BipartiteState(state.d_s, state.d_i, amp)
-    return IlluminationScenario(
-        input=product,
-        eta=scenario.eta,
-        lam=scenario.lam,
-        post_selected=scenario.post_selected,
-    )
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    rho1 = kron(np.eye(state.d_s) / state.d_s, idler_reduction(state).mat)
+    rho0 = eta * state.projector() + (1.0 - eta) * rho1
+    return DensityMatrix(rho0, tol), DensityMatrix(rho1, tol)

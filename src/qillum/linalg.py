@@ -7,24 +7,10 @@ an explicit argument; the shared default is :data:`DEFAULT_TOL`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 #: Default validation tolerance (max entry magnitude) used across the package.
 DEFAULT_TOL = 1e-9
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral data of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns, so that
-    ``V @ diag(w) @ V^dag`` reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_operator(m: np.ndarray) -> np.ndarray:
@@ -35,23 +21,9 @@ def as_operator(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise magnitude of ``a - b``."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
-def approx_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Entrywise equality within ``tol`` (max entry magnitude)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return max_abs_diff(a, b) <= tol
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -101,17 +73,16 @@ def partial_trace(m: np.ndarray, d_left: int, d_right: int, side: str = "right")
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def eigh(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def eigh(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix: eigenvalues
+    ascending, matching orthonormal eigenvectors as the columns of ``v``.
 
     Raises ``ValueError`` if ``m`` is not Hermitian within ``tol``.  A
     ``numpy.linalg.LinAlgError`` propagates if the solver fails to converge.
     Eigenvectors of degenerate eigenvalues are only fixed up to a rotation
     of the degenerate subspace.
     """
-    a = require_hermitian(m, tol)
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(require_hermitian(m, tol))
 
 
 def eigvalsh(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1,24 +1,18 @@
 """Validated quantum states and their decompositions.
 
-Density operators are checked on construction (Hermitian, unit trace,
-positive semidefinite); bipartite pure states carry explicit signal and
+Density operators are checked on construction for Hermiticity and unit
+trace; positivity is checked where a matrix enters from outside, in
+:func:`density_from_dict`, since every operator built inside the package is
+positive by construction.  Bipartite pure states carry explicit signal and
 idler dimensions.  Mode states are plain computational-basis vectors of a
 ``d_s``-dimensional signal space, so no Fock machinery is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    as_operator,
-    max_abs_diff,
-    partial_trace,
-    require_hermitian,
-)
+from .linalg import DEFAULT_TOL, partial_trace, require_hermitian
 
 #: Schmidt weights below this are treated as numerically zero.
 SCHMIDT_RANK_CUTOFF = 1e-12
@@ -33,10 +27,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A Hermitian, positive-semidefinite, unit-trace operator.
 
-    Construction validates all three properties within ``tol`` (max entry
-    magnitude for Hermiticity, absolute value for trace and eigenvalue
-    checks) and additionally that the purity lies in ``[1/dim, 1]`` up to
-    ``tol``.  The stored matrix is read-only.
+    Construction validates Hermiticity (max entry magnitude) and the trace
+    (absolute value) within ``tol``, both in O(dim^2).  Positivity is the
+    caller's guarantee: it holds by construction for every operator the
+    package builds, and :func:`density_from_dict` checks it for matrices
+    read from outside.  The stored matrix is read-only.
     """
 
     __slots__ = ("mat",)
@@ -46,13 +41,6 @@ class DensityMatrix:
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > tol:
             raise ValueError(f"trace is {tr:.6g}, expected 1 within {tol:.1e}")
-        w = np.linalg.eigvalsh(a)
-        if w[0] < -tol:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {w[0]:.3e}")
-        dim = a.shape[0]
-        p = float(np.sum(w * w))
-        if p < 1.0 / dim - tol or p > 1.0 + tol:
-            raise ValueError(f"purity {p:.6g} outside [1/{dim}, 1]")
         self.mat = _frozen(a)
 
     @property
@@ -100,34 +88,11 @@ class BipartiteState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        """The state as a validated density matrix."""
+        """The state as a density matrix (a projector, hence positive)."""
         return DensityMatrix(self.projector(), tol)
 
     def __repr__(self) -> str:
         return f"BipartiteState(d_s={self.d_s}, d_i={self.d_i})"
-
-
-@dataclass(frozen=True)
-class SchmidtData:
-    """Biorthogonal expansion of a bipartite pure state.
-
-    ``coefficients`` are the non-negative weights in descending order (their
-    squares sum to one); ``rank`` counts the coefficients above the cutoff.
-    ``signal_basis`` and ``idler_basis`` are matching lists of orthonormal
-    vectors, one pair per retained coefficient.
-    """
-
-    coefficients: np.ndarray
-    rank: int
-    signal_basis: tuple[np.ndarray, ...] = field(repr=False)
-    idler_basis: tuple[np.ndarray, ...] = field(repr=False)
-
-    def reconstruct(self, d_s: int, d_i: int) -> np.ndarray:
-        """Rebuild the amplitude vector from the retained terms."""
-        amp = np.zeros(d_s * d_i, dtype=complex)
-        for c, s, i in zip(self.coefficients, self.signal_basis, self.idler_basis):
-            amp += c * np.kron(s, i)
-        return amp
 
 
 def bell_state(d: int) -> BipartiteState:
@@ -188,66 +153,20 @@ def idler_reduction(state: BipartiteState) -> DensityMatrix:
     return DensityMatrix(reduced)
 
 
-def signal_reduction(state: BipartiteState) -> DensityMatrix:
-    """Reduced state of the signal: the idler factor traced out."""
-    reduced = partial_trace(state.projector(), state.d_s, state.d_i, side="right")
-    return DensityMatrix(reduced)
-
-
 def effective_rank_k(rho: DensityMatrix) -> float:
     """Inverse purity ``1 / Tr[rho^2]``, between 1 and ``dim``."""
     return 1.0 / rho.purity()
 
 
-def schmidt(state: BipartiteState, tol: float = SCHMIDT_RANK_CUTOFF) -> SchmidtData:
-    """Schmidt decomposition of a bipartite pure state.
+def schmidt(state: BipartiteState, tol: float = SCHMIDT_RANK_CUTOFF) -> np.ndarray:
+    """Schmidt coefficients of a bipartite pure state, in descending order.
 
-    Parameters
-    ----------
-    state : the pure state to decompose
-    tol : weights (squared coefficients) below this are dropped from the rank
-
-    Returns
-    -------
-    SchmidtData with descending coefficients.  The idler vectors are
-    eigenvectors of the idler reduction; the signal vectors are recovered by
-    contracting the amplitudes against them.  Each signal vector's first
-    nonzero component is made real non-negative (with the compensating phase
-    on its idler partner) so repeated runs give identical output.
+    The coefficients are the square roots of the idler reduction's
+    eigenvalues; weights (squared coefficients) below ``tol`` are dropped,
+    so the length of the result is the Schmidt rank.
     """
-    a = state.amplitude_matrix()
-    rho_i = idler_reduction(state).mat
-    w, v = np.linalg.eigh(rho_i)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-
-    coeffs = []
-    signal_vecs = []
-    idler_vecs = []
-    for m in range(w.size):
-        lam = float(w[m])
-        if lam < tol:
-            break
-        c = np.sqrt(lam)
-        i_vec = v[:, m].copy()
-        s_vec = a @ i_vec.conj() / c
-        # fix the pair's relative phase via the first significant signal entry
-        nz = np.flatnonzero(np.abs(s_vec) > 1e-12)
-        if nz.size:
-            phase = s_vec[nz[0]] / abs(s_vec[nz[0]])
-            s_vec = s_vec / phase
-            i_vec = i_vec * phase
-        coeffs.append(c)
-        signal_vecs.append(_frozen(s_vec))
-        idler_vecs.append(_frozen(i_vec))
-
-    return SchmidtData(
-        coefficients=_frozen(np.asarray(coeffs, dtype=float)),
-        rank=len(coeffs),
-        signal_basis=tuple(signal_vecs),
-        idler_basis=tuple(idler_vecs),
-    )
+    w = np.linalg.eigvalsh(idler_reduction(state).mat)[::-1]
+    return np.sqrt(w[w >= tol])
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +197,21 @@ def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> BipartiteState:
     return BipartiteState(d_s, d_i, amp, tol)
 
 
-def density_to_dict(rho: DensityMatrix) -> dict:
-    """Encode a density matrix in the JSON wire format."""
+def density_to_dict(mat: np.ndarray) -> dict:
+    """Encode a square matrix (a density matrix's ``mat``, or a POVM
+    element) in the JSON wire format."""
     return {
-        "dim": rho.dim,
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in rho.mat
-        ],
+        "dim": mat.shape[0],
+        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in mat],
     }
 
 
 def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Decode a density matrix from the JSON wire format."""
+    """Decode a density matrix from the JSON wire format.
+
+    Besides the Hermiticity and trace checks of :class:`DensityMatrix`, the
+    matrix must be positive semidefinite: no eigenvalue below ``-tol``.
+    """
     try:
         dim = int(obj["dim"])
         rows = obj["entries"]
@@ -300,11 +222,8 @@ def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
     if mat.shape != (dim, dim):
         raise ValueError(f"entries shape {mat.shape} does not match dim {dim}")
-    as_operator(mat)
-    return DensityMatrix(mat, tol)
-
-
-def reconstruction_residual(state: BipartiteState, data: SchmidtData) -> float:
-    """Max amplitude error of the Schmidt reconstruction against the state."""
-    rebuilt = data.reconstruct(state.d_s, state.d_i)
-    return max_abs_diff(rebuilt, state.amplitudes)
+    rho = DensityMatrix(mat, tol)
+    w_min = np.linalg.eigvalsh(rho.mat)[0]
+    if w_min < -tol:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
+    return rho

@@ -51,3 +51,22 @@ def random_two_outcome_povm(rng, dim):
     scale = float(np.linalg.eigvalsh(b)[-1]) * float(rng.uniform(1.05, 2.0))
     e = b / scale
     return [e, np.eye(dim) - e]
+
+
+def product_baseline_state(state):
+    """Dense unentangled baseline of ``state``, the oracle for the closed form.
+
+    A product probe of the same dimensions: the signal carries the input's
+    signal-reduction spectrum (descending) as populations of one pure
+    vector, and the idler is pinned to level 0, so its effective rank is 1.
+    """
+    from qillum.linalg import partial_trace
+    from qillum.states import BipartiteState
+
+    rho_s = partial_trace(state.projector(), state.d_s, state.d_i, side="right")
+    spectrum = np.linalg.eigvalsh(rho_s)[::-1]
+    signal_amp = np.sqrt(np.clip(spectrum, 0.0, None))
+    signal_amp /= np.linalg.norm(signal_amp)
+    amp = np.zeros(state.d_s * state.d_i, dtype=complex)
+    amp[:: state.d_i] = signal_amp
+    return BipartiteState(state.d_s, state.d_i, amp)

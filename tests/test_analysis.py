@@ -5,9 +5,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qillum.states import bell_state, haar_random_state, schmidt_family_state, BipartiteState
-from qillum.illumination import IlluminationScenario
 from qillum.discrimination import h01_closed_form
 from qillum.analysis import (
     SweepRecord,
@@ -18,10 +19,14 @@ from qillum.analysis import (
     run_sweep,
     spectra_with_effective_rank,
     spectrum_dependence_probe,
+    unentangled_error,
     uniform_rank_family,
     verify_bell_optimality,
     verify_monotonicity,
 )
+from conftest import product_baseline_state
+
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestRunSweep:
@@ -264,3 +269,25 @@ class TestFixedSpectrumFamily:
         records = run_sweep([0.5], [3], [fam])
         assert records[0].k_i == pytest.approx(1 / (0.36 + 0.16), abs=1e-10)
         assert records[0].d_i == 2
+
+
+class TestUnentangledError:
+    """The closed-form baseline error against dense Helstrom on the product
+    baseline probe, for any prior."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_s=st.integers(2, 8),
+        d_i=st.integers(1, 4),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(seed=0, d_s=2, d_i=1, eta=0.0, p0=0.0)
+    @example(seed=1, d_s=8, d_i=4, eta=1.0, p0=1.0)
+    @example(seed=2, d_s=5, d_i=3, eta=1.0, p0=0.0)
+    @example(seed=3, d_s=3, d_i=2, eta=0.0, p0=1.0)
+    def test_matches_dense_baseline(self, seed, d_s, d_i, eta, p0):
+        base = product_baseline_state(haar_random_state(d_s, d_i, seed=seed))
+        _, dense = evaluate_state_metrics(base, eta, p0)
+        assert abs(unentangled_error(eta, d_s, p0) - dense) <= 1e-12

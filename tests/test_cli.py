@@ -1,0 +1,124 @@
+"""Tests for the command-line front end, run in-process through ``main``."""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from qillum import analysis
+from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
+
+DATA = Path(__file__).parent / "data"
+
+BELL_2 = {
+    "d_s": 2,
+    "d_i": 2,
+    "amplitudes": [[2**-0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [2**-0.5, 0.0]],
+}
+MIXED_4 = {
+    "dim": 4,
+    "entries": [
+        [[0.4, 0.0], [0.1, 0.05], [0.0, 0.0], [0.0, 0.0]],
+        [[0.1, -0.05], [0.3, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0], [0.2, 0.0], [0.0, -0.05]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.05], [0.1, 0.0]],
+    ],
+}
+# squared norm 0.5: invalid at any sensible tolerance
+HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def run_helstrom(tmp_path, state0, state1, *extra):
+    return main([
+        "helstrom",
+        "--state0", write_json(tmp_path / "s0.json", state0),
+        "--state1", write_json(tmp_path / "s1.json", state1),
+        *extra,
+    ])
+
+
+@pytest.fixture(autouse=True)
+def default_tolerance(monkeypatch):
+    monkeypatch.delenv("QI_TOL", raising=False)
+
+
+class TestSweep:
+    GOLDEN_ARGS = [
+        "--eta", "0:0.25:1", "--d", "2,3,4",
+        "--family", "bell", "--family", "uniform-rank:2", "--priors", "0.3",
+    ]
+
+    def test_golden_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
+
+    def test_verification_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        exact = analysis.evaluate_state_metrics
+
+        def skewed(*args, **kwargs):
+            h01, p_err = exact(*args, **kwargs)
+            return h01 + 1e-6, p_err
+
+        monkeypatch.setattr(analysis, "evaluate_state_metrics", skewed)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", "--d", "2", "--out", str(out)]) == 2
+        assert "numerical verification failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_grid_exits_1(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "1.5", "--d", "2", "--out", str(out)]) == 1
+
+
+class TestGridParsing:
+    def test_range_points_unchanged(self):
+        assert parse_float_grid("0:0.25:1") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert parse_float_grid("0:0.1:1") == [0.1 * k for k in range(11)]
+        assert parse_float_grid("2:1:5") == [2.0, 3.0, 4.0, 5.0]
+
+    def test_range_cap(self):
+        assert len(parse_float_grid(f"0:1:{MAX_RANGE_POINTS - 1}")) == MAX_RANGE_POINTS
+        with pytest.raises(CliError, match="points"):
+            parse_float_grid(f"0:1:{MAX_RANGE_POINTS}")
+        with pytest.raises(CliError, match="points"):
+            parse_float_grid("0:1:inf")
+
+    def test_huge_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0:1e-12:1", "--d", "2", "--out", str(out)]) == 1
+        assert "points" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestHelstrom:
+    def test_povm_output_unchanged(self, tmp_path, capsys):
+        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 0
+        assert capsys.readouterr().out == (DATA / "helstrom_povm.txt").read_text()
+
+    def test_rejects_negative_eigenvalue(self, tmp_path, capsys):
+        # Hermitian with unit trace, but eigenvalues 1.2 and -0.2
+        bad = {"dim": 2, "entries": [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]}
+        assert run_helstrom(tmp_path, bad, bad) == 1
+        assert "positive" in capsys.readouterr().err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
+    def test_rejects_unusable_qi_tol(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("QI_TOL", value)
+        assert run_helstrom(tmp_path, HALF_NORM, HALF_NORM) == 1
+        captured = capsys.readouterr()
+        assert "QI_TOL" in captured.err
+        assert captured.out == ""
+
+    def test_accepts_finite_positive_qi_tol(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QI_TOL", "1e-6")
+        assert run_helstrom(tmp_path, BELL_2, BELL_2) == 0
+        assert math.isclose(float(capsys.readouterr().out), 0.5, abs_tol=1e-12)

@@ -5,25 +5,22 @@ import pytest
 
 from qillum.linalg import max_abs_diff
 from qillum.states import (
-    BipartiteState,
     DensityMatrix,
-    bell_state,
     effective_rank_k,
     haar_random_state,
     idler_reduction,
 )
-from qillum.illumination import IlluminationScenario
+from qillum.illumination import channel_outputs
 from qillum.discrimination import (
     DiscriminationProblem,
     Povm,
-    advantage,
     h01_closed_form,
-    h01_direct,
     helstrom_error,
     hs_distinguishability,
     optimal_povm,
     povm_error,
 )
+from qillum.analysis import bell_family, evaluate_state_metrics, run_sweep, uniform_rank_family
 from conftest import random_density, random_pure_density, random_projective_povm, random_two_outcome_povm, random_unitary
 
 
@@ -215,7 +212,7 @@ class TestClosedForm:
     def test_matches_direct_evaluation(self, seed, d_s, d_i, eta):
         state = haar_random_state(d_s, d_i, seed=seed)
         k_i = effective_rank_k(idler_reduction(state))
-        direct = h01_direct(IlluminationScenario(state, eta=eta))
+        direct, _ = evaluate_state_metrics(state, eta)
         assert abs(direct - h01_closed_form(eta, d_s, k_i)) < 1e-10
 
     def test_partial_difference_signs_on_grid(self):
@@ -237,14 +234,18 @@ class TestClosedForm:
 
 
 class TestAdvantage:
+    """The sweep's advantage column: overlap gained over the unentangled
+    baseline, which keeps eta and d_s but has effective idler rank 1."""
+
+    @staticmethod
+    def advantage(family, eta, d):
+        return run_sweep([eta], [d], [family])[0].advantage
+
     def test_product_input_gives_zero(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[1] = 1.0
-        product = BipartiteState(2, 2, amp)
-        assert advantage(IlluminationScenario(product, eta=0.8)) == pytest.approx(0.0, abs=1e-10)
+        assert self.advantage(uniform_rank_family(1), 0.8, 2) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_qubit_anchor(self):
-        got = advantage(IlluminationScenario(bell_state(2), eta=1.0))
+        got = self.advantage(bell_family(), 1.0, 2)
         assert got == pytest.approx(1 / np.sqrt(2) - 0.5, abs=1e-10)
 
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.7])
@@ -252,22 +253,17 @@ class TestAdvantage:
         # tabulating 1/sqrt(1 + eta^2 (d-1)) - 1/sqrt(1 + eta^2 (d^2-1))
         # shows a strict increase over d in 2..6 for these eta; at strong
         # signal (eta near 1) the same tabulation peaks around d=4 instead
-        vals = [advantage(IlluminationScenario(bell_state(d), eta=eta)) for d in range(2, 7)]
+        vals = [self.advantage(bell_family(), eta, d) for d in range(2, 7)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("eta", [0.25, 0.6, 1.0])
     def test_matches_closed_form_tabulation(self, eta):
-        vals = [advantage(IlluminationScenario(bell_state(d), eta=eta)) for d in range(2, 7)]
+        vals = [self.advantage(bell_family(), eta, d) for d in range(2, 7)]
         expected = [
             h01_closed_form(eta, d, 1.0) - h01_closed_form(eta, d, float(d))
             for d in range(2, 7)
         ]
         assert np.allclose(vals, expected, atol=1e-12)
-
-    def test_rejects_full_model(self):
-        sc = IlluminationScenario(bell_state(2), eta=0.5, lam=0.2, post_selected=False)
-        with pytest.raises(ValueError):
-            advantage(sc)
 
 
 class TestMixtureChallenge:
@@ -275,13 +271,10 @@ class TestMixtureChallenge:
 
     def test_helstrom_floors_random_povms_on_channel_outputs(self):
         rng = np.random.default_rng(2024)
-        from qillum.illumination import remaining_state_post_selected, returned_state_post_selected
-
         for seed in range(5):
             state = haar_random_state(2, 2, seed=seed)
-            sc = IlluminationScenario(state, eta=float(rng.uniform(0.2, 1.0)))
             prob = DiscriminationProblem(
-                returned_state_post_selected(sc), remaining_state_post_selected(sc)
+                *channel_outputs(state, float(rng.uniform(0.2, 1.0)))
             )
             floor = helstrom_error(prob)
             assert povm_error(prob, optimal_povm(prob)) == pytest.approx(floor, abs=1e-10)
