@@ -5,19 +5,13 @@ an entangled signal/idler probe, computes the exact minimum discrimination
 error (trace-norm diagonalization, with the optimal measurement) and the
 normalized Hilbert-Schmidt overlap with its closed form in the physical
 parameters, and verifies monotonicity and the optimality of the maximally
-entangled probe numerically.
+entangled probe numerically.  Inputs are validated where they enter, in
+:mod:`qillum.states` and at the user parameters; the layers above call
+``numpy`` directly.
 """
 
-from .linalg import (
-    DEFAULT_TOL,
-    eigh,
-    eigvalsh,
-    kron,
-    max_abs_diff,
-    partial_trace,
-    trace_norm,
-)
 from .states import (
+    DEFAULT_TOL,
     BipartiteState,
     DensityMatrix,
     bell_state,
@@ -33,8 +27,6 @@ from .states import (
 )
 from .illumination import channel_outputs
 from .discrimination import (
-    DiscriminationProblem,
-    Povm,
     h01_closed_form,
     helstrom_error,
     hs_distinguishability,

@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
 from .states import (
+    DEFAULT_TOL,
     BipartiteState,
     bell_state,
     effective_rank_k,
@@ -26,12 +26,7 @@ from .states import (
     schmidt_family_state,
 )
 from .illumination import channel_outputs
-from .discrimination import (
-    DiscriminationProblem,
-    h01_closed_form,
-    helstrom_error,
-    hs_distinguishability,
-)
+from .discrimination import h01_closed_form, helstrom_error, hs_distinguishability
 
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
@@ -57,10 +52,10 @@ class SweepRecord:
     p_err_ci: float
     advantage: float
 
-    def validate(self, p_min: float = 0.5, agreement_tol: float = RECORD_AGREEMENT_TOL):
+    def validate(self, p_min: float = 0.5):
         """Check internal consistency; raises :class:`VerificationError`."""
         gap = abs(self.h01_closed - self.h01_direct)
-        if gap >= agreement_tol:
+        if gap >= RECORD_AGREEMENT_TOL:
             raise VerificationError(
                 f"closed/direct overlap disagree by {gap:.3e} at "
                 f"(eta={self.eta}, d_s={self.d_s}, k_i={self.k_i})"
@@ -105,8 +100,7 @@ def evaluate_state_metrics(
     """Direct overlap and minimum error probability for one input state."""
     rho0, rho1 = channel_outputs(state, eta, tol)
     h01 = hs_distinguishability(rho0, rho1)
-    p_err = helstrom_error(DiscriminationProblem(rho0, rho1, p0, tol=tol), tol)
-    return h01, p_err
+    return h01, helstrom_error(rho0, rho1, p0)
 
 
 def unentangled_error(eta: float, d_s: int, p0: float = 0.5) -> float:
@@ -134,10 +128,11 @@ def run_sweep(
     """Evaluate the full pipeline on a grid.
 
     Iterates lexicographically (eta outermost, then dimension, then family)
-    and emits one validated record per point.  Raises ``ValueError`` for
-    grid entries outside their ranges or families infeasible at a requested
-    dimension, and its subclass :class:`VerificationError` for a record
-    that fails its cross-checks.
+    and emits one validated record per point.  Each (dimension, family)
+    probe and its effective idler rank are built once, before the eta loop.
+    Raises ``ValueError`` for grid entries outside their ranges or families
+    infeasible at a requested dimension, and its subclass
+    :class:`VerificationError` for a record that fails its cross-checks.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
@@ -153,12 +148,17 @@ def run_sweep(
         raise ValueError(f"p0 must be in [0, 1], got {p0}")
     p_min = min(p0, 1.0 - p0)
 
+    probes = {}
+    for d_s in dims:
+        for f, family in enumerate(families):
+            state = family.build(d_s)
+            probes[d_s, f] = state, effective_rank_k(idler_reduction(state))
+
     records = []
     for eta in etas:
         for d_s in dims:
-            for family in families:
-                state = family.build(d_s)
-                k_i = effective_rank_k(idler_reduction(state))
+            for f in range(len(families)):
+                state, k_i = probes[d_s, f]
                 h01, p_err = evaluate_state_metrics(state, eta, p0, tol)
                 record = SweepRecord(
                     eta=eta,
@@ -306,23 +306,6 @@ class OptimalityReport:
     margin_p_err: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "d_s": self.d_s,
-            "d_i": self.d_i,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "eta": self.eta,
-            "p0": self.p0,
-            "bell_h01": self.bell_h01,
-            "bell_p_err": self.bell_p_err,
-            "best_sampled_h01": self.best_sampled_h01,
-            "best_sampled_p_err": self.best_sampled_p_err,
-            "margin_h01": self.margin_h01,
-            "margin_p_err": self.margin_p_err,
-            "margin": self.margin,
-        }
-
 
 def verify_bell_optimality(
     d_s: int,
@@ -331,6 +314,7 @@ def verify_bell_optimality(
     seed: int,
     eta: float = 0.5,
     p0: float = 0.5,
+    tol: float = DEFAULT_TOL,
 ) -> OptimalityReport:
     """Sample random pure inputs and compare them to the entangled reference.
 
@@ -343,14 +327,14 @@ def verify_bell_optimality(
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     reference = bell_state(min(d_s, d_i))
-    bell_h01, bell_p_err = evaluate_state_metrics(reference, eta, p0)
+    bell_h01, bell_p_err = evaluate_state_metrics(reference, eta, p0, tol)
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
     best_h01 = np.inf
     best_p_err = np.inf
     for s in child_seeds:
         state = haar_random_state(d_s, d_i, int(s))
-        h01, p_err = evaluate_state_metrics(state, eta, p0)
+        h01, p_err = evaluate_state_metrics(state, eta, p0, tol)
         best_h01 = min(best_h01, h01)
         best_p_err = min(best_p_err, p_err)
 

@@ -10,17 +10,18 @@ run stops with exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .linalg import DEFAULT_TOL
-from .states import density_from_dict, density_to_dict, state_from_dict
-from .discrimination import DiscriminationProblem, helstrom_error, optimal_povm
+from .states import DEFAULT_TOL, density_from_dict, density_to_dict, state_from_dict
+from .discrimination import helstrom_error, optimal_povm
 from .analysis import (
     StateFamily,
+    SweepRecord,
     VerificationError,
     bell_family,
     fixed_spectrum_family,
@@ -29,7 +30,7 @@ from .analysis import (
     verify_bell_optimality,
 )
 
-CSV_HEADER = "eta,d_s,d_i,k_i,h01_closed,h01_direct,p_err,p_err_ci,advantage"
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRecord))
 MARGIN_FLOOR = -1e-9
 #: Largest number of points a ``start:step:stop`` range may expand to.
 MAX_RANGE_POINTS = 10_000
@@ -113,21 +114,7 @@ def render_sweep_csv(records) -> str:
     """Format validated records as CSV."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.eta),
-                    str(r.d_s),
-                    str(r.d_i),
-                    _fmt(r.k_i),
-                    _fmt(r.h01_closed),
-                    _fmt(r.h01_direct),
-                    _fmt(r.p_err),
-                    _fmt(r.p_err_ci),
-                    _fmt(r.advantage),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in dataclasses.astuple(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -185,9 +172,9 @@ def cmd_verify_bell(args, tol: float) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise CliError(f"eta must be in [0, 1], got {args.eta}")
     report = verify_bell_optimality(
-        args.d, args.d, args.samples, args.seed, eta=args.eta, p0=args.p0
+        args.d, args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
     )
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     if report.margin < MARGIN_FLOOR:
         return 2
     return 0
@@ -211,14 +198,10 @@ def _load_density(path: str, tol: float):
 def cmd_helstrom(args, tol: float) -> int:
     rho0 = _load_density(args.state0, tol)
     rho1 = _load_density(args.state1, tol)
-    try:
-        problem = DiscriminationProblem(rho0, rho1, p0=args.p0, tol=tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    print(_fmt(helstrom_error(problem, tol)))
+    print(_fmt(helstrom_error(rho0, rho1, args.p0)))
     if args.povm:
-        povm = optimal_povm(problem, tol)
-        print(json.dumps([density_to_dict(e) for e in povm.elements], sort_keys=True))
+        povm = optimal_povm(rho0, rho1, args.p0, tol)
+        print(json.dumps([density_to_dict(e) for e in povm], sort_keys=True))
     return 0
 
 

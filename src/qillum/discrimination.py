@@ -1,17 +1,19 @@
 """Distinguishability of quantum states.
 
 Two routes to the same question: the exact minimum error probability of a
-binary hypothesis test (via trace-norm diagonalization, with the measurement
-that attains it), and a diagonalization-free overlap measure that needs only
-traces of matrix products.
+binary hypothesis test between ``rho0`` (prior ``p0``) and ``rho1`` (prior
+``1 - p0``), via the spectrum of ``p0 rho0 - (1 - p0) rho1``, with the
+measurement that attains it; and a diagonalization-free overlap measure
+that needs only traces of matrix products.  The states arrive validated as
+:class:`DensityMatrix`; only their dimensions and the prior are checked
+here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, eigh, require_hermitian, trace_norm
-from .states import DensityMatrix
+from .states import DEFAULT_TOL, DensityMatrix
 
 
 def _real_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -19,110 +21,61 @@ def _real_overlap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", a, b)))
 
 
-class Povm:
-    """A finite set of positive operators that sums to the identity."""
-
-    __slots__ = ("elements", "dim")
-
-    def __init__(self, elements, tol: float = DEFAULT_TOL):
-        mats = [as_operator(e) for e in elements]
-        if not mats:
-            raise ValueError("a POVM needs at least one element")
-        dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for k, e in enumerate(mats):
-            if e.shape[0] != dim:
-                raise ValueError("POVM elements must share one dimension")
-            e = require_hermitian(e, tol)
-            w = np.linalg.eigvalsh(e)
-            if w[0] < -tol:
-                raise ValueError(f"element {k} is not positive: min eigenvalue {w[0]:.3e}")
-            total += e
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > tol:
-            raise ValueError(f"elements sum to identity only within {defect:.3e}")
-        self.elements = tuple(mats)
-        self.dim = dim
-
-    def __len__(self) -> int:
-        return len(self.elements)
+def _weighted_difference(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> np.ndarray:
+    """``p0 rho0 - (1 - p0) rho1``, the operator whose spectrum decides the test."""
+    if rho0.dim != rho1.dim:
+        raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
+    p0 = float(p0)
+    return p0 * rho0.mat - (1.0 - p0) * rho1.mat
 
 
-class DiscriminationProblem:
-    """Two candidate states with prior probabilities."""
-
-    __slots__ = ("rho0", "rho1", "p0", "p1")
-
-    def __init__(
-        self,
-        rho0: DensityMatrix,
-        rho1: DensityMatrix,
-        p0: float = 0.5,
-        p1: float | None = None,
-        tol: float = DEFAULT_TOL,
-    ):
-        if rho0.dim != rho1.dim:
-            raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-        if p1 is None:
-            p1 = 1.0 - p0
-        if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
-            raise ValueError("priors must lie in [0, 1]")
-        if abs(p0 + p1 - 1.0) > tol:
-            raise ValueError(f"priors sum to {p0 + p1}, expected 1")
-        self.rho0 = rho0
-        self.rho1 = rho1
-        self.p0 = float(p0)
-        self.p1 = float(p1)
-
-    @property
-    def dim(self) -> int:
-        return self.rho0.dim
-
-    def weighted_difference(self) -> np.ndarray:
-        """p0 * rho0 - p1 * rho1, the operator whose spectrum decides the test."""
-        return self.p0 * self.rho0.mat - self.p1 * self.rho1.mat
-
-
-def povm_error(problem: DiscriminationProblem, povm: Povm) -> float:
-    """Error probability of a given binary measurement.
+def povm_error(
+    rho0: DensityMatrix, rho1: DensityMatrix, p0: float, povm: tuple[np.ndarray, np.ndarray]
+) -> float:
+    """Error probability of the binary measurement ``povm = (E0, E1)``.
 
     Outcome ``k`` is read as "the state was ``rho_k``", so the error is
-    ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``.
+    ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``, which equals
+    ``Tr[(p0 rho0 - p1 rho1) E1] + p1 Tr[rho1 (E0 + E1)]``.
     """
+    diff = _weighted_difference(rho0, rho1, p0)
     if len(povm) != 2:
         raise ValueError(f"expected a binary POVM, got {len(povm)} elements")
-    if povm.dim != problem.dim:
-        raise ValueError(f"dimension mismatch: POVM {povm.dim} vs states {problem.dim}")
-    e0, e1 = povm.elements
-    p = problem.p0 * _real_overlap(problem.rho0.mat, e1)
-    p += problem.p1 * _real_overlap(problem.rho1.mat, e0)
+    e0, e1 = (np.asarray(e) for e in povm)
+    if e0.shape != diff.shape or e1.shape != diff.shape:
+        raise ValueError(f"dimension mismatch: POVM {e0.shape}, {e1.shape} vs states {diff.shape}")
+    p = _real_overlap(diff, e1) + (1.0 - p0) * _real_overlap(rho1.mat, e0 + e1)
     return float(min(max(p, 0.0), 1.0))
 
 
-def helstrom_error(problem: DiscriminationProblem, tol: float = DEFAULT_TOL) -> float:
+def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> float:
     """Minimum achievable error probability over all measurements.
 
     Equals ``(1 - ||p0 rho0 - p1 rho1||_1) / 2`` and never exceeds the
     smaller prior.
     """
-    value = 0.5 * (1.0 - trace_norm(problem.weighted_difference(), tol))
+    w = np.linalg.eigvalsh(_weighted_difference(rho0, rho1, p0))
+    value = 0.5 * (1.0 - float(np.sum(np.abs(w))))
     return float(min(max(value, 0.0), 1.0))
 
 
-def optimal_povm(problem: DiscriminationProblem, tol: float = DEFAULT_TOL) -> Povm:
-    """The measurement attaining the minimum error probability.
+def optimal_povm(
+    rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """The measurement ``(E0, E1)`` attaining the minimum error probability.
 
-    The first element projects onto the non-negative eigenspace of
-    ``p0 rho0 - p1 rho1`` (eigenvalues above ``-tol`` count as non-negative,
-    which shifts the attained error by at most ``tol``); the second is its
-    complement.
+    ``E0`` projects onto the non-negative eigenspace of ``p0 rho0 - p1 rho1``
+    (eigenvalues above ``-tol`` count as non-negative, which shifts the
+    attained error by at most ``dim * tol``); ``E1 = I - E0`` is its
+    complement.  Both are orthogonal projectors by construction.
     """
-    w, v = eigh(problem.weighted_difference(), tol)
+    w, v = np.linalg.eigh(_weighted_difference(rho0, rho1, p0))
     keep = v[:, w >= -tol]
-    pi0 = keep @ keep.conj().T
-    pi0 = 0.5 * (pi0 + pi0.conj().T)
-    pi1 = np.eye(problem.dim) - pi0
-    return Povm([pi0, pi1], tol)
+    e0 = keep @ keep.conj().T
+    e0 = 0.5 * (e0 + e0.conj().T)
+    return e0, np.eye(rho0.dim) - e0
 
 
 def hs_distinguishability(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, kron
-from .states import BipartiteState, DensityMatrix, idler_reduction
+from .states import DEFAULT_TOL, BipartiteState, DensityMatrix, idler_reduction
 
 
 def channel_outputs(
@@ -29,6 +28,6 @@ def channel_outputs(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    rho1 = kron(np.eye(state.d_s) / state.d_s, idler_reduction(state).mat)
+    rho1 = np.kron(np.eye(state.d_s) / state.d_s, idler_reduction(state).mat)
     rho0 = eta * state.projector() + (1.0 - eta) * rho1
     return DensityMatrix(rho0, tol), DensityMatrix(rho1, tol)

@@ -1,7 +1,8 @@
 """Validated quantum states and their decompositions.
 
-Density operators are checked on construction for Hermiticity and unit
-trace; positivity is checked where a matrix enters from outside, in
+This is where data enters the package, so this is where it is checked.
+Density operators are checked on construction for shape, Hermiticity and
+unit trace; positivity is checked where a matrix enters from outside, in
 :func:`density_from_dict`, since every operator built inside the package is
 positive by construction.  Bipartite pure states carry explicit signal and
 idler dimensions.  Mode states are plain computational-basis vectors of a
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, partial_trace, require_hermitian
-
+#: Default validation tolerance (max entry magnitude) used across the package.
+DEFAULT_TOL = 1e-9
 #: Schmidt weights below this are treated as numerically zero.
 SCHMIDT_RANK_CUTOFF = 1e-12
 
@@ -27,17 +28,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A Hermitian, positive-semidefinite, unit-trace operator.
 
-    Construction validates Hermiticity (max entry magnitude) and the trace
-    (absolute value) within ``tol``, both in O(dim^2).  Positivity is the
-    caller's guarantee: it holds by construction for every operator the
-    package builds, and :func:`density_from_dict` checks it for matrices
-    read from outside.  The stored matrix is read-only.
+    Construction validates the square shape, Hermiticity (max entry
+    magnitude) and the trace (absolute value) within ``tol``, all in
+    O(dim^2).  Positivity is the caller's guarantee: it holds by
+    construction for every operator the package builds, and
+    :func:`density_from_dict` checks it for matrices read from outside.
+    The stored matrix is read-only.
     """
 
     __slots__ = ("mat",)
 
     def __init__(self, mat: np.ndarray, tol: float = DEFAULT_TOL):
-        a = require_hermitian(mat, tol)
+        a = np.asarray(mat, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        defect = float(np.max(np.abs(a - a.conj().T)))
+        if defect > tol:
+            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > tol:
             raise ValueError(f"trace is {tr:.6g}, expected 1 within {tol:.1e}")
@@ -149,8 +156,8 @@ def haar_random_state(d_s: int, d_i: int, seed: int) -> BipartiteState:
 
 def idler_reduction(state: BipartiteState) -> DensityMatrix:
     """Reduced state of the idler: the signal factor traced out."""
-    reduced = partial_trace(state.projector(), state.d_s, state.d_i, side="left")
-    return DensityMatrix(reduced)
+    blocks = state.projector().reshape(state.d_s, state.d_i, state.d_s, state.d_i)
+    return DensityMatrix(np.einsum("ikil->kl", blocks))
 
 
 def effective_rank_k(rho: DensityMatrix) -> float:

@@ -1,6 +1,30 @@
-"""Shared random-object generators for the test suite."""
+"""Shared random-object generators and dense oracles for the test suite."""
 
 import numpy as np
+
+
+def max_abs_diff(a, b):
+    """Largest entrywise magnitude of ``a - b``."""
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def partial_trace(m, d_left, d_right, side="right"):
+    """Trace out one tensor factor of an operator on a ``d_left * d_right`` space.
+
+    ``side="left"`` returns the ``d_right`` reduced matrix, ``"right"`` the
+    ``d_left`` one.  The dense oracle for the package's reductions.
+    """
+    a = np.asarray(m, dtype=complex)
+    if d_left < 1 or d_right < 1:
+        raise ValueError("factor dimensions must be positive")
+    if a.shape != (d_left * d_right, d_left * d_right):
+        raise ValueError(f"dimension mismatch: matrix shape {a.shape} != {d_left} * {d_right}")
+    blocks = a.reshape(d_left, d_right, d_left, d_right)
+    if side == "left":
+        return np.einsum("ikil->kl", blocks)
+    if side == "right":
+        return np.einsum("ikjk->ij", blocks)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def ginibre(rng, rows, cols=None):
@@ -26,12 +50,6 @@ def random_density(rng, dim):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return 0.5 * (rho + rho.conj().T)
-
-
-def random_pure_density(rng, dim):
-    v = ginibre(rng, dim, 1).ravel()
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def random_projective_povm(rng, dim):
@@ -60,7 +78,6 @@ def product_baseline_state(state):
     signal-reduction spectrum (descending) as populations of one pure
     vector, and the idler is pinned to level 0, so its effective rank is 1.
     """
-    from qillum.linalg import partial_trace
     from qillum.states import BipartiteState
 
     rho_s = partial_trace(state.projector(), state.d_s, state.d_i, side="right")

@@ -25,6 +25,7 @@ MIXED_4 = {
         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.05], [0.1, 0.0]],
     ],
 }
+MIXED_2 = {"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
 # squared norm 0.5: invalid at any sensible tolerance
 HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
 
@@ -77,6 +78,19 @@ class TestSweep:
         assert main(["sweep", "--eta", "1.5", "--d", "2", "--out", str(out)]) == 1
 
 
+class TestVerifyBell:
+    GOLDEN_ARGS = ["--d", "4", "--samples", "20", "--seed", "3", "--eta", "0.3", "--p0", "0.4"]
+
+    def test_golden_report(self, capsys):
+        assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_bell_golden.json").read_text()
+
+    def test_honours_qi_tol(self, monkeypatch):
+        # no channel output has a trace within 1e-30 of 1
+        monkeypatch.setenv("QI_TOL", "1e-30")
+        assert main(["verify-bell", "--d", "3", "--samples", "3", "--seed", "1"]) == 1
+
+
 class TestGridParsing:
     def test_range_points_unchanged(self):
         assert parse_float_grid("0:0.25:1") == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -107,6 +121,23 @@ class TestHelstrom:
         bad = {"dim": 2, "entries": [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]}
         assert run_helstrom(tmp_path, bad, bad) == 1
         assert "positive" in capsys.readouterr().err
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("argv", [
+        ["helstrom", "--state0", "{mixed_4}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{mixed_4}", "--state1", "{mixed_4}", "--p0", "1.5"],
+        ["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--p0", "1.5"],
+    ], ids=["dimension-mismatch", "helstrom-p0", "verify-bell-p0"])
+    def test_exits_1(self, tmp_path, capsys, argv):
+        files = {
+            "mixed_4": write_json(tmp_path / "m4.json", MIXED_4),
+            "mixed_2": write_json(tmp_path / "m2.json", MIXED_2),
+        }
+        assert main([a.format(**files) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 class TestTolerance:

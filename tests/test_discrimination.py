@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qillum.linalg import max_abs_diff
 from qillum.states import (
+    DEFAULT_TOL as TOL,
     DensityMatrix,
     effective_rank_k,
     haar_random_state,
@@ -12,8 +14,6 @@ from qillum.states import (
 )
 from qillum.illumination import channel_outputs
 from qillum.discrimination import (
-    DiscriminationProblem,
-    Povm,
     h01_closed_form,
     helstrom_error,
     hs_distinguishability,
@@ -21,7 +21,14 @@ from qillum.discrimination import (
     povm_error,
 )
 from qillum.analysis import bell_family, evaluate_state_metrics, run_sweep, uniform_rank_family
-from conftest import random_density, random_pure_density, random_projective_povm, random_two_outcome_povm, random_unitary
+from conftest import (
+    ginibre,
+    max_abs_diff,
+    random_density,
+    random_projective_povm,
+    random_two_outcome_povm,
+    random_unitary,
+)
 
 
 def dm(mat):
@@ -33,119 +40,125 @@ ONE = dm(np.diag([0.0, 1.0]))
 PLUS = dm(np.full((2, 2), 0.5))
 
 
-class TestPovmValidation:
-    def test_rejects_non_identity_sum(self):
-        with pytest.raises(ValueError, match="identity"):
-            Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
+def hermitian_defect(m):
+    return max_abs_diff(m, m.conj().T)
 
-    def test_rejects_negative_element(self):
-        with pytest.raises(ValueError, match="positive"):
-            Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
-    def test_rejects_mixed_dims(self):
-        with pytest.raises(ValueError):
-            Povm([np.eye(2), np.zeros((3, 3))])
-
-    def test_accepts_projective(self):
-        p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        assert len(p) == 2 and p.dim == 2
+def random_state_of_rank(rng, dim, rank):
+    """Random density matrix of the given rank (rank < dim is rank-deficient)."""
+    g = ginibre(rng, dim, rank)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return dm(0.5 * (rho + rho.conj().T))
 
 
 class TestProblemValidation:
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            DiscriminationProblem(ZERO, dm(np.eye(3) / 3))
+        other = dm(np.eye(3) / 3)
+        for call in (
+            lambda: helstrom_error(ZERO, other),
+            lambda: optimal_povm(ZERO, other),
+            lambda: povm_error(ZERO, other, 0.5, (np.eye(2), np.zeros((2, 2)))),
+        ):
+            with pytest.raises(ValueError, match="dimension"):
+                call()
 
     def test_rejects_bad_priors(self):
-        with pytest.raises(ValueError):
-            DiscriminationProblem(ZERO, PLUS, p0=0.7, p1=0.7)
-        with pytest.raises(ValueError):
-            DiscriminationProblem(ZERO, PLUS, p0=-0.1)
-
-    def test_default_priors_complement(self):
-        prob = DiscriminationProblem(ZERO, PLUS, p0=0.3)
-        assert prob.p1 == pytest.approx(0.7)
+        for p0 in (-0.1, 1.5, float("nan")):
+            for call in (helstrom_error, optimal_povm):
+                with pytest.raises(ValueError, match="prior"):
+                    call(ZERO, PLUS, p0)
+            with pytest.raises(ValueError, match="prior"):
+                povm_error(ZERO, PLUS, p0, (np.eye(2), np.zeros((2, 2))))
 
 
 class TestPovmError:
     def test_always_guess_zero(self):
-        povm = Povm([np.eye(2), np.zeros((2, 2))])
-        prob = DiscriminationProblem(ZERO, PLUS, p0=0.4)
-        assert povm_error(prob, povm) == pytest.approx(0.6, abs=1e-12)
+        povm = (np.eye(2), np.zeros((2, 2)))
+        assert povm_error(ZERO, PLUS, 0.4, povm) == pytest.approx(0.6, abs=1e-12)
 
     def test_orthogonal_states_perfectly_resolved(self):
-        povm = Povm([ZERO.mat, ONE.mat])
-        prob = DiscriminationProblem(ZERO, ONE)
-        assert povm_error(prob, povm) == pytest.approx(0.0, abs=1e-12)
+        assert povm_error(ZERO, ONE, 0.5, (ZERO.mat, ONE.mat)) == pytest.approx(0.0, abs=1e-12)
 
     def test_computational_basis_on_zero_vs_plus(self):
-        povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        prob = DiscriminationProblem(ZERO, PLUS)
-        assert povm_error(prob, povm) == pytest.approx(0.25, abs=1e-12)
+        povm = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert povm_error(ZERO, PLUS, 0.5, povm) == pytest.approx(0.25, abs=1e-12)
 
     def test_rejects_non_binary(self):
-        third = Povm([np.eye(2) / 3] * 3)
         with pytest.raises(ValueError, match="binary"):
-            povm_error(DiscriminationProblem(ZERO, PLUS), third)
+            povm_error(ZERO, PLUS, 0.5, [np.eye(2) / 3] * 3)
 
     def test_rejects_dim_mismatch(self):
-        povm = Povm([np.eye(3), np.zeros((3, 3))])
+        povm = (np.eye(3), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="mismatch"):
-            povm_error(DiscriminationProblem(ZERO, PLUS), povm)
+            povm_error(ZERO, PLUS, 0.5, povm)
 
 
 class TestHelstrom:
     def test_identical_states(self):
-        prob = DiscriminationProblem(PLUS, PLUS, p0=0.3)
-        assert helstrom_error(prob) == pytest.approx(0.3, abs=1e-12)
+        assert helstrom_error(PLUS, PLUS, p0=0.3) == pytest.approx(0.3, abs=1e-12)
 
     def test_orthogonal_states(self):
-        assert helstrom_error(DiscriminationProblem(ZERO, ONE)) == pytest.approx(0.0, abs=1e-12)
+        assert helstrom_error(ZERO, ONE) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vs_plus(self):
         # weighted difference has eigenvalues +-1/(2 sqrt(2))
         expected = 0.5 * (1 - 1 / np.sqrt(2))
-        assert helstrom_error(DiscriminationProblem(ZERO, PLUS)) == pytest.approx(expected, abs=1e-12)
+        assert helstrom_error(ZERO, PLUS) == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_by_smaller_prior(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             p0 = float(rng.uniform(0, 1))
-            prob = DiscriminationProblem(
-                dm(random_density(rng, 4)), dm(random_density(rng, 4)), p0=p0
-            )
-            assert 0.0 <= helstrom_error(prob) <= min(p0, 1 - p0) + 1e-12
+            rho0, rho1 = dm(random_density(rng, 4)), dm(random_density(rng, 4))
+            assert 0.0 <= helstrom_error(rho0, rho1, p0) <= min(p0, 1 - p0) + 1e-12
 
 
 class TestOptimalPovm:
     def test_orthogonal_pure_states(self):
-        povm = optimal_povm(DiscriminationProblem(ZERO, ONE))
-        assert povm_error(DiscriminationProblem(ZERO, ONE), povm) == pytest.approx(0.0, abs=1e-12)
+        povm = optimal_povm(ZERO, ONE)
+        assert povm_error(ZERO, ONE, 0.5, povm) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_states_larger_prior_wins(self):
-        povm = optimal_povm(DiscriminationProblem(PLUS, PLUS, p0=0.7))
-        assert max_abs_diff(povm.elements[0], np.eye(2)) < 1e-10
+        e0, _ = optimal_povm(PLUS, PLUS, p0=0.7)
+        assert max_abs_diff(e0, np.eye(2)) < 1e-10
 
-    def test_matches_helstrom_on_random_qutrits(self):
-        rng = np.random.default_rng(77)
-        for _ in range(25):
-            prob = DiscriminationProblem(
-                dm(random_density(rng, 3)), dm(random_density(rng, 3)),
-                p0=float(rng.uniform(0.2, 0.8)),
-            )
-            gap = povm_error(prob, optimal_povm(prob)) - helstrom_error(prob)
-            assert abs(gap) < 1e-10
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        rank0=st.integers(1, 8),
+        rank1=st.integers(1, 8),
+        p0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(seed=0, dim=1, rank0=1, rank1=1, p0=0.5)
+    @example(seed=1, dim=4, rank0=1, rank1=1, p0=0.0)
+    @example(seed=2, dim=6, rank0=2, rank1=3, p0=1.0)
+    def test_matches_helstrom_on_random_qutrits(self, seed, dim, rank0, rank1, p0):
+        """The measurement is a valid projective POVM and attains the
+        Helstrom bound, which never exceeds the smaller prior."""
+        rng = np.random.default_rng(seed)
+        rho0 = random_state_of_rank(rng, dim, min(rank0, dim))
+        rho1 = random_state_of_rank(rng, dim, min(rank1, dim))
+        e0, e1 = optimal_povm(rho0, rho1, p0, TOL)
+        for e in (e0, e1):
+            assert hermitian_defect(e) <= 1e-12
+            assert np.linalg.eigvalsh(e)[0] >= -TOL
+        assert max_abs_diff(e0 + e1, np.eye(dim)) <= 1e-12
+        floor = helstrom_error(rho0, rho1, p0)
+        assert abs(povm_error(rho0, rho1, p0, (e0, e1)) - floor) <= dim * TOL
+        assert floor <= min(p0, 1.0 - p0) + 1e-12
 
     def test_no_random_povm_beats_it(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
             dim = int(rng.integers(2, 7))
-            prob = DiscriminationProblem(dm(random_density(rng, dim)), dm(random_density(rng, dim)))
-            floor = helstrom_error(prob)
+            rho0, rho1 = dm(random_density(rng, dim)), dm(random_density(rng, dim))
+            floor = helstrom_error(rho0, rho1)
             for maker in (random_projective_povm, random_two_outcome_povm):
                 for _ in range(10):
-                    challenger = Povm(maker(rng, dim))
-                    assert povm_error(prob, challenger) >= floor - 1e-10
+                    challenger = maker(rng, dim)
+                    assert povm_error(rho0, rho1, 0.5, challenger) >= floor - 1e-10
 
 
 class TestHsDistinguishability:
@@ -273,11 +286,10 @@ class TestMixtureChallenge:
         rng = np.random.default_rng(2024)
         for seed in range(5):
             state = haar_random_state(2, 2, seed=seed)
-            prob = DiscriminationProblem(
-                *channel_outputs(state, float(rng.uniform(0.2, 1.0)))
-            )
-            floor = helstrom_error(prob)
-            assert povm_error(prob, optimal_povm(prob)) == pytest.approx(floor, abs=1e-10)
+            rho0, rho1 = channel_outputs(state, float(rng.uniform(0.2, 1.0)))
+            floor = helstrom_error(rho0, rho1)
+            attained = povm_error(rho0, rho1, 0.5, optimal_povm(rho0, rho1))
+            assert attained == pytest.approx(floor, abs=1e-10)
             for _ in range(20):
-                challenger = Povm(random_two_outcome_povm(rng, 4))
-                assert povm_error(prob, challenger) >= floor - 1e-10
+                challenger = random_two_outcome_povm(rng, 4)
+                assert povm_error(rho0, rho1, 0.5, challenger) >= floor - 1e-10

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qillum.linalg import max_abs_diff
 from qillum.states import (
     BipartiteState,
     bell_state,
@@ -15,7 +14,7 @@ from qillum.states import (
 )
 from qillum.illumination import channel_outputs
 from qillum.discrimination import hs_distinguishability
-from conftest import product_baseline_state
+from conftest import max_abs_diff, product_baseline_state
 
 
 def product_state_00():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qillum.linalg import max_abs_diff, partial_trace
 from qillum.states import (
     BipartiteState,
     DensityMatrix,
@@ -18,6 +17,7 @@ from qillum.states import (
     state_from_dict,
     state_to_dict,
 )
+from conftest import max_abs_diff, partial_trace
 
 
 class TestDensityMatrix:
@@ -29,6 +29,15 @@ class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+        skew = np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(skew, tol=1e-9)
+        DensityMatrix(skew, tol=1e-3)  # accepted when the caller loosens it
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.zeros(shape, dtype=complex))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
