@@ -32,6 +32,7 @@ from .discrimination import (
     hs_distinguishability,
     optimal_povm,
     povm_error,
+    schmidt_helstrom_error,
 )
 from .analysis import (
     MonotonicityReport,

@@ -7,6 +7,12 @@ grids.  Random sampling over pure inputs backs the claim that the
 maximally entangled state is the best probe, and a level-set probe studies
 whether the error probability is determined by the effective idler rank
 alone.
+
+The sweep and the level-set probe take the error probability from the
+Schmidt-space kernel :func:`~qillum.discrimination.schmidt_helstrom_error`;
+the sweep's direct overlap still comes from the dense channel outputs, as
+the independent route to the closed form.  The optimality check runs on the
+dense channel outputs throughout (:func:`evaluate_state_metrics`).
 """
 
 from __future__ import annotations
@@ -26,12 +32,19 @@ from .states import (
     schmidt_family_state,
 )
 from .illumination import channel_outputs
-from .discrimination import h01_closed_form, helstrom_error, hs_distinguishability
+from .discrimination import (
+    h01_closed_form,
+    helstrom_error,
+    hs_distinguishability,
+    schmidt_helstrom_error,
+)
 
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
 #: Slack allowed when checking monotone orderings of computed values.
 MONOTONICITY_SLACK = 1e-10
+#: Largest number of rows (eta x dimension x family) one sweep may have.
+MAX_SWEEP_ROWS = 10_000
 
 
 class VerificationError(ValueError):
@@ -129,15 +142,23 @@ def run_sweep(
 
     Iterates lexicographically (eta outermost, then dimension, then family)
     and emits one validated record per point.  Each (dimension, family)
-    probe and its effective idler rank are built once, before the eta loop.
-    Raises ``ValueError`` for grid entries outside their ranges or families
-    infeasible at a requested dimension, and its subclass
-    :class:`VerificationError` for a record that fails its cross-checks.
+    probe, its effective idler rank and its Schmidt weights are built once,
+    before the eta loop.  Every row's ``p_err`` comes from the Schmidt-space
+    kernel :func:`~qillum.discrimination.schmidt_helstrom_error` (one
+    ``d_i x d_i`` eigensolve); ``h01_direct`` comes from the dense channel
+    outputs, as the independent check of the closed form.  Raises
+    ``ValueError`` for grid entries outside their ranges, a grid of more
+    than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    dimension, and its subclass :class:`VerificationError` for a record
+    that fails its cross-checks.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
     if not etas or not dims or not families:
         raise ValueError("grid axes must be non-empty")
+    n_rows = len(etas) * len(dims) * len(families)
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
     for e in etas:
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {e}")
@@ -152,22 +173,22 @@ def run_sweep(
     for d_s in dims:
         for f, family in enumerate(families):
             state = family.build(d_s)
-            probes[d_s, f] = state, effective_rank_k(idler_reduction(state))
+            phi_i = idler_reduction(state)
+            probes[d_s, f] = state, effective_rank_k(phi_i), np.linalg.eigvalsh(phi_i.mat)
 
     records = []
     for eta in etas:
         for d_s in dims:
             for f in range(len(families)):
-                state, k_i = probes[d_s, f]
-                h01, p_err = evaluate_state_metrics(state, eta, p0, tol)
+                state, k_i, weights = probes[d_s, f]
                 record = SweepRecord(
                     eta=eta,
                     d_s=d_s,
                     d_i=state.d_i,
                     k_i=k_i,
                     h01_closed=h01_closed_form(eta, d_s, k_i),
-                    h01_direct=h01,
-                    p_err=p_err,
+                    h01_direct=hs_distinguishability(*channel_outputs(state, eta, tol)),
+                    p_err=schmidt_helstrom_error(weights, eta, d_s, p0),
                     p_err_ci=unentangled_error(eta, d_s, p0),
                     advantage=h01_closed_form(eta, d_s, 1.0)
                     - h01_closed_form(eta, d_s, k_i),
@@ -463,15 +484,13 @@ def spectrum_dependence_probe(
     """Evaluate the error probability across spectra sharing one rank level.
 
     Generates ``n_spectra`` distinct spectra with inverse purity
-    ``k_target``, runs the exact discrimination for each, and reports the
-    largest pairwise spread without judging it.
+    ``k_target``, takes the exact minimum error of each spectrum's probe
+    (:func:`~qillum.states.schmidt_family_state`, whose Schmidt weights are
+    the spectrum) from the Schmidt-space kernel, and reports the largest
+    pairwise spread without judging it.
     """
     spectra = spectra_with_effective_rank(d_s, k_target, n_spectra, seed)
-    p_errors = []
-    for spec in spectra:
-        state = schmidt_family_state(d_s, spec)
-        _, p_err = evaluate_state_metrics(state, eta, p0)
-        p_errors.append(p_err)
+    p_errors = [schmidt_helstrom_error(spec, eta, d_s, p0) for spec in spectra]
     return SpectrumProbeReport(
         d_s=int(d_s),
         eta=float(eta),

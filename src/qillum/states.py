@@ -7,6 +7,9 @@ unit trace; positivity is checked where a matrix enters from outside, in
 positive by construction.  Bipartite pure states carry explicit signal and
 idler dimensions.  Mode states are plain computational-basis vectors of a
 ``d_s``-dimensional signal space, so no Fock machinery is involved.
+Every check is phrased so that a NaN fails it (``not defect <= tol``): any
+comparison with NaN is false, and JSON input may hold ``NaN`` or
+``Infinity``.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ class DensityMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         defect = float(np.max(np.abs(a - a.conj().T)))
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
         tr = complex(np.trace(a))
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise ValueError(f"trace is {tr:.6g}, expected 1 within {tol:.1e}")
         self.mat = _frozen(a)
 
@@ -80,7 +83,7 @@ class BipartiteState:
         if amp.size != d_s * d_i:
             raise ValueError(f"expected {d_s * d_i} amplitudes, got {amp.size}")
         norm_sq = float(np.real(np.vdot(amp, amp)))
-        if abs(norm_sq - 1.0) > tol:
+        if not abs(norm_sq - 1.0) <= tol:
             raise ValueError(f"amplitudes have squared norm {norm_sq:.6g}, expected 1")
         self.d_s = int(d_s)
         self.d_i = int(d_i)
@@ -125,10 +128,10 @@ def schmidt_family_state(d_s: int, spectrum) -> BipartiteState:
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
     if spec.size < 1 or spec.size > d_s:
         raise ValueError(f"spectrum length {spec.size} not in [1, {d_s}]")
-    if np.any(spec < -1e-12):
+    if not np.all(spec >= -1e-12):
         raise ValueError("spectrum entries must be non-negative")
     total = float(spec.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"spectrum sums to {total:.6g}, expected 1")
     d_i = spec.size
     amp = np.zeros(d_s * d_i, dtype=complex)
@@ -231,6 +234,6 @@ def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise ValueError(f"entries shape {mat.shape} does not match dim {dim}")
     rho = DensityMatrix(mat, tol)
     w_min = np.linalg.eigvalsh(rho.mat)[0]
-    if w_min < -tol:
+    if not w_min >= -tol:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
     return rho

@@ -1,6 +1,10 @@
 """Shared random-object generators and dense oracles for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
+
+#: Floats in [0, 1] that draw both endpoints often (for eta and p0).
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def max_abs_diff(a, b):

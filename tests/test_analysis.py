@@ -24,9 +24,7 @@ from qillum.analysis import (
     verify_bell_optimality,
     verify_monotonicity,
 )
-from conftest import product_baseline_state
-
-UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+from conftest import UNIT, product_baseline_state
 
 
 class TestRunSweep:
@@ -233,6 +231,15 @@ class TestSpectrumProbe:
         spread = max(permuted_p) - min(permuted_p)
         assert spread == pytest.approx(report.spread, abs=1e-10)
         assert np.allclose(sorted(permuted_p), sorted(report.p_errors), atol=1e-10)
+
+    def test_error_is_not_a_function_of_idler_rank(self):
+        """Spectra sharing k_i = 2.5 at d_s = 6 give measurably different
+        minimum errors, and each agrees with the dense route."""
+        report = spectrum_dependence_probe(6, 0.5, 2.5, 8, seed=0)
+        assert report.spread > 1e-4
+        for spec, p_err in zip(report.spectra, report.p_errors):
+            _, dense = evaluate_state_metrics(schmidt_family_state(6, spec), 0.5)
+            assert abs(p_err - dense) <= 1e-12
 
     def test_report_is_descriptive_only(self):
         report = spectrum_dependence_probe(4, 0.7, 2.0, 6, seed=3)

@@ -28,6 +28,9 @@ MIXED_4 = {
 MIXED_2 = {"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
 # squared norm 0.5: invalid at any sensible tolerance
 HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
+# json writes these as NaN, which Python's json reads back
+NAN_AMPLITUDE = {"d_s": 2, "d_i": 1, "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}
+NAN_DIAGONAL = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
 
 
 def write_json(path, obj):
@@ -61,13 +64,12 @@ class TestSweep:
         assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
 
     def test_verification_failure_exits_2(self, tmp_path, monkeypatch, capsys):
-        exact = analysis.evaluate_state_metrics
+        exact = analysis.hs_distinguishability
 
         def skewed(*args, **kwargs):
-            h01, p_err = exact(*args, **kwargs)
-            return h01 + 1e-6, p_err
+            return exact(*args, **kwargs) + 1e-6
 
-        monkeypatch.setattr(analysis, "evaluate_state_metrics", skewed)
+        monkeypatch.setattr(analysis, "hs_distinguishability", skewed)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "0.5", "--d", "2", "--out", str(out)]) == 2
         assert "numerical verification failed" in capsys.readouterr().err
@@ -76,6 +78,24 @@ class TestSweep:
     def test_bad_grid_exits_1(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "1.5", "--d", "2", "--out", str(out)]) == 1
+
+    def test_row_cap_exits_1(self, tmp_path, capsys):
+        # 1001 etas x 19 dims x 2 families = 38038 rows; no probe is built
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0:0.001:1", "--d", "2:1:20", "--family", "bell",
+                "--family", "uniform-rank:2", "--out", str(out)]
+        assert main(["sweep", *argv]) == 1
+        assert f"more than {analysis.MAX_SWEEP_ROWS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_non_finite_spectrum(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[0.5, NaN, 0.5]")
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0.5", "--d", "3", "--family", f"spectrum:{spec}", "--out", str(out)]
+        assert main(["sweep", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: spectrum entries")
+        assert not out.exists()
 
 
 class TestVerifyBell:
@@ -115,6 +135,17 @@ class TestHelstrom:
     def test_povm_output_unchanged(self, tmp_path, capsys):
         assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 0
         assert capsys.readouterr().out == (DATA / "helstrom_povm.txt").read_text()
+
+    @pytest.mark.parametrize("state0, state1, extra", [
+        (NAN_AMPLITUDE, NAN_AMPLITUDE, []),
+        (NAN_DIAGONAL, MIXED_2, []),
+        (NAN_DIAGONAL, MIXED_2, ["--povm"]),
+    ], ids=["amplitudes", "entries", "entries-povm"])
+    def test_rejects_nan(self, tmp_path, capsys, state0, state1, extra):
+        assert run_helstrom(tmp_path, state0, state1, *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_rejects_negative_eigenvalue(self, tmp_path, capsys):
         # Hermitian with unit trace, but eigenvalues 1.2 and -0.2

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from qillum.states import (
     DEFAULT_TOL as TOL,
+    SCHMIDT_RANK_CUTOFF,
     DensityMatrix,
     effective_rank_k,
     haar_random_state,
     idler_reduction,
+    schmidt_family_state,
 )
 from qillum.illumination import channel_outputs
 from qillum.discrimination import (
@@ -19,9 +21,17 @@ from qillum.discrimination import (
     hs_distinguishability,
     optimal_povm,
     povm_error,
+    schmidt_helstrom_error,
 )
-from qillum.analysis import bell_family, evaluate_state_metrics, run_sweep, uniform_rank_family
+from qillum.analysis import (
+    bell_family,
+    evaluate_state_metrics,
+    run_sweep,
+    unentangled_error,
+    uniform_rank_family,
+)
 from conftest import (
+    UNIT,
     ginibre,
     max_abs_diff,
     random_density,
@@ -159,6 +169,89 @@ class TestOptimalPovm:
                 for _ in range(10):
                     challenger = maker(rng, dim)
                     assert povm_error(rho0, rho1, 0.5, challenger) >= floor - 1e-10
+
+
+def haar_weights(d_s, d_i, seed):
+    """A Haar probe and its Schmidt weights (idler eigenvalues, unclipped)."""
+    state = haar_random_state(d_s, d_i, seed)
+    return state, np.linalg.eigvalsh(idler_reduction(state).mat)
+
+
+class TestSchmidtHelstrom:
+    """The Schmidt-space kernel against dense Helstrom on the channel outputs."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        haar=st.booleans(),
+        d_s=st.integers(2, 8),
+        d_i=st.integers(1, 8),
+        tiny=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
+        n_tiny=st.integers(0, 7),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(seed=0, haar=True, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=0.0, p0=0.0)
+    @example(seed=1, haar=True, d_s=3, d_i=8, tiny=0.0, n_tiny=0, eta=1.0, p0=1.0)
+    @example(seed=2, haar=True, d_s=8, d_i=5, tiny=0.0, n_tiny=0, eta=1.0, p0=0.0)
+    @example(seed=3, haar=False, d_s=8, d_i=8, tiny=1e-11, n_tiny=7, eta=0.0, p0=1.0)
+    @example(seed=4, haar=False, d_s=5, d_i=4, tiny=1e-12, n_tiny=2, eta=1.0, p0=0.5)
+    @example(seed=5, haar=False, d_s=4, d_i=4, tiny=1e-13, n_tiny=1, eta=0.5, p0=0.5)
+    @example(seed=6, haar=False, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=1.0, p0=1.0)
+    def test_matches_dense(self, seed, haar, d_s, d_i, tiny, n_tiny, eta, p0):
+        if haar:
+            state, weights = haar_weights(d_s, d_i, seed)
+        else:
+            # schmidt_family_state pairs idler level m with signal mode m,
+            # so its idler dimension is at most d_s
+            weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
+            weights[: min(n_tiny, weights.size - 1)] = tiny
+            weights /= weights.sum()
+            state = schmidt_family_state(d_s, weights)
+        dense = helstrom_error(*channel_outputs(state, eta), p0)
+        assert abs(schmidt_helstrom_error(weights, eta, d_s, p0) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("p0", [0.3, 0.5, 0.8])
+    def test_continuous_at_rank_cutoff(self, p0):
+        """A weight one ulp below the cutoff counts like one at it; dropping
+        it would move the error by about 1e-13 here."""
+        def error(eps):
+            return schmidt_helstrom_error([0.6, 0.4 - eps, eps], 0.5, 4, p0)
+
+        below = np.nextafter(SCHMIDT_RANK_CUTOFF, 0.0)
+        assert abs(error(below) - error(SCHMIDT_RANK_CUTOFF)) <= 1e-15
+
+    @settings(deadline=None, max_examples=60)
+    @given(d_s=st.integers(2, 8), eta=UNIT, p0=UNIT)
+    @example(d_s=2, eta=0.0, p0=0.0)
+    @example(d_s=8, eta=1.0, p0=1.0)
+    def test_rank_one_is_the_unentangled_baseline(self, d_s, eta, p0):
+        """Two closed forms of the rank-one case must agree."""
+        assert abs(schmidt_helstrom_error([1.0], eta, d_s, p0) - unentangled_error(eta, d_s, p0)) <= 1e-15
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_s=st.integers(2, 8),
+        d_i=st.integers(1, 8),
+        etas=st.tuples(UNIT, UNIT).map(sorted),
+        p0=UNIT,
+    )
+    @example(seed=0, d_s=2, d_i=2, etas=[0.0, 1.0], p0=0.0)
+    @example(seed=1, d_s=4, d_i=1, etas=[0.0, 1.0], p0=1.0)
+    @example(seed=2, d_s=6, d_i=6, etas=[0.0, 0.5], p0=0.5)
+    def test_non_increasing_in_eta(self, seed, d_s, d_i, etas, p0):
+        """p0 rho0 - p1 rho1 = (p0 - p1) rho1 + p0 eta (psi psi^+ - rho1): its
+        trace norm is convex in eta and never below its trace |p0 - p1|, its
+        value at eta = 0, so it cannot fall on [0, 1] and p_err cannot rise."""
+        _, weights = haar_weights(d_s, d_i, seed)
+        lo, hi = etas
+        assert schmidt_helstrom_error(weights, hi, d_s, p0) <= schmidt_helstrom_error(weights, lo, d_s, p0) + 1e-12
+
+    def test_rejects_bad_parameters(self):
+        for eta, d_s, p0 in ((1.5, 2, 0.5), (np.nan, 2, 0.5), (0.5, 1, 0.5), (0.5, 2, np.nan)):
+            with pytest.raises(ValueError):
+                schmidt_helstrom_error([1.0], eta, d_s, p0)
 
 
 class TestHsDistinguishability:
