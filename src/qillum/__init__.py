@@ -18,6 +18,7 @@ from .states import (
     density_from_dict,
     density_to_dict,
     effective_rank_k,
+    haar_random_amplitudes,
     haar_random_state,
     idler_reduction,
     schmidt,
@@ -25,7 +26,7 @@ from .states import (
     state_from_dict,
     state_to_dict,
 )
-from .illumination import channel_outputs
+from .illumination import channel_outputs, target_absent_state, target_present_state
 from .discrimination import (
     h01_closed_form,
     helstrom_error,
@@ -43,7 +44,6 @@ from .analysis import (
     VerificationError,
     bell_family,
     co_monotonicity_violations,
-    evaluate_state_metrics,
     fixed_spectrum_family,
     run_sweep,
     spectra_with_effective_rank,

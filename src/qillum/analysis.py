@@ -8,11 +8,14 @@ maximally entangled state is the best probe, and a level-set probe studies
 whether the error probability is determined by the effective idler rank
 alone.
 
-The sweep and the level-set probe take the error probability from the
-Schmidt-space kernel :func:`~qillum.discrimination.schmidt_helstrom_error`;
-the sweep's direct overlap still comes from the dense channel outputs, as
-the independent route to the closed form.  The optimality check runs on the
-dense channel outputs throughout (:func:`evaluate_state_metrics`).
+Every driver takes the error probability from the Schmidt-space kernel
+:func:`~qillum.discrimination.schmidt_helstrom_error`.  The sweep's direct
+overlap still comes from the dense channel outputs, as the independent
+route to the closed form.  The optimality check needs no dense matrix: it
+takes each sample's Schmidt weights from one stacked singular-value
+decomposition and its overlap from the closed form.  The dense route
+(``channel_outputs``, ``hs_distinguishability``, ``helstrom_error``) is the
+tests' oracle for all three.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .states import (
     BipartiteState,
     bell_state,
     effective_rank_k,
-    haar_random_state,
+    haar_random_amplitudes,
     idler_reduction,
     schmidt_family_state,
 )
-from .illumination import channel_outputs
+from .illumination import target_absent_state, target_present_state
 from .discrimination import (
     h01_closed_form,
-    helstrom_error,
     hs_distinguishability,
     schmidt_helstrom_error,
 )
@@ -45,6 +47,10 @@ RECORD_AGREEMENT_TOL = 1e-9
 MONOTONICITY_SLACK = 1e-10
 #: Largest number of rows (eta x dimension x family) one sweep may have.
 MAX_SWEEP_ROWS = 10_000
+#: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
+#: (1 MiB of complex amplitudes), so its memory does not grow with the
+#: sample count: 1024 samples per chunk at d = 8, 16 at d = 64.
+_CHUNK_AMPLITUDES = 1 << 16
 
 
 class VerificationError(ValueError):
@@ -107,15 +113,6 @@ def fixed_spectrum_family(spectrum: Sequence[float]) -> StateFamily:
     return StateFamily("spectrum", lambda d_s: schmidt_family_state(d_s, spec))
 
 
-def evaluate_state_metrics(
-    state: BipartiteState, eta: float, p0: float = 0.5, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
-    """Direct overlap and minimum error probability for one input state."""
-    rho0, rho1 = channel_outputs(state, eta, tol)
-    h01 = hs_distinguishability(rho0, rho1)
-    return h01, helstrom_error(rho0, rho1, p0)
-
-
 def unentangled_error(eta: float, d_s: int, p0: float = 0.5) -> float:
     """Minimum error probability of the unentangled baseline.
 
@@ -140,13 +137,15 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Evaluate the full pipeline on a grid.
 
-    Iterates lexicographically (eta outermost, then dimension, then family)
-    and emits one validated record per point.  Each (dimension, family)
+    Emits one validated record per point, ordered lexicographically (eta
+    outermost, then dimension, then family).  Each (dimension, family)
     probe, its effective idler rank and its Schmidt weights are built once,
-    before the eta loop.  Every row's ``p_err`` comes from the Schmidt-space
-    kernel :func:`~qillum.discrimination.schmidt_helstrom_error` (one
-    ``d_i x d_i`` eigensolve); ``h01_direct`` comes from the dense channel
-    outputs, as the independent check of the closed form.  Raises
+    before any row; then each probe's rows are computed together, sharing
+    its dense target-absent state (which does not depend on eta), so only
+    one such state is held at a time.  Every row's ``p_err`` comes from the
+    Schmidt-space kernel :func:`~qillum.discrimination.schmidt_helstrom_error`
+    (one ``d_i x d_i`` eigensolve); ``h01_direct`` comes from the dense
+    channel outputs, as the independent check of the closed form.  Raises
     ``ValueError`` for grid entries outside their ranges, a grid of more
     than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a record
@@ -174,28 +173,27 @@ def run_sweep(
         for f, family in enumerate(families):
             state = family.build(d_s)
             phi_i = idler_reduction(state)
-            probes[d_s, f] = state, effective_rank_k(phi_i), np.linalg.eigvalsh(phi_i.mat)
+            probes[d_s, f] = state, phi_i, effective_rank_k(phi_i), np.linalg.eigvalsh(phi_i.mat)
 
-    records = []
-    for eta in etas:
-        for d_s in dims:
-            for f in range(len(families)):
-                state, k_i, weights = probes[d_s, f]
-                record = SweepRecord(
-                    eta=eta,
-                    d_s=d_s,
-                    d_i=state.d_i,
-                    k_i=k_i,
-                    h01_closed=h01_closed_form(eta, d_s, k_i),
-                    h01_direct=hs_distinguishability(*channel_outputs(state, eta, tol)),
-                    p_err=schmidt_helstrom_error(weights, eta, d_s, p0),
-                    p_err_ci=unentangled_error(eta, d_s, p0),
-                    advantage=h01_closed_form(eta, d_s, 1.0)
-                    - h01_closed_form(eta, d_s, k_i),
-                )
-                record.validate(p_min)
-                records.append(record)
-    return records
+    records = {}
+    for (d_s, f), (state, phi_i, k_i, weights) in probes.items():
+        # one dense target-absent state at a time, shared by the probe's rows
+        rho1 = target_absent_state(d_s, phi_i, tol)
+        for e, eta in enumerate(etas):
+            record = SweepRecord(
+                eta=eta,
+                d_s=d_s,
+                d_i=state.d_i,
+                k_i=k_i,
+                h01_closed=h01_closed_form(eta, d_s, k_i),
+                h01_direct=hs_distinguishability(target_present_state(state, eta, rho1, tol), rho1),
+                p_err=schmidt_helstrom_error(weights, eta, d_s, p0),
+                p_err_ci=unentangled_error(eta, d_s, p0),
+                advantage=h01_closed_form(eta, d_s, 1.0) - h01_closed_form(eta, d_s, k_i),
+            )
+            record.validate(p_min)
+            records[e, d_s, f] = record
+    return [records[e, d_s, f] for e in range(len(etas)) for d_s in dims for f in range(len(families))]
 
 
 @dataclass(frozen=True)
@@ -328,6 +326,20 @@ class OptimalityReport:
     margin: float
 
 
+def _best_schmidt_metrics(
+    weights: np.ndarray, eta: float, d_s: int, p0: float
+) -> tuple[float, float]:
+    """Smallest overlap and smallest minimum error over an ``(n, r)`` stack of
+    Schmidt weights, one row per pure input.
+
+    The overlap falls as the effective rank ``k_i = 1 / sum(lam^2)`` rises,
+    so the smallest overlap is the closed form at the largest ``k_i``.
+    """
+    k_i = float(np.max(1.0 / np.sum(weights * weights, axis=1)))
+    p_err = float(np.min(schmidt_helstrom_error(weights, eta, d_s, p0)))
+    return h01_closed_form(eta, d_s, k_i), p_err
+
+
 def verify_bell_optimality(
     d_s: int,
     d_i: int,
@@ -339,23 +351,46 @@ def verify_bell_optimality(
 ) -> OptimalityReport:
     """Sample random pure inputs and compare them to the entangled reference.
 
-    The reference is the maximally entangled state on ``min(d_s, d_i)``
+    The reference is the maximally entangled state on ``d = min(d_s, d_i)``
     paired dimensions; with ``d_s = d_i`` its overlap and error probability
     are minimal over all inputs, so both margins (best sampled minus
     reference) stay non-negative up to numerical noise.  Identical
     arguments always produce an identical report.
+
+    No dense channel output is built.  Sample ``k`` is
+    :func:`~qillum.states.haar_random_amplitudes` of the ``k``-th child seed
+    of ``seed``.  The samples are taken in chunks of
+    :data:`_CHUNK_AMPLITUDES` amplitudes; each chunk's Schmidt weights come
+    from one stacked ``svd`` (squared singular values), its overlaps from
+    :func:`~qillum.discrimination.h01_closed_form` and its errors from one
+    stacked call of :func:`~qillum.discrimination.schmidt_helstrom_error`.
+    The reference goes the same route with the flat weights ``1/d``.  Each
+    sample's weights must sum to 1 within ``tol``.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    reference = bell_state(min(d_s, d_i))
-    bell_h01, bell_p_err = evaluate_state_metrics(reference, eta, p0, tol)
+    d = min(d_s, d_i)
+    if d < 2:
+        raise ValueError(f"reference dimension min(d_s, d_i) must be >= 2, got {d}")
+    bell_h01, bell_p_err = _best_schmidt_metrics(np.full((1, d), 1.0 / d), eta, d, p0)
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
+    step = max(1, _CHUNK_AMPLITUDES // (d_s * d_i))
     best_h01 = np.inf
     best_p_err = np.inf
-    for s in child_seeds:
-        state = haar_random_state(d_s, d_i, int(s))
-        h01, p_err = evaluate_state_metrics(state, eta, p0, tol)
+    for first in range(0, n_samples, step):
+        amplitudes = haar_random_amplitudes(d_s, d_i, child_seeds[first : first + step])
+        weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
+        # the weights sum to the sample's squared norm; NaN fails the test
+        total = np.sum(weights, axis=1)
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= tol))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, "
+                f"expected 1 within {tol:.1e}"
+            )
+        h01, p_err = _best_schmidt_metrics(weights, eta, d_s, p0)
         best_h01 = min(best_h01, h01)
         best_p_err = min(best_p_err, p_err)
 
@@ -486,18 +521,18 @@ def spectrum_dependence_probe(
     Generates ``n_spectra`` distinct spectra with inverse purity
     ``k_target``, takes the exact minimum error of each spectrum's probe
     (:func:`~qillum.states.schmidt_family_state`, whose Schmidt weights are
-    the spectrum) from the Schmidt-space kernel, and reports the largest
-    pairwise spread without judging it.
+    the spectrum) from one stacked call of the Schmidt-space kernel, and
+    reports the largest pairwise spread without judging it.
     """
     spectra = spectra_with_effective_rank(d_s, k_target, n_spectra, seed)
-    p_errors = [schmidt_helstrom_error(spec, eta, d_s, p0) for spec in spectra]
+    p_errors = schmidt_helstrom_error(np.array(spectra), eta, d_s, p0)
     return SpectrumProbeReport(
         d_s=int(d_s),
         eta=float(eta),
         k_target=float(k_target),
         n_spectra=int(n_spectra),
         seed=int(seed),
-        p_errors=tuple(p_errors),
-        spread=float(max(p_errors) - min(p_errors)),
+        p_errors=tuple(float(p) for p in p_errors),
+        spread=float(np.max(p_errors) - np.min(p_errors)),
         spectra=tuple(tuple(float(x) for x in s) for s in spectra),
     )

@@ -11,9 +11,10 @@ here.
 For the illumination channel itself, :func:`schmidt_helstrom_error` gives
 the same minimum error from the probe's Schmidt weights alone, with one
 eigensolve of at most ``d_i x d_i`` in place of the dense
-``(d_s d_i)``-dimensional one.  ``sweep`` and the level-set probe use it;
-the dense :func:`helstrom_error` serves ``helstrom``, ``verify-bell`` and
-the tests as the oracle.
+``(d_s d_i)``-dimensional one, stacked over many probes at once.  ``sweep``,
+``verify-bell`` and the level-set probe use it; the dense
+:func:`helstrom_error` serves ``helstrom`` on arbitrary stored states and
+is the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) ->
     return float(min(max(value, 0.0), 1.0))
 
 
-def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5) -> float:
+def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5):
     """Minimum error probability of the illumination channel, in Schmidt space.
 
     The target-absent state ``I/d_s (x) phi_i`` is invariant under local
@@ -81,6 +82,9 @@ def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5) -> fl
     times, elsewhere.  The result equals :func:`helstrom_error` on
     ``channel_outputs`` of the probe, clipped to ``[0, 1]``.
 
+    ``weights`` is one probe's weights (1-D; a float is returned) or an
+    ``(n, d_i)`` stack of ``n`` probes sharing ``eta``, ``d_s`` and ``p0``
+    (an array of ``n`` errors is returned, from one stacked eigensolve).
     Negative weights (eigenvalue rounding) count as 0; small weights are
     kept, so the result is continuous in every weight.
     """
@@ -90,13 +94,18 @@ def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5) -> fl
         raise ValueError(f"signal dimension must be >= 2, got {d_s}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
-    lam = np.clip(np.asarray(weights, dtype=float).reshape(-1), 0.0, None)
+    lam = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+    if lam.ndim not in (1, 2):
+        raise ValueError(f"expected 1-D weights or a 2-D stack, got shape {lam.shape}")
     c = p0 * (1.0 - eta) - (1.0 - p0)
     root = np.sqrt(lam)
-    block = (p0 * eta) * np.outer(root, root) + np.diag((c / d_s) * lam)
-    norm = float(np.sum(np.abs(np.linalg.eigvalsh(block))))
-    norm += (d_s - 1) * abs(c) * float(np.sum(lam)) / d_s
-    return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
+    block = (p0 * eta) * (root[..., :, None] * root[..., None, :])
+    diag = np.arange(lam.shape[-1])
+    block[..., diag, diag] += (c / d_s) * lam
+    norm = np.sum(np.abs(np.linalg.eigvalsh(block)), axis=-1)
+    norm += (d_s - 1) * abs(c) * np.sum(lam, axis=-1) / d_s
+    p_err = np.clip(0.5 * (1.0 - norm), 0.0, 1.0)
+    return float(p_err) if lam.ndim == 1 else p_err
 
 
 def optimal_povm(

@@ -141,20 +141,35 @@ def schmidt_family_state(d_s: int, spectrum) -> BipartiteState:
     return BipartiteState(d_s, d_i, amp)
 
 
-def haar_random_state(d_s: int, d_i: int, seed: int) -> BipartiteState:
-    """Uniformly random pure state on a ``d_s x d_i`` space.
+def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
+    """Amplitudes of uniformly random pure states, one per seed.
 
-    Amplitudes are independent standard complex Gaussians, normalized, which
-    is the rotation-invariant distribution on the unit sphere.  The same
-    seed always yields the same state.
+    Returns an ``(len(seeds), d_s, d_i)`` stack whose row ``k`` is the
+    amplitude matrix (see :meth:`BipartiteState.amplitude_matrix`) of the
+    state drawn from ``seeds[k]``: independent standard complex Gaussians,
+    normalized, which is the rotation-invariant distribution on the unit
+    sphere.  The same seed always yields the same row.  The rows are not
+    validated; a caller that does not wrap them in :class:`BipartiteState`
+    checks their norms itself.
     """
     if d_s < 2 or d_i < 1:
         raise ValueError(f"invalid dimensions ({d_s}, {d_i})")
-    rng = np.random.default_rng(seed)
     n = d_s * d_i
-    amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    amp /= np.linalg.norm(amp)
-    return BipartiteState(d_s, d_i, amp)
+    stack = np.empty((len(seeds), n), dtype=complex)
+    for row, seed in zip(stack, seeds):
+        rng = np.random.default_rng(int(seed))
+        row.real = rng.standard_normal(n)
+        row.imag = rng.standard_normal(n)
+        row /= np.linalg.norm(row)
+    return stack.reshape(-1, d_s, d_i)
+
+
+def haar_random_state(d_s: int, d_i: int, seed: int) -> BipartiteState:
+    """Uniformly random pure state on a ``d_s x d_i`` space.
+
+    The state :func:`haar_random_amplitudes` draws from ``seed``.
+    """
+    return BipartiteState(d_s, d_i, haar_random_amplitudes(d_s, d_i, [seed])[0])
 
 
 def idler_reduction(state: BipartiteState) -> DensityMatrix:

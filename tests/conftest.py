@@ -3,6 +3,10 @@
 import numpy as np
 from hypothesis import strategies as st
 
+from qillum.states import DEFAULT_TOL, BipartiteState
+from qillum.illumination import channel_outputs
+from qillum.discrimination import helstrom_error, hs_distinguishability
+
 #: Floats in [0, 1] that draw both endpoints often (for eta and p0).
 UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -82,8 +86,6 @@ def product_baseline_state(state):
     signal-reduction spectrum (descending) as populations of one pure
     vector, and the idler is pinned to level 0, so its effective rank is 1.
     """
-    from qillum.states import BipartiteState
-
     rho_s = partial_trace(state.projector(), state.d_s, state.d_i, side="right")
     spectrum = np.linalg.eigvalsh(rho_s)[::-1]
     signal_amp = np.sqrt(np.clip(spectrum, 0.0, None))
@@ -91,3 +93,14 @@ def product_baseline_state(state):
     amp = np.zeros(state.d_s * state.d_i, dtype=complex)
     amp[:: state.d_i] = signal_amp
     return BipartiteState(state.d_s, state.d_i, amp)
+
+
+def evaluate_state_metrics(state, eta, p0=0.5, tol=DEFAULT_TOL):
+    """Direct overlap and minimum error probability for one input state.
+
+    The dense route: both channel outputs as ``(d_s d_i)``-dimensional
+    matrices, their overlap, and Helstrom's bound from a full eigensolve.
+    The oracle for the closed form and the Schmidt-space kernel.
+    """
+    rho0, rho1 = channel_outputs(state, eta, tol)
+    return hs_distinguishability(rho0, rho1), helstrom_error(rho0, rho1, p0)

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qillum.states import bell_state, haar_random_state, schmidt_family_state, BipartiteState
-from qillum.discrimination import h01_closed_form
+from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
     SweepRecord,
     bell_family,
     co_monotonicity_violations,
-    evaluate_state_metrics,
     fixed_spectrum_family,
     run_sweep,
     spectra_with_effective_rank,
@@ -24,7 +23,7 @@ from qillum.analysis import (
     verify_bell_optimality,
     verify_monotonicity,
 )
-from conftest import UNIT, product_baseline_state
+from conftest import UNIT, evaluate_state_metrics, product_baseline_state
 
 
 class TestRunSweep:
@@ -150,8 +149,11 @@ class TestVerifyBellOptimality:
         assert report.margin_p_err >= -1e-9
 
     def test_self_comparison_margin_is_zero(self):
+        """The reference is the kernel and the closed form on flat weights."""
         report = verify_bell_optimality(3, 3, 5, seed=1)
-        h01, p_err = evaluate_state_metrics(bell_state(3), report.eta, report.p0)
+        flat = np.full(3, 1.0 / 3)
+        h01 = h01_closed_form(report.eta, 3, 1.0 / float(np.sum(flat * flat)))
+        p_err = schmidt_helstrom_error(flat, report.eta, 3, report.p0)
         assert h01 - report.bell_h01 == 0.0
         assert p_err - report.bell_p_err == 0.0
 
@@ -173,6 +175,49 @@ class TestVerifyBellOptimality:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             verify_bell_optimality(2, 2, 0, seed=0)
+
+    @pytest.mark.parametrize("d_s, d_i", [(3, 3), (2, 4), (4, 2), (3, 5)])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("p0", [0.0, 0.4, 1.0])
+    def test_matches_dense_loop(self, d_s, d_i, eta, p0):
+        """Every field against a per-sample loop over the dense oracle."""
+        n, seed = 12, 7
+        report = verify_bell_optimality(d_s, d_i, n, seed, eta=eta, p0=p0)
+        bell_h01, bell_p_err = evaluate_state_metrics(bell_state(min(d_s, d_i)), eta, p0)
+        dense = [
+            evaluate_state_metrics(haar_random_state(d_s, d_i, int(s)), eta, p0)
+            for s in np.random.SeedSequence(seed).generate_state(n)
+        ]
+        best_h01 = min(h for h, _ in dense)
+        best_p_err = min(p for _, p in dense)
+        expected = {
+            "bell_h01": bell_h01,
+            "bell_p_err": bell_p_err,
+            "best_sampled_h01": best_h01,
+            "best_sampled_p_err": best_p_err,
+            "margin_h01": best_h01 - bell_h01,
+            "margin_p_err": best_p_err - bell_p_err,
+            "margin": min(best_h01 - bell_h01, best_p_err - bell_p_err),
+        }
+        got = dataclasses.asdict(report)
+        for name, value in expected.items():
+            assert abs(got[name] - value) <= 1e-12, name
+        assert (got["d_s"], got["d_i"], got["n_samples"], got["seed"]) == (d_s, d_i, n, seed)
+        assert (got["eta"], got["p0"]) == (eta, p0)
+
+    @pytest.mark.parametrize("spoil", [1.001, np.nan])
+    def test_rejects_unnormalized_samples(self, monkeypatch, spoil):
+        """Each sample's weights must sum to 1; the check fails on NaN."""
+        exact = np.linalg.svd
+
+        def spoiled(a, **kwargs):
+            s = exact(a, **kwargs)
+            s[3] *= spoil
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", spoiled)
+        with pytest.raises(ValueError, match="sample 3: Schmidt weights sum to (1.00|nan)"):
+            verify_bell_optimality(3, 3, 5, seed=1)
 
     def test_bell_effective_rank_equals_dimension(self):
         from qillum.states import effective_rank_k, idler_reduction

@@ -105,8 +105,25 @@ class TestVerifyBell:
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
         assert capsys.readouterr().out == (DATA / "verify_bell_golden.json").read_text()
 
+    def test_chunking_does_not_change_the_report(self, capsys, monkeypatch):
+        """One chunk or seven of at most three samples: the same stdout."""
+        chunks = []
+        exact = analysis.haar_random_amplitudes
+
+        def counted(d_s, d_i, seeds):
+            chunks.append(len(seeds))
+            return exact(d_s, d_i, seeds)
+
+        monkeypatch.setattr(analysis, "haar_random_amplitudes", counted)
+        assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 3 * 4 * 4)
+        assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
+        assert capsys.readouterr().out == whole
+        assert chunks == [20] + [3] * 6 + [2]
+
     def test_honours_qi_tol(self, monkeypatch):
-        # no channel output has a trace within 1e-30 of 1
+        # no sample's Schmidt weights sum to 1 within 1e-30
         monkeypatch.setenv("QI_TOL", "1e-30")
         assert main(["verify-bell", "--d", "3", "--samples", "3", "--seed", "1"]) == 1
 

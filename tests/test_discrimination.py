@@ -25,13 +25,13 @@ from qillum.discrimination import (
 )
 from qillum.analysis import (
     bell_family,
-    evaluate_state_metrics,
     run_sweep,
     unentangled_error,
     uniform_rank_family,
 )
 from conftest import (
     UNIT,
+    evaluate_state_metrics,
     ginibre,
     max_abs_diff,
     random_density,
@@ -248,10 +248,43 @@ class TestSchmidtHelstrom:
         lo, hi = etas
         assert schmidt_helstrom_error(weights, hi, d_s, p0) <= schmidt_helstrom_error(weights, lo, d_s, p0) + 1e-12
 
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        d_i=st.integers(1, 8),
+        d_s=st.integers(2, 8),
+        tiny=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
+        n_tiny=st.integers(0, 7),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(seed=0, n=1, d_i=1, d_s=2, tiny=0.0, n_tiny=0, eta=0.0, p0=0.0)
+    @example(seed=1, n=4, d_i=1, d_s=8, tiny=0.0, n_tiny=0, eta=1.0, p0=1.0)
+    @example(seed=2, n=5, d_i=8, d_s=3, tiny=0.0, n_tiny=7, eta=1.0, p0=0.0)
+    @example(seed=3, n=3, d_i=6, d_s=6, tiny=1e-12, n_tiny=3, eta=0.0, p0=1.0)
+    @example(seed=4, n=6, d_i=4, d_s=5, tiny=1e-13, n_tiny=2, eta=0.5, p0=0.5)
+    @example(seed=5, n=2, d_i=5, d_s=4, tiny=1e-11, n_tiny=4, eta=1.0, p0=0.5)
+    def test_stacked_equals_rows(self, seed, n, d_i, d_s, tiny, n_tiny, eta, p0):
+        """A stack of probes gives each row's 1-D result; rows may carry
+        zero weights or weights around the rank cutoff."""
+        weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=n)
+        weights[:, : min(n_tiny, d_i - 1)] = tiny
+        weights /= weights.sum(axis=1, keepdims=True)
+        stacked = schmidt_helstrom_error(weights, eta, d_s, p0)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (n,)
+        for row, value in zip(weights, stacked):
+            single = schmidt_helstrom_error(row, eta, d_s, p0)
+            assert isinstance(single, float)
+            assert abs(value - single) <= 1e-15
+
     def test_rejects_bad_parameters(self):
-        for eta, d_s, p0 in ((1.5, 2, 0.5), (np.nan, 2, 0.5), (0.5, 1, 0.5), (0.5, 2, np.nan)):
-            with pytest.raises(ValueError):
-                schmidt_helstrom_error([1.0], eta, d_s, p0)
+        for weights in ([1.0], [[1.0], [1.0]]):
+            for eta, d_s, p0 in ((1.5, 2, 0.5), (np.nan, 2, 0.5), (0.5, 1, 0.5), (0.5, 2, np.nan)):
+                with pytest.raises(ValueError):
+                    schmidt_helstrom_error(weights, eta, d_s, p0)
+        with pytest.raises(ValueError, match="shape"):
+            schmidt_helstrom_error(np.ones((2, 2, 2)) / 2, 0.5, 2, 0.5)
 
 
 class TestHsDistinguishability:
