@@ -1,21 +1,19 @@
 """Numerical verification of the model's structural claims.
 
 Parameter sweeps pair the closed-form overlap with its direct matrix
-evaluation and with the exact minimum error probability, so the agreement
-and the joint monotonicity of the two measures can be checked on concrete
-grids.  Random sampling over pure inputs backs the claim that the
-maximally entangled state is the best probe, and a level-set probe studies
-whether the error probability is determined by the effective idler rank
-alone.
+evaluation and with the exact minimum error probability, and every row is
+held to the agreement of the two overlap routes.  Random sampling over
+pure inputs backs the claim that the maximally entangled state is the best
+probe.
 
-Every driver takes the error probability from the Schmidt-space kernel
+Both drivers take the error probability from the Schmidt-space kernel
 :func:`~qillum.discrimination.schmidt_helstrom_error`.  The sweep's direct
 overlap still comes from the dense channel outputs, as the independent
 route to the closed form.  The optimality check needs no dense matrix: it
 takes each sample's Schmidt weights from one stacked singular-value
 decomposition and its overlap from the closed form.  The dense route
 (``channel_outputs``, ``hs_distinguishability``, ``helstrom_error``) is the
-tests' oracle for all three.
+tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ from .discrimination import (
 
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
-#: Slack allowed when checking monotone orderings of computed values.
-MONOTONICITY_SLACK = 1e-10
 #: Largest number of rows (eta x dimension x family) one sweep may have.
 MAX_SWEEP_ROWS = 10_000
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
@@ -197,117 +193,6 @@ def run_sweep(
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
-    """Outcome of the axis-by-axis ordering checks over a sweep grid."""
-
-    n_records: int
-    n_comparisons: int
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def _axis_series_check(
-    label: str,
-    records: Sequence[SweepRecord],
-    violations: list[str],
-) -> int:
-    """Check one ordered series: overlap non-increasing (strict where the
-    closed form strictly drops) and error probability non-increasing."""
-    n = 0
-    for a, b in zip(records, records[1:]):
-        n += 1
-        closed_drop = a.h01_closed - b.h01_closed
-        if closed_drop < -1e-12:
-            violations.append(f"{label}: closed-form overlap increases ({a} -> {b})")
-        elif closed_drop > 1e-12:
-            if b.h01_direct >= a.h01_direct - MONOTONICITY_SLACK:
-                violations.append(
-                    f"{label}: direct overlap not strictly decreasing ({a} -> {b})"
-                )
-        else:
-            if b.h01_direct > a.h01_direct + MONOTONICITY_SLACK:
-                violations.append(f"{label}: direct overlap increases ({a} -> {b})")
-        if b.p_err > a.p_err + MONOTONICITY_SLACK:
-            violations.append(f"{label}: error probability increases ({a} -> {b})")
-    return n
-
-
-def verify_monotonicity(records: Sequence[SweepRecord]) -> MonotonicityReport:
-    """Check that overlap and error probability never rise along any axis.
-
-    The records must form a complete grid as produced by :func:`run_sweep`:
-    every (eta, d_s) cell holds the same family sequence, in the same order.
-    Along eta and along d_s the family slot is held fixed; the third axis
-    compares the families within one cell in order of increasing effective
-    idler rank.  Strictness of the overlap drop is decided by the closed
-    form, which is exact in the parameters.
-    """
-    if not records:
-        raise ValueError("no records")
-    etas = sorted({r.eta for r in records})
-    dims = sorted({r.d_s for r in records})
-    cells: dict[tuple[float, int], list[SweepRecord]] = {}
-    for r in records:
-        cells.setdefault((r.eta, r.d_s), []).append(r)
-    n_families = len(records) // (len(etas) * len(dims))
-    if len(records) != len(etas) * len(dims) * n_families or any(
-        len(v) != n_families for v in cells.values()
-    ) or len(cells) != len(etas) * len(dims):
-        raise ValueError("records do not form a complete eta x d_s x family grid")
-
-    violations: list[str] = []
-    comparisons = 0
-    for d in dims:
-        for f in range(n_families):
-            series = [cells[(e, d)][f] for e in etas]
-            comparisons += _axis_series_check(f"eta axis (d_s={d}, family {f})", series, violations)
-    for e in etas:
-        for f in range(n_families):
-            series = [cells[(e, d)][f] for d in dims]
-            comparisons += _axis_series_check(f"d_s axis (eta={e}, family {f})", series, violations)
-    for e in etas:
-        for d in dims:
-            series = sorted(cells[(e, d)], key=lambda r: r.k_i)
-            comparisons += _axis_series_check(f"k_i axis (eta={e}, d_s={d})", series, violations)
-
-    return MonotonicityReport(
-        n_records=len(records),
-        n_comparisons=comparisons,
-        violations=tuple(violations),
-    )
-
-
-def co_monotonicity_violations(
-    records: Sequence[SweepRecord], slack: float = MONOTONICITY_SLACK
-) -> list[tuple[SweepRecord, SweepRecord]]:
-    """Pairs where the two measures order the grid points oppositely.
-
-    Considers every pair whose parameters (eta, d_s, k_i) are componentwise
-    ordered, i.e. the pairs reachable along a monotone trajectory, and
-    flags those where the overlap strictly drops while the error
-    probability strictly rises (beyond ``slack``).
-    """
-    bad = []
-    for i, a in enumerate(records):
-        for b in records[i + 1 :]:
-            lo, hi = a, b
-            if (b.eta, b.d_s, b.k_i) <= (a.eta, a.d_s, a.k_i):
-                lo, hi = b, a
-            if not (
-                lo.eta <= hi.eta
-                and lo.d_s <= hi.d_s
-                and lo.k_i <= hi.k_i + 1e-12
-            ):
-                continue
-            if hi.h01_direct < lo.h01_direct - slack and hi.p_err > lo.p_err + slack:
-                bad.append((lo, hi))
-    return bad
-
-
-@dataclass(frozen=True)
 class OptimalityReport:
     """Comparison of the maximally entangled input against random inputs."""
 
@@ -410,129 +295,4 @@ def verify_bell_optimality(
         margin_h01=float(margin_h01),
         margin_p_err=float(margin_p_err),
         margin=float(min(margin_h01, margin_p_err)),
-    )
-
-
-def _inverse_purity(spectrum: np.ndarray) -> float:
-    return 1.0 / float(np.sum(spectrum * spectrum))
-
-
-def _level_set_bisect(a: np.ndarray, b: np.ndarray, k_target: float) -> np.ndarray:
-    """Point on the segment a..b with inverse purity equal to ``k_target``.
-
-    The endpoints must straddle the level; 80 halvings pin the mixing
-    parameter far below float resolution of the constraint.
-    """
-    fa = _inverse_purity(a) - k_target
-    fb = _inverse_purity(b) - k_target
-    if abs(fa) < 1e-14:
-        return a.copy()
-    if abs(fb) < 1e-14:
-        return b.copy()
-    if fa * fb > 0:
-        raise ValueError("segment does not cross the requested level")
-    t_lo, t_hi = 0.0, 1.0
-    for _ in range(80):
-        t = 0.5 * (t_lo + t_hi)
-        f = _inverse_purity((1.0 - t) * a + t * b) - k_target
-        if (f > 0) == (fb > 0):
-            t_hi = t
-        else:
-            t_lo = t
-    t = 0.5 * (t_lo + t_hi)
-    spec = (1.0 - t) * a + t * b
-    return spec / spec.sum()
-
-
-def spectra_with_effective_rank(
-    d_s: int, k_target: float, n_spectra: int, seed: int
-) -> list[np.ndarray]:
-    """Probability vectors of length ``d_s`` whose inverse purity is ``k_target``.
-
-    The first spectrum interpolates between the flat rank-``floor(k)`` and
-    rank-``floor(k)+1`` vectors; the rest start from seeded Dirichlet draws
-    pulled back onto the level set by bisection toward either the flat
-    vector or a deterministic vertex.  Both endpoints of the feasible range
-    have a unique solution, which is returned for every sample.
-    """
-    if not 1.0 <= k_target <= d_s:
-        raise ValueError(f"k_target must be in [1, {d_s}], got {k_target}")
-    if n_spectra < 1:
-        raise ValueError("n_spectra must be >= 1")
-
-    vertex = np.zeros(d_s)
-    vertex[0] = 1.0
-    flat = np.full(d_s, 1.0 / d_s)
-    if abs(k_target - 1.0) < 1e-12:
-        return [vertex.copy() for _ in range(n_spectra)]
-    if abs(k_target - d_s) < 1e-12:
-        return [flat.copy() for _ in range(n_spectra)]
-
-    r = int(np.floor(k_target))
-    base_lo = np.zeros(d_s)
-    base_lo[:r] = 1.0 / r
-    if abs(k_target - r) < 1e-12:
-        base = base_lo
-    else:
-        base_hi = np.zeros(d_s)
-        base_hi[: r + 1] = 1.0 / (r + 1)
-        base = _level_set_bisect(base_lo, base_hi, k_target)
-    spectra = [base]
-
-    rng = np.random.default_rng(seed)
-    while len(spectra) < n_spectra:
-        draw = rng.dirichlet(np.ones(d_s))
-        if _inverse_purity(draw) >= k_target:
-            spectra.append(_level_set_bisect(draw, vertex, k_target))
-        else:
-            spectra.append(_level_set_bisect(draw, flat, k_target))
-    return spectra
-
-
-@dataclass(frozen=True)
-class SpectrumProbeReport:
-    """Measured spread of the error probability over one rank level set.
-
-    Reports only; whether the spread should vanish is left open, since the
-    closed-form overlap depends on the spectrum solely through its inverse
-    purity but the exact error probability need not.
-    """
-
-    d_s: int
-    eta: float
-    k_target: float
-    n_spectra: int
-    seed: int
-    p_errors: tuple[float, ...]
-    spread: float
-    spectra: tuple[tuple[float, ...], ...]
-
-
-def spectrum_dependence_probe(
-    d_s: int,
-    eta: float,
-    k_target: float,
-    n_spectra: int,
-    seed: int,
-    p0: float = 0.5,
-) -> SpectrumProbeReport:
-    """Evaluate the error probability across spectra sharing one rank level.
-
-    Generates ``n_spectra`` distinct spectra with inverse purity
-    ``k_target``, takes the exact minimum error of each spectrum's probe
-    (:func:`~qillum.states.schmidt_family_state`, whose Schmidt weights are
-    the spectrum) from one stacked call of the Schmidt-space kernel, and
-    reports the largest pairwise spread without judging it.
-    """
-    spectra = spectra_with_effective_rank(d_s, k_target, n_spectra, seed)
-    p_errors = schmidt_helstrom_error(np.array(spectra), eta, d_s, p0)
-    return SpectrumProbeReport(
-        d_s=int(d_s),
-        eta=float(eta),
-        k_target=float(k_target),
-        n_spectra=int(n_spectra),
-        seed=int(seed),
-        p_errors=tuple(float(p) for p in p_errors),
-        spread=float(np.max(p_errors) - np.min(p_errors)),
-        spectra=tuple(tuple(float(x) for x in s) for s in spectra),
     )

@@ -83,7 +83,7 @@ def parse_int_grid(text: str) -> list[int]:
     values = parse_float_grid(text)
     ints = []
     for v in values:
-        if abs(v - round(v)) > 1e-9:
+        if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
             raise CliError(f"expected integers, got {v}")
         ints.append(int(round(v)))
     return ints
@@ -106,7 +106,11 @@ def parse_family(text: str) -> StateFamily:
             raise CliError(f"cannot read spectrum file {path!r}: {exc}") from exc
         if not isinstance(spectrum, list) or not spectrum:
             raise CliError(f"spectrum file {path!r} must hold a non-empty list")
-        return fixed_spectrum_family([float(x) for x in spectrum])
+        try:
+            values = [float(x) for x in spectrum]
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"spectrum file {path!r} must hold numbers: {exc}") from exc
+        return fixed_spectrum_family(values)
     raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 

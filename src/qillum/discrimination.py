@@ -11,10 +11,10 @@ here.
 For the illumination channel itself, :func:`schmidt_helstrom_error` gives
 the same minimum error from the probe's Schmidt weights alone, with one
 eigensolve of at most ``d_i x d_i`` in place of the dense
-``(d_s d_i)``-dimensional one, stacked over many probes at once.  ``sweep``,
-``verify-bell`` and the level-set probe use it; the dense
-:func:`helstrom_error` serves ``helstrom`` on arbitrary stored states and
-is the tests' oracle for the kernel.
+``(d_s d_i)``-dimensional one, stacked over many probes at once.  ``sweep``
+and ``verify-bell`` use it; the dense :func:`helstrom_error` serves
+``helstrom`` on arbitrary stored states and is the tests' oracle for the
+kernel.
 """
 
 from __future__ import annotations
@@ -37,25 +37,6 @@ def _weighted_difference(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) ->
         raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
     p0 = float(p0)
     return p0 * rho0.mat - (1.0 - p0) * rho1.mat
-
-
-def povm_error(
-    rho0: DensityMatrix, rho1: DensityMatrix, p0: float, povm: tuple[np.ndarray, np.ndarray]
-) -> float:
-    """Error probability of the binary measurement ``povm = (E0, E1)``.
-
-    Outcome ``k`` is read as "the state was ``rho_k``", so the error is
-    ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``, which equals
-    ``Tr[(p0 rho0 - p1 rho1) E1] + p1 Tr[rho1 (E0 + E1)]``.
-    """
-    diff = _weighted_difference(rho0, rho1, p0)
-    if len(povm) != 2:
-        raise ValueError(f"expected a binary POVM, got {len(povm)} elements")
-    e0, e1 = (np.asarray(e) for e in povm)
-    if e0.shape != diff.shape or e1.shape != diff.shape:
-        raise ValueError(f"dimension mismatch: POVM {e0.shape}, {e1.shape} vs states {diff.shape}")
-    p = _real_overlap(diff, e1) + (1.0 - p0) * _real_overlap(rho1.mat, e0 + e1)
-    return float(min(max(p, 0.0), 1.0))
 
 
 def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> float:

@@ -1,4 +1,4 @@
-"""Validated quantum states and their decompositions.
+"""Validated quantum states and their reductions.
 
 This is where data enters the package, so this is where it is checked.
 Density operators are checked on construction for shape, Hermiticity and
@@ -18,8 +18,6 @@ import numpy as np
 
 #: Default validation tolerance (max entry magnitude) used across the package.
 DEFAULT_TOL = 1e-9
-#: Schmidt weights below this are treated as numerically zero.
-SCHMIDT_RANK_CUTOFF = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -164,14 +162,6 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     return stack.reshape(-1, d_s, d_i)
 
 
-def haar_random_state(d_s: int, d_i: int, seed: int) -> BipartiteState:
-    """Uniformly random pure state on a ``d_s x d_i`` space.
-
-    The state :func:`haar_random_amplitudes` draws from ``seed``.
-    """
-    return BipartiteState(d_s, d_i, haar_random_amplitudes(d_s, d_i, [seed])[0])
-
-
 def idler_reduction(state: BipartiteState) -> DensityMatrix:
     """Reduced state of the idler: the signal factor traced out."""
     blocks = state.projector().reshape(state.d_s, state.d_i, state.d_s, state.d_i)
@@ -183,31 +173,11 @@ def effective_rank_k(rho: DensityMatrix) -> float:
     return 1.0 / rho.purity()
 
 
-def schmidt(state: BipartiteState, tol: float = SCHMIDT_RANK_CUTOFF) -> np.ndarray:
-    """Schmidt coefficients of a bipartite pure state, in descending order.
-
-    The coefficients are the square roots of the idler reduction's
-    eigenvalues; weights (squared coefficients) below ``tol`` are dropped,
-    so the length of the result is the Schmidt rank.
-    """
-    w = np.linalg.eigvalsh(idler_reduction(state).mat)[::-1]
-    return np.sqrt(w[w >= tol])
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format, shared with the command-line tool.
 #
 # Pure states:      {"d_s": n, "d_i": m, "amplitudes": [[re, im], ...]}
 # Density matrices: {"dim": n, "entries": [[[re, im], ...], ...]}  (row-major)
-
-
-def state_to_dict(state: BipartiteState) -> dict:
-    """Encode a pure state in the JSON wire format."""
-    return {
-        "d_s": state.d_s,
-        "d_i": state.d_i,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes],
-    }
 
 
 def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> BipartiteState:
@@ -217,7 +187,7 @@ def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> BipartiteState:
         d_i = int(obj["d_i"])
         pairs = obj["amplitudes"]
         amp = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pure-state object: {exc}") from exc
     return BipartiteState(d_s, d_i, amp, tol)
 
@@ -243,7 +213,7 @@ def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
         mat = np.array(
             [[complex(re, im) for re, im in row] for row in rows], dtype=complex
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
     if mat.shape != (dim, dim):
         raise ValueError(f"entries shape {mat.shape} does not match dim {dim}")

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from qillum.states import DEFAULT_TOL, BipartiteState
+from qillum.states import DEFAULT_TOL, BipartiteState, haar_random_amplitudes
 from qillum.illumination import channel_outputs
 from qillum.discrimination import helstrom_error, hs_distinguishability
 
@@ -33,6 +33,22 @@ def partial_trace(m, d_left, d_right, side="right"):
     if side == "right":
         return np.einsum("ikjk->ij", blocks)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def haar_random_state(d_s, d_i, seed):
+    """The uniformly random pure state ``haar_random_amplitudes`` draws from ``seed``."""
+    return BipartiteState(d_s, d_i, haar_random_amplitudes(d_s, d_i, [seed])[0])
+
+
+def povm_error(rho0, rho1, p0, povm):
+    """Error probability of the binary measurement ``povm = (E0, E1)``.
+
+    Outcome ``k`` reads as "the state was ``rho_k``", so by definition the
+    error is ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``.  The reference for
+    ``optimal_povm``; arguments are not validated.
+    """
+    e0, e1 = povm
+    return float(p0 * np.trace(rho0.mat @ e1).real + (1.0 - p0) * np.trace(rho1.mat @ e0).real)
 
 
 def ginibre(rng, rows, cols=None):

@@ -1,5 +1,5 @@
-"""Tests for sweeps, monotonicity checks, optimality sampling and the
-spectrum probe."""
+"""Tests for sweeps and their monotonicity, optimality sampling and the
+dependence of the error probability on the whole spectrum."""
 
 import dataclasses
 
@@ -8,22 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qillum.states import bell_state, haar_random_state, schmidt_family_state, BipartiteState
+from qillum.states import bell_state, schmidt_family_state, BipartiteState
 from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
     SweepRecord,
     bell_family,
-    co_monotonicity_violations,
     fixed_spectrum_family,
     run_sweep,
-    spectra_with_effective_rank,
-    spectrum_dependence_probe,
     unentangled_error,
     uniform_rank_family,
     verify_bell_optimality,
-    verify_monotonicity,
 )
-from conftest import UNIT, evaluate_state_metrics, product_baseline_state
+from conftest import UNIT, evaluate_state_metrics, haar_random_state, product_baseline_state
 
 
 class TestRunSweep:
@@ -93,7 +89,8 @@ class TestVerifyMonotonicity:
         records = run_sweep(etas, [2], [uniform_rank_family(1)])
         expected = [1 / np.sqrt(1 + e**2) for e in etas]
         assert np.allclose([r.h01_closed for r in records], expected, atol=1e-12)
-        assert verify_monotonicity(records).passed
+        h = [r.h01_direct for r in records]
+        assert all(b < a for a, b in zip(h, h[1:]))
 
     def test_bell_dimension_axis(self):
         records = run_sweep([0.5], [2, 3, 4, 5], [bell_family()])
@@ -101,44 +98,27 @@ class TestVerifyMonotonicity:
         p = [r.p_err for r in records]
         assert all(b < a for a, b in zip(h, h[1:]))
         assert all(b < a for a, b in zip(p, p[1:]))
-        assert verify_monotonicity(records).passed
 
     def test_rank_axis_at_fixed_dimension(self):
+        """Flat spectra of rising rank form a majorization chain, so the error
+        may not rise along them either."""
         families = [uniform_rank_family(r) for r in (1, 2, 3, 4)]
         records = run_sweep([0.7], [4], families)
         h = [r.h01_direct for r in records]
+        p = [r.p_err for r in records]
         assert all(b < a for a, b in zip(h, h[1:]))
-        report = verify_monotonicity(records)
-        assert report.passed and report.n_comparisons > 0
+        assert all(b <= a for a, b in zip(p, p[1:]))
 
     def test_full_grid_passes(self):
-        records = run_sweep(
-            [0.0, 0.5, 1.0], [2, 3, 4],
-            [uniform_rank_family(1), uniform_rank_family(2), bell_family()],
-        )
-        report = verify_monotonicity(records)
-        assert report.passed, report.violations
-
-    def test_rejects_incomplete_grid(self):
-        records = run_sweep([0.2, 0.8], [2, 3], [bell_family()])
-        with pytest.raises(ValueError, match="complete"):
-            verify_monotonicity(records[:-1])
-
-    def test_detects_planted_violation(self):
-        records = run_sweep([0.2, 0.8], [2, 3], [bell_family()])
-        spoiled = list(records)
-        bad = dataclasses.replace(spoiled[-1], p_err=spoiled[0].p_err + 0.2)
-        spoiled[-1] = bad
-        report = verify_monotonicity(spoiled)
-        assert not report.passed
-        assert any("error probability" in v for v in report.violations)
-
-    def test_co_monotone_orderings(self):
-        records = run_sweep(
-            [0.0, 0.3, 0.6, 1.0], [2, 3, 4],
-            [uniform_rank_family(1), uniform_rank_family(2), bell_family()],
-        )
-        assert co_monotonicity_violations(records) == []
+        """Along eta, along d_s and along the families (flat ranks 1, 2, then
+        d_s: a majorization chain), neither measure rises."""
+        etas, dims = [0.0, 0.5, 1.0], [2, 3, 4]
+        families = [uniform_rank_family(1), uniform_rank_family(2), bell_family()]
+        records = run_sweep(etas, dims, families)
+        grid = np.array([[r.h01_direct, r.p_err] for r in records])
+        grid = grid.reshape(len(etas), len(dims), len(families), 2)
+        for axis in range(3):
+            assert np.all(np.diff(grid, axis=axis) <= 1e-12)
 
 
 class TestVerifyBellOptimality:
@@ -227,69 +207,37 @@ class TestVerifyBellOptimality:
             assert k == pytest.approx(d, abs=1e-10)
 
 
-class TestSpectraWithEffectiveRank:
-    def test_hits_the_level(self):
-        for k_target in (1.0, 1.7, 2.0, 3.2, 4.0):
-            for spec in spectra_with_effective_rank(4, k_target, 6, seed=5):
-                assert spec.sum() == pytest.approx(1.0, abs=1e-12)
-                assert np.all(spec >= -1e-15)
-                k = 1.0 / float(np.sum(spec**2))
-                assert k == pytest.approx(k_target, abs=1e-9)
-
-    def test_unique_extremes(self):
-        flat = spectra_with_effective_rank(3, 3.0, 4, seed=0)
-        assert all(np.allclose(s, np.full(3, 1 / 3)) for s in flat)
-        vertex = spectra_with_effective_rank(3, 1.0, 4, seed=0)
-        assert all(np.allclose(s, [1, 0, 0]) for s in vertex)
-
-    def test_interior_samples_are_distinct(self):
-        specs = spectra_with_effective_rank(4, 2.0, 5, seed=9)
-        for i in range(len(specs)):
-            for j in range(i + 1, len(specs)):
-                assert not np.allclose(specs[i], specs[j], atol=1e-8)
-
-    def test_rejects_infeasible_target(self):
-        with pytest.raises(ValueError):
-            spectra_with_effective_rank(3, 3.5, 2, seed=0)
-        with pytest.raises(ValueError):
-            spectra_with_effective_rank(3, 0.5, 2, seed=0)
+def spectrum_rows(*spectra):
+    """Sweep rows at d_s = 4, eta = 1/2 and p0 = 1/2, one per idler spectrum,
+    each held to the dense route within 1e-12."""
+    records = run_sweep([0.5], [4], [fixed_spectrum_family(s) for s in spectra])
+    for spec, r in zip(spectra, records):
+        h01, p_err = evaluate_state_metrics(schmidt_family_state(4, spec), 0.5)
+        assert abs(r.h01_closed - h01) <= 1e-12
+        assert abs(r.p_err - p_err) <= 1e-12
+    return records
 
 
 class TestSpectrumProbe:
-    def test_unique_maximizer_spread_zero(self):
-        report = spectrum_dependence_probe(3, 0.6, 3.0, 5, seed=1)
-        assert report.spread == pytest.approx(0.0, abs=1e-12)
-
-    def test_unique_minimizer_spread_zero(self):
-        report = spectrum_dependence_probe(3, 0.6, 1.0, 5, seed=1)
-        assert report.spread == pytest.approx(0.0, abs=1e-12)
-
-    def test_permutation_invariance_of_spread(self):
-        report = spectrum_dependence_probe(4, 0.7, 2.0, 8, seed=3)
-        rng = np.random.default_rng(123)
-        permuted_p = []
-        for spec in report.spectra:
-            shuffled = np.asarray(spec)[rng.permutation(4)]
-            state = schmidt_family_state(4, shuffled)
-            _, p_err = evaluate_state_metrics(state, 0.7)
-            permuted_p.append(p_err)
-        spread = max(permuted_p) - min(permuted_p)
-        assert spread == pytest.approx(report.spread, abs=1e-10)
-        assert np.allclose(sorted(permuted_p), sorted(report.p_errors), atol=1e-10)
+    """The overlap depends on the spectrum only through k_i = 1/sum(lam^2),
+    but the exact error depends on all of it, through a Schur-concave sum;
+    hence ``sweep`` has no monotonicity gate along k_i."""
 
     def test_error_is_not_a_function_of_idler_rank(self):
-        """Spectra sharing k_i = 2.5 at d_s = 6 give measurably different
-        minimum errors, and each agrees with the dense route."""
-        report = spectrum_dependence_probe(6, 0.5, 2.5, 8, seed=0)
-        assert report.spread > 1e-4
-        for spec, p_err in zip(report.spectra, report.p_errors):
-            _, dense = evaluate_state_metrics(schmidt_family_state(6, spec), 0.5)
-            assert abs(p_err - dense) <= 1e-12
+        s3 = np.sqrt(3)
+        two, tilted = spectrum_rows([0.5, 0.5, 0.0, 0.0], [(1 + s3) / 4] + 3 * [(3 - s3) / 12])
+        assert abs(two.k_i - 2.0) <= 1e-12 and abs(tilted.k_i - 2.0) <= 1e-12
+        assert abs(two.h01_closed - tilted.h01_closed) <= 1e-12
+        assert two.p_err == pytest.approx(0.28125, abs=1e-12)
+        assert tilted.p_err == pytest.approx(0.2800654, abs=1e-7)
+        assert two.p_err - tilted.p_err > 1e-3
 
-    def test_report_is_descriptive_only(self):
-        report = spectrum_dependence_probe(4, 0.7, 2.0, 6, seed=3)
-        assert len(report.p_errors) == 6
-        assert report.spread >= 0.0
+    def test_error_can_rise_with_idler_rank(self):
+        lo, hi = spectrum_rows([0.67, 0.16, 0.13, 0.04], [0.0, 0.52, 0.01, 0.47])
+        assert 2.028 < lo.k_i < hi.k_i < 2.036
+        assert hi.h01_direct < lo.h01_direct
+        assert lo.p_err == pytest.approx(0.2797661, abs=1e-7)
+        assert hi.p_err == pytest.approx(0.2806614, abs=1e-7)
 
 
 class TestCiSignalMarginalChoice:

@@ -97,6 +97,20 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: spectrum entries")
         assert not out.exists()
 
+    def test_error_may_rise_with_idler_rank(self, tmp_path):
+        """No monotonicity gate: k_i rises from the first spectrum to the
+        second and the overlap falls, but the exact error rises."""
+        families = []
+        for name, spec in (("lo", [0.67, 0.16, 0.13, 0.04]), ("hi", [0.0, 0.52, 0.01, 0.47])):
+            families += ["--family", f"spectrum:{write_json(tmp_path / f'{name}.json', spec)}"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", "--d", "4", *families, "--out", str(out)]) == 0
+        header, lo, hi = (line.split(",") for line in out.read_text().splitlines())
+        k_i, h01, p_err = (header.index(c) for c in ("k_i", "h01_direct", "p_err"))
+        assert float(lo[k_i]) < float(hi[k_i])
+        assert float(lo[h01]) > float(hi[h01])
+        assert float(lo[p_err]) < float(hi[p_err])
+
 
 class TestVerifyBell:
     GOLDEN_ARGS = ["--d", "4", "--samples", "20", "--seed", "3", "--eta", "0.3", "--p0", "0.4"]
@@ -172,16 +186,35 @@ class TestHelstrom:
 
 
 class TestProblemValidation:
+    # 1e400 is finite JSON text that Python reads as float infinity
+    RAW_FILES = {
+        "mixed_4": json.dumps(MIXED_4),
+        "mixed_2": json.dumps(MIXED_2),
+        "dim_1e400": '{"dim": 1e400, "entries": [[[1, 0]]]}',
+        "d_s_1e400": '{"d_s": 1e400, "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}',
+        "spec_null": "[null, 1]",
+        "spec_nested": "[[0.5], [0.5]]",
+    }
+
     @pytest.mark.parametrize("argv", [
         ["helstrom", "--state0", "{mixed_4}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{mixed_4}", "--state1", "{mixed_4}", "--p0", "1.5"],
         ["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--p0", "1.5"],
-    ], ids=["dimension-mismatch", "helstrom-p0", "verify-bell-p0"])
+        ["sweep", "--eta", "0.5", "--d", "inf", "--out", "{out}"],
+        ["sweep", "--eta", "0.5", "--d", "1e400", "--out", "{out}"],
+        ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_null}", "--out", "{out}"],
+        ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_nested}", "--out", "{out}"],
+        ["helstrom", "--state0", "{dim_1e400}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{d_s_1e400}", "--state1", "{mixed_2}"],
+    ], ids=[
+        "dimension-mismatch", "helstrom-p0", "verify-bell-p0", "sweep-d-inf", "sweep-d-1e400",
+        "spectrum-null", "spectrum-nested", "helstrom-dim-1e400", "helstrom-d_s-1e400",
+    ])
     def test_exits_1(self, tmp_path, capsys, argv):
-        files = {
-            "mixed_4": write_json(tmp_path / "m4.json", MIXED_4),
-            "mixed_2": write_json(tmp_path / "m2.json", MIXED_2),
-        }
+        files = {"out": str(tmp_path / "sweep.csv")}
+        for name, text in self.RAW_FILES.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(text)
         assert main([a.format(**files) for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")

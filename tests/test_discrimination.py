@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from qillum.states import (
     DEFAULT_TOL as TOL,
-    SCHMIDT_RANK_CUTOFF,
     DensityMatrix,
     effective_rank_k,
-    haar_random_state,
     idler_reduction,
     schmidt_family_state,
 )
@@ -20,7 +18,6 @@ from qillum.discrimination import (
     helstrom_error,
     hs_distinguishability,
     optimal_povm,
-    povm_error,
     schmidt_helstrom_error,
 )
 from qillum.analysis import (
@@ -33,7 +30,9 @@ from conftest import (
     UNIT,
     evaluate_state_metrics,
     ginibre,
+    haar_random_state,
     max_abs_diff,
+    povm_error,
     random_density,
     random_projective_povm,
     random_two_outcome_povm,
@@ -62,26 +61,6 @@ def random_state_of_rank(rng, dim, rank):
     return dm(0.5 * (rho + rho.conj().T))
 
 
-class TestProblemValidation:
-    def test_rejects_dim_mismatch(self):
-        other = dm(np.eye(3) / 3)
-        for call in (
-            lambda: helstrom_error(ZERO, other),
-            lambda: optimal_povm(ZERO, other),
-            lambda: povm_error(ZERO, other, 0.5, (np.eye(2), np.zeros((2, 2)))),
-        ):
-            with pytest.raises(ValueError, match="dimension"):
-                call()
-
-    def test_rejects_bad_priors(self):
-        for p0 in (-0.1, 1.5, float("nan")):
-            for call in (helstrom_error, optimal_povm):
-                with pytest.raises(ValueError, match="prior"):
-                    call(ZERO, PLUS, p0)
-            with pytest.raises(ValueError, match="prior"):
-                povm_error(ZERO, PLUS, p0, (np.eye(2), np.zeros((2, 2))))
-
-
 class TestPovmError:
     def test_always_guess_zero(self):
         povm = (np.eye(2), np.zeros((2, 2)))
@@ -94,14 +73,22 @@ class TestPovmError:
         povm = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert povm_error(ZERO, PLUS, 0.5, povm) == pytest.approx(0.25, abs=1e-12)
 
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="binary"):
-            povm_error(ZERO, PLUS, 0.5, [np.eye(2) / 3] * 3)
 
+class TestProblemValidation:
     def test_rejects_dim_mismatch(self):
-        povm = (np.eye(3), np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="mismatch"):
-            povm_error(ZERO, PLUS, 0.5, povm)
+        other = dm(np.eye(3) / 3)
+        for call in (
+            lambda: helstrom_error(ZERO, other),
+            lambda: optimal_povm(ZERO, other),
+        ):
+            with pytest.raises(ValueError, match="dimension"):
+                call()
+
+    def test_rejects_bad_priors(self):
+        for p0 in (-0.1, 1.5, float("nan")):
+            for call in (helstrom_error, optimal_povm):
+                with pytest.raises(ValueError, match="prior"):
+                    call(ZERO, PLUS, p0)
 
 
 class TestHelstrom:
@@ -213,13 +200,14 @@ class TestSchmidtHelstrom:
 
     @pytest.mark.parametrize("p0", [0.3, 0.5, 0.8])
     def test_continuous_at_rank_cutoff(self, p0):
-        """A weight one ulp below the cutoff counts like one at it; dropping
-        it would move the error by about 1e-13 here."""
+        """The kernel has no rank cutoff: a weight one ulp below 1e-12 counts
+        like one at it, where dropping it would move the error by about
+        1e-13."""
         def error(eps):
             return schmidt_helstrom_error([0.6, 0.4 - eps, eps], 0.5, 4, p0)
 
-        below = np.nextafter(SCHMIDT_RANK_CUTOFF, 0.0)
-        assert abs(error(below) - error(SCHMIDT_RANK_CUTOFF)) <= 1e-15
+        cutoff = 1e-12
+        assert abs(error(np.nextafter(cutoff, 0.0)) - error(cutoff)) <= 1e-15
 
     @settings(deadline=None, max_examples=60)
     @given(d_s=st.integers(2, 8), eta=UNIT, p0=UNIT)
@@ -267,7 +255,7 @@ class TestSchmidtHelstrom:
     @example(seed=5, n=2, d_i=5, d_s=4, tiny=1e-11, n_tiny=4, eta=1.0, p0=0.5)
     def test_stacked_equals_rows(self, seed, n, d_i, d_s, tiny, n_tiny, eta, p0):
         """A stack of probes gives each row's 1-D result; rows may carry
-        zero weights or weights around the rank cutoff."""
+        zero weights or weights around 1e-12."""
         weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=n)
         weights[:, : min(n_tiny, d_i - 1)] = tiny
         weights /= weights.sum(axis=1, keepdims=True)

@@ -9,12 +9,11 @@ from qillum.states import (
     BipartiteState,
     bell_state,
     effective_rank_k,
-    haar_random_state,
     idler_reduction,
 )
 from qillum.illumination import channel_outputs
 from qillum.discrimination import hs_distinguishability
-from conftest import max_abs_diff, product_baseline_state
+from conftest import haar_random_state, max_abs_diff, product_baseline_state
 
 
 def product_state_00():

@@ -1,4 +1,5 @@
-"""Tests for the dense partial-trace oracle that the suite checks reductions against."""
+"""Tests for the dense partial trace in ``conftest``, the oracle that the
+suite checks the package's idler reductions against."""
 
 import numpy as np
 import pytest
@@ -41,3 +42,4 @@ class TestPartialTrace:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), 2, 2, "up")
+

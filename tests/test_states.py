@@ -1,4 +1,4 @@
-"""Tests for state construction, validation, and the Schmidt machinery."""
+"""Tests for state construction, validation, reductions and the wire format."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,11 @@ from qillum.states import (
     density_from_dict,
     density_to_dict,
     effective_rank_k,
-    haar_random_state,
     idler_reduction,
-    schmidt,
     schmidt_family_state,
     state_from_dict,
-    state_to_dict,
 )
-from conftest import max_abs_diff, partial_trace
+from conftest import haar_random_state, max_abs_diff, partial_trace
 
 
 class TestDensityMatrix:
@@ -75,11 +72,6 @@ class TestBellState:
         expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         assert max_abs_diff(st.amplitudes, expected) == 0.0
 
-    def test_uniform_schmidt_coefficients(self):
-        coeffs = schmidt(bell_state(3))
-        assert coeffs.size == 3
-        assert np.allclose(coeffs, np.full(3, 1 / np.sqrt(3)))
-
     def test_idler_reduction_is_maximally_mixed(self):
         rho = idler_reduction(bell_state(4))
         assert rho.purity() == pytest.approx(0.25, abs=1e-12)
@@ -87,30 +79,6 @@ class TestBellState:
     def test_rejects_dim_below_two(self):
         with pytest.raises(ValueError):
             bell_state(1)
-
-
-class TestSchmidt:
-    def test_product_state(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[0] = 1.0
-        coeffs = schmidt(BipartiteState(2, 2, amp))
-        assert coeffs.size == 1
-        assert coeffs[0] == pytest.approx(1.0)
-
-    def test_already_in_schmidt_form(self):
-        amp = np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)], dtype=complex)
-        coeffs = schmidt(BipartiteState(2, 2, amp))
-        assert coeffs.size == 2
-        assert np.allclose(coeffs, [np.sqrt(0.8), np.sqrt(0.2)])
-
-    def test_weights_sum_to_one(self):
-        coeffs = schmidt(haar_random_state(4, 4, seed=9))
-        assert np.all(np.diff(coeffs) <= 0)
-        assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-10)
-
-    def test_deterministic_output(self):
-        st = haar_random_state(3, 3, seed=5)
-        assert np.array_equal(schmidt(st), schmidt(st))
 
 
 class TestReductions:
@@ -235,7 +203,8 @@ class TestSchmidtFamilyState:
 class TestJsonFormat:
     def test_state_round_trip(self):
         st = haar_random_state(2, 3, seed=8)
-        back = state_from_dict(state_to_dict(st))
+        obj = {"d_s": 2, "d_i": 3, "amplitudes": [[z.real, z.imag] for z in st.amplitudes]}
+        back = state_from_dict(obj)
         assert back.d_s == 2 and back.d_i == 3
         assert max_abs_diff(back.amplitudes, st.amplitudes) < 1e-15
 
@@ -243,11 +212,6 @@ class TestJsonFormat:
         rho = idler_reduction(haar_random_state(3, 3, seed=2))
         back = density_from_dict(density_to_dict(rho.mat))
         assert max_abs_diff(back.mat, rho.mat) < 1e-15
-
-    def test_state_dict_shape(self):
-        obj = state_to_dict(bell_state(2))
-        assert obj["d_s"] == 2 and obj["d_i"] == 2
-        assert obj["amplitudes"][0] == [pytest.approx(1 / np.sqrt(2)), 0.0]
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):
