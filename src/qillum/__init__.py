@@ -1,13 +1,17 @@
 """Exact and closed-form distinguishability for single-photon illumination.
 
-The package builds the target-present and target-absent channel outputs for
-an entangled signal/idler probe, computes the exact minimum discrimination
-error (trace-norm diagonalization, with the optimal measurement) and the
-normalized Hilbert-Schmidt overlap with its closed form in the physical
-parameters, sweeps both over parameter grids and checks numerically that
-the maximally entangled probe is optimal.  Inputs are validated where they
-enter, in :mod:`qillum.states` and at the user parameters; the layers above
-call ``numpy`` directly.
+For an entangled signal/idler probe sent through the illumination channel,
+the package computes the exact minimum error of telling "target present"
+from "target absent" and the normalized Hilbert-Schmidt overlap of the two
+channel outputs, with the overlap's closed form in the physical
+parameters.  It sweeps both over parameter grids and checks numerically
+that the maximally entangled probe is optimal.  The channel outputs are
+never built as dense ``(d_s d_i)``-dimensional matrices: the error comes
+from the probe's Schmidt weights and the overlap from traces of its
+amplitude matrix.  The dense minimum error (trace-norm diagonalization,
+with the optimal measurement) serves arbitrary stored states.  Inputs are
+validated where they enter, in :mod:`qillum.states` and at the user
+parameters; the layers above call ``numpy`` directly.
 """
 
 from .states import (
@@ -23,11 +27,10 @@ from .states import (
     schmidt_family_state,
     state_from_dict,
 )
-from .illumination import channel_outputs, target_absent_state, target_present_state
 from .discrimination import (
+    channel_overlap,
     h01_closed_form,
     helstrom_error,
-    hs_distinguishability,
     optimal_povm,
     schmidt_helstrom_error,
 )

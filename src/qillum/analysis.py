@@ -1,19 +1,20 @@
 """Numerical verification of the model's structural claims.
 
-Parameter sweeps pair the closed-form overlap with its direct matrix
-evaluation and with the exact minimum error probability, and every row is
-held to the agreement of the two overlap routes.  Random sampling over
-pure inputs backs the claim that the maximally entangled state is the best
-probe.
+Parameter sweeps pair the closed-form overlap with its direct evaluation
+and with the exact minimum error probability, and every row is held to the
+agreement of the two overlap routes.  Random sampling over pure inputs
+backs the claim that the maximally entangled state is the best probe.
 
-Both drivers take the error probability from the Schmidt-space kernel
+Neither the sweep nor the optimality check builds a dense
+``(d_s d_i)``-dimensional matrix.  Both take the error probability from
+the Schmidt-space kernel
 :func:`~qillum.discrimination.schmidt_helstrom_error`.  The sweep's direct
-overlap still comes from the dense channel outputs, as the independent
-route to the closed form.  The optimality check needs no dense matrix: it
-takes each sample's Schmidt weights from one stacked singular-value
-decomposition and its overlap from the closed form.  The dense route
-(``channel_outputs``, ``hs_distinguishability``, ``helstrom_error``) is the
-tests' oracle for both.
+overlap comes from traces of the probe's amplitude matrix
+(:func:`~qillum.discrimination.channel_overlap`), the route independent of
+the closed form.  The optimality check takes each sample's Schmidt weights
+from one stacked singular-value decomposition and its overlap from the
+closed form.  The dense channel outputs, their overlap and
+``helstrom_error`` on them are the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from .states import (
     idler_reduction,
     schmidt_family_state,
 )
-from .illumination import target_absent_state, target_present_state
-from .discrimination import (
-    h01_closed_form,
-    hs_distinguishability,
-    schmidt_helstrom_error,
-)
+from .discrimination import channel_overlap, h01_closed_form, schmidt_helstrom_error
 
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
@@ -55,7 +51,15 @@ class VerificationError(ValueError):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point of a parameter sweep."""
+    """One grid point of a parameter sweep.
+
+    ``h01_closed`` is the closed-form overlap at the effective idler rank
+    ``k_i``; ``h01_direct`` is the same overlap from traces of the probe's
+    amplitude matrix (:func:`~qillum.discrimination.channel_overlap`), which
+    never goes through ``k_i``.  ``p_err`` is the probe's minimum error
+    probability, ``p_err_ci`` that of the unentangled baseline, and
+    ``advantage`` the closed-form overlap gap between the two.
+    """
 
     eta: float
     d_s: int
@@ -129,19 +133,19 @@ def run_sweep(
     dims: Iterable[int],
     families: Sequence[StateFamily],
     p0: float = 0.5,
-    tol: float = DEFAULT_TOL,
 ) -> list[SweepRecord]:
     """Evaluate the full pipeline on a grid.
 
     Emits one validated record per point, ordered lexicographically (eta
     outermost, then dimension, then family).  Each (dimension, family)
-    probe, its effective idler rank and its Schmidt weights are built once,
-    before any row; then each probe's rows are computed together, sharing
-    its dense target-absent state (which does not depend on eta), so only
-    one such state is held at a time.  Every row's ``p_err`` comes from the
-    Schmidt-space kernel :func:`~qillum.discrimination.schmidt_helstrom_error`
-    (one ``d_i x d_i`` eigensolve); ``h01_direct`` comes from the dense
-    channel outputs, as the independent check of the closed form.  Raises
+    probe is built once, before any row, and only its effective idler rank,
+    its Schmidt weights and its direct overlaps at every eta
+    (:func:`~qillum.discrimination.channel_overlap`, three traces of its
+    amplitude matrix, the independent check of the closed form) are kept.
+    Every row's ``p_err`` comes from the Schmidt-space kernel
+    :func:`~qillum.discrimination.schmidt_helstrom_error` (one
+    ``d_i x d_i`` eigensolve).  No matrix larger than ``d_i x d_i`` or
+    ``d_s x d_i`` is formed.  Raises
     ``ValueError`` for grid entries outside their ranges, a grid of more
     than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a record
@@ -169,20 +173,23 @@ def run_sweep(
         for f, family in enumerate(families):
             state = family.build(d_s)
             phi_i = idler_reduction(state)
-            probes[d_s, f] = state, phi_i, effective_rank_k(phi_i), np.linalg.eigvalsh(phi_i.mat)
+            probes[d_s, f] = (
+                state.d_i,
+                effective_rank_k(phi_i),
+                np.linalg.eigvalsh(phi_i.mat),
+                channel_overlap(state.amplitude_matrix(), etas),
+            )
 
     records = {}
-    for (d_s, f), (state, phi_i, k_i, weights) in probes.items():
-        # one dense target-absent state at a time, shared by the probe's rows
-        rho1 = target_absent_state(d_s, phi_i, tol)
+    for (d_s, f), (d_i, k_i, weights, h01_direct) in probes.items():
         for e, eta in enumerate(etas):
             record = SweepRecord(
                 eta=eta,
                 d_s=d_s,
-                d_i=state.d_i,
+                d_i=d_i,
                 k_i=k_i,
                 h01_closed=h01_closed_form(eta, d_s, k_i),
-                h01_direct=hs_distinguishability(target_present_state(state, eta, rho1, tol), rho1),
+                h01_direct=float(h01_direct[e]),
                 p_err=schmidt_helstrom_error(weights, eta, d_s, p0),
                 p_err_ci=unentangled_error(eta, d_s, p0),
                 advantage=h01_closed_form(eta, d_s, 1.0) - h01_closed_form(eta, d_s, k_i),

@@ -2,9 +2,12 @@
 one-off minimum-error queries on states stored as JSON files.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
-failure.  The ``QI_TOL`` environment variable overrides the default
-validation tolerance of 1e-9; it must be a finite number above 0, else the
-run stops with exit 1.
+failure.  A run that runs out of memory (an oversized dimension) also
+exits 1.  The ``QI_TOL`` environment variable overrides the default
+validation tolerance of 1e-9 for stored states (``helstrom``) and for the
+Schmidt weights of ``verify-bell``'s samples; it must be a finite number
+above 0, else the run stops with exit 1.  ``sweep`` builds its probes
+exactly and holds its two overlap routes to a fixed agreement bound.
 """
 
 from __future__ import annotations
@@ -106,10 +109,14 @@ def parse_family(text: str) -> StateFamily:
             raise CliError(f"cannot read spectrum file {path!r}: {exc}") from exc
         if not isinstance(spectrum, list) or not spectrum:
             raise CliError(f"spectrum file {path!r} must hold a non-empty list")
+        # float() would also take strings and booleans; JSON numbers only
+        bad = [x for x in spectrum if isinstance(x, bool) or not isinstance(x, (int, float))]
+        if bad:
+            raise CliError(f"spectrum file {path!r} must hold numbers, got {bad[0]!r}")
         try:
             values = [float(x) for x in spectrum]
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"spectrum file {path!r} must hold numbers: {exc}") from exc
+        except OverflowError as exc:
+            raise CliError(f"spectrum file {path!r}: {exc}") from exc
         return fixed_spectrum_family(values)
     raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
@@ -154,7 +161,7 @@ def cmd_sweep(args, tol: float) -> int:
     dims = parse_int_grid(args.d)
     families = [parse_family(f) for f in (args.family or ["bell"])]
     try:
-        records = run_sweep(etas, dims, families, p0=args.p0, tol=tol)
+        records = run_sweep(etas, dims, families, p0=args.p0)
     except VerificationError as exc:
         print(f"numerical verification failed: {exc}", file=sys.stderr)
         return 2
@@ -261,14 +268,12 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args, tol)
-    except CliError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -3,18 +3,20 @@
 Two routes to the same question: the exact minimum error probability of a
 binary hypothesis test between ``rho0`` (prior ``p0``) and ``rho1`` (prior
 ``1 - p0``), via the spectrum of ``p0 rho0 - (1 - p0) rho1``, with the
-measurement that attains it; and a diagonalization-free overlap measure
-that needs only traces of matrix products.  The states arrive validated as
+measurement that attains it; and the normalized Hilbert-Schmidt overlap,
+which needs only traces of matrix products.  The states arrive validated as
 :class:`DensityMatrix`; only their dimensions and the prior are checked
 here.
 
-For the illumination channel itself, :func:`schmidt_helstrom_error` gives
-the same minimum error from the probe's Schmidt weights alone, with one
-eigensolve of at most ``d_i x d_i`` in place of the dense
-``(d_s d_i)``-dimensional one, stacked over many probes at once.  ``sweep``
-and ``verify-bell`` use it; the dense :func:`helstrom_error` serves
-``helstrom`` on arbitrary stored states and is the tests' oracle for the
-kernel.
+For the illumination channel itself no dense ``(d_s d_i)``-dimensional
+matrix is needed.  :func:`schmidt_helstrom_error` gives the minimum error
+from the probe's Schmidt weights alone, with one eigensolve of at most
+``d_i x d_i``, stacked over many probes at once; :func:`channel_overlap`
+gives the overlap of the two channel outputs from three traces of the
+probe's ``(d_s, d_i)`` amplitude matrix, and :func:`h01_closed_form` the
+same overlap from the physical parameters.  ``sweep`` and ``verify-bell``
+use these; the dense :func:`helstrom_error` serves ``helstrom`` on
+arbitrary stored states and is the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .states import DEFAULT_TOL, DensityMatrix
-
-
-def _real_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr[a b] for Hermitian a, b (real by symmetry)."""
-    return float(np.real(np.einsum("ij,ji->", a, b)))
 
 
 def _weighted_difference(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> np.ndarray:
@@ -60,8 +57,8 @@ def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5):
     ``d_i x d_i`` matrix ``p0 eta sqrt(lam) sqrt(lam)^T + (c/d_s) diag(lam)``
     on the span of the paired Schmidt vectors, a rank-one update of a
     diagonal matrix, and the scalars ``c lam_m / d_s``, each ``d_s - 1``
-    times, elsewhere.  The result equals :func:`helstrom_error` on
-    ``channel_outputs`` of the probe, clipped to ``[0, 1]``.
+    times, elsewhere.  The result equals :func:`helstrom_error` on the
+    probe's dense channel outputs ``(rho0, rho1)``, clipped to ``[0, 1]``.
 
     ``weights`` is one probe's weights (1-D; a float is returned) or an
     ``(n, d_i)`` stack of ``n`` probes sharing ``eta``, ``d_s`` and ``p0``
@@ -106,19 +103,36 @@ def optimal_povm(
     return e0, np.eye(rho0.dim) - e0
 
 
-def hs_distinguishability(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Normalized overlap ``Tr[rho sigma] / sqrt(Tr[rho^2] Tr[sigma^2])``.
+def channel_overlap(amplitudes, eta):
+    """Normalized overlap ``Tr[rho0 rho1] / sqrt(Tr[rho0^2] Tr[rho1^2])`` of
+    the channel outputs of a pure probe, from its ``(d_s, d_i)`` amplitude
+    matrix ``A`` (see :meth:`~qillum.states.BipartiteState.amplitude_matrix`).
 
-    Symmetric, unitarily invariant, 1 exactly for identical states and 0
-    exactly for states with orthogonal support; for pure states it reduces
-    to the squared inner product of the vectors.  The normalization never
-    vanishes because purities are at least ``1/dim``.
+    With the idler reduction ``phi = A^T A*``, ``rho1 = I/d_s (x) phi`` and
+    ``rho0 = eta |psi><psi| + (1 - eta) rho1``, the overlap needs three
+    traces and no ``(d_s d_i)``-dimensional matrix:
+
+        v = <psi|rho1|psi> = Tr[A* phi A^T] / d_s,   Tr[rho1^2] = Tr[phi^2] / d_s,
+        Tr[rho0 rho1] = eta v + (1 - eta) Tr[rho1^2],
+        Tr[rho0^2] = eta^2 + 2 eta (1 - eta) v + (1 - eta)^2 Tr[rho1^2],
+
+    at O(d_s d_i^2).  None of them goes through the effective rank, so the
+    result is an independent check of :func:`h01_closed_form`.  ``eta`` is
+    one value (a float is returned) or an array of values sharing the traces
+    (an array is returned).  The result is clipped to ``[0, 1]``.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    num = _real_overlap(rho.mat, sigma.mat)
-    value = num / np.sqrt(rho.purity() * sigma.purity())
-    return float(min(max(value, 0.0), 1.0))
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((0.0 <= eta) & (eta <= 1.0)):
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    a = np.asarray(amplitudes)
+    d_s = a.shape[0]
+    phi = a.T @ a.conj()
+    v = float(np.real(np.vdot(a, a @ phi.T))) / d_s
+    purity_1 = float(np.real(np.vdot(phi, phi))) / d_s
+    cross = eta * v + (1.0 - eta) * purity_1
+    purity_0 = eta**2 + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) ** 2 * purity_1
+    h = np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)
+    return float(h) if h.ndim == 0 else h
 
 
 def h01_closed_form(eta: float, d_s: int, k_i: float) -> float:

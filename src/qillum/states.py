@@ -91,13 +91,10 @@ class BipartiteState:
         """Amplitudes reshaped to ``(d_s, d_i)``."""
         return self.amplitudes.reshape(self.d_s, self.d_i)
 
-    def projector(self) -> np.ndarray:
-        """Rank-one projector onto the state, as a raw matrix."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
     def density(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        """The state as a density matrix (a projector, hence positive)."""
-        return DensityMatrix(self.projector(), tol)
+        """The state as a density matrix: the rank-one projector onto it,
+        hence positive.  Dense, of dimension ``d_s * d_i``."""
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), tol)
 
     def __repr__(self) -> str:
         return f"BipartiteState(d_s={self.d_s}, d_i={self.d_i})"
@@ -163,9 +160,10 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
 
 
 def idler_reduction(state: BipartiteState) -> DensityMatrix:
-    """Reduced state of the idler: the signal factor traced out."""
-    blocks = state.projector().reshape(state.d_s, state.d_i, state.d_s, state.d_i)
-    return DensityMatrix(np.einsum("ikil->kl", blocks))
+    """Reduced state of the idler, the signal factor traced out:
+    ``phi = A^T A*`` for the amplitude matrix ``A``, at O(d_s d_i^2)."""
+    a = state.amplitude_matrix()
+    return DensityMatrix(np.einsum("ik,il->kl", a, a.conj()))
 
 
 def effective_rank_k(rho: DensityMatrix) -> float:

@@ -1,11 +1,23 @@
-"""Shared random-object generators and dense oracles for the test suite."""
+"""Shared random-object generators and dense oracles for the test suite.
+
+The dense oracle of the illumination channel lives here: both channel
+outputs as ``(d_s d_i)``-dimensional density matrices
+(:func:`channel_outputs`) and their normalized Hilbert-Schmidt overlap
+(:func:`hs_distinguishability`).  The package computes the same numbers
+without any matrix of that size; the tests hold it to these.
+"""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qillum.states import DEFAULT_TOL, BipartiteState, haar_random_amplitudes
-from qillum.illumination import channel_outputs
-from qillum.discrimination import helstrom_error, hs_distinguishability
+from qillum.states import (
+    DEFAULT_TOL,
+    BipartiteState,
+    DensityMatrix,
+    haar_random_amplitudes,
+    idler_reduction,
+)
+from qillum.discrimination import helstrom_error
 
 #: Floats in [0, 1] that draw both endpoints often (for eta and p0).
 UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -33,6 +45,64 @@ def partial_trace(m, d_left, d_right, side="right"):
     if side == "right":
         return np.einsum("ikjk->ij", blocks)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+# ---------------------------------------------------------------------------
+# Channel outputs for single-photon target detection.
+#
+# A bipartite probe is split into a signal half (sent out) and an idler half
+# (kept in memory).  With the target absent only noise comes back; with the
+# target present the detector sees a mixture of the probe and that noise.
+# The noise model is post-selected: a photon is always detected, and the
+# noise is maximally mixed over the ``d_s`` signal modes.
+
+
+def target_absent_state(d_s, phi_i, tol=DEFAULT_TOL):
+    """``rho1 = I/d_s (x) phi_i``: a random signal mode paired with the idler
+    reduction ``phi_i``.  It does not depend on ``eta``; its purity is the
+    idler purity divided by ``d_s``."""
+    return DensityMatrix(np.kron(np.eye(d_s) / d_s, phi_i.mat), tol)
+
+
+def target_present_state(state, eta, rho1, tol=DEFAULT_TOL):
+    """``rho0 = eta * |psi><psi| + (1 - eta) * rho1``, with ``rho1`` the
+    probe's :func:`target_absent_state`."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    return DensityMatrix(eta * state.density(tol).mat + (1.0 - eta) * rho1.mat, tol)
+
+
+def channel_outputs(state, eta, tol=DEFAULT_TOL):
+    """Target-present and target-absent states ``(rho0, rho1)``.
+
+    ``eta`` is the average fraction of signal photons received.  Both states
+    are positive by construction.
+    """
+    rho1 = target_absent_state(state.d_s, idler_reduction(state), tol)
+    return target_present_state(state, eta, rho1, tol), rho1
+
+
+def _real_overlap(a, b):
+    """Tr[a b] for Hermitian a, b (real by symmetry)."""
+    return float(np.real(np.einsum("ij,ji->", a, b)))
+
+
+def hs_distinguishability(rho, sigma):
+    """Normalized overlap ``Tr[rho sigma] / sqrt(Tr[rho^2] Tr[sigma^2])``.
+
+    Symmetric, unitarily invariant, 1 exactly for identical states and 0
+    exactly for states with orthogonal support; for pure states it reduces
+    to the squared inner product of the vectors.  The normalization never
+    vanishes because purities are at least ``1/dim``.
+    """
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    num = _real_overlap(rho.mat, sigma.mat)
+    value = num / np.sqrt(rho.purity() * sigma.purity())
+    return float(min(max(value, 0.0), 1.0))
+
+
+# ---------------------------------------------------------------------------
 
 
 def haar_random_state(d_s, d_i, seed):
@@ -102,7 +172,7 @@ def product_baseline_state(state):
     signal-reduction spectrum (descending) as populations of one pure
     vector, and the idler is pinned to level 0, so its effective rank is 1.
     """
-    rho_s = partial_trace(state.projector(), state.d_s, state.d_i, side="right")
+    rho_s = partial_trace(state.density().mat, state.d_s, state.d_i, side="right")
     spectrum = np.linalg.eigvalsh(rho_s)[::-1]
     signal_amp = np.sqrt(np.clip(spectrum, 0.0, None))
     signal_amp /= np.linalg.norm(signal_amp)

@@ -2,6 +2,7 @@
 dependence of the error probability on the whole spectrum."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestRunSweep:
         records = run_sweep([0.6], [3], [uniform_rank_family(1)])
         assert records[0].p_err == pytest.approx(records[0].p_err_ci, abs=1e-12)
         assert records[0].advantage == pytest.approx(0.0, abs=1e-12)
+
+    def test_no_dense_channel_output(self):
+        """At d = 32 one dense (d_s d_i)-dimensional complex matrix alone
+        takes 16.8 MB; the sweep holds nothing larger than d_s x d_i."""
+        tracemalloc.start()
+        try:
+            run_sweep([0.5], [32], [bell_family()])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSweepRecordValidation:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qillum import analysis
+from qillum import analysis, cli
 from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
 
 DATA = Path(__file__).parent / "data"
@@ -64,12 +64,12 @@ class TestSweep:
         assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
 
     def test_verification_failure_exits_2(self, tmp_path, monkeypatch, capsys):
-        exact = analysis.hs_distinguishability
+        exact = analysis.channel_overlap
 
         def skewed(*args, **kwargs):
             return exact(*args, **kwargs) + 1e-6
 
-        monkeypatch.setattr(analysis, "hs_distinguishability", skewed)
+        monkeypatch.setattr(analysis, "channel_overlap", skewed)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "0.5", "--d", "2", "--out", str(out)]) == 2
         assert "numerical verification failed" in capsys.readouterr().err
@@ -194,6 +194,9 @@ class TestProblemValidation:
         "d_s_1e400": '{"d_s": 1e400, "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}',
         "spec_null": "[null, 1]",
         "spec_nested": "[[0.5], [0.5]]",
+        "spec_strings": '["0.5", "0.5"]',
+        "spec_booleans": "[true, false]",
+        "spec_huge_int": f"[1{'0' * 400}, 0]",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -204,11 +207,15 @@ class TestProblemValidation:
         ["sweep", "--eta", "0.5", "--d", "1e400", "--out", "{out}"],
         ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_null}", "--out", "{out}"],
         ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_nested}", "--out", "{out}"],
+        ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_strings}", "--out", "{out}"],
+        ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_booleans}", "--out", "{out}"],
+        ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_huge_int}", "--out", "{out}"],
         ["helstrom", "--state0", "{dim_1e400}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{d_s_1e400}", "--state1", "{mixed_2}"],
     ], ids=[
         "dimension-mismatch", "helstrom-p0", "verify-bell-p0", "sweep-d-inf", "sweep-d-1e400",
-        "spectrum-null", "spectrum-nested", "helstrom-dim-1e400", "helstrom-d_s-1e400",
+        "spectrum-null", "spectrum-nested", "spectrum-strings", "spectrum-booleans",
+        "spectrum-huge-int", "helstrom-dim-1e400", "helstrom-d_s-1e400",
     ])
     def test_exits_1(self, tmp_path, capsys, argv):
         files = {"out": str(tmp_path / "sweep.csv")}
@@ -219,6 +226,27 @@ class TestProblemValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+class TestOutOfMemory:
+    """An allocation too large for the host ends in exit 1, not a traceback.
+    The computation is made to raise, so nothing large is allocated."""
+
+    @pytest.mark.parametrize("function, argv", [
+        ("run_sweep", ["sweep", "--eta", "0.5", "--d", "2", "--out", "{out}"]),
+        ("verify_bell_optimality", ["verify-bell", "--d", "3", "--samples", "3", "--seed", "1"]),
+    ], ids=["sweep", "verify-bell"])
+    def test_exits_1(self, tmp_path, monkeypatch, capsys, function, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(cli, function, exhausted)
+        out = tmp_path / "sweep.csv"
+        assert main([a.format(out=out) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 14.6 TiB\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestTolerance:

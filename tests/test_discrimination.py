@@ -12,11 +12,9 @@ from qillum.states import (
     idler_reduction,
     schmidt_family_state,
 )
-from qillum.illumination import channel_outputs
 from qillum.discrimination import (
     h01_closed_form,
     helstrom_error,
-    hs_distinguishability,
     optimal_povm,
     schmidt_helstrom_error,
 )
@@ -28,9 +26,11 @@ from qillum.analysis import (
 )
 from conftest import (
     UNIT,
+    channel_outputs,
     evaluate_state_metrics,
     ginibre,
     haar_random_state,
+    hs_distinguishability,
     max_abs_diff,
     povm_error,
     random_density,

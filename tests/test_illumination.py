@@ -1,4 +1,6 @@
-"""Tests for the channel-output construction and its trace identities."""
+"""Tests for the dense channel-output oracle in ``conftest`` and its trace
+identities, which the package's structured overlap
+(:func:`~qillum.discrimination.channel_overlap`) is held to."""
 
 import numpy as np
 import pytest
@@ -10,10 +12,17 @@ from qillum.states import (
     bell_state,
     effective_rank_k,
     idler_reduction,
+    schmidt_family_state,
 )
-from qillum.illumination import channel_outputs
-from qillum.discrimination import hs_distinguishability
-from conftest import haar_random_state, max_abs_diff, product_baseline_state
+from qillum.discrimination import channel_overlap
+from conftest import (
+    UNIT,
+    channel_outputs,
+    haar_random_state,
+    hs_distinguishability,
+    max_abs_diff,
+    product_baseline_state,
+)
 
 
 def product_state_00():
@@ -28,9 +37,14 @@ def h01(state, eta):
 
 class TestScenario:
     def test_rejects_eta_out_of_range(self):
+        amplitudes = bell_state(2).amplitude_matrix()
         for eta in (1.2, -0.1):
             with pytest.raises(ValueError, match="eta"):
                 channel_outputs(bell_state(2), eta)
+            with pytest.raises(ValueError, match="eta"):
+                channel_overlap(amplitudes, eta)
+        with pytest.raises(ValueError, match="eta"):
+            channel_overlap(amplitudes, [0.5, np.nan])
 
 
 class TestPostSelectedStates:
@@ -54,7 +68,7 @@ class TestPostSelectedStates:
         rho0, noise = channel_outputs(state, 0.0)
         assert max_abs_diff(rho0.mat, noise.mat) == 0.0
         pure, _ = channel_outputs(state, 1.0)
-        assert max_abs_diff(pure.mat, state.projector()) < 1e-15
+        assert max_abs_diff(pure.mat, state.density().mat) < 1e-15
 
     def test_returned_purity_half_signal(self):
         rho0, _ = channel_outputs(bell_state(2), 0.5)
@@ -99,7 +113,7 @@ class TestTraceIdentities:
     ])
     def test_all_three(self, seed, d_s, d_i, eta):
         state = haar_random_state(d_s, d_i, seed=seed)
-        phi = state.projector()
+        phi = state.density().mat
         rho0, rho1 = (rho.mat for rho in channel_outputs(state, eta))
         purity_i = idler_reduction(state).purity()
 
@@ -112,6 +126,49 @@ class TestTraceIdentities:
 
         returned_purity = np.trace(rho0 @ rho0).real
         assert abs(returned_purity - (eta**2 + (1 - eta**2) * purity_i / d_s)) < 1e-12
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        haar=st.booleans(),
+        d_s=st.integers(2, 8),
+        d_i=st.integers(1, 8),
+        tiny=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
+        n_tiny=st.integers(0, 7),
+        eta=UNIT,
+    )
+    @example(seed=0, haar=True, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=0.0)
+    @example(seed=1, haar=True, d_s=8, d_i=8, tiny=0.0, n_tiny=0, eta=1.0)
+    @example(seed=2, haar=True, d_s=3, d_i=7, tiny=0.0, n_tiny=0, eta=0.5)
+    @example(seed=3, haar=False, d_s=8, d_i=8, tiny=1e-11, n_tiny=7, eta=1.0)
+    @example(seed=4, haar=False, d_s=5, d_i=4, tiny=1e-12, n_tiny=2, eta=0.0)
+    @example(seed=5, haar=False, d_s=4, d_i=4, tiny=1e-13, n_tiny=3, eta=0.5)
+    @example(seed=6, haar=False, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=1.0)
+    def test_structured_overlap_matches_dense(self, seed, haar, d_s, d_i, tiny, n_tiny, eta):
+        """The package's overlap, from traces of the amplitude matrix alone,
+        against the overlap of the dense channel outputs."""
+        if haar:
+            state = haar_random_state(d_s, d_i, seed=seed)
+        else:
+            # schmidt_family_state pairs idler level m with signal mode m,
+            # so its idler dimension is at most d_s
+            weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
+            weights[: min(n_tiny, weights.size - 1)] = tiny
+            weights /= weights.sum()
+            state = schmidt_family_state(d_s, weights)
+        dense = hs_distinguishability(*channel_outputs(state, eta))
+        structured = channel_overlap(state.amplitude_matrix(), eta)
+        assert isinstance(structured, float)
+        assert abs(structured - dense) <= 1e-12
+
+    def test_structured_overlap_shares_traces_across_eta(self):
+        """An array of eta gives each value's scalar result."""
+        amplitudes = haar_random_state(4, 3, seed=8).amplitude_matrix()
+        etas = [0.0, 0.3, 0.7, 1.0]
+        stacked = channel_overlap(amplitudes, etas)
+        assert stacked.shape == (4,)
+        for eta, value in zip(etas, stacked):
+            assert value == channel_overlap(amplitudes, eta)
 
 
 class TestCiBaseline:

@@ -61,7 +61,7 @@ class TestBipartiteState:
 
     def test_projector_is_rank_one(self):
         st = bell_state(2)
-        w = np.linalg.eigvalsh(st.projector())
+        w = np.linalg.eigvalsh(st.density().mat)
         assert np.allclose(sorted(w)[-1], 1.0)
         assert np.allclose(w[:-1], 0.0, atol=1e-12)
 
@@ -100,7 +100,7 @@ class TestReductions:
     def test_reductions_share_nonzero_spectra(self):
         for seed, (d_s, d_i) in enumerate([(2, 5), (4, 3), (5, 5)]):
             st = haar_random_state(d_s, d_i, seed=seed)
-            rho_s = partial_trace(st.projector(), d_s, d_i, side="right")
+            rho_s = partial_trace(st.density().mat, d_s, d_i, side="right")
             ws = np.linalg.eigvalsh(rho_s)[::-1]
             wi = np.linalg.eigvalsh(idler_reduction(st).mat)[::-1]
             r = min(d_s, d_i)
