@@ -5,26 +5,25 @@ the package computes the exact minimum error of telling "target present"
 from "target absent" and the normalized Hilbert-Schmidt overlap of the two
 channel outputs, with the overlap's closed form in the physical
 parameters.  It sweeps both over parameter grids and checks numerically
-that the maximally entangled probe is optimal.  The channel outputs are
-never built as dense ``(d_s d_i)``-dimensional matrices: the error comes
-from the probe's Schmidt weights and the overlap from traces of its
-amplitude matrix.  The dense minimum error (trace-norm diagonalization,
-with the optimal measurement) serves arbitrary stored states.  Inputs are
-validated where they enter, in :mod:`qillum.states` and at the user
-parameters; the layers above call ``numpy`` directly.
+that the maximally entangled probe is optimal.  A sweep probe is its
+``(d_s, d_i)`` amplitude matrix, with the Schmidt coefficients
+``sqrt(lam)`` on the diagonal: the error comes from the weights ``lam``
+and the overlap from traces of that matrix, so no dense
+``(d_s d_i)``-dimensional channel output is built.  The dense minimum
+error (trace-norm diagonalization, with the optimal measurement) serves
+arbitrary stored states.  Inputs are validated where they enter, in
+:mod:`qillum.states` and at the user parameters; the layers above call
+``numpy`` directly.
 """
 
 from .states import (
     DEFAULT_TOL,
     BipartiteState,
     DensityMatrix,
-    bell_state,
     density_from_dict,
     density_to_dict,
-    effective_rank_k,
     haar_random_amplitudes,
-    idler_reduction,
-    schmidt_family_state,
+    schmidt_probe,
     state_from_dict,
 )
 from .discrimination import (
@@ -36,7 +35,6 @@ from .discrimination import (
 )
 from .analysis import (
     OptimalityReport,
-    StateFamily,
     SweepRecord,
     VerificationError,
     bell_family,

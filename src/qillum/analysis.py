@@ -8,33 +8,30 @@ backs the claim that the maximally entangled state is the best probe.
 Neither the sweep nor the optimality check builds a dense
 ``(d_s d_i)``-dimensional matrix.  Both take the error probability from
 the Schmidt-space kernel
-:func:`~qillum.discrimination.schmidt_helstrom_error`.  The sweep's direct
-overlap comes from traces of the probe's amplitude matrix
-(:func:`~qillum.discrimination.channel_overlap`), the route independent of
-the closed form.  The optimality check takes each sample's Schmidt weights
-from one stacked singular-value decomposition and its overlap from the
-closed form.  The dense channel outputs, their overlap and
-``helstrom_error`` on them are the tests' oracle for both.
+:func:`~qillum.discrimination.schmidt_helstrom_error`.  A sweep probe is
+its ``(d_s, d_i)`` amplitude matrix, with its Schmidt coefficients on the
+diagonal: the weights come from that diagonal, and the direct overlap from
+traces of the matrix (:func:`~qillum.discrimination.channel_overlap`), the
+route independent of the closed form.  The optimality check takes each
+sample's Schmidt weights from one stacked singular-value decomposition
+and its overlap from the closed form.  The dense channel outputs, their
+overlap and ``helstrom_error`` on them are the tests' oracle for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .states import (
-    DEFAULT_TOL,
-    BipartiteState,
-    bell_state,
-    effective_rank_k,
-    haar_random_amplitudes,
-    idler_reduction,
-    schmidt_family_state,
-)
+from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
 from .discrimination import channel_overlap, h01_closed_form, schmidt_helstrom_error
 
+#: A sweep family: its probe's normalized complex ``(d_s, d_i)`` amplitude
+#: matrix at each signal dimension ``d_s``, with the Schmidt coefficients
+#: ``sqrt(lam)`` on the diagonal and zeros elsewhere.
+Family = Callable[[int], np.ndarray]
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
 #: Largest number of rows (eta x dimension x family) one sweep may have.
@@ -84,33 +81,31 @@ class SweepRecord:
                 raise VerificationError(f"{name}={p} outside [0, {p_min}]")
 
 
-@dataclass(frozen=True)
-class StateFamily:
-    """A rule assigning an input state to each signal dimension."""
-
-    name: str
-    build: Callable[[int], BipartiteState] = field(compare=False)
+def bell_family() -> Family:
+    """Maximally entangled input at every dimension: ``d_s`` coefficients
+    ``1/sqrt(d_s)``."""
+    return lambda d_s: np.eye(d_s, dtype=complex) * (1.0 / np.sqrt(d_s))
 
 
-def bell_family() -> StateFamily:
-    """Maximally entangled input at every dimension."""
-    return StateFamily("bell", bell_state)
-
-
-def uniform_rank_family(rank: int) -> StateFamily:
-    """Input with a flat reduced spectrum of the given rank (so k_i = rank)."""
+def uniform_rank_family(rank: int) -> Family:
+    """Input with a flat reduced spectrum of the given rank (so k_i = rank),
+    checked against each signal dimension before it is allocated."""
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    spectrum = np.full(rank, 1.0 / rank)
-    return StateFamily(
-        f"uniform-rank:{rank}", lambda d_s: schmidt_family_state(d_s, spectrum)
-    )
+
+    def probe(d_s: int) -> np.ndarray:
+        if rank > d_s:
+            raise ValueError(f"rank {rank} exceeds the signal dimension {d_s}")
+        return schmidt_probe(d_s, np.full(rank, 1.0 / rank))
+
+    return probe
 
 
-def fixed_spectrum_family(spectrum: Sequence[float]) -> StateFamily:
-    """Input with one prescribed reduced spectrum at every dimension."""
+def fixed_spectrum_family(spectrum: Sequence[float], tol: float = DEFAULT_TOL) -> Family:
+    """Input with one prescribed reduced spectrum at every dimension; its sum
+    must be 1 within ``tol`` (see :func:`~qillum.states.schmidt_probe`)."""
     spec = np.asarray(spectrum, dtype=float)
-    return StateFamily("spectrum", lambda d_s: schmidt_family_state(d_s, spec))
+    return lambda d_s: schmidt_probe(d_s, spec, tol)
 
 
 def unentangled_error(eta: float, d_s: int, p0: float = 0.5) -> float:
@@ -131,17 +126,19 @@ def unentangled_error(eta: float, d_s: int, p0: float = 0.5) -> float:
 def run_sweep(
     etas: Iterable[float],
     dims: Iterable[int],
-    families: Sequence[StateFamily],
+    families: Sequence[Family],
     p0: float = 0.5,
 ) -> list[SweepRecord]:
     """Evaluate the full pipeline on a grid.
 
     Emits one validated record per point, ordered lexicographically (eta
     outermost, then dimension, then family).  Each (dimension, family)
-    probe is built once, before any row, and only its effective idler rank,
-    its Schmidt weights and its direct overlaps at every eta
-    (:func:`~qillum.discrimination.channel_overlap`, three traces of its
-    amplitude matrix, the independent check of the closed form) are kept.
+    probe's amplitude matrix is built once, before any row, and only its
+    idler dimension, its effective idler rank ``1 / sum(lam^2)``, its
+    weights ``lam`` (the squared diagonal) in ascending order and its
+    direct overlaps at every eta
+    (:func:`~qillum.discrimination.channel_overlap`, the independent check
+    of the closed form) are kept.
     Every row's ``p_err`` comes from the Schmidt-space kernel
     :func:`~qillum.discrimination.schmidt_helstrom_error` (one
     ``d_i x d_i`` eigensolve).  No matrix larger than ``d_i x d_i`` or
@@ -171,13 +168,16 @@ def run_sweep(
     probes = {}
     for d_s in dims:
         for f, family in enumerate(families):
-            state = family.build(d_s)
-            phi_i = idler_reduction(state)
+            amplitudes = family(d_s)
+            root = amplitudes.diagonal().real
+            lam = root * root
             probes[d_s, f] = (
-                state.d_i,
-                effective_rank_k(phi_i),
-                np.linalg.eigvalsh(phi_i.mat),
-                channel_overlap(state.amplitude_matrix(), etas),
+                amplitudes.shape[1],
+                # sum(lam^2) added in index order: np.sum's pairwise order
+                # can move the last bit of k_i
+                1.0 / float(np.cumsum(lam * lam)[-1]),
+                np.sort(lam),
+                channel_overlap(amplitudes, etas),
             )
 
     records = {}

@@ -4,10 +4,12 @@ one-off minimum-error queries on states stored as JSON files.
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
 failure.  A run that runs out of memory (an oversized dimension) also
 exits 1.  The ``QI_TOL`` environment variable overrides the default
-validation tolerance of 1e-9 for stored states (``helstrom``) and for the
-Schmidt weights of ``verify-bell``'s samples; it must be a finite number
-above 0, else the run stops with exit 1.  ``sweep`` builds its probes
-exactly and holds its two overlap routes to a fixed agreement bound.
+validation tolerance of 1e-9 for stored states (``helstrom``), for the
+Schmidt weights of ``verify-bell``'s samples and for the sum of a
+``sweep`` ``spectrum:`` file (a sum of 0 fails at any tolerance); it must
+be a finite number above 0, else the run stops with exit 1.  ``sweep``'s
+``bell`` and ``uniform-rank`` probes are exact, and ``sweep`` holds its
+two overlap routes to a fixed agreement bound.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from .states import DEFAULT_TOL, density_from_dict, density_to_dict, state_from_dict
 from .discrimination import helstrom_error, optimal_povm
 from .analysis import (
-    StateFamily,
+    Family,
     SweepRecord,
     VerificationError,
     bell_family,
@@ -92,7 +94,9 @@ def parse_int_grid(text: str) -> list[int]:
     return ints
 
 
-def parse_family(text: str) -> StateFamily:
+def parse_family(text: str, tol: float) -> Family:
+    """The sweep family named by ``text``; a ``spectrum:`` file's sum must be
+    1 within ``tol``."""
     if text == "bell":
         return bell_family()
     if text.startswith("uniform-rank:"):
@@ -117,7 +121,7 @@ def parse_family(text: str) -> StateFamily:
             values = [float(x) for x in spectrum]
         except OverflowError as exc:
             raise CliError(f"spectrum file {path!r}: {exc}") from exc
-        return fixed_spectrum_family(values)
+        return fixed_spectrum_family(values, tol)
     raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
@@ -159,7 +163,7 @@ def render_gnuplot_script(csv_path: Path, dims: list[int]) -> str:
 def cmd_sweep(args, tol: float) -> int:
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
-    families = [parse_family(f) for f in (args.family or ["bell"])]
+    families = [parse_family(f, tol) for f in (args.family or ["bell"])]
     try:
         records = run_sweep(etas, dims, families, p0=args.p0)
     except VerificationError as exc:

@@ -106,7 +106,7 @@ def optimal_povm(
 def channel_overlap(amplitudes, eta):
     """Normalized overlap ``Tr[rho0 rho1] / sqrt(Tr[rho0^2] Tr[rho1^2])`` of
     the channel outputs of a pure probe, from its ``(d_s, d_i)`` amplitude
-    matrix ``A`` (see :meth:`~qillum.states.BipartiteState.amplitude_matrix`).
+    matrix ``A`` (``A[s, i]`` pairs signal mode ``s`` with idler level ``i``).
 
     With the idler reduction ``phi = A^T A*``, ``rho1 = I/d_s (x) phi`` and
     ``rho0 = eta |psi><psi| + (1 - eta) rho1``, the overlap needs three

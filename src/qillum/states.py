@@ -1,15 +1,15 @@
-"""Validated quantum states and their reductions.
+"""Validated quantum states and the amplitude matrices of sweep probes.
 
 This is where data enters the package, so this is where it is checked.
 Density operators are checked on construction for shape, Hermiticity and
 unit trace; positivity is checked where a matrix enters from outside, in
 :func:`density_from_dict`, since every operator built inside the package is
 positive by construction.  Bipartite pure states carry explicit signal and
-idler dimensions.  Mode states are plain computational-basis vectors of a
-``d_s``-dimensional signal space, so no Fock machinery is involved.
-Every check is phrased so that a NaN fails it (``not defect <= tol``): any
-comparison with NaN is false, and JSON input may hold ``NaN`` or
-``Infinity``.
+idler dimensions.  A ``sweep`` probe is not built as a state: it is its
+amplitude matrix, with its Schmidt coefficients on the diagonal
+(:func:`schmidt_probe`).  Every check is phrased so that a NaN fails it
+(``not defect <= tol``): any comparison with NaN is false, and JSON input
+may hold ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def purity(self) -> float:
-        """Trace of the squared operator, in ``[1/dim, 1]``."""
-        return float(np.real(np.einsum("ij,ji->", self.mat, self.mat)))
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6g})"
-
 
 class BipartiteState:
     """A normalized pure state on a ``d_s x d_i`` tensor-product space.
@@ -87,10 +80,6 @@ class BipartiteState:
         self.d_i = int(d_i)
         self.amplitudes = _frozen(amp)
 
-    def amplitude_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to ``(d_s, d_i)``."""
-        return self.amplitudes.reshape(self.d_s, self.d_i)
-
     def density(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
         """The state as a density matrix: the rank-one projector onto it,
         hence positive.  Dense, of dimension ``d_s * d_i``."""
@@ -100,25 +89,17 @@ class BipartiteState:
         return f"BipartiteState(d_s={self.d_s}, d_i={self.d_i})"
 
 
-def bell_state(d: int) -> BipartiteState:
-    """Maximally entangled state of two ``d``-dimensional subsystems.
+def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Amplitude matrix of the probe with reduced spectrum ``lam``.
 
-    Amplitude ``1/sqrt(d)`` on every matched pair of signal mode and idler
-    level, zero elsewhere.  Requires ``d >= 2``.
-    """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    amp = np.zeros(d * d, dtype=complex)
-    amp[:: d + 1] = 1.0 / np.sqrt(d)
-    return BipartiteState(d, d, amp)
-
-
-def schmidt_family_state(d_s: int, spectrum) -> BipartiteState:
-    """Pure state with a prescribed reduced spectrum.
-
-    Builds ``sum_m sqrt(spectrum[m]) |m>|m>`` so the idler reduction is
-    ``diag(spectrum)``.  The spectrum must be non-negative, sum to one and
-    have at most ``d_s`` entries; the idler dimension equals its length.
+    The probe is ``sum_m sqrt(lam_m) |m>|m>`` on ``d_s`` signal modes and
+    ``len(spectrum)`` idler levels, so its idler reduction is
+    ``diag(lam)``.  Returns the complex ``(d_s, len(spectrum))`` matrix
+    (signal-major, as in :class:`BipartiteState`) with the Schmidt
+    coefficients ``sqrt(lam)`` on its diagonal and zeros elsewhere,
+    normalized to unit Frobenius norm.  The spectrum must have between 1
+    and ``d_s`` entries, none below ``-1e-12``, and a positive sum within
+    ``tol`` of 1.  Entries below zero count as 0.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
     if spec.size < 1 or spec.size > d_s:
@@ -126,22 +107,22 @@ def schmidt_family_state(d_s: int, spectrum) -> BipartiteState:
     if not np.all(spec >= -1e-12):
         raise ValueError("spectrum entries must be non-negative")
     total = float(spec.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"spectrum sums to {total:.6g}, expected 1")
-    d_i = spec.size
-    amp = np.zeros(d_s * d_i, dtype=complex)
-    for m in range(d_i):
-        amp[m * d_i + m] = np.sqrt(max(spec[m], 0.0))
-    amp /= np.linalg.norm(amp)
-    return BipartiteState(d_s, d_i, amp)
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {tol:.1e}")
+    if not total > 0.0:
+        raise ValueError(f"spectrum sums to {total!r}; a probe needs a positive sum")
+    amplitudes = np.zeros((d_s, spec.size), dtype=complex)
+    np.fill_diagonal(amplitudes, np.sqrt(np.clip(spec, 0.0, None)))
+    amplitudes *= 1.0 / np.linalg.norm(amplitudes)
+    return amplitudes
 
 
 def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     """Amplitudes of uniformly random pure states, one per seed.
 
-    Returns an ``(len(seeds), d_s, d_i)`` stack whose row ``k`` is the
-    amplitude matrix (see :meth:`BipartiteState.amplitude_matrix`) of the
-    state drawn from ``seeds[k]``: independent standard complex Gaussians,
+    Returns an ``(len(seeds), d_s, d_i)`` stack whose row ``k`` holds the
+    amplitudes (signal-major, as in :class:`BipartiteState`) of the state
+    drawn from ``seeds[k]``: independent standard complex Gaussians,
     normalized, which is the rotation-invariant distribution on the unit
     sphere.  The same seed always yields the same row.  The rows are not
     validated; a caller that does not wrap them in :class:`BipartiteState`
@@ -157,18 +138,6 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
         row.imag = rng.standard_normal(n)
         row /= np.linalg.norm(row)
     return stack.reshape(-1, d_s, d_i)
-
-
-def idler_reduction(state: BipartiteState) -> DensityMatrix:
-    """Reduced state of the idler, the signal factor traced out:
-    ``phi = A^T A*`` for the amplitude matrix ``A``, at O(d_s d_i^2)."""
-    a = state.amplitude_matrix()
-    return DensityMatrix(np.einsum("ik,il->kl", a, a.conj()))
-
-
-def effective_rank_k(rho: DensityMatrix) -> float:
-    """Inverse purity ``1 / Tr[rho^2]``, between 1 and ``dim``."""
-    return 1.0 / rho.purity()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Shared random-object generators and dense oracles for the test suite.
+"""Shared state builders, random-object generators and dense oracles for
+the test suite.
 
-The dense oracle of the illumination channel lives here: both channel
-outputs as ``(d_s d_i)``-dimensional density matrices
-(:func:`channel_outputs`) and their normalized Hilbert-Schmidt overlap
-(:func:`hs_distinguishability`).  The package computes the same numbers
+The dense oracle of the illumination channel lives here: the idler
+reduction as the partial trace of the probe's projector
+(:func:`idler_reduction`), both channel outputs as
+``(d_s d_i)``-dimensional density matrices (:func:`channel_outputs`) and
+their normalized Hilbert-Schmidt overlap (:func:`hs_distinguishability`).
+The package computes the same numbers from a probe's Schmidt coefficients
 without any matrix of that size; the tests hold it to these.
 """
 
@@ -15,7 +18,7 @@ from qillum.states import (
     BipartiteState,
     DensityMatrix,
     haar_random_amplitudes,
-    idler_reduction,
+    schmidt_probe,
 )
 from qillum.discrimination import helstrom_error
 
@@ -45,6 +48,49 @@ def partial_trace(m, d_left, d_right, side="right"):
     if side == "right":
         return np.einsum("ikjk->ij", blocks)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+# ---------------------------------------------------------------------------
+# Probes as pure states, and their reductions.
+
+
+def amplitude_matrix(state):
+    """A pure state's amplitudes as the ``(d_s, d_i)`` matrix (signal-major)."""
+    return state.amplitudes.reshape(state.d_s, state.d_i)
+
+
+def bell_state(d):
+    """Maximally entangled state of two ``d``-dimensional subsystems:
+    amplitude ``1/sqrt(d)`` on every matched pair, zero elsewhere."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    amp = np.zeros(d * d, dtype=complex)
+    amp[:: d + 1] = 1.0 / np.sqrt(d)
+    return BipartiteState(d, d, amp)
+
+
+def schmidt_family_state(d_s, spectrum):
+    """The sweep probe ``sum_m sqrt(lam_m) |m>|m>`` as a pure state: the
+    package's :func:`~qillum.states.schmidt_probe` (and its checks); the
+    idler dimension is ``len(spectrum)``."""
+    amp = schmidt_probe(d_s, spectrum)
+    return BipartiteState(d_s, amp.shape[1], amp)
+
+
+def idler_reduction(state):
+    """Reduced state of the idler: the signal factor traced out of the dense
+    ``(d_s d_i)``-dimensional projector."""
+    return DensityMatrix(partial_trace(state.density().mat, state.d_s, state.d_i, side="left"))
+
+
+def purity(rho):
+    """``Tr[rho^2]``, in ``[1/dim, 1]``."""
+    return float(np.real(np.einsum("ij,ji->", rho.mat, rho.mat)))
+
+
+def effective_rank_k(rho):
+    """Inverse purity ``1 / Tr[rho^2]``, between 1 and ``dim``."""
+    return 1.0 / purity(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +144,7 @@ def hs_distinguishability(rho, sigma):
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     num = _real_overlap(rho.mat, sigma.mat)
-    value = num / np.sqrt(rho.purity() * sigma.purity())
+    value = num / np.sqrt(purity(rho) * purity(sigma))
     return float(min(max(value, 0.0), 1.0))
 
 

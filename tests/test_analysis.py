@@ -6,10 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qillum.states import bell_state, schmidt_family_state, BipartiteState
+from qillum.states import BipartiteState
 from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
     SweepRecord,
@@ -20,7 +20,16 @@ from qillum.analysis import (
     uniform_rank_family,
     verify_bell_optimality,
 )
-from conftest import UNIT, evaluate_state_metrics, haar_random_state, product_baseline_state
+from conftest import (
+    UNIT,
+    bell_state,
+    effective_rank_k,
+    evaluate_state_metrics,
+    haar_random_state,
+    idler_reduction,
+    product_baseline_state,
+    schmidt_family_state,
+)
 
 
 class TestRunSweep:
@@ -212,11 +221,10 @@ class TestVerifyBellOptimality:
             verify_bell_optimality(3, 3, 5, seed=1)
 
     def test_bell_effective_rank_equals_dimension(self):
-        from qillum.states import effective_rank_k, idler_reduction
-
         for d in range(2, 7):
             k = effective_rank_k(idler_reduction(bell_state(d)))
             assert k == pytest.approx(d, abs=1e-10)
+            assert run_sweep([0.5], [d], [bell_family()])[0].k_i == pytest.approx(d, abs=1e-12)
 
 
 def spectrum_rows(*spectra):
@@ -228,6 +236,45 @@ def spectrum_rows(*spectra):
         assert abs(r.h01_closed - h01) <= 1e-12
         assert abs(r.p_err - p_err) <= 1e-12
     return records
+
+
+#: Spectrum entries: exact zeros, tiny weights and ordinary ones, in any order.
+SPECTRUM_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
+    st.floats(1e-13, 1e-11),
+    st.floats(1e-3, 1.0),
+)
+
+
+class TestSweepMatchesDenseOracle:
+    """Every ``spectrum:`` row against the dense route on the same probe: the
+    idler reduction traced out of the projector, both channel outputs as
+    ``(d_s d_i)``-dimensional matrices, their overlap and Helstrom's bound."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        d_s=st.integers(2, 8),
+        entries=st.lists(SPECTRUM_ENTRY, min_size=1, max_size=8),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(d_s=2, entries=[1.0], eta=0.0, p0=0.0)
+    @example(d_s=2, entries=[0.3, 0.7], eta=1.0, p0=1.0)
+    @example(d_s=8, entries=[1e-12, 0.0, 0.6, 1e-13, 0.4, 1e-11, 0.0, 0.2], eta=1.0, p0=0.0)
+    @example(d_s=5, entries=[1e-12, 1.0, 1e-12], eta=0.7, p0=0.37)
+    @example(d_s=4, entries=[0.0, 0.52, 0.01, 0.47], eta=0.5, p0=0.8)
+    def test_rows_match(self, d_s, entries, eta, p0):
+        entries = entries[:d_s]
+        assume(max(entries) >= 1e-3)
+        spectrum = np.array(entries) / sum(entries)
+        (record,) = run_sweep([eta], [d_s], [fixed_spectrum_family(spectrum)], p0)
+        state = schmidt_family_state(d_s, spectrum)
+        h01, p_err = evaluate_state_metrics(state, eta, p0)
+        assert record.d_i == spectrum.size
+        assert abs(record.k_i - effective_rank_k(idler_reduction(state))) <= 1e-12
+        assert abs(record.h01_closed - h01) <= 1e-12
+        assert abs(record.h01_direct - h01) <= 1e-12
+        assert abs(record.p_err - p_err) <= 1e-12
 
 
 class TestSpectrumProbe:

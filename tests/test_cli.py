@@ -63,6 +63,62 @@ class TestSweep:
         assert main(["sweep", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
 
+    @pytest.mark.parametrize("p0", ["0.37", "0.8"])
+    def test_spectrum_golden_csv(self, tmp_path, p0):
+        """Rows of user spectra: unsorted with a zero weight, and near rank one
+        with weights of 1e-12, beside a flat spectrum."""
+        families = []
+        for name, spec in (("tilted", [0, 0.52, 0.01, 0.47]),
+                           ("near_pure", [0.999999999998, 1e-12, 1e-12])):
+            families += ["--family", f"spectrum:{write_json(tmp_path / f'{name}.json', spec)}"]
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0:0.25:1", "--d", "4,5,7", *families, "--family", "uniform-rank:3",
+                "--priors", p0, "--out", str(out)]
+        assert main(["sweep", *argv]) == 0
+        got = out.read_text().splitlines()
+        want = (DATA / f"sweep_spectrum_golden_p{p0}.csv").read_text().splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        # rows cycle through the three families; the second is near rank one
+        for row, (line, golden) in enumerate(zip(got[1:], want[1:])):
+            if row % 3 != 1:
+                assert line == golden
+            else:
+                # its advantage cancels to about 3 digits, and the last bits
+                # of every cell follow the BLAS summation order
+                for cell, pinned in zip(line.split(","), golden.split(",")):
+                    assert math.isclose(float(cell), float(pinned), rel_tol=1e-11, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("offset, qi_tol, code", [
+        (5e-4, None, 1), (5e-4, "1e-3", 0), (1e-10, None, 0), (1e-10, "1e-12", 1),
+    ])
+    def test_spectrum_sum_honours_qi_tol(self, tmp_path, monkeypatch, capsys, offset, qi_tol, code):
+        if qi_tol is not None:
+            monkeypatch.setenv("QI_TOL", qi_tol)
+        spec = write_json(tmp_path / "spec.json", [0.5, 0.5 + offset])
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0.5", "--d", "2", "--family", f"spectrum:{spec}", "--out", str(out)]
+        assert main(["sweep", *argv]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert capsys.readouterr().err.startswith("error: spectrum sums to")
+
+    def test_zero_spectrum_exits_1_at_any_tolerance(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QI_TOL", "1")
+        spec = write_json(tmp_path / "spec.json", [0, 0])
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0.5", "--d", "2", "--family", f"spectrum:{spec}", "--out", str(out)]
+        assert main(["sweep", *argv]) == 1
+        assert capsys.readouterr().err == "error: spectrum sums to 0.0; a probe needs a positive sum\n"
+        assert not out.exists()
+
+    def test_rank_is_checked_before_allocating(self, tmp_path, capsys):
+        # 10^12 weights would take 7.28 TiB
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0.5", "--d", "4", "--family", "uniform-rank:1000000000000", "--out", str(out)]
+        assert main(["sweep", *argv]) == 1
+        assert capsys.readouterr().err == "error: rank 1000000000000 exceeds the signal dimension 4\n"
+        assert not out.exists()
+
     def test_verification_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         exact = analysis.channel_overlap
 

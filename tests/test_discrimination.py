@@ -5,13 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qillum.states import (
-    DEFAULT_TOL as TOL,
-    DensityMatrix,
-    effective_rank_k,
-    idler_reduction,
-    schmidt_family_state,
-)
+from qillum.states import DEFAULT_TOL as TOL, DensityMatrix
 from qillum.discrimination import (
     h01_closed_form,
     helstrom_error,
@@ -27,16 +21,19 @@ from qillum.analysis import (
 from conftest import (
     UNIT,
     channel_outputs,
+    effective_rank_k,
     evaluate_state_metrics,
     ginibre,
     haar_random_state,
     hs_distinguishability,
+    idler_reduction,
     max_abs_diff,
     povm_error,
     random_density,
     random_projective_povm,
     random_two_outcome_povm,
     random_unitary,
+    schmidt_family_state,
 )
 
 

@@ -1,4 +1,5 @@
-"""Tests for state construction, validation, reductions and the wire format."""
+"""Tests for state construction and validation, Schmidt coefficients, the
+wire format, and the state builders and reduction oracle of ``conftest``."""
 
 import numpy as np
 import pytest
@@ -6,22 +7,29 @@ import pytest
 from qillum.states import (
     BipartiteState,
     DensityMatrix,
-    bell_state,
     density_from_dict,
     density_to_dict,
-    effective_rank_k,
-    idler_reduction,
-    schmidt_family_state,
+    schmidt_probe,
     state_from_dict,
 )
-from conftest import haar_random_state, max_abs_diff, partial_trace
+from conftest import (
+    amplitude_matrix,
+    bell_state,
+    effective_rank_k,
+    haar_random_state,
+    idler_reduction,
+    max_abs_diff,
+    partial_trace,
+    purity,
+    schmidt_family_state,
+)
 
 
 class TestDensityMatrix:
     def test_accepts_valid(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
         assert rho.dim == 2
-        assert rho.purity() == pytest.approx(0.625)
+        assert purity(rho) == pytest.approx(0.625)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -74,7 +82,7 @@ class TestBellState:
 
     def test_idler_reduction_is_maximally_mixed(self):
         rho = idler_reduction(bell_state(4))
-        assert rho.purity() == pytest.approx(0.25, abs=1e-12)
+        assert purity(rho) == pytest.approx(0.25, abs=1e-12)
 
     def test_rejects_dim_below_two(self):
         with pytest.raises(ValueError):
@@ -90,7 +98,7 @@ class TestReductions:
         amp = np.zeros(4, dtype=complex)
         amp[0] = 1.0
         rho = idler_reduction(BipartiteState(2, 2, amp))
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_skewed_superposition(self):
         amp = np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)], dtype=complex)
@@ -153,7 +161,7 @@ class TestHaarRandomState:
         k_lib = np.empty(n)
         for i in range(n):
             st = haar_random_state(2, 2, seed=50_000 + i)
-            a = st.amplitude_matrix()
+            a = amplitude_matrix(st)
             rho = a.conj().T @ a
             k_lib[i] = 1.0 / np.real(np.trace(rho @ rho))
 
@@ -176,6 +184,9 @@ class TestHaarRandomState:
 
 
 class TestSchmidtFamilyState:
+    """``schmidt_probe`` through the pure state it defines, whose dense
+    idler reduction must be ``diag(spectrum)``."""
+
     def test_rank_one_is_product(self):
         st = schmidt_family_state(3, [1.0])
         assert st.d_i == 1
@@ -198,6 +209,36 @@ class TestSchmidtFamilyState:
             schmidt_family_state(3, [0.7, 0.7, -0.4])
         with pytest.raises(ValueError):
             schmidt_family_state(3, [0.5, 0.3])  # sums to 0.8
+
+    def test_diagonal_holds_unit_roots_of_the_spectrum(self):
+        amp = schmidt_probe(5, [0.0, 0.52, 0.01, 0.47])
+        assert amp.shape == (5, 4) and amp.dtype == complex
+        assert max_abs_diff(amp.diagonal(), np.sqrt([0.0, 0.52, 0.01, 0.47])) < 1e-15
+        off_diagonal = amp.copy()
+        np.fill_diagonal(off_diagonal, 0.0)
+        assert not off_diagonal.any()
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
+
+    def test_sum_tolerance(self):
+        off = [0.5, 0.5005]  # sums to 1 + 5e-4
+        with pytest.raises(ValueError, match="sums to 1.0005,"):
+            schmidt_probe(2, off)
+        amp = schmidt_probe(2, off, tol=1e-3)
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
+        with pytest.raises(ValueError, match="sums to"):
+            schmidt_probe(2, [0.5, 0.5 + 1e-10], tol=1e-12)
+
+    def test_rejects_zero_sum_at_any_tolerance(self):
+        with pytest.raises(ValueError, match="positive sum"):
+            schmidt_probe(2, [0.0, 0.0], tol=1.0)
+        with pytest.raises(ValueError, match="positive sum"):
+            schmidt_probe(2, [-1e-12, 0.0], tol=2.0)
+
+    def test_negative_entries_count_as_zero(self):
+        amp = schmidt_probe(3, [0.5, -1e-13, 0.5 + 1e-13])
+        assert amp[1, 1] == 0.0
+        with pytest.raises(ValueError, match="non-negative"):
+            schmidt_probe(3, [0.5, np.nan, 0.5])
 
 
 class TestJsonFormat:
