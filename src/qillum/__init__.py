@@ -9,7 +9,9 @@ that the maximally entangled probe is optimal.  A sweep probe is its
 ``(d_s, d_i)`` amplitude matrix, with the Schmidt coefficients
 ``sqrt(lam)`` on the diagonal: the error comes from the weights ``lam``
 and the overlap from traces of that matrix, so no dense
-``(d_s d_i)``-dimensional channel output is built.  The dense minimum
+``(d_s d_i)``-dimensional channel output is built.  Each probe is
+evaluated over the whole ``eta`` grid, one call per column; the unentangled
+baseline is the kernel at the single weight 1.  The dense minimum
 error (trace-norm diagonalization, with the optimal measurement) serves
 arbitrary stored states.  Inputs are validated where they enter, in
 :mod:`qillum.states` and at the user parameters; the layers above call
@@ -40,7 +42,6 @@ from .analysis import (
     bell_family,
     fixed_spectrum_family,
     run_sweep,
-    unentangled_error,
     uniform_rank_family,
     verify_bell_optimality,
 )

@@ -12,10 +12,14 @@ the Schmidt-space kernel
 its ``(d_s, d_i)`` amplitude matrix, with its Schmidt coefficients on the
 diagonal: the weights come from that diagonal, and the direct overlap from
 traces of the matrix (:func:`~qillum.discrimination.channel_overlap`), the
-route independent of the closed form.  The optimality check takes each
-sample's Schmidt weights from one stacked singular-value decomposition
-and its overlap from the closed form.  The dense channel outputs, their
-overlap and ``helstrom_error`` on them are the tests' oracle for both.
+route independent of the closed form.  A sweep evaluates one probe at a
+time as columns over the whole eta grid, one call per column, and checks
+the finished columns once.  The optimality check takes each sample's
+Schmidt weights from one stacked singular-value decomposition and its
+overlap from the closed form.  The dense channel outputs, their overlap
+and ``helstrom_error`` on them are the tests' oracle for both, and the
+closed-form error of the unentangled baseline is the tests' oracle for
+the sweep's ``p_err_ci`` column.
 """
 
 from __future__ import annotations
@@ -48,14 +52,14 @@ class VerificationError(ValueError):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point of a parameter sweep.
+    """One grid point of a parameter sweep, checked by :func:`run_sweep`.
 
     ``h01_closed`` is the closed-form overlap at the effective idler rank
     ``k_i``; ``h01_direct`` is the same overlap from traces of the probe's
-    amplitude matrix (:func:`~qillum.discrimination.channel_overlap`), which
-    never goes through ``k_i``.  ``p_err`` is the probe's minimum error
-    probability, ``p_err_ci`` that of the unentangled baseline, and
-    ``advantage`` the closed-form overlap gap between the two.
+    amplitude matrix, which never goes through ``k_i``.  ``p_err`` is the
+    probe's minimum error probability, ``p_err_ci`` that of the unentangled
+    baseline (the kernel at the single weight 1), and ``advantage`` the
+    closed-form overlap gap between the two.
     """
 
     eta: float
@@ -67,18 +71,6 @@ class SweepRecord:
     p_err: float
     p_err_ci: float
     advantage: float
-
-    def validate(self, p_min: float = 0.5):
-        """Check internal consistency; raises :class:`VerificationError`."""
-        gap = abs(self.h01_closed - self.h01_direct)
-        if gap >= RECORD_AGREEMENT_TOL:
-            raise VerificationError(
-                f"closed/direct overlap disagree by {gap:.3e} at "
-                f"(eta={self.eta}, d_s={self.d_s}, k_i={self.k_i})"
-            )
-        for name, p in (("p_err", self.p_err), ("p_err_ci", self.p_err_ci)):
-            if not -1e-12 <= p <= p_min + 1e-10:
-                raise VerificationError(f"{name}={p} outside [0, {p_min}]")
 
 
 def bell_family() -> Family:
@@ -108,21 +100,6 @@ def fixed_spectrum_family(spectrum: Sequence[float], tol: float = DEFAULT_TOL) -
     return lambda d_s: schmidt_probe(d_s, spec, tol)
 
 
-def unentangled_error(eta: float, d_s: int, p0: float = 0.5) -> float:
-    """Minimum error probability of the unentangled baseline.
-
-    The baseline probe is a pure signal with the idler pinned to one level
-    (effective idler rank 1).  For every such product probe, with
-    ``c = p0 (1 - eta) - p1``, the operator ``p0 rho0 - p1 rho1`` has the
-    eigenvalue ``p0 eta + c/d_s`` once, ``c/d_s`` ``d_s - 1`` times and 0
-    elsewhere, so the error needs no diagonalization.  At ``p0 = 1/2`` it is
-    ``(1 - eta (1 - 1/d_s)) / 2``.
-    """
-    c = p0 * (1.0 - eta) - (1.0 - p0)
-    norm = abs(p0 * eta + c / d_s) + (d_s - 1) * abs(c) / d_s
-    return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
-
-
 def run_sweep(
     etas: Iterable[float],
     dims: Iterable[int],
@@ -131,22 +108,18 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Evaluate the full pipeline on a grid.
 
-    Emits one validated record per point, ordered lexicographically (eta
-    outermost, then dimension, then family).  Each (dimension, family)
-    probe's amplitude matrix is built once, before any row, and only its
-    idler dimension, its effective idler rank ``1 / sum(lam^2)``, its
-    weights ``lam`` (the squared diagonal) in ascending order and its
-    direct overlaps at every eta
-    (:func:`~qillum.discrimination.channel_overlap`, the independent check
-    of the closed form) are kept.
-    Every row's ``p_err`` comes from the Schmidt-space kernel
-    :func:`~qillum.discrimination.schmidt_helstrom_error` (one
-    ``d_i x d_i`` eigensolve).  No matrix larger than ``d_i x d_i`` or
-    ``d_s x d_i`` is formed.  Raises
+    Emits one record per point, ordered lexicographically (eta outermost,
+    then dimension, then family).  Each (dimension, family) probe's
+    amplitude matrix is built once, and each of its columns is one call
+    over the whole eta grid: the closed form at ``k_i = 1 / sum(lam^2)``,
+    ``h01_direct`` from traces of the matrix (its independent check) and
+    ``p_err`` from the kernel (one stacked eigensolve) on the weights
+    ``lam``, the squared diagonal; ``p_err_ci`` is the kernel at the single
+    weight 1.  The cross-checks run once, on the finished columns.  Raises
     ``ValueError`` for grid entries outside their ranges, a grid of more
     than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
-    dimension, and its subclass :class:`VerificationError` for a record
-    that fails its cross-checks.
+    dimension, and its subclass :class:`VerificationError` for a row that
+    fails its cross-checks.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
@@ -155,48 +128,49 @@ def run_sweep(
     n_rows = len(etas) * len(dims) * len(families)
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
-    for e in etas:
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {e}")
     for d in dims:
         if d < 2:
             raise ValueError(f"signal dimension must be >= 2, got {d}")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must be in [0, 1], got {p0}")
-    p_min = min(p0, 1.0 - p0)
 
     probes = {}
-    for d_s in dims:
+    for d_s in dict.fromkeys(dims):
+        p_err_ci = schmidt_helstrom_error([1.0], etas, d_s, p0)
+        h01_rank_one = h01_closed_form(etas, d_s, 1.0)
         for f, family in enumerate(families):
             amplitudes = family(d_s)
             root = amplitudes.diagonal().real
             lam = root * root
-            probes[d_s, f] = (
-                amplitudes.shape[1],
-                # sum(lam^2) added in index order: np.sum's pairwise order
-                # can move the last bit of k_i
-                1.0 / float(np.cumsum(lam * lam)[-1]),
-                np.sort(lam),
-                channel_overlap(amplitudes, etas),
-            )
+            # sum(lam^2) added in index order: np.sum's pairwise order
+            # can move the last bit of k_i
+            k_i = 1.0 / float(np.cumsum(lam * lam)[-1])
+            h01_closed = h01_closed_form(etas, d_s, k_i)
+            h01_direct = channel_overlap(amplitudes, etas)
+            p_err = schmidt_helstrom_error(np.sort(lam), etas, d_s, p0)
+            columns = (h01_closed, h01_direct, p_err, p_err_ci, h01_rank_one - h01_closed)
+            probes[d_s, f] = (amplitudes.shape[1], k_i, np.stack(columns))
 
-    records = {}
-    for (d_s, f), (d_i, k_i, weights, h01_direct) in probes.items():
-        for e, eta in enumerate(etas):
-            record = SweepRecord(
-                eta=eta,
-                d_s=d_s,
-                d_i=d_i,
-                k_i=k_i,
-                h01_closed=h01_closed_form(eta, d_s, k_i),
-                h01_direct=float(h01_direct[e]),
-                p_err=schmidt_helstrom_error(weights, eta, d_s, p0),
-                p_err_ci=unentangled_error(eta, d_s, p0),
-                advantage=h01_closed_form(eta, d_s, 1.0) - h01_closed_form(eta, d_s, k_i),
-            )
-            record.validate(p_min)
-            records[e, d_s, f] = record
-    return [records[e, d_s, f] for e in range(len(etas)) for d_s in dims for f in range(len(families))]
+    keys = [(d_s, f) for d_s in dims for f in range(len(families))]
+    # (column, eta, probe): the rows in their output order
+    table = np.stack([probes[key][2] for key in keys], axis=-1)
+    h01_closed, h01_direct, p_err, p_err_ci, _ = table
+    gap = np.abs(h01_closed - h01_direct)
+    bad = np.argwhere(~(gap < RECORD_AGREEMENT_TOL))  # NaN fails every check
+    if bad.size:
+        e, j = bad[0]
+        raise VerificationError(
+            f"closed/direct overlap disagree by {gap[e, j]:.3e} at "
+            f"(eta={etas[e]}, d_s={keys[j][0]}, k_i={probes[keys[j]][1]})"
+        )
+    p_min = min(p0, 1.0 - p0)
+    for name, p in (("p_err", p_err), ("p_err_ci", p_err_ci)):
+        bad = ~((-1e-12 <= p) & (p <= p_min + 1e-10))
+        if bad.any():
+            raise VerificationError(f"{name}={p[bad][0]} outside [0, {p_min}]")
+    return [
+        SweepRecord(eta, d_s, *probes[d_s, f][:2], *table[:, e, j].tolist())
+        for e, eta in enumerate(etas)
+        for j, (d_s, f) in enumerate(keys)
+    ]
 
 
 @dataclass(frozen=True)

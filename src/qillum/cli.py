@@ -49,6 +49,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def number(text: str) -> float:
+    """``float(text)``, with ``-0`` read as ``0`` so that no output echoes it."""
+    return float(text) + 0.0
+
+
 def parse_float_grid(text: str) -> list[float]:
     """Parse '0,0.5,1' or 'start:step:stop' (stop inclusive within step/2).
 
@@ -60,7 +65,7 @@ def parse_float_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise CliError(f"range must be start:step:stop, got {text!r}")
         try:
-            start, step, stop = (float(p) for p in parts)
+            start, step, stop = (number(p) for p in parts)
         except ValueError as exc:
             raise CliError(f"non-numeric range {text!r}") from exc
         if step <= 0:
@@ -76,7 +81,7 @@ def parse_float_grid(text: str) -> list[float]:
             raise CliError(f"range {text!r} is empty")
         return values
     try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [number(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise CliError(f"non-numeric list {text!r}") from exc
     if not values:
@@ -126,36 +131,34 @@ def parse_family(text: str, tol: float) -> Family:
 
 
 def render_sweep_csv(records) -> str:
-    """Format validated records as CSV."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in dataclasses.astuple(r)))
+    """Format checked records as CSV."""
+    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in dataclasses.astuple(r)) for r in records]
     return "\n".join(lines) + "\n"
 
 
-def render_gnuplot_script(csv_path: Path, dims: list[int]) -> str:
-    png = csv_path.with_suffix(".png").name
+def render_gnuplot_script(csv_path: Path, dims: list[int], families: list[str]) -> str:
+    """Overlap and error against eta, one curve per distinct (d_s, family): an
+    ``every`` stride of one eta's row count from one of the curve's rows.
+    Titles are single-quoted gnuplot strings, which double a quote."""
+    rows = {d: j * len(families) for j, d in enumerate(dims)}  # a repeated d_s: its last rows
+    curves = [(row + f, f"d_s={d} {name}".replace("'", "''"))
+              for d, row in rows.items() for f, name in enumerate(families)]
     lines = [
-        "# Overlap and minimum error probability versus eta, one curve per dimension.",
+        "# Overlap and minimum error probability versus eta, one curve per dimension and family.",
         'set datafile separator ","',
         "set terminal pngcairo size 1200,500",
-        f'set output "{png}"',
+        f'set output "{csv_path.with_suffix(".png").name}"',
         "set multiplot layout 1,2",
         'set xlabel "eta"',
         "set key outside",
-        'set ylabel "normalized overlap"',
     ]
-    h01_curves = ", \\\n  ".join(
-        f'"{csv_path.name}" skip 1 using 1:($2=={d}?$6:1/0) with linespoints title "overlap d_s={d}"'
-        for d in dims
-    )
-    p_curves = ", \\\n  ".join(
-        f'"{csv_path.name}" skip 1 using 1:($2=={d}?$7:1/0) with linespoints title "p_err d_s={d}"'
-        for d in dims
-    )
-    lines.append(f"plot {h01_curves}")
-    lines.append('set ylabel "error probability"')
-    lines.append(f"plot {p_curves}")
+    for label, column, kind in (("normalized overlap", 6, "overlap"), ("error probability", 7, "p_err")):
+        plots = ", \\\n  ".join(
+            f'"{csv_path.name}" skip 1 every {len(dims) * len(families)}::{first} using 1:{column} '
+            f"with linespoints title '{kind} {title}'"
+            for first, title in curves
+        )
+        lines += [f'set ylabel "{label}"', f"plot {plots}"]
     lines.append("unset multiplot")
     return "\n".join(lines) + "\n"
 
@@ -163,36 +166,26 @@ def render_gnuplot_script(csv_path: Path, dims: list[int]) -> str:
 def cmd_sweep(args, tol: float) -> int:
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
-    families = [parse_family(f, tol) for f in (args.family or ["bell"])]
+    names = args.family or ["bell"]
+    families = [parse_family(f, tol) for f in names]
     try:
         records = run_sweep(etas, dims, families, p0=args.p0)
     except VerificationError as exc:
         print(f"numerical verification failed: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     out = Path(args.out)
     out.write_text(render_sweep_csv(records))
     if args.plot:
-        gp = out.with_suffix(".gp")
-        gp.write_text(render_gnuplot_script(out, dims))
+        out.with_suffix(".gp").write_text(render_gnuplot_script(out, dims, names))
     return 0
 
 
 def cmd_verify_bell(args, tol: float) -> int:
-    if args.d < 2:
-        raise CliError(f"dimension must be >= 2, got {args.d}")
-    if args.samples < 1:
-        raise CliError(f"need at least one sample, got {args.samples}")
-    if not 0.0 <= args.eta <= 1.0:
-        raise CliError(f"eta must be in [0, 1], got {args.eta}")
     report = verify_bell_optimality(
         args.d, args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
     )
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
-    if report.margin < MARGIN_FLOOR:
-        return 2
-    return 0
+    return 2 if report.margin < MARGIN_FLOOR else 0
 
 
 def _load_density(path: str, tol: float):
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="bell | uniform-rank:<r> | spectrum:<file>; repeatable (default bell)",
     )
-    sweep.add_argument("--priors", dest="p0", type=float, default=0.5, metavar="P0")
+    sweep.add_argument("--priors", dest="p0", type=number, default=0.5, metavar="P0")
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.add_argument("--plot", action="store_true", help="also write a gnuplot script")
     sweep.set_defaults(func=cmd_sweep)
@@ -244,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--d", type=int, required=True)
     verify.add_argument("--samples", type=int, required=True)
     verify.add_argument("--seed", type=int, required=True)
-    verify.add_argument("--eta", type=float, default=0.5)
-    verify.add_argument("--p0", type=float, default=0.5)
+    verify.add_argument("--eta", type=number, default=0.5)
+    verify.add_argument("--p0", type=number, default=0.5)
     verify.set_defaults(func=cmd_verify_bell)
 
     hel = sub.add_parser("helstrom", help="minimum error probability for two stored states")
     hel.add_argument("--state0", required=True)
     hel.add_argument("--state1", required=True)
-    hel.add_argument("--p0", type=float, default=0.5)
+    hel.add_argument("--p0", type=number, default=0.5)
     hel.add_argument("--povm", action="store_true", help="also print the optimal measurement")
     hel.set_defaults(func=cmd_helstrom)
     return parser

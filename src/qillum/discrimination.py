@@ -11,10 +11,11 @@ here.
 For the illumination channel itself no dense ``(d_s d_i)``-dimensional
 matrix is needed.  :func:`schmidt_helstrom_error` gives the minimum error
 from the probe's Schmidt weights alone, with one eigensolve of at most
-``d_i x d_i``, stacked over many probes at once; :func:`channel_overlap`
-gives the overlap of the two channel outputs from three traces of the
-probe's ``(d_s, d_i)`` amplitude matrix, and :func:`h01_closed_form` the
-same overlap from the physical parameters.  ``sweep`` and ``verify-bell``
+``d_i x d_i``, stacked over many probes or over a grid of ``eta`` at once;
+:func:`channel_overlap` gives the overlap of the two channel outputs from
+three traces of the probe's ``(d_s, d_i)`` amplitude matrix, and
+:func:`h01_closed_form` the same overlap from the physical parameters; all
+three take ``eta`` as one value or an array.  ``sweep`` and ``verify-bell``
 use these; the dense :func:`helstrom_error` serves ``helstrom`` on
 arbitrary stored states and is the tests' oracle for the kernel.
 """
@@ -24,6 +25,18 @@ from __future__ import annotations
 import numpy as np
 
 from .states import DEFAULT_TOL, DensityMatrix
+
+#: Most block entries the kernel diagonalizes at once (2 MiB): its memory stays flat.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _efficiencies(eta) -> np.ndarray:
+    """``eta`` as a float array, every entry in ``[0, 1]``; NaN fails."""
+    eta = np.asarray(eta, dtype=float)
+    ok = (0.0 <= eta) & (eta <= 1.0)
+    if not ok.all():
+        raise ValueError(f"eta must be in [0, 1], got {eta[~ok][0]}")
+    return eta
 
 
 def _weighted_difference(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> np.ndarray:
@@ -47,7 +60,7 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) ->
     return float(min(max(value, 0.0), 1.0))
 
 
-def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5):
+def schmidt_helstrom_error(weights, eta, d_s: int, p0: float = 0.5):
     """Minimum error probability of the illumination channel, in Schmidt space.
 
     The target-absent state ``I/d_s (x) phi_i`` is invariant under local
@@ -60,14 +73,14 @@ def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5):
     times, elsewhere.  The result equals :func:`helstrom_error` on the
     probe's dense channel outputs ``(rho0, rho1)``, clipped to ``[0, 1]``.
 
-    ``weights`` is one probe's weights (1-D; a float is returned) or an
-    ``(n, d_i)`` stack of ``n`` probes sharing ``eta``, ``d_s`` and ``p0``
-    (an array of ``n`` errors is returned, from one stacked eigensolve).
-    Negative weights (eigenvalue rounding) count as 0; small weights are
-    kept, so the result is continuous in every weight.
+    ``weights`` is one probe's weights (1-D) or an ``(n, d_i)`` stack of
+    probes; ``eta`` is one value or an array broadcasting against the
+    stack's leading axis.  A float is returned for 1-D weights and one
+    ``eta``, else an array, from one stacked eigensolve (in chunks of
+    :data:`_CHUNK_ENTRIES` entries).  Negative weights (eigenvalue rounding)
+    count as 0; small weights are kept, so the result is continuous in them.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    eta = _efficiencies(eta)
     if d_s < 2:
         raise ValueError(f"signal dimension must be >= 2, got {d_s}")
     if not 0.0 <= p0 <= 1.0:
@@ -76,14 +89,20 @@ def schmidt_helstrom_error(weights, eta: float, d_s: int, p0: float = 0.5):
     if lam.ndim not in (1, 2):
         raise ValueError(f"expected 1-D weights or a 2-D stack, got shape {lam.shape}")
     c = p0 * (1.0 - eta) - (1.0 - p0)
-    root = np.sqrt(lam)
-    block = (p0 * eta) * (root[..., :, None] * root[..., None, :])
-    diag = np.arange(lam.shape[-1])
-    block[..., diag, diag] += (c / d_s) * lam
-    norm = np.sum(np.abs(np.linalg.eigvalsh(block)), axis=-1)
-    norm += (d_s - 1) * abs(c) * np.sum(lam, axis=-1) / d_s
+    # one row per (eta, probe) pair, broadcast by an exact product with 1
+    d_i, ones = lam.shape[-1], np.ones(np.broadcast_shapes(eta.shape, lam.shape[:-1]))
+    a, b = (p0 * eta * ones).reshape(-1), (c / d_s * ones).reshape(-1)
+    stack = (lam * ones[..., None]).reshape(-1, d_i)
+    root, diag, norm = np.sqrt(stack), np.arange(d_i), np.empty(a.size)
+    step = _CHUNK_ENTRIES // max(1, d_i * d_i) or 1
+    for first in range(0, a.size, step):
+        rows = slice(first, first + step)
+        block = a[rows, None, None] * (root[rows, :, None] * root[rows, None, :])
+        block[:, diag, diag] += b[rows, None] * stack[rows]
+        norm[rows] = np.sum(np.abs(np.linalg.eigvalsh(block)), axis=-1)
+    norm = norm.reshape(ones.shape) + (d_s - 1) * abs(c) * np.sum(lam, axis=-1) / d_s
     p_err = np.clip(0.5 * (1.0 - norm), 0.0, 1.0)
-    return float(p_err) if lam.ndim == 1 else p_err
+    return float(p_err) if p_err.ndim == 0 else p_err
 
 
 def optimal_povm(
@@ -121,9 +140,7 @@ def channel_overlap(amplitudes, eta):
     one value (a float is returned) or an array of values sharing the traces
     (an array is returned).  The result is clipped to ``[0, 1]``.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all((0.0 <= eta) & (eta <= 1.0)):
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    eta = _efficiencies(eta)
     a = np.asarray(amplitudes)
     d_s = a.shape[0]
     phi = a.T @ a.conj()
@@ -135,7 +152,7 @@ def channel_overlap(amplitudes, eta):
     return float(h) if h.ndim == 0 else h
 
 
-def h01_closed_form(eta: float, d_s: int, k_i: float) -> float:
+def h01_closed_form(eta, d_s: int, k_i: float):
     """Overlap of the two hypothesis states, from the physical parameters.
 
     For the post-selected model the normalized overlap of target-present
@@ -145,12 +162,13 @@ def h01_closed_form(eta: float, d_s: int, k_i: float) -> float:
 
     where ``k_i`` is the effective rank (inverse purity) of the idler
     reduction.  ``k_i`` is accepted as a real number; integers are the
-    extremal cases.
+    extremal cases.  ``eta`` is one value or an array, as in
+    :func:`channel_overlap`.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    eta = _efficiencies(eta)
     if d_s < 2:
         raise ValueError(f"signal dimension must be >= 2, got {d_s}")
     if not k_i >= 1.0:
         raise ValueError(f"effective idler rank must be >= 1, got {k_i}")
-    return float(1.0 / np.sqrt(1.0 + eta**2 * (d_s * k_i - 1.0)))
+    h = 1.0 / np.sqrt(1.0 + eta**2 * (d_s * k_i - 1.0))
+    return float(h) if h.ndim == 0 else h

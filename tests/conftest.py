@@ -227,6 +227,22 @@ def product_baseline_state(state):
     return BipartiteState(state.d_s, state.d_i, amp)
 
 
+def unentangled_error(eta, d_s, p0=0.5):
+    """Minimum error probability of the unentangled baseline, in closed form.
+
+    The baseline probe is a pure signal with the idler pinned to one level
+    (effective idler rank 1).  For every such product probe, with
+    ``c = p0 (1 - eta) - p1``, the operator ``p0 rho0 - p1 rho1`` has the
+    eigenvalue ``p0 eta + c/d_s`` once, ``c/d_s`` ``d_s - 1`` times and 0
+    elsewhere, so the error needs no diagonalization.  At ``p0 = 1/2`` it is
+    ``(1 - eta (1 - 1/d_s)) / 2``.  The oracle for the sweep's ``p_err_ci``
+    column, which is the Schmidt-space kernel at the single weight 1.
+    """
+    c = p0 * (1.0 - eta) - (1.0 - p0)
+    norm = abs(p0 * eta + c / d_s) + (d_s - 1) * abs(c) / d_s
+    return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
+
+
 def evaluate_state_metrics(state, eta, p0=0.5, tol=DEFAULT_TOL):
     """Direct overlap and minimum error probability for one input state.
 

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qillum import analysis
 from qillum.states import BipartiteState
 from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
-    SweepRecord,
+    VerificationError,
     bell_family,
     fixed_spectrum_family,
     run_sweep,
-    unentangled_error,
     uniform_rank_family,
     verify_bell_optimality,
 )
@@ -29,6 +29,7 @@ from conftest import (
     idler_reduction,
     product_baseline_state,
     schmidt_family_state,
+    unentangled_error,
 )
 
 
@@ -86,21 +87,81 @@ class TestRunSweep:
 
 
 class TestSweepRecordValidation:
-    def test_rejects_disagreeing_overlap_columns(self):
-        r = SweepRecord(
-            eta=0.5, d_s=2, d_i=2, k_i=2.0,
-            h01_closed=0.75, h01_direct=0.7, p_err=0.3, p_err_ci=0.4, advantage=0.1,
-        )
-        with pytest.raises(ValueError, match="disagree"):
-            r.validate()
+    """The cross-checks ``run_sweep`` runs once on its finished columns, made
+    to fail by skewing one column."""
 
-    def test_rejects_out_of_range_probability(self):
-        r = SweepRecord(
-            eta=0.5, d_s=2, d_i=2, k_i=2.0,
-            h01_closed=0.75, h01_direct=0.75, p_err=0.7, p_err_ci=0.4, advantage=0.1,
-        )
-        with pytest.raises(ValueError, match="p_err"):
-            r.validate()
+    def test_rejects_disagreeing_overlap_columns(self, monkeypatch):
+        exact = analysis.channel_overlap
+        monkeypatch.setattr(analysis, "channel_overlap", lambda a, eta: exact(a, eta) - 0.05)
+        with pytest.raises(VerificationError, match="disagree by 5.000e-02 at"):
+            run_sweep([0.5], [2], [bell_family()])
+
+    def test_rejects_out_of_range_probability(self, monkeypatch):
+        exact = analysis.schmidt_helstrom_error
+
+        def probe_skewed(weights, *args):
+            return exact(weights, *args) + (0.2 if len(weights) > 1 else 0.0)
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", probe_skewed)
+        with pytest.raises(VerificationError, match=r"^p_err=0\.5\d* outside \[0, 0\.5\]$"):
+            run_sweep([0.5], [2], [bell_family()])
+
+    def test_rejects_out_of_range_baseline(self, monkeypatch):
+        exact = analysis.schmidt_helstrom_error
+
+        def baseline_skewed(weights, *args):
+            return exact(weights, *args) - (1.0 if len(weights) == 1 else 0.0)
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", baseline_skewed)
+        with pytest.raises(VerificationError, match=r"^p_err_ci=-0\.6\d* outside \[0, 0\.5\]$"):
+            run_sweep([0.5], [2], [bell_family()])
+
+    def test_checks_follow_every_probe(self, monkeypatch):
+        """A family infeasible at a later dimension is a ValueError (exit 1),
+        even where an earlier probe already fails a cross-check (exit 2)."""
+        monkeypatch.setattr(analysis, "channel_overlap", lambda a, eta: np.full(len(eta), np.nan))
+        with pytest.raises(ValueError, match="exceeds") as caught:
+            run_sweep([0.5], [4, 2], [uniform_rank_family(3)])
+        assert not isinstance(caught.value, VerificationError)
+        with pytest.raises(VerificationError, match="disagree by nan"):
+            run_sweep([0.5], [4, 2], [uniform_rank_family(2)])
+
+
+class TestSweepColumns:
+    """A sweep evaluates each probe as columns over the eta grid."""
+
+    def test_one_kernel_call_per_probe(self, monkeypatch):
+        exact = analysis.schmidt_helstrom_error
+        calls = []
+
+        def counted(weights, etas, *args):
+            calls.append((len(weights), len(etas)))
+            return exact(weights, etas, *args)
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", counted)
+        families = [bell_family(), uniform_rank_family(2), fixed_spectrum_family([0.5, 0.3, 0.2])]
+        records = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5], families)
+        assert len(records) == 24
+        # per dimension: the baseline (one weight), then one call per family
+        assert calls == [(1, 4), (3, 4), (2, 4), (3, 4), (1, 4), (5, 4), (2, 4), (3, 4)]
+
+    @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_baseline_column_is_the_closed_form(self, p0):
+        etas, dims = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0], [2, 3, 7, 16]
+        records = run_sweep(etas, dims, [bell_family(), uniform_rank_family(1)], p0)
+        assert len(records) == 48
+        for r in records:
+            assert r.p_err_ci == unentangled_error(r.eta, r.d_s, p0)
+
+    def test_rows_equal_single_point_sweeps(self):
+        """Each row of a grid equals a sweep of its point alone."""
+        etas, dims = [0.2, 0.0, 1.0, 0.65], [4, 3, 4]
+        families = [bell_family(), fixed_spectrum_family([0.7, 1e-12, 0.3 - 1e-12])]
+        records = run_sweep(etas, dims, families, 0.37)
+        points = [(e, d, f) for e in etas for d in dims for f in families]
+        assert len(records) == len(points)
+        for r, (e, d, f) in zip(records, points):
+            assert r == run_sweep([e], [d], [f], 0.37)[0]
 
 
 class TestVerifyMonotonicity:

@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qillum import analysis, cli
@@ -131,6 +133,66 @@ class TestSweep:
         assert "numerical verification failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_overlap_exits_2(self, tmp_path, monkeypatch, capsys):
+        """A NaN in the direct overlap column fails the agreement check."""
+        monkeypatch.setattr(analysis, "channel_overlap", lambda a, eta: np.full(len(eta), np.nan))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", "--d", "3", "--out", str(out)]) == 2
+        assert "closed/direct overlap disagree by nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_zero_is_written_as_zero(self, tmp_path):
+        """``-0`` reads as 0, in a list or as a range start, and as the prior;
+        nothing else in the CSV changes."""
+        outs = [tmp_path / f"sweep{k}.csv" for k in range(3)]
+        for out, eta, p0 in zip(outs, ["-0,0.5", "-0:0.5:0.5", "0,0.5"], ["-0", "-0.0", "0"]):
+            assert main(["sweep", f"--eta={eta}", "--d", "3", "--priors", p0, "--out", str(out)]) == 0
+        text = outs[2].read_text()
+        assert text.splitlines()[1].startswith("0,3,")
+        assert outs[0].read_text() == text and outs[1].read_text() == text
+
+    def test_plot_has_one_curve_per_dimension_and_family(self, tmp_path):
+        """Each curve's ``every`` clause picks exactly the CSV rows of its
+        dimension and family, once per eta; a repeated dimension has one
+        curve.  The CSV has no family column: a row's family is its index
+        modulo the number of families."""
+        families = ["bell", "uniform-rank:1", "uniform-rank:2"]
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--eta", "0:0.25:1", "--d", "4,2,4,3", "--plot", "--out", str(out)]
+        for name in families:
+            argv += ["--family", name]
+        assert main(argv) == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        script = out.with_suffix(".gp").read_text()
+        plots = [line for line in script.splitlines() if line.startswith("plot ")]
+        assert len(plots) == 2
+        for column, name in ((6, "h01_direct"), (7, "p_err")):
+            assert header[column - 1] == name
+            curves = re.findall(
+                rf'skip 1 every (\d+)::(\d+) using 1:{column} with linespoints '
+                r"title '\S+ d_s=(\d+) (\S+)'",
+                script,
+            )
+            assert sorted((int(d), f) for *_, d, f in curves) == [
+                (d, f) for d in (2, 3, 4) for f in sorted(families)
+            ]
+            for stride, first, d, family in curves:
+                picked = rows[int(first) :: int(stride)]
+                assert len(picked) == 5
+                assert [float(row[0]) for row in picked] == [0.0, 0.25, 0.5, 0.75, 1.0]
+                assert all(row[1] == d for row in picked)
+                assert int(first) % len(families) == families.index(family)
+
+    def test_plot_titles_keep_quotes_in_file_names(self, tmp_path):
+        """A title is a single-quoted gnuplot string, in which a doubled quote
+        stands for one; a double quote needs no escape."""
+        spec = write_json(tmp_path / """it's "q".json""", [0.5, 0.5])
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--eta", "0,1", "--d", "2", "--family", f"spectrum:{spec}", "--plot", "--out", str(out)]
+        assert main(argv) == 0
+        titles = re.findall(r"title '((?:[^']|'')*)'$", out.with_suffix(".gp").read_text(), re.M)
+        assert [t.replace("''", "'") for t in titles] == [f"{kind} d_s=2 spectrum:{spec}" for kind in ("overlap", "p_err")]
+
     def test_bad_grid_exits_1(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "1.5", "--d", "2", "--out", str(out)]) == 1
@@ -191,6 +253,14 @@ class TestVerifyBell:
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
         assert capsys.readouterr().out == whole
         assert chunks == [20] + [3] * 6 + [2]
+
+    def test_negative_zero_is_printed_as_zero(self, capsys):
+        argv = ["verify-bell", "--d", "3", "--samples", "4", "--seed", "1"]
+        assert main([*argv, "--eta", "-0", "--p0", "-0"]) == 0
+        report = capsys.readouterr().out
+        assert '"eta": 0.0,' in report and '"p0": 0.0,' in report
+        assert main([*argv, "--eta", "0", "--p0", "0"]) == 0
+        assert capsys.readouterr().out == report
 
     def test_honours_qi_tol(self, monkeypatch):
         # no sample's Schmidt weights sum to 1 within 1e-30
@@ -259,6 +329,10 @@ class TestProblemValidation:
         ["helstrom", "--state0", "{mixed_4}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{mixed_4}", "--state1", "{mixed_4}", "--p0", "1.5"],
         ["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--p0", "1.5"],
+        ["verify-bell", "--d", "1", "--samples", "3", "--seed", "1"],
+        ["verify-bell", "--d", "3", "--samples", "0", "--seed", "1"],
+        ["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "2"],
+        ["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "nan"],
         ["sweep", "--eta", "0.5", "--d", "inf", "--out", "{out}"],
         ["sweep", "--eta", "0.5", "--d", "1e400", "--out", "{out}"],
         ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_null}", "--out", "{out}"],
@@ -269,7 +343,8 @@ class TestProblemValidation:
         ["helstrom", "--state0", "{dim_1e400}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{d_s_1e400}", "--state1", "{mixed_2}"],
     ], ids=[
-        "dimension-mismatch", "helstrom-p0", "verify-bell-p0", "sweep-d-inf", "sweep-d-1e400",
+        "dimension-mismatch", "helstrom-p0", "verify-bell-p0", "verify-bell-d-1",
+        "verify-bell-samples-0", "verify-bell-eta-2", "verify-bell-eta-nan", "sweep-d-inf", "sweep-d-1e400",
         "spectrum-null", "spectrum-nested", "spectrum-strings", "spectrum-booleans",
         "spectrum-huge-int", "helstrom-dim-1e400", "helstrom-d_s-1e400",
     ])

@@ -1,12 +1,17 @@
 """Tests for measurement error probabilities and the overlap measure."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qillum import discrimination
 from qillum.states import DEFAULT_TOL as TOL, DensityMatrix
 from qillum.discrimination import (
+    channel_overlap,
     h01_closed_form,
     helstrom_error,
     optimal_povm,
@@ -15,7 +20,6 @@ from qillum.discrimination import (
 from qillum.analysis import (
     bell_family,
     run_sweep,
-    unentangled_error,
     uniform_rank_family,
 )
 from conftest import (
@@ -34,6 +38,7 @@ from conftest import (
     random_two_outcome_povm,
     random_unitary,
     schmidt_family_state,
+    unentangled_error,
 )
 
 
@@ -263,6 +268,54 @@ class TestSchmidtHelstrom:
             assert isinstance(single, float)
             assert abs(value - single) <= 1e-15
 
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_i=st.integers(1, 8),
+        d_s=st.integers(2, 8),
+        tiny=st.sampled_from([0.0, 1e-13, 1e-12]),
+        n_tiny=st.integers(0, 7),
+        etas=st.lists(UNIT, min_size=1, max_size=6),
+        p0=UNIT,
+        chunk=st.sampled_from([1, 5, discrimination._CHUNK_ENTRIES]),
+    )
+    @example(seed=0, d_i=1, d_s=2, tiny=0.0, n_tiny=0, etas=[0.0, 1.0], p0=0.0, chunk=1)
+    @example(seed=1, d_i=1, d_s=8, tiny=0.0, n_tiny=0, etas=[1.0, 0.0, 0.5], p0=1.0, chunk=5)
+    @example(seed=2, d_i=8, d_s=3, tiny=0.0, n_tiny=7, etas=[1.0, 0.0], p0=0.0, chunk=64)
+    @example(seed=3, d_i=6, d_s=6, tiny=1e-12, n_tiny=3, etas=[0.0, 1.0, 0.3], p0=1.0, chunk=1)
+    @example(seed=4, d_i=4, d_s=5, tiny=1e-13, n_tiny=2, etas=[0.5] * 6, p0=0.5, chunk=17)
+    def test_eta_array_equals_scalar_calls(self, seed, d_i, d_s, tiny, n_tiny, etas, p0, chunk):
+        """One probe over an eta grid, and a stack with one eta per row, give
+        exactly the per-eta results, whether in one chunk or in many."""
+        weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(etas))
+        weights[:, : min(n_tiny, d_i - 1)] = tiny
+        weights /= weights.sum(axis=1, keepdims=True)
+        with mock.patch.object(discrimination, "_CHUNK_ENTRIES", chunk):
+            column = schmidt_helstrom_error(weights[0], etas, d_s, p0)
+            stacked = schmidt_helstrom_error(weights, etas, d_s, p0)
+            broadcast = schmidt_helstrom_error(weights[:1], etas, d_s, p0)
+        assert column.shape == stacked.shape == broadcast.shape == (len(etas),)
+        for k, eta in enumerate(etas):
+            single = schmidt_helstrom_error(weights[0], eta, d_s, p0)
+            assert isinstance(single, float)
+            assert column[k] == single and broadcast[k] == single
+            assert stacked[k] == schmidt_helstrom_error(weights[k], eta, d_s, p0)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        """300 efficiencies at d_i = 128 would be a 39 MB stack of blocks; in
+        chunks of 2^16 entries (0.5 MiB) the kernel stays under 4 MB."""
+        weights = np.full(128, 1.0 / 128)
+        etas = np.linspace(0.0, 1.0, 300)
+        with mock.patch.object(discrimination, "_CHUNK_ENTRIES", 1 << 16):
+            tracemalloc.start()
+            try:
+                column = schmidt_helstrom_error(weights, etas, 128, 0.4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 4e6
+        assert column[-1] == schmidt_helstrom_error(weights, 1.0, 128, 0.4)
+
     def test_rejects_bad_parameters(self):
         for weights in ([1.0], [[1.0], [1.0]]):
             for eta, d_s, p0 in ((1.5, 2, 0.5), (np.nan, 2, 0.5), (0.5, 1, 0.5), (0.5, 2, np.nan)):
@@ -322,6 +375,33 @@ class TestClosedForm:
     def test_anchor_values(self):
         assert h01_closed_form(1.0, 2, 2.0) == pytest.approx(0.5, abs=1e-15)
         assert h01_closed_form(1.0, 2, 1.0) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        etas=st.lists(UNIT, min_size=1, max_size=8),
+        d_s=st.integers(2, 64),
+        k_i=st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0)),
+    )
+    @example(etas=[0.0, 1.0], d_s=2, k_i=1.0)
+    @example(etas=[1.0, 0.3, 0.0], d_s=64, k_i=64.0)
+    def test_eta_array_equals_scalar_calls(self, etas, d_s, k_i):
+        column = h01_closed_form(etas, d_s, k_i)
+        assert isinstance(column, np.ndarray) and column.shape == (len(etas),)
+        for value, eta in zip(column, etas):
+            single = h01_closed_form(eta, d_s, k_i)
+            assert isinstance(single, float) and value == single
+
+    @pytest.mark.parametrize("etas", [[0.5, np.nan], [0.2, 1.5], [0.0, -1e-300]])
+    def test_any_bad_eta_in_an_array_is_rejected(self, etas):
+        """Every function taking an eta array names the first bad entry; NaN
+        fails too."""
+        bad = str(etas[1])
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            h01_closed_form(etas, 2, 1.0)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            schmidt_helstrom_error([0.5, 0.5], etas, 2, 0.5)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            channel_overlap(np.eye(2, dtype=complex) / np.sqrt(2), etas)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

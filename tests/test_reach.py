@@ -81,7 +81,7 @@ def test_cli_reaches_every_public_function(tmp_path, monkeypatch, capsys):
             (f"{module.__name__}.{name}", code) for name, code in written_code(module).items()
         )
     assert "qillum.states.DensityMatrix.__init__" in expected
-    assert "qillum.analysis.SweepRecord.validate" in expected
+    assert "qillum.states.DensityMatrix.dim" in expected  # a property
     assert "qillum.analysis.SweepRecord.__init__" not in expected  # generated
     unreached = sorted(name for name, code in expected.items() if code not in entered)
     assert unreached == []
