@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .states import DEFAULT_TOL, density_from_dict, density_to_dict, state_from_dict
+from .states import DEFAULT_TOL, density_from_dict, density_to_dict, require_numbers, state_from_dict
 from .discrimination import helstrom_error, optimal_povm
 from .analysis import (
     Family,
@@ -118,13 +118,10 @@ def parse_family(text: str, tol: float) -> Family:
             raise CliError(f"cannot read spectrum file {path!r}: {exc}") from exc
         if not isinstance(spectrum, list) or not spectrum:
             raise CliError(f"spectrum file {path!r} must hold a non-empty list")
-        # float() would also take strings and booleans; JSON numbers only
-        bad = [x for x in spectrum if isinstance(x, bool) or not isinstance(x, (int, float))]
-        if bad:
-            raise CliError(f"spectrum file {path!r} must hold numbers, got {bad[0]!r}")
         try:
+            require_numbers(spectrum)
             values = [float(x) for x in spectrum]
-        except OverflowError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CliError(f"spectrum file {path!r}: {exc}") from exc
         return fixed_spectrum_family(values, tol)
     raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
@@ -136,26 +133,31 @@ def render_sweep_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _gnuplot_string(text: str) -> str:
+    """``text`` as a single-quoted gnuplot string: a quote is doubled, and a
+    backslash or a double quote stands for itself."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def render_gnuplot_script(csv_path: Path, dims: list[int], families: list[str]) -> str:
     """Overlap and error against eta, one curve per distinct (d_s, family): an
     ``every`` stride of one eta's row count from one of the curve's rows.
-    Titles are single-quoted gnuplot strings, which double a quote."""
+    File names and titles are single-quoted gnuplot strings."""
     rows = {d: j * len(families) for j, d in enumerate(dims)}  # a repeated d_s: its last rows
-    curves = [(row + f, f"d_s={d} {name}".replace("'", "''"))
-              for d, row in rows.items() for f, name in enumerate(families)]
+    curves = [(row + f, f"d_s={d} {name}") for d, row in rows.items() for f, name in enumerate(families)]
     lines = [
         "# Overlap and minimum error probability versus eta, one curve per dimension and family.",
         'set datafile separator ","',
         "set terminal pngcairo size 1200,500",
-        f'set output "{csv_path.with_suffix(".png").name}"',
+        f"set output {_gnuplot_string(csv_path.with_suffix('.png').name)}",
         "set multiplot layout 1,2",
         'set xlabel "eta"',
         "set key outside",
     ]
     for label, column, kind in (("normalized overlap", 6, "overlap"), ("error probability", 7, "p_err")):
         plots = ", \\\n  ".join(
-            f'"{csv_path.name}" skip 1 every {len(dims) * len(families)}::{first} using 1:{column} '
-            f"with linespoints title '{kind} {title}'"
+            f"{_gnuplot_string(csv_path.name)} skip 1 every {len(dims) * len(families)}::{first} "
+            f"using 1:{column} with linespoints title {_gnuplot_string(f'{kind} {title}')}"
             for first, title in curves
         )
         lines += [f'set ylabel "{label}"', f"plot {plots}"]
@@ -195,7 +197,7 @@ def _load_density(path: str, tol: float):
         raise CliError(f"cannot read state file {path!r}: {exc}") from exc
     try:
         if isinstance(obj, dict) and "amplitudes" in obj:
-            return state_from_dict(obj, tol).density(tol)
+            return state_from_dict(obj, tol)
         if isinstance(obj, dict) and "entries" in obj:
             return density_from_dict(obj, tol)
     except ValueError as exc:

@@ -1,18 +1,21 @@
-"""Validated quantum states and the amplitude matrices of sweep probes.
+"""Validated quantum states and the amplitude matrices of pure ones.
 
 This is where data enters the package, so this is where it is checked.
 Density operators are checked on construction for shape, Hermiticity and
 unit trace; positivity is checked where a matrix enters from outside, in
 :func:`density_from_dict`, since every operator built inside the package is
-positive by construction.  Bipartite pure states carry explicit signal and
-idler dimensions.  A ``sweep`` probe is not built as a state: it is its
-amplitude matrix, with its Schmidt coefficients on the diagonal
-(:func:`schmidt_probe`).  Every check is phrased so that a NaN fails it
-(``not defect <= tol``): any comparison with NaN is false, and JSON input
-may hold ``NaN`` or ``Infinity``.
+positive by construction.  A pure state is its complex ``(d_s, d_i)``
+amplitude matrix, entry ``[s, i]`` pairing signal mode ``s`` with idler
+level ``i`` (:func:`schmidt_probe`, :func:`haar_random_amplitudes`); one
+read from a file becomes its projector (:func:`state_from_dict`).  Every
+check is phrased so that a NaN fails it (``not defect <= tol``): any
+comparison with NaN is false, and JSON input may hold ``NaN`` or
+``Infinity``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -56,50 +59,16 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-class BipartiteState:
-    """A normalized pure state on a ``d_s x d_i`` tensor-product space.
-
-    Amplitudes are ordered signal-major: entry ``s * d_i + i`` is the
-    coefficient of signal mode ``s`` paired with idler level ``i``.
-    """
-
-    __slots__ = ("d_s", "d_i", "amplitudes")
-
-    def __init__(self, d_s: int, d_i: int, amplitudes: np.ndarray, tol: float = DEFAULT_TOL):
-        if d_s < 2:
-            raise ValueError(f"signal dimension must be >= 2, got {d_s}")
-        if d_i < 1:
-            raise ValueError(f"idler dimension must be >= 1, got {d_i}")
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amp.size != d_s * d_i:
-            raise ValueError(f"expected {d_s * d_i} amplitudes, got {amp.size}")
-        norm_sq = float(np.real(np.vdot(amp, amp)))
-        if not abs(norm_sq - 1.0) <= tol:
-            raise ValueError(f"amplitudes have squared norm {norm_sq:.6g}, expected 1")
-        self.d_s = int(d_s)
-        self.d_i = int(d_i)
-        self.amplitudes = _frozen(amp)
-
-    def density(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        """The state as a density matrix: the rank-one projector onto it,
-        hence positive.  Dense, of dimension ``d_s * d_i``."""
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), tol)
-
-    def __repr__(self) -> str:
-        return f"BipartiteState(d_s={self.d_s}, d_i={self.d_i})"
-
-
 def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Amplitude matrix of the probe with reduced spectrum ``lam``.
 
     The probe is ``sum_m sqrt(lam_m) |m>|m>`` on ``d_s`` signal modes and
     ``len(spectrum)`` idler levels, so its idler reduction is
-    ``diag(lam)``.  Returns the complex ``(d_s, len(spectrum))`` matrix
-    (signal-major, as in :class:`BipartiteState`) with the Schmidt
-    coefficients ``sqrt(lam)`` on its diagonal and zeros elsewhere,
-    normalized to unit Frobenius norm.  The spectrum must have between 1
-    and ``d_s`` entries, none below ``-1e-12``, and a positive sum within
-    ``tol`` of 1.  Entries below zero count as 0.
+    ``diag(lam)``.  Returns the complex ``(d_s, len(spectrum))`` amplitude
+    matrix with the Schmidt coefficients ``sqrt(lam)`` on its diagonal and
+    zeros elsewhere, normalized to unit Frobenius norm.  The spectrum must
+    have between 1 and ``d_s`` entries, none below ``-1e-12``, and a
+    positive sum within ``tol`` of 1.  Entries below zero count as 0.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
     if spec.size < 1 or spec.size > d_s:
@@ -118,15 +87,15 @@ def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
-    """Amplitudes of uniformly random pure states, one per seed.
+    """Amplitude matrices of uniformly random pure states, one per seed.
 
-    Returns an ``(len(seeds), d_s, d_i)`` stack whose row ``k`` holds the
-    amplitudes (signal-major, as in :class:`BipartiteState`) of the state
-    drawn from ``seeds[k]``: independent standard complex Gaussians,
-    normalized, which is the rotation-invariant distribution on the unit
-    sphere.  The same seed always yields the same row.  The rows are not
-    validated; a caller that does not wrap them in :class:`BipartiteState`
-    checks their norms itself.
+    Returns an ``(len(seeds), d_s, d_i)`` stack whose entry ``k`` is the
+    amplitude matrix of the state drawn from ``seeds[k]``: independent
+    standard complex Gaussians, normalized, which is the rotation-invariant
+    distribution on the unit sphere.  The same seed always yields the same
+    matrix.  The matrices are not validated; the caller checks what it
+    relies on (``verify-bell`` checks that each one's Schmidt weights sum
+    to 1).
     """
     if d_s < 2 or d_i < 1:
         raise ValueError(f"invalid dimensions ({d_s}, {d_i})")
@@ -143,20 +112,60 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format, shared with the command-line tool.
 #
-# Pure states:      {"d_s": n, "d_i": m, "amplitudes": [[re, im], ...]}
+# Pure states:      {"d_s": n, "d_i": m, "amplitudes": [[re, im], ...]}  (signal-major)
 # Density matrices: {"dim": n, "entries": [[[re, im], ...], ...]}  (row-major)
+# Dimensions are integral (2 or 2.0); every value is a JSON number.
 
 
-def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> BipartiteState:
-    """Decode a pure state from the JSON wire format."""
+def require_numbers(values: list) -> None:
+    """Raise ``ValueError`` naming the first entry of ``values`` that is not
+    a JSON number, an ``int`` or ``float`` as ``json`` decodes it: ``float()``
+    and ``complex()`` would also take ``true``, and ``float()`` ``"2"``.
+    One pass over the entries."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(x for x in values if type(x) not in (int, float))
+        raise ValueError(f"{bad!r} is not a number")
+
+
+def _dimension(obj: dict, key: str) -> int:
+    """``obj[key]``, an integral JSON number."""
+    value = obj[key]
+    require_numbers([value])
+    if int(value) != value:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _complex_pairs(pairs: list) -> np.ndarray:
+    """``[[re, im], ...]`` as a complex vector."""
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("expected [re, im] pairs")
+    flat = list(chain.from_iterable(pairs))
+    require_numbers(flat)
+    return np.array(flat, dtype=float).view(complex)
+
+
+def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
+    """Decode a pure state from the JSON wire format as its projector, a
+    positive density matrix of dimension ``d_s * d_i``.  The state needs
+    ``d_s >= 2``, ``d_i >= 1``, ``d_s * d_i`` amplitudes and a squared norm
+    within ``tol`` of 1."""
     try:
-        d_s = int(obj["d_s"])
-        d_i = int(obj["d_i"])
-        pairs = obj["amplitudes"]
-        amp = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        d_s = _dimension(obj, "d_s")
+        d_i = _dimension(obj, "d_i")
+        amp = _complex_pairs(obj["amplitudes"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pure-state object: {exc}") from exc
-    return BipartiteState(d_s, d_i, amp, tol)
+    if d_s < 2:
+        raise ValueError(f"signal dimension must be >= 2, got {d_s}")
+    if d_i < 1:
+        raise ValueError(f"idler dimension must be >= 1, got {d_i}")
+    if amp.size != d_s * d_i:
+        raise ValueError(f"expected {d_s * d_i} amplitudes, got {amp.size}")
+    norm_sq = float(np.real(np.vdot(amp, amp)))
+    if not abs(norm_sq - 1.0) <= tol:
+        raise ValueError(f"amplitudes have squared norm {norm_sq:.6g}, expected 1")
+    return DensityMatrix(np.outer(amp, amp.conj()), tol)
 
 
 def density_to_dict(mat: np.ndarray) -> dict:
@@ -175,11 +184,12 @@ def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
     matrix must be positive semidefinite: no eigenvalue below ``-tol``.
     """
     try:
-        dim = int(obj["dim"])
+        dim = _dimension(obj, "dim")
         rows = obj["entries"]
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise ValueError("rows differ in length")
+        mat = _complex_pairs(list(chain.from_iterable(rows))).reshape(len(rows), *widths)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
     if mat.shape != (dim, dim):

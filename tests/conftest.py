@@ -1,9 +1,10 @@
 """Shared state builders, random-object generators and dense oracles for
 the test suite.
 
-The dense oracle of the illumination channel lives here: the idler
-reduction as the partial trace of the probe's projector
-(:func:`idler_reduction`), both channel outputs as
+A pure state is its complex ``(d_s, d_i)`` amplitude matrix, as in the
+package.  The dense oracle of the illumination channel lives here: the
+state's projector (:func:`projector`), the idler reduction as its partial
+trace (:func:`idler_reduction`), both channel outputs as
 ``(d_s d_i)``-dimensional density matrices (:func:`channel_outputs`) and
 their normalized Hilbert-Schmidt overlap (:func:`hs_distinguishability`).
 The package computes the same numbers from a probe's Schmidt coefficients
@@ -13,13 +14,7 @@ without any matrix of that size; the tests hold it to these.
 import numpy as np
 from hypothesis import strategies as st
 
-from qillum.states import (
-    DEFAULT_TOL,
-    BipartiteState,
-    DensityMatrix,
-    haar_random_amplitudes,
-    schmidt_probe,
-)
+from qillum.states import DEFAULT_TOL, DensityMatrix, haar_random_amplitudes
 from qillum.discrimination import helstrom_error
 
 #: Floats in [0, 1] that draw both endpoints often (for eta and p0).
@@ -51,36 +46,30 @@ def partial_trace(m, d_left, d_right, side="right"):
 
 
 # ---------------------------------------------------------------------------
-# Probes as pure states, and their reductions.
-
-
-def amplitude_matrix(state):
-    """A pure state's amplitudes as the ``(d_s, d_i)`` matrix (signal-major)."""
-    return state.amplitudes.reshape(state.d_s, state.d_i)
+# Pure states as amplitude matrices, and their reductions.
 
 
 def bell_state(d):
-    """Maximally entangled state of two ``d``-dimensional subsystems:
-    amplitude ``1/sqrt(d)`` on every matched pair, zero elsewhere."""
+    """Amplitude matrix of the maximally entangled state of two
+    ``d``-dimensional subsystems: ``1/sqrt(d)`` on the diagonal."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    amp = np.zeros(d * d, dtype=complex)
-    amp[:: d + 1] = 1.0 / np.sqrt(d)
-    return BipartiteState(d, d, amp)
+    amp = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(amp, 1.0 / np.sqrt(d))
+    return amp
 
 
-def schmidt_family_state(d_s, spectrum):
-    """The sweep probe ``sum_m sqrt(lam_m) |m>|m>`` as a pure state: the
-    package's :func:`~qillum.states.schmidt_probe` (and its checks); the
-    idler dimension is ``len(spectrum)``."""
-    amp = schmidt_probe(d_s, spectrum)
-    return BipartiteState(d_s, amp.shape[1], amp)
+def projector(amp, tol=DEFAULT_TOL):
+    """The dense ``(d_s d_i)``-dimensional projector onto the pure state with
+    amplitude matrix ``amp``; its trace check is the state's norm check."""
+    v = np.asarray(amp, dtype=complex).reshape(-1)
+    return DensityMatrix(np.outer(v, v.conj()), tol)
 
 
-def idler_reduction(state):
+def idler_reduction(amp):
     """Reduced state of the idler: the signal factor traced out of the dense
     ``(d_s d_i)``-dimensional projector."""
-    return DensityMatrix(partial_trace(state.density().mat, state.d_s, state.d_i, side="left"))
+    return DensityMatrix(partial_trace(projector(amp).mat, *amp.shape, side="left"))
 
 
 def purity(rho):
@@ -110,22 +99,23 @@ def target_absent_state(d_s, phi_i, tol=DEFAULT_TOL):
     return DensityMatrix(np.kron(np.eye(d_s) / d_s, phi_i.mat), tol)
 
 
-def target_present_state(state, eta, rho1, tol=DEFAULT_TOL):
-    """``rho0 = eta * |psi><psi| + (1 - eta) * rho1``, with ``rho1`` the
-    probe's :func:`target_absent_state`."""
+def target_present_state(amp, eta, rho1, tol=DEFAULT_TOL):
+    """``rho0 = eta * |psi><psi| + (1 - eta) * rho1``, with ``amp`` the
+    amplitude matrix of ``psi`` and ``rho1`` its :func:`target_absent_state`."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return DensityMatrix(eta * state.density(tol).mat + (1.0 - eta) * rho1.mat, tol)
+    return DensityMatrix(eta * projector(amp, tol).mat + (1.0 - eta) * rho1.mat, tol)
 
 
-def channel_outputs(state, eta, tol=DEFAULT_TOL):
-    """Target-present and target-absent states ``(rho0, rho1)``.
+def channel_outputs(amp, eta, tol=DEFAULT_TOL):
+    """Target-present and target-absent states ``(rho0, rho1)`` for the probe
+    with amplitude matrix ``amp``.
 
     ``eta`` is the average fraction of signal photons received.  Both states
     are positive by construction.
     """
-    rho1 = target_absent_state(state.d_s, idler_reduction(state), tol)
-    return target_present_state(state, eta, rho1, tol), rho1
+    rho1 = target_absent_state(amp.shape[0], idler_reduction(amp), tol)
+    return target_present_state(amp, eta, rho1, tol), rho1
 
 
 def _real_overlap(a, b):
@@ -152,8 +142,9 @@ def hs_distinguishability(rho, sigma):
 
 
 def haar_random_state(d_s, d_i, seed):
-    """The uniformly random pure state ``haar_random_amplitudes`` draws from ``seed``."""
-    return BipartiteState(d_s, d_i, haar_random_amplitudes(d_s, d_i, [seed])[0])
+    """Amplitude matrix of the uniformly random pure state that
+    ``haar_random_amplitudes`` draws from ``seed``."""
+    return haar_random_amplitudes(d_s, d_i, [seed])[0]
 
 
 def povm_error(rho0, rho1, p0, povm):
@@ -211,20 +202,22 @@ def random_two_outcome_povm(rng, dim):
     return [e, np.eye(dim) - e]
 
 
-def product_baseline_state(state):
-    """Dense unentangled baseline of ``state``, the oracle for the closed form.
+def product_baseline_state(amp):
+    """Amplitude matrix of the unentangled baseline of the pure state
+    ``amp``, the oracle for the closed form.
 
     A product probe of the same dimensions: the signal carries the input's
     signal-reduction spectrum (descending) as populations of one pure
     vector, and the idler is pinned to level 0, so its effective rank is 1.
     """
-    rho_s = partial_trace(state.density().mat, state.d_s, state.d_i, side="right")
+    d_s, d_i = amp.shape
+    rho_s = partial_trace(projector(amp).mat, d_s, d_i, side="right")
     spectrum = np.linalg.eigvalsh(rho_s)[::-1]
     signal_amp = np.sqrt(np.clip(spectrum, 0.0, None))
     signal_amp /= np.linalg.norm(signal_amp)
-    amp = np.zeros(state.d_s * state.d_i, dtype=complex)
-    amp[:: state.d_i] = signal_amp
-    return BipartiteState(state.d_s, state.d_i, amp)
+    base = np.zeros((d_s, d_i), dtype=complex)
+    base[:, 0] = signal_amp
+    return base
 
 
 def unentangled_error(eta, d_s, p0=0.5):
@@ -243,12 +236,13 @@ def unentangled_error(eta, d_s, p0=0.5):
     return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
 
 
-def evaluate_state_metrics(state, eta, p0=0.5, tol=DEFAULT_TOL):
-    """Direct overlap and minimum error probability for one input state.
+def evaluate_state_metrics(amp, eta, p0=0.5, tol=DEFAULT_TOL):
+    """Direct overlap and minimum error probability for the pure input state
+    with amplitude matrix ``amp``.
 
     The dense route: both channel outputs as ``(d_s d_i)``-dimensional
     matrices, their overlap, and Helstrom's bound from a full eigensolve.
     The oracle for the closed form and the Schmidt-space kernel.
     """
-    rho0, rho1 = channel_outputs(state, eta, tol)
+    rho0, rho1 = channel_outputs(amp, eta, tol)
     return hs_distinguishability(rho0, rho1), helstrom_error(rho0, rho1, p0)

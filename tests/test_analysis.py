@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qillum import analysis
-from qillum.states import BipartiteState
+from qillum.states import schmidt_probe
 from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
     VerificationError,
@@ -28,7 +28,6 @@ from conftest import (
     haar_random_state,
     idler_reduction,
     product_baseline_state,
-    schmidt_family_state,
     unentangled_error,
 )
 
@@ -293,7 +292,7 @@ def spectrum_rows(*spectra):
     each held to the dense route within 1e-12."""
     records = run_sweep([0.5], [4], [fixed_spectrum_family(s) for s in spectra])
     for spec, r in zip(spectra, records):
-        h01, p_err = evaluate_state_metrics(schmidt_family_state(4, spec), 0.5)
+        h01, p_err = evaluate_state_metrics(schmidt_probe(4, spec), 0.5)
         assert abs(r.h01_closed - h01) <= 1e-12
         assert abs(r.p_err - p_err) <= 1e-12
     return records
@@ -329,7 +328,7 @@ class TestSweepMatchesDenseOracle:
         assume(max(entries) >= 1e-3)
         spectrum = np.array(entries) / sum(entries)
         (record,) = run_sweep([eta], [d_s], [fixed_spectrum_family(spectrum)], p0)
-        state = schmidt_family_state(d_s, spectrum)
+        state = schmidt_probe(d_s, spectrum)
         h01, p_err = evaluate_state_metrics(state, eta, p0)
         assert record.d_i == spectrum.size
         assert abs(record.k_i - effective_rank_k(idler_reduction(state))) <= 1e-12
@@ -372,10 +371,9 @@ class TestCiSignalMarginalChoice:
         for _ in range(6):
             sig = rng.standard_normal(d_s) + 1j * rng.standard_normal(d_s)
             sig /= np.linalg.norm(sig)
-            amp = np.zeros(d_s * d_i, dtype=complex)
-            amp[::d_i] = sig  # idler pinned to level 0
-            state = BipartiteState(d_s, d_i, amp)
-            _, p_err = evaluate_state_metrics(state, eta)
+            amp = np.zeros((d_s, d_i), dtype=complex)
+            amp[:, 0] = sig  # idler pinned to level 0
+            _, p_err = evaluate_state_metrics(amp, eta)
             values.append(p_err)
         assert max(values) - min(values) < 1e-10
         # and the analytic value for any pure signal

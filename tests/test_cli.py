@@ -184,14 +184,21 @@ class TestSweep:
                 assert int(first) % len(families) == families.index(family)
 
     def test_plot_titles_keep_quotes_in_file_names(self, tmp_path):
-        """A title is a single-quoted gnuplot string, in which a doubled quote
-        stands for one; a double quote needs no escape."""
+        """File names and titles are single-quoted gnuplot strings, in which a
+        doubled quote stands for one and a double quote or a backslash
+        stands for itself."""
         spec = write_json(tmp_path / """it's "q".json""", [0.5, 0.5])
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / """x"y'z\\w.csv"""
         argv = ["sweep", "--eta", "0,1", "--d", "2", "--family", f"spectrum:{spec}", "--plot", "--out", str(out)]
         assert main(argv) == 0
-        titles = re.findall(r"title '((?:[^']|'')*)'$", out.with_suffix(".gp").read_text(), re.M)
+        script = out.with_suffix(".gp").read_text()
+        quoted = r"'((?:[^']|'')*)'"
+        titles = re.findall(rf"title {quoted}$", script, re.M)
         assert [t.replace("''", "'") for t in titles] == [f"{kind} d_s=2 spectrum:{spec}" for kind in ("overlap", "p_err")]
+        (png,) = re.findall(rf"^set output {quoted}$", script, re.M)
+        assert png.replace("''", "'") == """x"y'z\\w.png"""
+        data = re.findall(rf"^(?:plot |  ){quoted} skip 1 ", script, re.M)
+        assert [d.replace("''", "'") for d in data] == [out.name] * 2
 
     def test_bad_grid_exits_1(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -304,6 +311,15 @@ class TestHelstrom:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_integral_float_dimensions_pass(self, tmp_path, capsys):
+        """A dimension is an integral JSON number: ``2.0`` reads as ``2``."""
+        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 0
+        want = capsys.readouterr().out
+        bell = {**BELL_2, "d_s": 2.0, "d_i": 2.0}
+        mixed = {**MIXED_4, "dim": 4.0}
+        assert run_helstrom(tmp_path, bell, mixed, "--p0", "0.35", "--povm") == 0
+        assert capsys.readouterr().out == want
+
     def test_rejects_negative_eigenvalue(self, tmp_path, capsys):
         # Hermitian with unit trace, but eigenvalues 1.2 and -0.2
         bad = {"dim": 2, "entries": [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]}
@@ -323,6 +339,15 @@ class TestProblemValidation:
         "spec_strings": '["0.5", "0.5"]',
         "spec_booleans": "[true, false]",
         "spec_huge_int": f"[1{'0' * 400}, 0]",
+        # each is a valid two-dimensional state if the value is read with
+        # int() or complex(): d_s as 2, d_i as 1, true as 1 and false as 0
+        "d_s_2_9": '{"d_s": 2.9, "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}',
+        "d_i_true": '{"d_s": 2, "d_i": true, "amplitudes": [[1, 0], [0, 0]]}',
+        "d_s_string": '{"d_s": "2", "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}',
+        "amp_booleans": '{"d_s": 2, "d_i": 1, "amplitudes": [[true, false], [false, false]]}',
+        "dim_2_5": '{"dim": 2.5, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        "dim_string": '{"dim": "2", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        "entries_booleans": '{"dim": 2, "entries": [[[0.5, 0], [0, false]], [[0, 0], [0.5, 0]]]}',
     }
 
     @pytest.mark.parametrize("argv", [
@@ -342,11 +367,20 @@ class TestProblemValidation:
         ["sweep", "--eta", "0.5", "--d", "2", "--family", "spectrum:{spec_huge_int}", "--out", "{out}"],
         ["helstrom", "--state0", "{dim_1e400}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{d_s_1e400}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{d_s_2_9}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{d_i_true}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{d_s_string}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{amp_booleans}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{dim_2_5}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{dim_string}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{entries_booleans}", "--state1", "{mixed_2}"],
     ], ids=[
         "dimension-mismatch", "helstrom-p0", "verify-bell-p0", "verify-bell-d-1",
         "verify-bell-samples-0", "verify-bell-eta-2", "verify-bell-eta-nan", "sweep-d-inf", "sweep-d-1e400",
         "spectrum-null", "spectrum-nested", "spectrum-strings", "spectrum-booleans",
         "spectrum-huge-int", "helstrom-dim-1e400", "helstrom-d_s-1e400",
+        "helstrom-d_s-2.9", "helstrom-d_i-true", "helstrom-d_s-string", "helstrom-amplitude-booleans",
+        "helstrom-dim-2.5", "helstrom-dim-string", "helstrom-entry-booleans",
     ])
     def test_exits_1(self, tmp_path, capsys, argv):
         files = {"out": str(tmp_path / "sweep.csv")}

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qillum import discrimination
-from qillum.states import DEFAULT_TOL as TOL, DensityMatrix
+from qillum.states import DEFAULT_TOL as TOL, DensityMatrix, schmidt_probe
 from qillum.discrimination import (
     channel_overlap,
     h01_closed_form,
@@ -37,7 +37,6 @@ from conftest import (
     random_projective_povm,
     random_two_outcome_povm,
     random_unitary,
-    schmidt_family_state,
     unentangled_error,
 )
 
@@ -191,12 +190,12 @@ class TestSchmidtHelstrom:
         if haar:
             state, weights = haar_weights(d_s, d_i, seed)
         else:
-            # schmidt_family_state pairs idler level m with signal mode m,
-            # so its idler dimension is at most d_s
+            # schmidt_probe pairs idler level m with signal mode m, so its
+            # idler dimension is at most d_s
             weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()
-            state = schmidt_family_state(d_s, weights)
+            state = schmidt_probe(d_s, weights)
         dense = helstrom_error(*channel_outputs(state, eta), p0)
         assert abs(schmidt_helstrom_error(weights, eta, d_s, p0) - dense) <= 1e-12
 

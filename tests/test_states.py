@@ -1,11 +1,11 @@
 """Tests for state construction and validation, Schmidt coefficients, the
-wire format, and the state builders and reduction oracle of ``conftest``."""
+wire format, and the amplitude-matrix builders and reduction oracle of
+``conftest``."""
 
 import numpy as np
 import pytest
 
 from qillum.states import (
-    BipartiteState,
     DensityMatrix,
     density_from_dict,
     density_to_dict,
@@ -13,16 +13,22 @@ from qillum.states import (
     state_from_dict,
 )
 from conftest import (
-    amplitude_matrix,
     bell_state,
     effective_rank_k,
     haar_random_state,
     idler_reduction,
     max_abs_diff,
     partial_trace,
+    projector,
     purity,
-    schmidt_family_state,
 )
+
+
+def pure_state_dict(amp):
+    """The wire-format object of the pure state with amplitude matrix ``amp``."""
+    d_s, d_i = np.shape(amp)
+    pairs = [[z.real, z.imag] for z in np.asarray(amp, dtype=complex).reshape(-1).tolist()]
+    return {"d_s": d_s, "d_i": d_i, "amplitudes": pairs}
 
 
 class TestDensityMatrix:
@@ -54,31 +60,12 @@ class TestDensityMatrix:
             rho.mat[0, 0] = 9.0
 
 
-class TestBipartiteState:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            BipartiteState(2, 1, np.array([1.0, 1.0]))
-
-    def test_rejects_small_signal(self):
-        with pytest.raises(ValueError):
-            BipartiteState(1, 2, np.array([1.0, 0.0]))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            BipartiteState(2, 2, np.array([1.0, 0.0]))
-
-    def test_projector_is_rank_one(self):
-        st = bell_state(2)
-        w = np.linalg.eigvalsh(st.density().mat)
-        assert np.allclose(sorted(w)[-1], 1.0)
-        assert np.allclose(w[:-1], 0.0, atol=1e-12)
-
-
 class TestBellState:
     def test_qubit_amplitudes(self):
         st = bell_state(2)
-        expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        assert max_abs_diff(st.amplitudes, expected) == 0.0
+        expected = np.array([[1, 0], [0, 1]], dtype=complex) / np.sqrt(2)
+        assert st.shape == (2, 2)
+        assert max_abs_diff(st, expected) == 0.0
 
     def test_idler_reduction_is_maximally_mixed(self):
         rho = idler_reduction(bell_state(4))
@@ -95,20 +82,20 @@ class TestReductions:
         assert max_abs_diff(rho.mat, np.eye(2) / 2) < 1e-12
 
     def test_product_state_pure_idler(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[0] = 1.0
-        rho = idler_reduction(BipartiteState(2, 2, amp))
+        amp = np.zeros((2, 2), dtype=complex)
+        amp[0, 0] = 1.0
+        rho = idler_reduction(amp)
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_skewed_superposition(self):
-        amp = np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)], dtype=complex)
-        rho = idler_reduction(BipartiteState(2, 2, amp))
+        amp = np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(complex)
+        rho = idler_reduction(amp)
         assert max_abs_diff(rho.mat, np.diag([0.8, 0.2])) < 1e-12
 
     def test_reductions_share_nonzero_spectra(self):
         for seed, (d_s, d_i) in enumerate([(2, 5), (4, 3), (5, 5)]):
             st = haar_random_state(d_s, d_i, seed=seed)
-            rho_s = partial_trace(st.density().mat, d_s, d_i, side="right")
+            rho_s = partial_trace(projector(st).mat, d_s, d_i, side="right")
             ws = np.linalg.eigvalsh(rho_s)[::-1]
             wi = np.linalg.eigvalsh(idler_reduction(st).mat)[::-1]
             r = min(d_s, d_i)
@@ -139,12 +126,13 @@ class TestEffectiveRank:
 class TestHaarRandomState:
     def test_normalized(self):
         st = haar_random_state(3, 4, seed=0)
-        assert abs(np.vdot(st.amplitudes, st.amplitudes).real - 1.0) < 1e-12
+        assert st.shape == (3, 4)
+        assert abs(np.vdot(st, st).real - 1.0) < 1e-12
 
     def test_seed_determinism(self):
         a = haar_random_state(3, 4, seed=123)
         b = haar_random_state(3, 4, seed=123)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -160,8 +148,7 @@ class TestHaarRandomState:
         n = 10_000
         k_lib = np.empty(n)
         for i in range(n):
-            st = haar_random_state(2, 2, seed=50_000 + i)
-            a = amplitude_matrix(st)
+            a = haar_random_state(2, 2, seed=50_000 + i)
             rho = a.conj().T @ a
             k_lib[i] = 1.0 / np.real(np.trace(rho @ rho))
 
@@ -184,31 +171,31 @@ class TestHaarRandomState:
 
 
 class TestSchmidtFamilyState:
-    """``schmidt_probe`` through the pure state it defines, whose dense
-    idler reduction must be ``diag(spectrum)``."""
+    """``schmidt_probe``'s amplitude matrix, whose dense idler reduction
+    must be ``diag(spectrum)``."""
 
     def test_rank_one_is_product(self):
-        st = schmidt_family_state(3, [1.0])
-        assert st.d_i == 1
+        st = schmidt_probe(3, [1.0])
+        assert st.shape == (3, 1)
         assert effective_rank_k(idler_reduction(st)) == pytest.approx(1.0)
 
     def test_uniform_matches_bell(self):
-        st = schmidt_family_state(3, np.full(3, 1 / 3))
-        assert max_abs_diff(st.amplitudes, bell_state(3).amplitudes) < 1e-12
+        st = schmidt_probe(3, np.full(3, 1 / 3))
+        assert max_abs_diff(st, bell_state(3)) < 1e-12
 
     def test_prescribed_spectrum(self):
-        st = schmidt_family_state(4, [0.5, 0.3, 0.2])
+        st = schmidt_probe(4, [0.5, 0.3, 0.2])
         rho = idler_reduction(st)
         assert max_abs_diff(rho.mat, np.diag([0.5, 0.3, 0.2])) < 1e-12
         assert effective_rank_k(rho) == pytest.approx(1 / 0.38, abs=1e-12)
 
     def test_rejects_bad_spectra(self):
         with pytest.raises(ValueError):
-            schmidt_family_state(2, [0.5, 0.3, 0.2])  # longer than d_s
+            schmidt_probe(2, [0.5, 0.3, 0.2])  # longer than d_s
         with pytest.raises(ValueError):
-            schmidt_family_state(3, [0.7, 0.7, -0.4])
+            schmidt_probe(3, [0.7, 0.7, -0.4])
         with pytest.raises(ValueError):
-            schmidt_family_state(3, [0.5, 0.3])  # sums to 0.8
+            schmidt_probe(3, [0.5, 0.3])  # sums to 0.8
 
     def test_diagonal_holds_unit_roots_of_the_spectrum(self):
         amp = schmidt_probe(5, [0.0, 0.52, 0.01, 0.47])
@@ -243,11 +230,36 @@ class TestSchmidtFamilyState:
 
 class TestJsonFormat:
     def test_state_round_trip(self):
+        """A pure state decodes to its projector, built from the same
+        amplitudes as the dense oracle's."""
         st = haar_random_state(2, 3, seed=8)
-        obj = {"d_s": 2, "d_i": 3, "amplitudes": [[z.real, z.imag] for z in st.amplitudes]}
-        back = state_from_dict(obj)
-        assert back.d_s == 2 and back.d_i == 3
-        assert max_abs_diff(back.amplitudes, st.amplitudes) < 1e-15
+        back = state_from_dict(pure_state_dict(st))
+        assert isinstance(back, DensityMatrix) and back.dim == 6
+        assert max_abs_diff(back.mat, projector(st).mat) == 0.0
+
+    def test_state_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="squared norm 2, expected 1"):
+            state_from_dict(pure_state_dict([[1.0], [1.0]]))
+        with pytest.raises(ValueError, match="squared norm 0.5"):
+            state_from_dict(pure_state_dict(np.full((2, 1), 0.5)))
+        state_from_dict(pure_state_dict(np.full((2, 1), 0.5)), tol=0.6)  # within a loose tol
+
+    def test_state_rejects_small_signal(self):
+        with pytest.raises(ValueError, match="signal dimension must be >= 2, got 1"):
+            state_from_dict(pure_state_dict([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="idler dimension must be >= 1, got 0"):
+            state_from_dict({"d_s": 2, "d_i": 0, "amplitudes": []})
+
+    def test_state_rejects_wrong_length(self):
+        obj = {"d_s": 2, "d_i": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError, match="expected 4 amplitudes, got 2"):
+            state_from_dict(obj)
+
+    def test_state_projector_is_rank_one(self):
+        rho = state_from_dict(pure_state_dict(bell_state(2)))
+        w = np.linalg.eigvalsh(rho.mat)
+        assert np.allclose(sorted(w)[-1], 1.0)
+        assert np.allclose(w[:-1], 0.0, atol=1e-12)
 
     def test_density_round_trip(self):
         rho = idler_reduction(haar_random_state(3, 3, seed=2))
@@ -259,3 +271,8 @@ class TestJsonFormat:
             state_from_dict({"d_s": 2, "d_i": 2})
         with pytest.raises(ValueError):
             density_from_dict({"dim": 2, "entries": [[[1, 0]]]})
+        # the right number of values, in the wrong shape
+        with pytest.raises(ValueError, match=r"expected \[re, im\] pairs"):
+            state_from_dict({"d_s": 2, "d_i": 1, "amplitudes": [[1, 0, 0], [0]]})
+        with pytest.raises(ValueError, match="rows differ in length"):
+            density_from_dict({"dim": 2, "entries": [[[0.5, 0], [0, 0], [0, 0]], [[0.5, 0]]]})
