@@ -11,7 +11,9 @@ coefficients ``sqrt(lam)`` on the diagonal: the error comes from the
 weights ``lam`` and the overlap from traces of that matrix, so no dense
 ``(d_s d_i)``-dimensional channel output is built.  Each probe is
 evaluated over the whole ``eta`` grid, one call per column; the unentangled
-baseline is the kernel at the single weight 1.  The dense minimum
+baseline is the kernel at the single weight 1.  A sweep is one float table,
+a row per grid point, with the columns ``analysis.SWEEP_COLUMNS`` names;
+the command line writes it as CSV.  The dense minimum
 error (trace-norm diagonalization, with the optimal measurement) serves
 arbitrary stored states, a pure one as its projector.  Inputs are
 validated where they enter, in :mod:`qillum.states` and at the user

@@ -13,8 +13,9 @@ its ``(d_s, d_i)`` amplitude matrix, with its Schmidt coefficients on the
 diagonal: the weights come from that diagonal, and the direct overlap from
 traces of the matrix (:func:`~qillum.discrimination.channel_overlap`), the
 route independent of the closed form.  A sweep evaluates one probe at a
-time as columns over the whole eta grid, one call per column, and checks
-the finished columns once.  The optimality check takes each sample's
+time as columns over the whole eta grid, one call per column, and returns
+one float table whose columns :data:`SWEEP_COLUMNS` names, checked once
+when it is finished.  The optimality check takes each sample's
 Schmidt weights from one stacked singular-value decomposition and its
 overlap from the closed form.  The dense channel outputs, their overlap
 and ``helstrom_error`` on them are the tests' oracle for both, and the
@@ -38,6 +39,13 @@ from .discrimination import channel_overlap, h01_closed_form, schmidt_helstrom_e
 Family = Callable[[int], np.ndarray]
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
+#: The columns of a sweep table (:func:`run_sweep`), in CSV order:
+#: ``h01_closed`` is the closed-form overlap at the effective idler rank
+#: ``k_i``, ``h01_direct`` the same from traces of the amplitude matrix (never
+#: through ``k_i``), ``p_err`` the probe's minimum error, ``p_err_ci`` that of
+#: the unentangled baseline (the kernel at weight 1) and ``advantage`` the
+#: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
+SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Largest number of rows (eta x dimension x family) one sweep may have.
 MAX_SWEEP_ROWS = 10_000
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
@@ -48,29 +56,6 @@ _CHUNK_AMPLITUDES = 1 << 16
 
 class VerificationError(ValueError):
     """A computed result failed one of its numerical cross-checks."""
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a parameter sweep, checked by :func:`run_sweep`.
-
-    ``h01_closed`` is the closed-form overlap at the effective idler rank
-    ``k_i``; ``h01_direct`` is the same overlap from traces of the probe's
-    amplitude matrix, which never goes through ``k_i``.  ``p_err`` is the
-    probe's minimum error probability, ``p_err_ci`` that of the unentangled
-    baseline (the kernel at the single weight 1), and ``advantage`` the
-    closed-form overlap gap between the two.
-    """
-
-    eta: float
-    d_s: int
-    d_i: int
-    k_i: float
-    h01_closed: float
-    h01_direct: float
-    p_err: float
-    p_err_ci: float
-    advantage: float
 
 
 def bell_family() -> Family:
@@ -105,19 +90,20 @@ def run_sweep(
     dims: Iterable[int],
     families: Sequence[Family],
     p0: float = 0.5,
-) -> list[SweepRecord]:
-    """Evaluate the full pipeline on a grid.
+) -> np.ndarray:
+    """Evaluate the full pipeline on a grid, as a float table: one row per
+    point, ordered lexicographically (eta outermost, then dimension, then
+    family), with the columns :data:`SWEEP_COLUMNS`.
 
-    Emits one record per point, ordered lexicographically (eta outermost,
-    then dimension, then family).  Each (dimension, family) probe's
-    amplitude matrix is built once, and each of its columns is one call
-    over the whole eta grid: the closed form at ``k_i = 1 / sum(lam^2)``,
-    ``h01_direct`` from traces of the matrix (its independent check) and
-    ``p_err`` from the kernel (one stacked eigensolve) on the weights
-    ``lam``, the squared diagonal; ``p_err_ci`` is the kernel at the single
-    weight 1.  The cross-checks run once, on the finished columns.  Raises
-    ``ValueError`` for grid entries outside their ranges, a grid of more
-    than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    Each (dimension, family) probe's amplitude matrix is built once, and
+    each of its columns is one call over the whole eta grid: the closed
+    form at ``k_i = 1 / sum(lam^2)``, ``h01_direct`` from traces of the
+    matrix (its independent check) and ``p_err`` from the kernel (one
+    stacked eigensolve) on the weights ``lam``, the squared diagonal;
+    ``p_err_ci`` is the kernel at the single weight 1.  The cross-checks
+    run once, on the finished table.  Raises ``ValueError`` for grid
+    entries outside their ranges, a grid of more than
+    :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a row that
     fails its cross-checks.
     """
@@ -132,7 +118,7 @@ def run_sweep(
         if d < 2:
             raise ValueError(f"signal dimension must be >= 2, got {d}")
 
-    probes = {}
+    probes, ones = {}, np.ones(len(etas))  # x * ones spreads x over the grid exactly
     for d_s in dict.fromkeys(dims):
         p_err_ci = schmidt_helstrom_error([1.0], etas, d_s, p0)
         h01_rank_one = h01_closed_form(etas, d_s, 1.0)
@@ -144,33 +130,33 @@ def run_sweep(
             # can move the last bit of k_i
             k_i = 1.0 / float(np.cumsum(lam * lam)[-1])
             h01_closed = h01_closed_form(etas, d_s, k_i)
-            h01_direct = channel_overlap(amplitudes, etas)
-            p_err = schmidt_helstrom_error(np.sort(lam), etas, d_s, p0)
-            columns = (h01_closed, h01_direct, p_err, p_err_ci, h01_rank_one - h01_closed)
-            probes[d_s, f] = (amplitudes.shape[1], k_i, np.stack(columns))
+            values = dict(
+                eta=etas, d_s=d_s, d_i=amplitudes.shape[1], k_i=k_i, h01_closed=h01_closed,
+                h01_direct=channel_overlap(amplitudes, etas),
+                p_err=schmidt_helstrom_error(np.sort(lam), etas, d_s, p0),
+                p_err_ci=p_err_ci, advantage=h01_rank_one - h01_closed,
+            )
+            probes[d_s, f] = np.column_stack([values[name] * ones for name in SWEEP_COLUMNS])
 
-    keys = [(d_s, f) for d_s in dims for f in range(len(families))]
-    # (column, eta, probe): the rows in their output order
-    table = np.stack([probes[key][2] for key in keys], axis=-1)
-    h01_closed, h01_direct, p_err, p_err_ci, _ = table
-    gap = np.abs(h01_closed - h01_direct)
-    bad = np.argwhere(~(gap < RECORD_AGREEMENT_TOL))  # NaN fails every check
+    # (eta, probe, column), flattened to the rows in their output order
+    blocks = [probes[d_s, f] for d_s in dims for f in range(len(families))]
+    table = np.stack(blocks, axis=1).reshape(n_rows, len(SWEEP_COLUMNS))
+    column = dict(zip(SWEEP_COLUMNS, table.T))
+    gap = np.abs(column["h01_closed"] - column["h01_direct"])
+    bad = np.flatnonzero(~(gap < RECORD_AGREEMENT_TOL))  # NaN fails every check
     if bad.size:
-        e, j = bad[0]
+        r = bad[0]
         raise VerificationError(
-            f"closed/direct overlap disagree by {gap[e, j]:.3e} at "
-            f"(eta={etas[e]}, d_s={keys[j][0]}, k_i={probes[keys[j]][1]})"
+            f"closed/direct overlap disagree by {gap[r]:.3e} at (eta={column['eta'][r]}, "
+            f"d_s={int(column['d_s'][r])}, k_i={column['k_i'][r]})"
         )
     p_min = min(p0, 1.0 - p0)
-    for name, p in (("p_err", p_err), ("p_err_ci", p_err_ci)):
+    for name in ("p_err", "p_err_ci"):
+        p = column[name]
         bad = ~((-1e-12 <= p) & (p <= p_min + 1e-10))
         if bad.any():
             raise VerificationError(f"{name}={p[bad][0]} outside [0, {p_min}]")
-    return [
-        SweepRecord(eta, d_s, *probes[d_s, f][:2], *table[:, e, j].tolist())
-        for e, eta in enumerate(etas)
-        for j, (d_s, f) in enumerate(keys)
-    ]
+    return table
 
 
 @dataclass(frozen=True)

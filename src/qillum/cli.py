@@ -1,6 +1,11 @@
 """Command-line front end: parameter sweeps, optimality verification and
 one-off minimum-error queries on states stored as JSON files.
 
+The parser is built on the first :func:`main` call and reused for the
+process.  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table as
+CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
+through :func:`_fmt`.
+
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
 failure.  A run that runs out of memory (an oversized dimension) also
 exits 1.  The ``QI_TOL`` environment variable overrides the default
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,8 +31,8 @@ from pathlib import Path
 from .states import DEFAULT_TOL, density_from_dict, density_to_dict, require_numbers, state_from_dict
 from .discrimination import helstrom_error, optimal_povm
 from .analysis import (
+    SWEEP_COLUMNS,
     Family,
-    SweepRecord,
     VerificationError,
     bell_family,
     fixed_spectrum_family,
@@ -35,7 +41,7 @@ from .analysis import (
     verify_bell_optimality,
 )
 
-CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRecord))
+CSV_HEADER = ",".join(SWEEP_COLUMNS)
 MARGIN_FLOOR = -1e-9
 #: Largest number of points a ``start:step:stop`` range may expand to.
 MAX_RANGE_POINTS = 10_000
@@ -127,9 +133,9 @@ def parse_family(text: str, tol: float) -> Family:
     raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
-def render_sweep_csv(records) -> str:
-    """Format checked records as CSV."""
-    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in dataclasses.astuple(r)) for r in records]
+def render_sweep_csv(table) -> str:
+    """A checked sweep table as CSV, every cell through :func:`_fmt`."""
+    lines = [CSV_HEADER] + [",".join(map(_fmt, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -142,7 +148,8 @@ def _gnuplot_string(text: str) -> str:
 def render_gnuplot_script(csv_path: Path, dims: list[int], families: list[str]) -> str:
     """Overlap and error against eta, one curve per distinct (d_s, family): an
     ``every`` stride of one eta's row count from one of the curve's rows.
-    File names and titles are single-quoted gnuplot strings."""
+    The plotted columns are found by name in :data:`SWEEP_COLUMNS`.  File
+    names and titles are single-quoted gnuplot strings."""
     rows = {d: j * len(families) for j, d in enumerate(dims)}  # a repeated d_s: its last rows
     curves = [(row + f, f"d_s={d} {name}") for d, row in rows.items() for f, name in enumerate(families)]
     lines = [
@@ -154,10 +161,12 @@ def render_gnuplot_script(csv_path: Path, dims: list[int], families: list[str]) 
         'set xlabel "eta"',
         "set key outside",
     ]
-    for label, column, kind in (("normalized overlap", 6, "overlap"), ("error probability", 7, "p_err")):
+    x = SWEEP_COLUMNS.index("eta") + 1
+    for label, column, kind in (("normalized overlap", "h01_direct", "overlap"), ("error probability", "p_err", "p_err")):
+        y = SWEEP_COLUMNS.index(column) + 1
         plots = ", \\\n  ".join(
             f"{_gnuplot_string(csv_path.name)} skip 1 every {len(dims) * len(families)}::{first} "
-            f"using 1:{column} with linespoints title {_gnuplot_string(f'{kind} {title}')}"
+            f"using {x}:{y} with linespoints title {_gnuplot_string(f'{kind} {title}')}"
             for first, title in curves
         )
         lines += [f'set ylabel "{label}"', f"plot {plots}"]
@@ -171,12 +180,12 @@ def cmd_sweep(args, tol: float) -> int:
     names = args.family or ["bell"]
     families = [parse_family(f, tol) for f in names]
     try:
-        records = run_sweep(etas, dims, families, p0=args.p0)
+        table = run_sweep(etas, dims, families, p0=args.p0)
     except VerificationError as exc:
         print(f"numerical verification failed: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.write_text(render_sweep_csv(records))
+    out.write_text(render_sweep_csv(table))
     if args.plot:
         out.with_suffix(".gp").write_text(render_gnuplot_script(out, dims, names))
     return 0
@@ -252,10 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -169,12 +169,9 @@ def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def density_to_dict(mat: np.ndarray) -> dict:
-    """Encode a square matrix (a density matrix's ``mat``, or a POVM
-    element) in the JSON wire format."""
-    return {
-        "dim": mat.shape[0],
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in mat],
-    }
+    """Encode a square complex matrix (a density matrix's ``mat``, or a POVM
+    element) in the JSON wire format: ``[re, im]`` float pairs, row-major."""
+    return {"dim": mat.shape[0], "entries": np.stack((mat.real, mat.imag), -1).tolist()}
 
 
 def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qillum.states import DEFAULT_TOL, DensityMatrix, haar_random_amplitudes
 from qillum.discrimination import helstrom_error
+from qillum.analysis import SWEEP_COLUMNS
 
 #: Floats in [0, 1] that draw both endpoints often (for eta and p0).
 UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -24,6 +25,11 @@ UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def max_abs_diff(a, b):
     """Largest entrywise magnitude of ``a - b``."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def sweep_columns(table):
+    """The columns of a sweep table by name (``SWEEP_COLUMNS``)."""
+    return dict(zip(SWEEP_COLUMNS, table.T))
 
 
 def partial_trace(m, d_left, d_right, side="right"):

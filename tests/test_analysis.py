@@ -13,6 +13,7 @@ from qillum import analysis
 from qillum.states import schmidt_probe
 from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
+    SWEEP_COLUMNS,
     VerificationError,
     bell_family,
     fixed_spectrum_family,
@@ -28,34 +29,36 @@ from conftest import (
     haar_random_state,
     idler_reduction,
     product_baseline_state,
+    sweep_columns,
     unentangled_error,
 )
 
 
 class TestRunSweep:
     def test_single_point_zero_signal(self):
-        records = run_sweep([0.0], [2], [bell_family()])
-        assert len(records) == 1
-        r = records[0]
-        assert r.h01_closed == 1.0
-        assert r.h01_direct == pytest.approx(1.0, abs=1e-12)
-        assert r.p_err == pytest.approx(0.5, abs=1e-12)
+        table = run_sweep([0.0], [2], [bell_family()])
+        assert table.shape == (1, len(SWEEP_COLUMNS))
+        r = sweep_columns(table)
+        assert r["h01_closed"][0] == 1.0
+        assert r["h01_direct"][0] == pytest.approx(1.0, abs=1e-12)
+        assert r["p_err"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_bell_qubit_full_signal(self):
-        r = run_sweep([1.0], [2], [bell_family()])[0]
-        assert r.h01_closed == pytest.approx(0.5, abs=1e-12)
+        r = sweep_columns(run_sweep([1.0], [2], [bell_family()]))
+        assert r["h01_closed"][0] == pytest.approx(0.5, abs=1e-12)
         # trace-norm oracle: 0.5 * (bell projector - I/4) has eigenvalues
         # 0.5 * {3/4, -1/4, -1/4, -1/4}, so the norm is 0.75 and p_err 0.125
-        assert r.p_err == pytest.approx(0.125, abs=1e-12)
+        assert r["p_err"][0] == pytest.approx(0.125, abs=1e-12)
 
     def test_overlap_column_strictly_decreasing_in_eta(self):
-        records = run_sweep([0.0, 0.25, 0.5, 0.75, 1.0], [2], [bell_family()])
-        h = [r.h01_direct for r in records]
+        table = run_sweep([0.0, 0.25, 0.5, 0.75, 1.0], [2], [bell_family()])
+        h = sweep_columns(table)["h01_direct"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
 
     def test_lexicographic_ordering(self):
-        records = run_sweep([0.2, 0.7], [2, 3], [uniform_rank_family(1), bell_family()])
-        keys = [(r.eta, r.d_s, r.k_i) for r in records]
+        table = run_sweep([0.2, 0.7], [2, 3], [uniform_rank_family(1), bell_family()])
+        r = sweep_columns(table)
+        keys = list(zip(r["eta"].tolist(), r["d_s"].tolist(), r["k_i"].tolist()))
         assert keys == sorted(keys)
 
     def test_rejects_bad_grid(self):
@@ -69,9 +72,9 @@ class TestRunSweep:
             run_sweep([0.5], [2], [uniform_rank_family(3)])  # rank > d_s
 
     def test_ci_column_matches_rank_one_family(self):
-        records = run_sweep([0.6], [3], [uniform_rank_family(1)])
-        assert records[0].p_err == pytest.approx(records[0].p_err_ci, abs=1e-12)
-        assert records[0].advantage == pytest.approx(0.0, abs=1e-12)
+        r = sweep_columns(run_sweep([0.6], [3], [uniform_rank_family(1)]))
+        assert r["p_err"][0] == pytest.approx(r["p_err_ci"][0], abs=1e-12)
+        assert r["advantage"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_dense_channel_output(self):
         """At d = 32 one dense (d_s d_i)-dimensional complex matrix alone
@@ -139,44 +142,45 @@ class TestSweepColumns:
 
         monkeypatch.setattr(analysis, "schmidt_helstrom_error", counted)
         families = [bell_family(), uniform_rank_family(2), fixed_spectrum_family([0.5, 0.3, 0.2])]
-        records = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5], families)
-        assert len(records) == 24
+        table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5], families)
+        assert len(table) == 24
         # per dimension: the baseline (one weight), then one call per family
         assert calls == [(1, 4), (3, 4), (2, 4), (3, 4), (1, 4), (5, 4), (2, 4), (3, 4)]
 
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_baseline_column_is_the_closed_form(self, p0):
         etas, dims = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0], [2, 3, 7, 16]
-        records = run_sweep(etas, dims, [bell_family(), uniform_rank_family(1)], p0)
-        assert len(records) == 48
-        for r in records:
-            assert r.p_err_ci == unentangled_error(r.eta, r.d_s, p0)
+        table = run_sweep(etas, dims, [bell_family(), uniform_rank_family(1)], p0)
+        assert len(table) == 48
+        r = sweep_columns(table)
+        for eta, d_s, p_err_ci in zip(r["eta"].tolist(), r["d_s"].tolist(), r["p_err_ci"].tolist()):
+            assert p_err_ci == unentangled_error(eta, int(d_s), p0)
 
     def test_rows_equal_single_point_sweeps(self):
         """Each row of a grid equals a sweep of its point alone."""
         etas, dims = [0.2, 0.0, 1.0, 0.65], [4, 3, 4]
         families = [bell_family(), fixed_spectrum_family([0.7, 1e-12, 0.3 - 1e-12])]
-        records = run_sweep(etas, dims, families, 0.37)
+        table = run_sweep(etas, dims, families, 0.37)
         points = [(e, d, f) for e in etas for d in dims for f in families]
-        assert len(records) == len(points)
-        for r, (e, d, f) in zip(records, points):
-            assert r == run_sweep([e], [d], [f], 0.37)[0]
+        assert len(table) == len(points)
+        for row, (e, d, f) in zip(table.tolist(), points):
+            assert row == run_sweep([e], [d], [f], 0.37)[0].tolist()
 
 
 class TestVerifyMonotonicity:
     def test_eta_axis_rank_one(self):
         # closed form collapses to 1/sqrt(1 + eta^2) for d_s=2, k_i=1
         etas = [0.0, 0.25, 0.5, 0.75, 1.0]
-        records = run_sweep(etas, [2], [uniform_rank_family(1)])
+        r = sweep_columns(run_sweep(etas, [2], [uniform_rank_family(1)]))
         expected = [1 / np.sqrt(1 + e**2) for e in etas]
-        assert np.allclose([r.h01_closed for r in records], expected, atol=1e-12)
-        h = [r.h01_direct for r in records]
+        assert np.allclose(r["h01_closed"], expected, atol=1e-12)
+        h = r["h01_direct"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
 
     def test_bell_dimension_axis(self):
-        records = run_sweep([0.5], [2, 3, 4, 5], [bell_family()])
-        h = [r.h01_direct for r in records]
-        p = [r.p_err for r in records]
+        r = sweep_columns(run_sweep([0.5], [2, 3, 4, 5], [bell_family()]))
+        h = r["h01_direct"].tolist()
+        p = r["p_err"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
         assert all(b < a for a, b in zip(p, p[1:]))
 
@@ -184,9 +188,9 @@ class TestVerifyMonotonicity:
         """Flat spectra of rising rank form a majorization chain, so the error
         may not rise along them either."""
         families = [uniform_rank_family(r) for r in (1, 2, 3, 4)]
-        records = run_sweep([0.7], [4], families)
-        h = [r.h01_direct for r in records]
-        p = [r.p_err for r in records]
+        r = sweep_columns(run_sweep([0.7], [4], families))
+        h = r["h01_direct"].tolist()
+        p = r["p_err"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
         assert all(b <= a for a, b in zip(p, p[1:]))
 
@@ -195,8 +199,8 @@ class TestVerifyMonotonicity:
         d_s: a majorization chain), neither measure rises."""
         etas, dims = [0.0, 0.5, 1.0], [2, 3, 4]
         families = [uniform_rank_family(1), uniform_rank_family(2), bell_family()]
-        records = run_sweep(etas, dims, families)
-        grid = np.array([[r.h01_direct, r.p_err] for r in records])
+        r = sweep_columns(run_sweep(etas, dims, families))
+        grid = np.column_stack((r["h01_direct"], r["p_err"]))
         grid = grid.reshape(len(etas), len(dims), len(families), 2)
         for axis in range(3):
             assert np.all(np.diff(grid, axis=axis) <= 1e-12)
@@ -284,18 +288,19 @@ class TestVerifyBellOptimality:
         for d in range(2, 7):
             k = effective_rank_k(idler_reduction(bell_state(d)))
             assert k == pytest.approx(d, abs=1e-10)
-            assert run_sweep([0.5], [d], [bell_family()])[0].k_i == pytest.approx(d, abs=1e-12)
+            assert sweep_columns(run_sweep([0.5], [d], [bell_family()]))["k_i"][0] == pytest.approx(d, abs=1e-12)
 
 
 def spectrum_rows(*spectra):
     """Sweep rows at d_s = 4, eta = 1/2 and p0 = 1/2, one per idler spectrum,
-    each held to the dense route within 1e-12."""
-    records = run_sweep([0.5], [4], [fixed_spectrum_family(s) for s in spectra])
-    for spec, r in zip(spectra, records):
+    as dicts by column name, each held to the dense route within 1e-12."""
+    table = run_sweep([0.5], [4], [fixed_spectrum_family(s) for s in spectra])
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table.tolist()]
+    for spec, r in zip(spectra, rows):
         h01, p_err = evaluate_state_metrics(schmidt_probe(4, spec), 0.5)
-        assert abs(r.h01_closed - h01) <= 1e-12
-        assert abs(r.p_err - p_err) <= 1e-12
-    return records
+        assert abs(r["h01_closed"] - h01) <= 1e-12
+        assert abs(r["p_err"] - p_err) <= 1e-12
+    return rows
 
 
 #: Spectrum entries: exact zeros, tiny weights and ordinary ones, in any order.
@@ -327,14 +332,15 @@ class TestSweepMatchesDenseOracle:
         entries = entries[:d_s]
         assume(max(entries) >= 1e-3)
         spectrum = np.array(entries) / sum(entries)
-        (record,) = run_sweep([eta], [d_s], [fixed_spectrum_family(spectrum)], p0)
+        (row,) = run_sweep([eta], [d_s], [fixed_spectrum_family(spectrum)], p0).tolist()
+        record = dict(zip(SWEEP_COLUMNS, row))
         state = schmidt_probe(d_s, spectrum)
         h01, p_err = evaluate_state_metrics(state, eta, p0)
-        assert record.d_i == spectrum.size
-        assert abs(record.k_i - effective_rank_k(idler_reduction(state))) <= 1e-12
-        assert abs(record.h01_closed - h01) <= 1e-12
-        assert abs(record.h01_direct - h01) <= 1e-12
-        assert abs(record.p_err - p_err) <= 1e-12
+        assert record["d_i"] == spectrum.size
+        assert abs(record["k_i"] - effective_rank_k(idler_reduction(state))) <= 1e-12
+        assert abs(record["h01_closed"] - h01) <= 1e-12
+        assert abs(record["h01_direct"] - h01) <= 1e-12
+        assert abs(record["p_err"] - p_err) <= 1e-12
 
 
 class TestSpectrumProbe:
@@ -345,18 +351,18 @@ class TestSpectrumProbe:
     def test_error_is_not_a_function_of_idler_rank(self):
         s3 = np.sqrt(3)
         two, tilted = spectrum_rows([0.5, 0.5, 0.0, 0.0], [(1 + s3) / 4] + 3 * [(3 - s3) / 12])
-        assert abs(two.k_i - 2.0) <= 1e-12 and abs(tilted.k_i - 2.0) <= 1e-12
-        assert abs(two.h01_closed - tilted.h01_closed) <= 1e-12
-        assert two.p_err == pytest.approx(0.28125, abs=1e-12)
-        assert tilted.p_err == pytest.approx(0.2800654, abs=1e-7)
-        assert two.p_err - tilted.p_err > 1e-3
+        assert abs(two["k_i"] - 2.0) <= 1e-12 and abs(tilted["k_i"] - 2.0) <= 1e-12
+        assert abs(two["h01_closed"] - tilted["h01_closed"]) <= 1e-12
+        assert two["p_err"] == pytest.approx(0.28125, abs=1e-12)
+        assert tilted["p_err"] == pytest.approx(0.2800654, abs=1e-7)
+        assert two["p_err"] - tilted["p_err"] > 1e-3
 
     def test_error_can_rise_with_idler_rank(self):
         lo, hi = spectrum_rows([0.67, 0.16, 0.13, 0.04], [0.0, 0.52, 0.01, 0.47])
-        assert 2.028 < lo.k_i < hi.k_i < 2.036
-        assert hi.h01_direct < lo.h01_direct
-        assert lo.p_err == pytest.approx(0.2797661, abs=1e-7)
-        assert hi.p_err == pytest.approx(0.2806614, abs=1e-7)
+        assert 2.028 < lo["k_i"] < hi["k_i"] < 2.036
+        assert hi["h01_direct"] < lo["h01_direct"]
+        assert lo["p_err"] == pytest.approx(0.2797661, abs=1e-7)
+        assert hi["p_err"] == pytest.approx(0.2806614, abs=1e-7)
 
 
 class TestCiSignalMarginalChoice:
@@ -384,9 +390,9 @@ class TestCiSignalMarginalChoice:
 class TestFixedSpectrumFamily:
     def test_builds_requested_spectrum(self):
         fam = fixed_spectrum_family([0.6, 0.4])
-        records = run_sweep([0.5], [3], [fam])
-        assert records[0].k_i == pytest.approx(1 / (0.36 + 0.16), abs=1e-10)
-        assert records[0].d_i == 2
+        r = sweep_columns(run_sweep([0.5], [3], [fam]))
+        assert r["k_i"][0] == pytest.approx(1 / (0.36 + 0.16), abs=1e-10)
+        assert r["d_i"][0] == 2
 
 
 class TestUnentangledError:

@@ -200,6 +200,16 @@ class TestSweep:
         data = re.findall(rf"^(?:plot |  ){quoted} skip 1 ", script, re.M)
         assert [d.replace("''", "'") for d in data] == [out.name] * 2
 
+    def test_plot_columns_follow_the_column_names(self, tmp_path, monkeypatch):
+        """The script plots the columns named ``eta``, ``h01_direct`` and
+        ``p_err`` wherever the header puts them."""
+        out = tmp_path / "sweep.csv"
+        script = cli.render_gnuplot_script(out, [2], ["bell"])
+        assert re.findall(r"using (\d+):(\d+) ", script) == [("1", "6"), ("1", "7")]
+        monkeypatch.setattr(cli, "SWEEP_COLUMNS", tuple(reversed(analysis.SWEEP_COLUMNS)))
+        script = cli.render_gnuplot_script(out, [2], ["bell"])
+        assert re.findall(r"using (\d+):(\d+) ", script) == [("9", "4"), ("9", "3")]
+
     def test_bad_grid_exits_1(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "1.5", "--d", "2", "--out", str(out)]) == 1
@@ -235,6 +245,37 @@ class TestSweep:
         assert float(lo[k_i]) < float(hi[k_i])
         assert float(lo[h01]) > float(hi[h01])
         assert float(lo[p_err]) < float(hi[p_err])
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaves state in
+    it for the next."""
+
+    def golden_sweep(self, tmp_path):
+        out = tmp_path / "golden.csv"
+        assert main(["sweep", *TestSweep.GOLDEN_ARGS, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
+
+    def test_family_lists_do_not_accumulate(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        argv = ["sweep", "--eta", "0.5", "--d", "3"]
+        assert main([*argv, "--family", "uniform-rank:1", "--family", "uniform-rank:2", "--out", str(first)]) == 0
+        assert main([*argv, "--family", "bell", "--out", str(second)]) == 0
+        assert len(first.read_text().splitlines()) == 3
+        header, row = second.read_text().splitlines()
+        assert row.split(",")[1:4] == ["3", "3", "3"]  # d_s, d_i and k_i of the bell probe alone
+        assert main([*argv, "--out", str(first)]) == 0  # no --family: the default bell
+        assert first.read_text() == second.read_text()
+
+    def test_usage_error_then_valid_sweep(self, tmp_path, capsys):
+        assert main(["sweep", "--eta", "0.5", "--family", "bell"]) == 1  # --d and --out missing
+        assert "required" in capsys.readouterr().err
+        self.golden_sweep(tmp_path)
+
+    def test_help_then_valid_sweep(self, tmp_path, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qillum")
+        self.golden_sweep(tmp_path)
 
 
 class TestVerifyBell:

@@ -37,6 +37,7 @@ from conftest import (
     random_projective_povm,
     random_two_outcome_povm,
     random_unitary,
+    sweep_columns,
     unentangled_error,
 )
 
@@ -442,7 +443,8 @@ class TestAdvantage:
 
     @staticmethod
     def advantage(family, eta, d):
-        return run_sweep([eta], [d], [family])[0].advantage
+        (advantage,) = sweep_columns(run_sweep([eta], [d], [family]))["advantage"]
+        return advantage
 
     def test_product_input_gives_zero(self):
         assert self.advantage(uniform_rank_family(1), 0.8, 2) == pytest.approx(0.0, abs=1e-10)

@@ -82,6 +82,6 @@ def test_cli_reaches_every_public_function(tmp_path, monkeypatch, capsys):
         )
     assert "qillum.states.DensityMatrix.__init__" in expected
     assert "qillum.states.DensityMatrix.dim" in expected  # a property
-    assert "qillum.analysis.SweepRecord.__init__" not in expected  # generated
+    assert "qillum.analysis.OptimalityReport.__init__" not in expected  # generated
     unreached = sorted(name for name, code in expected.items() if code not in entered)
     assert unreached == []

@@ -2,6 +2,8 @@
 wire format, and the amplitude-matrix builders and reduction oracle of
 ``conftest``."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,16 @@ class TestJsonFormat:
         rho = idler_reduction(haar_random_state(3, 3, seed=2))
         back = density_from_dict(density_to_dict(rho.mat))
         assert max_abs_diff(back.mat, rho.mat) < 1e-15
+
+    def test_density_entries_print_like_per_entry_floats(self):
+        """The entries come from one ``tolist`` of the (re, im) stack; their
+        JSON text equals that of a ``float`` per part, signed zeros, a
+        subnormal and values near the float range included."""
+        mat = np.array([[complex(0.5, -0.0), complex(-0.0, 5e-324)], [1e300 - 1e300j, complex(-0.0, 0.0)]])
+        per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+        text = json.dumps(density_to_dict(mat), sort_keys=True)
+        assert text == json.dumps({"dim": 2, "entries": per_entry}, sort_keys=True)
+        assert "[[[0.5, -0.0], [-0.0, 5e-324]], [[1e+300, -1e+300], [-0.0, 0.0]]]" in text
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):
