@@ -5,11 +5,12 @@ the package computes the exact minimum error of telling "target present"
 from "target absent" and the normalized Hilbert-Schmidt overlap of the two
 channel outputs, with the overlap's closed form in the physical
 parameters.  It sweeps both over parameter grids and checks numerically
-that the maximally entangled probe is optimal.  A pure state is its
-``(d_s, d_i)`` amplitude matrix; a sweep probe has the Schmidt
-coefficients ``sqrt(lam)`` on the diagonal: the error comes from the
-weights ``lam`` and the overlap from traces of that matrix, so no dense
-``(d_s d_i)``-dimensional channel output is built.  Each probe is
+that the maximally entangled probe is optimal.  A sweep probe is its
+Schmidt weights ``lam``: the error comes from them and the overlap from
+three traces of ``diag(lam)``, so no amplitude matrix and no dense
+``(d_s d_i)``-dimensional channel output is built.  ``verify-bell``
+reduces each random pure probe, a ``(d_s, d_i)`` amplitude matrix, to its
+weights by one singular-value decomposition.  Each sweep probe is
 evaluated over the whole ``eta`` grid, one call per column; the unentangled
 baseline is the kernel at the single weight 1.  A sweep is one float table,
 a row per grid point, with the columns ``analysis.SWEEP_COLUMNS`` names;

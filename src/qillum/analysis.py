@@ -9,10 +9,9 @@ Neither the sweep nor the optimality check builds a dense
 ``(d_s d_i)``-dimensional matrix.  Both take the error probability from
 the Schmidt-space kernel
 :func:`~qillum.discrimination.schmidt_helstrom_error`.  A sweep probe is
-its ``(d_s, d_i)`` amplitude matrix, with its Schmidt coefficients on the
-diagonal: the weights come from that diagonal, and the direct overlap from
-traces of the matrix (:func:`~qillum.discrimination.channel_overlap`), the
-route independent of the closed form.  A sweep evaluates one probe at a
+its Schmidt weights ``lam``: the direct overlap comes from three traces of
+``diag(lam)`` (:func:`~qillum.discrimination.channel_overlap`), the route
+independent of the closed form.  A sweep evaluates one probe at a
 time as columns over the whole eta grid, one call per column, and returns
 one float table whose columns :data:`SWEEP_COLUMNS` names, checked once
 when it is finished.  The optimality check takes each sample's
@@ -33,15 +32,15 @@ import numpy as np
 from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
 from .discrimination import channel_overlap, h01_closed_form, schmidt_helstrom_error
 
-#: A sweep family: its probe's normalized complex ``(d_s, d_i)`` amplitude
-#: matrix at each signal dimension ``d_s``, with the Schmidt coefficients
-#: ``sqrt(lam)`` on the diagonal and zeros elsewhere.
+#: A sweep family: its probe's Schmidt weights ``lam`` at each signal
+#: dimension ``d_s``, a 1-D float array of length ``d_i`` that sums to 1
+#: (:func:`~qillum.states.schmidt_probe`).
 Family = Callable[[int], np.ndarray]
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
 #: The columns of a sweep table (:func:`run_sweep`), in CSV order:
 #: ``h01_closed`` is the closed-form overlap at the effective idler rank
-#: ``k_i``, ``h01_direct`` the same from traces of the amplitude matrix (never
+#: ``k_i``, ``h01_direct`` the same from traces of ``diag(lam)`` (never
 #: through ``k_i``), ``p_err`` the probe's minimum error, ``p_err_ci`` that of
 #: the unentangled baseline (the kernel at weight 1) and ``advantage`` the
 #: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
@@ -60,8 +59,8 @@ class VerificationError(ValueError):
 
 def bell_family() -> Family:
     """Maximally entangled input at every dimension: ``d_s`` coefficients
-    ``1/sqrt(d_s)``."""
-    return lambda d_s: np.eye(d_s, dtype=complex) * (1.0 / np.sqrt(d_s))
+    ``1/sqrt(d_s)``, squared."""
+    return lambda d_s: np.full(d_s, 1.0 / np.sqrt(d_s)) ** 2
 
 
 def uniform_rank_family(rank: int) -> Family:
@@ -95,15 +94,14 @@ def run_sweep(
     point, ordered lexicographically (eta outermost, then dimension, then
     family), with the columns :data:`SWEEP_COLUMNS`.
 
-    Each (dimension, family) probe's amplitude matrix is built once, and
+    Each (dimension, family) probe's weights ``lam`` are built once, and
     each of its columns is one call over the whole eta grid: the closed
-    form at ``k_i = 1 / sum(lam^2)``, ``h01_direct`` from traces of the
-    matrix (its independent check) and ``p_err`` from the kernel (one
-    stacked eigensolve) on the weights ``lam``, the squared diagonal;
-    ``p_err_ci`` is the kernel at the single weight 1.  The cross-checks
-    run once, on the finished table.  Raises ``ValueError`` for grid
-    entries outside their ranges, a grid of more than
-    :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    form at ``k_i = 1 / sum(lam^2)``, ``h01_direct`` from traces of
+    ``diag(lam)`` (its independent check) and ``p_err`` from the kernel
+    (one stacked eigensolve); ``p_err_ci`` is the kernel at the single
+    weight 1.  The cross-checks run once, on the finished table.  Raises
+    ``ValueError`` for grid entries outside their ranges, a grid of more
+    than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a row that
     fails its cross-checks.
     """
@@ -123,16 +121,14 @@ def run_sweep(
         p_err_ci = schmidt_helstrom_error([1.0], etas, d_s, p0)
         h01_rank_one = h01_closed_form(etas, d_s, 1.0)
         for f, family in enumerate(families):
-            amplitudes = family(d_s)
-            root = amplitudes.diagonal().real
-            lam = root * root
+            lam = family(d_s)
             # sum(lam^2) added in index order: np.sum's pairwise order
             # can move the last bit of k_i
             k_i = 1.0 / float(np.cumsum(lam * lam)[-1])
             h01_closed = h01_closed_form(etas, d_s, k_i)
             values = dict(
-                eta=etas, d_s=d_s, d_i=amplitudes.shape[1], k_i=k_i, h01_closed=h01_closed,
-                h01_direct=channel_overlap(amplitudes, etas),
+                eta=etas, d_s=d_s, d_i=lam.size, k_i=k_i, h01_closed=h01_closed,
+                h01_direct=channel_overlap(lam, etas, d_s),
                 p_err=schmidt_helstrom_error(np.sort(lam), etas, d_s, p0),
                 p_err_ci=p_err_ci, advantage=h01_rank_one - h01_closed,
             )

@@ -4,7 +4,9 @@ one-off minimum-error queries on states stored as JSON files.
 The parser is built on the first :func:`main` call and reused for the
 process.  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table as
 CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
-through :func:`_fmt`.
+through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
+weights: flat for ``bell`` and ``uniform-rank:<r>``, read from a JSON list
+for ``spectrum:<file>``.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
 failure.  A run that runs out of memory (an oversized dimension) also

@@ -9,15 +9,16 @@ which needs only traces of matrix products.  The states arrive validated as
 here.
 
 For the illumination channel itself no dense ``(d_s d_i)``-dimensional
-matrix is needed.  :func:`schmidt_helstrom_error` gives the minimum error
-from the probe's Schmidt weights alone, with one eigensolve of at most
-``d_i x d_i``, stacked over many probes or over a grid of ``eta`` at once;
-:func:`channel_overlap` gives the overlap of the two channel outputs from
-three traces of the probe's ``(d_s, d_i)`` amplitude matrix, and
-:func:`h01_closed_form` the same overlap from the physical parameters; all
-three take ``eta`` as one value or an array.  ``sweep`` and ``verify-bell``
-use these; the dense :func:`helstrom_error` serves ``helstrom`` on
-arbitrary stored states and is the tests' oracle for the kernel.
+matrix is needed: a pure probe enters only through its Schmidt weights.
+:func:`schmidt_helstrom_error` gives the minimum error from them, with one
+eigensolve of at most ``d_i x d_i``, stacked over many probes or over a
+grid of ``eta`` at once; :func:`channel_overlap` gives the overlap of the
+two channel outputs from three traces of ``diag(lam)``, without
+diagonalization, and :func:`h01_closed_form` the same overlap from the
+physical parameters; all three take ``eta`` as one value or an array.
+``sweep`` and ``verify-bell`` use these; the dense :func:`helstrom_error`
+serves ``helstrom`` on arbitrary stored states and is the tests' oracle for
+the kernel.
 """
 
 from __future__ import annotations
@@ -122,30 +123,28 @@ def optimal_povm(
     return e0, np.eye(rho0.dim) - e0
 
 
-def channel_overlap(amplitudes, eta):
+def channel_overlap(weights, eta, d_s: int):
     """Normalized overlap ``Tr[rho0 rho1] / sqrt(Tr[rho0^2] Tr[rho1^2])`` of
-    the channel outputs of a pure probe, from its ``(d_s, d_i)`` amplitude
-    matrix ``A`` (``A[s, i]`` pairs signal mode ``s`` with idler level ``i``).
+    the channel outputs of a pure probe on ``d_s`` signal modes, from its
+    Schmidt weights ``lam`` (1-D).
 
-    With the idler reduction ``phi = A^T A*``, ``rho1 = I/d_s (x) phi`` and
-    ``rho0 = eta |psi><psi| + (1 - eta) rho1``, the overlap needs three
-    traces and no ``(d_s d_i)``-dimensional matrix:
+    With the idler reduction ``phi = diag(lam)``, ``rho1 = I/d_s (x) phi``
+    and ``rho0 = eta |psi><psi| + (1 - eta) rho1``, the overlap needs three
+    traces and no diagonalization:
 
-        v = <psi|rho1|psi> = Tr[A* phi A^T] / d_s,   Tr[rho1^2] = Tr[phi^2] / d_s,
+        v = <psi|rho1|psi> = Tr[phi^2] / d_s = Tr[rho1^2],
         Tr[rho0 rho1] = eta v + (1 - eta) Tr[rho1^2],
         Tr[rho0^2] = eta^2 + 2 eta (1 - eta) v + (1 - eta)^2 Tr[rho1^2],
 
-    at O(d_s d_i^2).  None of them goes through the effective rank, so the
-    result is an independent check of :func:`h01_closed_form`.  ``eta`` is
-    one value (a float is returned) or an array of values sharing the traces
-    (an array is returned).  The result is clipped to ``[0, 1]``.
+    at O(d_i), with ``sum(lam^2)`` added in index order.  None of them goes
+    through the effective rank, so the result is an independent check of
+    :func:`h01_closed_form`.  ``eta`` is one value (a float is returned) or
+    an array of values sharing the traces (an array is returned).  The
+    result is clipped to ``[0, 1]``.
     """
     eta = _efficiencies(eta)
-    a = np.asarray(amplitudes)
-    d_s = a.shape[0]
-    phi = a.T @ a.conj()
-    v = float(np.real(np.vdot(a, a @ phi.T))) / d_s
-    purity_1 = float(np.real(np.vdot(phi, phi))) / d_s
+    lam = np.asarray(weights, dtype=float)
+    v = purity_1 = float(np.cumsum(lam * lam)[-1]) / d_s
     cross = eta * v + (1.0 - eta) * purity_1
     purity_0 = eta**2 + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) ** 2 * purity_1
     h = np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)

@@ -1,20 +1,22 @@
-"""Validated quantum states and the amplitude matrices of pure ones.
+"""Validated quantum states, sweep probes' Schmidt weights and random pure
+states.
 
 This is where data enters the package, so this is where it is checked.
 Density operators are checked on construction for shape, Hermiticity and
 unit trace; positivity is checked where a matrix enters from outside, in
 :func:`density_from_dict`, since every operator built inside the package is
-positive by construction.  A pure state is its complex ``(d_s, d_i)``
-amplitude matrix, entry ``[s, i]`` pairing signal mode ``s`` with idler
-level ``i`` (:func:`schmidt_probe`, :func:`haar_random_amplitudes`); one
-read from a file becomes its projector (:func:`state_from_dict`).  Every
-check is phrased so that a NaN fails it (``not defect <= tol``): any
-comparison with NaN is false, and JSON input may hold ``NaN`` or
-``Infinity``.
+positive by construction.  A sweep probe is its Schmidt weights
+(:func:`schmidt_probe`).  A random pure state is its complex
+``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s``
+with idler level ``i`` (:func:`haar_random_amplitudes`); one read from a
+file becomes its projector (:func:`state_from_dict`).  Every check is
+phrased so that a NaN fails it (``not defect <= tol``): any comparison with
+NaN is false, and JSON input may hold ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -60,15 +62,14 @@ class DensityMatrix:
 
 
 def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Amplitude matrix of the probe with reduced spectrum ``lam``.
-
-    The probe is ``sum_m sqrt(lam_m) |m>|m>`` on ``d_s`` signal modes and
-    ``len(spectrum)`` idler levels, so its idler reduction is
-    ``diag(lam)``.  Returns the complex ``(d_s, len(spectrum))`` amplitude
-    matrix with the Schmidt coefficients ``sqrt(lam)`` on its diagonal and
-    zeros elsewhere, normalized to unit Frobenius norm.  The spectrum must
-    have between 1 and ``d_s`` entries, none below ``-1e-12``, and a
-    positive sum within ``tol`` of 1.  Entries below zero count as 0.
+    """Schmidt weights ``lam`` of the probe ``sum_m sqrt(lam_m) |m>|m>`` on
+    ``d_s`` signal modes and ``len(spectrum)`` idler levels, whose idler
+    reduction is ``diag(lam)``: a 1-D float array, the squared coefficients
+    ``sqrt(spectrum)`` scaled to unit length by an exactly rounded sum
+    (:func:`math.fsum`), so it does not depend on the order of the entries
+    or on the BLAS build.  The spectrum must have between 1 and ``d_s``
+    entries, none below ``-1e-12``, and a positive sum within ``tol`` of 1.
+    Entries below zero count as 0.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
     if spec.size < 1 or spec.size > d_s:
@@ -80,10 +81,9 @@ def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"spectrum sums to {total!r}, expected 1 within {tol:.1e}")
     if not total > 0.0:
         raise ValueError(f"spectrum sums to {total!r}; a probe needs a positive sum")
-    amplitudes = np.zeros((d_s, spec.size), dtype=complex)
-    np.fill_diagonal(amplitudes, np.sqrt(np.clip(spec, 0.0, None)))
-    amplitudes *= 1.0 / np.linalg.norm(amplitudes)
-    return amplitudes
+    root = np.sqrt(np.clip(spec, 0.0, None))
+    root *= 1.0 / math.sqrt(math.fsum(root * root))
+    return root * root
 
 
 def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:

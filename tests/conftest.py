@@ -1,14 +1,17 @@
 """Shared state builders, random-object generators and dense oracles for
 the test suite.
 
-A pure state is its complex ``(d_s, d_i)`` amplitude matrix, as in the
-package.  The dense oracle of the illumination channel lives here: the
+A pure state is its complex ``(d_s, d_i)`` amplitude matrix
+(:func:`schmidt_amplitudes` builds it from a sweep probe's Schmidt
+weights).  The dense oracle of the illumination channel lives here: the
 state's projector (:func:`projector`), the idler reduction as its partial
 trace (:func:`idler_reduction`), both channel outputs as
 ``(d_s d_i)``-dimensional density matrices (:func:`channel_outputs`) and
 their normalized Hilbert-Schmidt overlap (:func:`hs_distinguishability`).
-The package computes the same numbers from a probe's Schmidt coefficients
-without any matrix of that size; the tests hold it to these.
+Between that and the package's overlap from the weights alone sits
+:func:`amplitude_overlap`, the same three traces taken of any amplitude
+matrix.  The package computes the same numbers from a probe's Schmidt
+weights without any matrix of that size; the tests hold it to these.
 """
 
 import numpy as np
@@ -55,6 +58,15 @@ def partial_trace(m, d_left, d_right, side="right"):
 # Pure states as amplitude matrices, and their reductions.
 
 
+def schmidt_amplitudes(d_s, weights):
+    """Amplitude matrix of the probe with Schmidt weights ``weights`` (as
+    ``schmidt_probe`` returns them): the complex ``(d_s, len(weights))``
+    matrix with ``sqrt(weights)`` on its diagonal and zeros elsewhere."""
+    amp = np.zeros((d_s, len(weights)), dtype=complex)
+    np.fill_diagonal(amp, np.sqrt(weights))
+    return amp
+
+
 def bell_state(d):
     """Amplitude matrix of the maximally entangled state of two
     ``d``-dimensional subsystems: ``1/sqrt(d)`` on the diagonal."""
@@ -63,6 +75,31 @@ def bell_state(d):
     amp = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(amp, 1.0 / np.sqrt(d))
     return amp
+
+
+def amplitude_overlap(amplitudes, eta):
+    """Normalized overlap of the channel outputs of the pure probe with
+    ``(d_s, d_i)`` amplitude matrix ``A``, from three traces of ``A``.
+
+    With the idler reduction ``phi = A^T A*``:
+
+        v = <psi|rho1|psi> = Tr[A* phi A^T] / d_s,   Tr[rho1^2] = Tr[phi^2] / d_s,
+        Tr[rho0 rho1] = eta v + (1 - eta) Tr[rho1^2],
+        Tr[rho0^2] = eta^2 + 2 eta (1 - eta) v + (1 - eta)^2 Tr[rho1^2],
+
+    at O(d_s d_i^2), for any ``A``, not only a diagonal one.  The oracle
+    between the dense :func:`hs_distinguishability` and the package's
+    ``channel_overlap``, which takes these traces of ``diag(lam)``.
+    """
+    eta = np.asarray(eta, dtype=float)
+    a = np.asarray(amplitudes)
+    d_s = a.shape[0]
+    phi = a.T @ a.conj()
+    v = float(np.real(np.vdot(a, a @ phi.T))) / d_s
+    purity_1 = float(np.real(np.vdot(phi, phi))) / d_s
+    cross = eta * v + (1.0 - eta) * purity_1
+    purity_0 = eta**2 + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) ** 2 * purity_1
+    return np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)
 
 
 def projector(amp, tol=DEFAULT_TOL):

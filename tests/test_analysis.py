@@ -29,6 +29,7 @@ from conftest import (
     haar_random_state,
     idler_reduction,
     product_baseline_state,
+    schmidt_amplitudes,
     sweep_columns,
     unentangled_error,
 )
@@ -87,6 +88,26 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_memory_bound_at_d_1000(self):
+        """A probe is its 1000 weights; what remains is the kernel's one
+        d_i x d_i block (8 MB).  A (d_s, d_i) complex amplitude matrix
+        would add 16 MB, and its idler reduction another 16 MB."""
+        tracemalloc.start()
+        try:
+            run_sweep([0.5], [1000], [bell_family()])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("family, d_i", [
+        (bell_family(), 5), (uniform_rank_family(3), 3), (fixed_spectrum_family([0.5, 0.0, 0.2, 0.3]), 4),
+    ])
+    def test_families_return_weights(self, family, d_i):
+        lam = family(5)
+        assert lam.ndim == 1 and lam.dtype == float and lam.size == d_i
+        assert abs(lam.sum() - 1.0) <= 1e-15
+
 
 class TestSweepRecordValidation:
     """The cross-checks ``run_sweep`` runs once on its finished columns, made
@@ -94,7 +115,7 @@ class TestSweepRecordValidation:
 
     def test_rejects_disagreeing_overlap_columns(self, monkeypatch):
         exact = analysis.channel_overlap
-        monkeypatch.setattr(analysis, "channel_overlap", lambda a, eta: exact(a, eta) - 0.05)
+        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s: exact(lam, eta, d_s) - 0.05)
         with pytest.raises(VerificationError, match="disagree by 5.000e-02 at"):
             run_sweep([0.5], [2], [bell_family()])
 
@@ -121,7 +142,7 @@ class TestSweepRecordValidation:
     def test_checks_follow_every_probe(self, monkeypatch):
         """A family infeasible at a later dimension is a ValueError (exit 1),
         even where an earlier probe already fails a cross-check (exit 2)."""
-        monkeypatch.setattr(analysis, "channel_overlap", lambda a, eta: np.full(len(eta), np.nan))
+        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s: np.full(len(eta), np.nan))
         with pytest.raises(ValueError, match="exceeds") as caught:
             run_sweep([0.5], [4, 2], [uniform_rank_family(3)])
         assert not isinstance(caught.value, VerificationError)
@@ -297,7 +318,7 @@ def spectrum_rows(*spectra):
     table = run_sweep([0.5], [4], [fixed_spectrum_family(s) for s in spectra])
     rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table.tolist()]
     for spec, r in zip(spectra, rows):
-        h01, p_err = evaluate_state_metrics(schmidt_probe(4, spec), 0.5)
+        h01, p_err = evaluate_state_metrics(schmidt_amplitudes(4, schmidt_probe(4, spec)), 0.5)
         assert abs(r["h01_closed"] - h01) <= 1e-12
         assert abs(r["p_err"] - p_err) <= 1e-12
     return rows
@@ -334,7 +355,7 @@ class TestSweepMatchesDenseOracle:
         spectrum = np.array(entries) / sum(entries)
         (row,) = run_sweep([eta], [d_s], [fixed_spectrum_family(spectrum)], p0).tolist()
         record = dict(zip(SWEEP_COLUMNS, row))
-        state = schmidt_probe(d_s, spectrum)
+        state = schmidt_amplitudes(d_s, schmidt_probe(d_s, spectrum))
         h01, p_err = evaluate_state_metrics(state, eta, p0)
         assert record["d_i"] == spectrum.size
         assert abs(record["k_i"] - effective_rank_k(idler_reduction(state))) <= 1e-12

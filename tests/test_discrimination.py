@@ -37,6 +37,7 @@ from conftest import (
     random_projective_povm,
     random_two_outcome_povm,
     random_unitary,
+    schmidt_amplitudes,
     sweep_columns,
     unentangled_error,
 )
@@ -196,7 +197,7 @@ class TestSchmidtHelstrom:
             weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()
-            state = schmidt_probe(d_s, weights)
+            state = schmidt_amplitudes(d_s, schmidt_probe(d_s, weights))
         dense = helstrom_error(*channel_outputs(state, eta), p0)
         assert abs(schmidt_helstrom_error(weights, eta, d_s, p0) - dense) <= 1e-12
 
@@ -401,7 +402,7 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=f"got {bad}$"):
             schmidt_helstrom_error([0.5, 0.5], etas, 2, 0.5)
         with pytest.raises(ValueError, match=f"got {bad}$"):
-            channel_overlap(np.eye(2, dtype=complex) / np.sqrt(2), etas)
+            channel_overlap([0.5, 0.5], etas, 2)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the dense channel-output oracle in ``conftest`` and its trace
-identities, which the package's structured overlap
-(:func:`~qillum.discrimination.channel_overlap`) is held to."""
+identities, which the package's overlap from Schmidt weights
+(:func:`~qillum.discrimination.channel_overlap`) is held to, through the
+amplitude-matrix traces of ``conftest.amplitude_overlap``."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qillum.states import schmidt_probe
 from qillum.discrimination import channel_overlap
 from conftest import (
     UNIT,
+    amplitude_overlap,
     bell_state,
     channel_outputs,
     effective_rank_k,
@@ -21,6 +23,7 @@ from conftest import (
     product_baseline_state,
     projector,
     purity,
+    schmidt_amplitudes,
 )
 
 
@@ -41,9 +44,9 @@ class TestScenario:
             with pytest.raises(ValueError, match="eta"):
                 channel_outputs(amplitudes, eta)
             with pytest.raises(ValueError, match="eta"):
-                channel_overlap(amplitudes, eta)
+                channel_overlap([0.5, 0.5], eta, 2)
         with pytest.raises(ValueError, match="eta"):
-            channel_overlap(amplitudes, [0.5, np.nan])
+            channel_overlap([0.5, 0.5], [0.5, np.nan], 2)
 
 
 class TestPostSelectedStates:
@@ -144,30 +147,36 @@ class TestTraceIdentities:
     @example(seed=5, haar=False, d_s=4, d_i=4, tiny=1e-13, n_tiny=3, eta=0.5)
     @example(seed=6, haar=False, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=1.0)
     def test_structured_overlap_matches_dense(self, seed, haar, d_s, d_i, tiny, n_tiny, eta):
-        """The package's overlap, from traces of the amplitude matrix alone,
-        against the overlap of the dense channel outputs."""
+        """The package's overlap, from the Schmidt weights alone, against the
+        traces of the amplitude matrix and the overlap of the dense channel
+        outputs.  A Haar state's matrix is not diagonal; its weights are
+        its squared singular values."""
         if haar:
             state = haar_random_state(d_s, d_i, seed=seed)
+            lam = np.linalg.svd(state, compute_uv=False) ** 2
         else:
             # schmidt_probe pairs idler level m with signal mode m, so its
-            # idler dimension is at most d_s
+            # idler dimension is at most d_s; the tiny weights come first,
+            # so the spectrum is unsorted
             weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()
-            state = schmidt_probe(d_s, weights)
+            lam = schmidt_probe(d_s, weights)
+            state = schmidt_amplitudes(d_s, lam)
         dense = hs_distinguishability(*channel_outputs(state, eta))
-        structured = channel_overlap(state, eta)
+        structured = channel_overlap(lam, eta, d_s)
         assert isinstance(structured, float)
+        assert abs(structured - amplitude_overlap(state, eta)) <= 1e-12
         assert abs(structured - dense) <= 1e-12
 
     def test_structured_overlap_shares_traces_across_eta(self):
         """An array of eta gives each value's scalar result."""
-        amplitudes = haar_random_state(4, 3, seed=8)
+        lam = np.linalg.svd(haar_random_state(4, 3, seed=8), compute_uv=False) ** 2
         etas = [0.0, 0.3, 0.7, 1.0]
-        stacked = channel_overlap(amplitudes, etas)
+        stacked = channel_overlap(lam, etas, 4)
         assert stacked.shape == (4,)
         for eta, value in zip(etas, stacked):
-            assert value == channel_overlap(amplitudes, eta)
+            assert value == channel_overlap(lam, eta, 4)
 
 
 class TestCiBaseline:

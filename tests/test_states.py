@@ -1,5 +1,5 @@
-"""Tests for state construction and validation, Schmidt coefficients, the
-wire format, and the amplitude-matrix builders and reduction oracle of
+"""Tests for state construction and validation, Schmidt weights, the wire
+format, and the amplitude-matrix builders and reduction oracle of
 ``conftest``."""
 
 import json
@@ -23,6 +23,7 @@ from conftest import (
     partial_trace,
     projector,
     purity,
+    schmidt_amplitudes,
 )
 
 
@@ -173,21 +174,23 @@ class TestHaarRandomState:
 
 
 class TestSchmidtFamilyState:
-    """``schmidt_probe``'s amplitude matrix, whose dense idler reduction
-    must be ``diag(spectrum)``."""
+    """``schmidt_probe``'s Schmidt weights; the probe built from them
+    (``conftest.schmidt_amplitudes``) must have the dense idler reduction
+    ``diag(spectrum)``."""
 
     def test_rank_one_is_product(self):
-        st = schmidt_probe(3, [1.0])
-        assert st.shape == (3, 1)
-        assert effective_rank_k(idler_reduction(st)) == pytest.approx(1.0)
+        lam = schmidt_probe(3, [1.0])
+        assert lam.tolist() == [1.0]
+        assert effective_rank_k(idler_reduction(schmidt_amplitudes(3, lam))) == pytest.approx(1.0)
 
     def test_uniform_matches_bell(self):
-        st = schmidt_probe(3, np.full(3, 1 / 3))
-        assert max_abs_diff(st, bell_state(3)) < 1e-12
+        lam = schmidt_probe(3, np.full(3, 1 / 3))
+        assert max_abs_diff(lam, np.full(3, 1 / 3)) < 1e-15
+        assert max_abs_diff(schmidt_amplitudes(3, lam), bell_state(3)) < 1e-12
 
     def test_prescribed_spectrum(self):
-        st = schmidt_probe(4, [0.5, 0.3, 0.2])
-        rho = idler_reduction(st)
+        lam = schmidt_probe(4, [0.5, 0.3, 0.2])
+        rho = idler_reduction(schmidt_amplitudes(4, lam))
         assert max_abs_diff(rho.mat, np.diag([0.5, 0.3, 0.2])) < 1e-12
         assert effective_rank_k(rho) == pytest.approx(1 / 0.38, abs=1e-12)
 
@@ -200,20 +203,19 @@ class TestSchmidtFamilyState:
             schmidt_probe(3, [0.5, 0.3])  # sums to 0.8
 
     def test_diagonal_holds_unit_roots_of_the_spectrum(self):
-        amp = schmidt_probe(5, [0.0, 0.52, 0.01, 0.47])
-        assert amp.shape == (5, 4) and amp.dtype == complex
-        assert max_abs_diff(amp.diagonal(), np.sqrt([0.0, 0.52, 0.01, 0.47])) < 1e-15
-        off_diagonal = amp.copy()
-        np.fill_diagonal(off_diagonal, 0.0)
-        assert not off_diagonal.any()
-        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
+        """The weights are 1-D floats whose roots, the probe's diagonal,
+        have unit length."""
+        lam = schmidt_probe(5, [0.0, 0.52, 0.01, 0.47])
+        assert lam.shape == (4,) and lam.dtype == float
+        assert max_abs_diff(np.sqrt(lam), np.sqrt([0.0, 0.52, 0.01, 0.47])) < 1e-15
+        assert abs(np.linalg.norm(np.sqrt(lam)) - 1.0) < 1e-15
 
     def test_sum_tolerance(self):
         off = [0.5, 0.5005]  # sums to 1 + 5e-4
         with pytest.raises(ValueError, match="sums to 1.0005,"):
             schmidt_probe(2, off)
-        amp = schmidt_probe(2, off, tol=1e-3)
-        assert abs(np.linalg.norm(amp) - 1.0) < 1e-15
+        lam = schmidt_probe(2, off, tol=1e-3)
+        assert abs(lam.sum() - 1.0) < 1e-15
         with pytest.raises(ValueError, match="sums to"):
             schmidt_probe(2, [0.5, 0.5 + 1e-10], tol=1e-12)
 
@@ -224,10 +226,26 @@ class TestSchmidtFamilyState:
             schmidt_probe(2, [-1e-12, 0.0], tol=2.0)
 
     def test_negative_entries_count_as_zero(self):
-        amp = schmidt_probe(3, [0.5, -1e-13, 0.5 + 1e-13])
-        assert amp[1, 1] == 0.0
+        lam = schmidt_probe(3, [0.5, -1e-13, 0.5 + 1e-13])
+        assert lam[1] == 0.0
         with pytest.raises(ValueError, match="non-negative"):
             schmidt_probe(3, [0.5, np.nan, 0.5])
+
+    def test_permuting_the_spectrum_permutes_the_weights_exactly(self):
+        """The normalization is an exactly rounded sum, so the weights do not
+        depend on the order of the entries (nor on BLAS) to the last bit:
+        near-rank-one, unsorted and random spectra, with zeros."""
+        rng = np.random.default_rng(20)
+        spectra = [[0.999999999998, 1e-12, 1e-12], [0.0, 0.52, 0.01, 0.47]]
+        for d in rng.integers(2, 41, size=300):
+            spec = rng.dirichlet(np.full(d, rng.uniform(0.05, 2.0)))
+            spec[rng.random(d) < 0.1] = 0.0
+            spectra.append(spec / spec.sum() if spec.any() else np.full(d, 1.0 / d))
+        for spec in spectra:
+            spec = np.asarray(spec)
+            lam = schmidt_probe(spec.size, spec)
+            for order in (rng.permutation(spec.size), np.arange(spec.size)[::-1]):
+                assert np.array_equal(schmidt_probe(spec.size, spec[order]), lam[order])
 
 
 class TestJsonFormat:
