@@ -1,25 +1,18 @@
 """Numerical verification of the model's structural claims.
 
 Parameter sweeps pair the closed-form overlap with its direct evaluation
-and with the exact minimum error probability, and every row is held to the
-agreement of the two overlap routes.  Random sampling over pure inputs
-backs the claim that the maximally entangled state is the best probe.
+and with the exact minimum error probability.  Random sampling over pure
+inputs backs the claim that the maximally entangled state is the best probe.
 
-Neither the sweep nor the optimality check builds a dense
-``(d_s d_i)``-dimensional matrix.  Both take the error probability from
-the Schmidt-space kernel
-:func:`~qillum.discrimination.schmidt_helstrom_error`.  A sweep probe is
-its Schmidt weights ``lam``: the direct overlap comes from three traces of
-``diag(lam)`` (:func:`~qillum.discrimination.channel_overlap`), the route
-independent of the closed form.  A sweep evaluates one probe at a
-time as columns over the whole eta grid, one call per column, and returns
-one float table whose columns :data:`SWEEP_COLUMNS` names, checked once
-when it is finished.  The optimality check takes each sample's
-Schmidt weights from one stacked singular-value decomposition and its
-overlap from the closed form.  The dense channel outputs, their overlap
-and ``helstrom_error`` on them are the tests' oracle for both, and the
-closed-form error of the unentangled baseline is the tests' oracle for
-the sweep's ``p_err_ci`` column.
+Neither the sweep nor the optimality check diagonalizes anything or
+builds a dense ``(d_s d_i)``-dimensional matrix: a probe is its Schmidt
+weights ``lam``, and its error one secular root
+(:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep is one
+float table, columns over the whole eta grid, checked once finished: the
+direct overlap from traces of ``diag(lam)`` against the closed form, and
+the error against the closed forms that bracket it.  The optimality check
+takes each sample's weights from one stacked singular-value
+decomposition.  The dense channel outputs are the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
-from .discrimination import channel_overlap, h01_closed_form, schmidt_helstrom_error
+from .discrimination import channel_overlap, flat_probe_error, h01_closed_form, schmidt_helstrom_error
 
 #: A sweep family: its probe's Schmidt weights ``lam`` at each signal
 #: dimension ``d_s``, a 1-D float array of length ``d_i`` that sums to 1
@@ -42,7 +35,7 @@ RECORD_AGREEMENT_TOL = 1e-9
 #: ``h01_closed`` is the closed-form overlap at the effective idler rank
 #: ``k_i``, ``h01_direct`` the same from traces of ``diag(lam)`` (never
 #: through ``k_i``), ``p_err`` the probe's minimum error, ``p_err_ci`` that of
-#: the unentangled baseline (the kernel at weight 1) and ``advantage`` the
+#: the unentangled baseline (in closed form) and ``advantage`` the
 #: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Largest number of rows (eta x dimension x family) one sweep may have.
@@ -97,9 +90,10 @@ def run_sweep(
     Each (dimension, family) probe's weights ``lam`` are built once, and
     each of its columns is one call over the whole eta grid: the closed
     form at ``k_i = 1 / sum(lam^2)``, ``h01_direct`` from traces of
-    ``diag(lam)`` (its independent check) and ``p_err`` from the kernel
-    (one stacked eigensolve); ``p_err_ci`` is the kernel at the single
-    weight 1.  The cross-checks run once, on the finished table.  Raises
+    ``diag(lam)`` (its independent check) and ``p_err`` from the kernel;
+    ``p_err_ci`` is a closed form.  The cross-checks run once, on the
+    finished table: the two overlaps agree, and ``p_err`` lies between the
+    Bell probe's error and ``p_err_ci``, within 1e-12.  Raises
     ``ValueError`` for grid entries outside their ranges, a grid of more
     than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a row that
@@ -118,7 +112,7 @@ def run_sweep(
 
     probes, ones = {}, np.ones(len(etas))  # x * ones spreads x over the grid exactly
     for d_s in dict.fromkeys(dims):
-        p_err_ci = schmidt_helstrom_error([1.0], etas, d_s, p0)
+        p_err_ci = flat_probe_error(etas, d_s, p0)
         h01_rank_one = h01_closed_form(etas, d_s, 1.0)
         for f, family in enumerate(families):
             lam = family(d_s)
@@ -139,19 +133,20 @@ def run_sweep(
     table = np.stack(blocks, axis=1).reshape(n_rows, len(SWEEP_COLUMNS))
     column = dict(zip(SWEEP_COLUMNS, table.T))
     gap = np.abs(column["h01_closed"] - column["h01_direct"])
-    bad = np.flatnonzero(~(gap < RECORD_AGREEMENT_TOL))  # NaN fails every check
-    if bad.size:
-        r = bad[0]
-        raise VerificationError(
-            f"closed/direct overlap disagree by {gap[r]:.3e} at (eta={column['eta'][r]}, "
-            f"d_s={int(column['d_s'][r])}, k_i={column['k_i'][r]})"
-        )
-    p_min = min(p0, 1.0 - p0)
-    for name in ("p_err", "p_err_ci"):
-        p = column[name]
-        bad = ~((-1e-12 <= p) & (p <= p_min + 1e-10))
-        if bad.any():
-            raise VerificationError(f"{name}={p[bad][0]} outside [0, {p_min}]")
+    # every probe's error lies between the Bell probe's (as many weights) and the unentangled one's
+    p, ci = column["p_err"], column["p_err_ci"]
+    bell = flat_probe_error(column["eta"], column["d_s"] * column["d_i"], p0)
+    for ok, failure in (
+        (gap < RECORD_AGREEMENT_TOL, lambda r: f"closed/direct overlap disagree by {gap[r]:.3e}"),
+        ((bell - 1e-12 <= p) & (p <= ci + 1e-12), lambda r: f"p_err={p[r]} outside [{bell[r]}, {ci[r]}]"),
+    ):
+        bad = np.flatnonzero(~ok)  # NaN fails every check
+        if bad.size:
+            r = bad[0]
+            raise VerificationError(
+                f"{failure(r)} at (eta={column['eta'][r]}, d_s={int(column['d_s'][r])}, "
+                f"d_i={int(column['d_i'][r])}, k_i={column['k_i'][r]})"
+            )
     return table
 
 

@@ -8,17 +8,14 @@ which needs only traces of matrix products.  The states arrive validated as
 :class:`DensityMatrix`; only their dimensions and the prior are checked
 here.
 
-For the illumination channel itself no dense ``(d_s d_i)``-dimensional
-matrix is needed: a pure probe enters only through its Schmidt weights.
-:func:`schmidt_helstrom_error` gives the minimum error from them, with one
-eigensolve of at most ``d_i x d_i``, stacked over many probes or over a
-grid of ``eta`` at once; :func:`channel_overlap` gives the overlap of the
-two channel outputs from three traces of ``diag(lam)``, without
-diagonalization, and :func:`h01_closed_form` the same overlap from the
-physical parameters; all three take ``eta`` as one value or an array.
-``sweep`` and ``verify-bell`` use these; the dense :func:`helstrom_error`
-serves ``helstrom`` on arbitrary stored states and is the tests' oracle for
-the kernel.
+On the illumination channel a pure probe enters only through its Schmidt
+weights ``lam``: :func:`schmidt_helstrom_error` takes the minimum error
+from one secular root, :func:`flat_probe_error` in closed form for flat
+weights (the Bell and the unentangled probe, its two ends),
+:func:`channel_overlap` the overlap from three traces of ``diag(lam)`` and
+:func:`h01_closed_form` from the physical parameters.  ``sweep`` and
+``verify-bell`` use these; the dense :func:`helstrom_error` serves
+``helstrom`` on arbitrary stored states and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .states import DEFAULT_TOL, DensityMatrix
-
-#: Most block entries the kernel diagonalizes at once (2 MiB): its memory stays flat.
-_CHUNK_ENTRIES = 1 << 18
 
 
 def _efficiencies(eta) -> np.ndarray:
@@ -62,24 +56,28 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) ->
 
 
 def schmidt_helstrom_error(weights, eta, d_s: int, p0: float = 0.5):
-    """Minimum error probability of the illumination channel, in Schmidt space.
+    """Minimum error probability of the illumination channel, from the
+    probe's Schmidt weights ``lam`` alone.
 
-    The target-absent state ``I/d_s (x) phi_i`` is invariant under local
-    unitaries, so ``p0 rho0 - p1 rho1`` is block-diagonal in the probe's
-    Schmidt basis.  With Schmidt weights ``lam`` (the idler reduction's
-    eigenvalues) and ``c = p0 (1 - eta) - p1`` the blocks are the
-    ``d_i x d_i`` matrix ``p0 eta sqrt(lam) sqrt(lam)^T + (c/d_s) diag(lam)``
-    on the span of the paired Schmidt vectors, a rank-one update of a
-    diagonal matrix, and the scalars ``c lam_m / d_s``, each ``d_s - 1``
-    times, elsewhere.  The result equals :func:`helstrom_error` on the
-    probe's dense channel outputs ``(rho0, rho1)``, clipped to ``[0, 1]``.
+    With ``a = p0 eta``, ``c = p0 (1 - eta) - p1`` and ``s = -c/d_s``,
+    ``p0 rho0 - p1 rho1`` is ``a sqrt(lam) sqrt(lam)^T - s diag(lam)`` in the
+    Schmidt basis, plus the eigenvalues ``-s lam_m`` (each ``d_s - 1``
+    times), and has trace ``p0 - p1``.  So the error is ``p1`` if ``c >= 0``,
+    else ``p0 - mu`` with ``mu`` its one positive eigenvalue: the root of
+    ``a sum(lam / (mu + s lam)) = 1`` if ``a #{lam > 0} > s``, else 0.
+    Newton's method on the reciprocal of the left-hand side (concave and
+    increasing) rises to the root from ``max_k lam_(k) (a k - s)`` (``lam``
+    descending), below the root and equal to it for flat weights, until a
+    step is below the root's last bit (at most 13 steps on 3000 random
+    probes with weights down to 1e-300).  The error is then taken as
+    ``p0 (1 - eta) + a s sum(lam^2 / (mu + s lam))``, equal to ``p0 - mu``
+    for weights summing to 1 but free of its cancellation.  It equals
+    :func:`helstrom_error` on the dense channel outputs, clipped to [0, 1].
 
-    ``weights`` is one probe's weights (1-D) or an ``(n, d_i)`` stack of
-    probes; ``eta`` is one value or an array broadcasting against the
-    stack's leading axis.  A float is returned for 1-D weights and one
-    ``eta``, else an array, from one stacked eigensolve (in chunks of
-    :data:`_CHUNK_ENTRIES` entries).  Negative weights (eigenvalue rounding)
-    count as 0; small weights are kept, so the result is continuous in them.
+    ``weights`` is one probe's weights (1-D) or an ``(n, d_i)`` stack, and
+    ``eta`` one value or an array broadcasting against its leading axis: a
+    float is returned for 1-D weights and one ``eta``, else an array, no
+    row of which depends on another.  Negative weights count as 0.
     """
     eta = _efficiencies(eta)
     if d_s < 2:
@@ -92,18 +90,38 @@ def schmidt_helstrom_error(weights, eta, d_s: int, p0: float = 0.5):
     c = p0 * (1.0 - eta) - (1.0 - p0)
     # one row per (eta, probe) pair, broadcast by an exact product with 1
     d_i, ones = lam.shape[-1], np.ones(np.broadcast_shapes(eta.shape, lam.shape[:-1]))
-    a, b = (p0 * eta * ones).reshape(-1), (c / d_s * ones).reshape(-1)
-    stack = (lam * ones[..., None]).reshape(-1, d_i)
-    root, diag, norm = np.sqrt(stack), np.arange(d_i), np.empty(a.size)
-    step = _CHUNK_ENTRIES // max(1, d_i * d_i) or 1
-    for first in range(0, a.size, step):
-        rows = slice(first, first + step)
-        block = a[rows, None, None] * (root[rows, :, None] * root[rows, None, :])
-        block[:, diag, diag] += b[rows, None] * stack[rows]
-        norm[rows] = np.sum(np.abs(np.linalg.eigvalsh(block)), axis=-1)
-    norm = norm.reshape(ones.shape) + (d_s - 1) * abs(c) * np.sum(lam, axis=-1) / d_s
-    p_err = np.clip(0.5 * (1.0 - norm), 0.0, 1.0)
+    a, s, base = ((x * ones).reshape(-1) for x in (p0 * eta, -c / d_s, p0 * (1.0 - eta)))
+    stack = np.broadcast_to(np.sort(lam)[..., ::-1], ones.shape + (d_i,)).reshape(-1, d_i)
+    p_err = np.where(s > 0.0, p0, 1.0 - p0)  # mu = 0, or p1 where c >= 0
+    rows = np.flatnonzero((s > 0.0) & (a * np.count_nonzero(stack, axis=-1) > s))
+    lam, a, s, base = stack[rows], a[rows, None], s[rows, None], base[rows]
+    mu = np.max(lam * (a * np.arange(1, d_i + 1) - s), axis=-1, keepdims=True)
+    rising = np.ones_like(mu, dtype=bool)  # a row stops once its root is reached
+    while rising.any():
+        g = mu + s * lam
+        q, z = lam / g, mu / g  # z in (0, 1]: no overflow at tiny mu
+        total = np.sum(q, axis=-1, keepdims=True)
+        rise = total * (a * total - 1.0) / np.sum(q * z, axis=-1, keepdims=True)
+        mu = np.where(rising, mu + mu * rise, mu)  # the Newton step, relative to mu
+        rising &= rise > np.finfo(float).eps
+    p_err[rows] = base + (a * s)[:, 0] * np.sum(lam * lam / (mu + s * lam), axis=-1)
+    p_err = np.clip(p_err.reshape(ones.shape), 0.0, 1.0)
     return float(p_err) if p_err.ndim == 0 else p_err
+
+
+def flat_probe_error(eta, n, p0: float = 0.5):
+    """Minimum error probability of a probe with ``d_i`` flat Schmidt weights
+    on ``d_s`` signal modes, in closed form with ``n = d_s d_i``:
+    ``p0 rho0 - p1 rho1`` has the eigenvalue ``p0 eta + c/n`` once and
+    ``c/n`` ``n - 1`` times (``c = p0 (1 - eta) - p1``).  The secular root
+    grows as the weights spread (Schur concavity), so every probe's error
+    lies between this at ``n = d_s d_i`` (the Bell probe) and at ``n = d_s``
+    (the unentangled probe).  ``eta`` and ``n`` may be arrays, unchecked.
+    """
+    eta = np.asarray(eta, dtype=float)
+    c = p0 * (1.0 - eta) - (1.0 - p0)
+    norm = np.abs(p0 * eta + c / n) + (n - 1) * np.abs(c) / n
+    return np.clip(0.5 * (1.0 - norm), 0.0, 1.0)
 
 
 def optimal_povm(

@@ -10,8 +10,11 @@ trace (:func:`idler_reduction`), both channel outputs as
 their normalized Hilbert-Schmidt overlap (:func:`hs_distinguishability`).
 Between that and the package's overlap from the weights alone sits
 :func:`amplitude_overlap`, the same three traces taken of any amplitude
-matrix.  The package computes the same numbers from a probe's Schmidt
-weights without any matrix of that size; the tests hold it to these.
+matrix; between the dense minimum error and the package's secular root
+sits :func:`schmidt_helstrom_oracle`, a stacked eigensolve of the
+Schmidt-space blocks.  The package computes the same numbers from a
+probe's Schmidt weights without any matrix of that size; the tests hold it
+to these.
 """
 
 import numpy as np
@@ -272,11 +275,34 @@ def unentangled_error(eta, d_s, p0=0.5):
     eigenvalue ``p0 eta + c/d_s`` once, ``c/d_s`` ``d_s - 1`` times and 0
     elsewhere, so the error needs no diagonalization.  At ``p0 = 1/2`` it is
     ``(1 - eta (1 - 1/d_s)) / 2``.  The oracle for the sweep's ``p_err_ci``
-    column, which is the Schmidt-space kernel at the single weight 1.
+    column.
     """
     c = p0 * (1.0 - eta) - (1.0 - p0)
     norm = abs(p0 * eta + c / d_s) + (d_s - 1) * abs(c) / d_s
     return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
+
+
+def schmidt_helstrom_oracle(weights, eta, d_s, p0=0.5):
+    """Minimum error of the illumination channel from the eigenvalues of its
+    Schmidt-space blocks, the oracle for the package's secular root.
+
+    With ``c = p0 (1 - eta) - p1``, ``p0 rho0 - p1 rho1`` is the
+    ``d_i x d_i`` block ``p0 eta sqrt(lam) sqrt(lam)^T + (c/d_s) diag(lam)``
+    plus the scalars ``c lam_m / d_s``, each ``d_s - 1`` times.  The blocks
+    of all (eta, probe) pairs go through one stacked ``eigvalsh``; the
+    arguments broadcast as the package's ``schmidt_helstrom_error``'s do.
+    """
+    eta = np.asarray(eta, dtype=float)
+    lam = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+    c = p0 * (1.0 - eta) - (1.0 - p0)
+    ones = np.ones(np.broadcast_shapes(eta.shape, lam.shape[:-1]))
+    root, diag = np.sqrt(lam), np.arange(lam.shape[-1])
+    block = (p0 * eta * ones)[..., None, None] * (root[..., :, None] * root[..., None, :])
+    block[..., diag, diag] += (c / d_s * ones)[..., None] * lam
+    norm = np.sum(np.abs(np.linalg.eigvalsh(block)), axis=-1)
+    norm = norm + (d_s - 1) * np.abs(c) * np.sum(lam, axis=-1) / d_s
+    p_err = np.clip(0.5 * (1.0 - norm), 0.0, 1.0)
+    return float(p_err) if p_err.ndim == 0 else p_err
 
 
 def evaluate_state_metrics(amp, eta, p0=0.5, tol=DEFAULT_TOL):

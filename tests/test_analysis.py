@@ -89,9 +89,9 @@ class TestRunSweep:
         assert peak < 4e6
 
     def test_memory_bound_at_d_1000(self):
-        """A probe is its 1000 weights; what remains is the kernel's one
-        d_i x d_i block (8 MB).  A (d_s, d_i) complex amplitude matrix
-        would add 16 MB, and its idler reduction another 16 MB."""
+        """A probe is its 1000 weights, and the kernel's secular root needs a
+        few vectors of that length.  A (d_s, d_i) complex amplitude matrix
+        would take 16 MB, and its idler reduction another 16 MB."""
         tracemalloc.start()
         try:
             run_sweep([0.5], [1000], [bell_family()])
@@ -99,6 +99,18 @@ class TestRunSweep:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+    def test_memory_bound_at_d_3000(self):
+        """No d_i x d_i matrix either: one such block alone is 72 MB at
+        d = 3000, and the kernel's secular root needs a few vectors of
+        3000 weights."""
+        tracemalloc.start()
+        try:
+            run_sweep([0.5], [3000], [bell_family()])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("family, d_i", [
         (bell_family(), 5), (uniform_rank_family(3), 3), (fixed_spectrum_family([0.5, 0.0, 0.2, 0.3]), 4),
@@ -120,23 +132,21 @@ class TestSweepRecordValidation:
             run_sweep([0.5], [2], [bell_family()])
 
     def test_rejects_out_of_range_probability(self, monkeypatch):
+        """A probe's error above the unentangled one's leaves the bracket."""
         exact = analysis.schmidt_helstrom_error
-
-        def probe_skewed(weights, *args):
-            return exact(weights, *args) + (0.2 if len(weights) > 1 else 0.0)
-
-        monkeypatch.setattr(analysis, "schmidt_helstrom_error", probe_skewed)
-        with pytest.raises(VerificationError, match=r"^p_err=0\.5\d* outside \[0, 0\.5\]$"):
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", lambda *args: exact(*args) + 0.2)
+        with pytest.raises(VerificationError, match=r"^p_err=0\.5125\d* outside \[0\.3125, 0\.375\] at \(eta=0\.5,"):
             run_sweep([0.5], [2], [bell_family()])
 
     def test_rejects_out_of_range_baseline(self, monkeypatch):
-        exact = analysis.schmidt_helstrom_error
+        """An unentangled error below the probe's leaves the bracket."""
+        exact = analysis.flat_probe_error
 
-        def baseline_skewed(weights, *args):
-            return exact(weights, *args) - (1.0 if len(weights) == 1 else 0.0)
+        def baseline_skewed(eta, n, p0):
+            return exact(eta, n, p0) - 1.0 * (np.asarray(n) == 2)  # n = d_s: the baseline
 
-        monkeypatch.setattr(analysis, "schmidt_helstrom_error", baseline_skewed)
-        with pytest.raises(VerificationError, match=r"^p_err_ci=-0\.6\d* outside \[0, 0\.5\]$"):
+        monkeypatch.setattr(analysis, "flat_probe_error", baseline_skewed)
+        with pytest.raises(VerificationError, match=r"^p_err=0\.3125\d* outside \[0\.3125, -0\.625\] at"):
             run_sweep([0.5], [2], [bell_family()])
 
     def test_checks_follow_every_probe(self, monkeypatch):
@@ -165,8 +175,8 @@ class TestSweepColumns:
         families = [bell_family(), uniform_rank_family(2), fixed_spectrum_family([0.5, 0.3, 0.2])]
         table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5], families)
         assert len(table) == 24
-        # per dimension: the baseline (one weight), then one call per family
-        assert calls == [(1, 4), (3, 4), (2, 4), (3, 4), (1, 4), (5, 4), (2, 4), (3, 4)]
+        # per dimension, one call per family; the baseline is a closed form
+        assert calls == [(3, 4), (2, 4), (3, 4), (5, 4), (2, 4), (3, 4)]
 
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_baseline_column_is_the_closed_form(self, p0):
@@ -176,6 +186,9 @@ class TestSweepColumns:
         r = sweep_columns(table)
         for eta, d_s, p_err_ci in zip(r["eta"].tolist(), r["d_s"].tolist(), r["p_err_ci"].tolist()):
             assert p_err_ci == unentangled_error(eta, int(d_s), p0)
+        if p0 in (0.0, 1.0):
+            # a certain prior is never mistaken
+            assert r["p_err"].tolist() == [0.0] * 48
 
     def test_rows_equal_single_point_sweeps(self):
         """Each row of a grid equals a sweep of its point alone."""

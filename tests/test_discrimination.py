@@ -1,17 +1,16 @@
 """Tests for measurement error probabilities and the overlap measure."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qillum import discrimination
 from qillum.states import DEFAULT_TOL as TOL, DensityMatrix, schmidt_probe
 from qillum.discrimination import (
     channel_overlap,
+    flat_probe_error,
     h01_closed_form,
     helstrom_error,
     optimal_povm,
@@ -38,6 +37,7 @@ from conftest import (
     random_two_outcome_povm,
     random_unitary,
     schmidt_amplitudes,
+    schmidt_helstrom_oracle,
     sweep_columns,
     unentangled_error,
 )
@@ -278,23 +278,21 @@ class TestSchmidtHelstrom:
         n_tiny=st.integers(0, 7),
         etas=st.lists(UNIT, min_size=1, max_size=6),
         p0=UNIT,
-        chunk=st.sampled_from([1, 5, discrimination._CHUNK_ENTRIES]),
     )
-    @example(seed=0, d_i=1, d_s=2, tiny=0.0, n_tiny=0, etas=[0.0, 1.0], p0=0.0, chunk=1)
-    @example(seed=1, d_i=1, d_s=8, tiny=0.0, n_tiny=0, etas=[1.0, 0.0, 0.5], p0=1.0, chunk=5)
-    @example(seed=2, d_i=8, d_s=3, tiny=0.0, n_tiny=7, etas=[1.0, 0.0], p0=0.0, chunk=64)
-    @example(seed=3, d_i=6, d_s=6, tiny=1e-12, n_tiny=3, etas=[0.0, 1.0, 0.3], p0=1.0, chunk=1)
-    @example(seed=4, d_i=4, d_s=5, tiny=1e-13, n_tiny=2, etas=[0.5] * 6, p0=0.5, chunk=17)
-    def test_eta_array_equals_scalar_calls(self, seed, d_i, d_s, tiny, n_tiny, etas, p0, chunk):
+    @example(seed=0, d_i=1, d_s=2, tiny=0.0, n_tiny=0, etas=[0.0, 1.0], p0=0.0)
+    @example(seed=1, d_i=1, d_s=8, tiny=0.0, n_tiny=0, etas=[1.0, 0.0, 0.5], p0=1.0)
+    @example(seed=2, d_i=8, d_s=3, tiny=0.0, n_tiny=7, etas=[1.0, 0.0], p0=0.0)
+    @example(seed=3, d_i=6, d_s=6, tiny=1e-12, n_tiny=3, etas=[0.0, 1.0, 0.3], p0=1.0)
+    @example(seed=4, d_i=4, d_s=5, tiny=1e-13, n_tiny=2, etas=[0.5] * 6, p0=0.5)
+    def test_eta_array_equals_scalar_calls(self, seed, d_i, d_s, tiny, n_tiny, etas, p0):
         """One probe over an eta grid, and a stack with one eta per row, give
-        exactly the per-eta results, whether in one chunk or in many."""
+        exactly the per-eta results."""
         weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(etas))
         weights[:, : min(n_tiny, d_i - 1)] = tiny
         weights /= weights.sum(axis=1, keepdims=True)
-        with mock.patch.object(discrimination, "_CHUNK_ENTRIES", chunk):
-            column = schmidt_helstrom_error(weights[0], etas, d_s, p0)
-            stacked = schmidt_helstrom_error(weights, etas, d_s, p0)
-            broadcast = schmidt_helstrom_error(weights[:1], etas, d_s, p0)
+        column = schmidt_helstrom_error(weights[0], etas, d_s, p0)
+        stacked = schmidt_helstrom_error(weights, etas, d_s, p0)
+        broadcast = schmidt_helstrom_error(weights[:1], etas, d_s, p0)
         assert column.shape == stacked.shape == broadcast.shape == (len(etas),)
         for k, eta in enumerate(etas):
             single = schmidt_helstrom_error(weights[0], eta, d_s, p0)
@@ -303,17 +301,17 @@ class TestSchmidtHelstrom:
             assert stacked[k] == schmidt_helstrom_error(weights[k], eta, d_s, p0)
 
     def test_memory_does_not_grow_with_the_grid(self):
-        """300 efficiencies at d_i = 128 would be a 39 MB stack of blocks; in
-        chunks of 2^16 entries (0.5 MiB) the kernel stays under 4 MB."""
+        """300 efficiencies at d_i = 128 would be a 39 MB stack of
+        d_i x d_i blocks; the secular root needs a few arrays of one weight
+        vector per efficiency (0.3 MB each) and stays under 4 MB."""
         weights = np.full(128, 1.0 / 128)
         etas = np.linspace(0.0, 1.0, 300)
-        with mock.patch.object(discrimination, "_CHUNK_ENTRIES", 1 << 16):
-            tracemalloc.start()
-            try:
-                column = schmidt_helstrom_error(weights, etas, 128, 0.4)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            column = schmidt_helstrom_error(weights, etas, 128, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 4e6
         assert column[-1] == schmidt_helstrom_error(weights, 1.0, 128, 0.4)
 
@@ -324,6 +322,162 @@ class TestSchmidtHelstrom:
                     schmidt_helstrom_error(weights, eta, d_s, p0)
         with pytest.raises(ValueError, match="shape"):
             schmidt_helstrom_error(np.ones((2, 2, 2)) / 2, 0.5, 2, 0.5)
+
+
+def spectrum(seed, d_i, tiny=0.0, n_tiny=0):
+    """Random Schmidt weights summing to 1, in random order, of which
+    ``min(n_tiny, d_i - 1)`` equal ``tiny`` before normalization."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(d_i))
+    weights[: min(n_tiny, d_i - 1)] = tiny
+    return rng.permutation(weights / weights.sum())
+
+
+def tie_efficiencies(p0):
+    """The eta at which ``c = p0 (1 - eta) - p1`` is 0, and its neighbours
+    (none for ``p0 < 1/2``, where c < 0 on all of [0, 1])."""
+    if p0 < 0.5:
+        return []
+    eta = 1.0 - (1.0 - p0) / p0
+    return [float(np.nextafter(eta, 0.0)), eta, float(np.nextafter(eta, 1.0))]
+
+
+def hard_case(seed, d_i, d_s, p0, eta=None, tiny=0.0, n_tiny=0, threshold=None):
+    """``(weights, eta, d_s, p0)``; ``eta`` defaults to the first one past
+    the tie c = 0, and ``threshold=t`` sets it to ``1 + t`` times the eta at
+    which the root leaves 0 (``a #{lam > 0} = s``)."""
+    weights = spectrum(seed, d_i, tiny, n_tiny)
+    if threshold is not None:
+        eta = (1.0 - 2.0 * p0) / (p0 * (np.count_nonzero(weights) * d_s - 1.0)) * (1.0 + threshold)
+    elif eta is None:
+        eta = tie_efficiencies(p0)[-1]
+    return weights, eta, d_s, p0
+
+
+HARD_CASES = [
+    # c just below 0: mu is close to p0, the error near p1
+    *(hard_case(k, 6, 4, p0) for k, p0 in enumerate([0.6, 0.75, 0.9, 0.97, 0.9999])),
+    # the root just above 0
+    *(hard_case(k, d_i, 3, 0.3, threshold=t)
+      for k, (d_i, t) in enumerate([(4, 1e-12), (4, 1e-6), (8, 1e-9), (2, 1e-3), (12, 1e-12)])),
+    # weights down to 1e-300
+    *(hard_case(k, 8, 5, p0, eta=0.7, tiny=t, n_tiny=5)
+      for k, (t, p0) in enumerate([(1e-300, 0.5), (1e-150, 0.4), (1e-20, 0.6), (1e-300, 0.9), (1e-12, 0.45)])),
+    # eta = 1: a small error
+    *(hard_case(k, 12, 12, p0, eta=1.0) for k, p0 in enumerate([0.5, 0.6, 0.9, 0.99, 0.35])),
+    # the verify-bell golden run's parameters
+    *(hard_case(k, 4, 4, 0.4, eta=0.3) for k in range(5)),
+]
+
+
+def exact_error(weights, eta, d_s, p0):
+    """The probe's minimum error at 50 digits: the weights as exact binary
+    fractions, normalized to sum 1, and the Schmidt-space block's
+    eigenvalues from mpmath's ``eigsy``, not a secular root."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(float(x)) for x in weights]
+        total = mpmath.fsum(lam)
+        lam = [x / total for x in lam]
+        p0, eta = mpmath.mpf(p0), mpmath.mpf(eta)
+        c = p0 * (1 - eta) - (1 - p0)
+        block = mpmath.matrix(len(lam))
+        for i, x in enumerate(lam):
+            for j, y in enumerate(lam):
+                block[i, j] = p0 * eta * mpmath.sqrt(x * y) + (c / d_s * x if i == j else 0)
+        eigenvalues = mpmath.eigsy(block, eigvals_only=True)
+        norm = mpmath.fsum(abs(e) for e in eigenvalues) + (d_s - 1) * abs(c) / d_s
+        return (1 - norm) / 2
+
+
+class TestSecularRoot:
+    """The structure the kernel relies on: ``p0 rho0 - p1 rho1`` has at most
+    one positive eigenvalue, the secular root, whose vector is known, and
+    the closed forms of the Bell and the unentangled probe bracket it."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_s=st.integers(2, 8),
+        d_i=st.integers(1, 8),
+        tiny=st.sampled_from([0.0, 1e-300, 1e-200, 1e-100, 1e-13, 1e-12, 1e-11]),
+        n_tiny=st.integers(0, 7),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(seed=0, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=0.0, p0=0.0)
+    @example(seed=1, d_s=8, d_i=8, tiny=1e-300, n_tiny=7, eta=1.0, p0=1.0)
+    @example(seed=2, d_s=3, d_i=6, tiny=0.0, n_tiny=4, eta=1.0, p0=0.75)
+    @example(seed=3, d_s=5, d_i=4, tiny=1e-11, n_tiny=3, eta=0.5, p0=0.5)
+    @example(seed=4, d_s=4, d_i=8, tiny=1e-200, n_tiny=2, eta=0.9, p0=0.9)
+    @example(seed=5, d_s=8, d_i=1, tiny=0.0, n_tiny=0, eta=1.0, p0=0.5)
+    def test_matches_stacked_eigensolve(self, seed, d_s, d_i, tiny, n_tiny, eta, p0):
+        """Against the oracle's ``eigvalsh`` of the blocks, at eta's ends and
+        at and next to c = 0.  The oracle's own rounding reaches about
+        2e-15."""
+        weights = spectrum(seed, d_i, tiny, n_tiny)
+        etas = [eta, 0.0, 1.0, *tie_efficiencies(p0)]
+        got = schmidt_helstrom_error(weights, etas, d_s, p0)
+        assert max_abs_diff(got, schmidt_helstrom_oracle(weights, etas, d_s, p0)) <= 4e-15
+
+    @pytest.mark.parametrize("weights, eta, d_s, p0", HARD_CASES)
+    def test_hard_cases_match_mpmath(self, weights, eta, d_s, p0):
+        got = schmidt_helstrom_error(weights, eta, d_s, p0)
+        assert abs(got - exact_error(weights, eta, d_s, p0)) <= 4e-16
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), d_s=st.integers(2, 5), d_i=st.integers(1, 5), eta=UNIT, p0=UNIT)
+    @example(seed=0, d_s=2, d_i=1, eta=1.0, p0=0.5)
+    @example(seed=1, d_s=5, d_i=5, eta=0.5, p0=0.4)
+    @example(seed=2, d_s=3, d_i=3, eta=0.05, p0=0.2)
+    def test_one_positive_eigenvalue_with_the_secular_vector(self, seed, d_s, d_i, eta, p0):
+        """When c < 0 the dense oracle's ``p0 rho0 - p1 rho1`` has one
+        eigenvalue above 1e-12, ``mu = p0 - p_err``, when the root is
+        positive, and none when it is 0; its eigenvector is
+        ``chi ~ sum_m sqrt(lam_m) / (mu + s lam_m) |m>|m>``, which the
+        optimal measurement's ``E0`` holds."""
+        c = p0 * (1.0 - eta) - (1.0 - p0)
+        assume(c < 0.0)
+        weights = spectrum(seed, min(d_i, d_s))
+        mu = p0 - schmidt_helstrom_error(weights, eta, d_s, p0)
+        assume(abs(mu - 1e-12) > 1e-14)
+        rho0, rho1 = channel_outputs(schmidt_amplitudes(d_s, weights), eta)
+        w, v = np.linalg.eigh(p0 * rho0.mat - (1.0 - p0) * rho1.mat)
+        assert np.count_nonzero(w > 1e-12) == (mu > 1e-12)
+        if mu > 1e-12:
+            assert abs(w[-1] - mu) <= 1e-12
+        if mu > 1e-3:  # a gap of at least mu to the rest
+            chi = np.zeros((d_s, weights.size))
+            np.fill_diagonal(chi, np.sqrt(weights) / (mu - c / d_s * weights))
+            chi = chi.reshape(-1) / np.linalg.norm(chi)
+            assert abs(np.vdot(chi, v[:, -1])) >= 1.0 - 1e-9
+            # the optimal measurement's "target present" outcome holds chi
+            e0, _ = optimal_povm(rho0, rho1, p0)
+            assert abs(np.vdot(chi, e0 @ chi) - 1.0) <= 1e-9
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_s=st.integers(2, 8),
+        d_i=st.integers(1, 8),
+        tiny=st.sampled_from([0.0, 1e-300, 1e-12]),
+        n_tiny=st.integers(0, 7),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(seed=0, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=0.5, p0=0.5)
+    @example(seed=1, d_s=6, d_i=8, tiny=1e-300, n_tiny=7, eta=1.0, p0=0.3)
+    @example(seed=2, d_s=4, d_i=4, tiny=0.0, n_tiny=0, eta=0.2, p0=0.8)
+    def test_bracketed_by_the_bell_and_unentangled_errors(self, seed, d_s, d_i, tiny, n_tiny, eta, p0):
+        """Between the flat-weight closed forms at ``n = d_s d_i`` and
+        ``n = d_s``, and exactly ``p1`` wherever ``c >= 0``."""
+        weights = spectrum(seed, d_i, tiny, n_tiny)
+        etas = np.array([eta, 0.0, 1.0, *tie_efficiencies(p0)])
+        p_err = schmidt_helstrom_error(weights, etas, d_s, p0)
+        assert np.all(flat_probe_error(etas, d_s * d_i, p0) - 1e-15 <= p_err)
+        assert np.all(p_err <= flat_probe_error(etas, d_s, p0) + 1e-15)
+        tie = p0 * (1.0 - etas) - (1.0 - p0) >= 0.0
+        assert np.all(p_err[tie] == 1.0 - p0)
 
 
 class TestHsDistinguishability:
