@@ -51,9 +51,9 @@ class VerificationError(ValueError):
 
 
 def bell_family() -> Family:
-    """Maximally entangled input at every dimension: ``d_s`` coefficients
-    ``1/sqrt(d_s)``, squared."""
-    return lambda d_s: np.full(d_s, 1.0 / np.sqrt(d_s)) ** 2
+    """Maximally entangled input at every dimension: ``d_s`` Schmidt weights
+    ``1/d_s``, each the correctly rounded quotient."""
+    return lambda d_s: np.full(d_s, 1.0 / d_s)
 
 
 def uniform_rank_family(rank: int) -> Family:

@@ -6,7 +6,10 @@ process.  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table as
 CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
 through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
 weights: flat for ``bell`` and ``uniform-rank:<r>``, read from a JSON list
-for ``spectrum:<file>``.
+for ``spectrum:<file>``.  ``helstrom`` reads two state files in either wire
+format of :mod:`~qillum.states` and prints the error through :func:`_fmt`;
+with ``--povm`` it also prints the optimal measurement as
+:func:`~qillum.states.densities_to_json` writes it.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
 failure.  A run that runs out of memory (an oversized dimension) also
@@ -30,7 +33,7 @@ import os
 import sys
 from pathlib import Path
 
-from .states import DEFAULT_TOL, density_from_dict, density_to_dict, require_numbers, state_from_dict
+from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers, state_from_dict
 from .discrimination import helstrom_error, optimal_povm
 from .analysis import (
     SWEEP_COLUMNS,
@@ -221,8 +224,7 @@ def cmd_helstrom(args, tol: float) -> int:
     rho1 = _load_density(args.state1, tol)
     print(_fmt(helstrom_error(rho0, rho1, args.p0)))
     if args.povm:
-        povm = optimal_povm(rho0, rho1, args.p0, tol)
-        print(json.dumps([density_to_dict(e) for e in povm], sort_keys=True))
+        print(densities_to_json(optimal_povm(rho0, rho1, args.p0, tol)))
     return 0
 
 

@@ -9,13 +9,15 @@ positive by construction.  A sweep probe is its Schmidt weights
 (:func:`schmidt_probe`).  A random pure state is its complex
 ``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s``
 with idler level ``i`` (:func:`haar_random_amplitudes`); one read from a
-file becomes its projector (:func:`state_from_dict`).  Every check is
+file becomes its projector (:func:`state_from_dict`).  Matrices leave the
+package as JSON text (:func:`densities_to_json`).  Every check is
 phrased so that a NaN fails it (``not defect <= tol``): any comparison with
 NaN is false, and JSON input may hold ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import chain
 
@@ -115,6 +117,8 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
 # Pure states:      {"d_s": n, "d_i": m, "amplitudes": [[re, im], ...]}  (signal-major)
 # Density matrices: {"dim": n, "entries": [[[re, im], ...], ...]}  (row-major)
 # Dimensions are integral (2 or 2.0); every value is a JSON number.
+# Both formats are read here; the package writes only density matrices, a
+# list of them at a time, through densities_to_json.
 
 
 def require_numbers(values: list) -> None:
@@ -168,10 +172,43 @@ def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(np.outer(amp, amp.conj()), tol)
 
 
-def density_to_dict(mat: np.ndarray) -> dict:
-    """Encode a square complex matrix (a density matrix's ``mat``, or a POVM
-    element) in the JSON wire format: ``[re, im]`` float pairs, row-major."""
-    return {"dim": mat.shape[0], "entries": np.stack((mat.real, mat.imag), -1).tolist()}
+def densities_to_json(mats) -> str:
+    """A list of square complex matrices of one dimension (a measurement's
+    elements) as a JSON list in the density-matrix wire format, the text of
+    ``json.dumps`` with ``sort_keys=True``: ``[re, im]`` pairs, row-major,
+    each part in ``json``'s shortest round-trip float text.
+
+    Each distinct magnitude is formatted once, by one ``json.dumps`` of
+    their sorted list, and a sign is prefixed wherever ``np.signbit`` is
+    set, so ``-0.0`` keeps its sign and ``-inf`` reads ``-Infinity``.  A
+    NaN would print as ``NaN`` or ``-NaN``, against ``json``'s ``NaN``:
+    none reaches here, since every matrix the package prints is built from
+    validated, finite input.  The bytes do not depend on how many
+    magnitudes repeat, only the speed does: an optimal measurement's
+    ``E0`` is Hermitian and ``E1 = I - E0``, so of its ``4 dim^2`` parts
+    about ``dim^2 + dim`` magnitudes are distinct.
+    """
+    parts = np.stack([np.stack((m.real, m.imag), -1) for m in mats])
+    mag, index = np.unique(np.abs(parts), return_inverse=True)
+    text = np.array(json.dumps(mag.tolist())[1:-1].split(", "), dtype=object)
+    # what precedes a part: the imaginary part of a pair, the real part of
+    # a pair within a row, of a row's first pair, of the matrix's first;
+    # then the same followed by a minus sign
+    before = (", ", "], [", "]], [[", f'{{"dim": {parts.shape[1]}, "entries": [[[')
+    prefixes = np.array([*before, *(s + "-" for s in before)], dtype=object)
+    where = np.zeros(parts.shape[1:], dtype=np.intp)
+    where[..., 0] = 1
+    where[:, 0, 0] = 2
+    where[0, 0, 0] = 3
+    out = ["["]
+    for part, idx in zip(parts, index.reshape(parts.shape)):
+        # one matrix at a time, its pieces freed before the next's are
+        # built: they are the largest intermediate
+        pieces = np.stack((prefixes[where + len(before) * np.signbit(part)], text[idx]), -1)
+        out += ["".join(pieces.ravel().tolist()), "]]]}, "]
+        del pieces
+    out[-1] = "]]]}]"
+    return "".join(out)
 
 
 def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:

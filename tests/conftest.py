@@ -12,7 +12,8 @@ Between that and the package's overlap from the weights alone sits
 :func:`amplitude_overlap`, the same three traces taken of any amplitude
 matrix; between the dense minimum error and the package's secular root
 sits :func:`schmidt_helstrom_oracle`, a stacked eigensolve of the
-Schmidt-space blocks.  The package computes the same numbers from a
+Schmidt-space blocks.  :func:`density_to_dict` is the byte oracle of the
+package's JSON encoder.  The package computes the same numbers from a
 probe's Schmidt weights without any matrix of that size; the tests hold it
 to these.
 """
@@ -191,6 +192,14 @@ def haar_random_state(d_s, d_i, seed):
     """Amplitude matrix of the uniformly random pure state that
     ``haar_random_amplitudes`` draws from ``seed``."""
     return haar_random_amplitudes(d_s, d_i, [seed])[0]
+
+
+def density_to_dict(mat):
+    """A square complex matrix as a wire-format object: ``[re, im]`` float
+    pairs from one ``tolist``, row-major.  ``json.dumps`` of a list of
+    these, with ``sort_keys=True``, is the byte oracle for the package's
+    ``densities_to_json``."""
+    return {"dim": mat.shape[0], "entries": np.stack((mat.real, mat.imag), -1).tolist()}
 
 
 def povm_error(rho0, rho1, p0, povm):

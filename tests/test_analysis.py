@@ -120,6 +120,14 @@ class TestRunSweep:
         assert lam.ndim == 1 and lam.dtype == float and lam.size == d_i
         assert abs(lam.sum() - 1.0) <= 1e-15
 
+    def test_bell_weights_are_exactly_one_over_d(self):
+        """Each weight is the correctly rounded 1/d; squaring a rounded
+        1/sqrt(d) misses it at 583 of d in [2, 1000), d = 2 among them."""
+        bell = bell_family()
+        for d in range(2, 1000):
+            lam = bell(d)
+            assert lam.size == d and np.all(lam == 1.0 / d), d
+
 
 class TestSweepRecordValidation:
     """The cross-checks ``run_sweep`` runs once on its finished columns, made

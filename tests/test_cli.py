@@ -10,6 +10,9 @@ import pytest
 
 from qillum import analysis, cli
 from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
+from qillum.discrimination import helstrom_error, optimal_povm
+from qillum.states import density_from_dict, state_from_dict
+from conftest import density_to_dict, ginibre, povm_error
 
 DATA = Path(__file__).parent / "data"
 
@@ -326,10 +329,53 @@ class TestGridParsing:
         assert not out.exists()
 
 
+def random_state_object(rng, dim, spec):
+    """A random state in the wire format: ``("amp", d_s, d_i)`` a pure state
+    in the ``amplitudes`` format, ``("rho", rank)`` a density matrix of that
+    rank in the ``entries`` format."""
+    if spec[0] == "amp":
+        amp = ginibre(rng, dim, 1).reshape(-1)
+        amp /= np.linalg.norm(amp)
+        return {"d_s": spec[1], "d_i": spec[2], "amplitudes": [[z.real, z.imag] for z in amp.tolist()]}
+    g = ginibre(rng, dim, spec[1])
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return density_to_dict(0.5 * (rho + rho.conj().T))
+
+
 class TestHelstrom:
     def test_povm_output_unchanged(self, tmp_path, capsys):
         assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 0
         assert capsys.readouterr().out == (DATA / "helstrom_povm.txt").read_text()
+
+    @pytest.mark.parametrize("seed, dim, spec0, spec1", [
+        (1, 32, ("amp", 8, 4), ("rho", 3)),
+        (2, 32, ("rho", 32), ("rho", 1)),
+        (3, 48, ("rho", 48), ("amp", 6, 8)),
+        (4, 64, ("amp", 8, 8), ("amp", 16, 4)),
+        (5, 64, ("rho", 2), ("rho", 64)),
+        (6, 96, ("amp", 12, 8), ("rho", 5)),
+        (7, 96, ("rho", 96), ("rho", 48)),
+    ])
+    def test_povm_text_at_benchmark_sizes(self, tmp_path, capsys, seed, dim, spec0, spec1):
+        """The benchmark's shapes of pair: the measurement prints as
+        ``json.dumps`` of the per-element objects, and it attains the
+        printed error."""
+        rng = np.random.default_rng(seed)
+        obj0, obj1 = random_state_object(rng, dim, spec0), random_state_object(rng, dim, spec1)
+        p0 = round(float(rng.uniform(0.2, 0.8)), 6)
+        assert run_helstrom(tmp_path, obj0, obj1, "--p0", repr(p0), "--povm") == 0
+        out = capsys.readouterr().out
+        rho0, rho1 = (state_from_dict(o) if "amplitudes" in o else density_from_dict(o) for o in (obj0, obj1))
+        povm = optimal_povm(rho0, rho1, p0)
+        text = json.dumps([density_to_dict(e) for e in povm], sort_keys=True)
+        assert out == f"{cli._fmt(helstrom_error(rho0, rho1, p0))}\n{text}\n"
+        line0, line1 = out.splitlines()
+        elements = json.loads(line1)
+        assert [e["dim"] for e in elements] == [dim, dim]
+        parsed = [np.array(e["entries"]).view(complex)[..., 0] for e in elements]
+        assert [e.shape for e in parsed] == [(dim, dim)] * 2
+        assert povm_error(rho0, rho1, p0, parsed) == pytest.approx(float(line0), abs=dim * 1e-9)
 
     @pytest.mark.parametrize("state0, state1, extra", [
         (NAN_AMPLITUDE, NAN_AMPLITUDE, []),

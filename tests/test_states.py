@@ -3,19 +3,23 @@ format, and the amplitude-matrix builders and reduction oracle of
 ``conftest``."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qillum.states import (
     DensityMatrix,
+    densities_to_json,
     density_from_dict,
-    density_to_dict,
     schmidt_probe,
     state_from_dict,
 )
 from conftest import (
     bell_state,
+    density_to_dict,
     effective_rank_k,
     haar_random_state,
     idler_reduction,
@@ -23,8 +27,42 @@ from conftest import (
     partial_trace,
     projector,
     purity,
+    random_projective_povm,
     schmidt_amplitudes,
 )
+
+#: Parts whose text is easy to get wrong: signed zeros, the smallest
+#: subnormal, both sides of repr's switches to exponent form (below 1e-4,
+#: from 1e16), integral values and the infinities.
+AWKWARD_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4, -1.0000000000000002e-4,
+    9999999999999998.0, 1e16, -1.0000000000000002e16, 1.0, -2.0, 3.0, 1e300, math.inf, -math.inf,
+]
+
+
+@st.composite
+def matrix_lists(draw):
+    """Lists of 1 to 3 complex matrices of one dimension, for the encoder.
+
+    Three sources: parts drawn from :data:`AWKWARD_PARTS` and all finite
+    floats, so magnitudes repeat across signs and matrices; a measurement
+    ``(E, I - E)`` with ``E`` a symmetrized projector, whose magnitudes
+    repeat as the CLI's do; one matrix in which no magnitude repeats.
+    """
+    dim = draw(st.integers(1, 4))
+    source = draw(st.sampled_from(["parts", "measurement", "distinct"]))
+    if source == "measurement":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_projective_povm(rng, dim + 1)
+    size = 2 * dim * dim
+    if source == "parts":
+        count = draw(st.integers(1, 3))
+        part = st.one_of(st.sampled_from(AWKWARD_PARTS), st.floats(allow_nan=False))
+        values = draw(st.lists(part, min_size=count * size, max_size=count * size))
+    else:
+        count = 1
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=size, max_size=size, unique_by=abs))
+    return list(np.array(values).view(complex).reshape(count, dim, dim))
 
 
 def pure_state_dict(amp):
@@ -283,18 +321,26 @@ class TestJsonFormat:
 
     def test_density_round_trip(self):
         rho = idler_reduction(haar_random_state(3, 3, seed=2))
-        back = density_from_dict(density_to_dict(rho.mat))
-        assert max_abs_diff(back.mat, rho.mat) < 1e-15
+        back = density_from_dict(json.loads(densities_to_json([rho.mat]))[0])
+        assert max_abs_diff(back.mat, rho.mat) == 0.0
 
     def test_density_entries_print_like_per_entry_floats(self):
-        """The entries come from one ``tolist`` of the (re, im) stack; their
-        JSON text equals that of a ``float`` per part, signed zeros, a
-        subnormal and values near the float range included."""
+        """The encoder's text equals ``json``'s of a ``float`` per part,
+        signed zeros, a subnormal and values near the float range
+        included."""
         mat = np.array([[complex(0.5, -0.0), complex(-0.0, 5e-324)], [1e300 - 1e300j, complex(-0.0, 0.0)]])
         per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-        text = json.dumps(density_to_dict(mat), sort_keys=True)
-        assert text == json.dumps({"dim": 2, "entries": per_entry}, sort_keys=True)
+        text = densities_to_json([mat])
+        assert text == json.dumps([{"dim": 2, "entries": per_entry}], sort_keys=True)
         assert "[[[0.5, -0.0], [-0.0, 5e-324]], [[1e+300, -1e+300], [-0.0, 0.0]]]" in text
+
+    @given(matrix_lists())
+    def test_encoder_equals_json_dumps(self, mats):
+        """Byte for byte the text of ``json.dumps`` of the per-matrix
+        objects.  No NaN is drawn: the encoder would print ``-NaN`` for a
+        negative one, but the only matrices it prints, a measurement's,
+        come from validated, finite states."""
+        assert densities_to_json(mats) == json.dumps([density_to_dict(m) for m in mats], sort_keys=True)
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):
