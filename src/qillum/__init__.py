@@ -12,8 +12,9 @@ by the closed forms of the Bell and the unentangled probe, and the
 overlap three traces of ``diag(lam)``.  A sweep is one float table over
 the whole ``eta`` grid, with the columns ``analysis.SWEEP_COLUMNS`` names.
 The dense minimum error, with the optimal measurement, serves arbitrary
-stored states.  Inputs are validated where they enter, in
-:mod:`qillum.states` and at the user parameters.  Import the submodules:
+stored states, each decoded once into a read-only complex array.  Inputs
+are validated where they enter, in :mod:`qillum.states` and at the user
+parameters.  Import the submodules:
 :mod:`qillum.states`, :mod:`qillum.discrimination`, :mod:`qillum.analysis`
 and the command line, :mod:`qillum.cli`.
 """

@@ -57,15 +57,17 @@ def bell_family() -> Family:
 
 
 def uniform_rank_family(rank: int) -> Family:
-    """Input with a flat reduced spectrum of the given rank (so k_i = rank),
-    checked against each signal dimension before it is allocated."""
+    """Input with a flat reduced spectrum of the given rank (so k_i = rank):
+    ``rank`` Schmidt weights ``1/rank``, each the correctly rounded
+    quotient, checked against each signal dimension before they are
+    allocated."""
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
 
     def probe(d_s: int) -> np.ndarray:
         if rank > d_s:
             raise ValueError(f"rank {rank} exceeds the signal dimension {d_s}")
-        return schmidt_probe(d_s, np.full(rank, 1.0 / rank))
+        return np.full(rank, 1.0 / rank)
 
     return probe
 

@@ -33,7 +33,7 @@ import os
 import sys
 from pathlib import Path
 
-from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers, state_from_dict
+from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers
 from .discrimination import helstrom_error, optimal_povm
 from .analysis import (
     SWEEP_COLUMNS,
@@ -210,13 +210,9 @@ def _load_density(path: str, tol: float):
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read state file {path!r}: {exc}") from exc
     try:
-        if isinstance(obj, dict) and "amplitudes" in obj:
-            return state_from_dict(obj, tol)
-        if isinstance(obj, dict) and "entries" in obj:
-            return density_from_dict(obj, tol)
+        return density_from_dict(obj, tol)
     except ValueError as exc:
         raise CliError(f"invalid state in {path!r}: {exc}") from exc
-    raise CliError(f"{path!r} holds neither a pure state nor a density matrix")
 
 
 def cmd_helstrom(args, tol: float) -> int:

@@ -4,9 +4,10 @@ Two routes to the same question: the exact minimum error probability of a
 binary hypothesis test between ``rho0`` (prior ``p0``) and ``rho1`` (prior
 ``1 - p0``), via the spectrum of ``p0 rho0 - (1 - p0) rho1``, with the
 measurement that attains it; and the normalized Hilbert-Schmidt overlap,
-which needs only traces of matrix products.  The states arrive validated as
-:class:`DensityMatrix`; only their dimensions and the prior are checked
-here.
+which needs only traces of matrix products.  The states arrive as square
+complex arrays, already validated where they entered
+(:func:`~qillum.states.density_from_dict`); only their dimensions and the
+prior are checked here.
 
 On the illumination channel a pure probe enters only through its Schmidt
 weights ``lam``: :func:`schmidt_helstrom_error` takes the minimum error
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DEFAULT_TOL, DensityMatrix
+from .states import DEFAULT_TOL
 
 
 def _efficiencies(eta) -> np.ndarray:
@@ -34,17 +35,17 @@ def _efficiencies(eta) -> np.ndarray:
     return eta
 
 
-def _weighted_difference(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> np.ndarray:
+def _weighted_difference(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> np.ndarray:
     """``p0 rho0 - (1 - p0) rho1``, the operator whose spectrum decides the test."""
-    if rho0.dim != rho1.dim:
-        raise ValueError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
+    if rho0.shape != rho1.shape:
+        raise ValueError(f"dimension mismatch: {len(rho0)} vs {len(rho1)}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
     p0 = float(p0)
-    return p0 * rho0.mat - (1.0 - p0) * rho1.mat
+    return p0 * rho0 - (1.0 - p0) * rho1
 
 
-def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> float:
+def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float:
     """Minimum achievable error probability over all measurements.
 
     Equals ``(1 - ||p0 rho0 - p1 rho1||_1) / 2`` and never exceeds the
@@ -125,7 +126,7 @@ def flat_probe_error(eta, n, p0: float = 0.5):
 
 
 def optimal_povm(
-    rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5, tol: float = DEFAULT_TOL
+    rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """The measurement ``(E0, E1)`` attaining the minimum error probability.
 
@@ -138,7 +139,7 @@ def optimal_povm(
     keep = v[:, w >= -tol]
     e0 = keep @ keep.conj().T
     e0 = 0.5 * (e0 + e0.conj().T)
-    return e0, np.eye(rho0.dim) - e0
+    return e0, np.eye(len(rho0)) - e0
 
 
 def channel_overlap(weights, eta, d_s: int):

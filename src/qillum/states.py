@@ -1,18 +1,18 @@
 """Validated quantum states, sweep probes' Schmidt weights and random pure
 states.
 
-This is where data enters the package, so this is where it is checked.
-Density operators are checked on construction for shape, Hermiticity and
-unit trace; positivity is checked where a matrix enters from outside, in
-:func:`density_from_dict`, since every operator built inside the package is
-positive by construction.  A sweep probe is its Schmidt weights
-(:func:`schmidt_probe`).  A random pure state is its complex
-``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s``
-with idler level ``i`` (:func:`haar_random_amplitudes`); one read from a
-file becomes its projector (:func:`state_from_dict`).  Matrices leave the
-package as JSON text (:func:`densities_to_json`).  Every check is
-phrased so that a NaN fails it (``not defect <= tol``): any comparison with
-NaN is false, and JSON input may hold ``NaN`` or ``Infinity``.
+This is where data enters the package, so this is where it is checked,
+once.  A state read from a file, in either wire format, becomes a
+read-only complex density matrix (:func:`density_from_dict`): a pure state
+its projector, whose amplitudes' squared norm is its trace, and a stored
+matrix after its shape, Hermiticity, trace and positivity checks.  A sweep
+probe is its Schmidt weights (:func:`schmidt_probe`).  A random pure state
+is its complex ``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing
+signal mode ``s`` with idler level ``i`` (:func:`haar_random_amplitudes`).
+Matrices leave the package as JSON text (:func:`densities_to_json`).
+Every check is phrased so that a NaN fails it (``not defect <= tol``): any
+comparison with NaN is false, and JSON input may hold ``NaN`` or
+``Infinity``.
 """
 
 from __future__ import annotations
@@ -25,42 +25,6 @@ import numpy as np
 
 #: Default validation tolerance (max entry magnitude) used across the package.
 DEFAULT_TOL = 1e-9
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
-class DensityMatrix:
-    """A Hermitian, positive-semidefinite, unit-trace operator.
-
-    Construction validates the square shape, Hermiticity (max entry
-    magnitude) and the trace (absolute value) within ``tol``, all in
-    O(dim^2).  Positivity is the caller's guarantee: it holds by
-    construction for every operator the package builds, and
-    :func:`density_from_dict` checks it for matrices read from outside.
-    The stored matrix is read-only.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: np.ndarray, tol: float = DEFAULT_TOL):
-        a = np.asarray(mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        defect = float(np.max(np.abs(a - a.conj().T)))
-        if not defect <= tol:
-            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
-        tr = complex(np.trace(a))
-        if not abs(tr - 1.0) <= tol:
-            raise ValueError(f"trace is {tr:.6g}, expected 1 within {tol:.1e}")
-        self.mat = _frozen(a)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -149,29 +113,6 @@ def _complex_pairs(pairs: list) -> np.ndarray:
     return np.array(flat, dtype=float).view(complex)
 
 
-def state_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Decode a pure state from the JSON wire format as its projector, a
-    positive density matrix of dimension ``d_s * d_i``.  The state needs
-    ``d_s >= 2``, ``d_i >= 1``, ``d_s * d_i`` amplitudes and a squared norm
-    within ``tol`` of 1."""
-    try:
-        d_s = _dimension(obj, "d_s")
-        d_i = _dimension(obj, "d_i")
-        amp = _complex_pairs(obj["amplitudes"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed pure-state object: {exc}") from exc
-    if d_s < 2:
-        raise ValueError(f"signal dimension must be >= 2, got {d_s}")
-    if d_i < 1:
-        raise ValueError(f"idler dimension must be >= 1, got {d_i}")
-    if amp.size != d_s * d_i:
-        raise ValueError(f"expected {d_s * d_i} amplitudes, got {amp.size}")
-    norm_sq = float(np.real(np.vdot(amp, amp)))
-    if not abs(norm_sq - 1.0) <= tol:
-        raise ValueError(f"amplitudes have squared norm {norm_sq:.6g}, expected 1")
-    return DensityMatrix(np.outer(amp, amp.conj()), tol)
-
-
 def densities_to_json(mats) -> str:
     """A list of square complex matrices of one dimension (a measurement's
     elements) as a JSON list in the density-matrix wire format, the text of
@@ -211,12 +152,49 @@ def densities_to_json(mats) -> str:
     return "".join(out)
 
 
-def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Decode a density matrix from the JSON wire format.
+def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Decode a state from either JSON wire format as a read-only complex
+    density matrix; ``amplitudes`` wins when both keys are present.
 
-    Besides the Hermiticity and trace checks of :class:`DensityMatrix`, the
-    matrix must be positive semidefinite: no eigenvalue below ``-tol``.
+    A pure state becomes its projector, of dimension ``d_s * d_i``.  It
+    needs ``d_s >= 2``, ``d_i >= 1``, ``d_s * d_i`` amplitudes and a
+    squared norm within ``tol`` of 1; that norm is the projector's trace,
+    and the projector is Hermitian and positive by construction, so it is
+    not checked again.  A stored matrix must have the shape ``(dim, dim)``,
+    be Hermitian (max entry magnitude) and have unit trace (absolute value)
+    within ``tol``, and be positive semidefinite: no eigenvalue below
+    ``-tol``.  Anything else raises ``ValueError``.
     """
+    if isinstance(obj, dict) and "amplitudes" in obj:
+        rho = _pure_projector(obj, tol)
+    elif isinstance(obj, dict) and "entries" in obj:
+        rho = _stored_density(obj, tol)
+    else:
+        raise ValueError("neither a pure state nor a density matrix")
+    rho.setflags(write=False)
+    return rho
+
+
+def _pure_projector(obj: dict, tol: float) -> np.ndarray:
+    try:
+        d_s = _dimension(obj, "d_s")
+        d_i = _dimension(obj, "d_i")
+        amp = _complex_pairs(obj["amplitudes"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed pure-state object: {exc}") from exc
+    if d_s < 2:
+        raise ValueError(f"signal dimension must be >= 2, got {d_s}")
+    if d_i < 1:
+        raise ValueError(f"idler dimension must be >= 1, got {d_i}")
+    if amp.size != d_s * d_i:
+        raise ValueError(f"expected {d_s * d_i} amplitudes, got {amp.size}")
+    norm_sq = float(np.real(np.vdot(amp, amp)))
+    if not abs(norm_sq - 1.0) <= tol:
+        raise ValueError(f"amplitudes have squared norm {norm_sq:.17g}, expected 1")
+    return np.outer(amp, amp.conj())
+
+
+def _stored_density(obj: dict, tol: float) -> np.ndarray:
     try:
         dim = _dimension(obj, "dim")
         rows = obj["entries"]
@@ -226,10 +204,15 @@ def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> DensityMatrix:
         mat = _complex_pairs(list(chain.from_iterable(rows))).reshape(len(rows), *widths)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
-    if mat.shape != (dim, dim):
+    if mat.shape != (dim, dim):  # so square, of dimension at least 1
         raise ValueError(f"entries shape {mat.shape} does not match dim {dim}")
-    rho = DensityMatrix(mat, tol)
-    w_min = np.linalg.eigvalsh(rho.mat)[0]
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if not defect <= tol:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
+    tr = complex(np.trace(mat))
+    if not abs(tr - 1.0) <= tol:
+        raise ValueError(f"trace is {tr:.17g}, expected 1 within {tol:.1e}")
+    w_min = np.linalg.eigvalsh(mat)[0]
     if not w_min >= -tol:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
-    return rho
+    return mat

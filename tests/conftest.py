@@ -12,7 +12,8 @@ Between that and the package's overlap from the weights alone sits
 :func:`amplitude_overlap`, the same three traces taken of any amplitude
 matrix; between the dense minimum error and the package's secular root
 sits :func:`schmidt_helstrom_oracle`, a stacked eigensolve of the
-Schmidt-space blocks.  :func:`density_to_dict` is the byte oracle of the
+Schmidt-space blocks.  :func:`pure_state_dict` and :func:`density_to_dict`
+build wire-format objects; the latter is also the byte oracle of the
 package's JSON encoder.  The package computes the same numbers from a
 probe's Schmidt weights without any matrix of that size; the tests hold it
 to these.
@@ -21,7 +22,7 @@ to these.
 import numpy as np
 from hypothesis import strategies as st
 
-from qillum.states import DEFAULT_TOL, DensityMatrix, haar_random_amplitudes
+from qillum.states import haar_random_amplitudes
 from qillum.discrimination import helstrom_error
 from qillum.analysis import SWEEP_COLUMNS
 
@@ -106,22 +107,27 @@ def amplitude_overlap(amplitudes, eta):
     return np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)
 
 
-def projector(amp, tol=DEFAULT_TOL):
+def projector(amp):
     """The dense ``(d_s d_i)``-dimensional projector onto the pure state with
-    amplitude matrix ``amp``; its trace check is the state's norm check."""
+    amplitude matrix ``amp``."""
     v = np.asarray(amp, dtype=complex).reshape(-1)
-    return DensityMatrix(np.outer(v, v.conj()), tol)
+    return np.outer(v, v.conj())
 
 
 def idler_reduction(amp):
     """Reduced state of the idler: the signal factor traced out of the dense
     ``(d_s d_i)``-dimensional projector."""
-    return DensityMatrix(partial_trace(projector(amp).mat, *amp.shape, side="left"))
+    return partial_trace(projector(amp), *amp.shape, side="left")
+
+
+def _real_overlap(a, b):
+    """Tr[a b] for Hermitian a, b (real by symmetry)."""
+    return float(np.real(np.einsum("ij,ji->", a, b)))
 
 
 def purity(rho):
     """``Tr[rho^2]``, in ``[1/dim, 1]``."""
-    return float(np.real(np.einsum("ij,ji->", rho.mat, rho.mat)))
+    return _real_overlap(rho, rho)
 
 
 def effective_rank_k(rho):
@@ -139,35 +145,17 @@ def effective_rank_k(rho):
 # noise is maximally mixed over the ``d_s`` signal modes.
 
 
-def target_absent_state(d_s, phi_i, tol=DEFAULT_TOL):
-    """``rho1 = I/d_s (x) phi_i``: a random signal mode paired with the idler
-    reduction ``phi_i``.  It does not depend on ``eta``; its purity is the
-    idler purity divided by ``d_s``."""
-    return DensityMatrix(np.kron(np.eye(d_s) / d_s, phi_i.mat), tol)
-
-
-def target_present_state(amp, eta, rho1, tol=DEFAULT_TOL):
-    """``rho0 = eta * |psi><psi| + (1 - eta) * rho1``, with ``amp`` the
-    amplitude matrix of ``psi`` and ``rho1`` its :func:`target_absent_state`."""
+def channel_outputs(amp, eta):
+    """Target-present and target-absent states ``(rho0, rho1)`` for the probe
+    with amplitude matrix ``amp``, ``eta`` the average fraction of signal
+    photons received: ``rho1 = I/d_s (x) phi_i`` with ``phi_i`` the idler
+    reduction, and ``rho0 = eta |psi><psi| + (1 - eta) rho1``.  Neither is
+    checked here; ``test_illumination.TestChannelOutputs`` checks both."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return DensityMatrix(eta * projector(amp, tol).mat + (1.0 - eta) * rho1.mat, tol)
-
-
-def channel_outputs(amp, eta, tol=DEFAULT_TOL):
-    """Target-present and target-absent states ``(rho0, rho1)`` for the probe
-    with amplitude matrix ``amp``.
-
-    ``eta`` is the average fraction of signal photons received.  Both states
-    are positive by construction.
-    """
-    rho1 = target_absent_state(amp.shape[0], idler_reduction(amp), tol)
-    return target_present_state(amp, eta, rho1, tol), rho1
-
-
-def _real_overlap(a, b):
-    """Tr[a b] for Hermitian a, b (real by symmetry)."""
-    return float(np.real(np.einsum("ij,ji->", a, b)))
+    d_s = amp.shape[0]
+    rho1 = np.kron(np.eye(d_s) / d_s, idler_reduction(amp))
+    return eta * projector(amp) + (1.0 - eta) * rho1, rho1
 
 
 def hs_distinguishability(rho, sigma):
@@ -178,9 +166,9 @@ def hs_distinguishability(rho, sigma):
     to the squared inner product of the vectors.  The normalization never
     vanishes because purities are at least ``1/dim``.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    num = _real_overlap(rho.mat, sigma.mat)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {len(rho)} vs {len(sigma)}")
+    num = _real_overlap(rho, sigma)
     value = num / np.sqrt(purity(rho) * purity(sigma))
     return float(min(max(value, 0.0), 1.0))
 
@@ -192,6 +180,13 @@ def haar_random_state(d_s, d_i, seed):
     """Amplitude matrix of the uniformly random pure state that
     ``haar_random_amplitudes`` draws from ``seed``."""
     return haar_random_amplitudes(d_s, d_i, [seed])[0]
+
+
+def pure_state_dict(amp):
+    """The wire-format object of the pure state with amplitude matrix ``amp``."""
+    d_s, d_i = np.shape(amp)
+    pairs = [[z.real, z.imag] for z in np.asarray(amp, dtype=complex).reshape(-1).tolist()]
+    return {"d_s": d_s, "d_i": d_i, "amplitudes": pairs}
 
 
 def density_to_dict(mat):
@@ -210,7 +205,7 @@ def povm_error(rho0, rho1, p0, povm):
     ``optimal_povm``; arguments are not validated.
     """
     e0, e1 = povm
-    return float(p0 * np.trace(rho0.mat @ e1).real + (1.0 - p0) * np.trace(rho1.mat @ e0).real)
+    return float(p0 * np.trace(rho0 @ e1).real + (1.0 - p0) * np.trace(rho1 @ e0).real)
 
 
 def ginibre(rng, rows, cols=None):
@@ -230,9 +225,9 @@ def random_unitary(rng, dim):
     return q * phases
 
 
-def random_density(rng, dim):
-    """Full-rank random mixed state."""
-    g = ginibre(rng, dim)
+def random_density(rng, dim, rank=None):
+    """Random mixed state of the given rank, full rank by default."""
+    g = ginibre(rng, dim, rank)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return 0.5 * (rho + rho.conj().T)
@@ -266,7 +261,7 @@ def product_baseline_state(amp):
     vector, and the idler is pinned to level 0, so its effective rank is 1.
     """
     d_s, d_i = amp.shape
-    rho_s = partial_trace(projector(amp).mat, d_s, d_i, side="right")
+    rho_s = partial_trace(projector(amp), d_s, d_i, side="right")
     spectrum = np.linalg.eigvalsh(rho_s)[::-1]
     signal_amp = np.sqrt(np.clip(spectrum, 0.0, None))
     signal_amp /= np.linalg.norm(signal_amp)
@@ -314,7 +309,7 @@ def schmidt_helstrom_oracle(weights, eta, d_s, p0=0.5):
     return float(p_err) if p_err.ndim == 0 else p_err
 
 
-def evaluate_state_metrics(amp, eta, p0=0.5, tol=DEFAULT_TOL):
+def evaluate_state_metrics(amp, eta, p0=0.5):
     """Direct overlap and minimum error probability for the pure input state
     with amplitude matrix ``amp``.
 
@@ -322,5 +317,5 @@ def evaluate_state_metrics(amp, eta, p0=0.5, tol=DEFAULT_TOL):
     matrices, their overlap, and Helstrom's bound from a full eigensolve.
     The oracle for the closed form and the Schmidt-space kernel.
     """
-    rho0, rho1 = channel_outputs(amp, eta, tol)
+    rho0, rho1 = channel_outputs(amp, eta)
     return hs_distinguishability(rho0, rho1), helstrom_error(rho0, rho1, p0)

@@ -128,6 +128,15 @@ class TestRunSweep:
             lam = bell(d)
             assert lam.size == d and np.all(lam == 1.0 / d), d
 
+    def test_uniform_rank_weights_are_bell_weights(self):
+        """Bit for bit, so their sweep rows are equal: rescaling ``sqrt(1/d)``
+        missed 1/d at 153 of d in [1, 300)."""
+        for d in range(1, 65):
+            assert np.array_equal(uniform_rank_family(d)(d), bell_family()(d)), d
+            if d in (2, 7, 14, 49, 64):
+                table = run_sweep(np.linspace(0.0, 1.0, 21), [d], [bell_family(), uniform_rank_family(d)])
+                assert np.array_equal(table[0::2], table[1::2]), d
+
 
 class TestSweepRecordValidation:
     """The cross-checks ``run_sweep`` runs once on its finished columns, made

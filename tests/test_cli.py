@@ -11,8 +11,8 @@ import pytest
 from qillum import analysis, cli
 from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
 from qillum.discrimination import helstrom_error, optimal_povm
-from qillum.states import density_from_dict, state_from_dict
-from conftest import density_to_dict, ginibre, povm_error
+from qillum.states import density_from_dict
+from conftest import density_to_dict, ginibre, povm_error, pure_state_dict, random_density
 
 DATA = Path(__file__).parent / "data"
 
@@ -334,13 +334,9 @@ def random_state_object(rng, dim, spec):
     in the ``amplitudes`` format, ``("rho", rank)`` a density matrix of that
     rank in the ``entries`` format."""
     if spec[0] == "amp":
-        amp = ginibre(rng, dim, 1).reshape(-1)
-        amp /= np.linalg.norm(amp)
-        return {"d_s": spec[1], "d_i": spec[2], "amplitudes": [[z.real, z.imag] for z in amp.tolist()]}
-    g = ginibre(rng, dim, spec[1])
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return density_to_dict(0.5 * (rho + rho.conj().T))
+        amp = ginibre(rng, dim, 1).reshape(spec[1:])
+        return pure_state_dict(amp / np.linalg.norm(amp))
+    return density_to_dict(random_density(rng, dim, spec[1]))
 
 
 class TestHelstrom:
@@ -366,7 +362,7 @@ class TestHelstrom:
         p0 = round(float(rng.uniform(0.2, 0.8)), 6)
         assert run_helstrom(tmp_path, obj0, obj1, "--p0", repr(p0), "--povm") == 0
         out = capsys.readouterr().out
-        rho0, rho1 = (state_from_dict(o) if "amplitudes" in o else density_from_dict(o) for o in (obj0, obj1))
+        rho0, rho1 = density_from_dict(obj0), density_from_dict(obj1)
         povm = optimal_povm(rho0, rho1, p0)
         text = json.dumps([density_to_dict(e) for e in povm], sort_keys=True)
         assert out == f"{cli._fmt(helstrom_error(rho0, rho1, p0))}\n{text}\n"
@@ -425,6 +421,7 @@ class TestProblemValidation:
         "dim_2_5": '{"dim": 2.5, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
         "dim_string": '{"dim": "2", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
         "entries_booleans": '{"dim": 2, "entries": [[[0.5, 0], [0, false]], [[0, 0], [0.5, 0]]]}',
+        "no_format_key": '{"d_s": 2, "d_i": 1}',
     }
 
     @pytest.mark.parametrize("argv", [
@@ -451,6 +448,7 @@ class TestProblemValidation:
         ["helstrom", "--state0", "{dim_2_5}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{dim_string}", "--state1", "{mixed_2}"],
         ["helstrom", "--state0", "{entries_booleans}", "--state1", "{mixed_2}"],
+        ["helstrom", "--state0", "{mixed_2}", "--state1", "{no_format_key}"],
     ], ids=[
         "dimension-mismatch", "helstrom-p0", "verify-bell-p0", "verify-bell-d-1",
         "verify-bell-samples-0", "verify-bell-eta-2", "verify-bell-eta-nan", "sweep-d-inf", "sweep-d-1e400",
@@ -458,6 +456,7 @@ class TestProblemValidation:
         "spectrum-huge-int", "helstrom-dim-1e400", "helstrom-d_s-1e400",
         "helstrom-d_s-2.9", "helstrom-d_i-true", "helstrom-d_s-string", "helstrom-amplitude-booleans",
         "helstrom-dim-2.5", "helstrom-dim-string", "helstrom-entry-booleans",
+        "helstrom-no-format-key",
     ])
     def test_exits_1(self, tmp_path, capsys, argv):
         files = {"out": str(tmp_path / "sweep.csv")}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qillum.states import DEFAULT_TOL as TOL, DensityMatrix, schmidt_probe
+from qillum.states import DEFAULT_TOL as TOL, schmidt_probe
 from qillum.discrimination import (
     channel_overlap,
     flat_probe_error,
@@ -26,7 +26,6 @@ from conftest import (
     channel_outputs,
     effective_rank_k,
     evaluate_state_metrics,
-    ginibre,
     haar_random_state,
     hs_distinguishability,
     idler_reduction,
@@ -43,25 +42,9 @@ from conftest import (
 )
 
 
-def dm(mat):
-    return DensityMatrix(np.asarray(mat, dtype=complex))
-
-
-ZERO = dm(np.diag([1.0, 0.0]))
-ONE = dm(np.diag([0.0, 1.0]))
-PLUS = dm(np.full((2, 2), 0.5))
-
-
-def hermitian_defect(m):
-    return max_abs_diff(m, m.conj().T)
-
-
-def random_state_of_rank(rng, dim, rank):
-    """Random density matrix of the given rank (rank < dim is rank-deficient)."""
-    g = ginibre(rng, dim, rank)
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return dm(0.5 * (rho + rho.conj().T))
+ZERO = np.diag([1.0, 0.0])
+ONE = np.diag([0.0, 1.0])
+PLUS = np.full((2, 2), 0.5)
 
 
 class TestPovmError:
@@ -70,7 +53,7 @@ class TestPovmError:
         assert povm_error(ZERO, PLUS, 0.4, povm) == pytest.approx(0.6, abs=1e-12)
 
     def test_orthogonal_states_perfectly_resolved(self):
-        assert povm_error(ZERO, ONE, 0.5, (ZERO.mat, ONE.mat)) == pytest.approx(0.0, abs=1e-12)
+        assert povm_error(ZERO, ONE, 0.5, (ZERO, ONE)) == pytest.approx(0.0, abs=1e-12)
 
     def test_computational_basis_on_zero_vs_plus(self):
         povm = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -79,7 +62,7 @@ class TestPovmError:
 
 class TestProblemValidation:
     def test_rejects_dim_mismatch(self):
-        other = dm(np.eye(3) / 3)
+        other = np.eye(3) / 3
         for call in (
             lambda: helstrom_error(ZERO, other),
             lambda: optimal_povm(ZERO, other),
@@ -110,7 +93,7 @@ class TestHelstrom:
         rng = np.random.default_rng(31)
         for _ in range(20):
             p0 = float(rng.uniform(0, 1))
-            rho0, rho1 = dm(random_density(rng, 4)), dm(random_density(rng, 4))
+            rho0, rho1 = random_density(rng, 4), random_density(rng, 4)
             assert 0.0 <= helstrom_error(rho0, rho1, p0) <= min(p0, 1 - p0) + 1e-12
 
 
@@ -138,11 +121,11 @@ class TestOptimalPovm:
         """The measurement is a valid projective POVM and attains the
         Helstrom bound, which never exceeds the smaller prior."""
         rng = np.random.default_rng(seed)
-        rho0 = random_state_of_rank(rng, dim, min(rank0, dim))
-        rho1 = random_state_of_rank(rng, dim, min(rank1, dim))
+        rho0 = random_density(rng, dim, min(rank0, dim))
+        rho1 = random_density(rng, dim, min(rank1, dim))
         e0, e1 = optimal_povm(rho0, rho1, p0, TOL)
         for e in (e0, e1):
-            assert hermitian_defect(e) <= 1e-12
+            assert max_abs_diff(e, e.conj().T) <= 1e-12
             assert np.linalg.eigvalsh(e)[0] >= -TOL
         assert max_abs_diff(e0 + e1, np.eye(dim)) <= 1e-12
         floor = helstrom_error(rho0, rho1, p0)
@@ -153,7 +136,7 @@ class TestOptimalPovm:
         rng = np.random.default_rng(99)
         for _ in range(10):
             dim = int(rng.integers(2, 7))
-            rho0, rho1 = dm(random_density(rng, dim)), dm(random_density(rng, dim))
+            rho0, rho1 = random_density(rng, dim), random_density(rng, dim)
             floor = helstrom_error(rho0, rho1)
             for maker in (random_projective_povm, random_two_outcome_povm):
                 for _ in range(10):
@@ -164,7 +147,7 @@ class TestOptimalPovm:
 def haar_weights(d_s, d_i, seed):
     """A Haar probe and its Schmidt weights (idler eigenvalues, unclipped)."""
     state = haar_random_state(d_s, d_i, seed)
-    return state, np.linalg.eigvalsh(idler_reduction(state).mat)
+    return state, np.linalg.eigvalsh(idler_reduction(state))
 
 
 class TestSchmidtHelstrom:
@@ -442,7 +425,7 @@ class TestSecularRoot:
         mu = p0 - schmidt_helstrom_error(weights, eta, d_s, p0)
         assume(abs(mu - 1e-12) > 1e-14)
         rho0, rho1 = channel_outputs(schmidt_amplitudes(d_s, weights), eta)
-        w, v = np.linalg.eigh(p0 * rho0.mat - (1.0 - p0) * rho1.mat)
+        w, v = np.linalg.eigh(p0 * rho0 - (1.0 - p0) * rho1)
         assert np.count_nonzero(w > 1e-12) == (mu > 1e-12)
         if mu > 1e-12:
             assert abs(w[-1] - mu) <= 1e-12
@@ -482,29 +465,27 @@ class TestSecularRoot:
 
 class TestHsDistinguishability:
     def test_identical_states(self):
-        rho = dm(random_density(np.random.default_rng(1), 4))
+        rho = random_density(np.random.default_rng(1), 4)
         assert hs_distinguishability(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_support(self):
         assert hs_distinguishability(ZERO, ONE) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_against_maximally_mixed(self):
-        half = dm(np.eye(2) / 2)
+        half = np.eye(2) / 2
         assert hs_distinguishability(ZERO, half) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(6)
-        a, b = dm(random_density(rng, 5)), dm(random_density(rng, 5))
+        a, b = random_density(rng, 5), random_density(rng, 5)
         assert hs_distinguishability(a, b) == pytest.approx(hs_distinguishability(b, a), abs=1e-14)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            a, b = dm(random_density(rng, 4)), dm(random_density(rng, 4))
+            a, b = random_density(rng, 4), random_density(rng, 4)
             u = random_unitary(rng, 4)
-            rotated = hs_distinguishability(
-                dm(u @ a.mat @ u.conj().T), dm(u @ b.mat @ u.conj().T)
-            )
+            rotated = hs_distinguishability(u @ a @ u.conj().T, u @ b @ u.conj().T)
             assert abs(rotated - hs_distinguishability(a, b)) < 1e-10
 
     def test_pure_states_reduce_to_squared_inner_product(self):
@@ -514,12 +495,12 @@ class TestHsDistinguishability:
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             u /= np.linalg.norm(u)
             v /= np.linalg.norm(v)
-            got = hs_distinguishability(dm(np.outer(u, u.conj())), dm(np.outer(v, v.conj())))
+            got = hs_distinguishability(np.outer(u, u.conj()), np.outer(v, v.conj()))
             assert abs(got - abs(np.vdot(u, v)) ** 2) < 1e-12
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
-            hs_distinguishability(ZERO, dm(np.eye(3) / 3))
+            hs_distinguishability(ZERO, np.eye(3) / 3)
 
 
 class TestClosedForm:

@@ -52,11 +52,11 @@ class TestScenario:
 class TestPostSelectedStates:
     def test_bell_remaining_is_maximally_mixed(self):
         _, rho = channel_outputs(bell_state(2), 0.3)
-        assert max_abs_diff(rho.mat, np.eye(4) / 4) < 1e-12
+        assert max_abs_diff(rho, np.eye(4) / 4) < 1e-12
 
     def test_product_remaining(self):
         _, rho = channel_outputs(product_state_00(), 0.3)
-        assert max_abs_diff(rho.mat, np.diag([0.5, 0, 0.5, 0])) < 1e-12
+        assert max_abs_diff(rho, np.diag([0.5, 0, 0.5, 0])) < 1e-12
 
     def test_remaining_purity_identity(self):
         for seed, (d_s, d_i) in enumerate([(2, 2), (3, 4), (5, 2)]):
@@ -68,9 +68,9 @@ class TestPostSelectedStates:
     def test_returned_degenerate_mixtures(self):
         state = haar_random_state(3, 3, seed=4)
         rho0, noise = channel_outputs(state, 0.0)
-        assert max_abs_diff(rho0.mat, noise.mat) == 0.0
+        assert max_abs_diff(rho0, noise) == 0.0
         pure, _ = channel_outputs(state, 1.0)
-        assert max_abs_diff(pure.mat, projector(state).mat) < 1e-15
+        assert max_abs_diff(pure, projector(state)) < 1e-15
 
     def test_returned_purity_half_signal(self):
         rho0, _ = channel_outputs(bell_state(2), 0.5)
@@ -78,7 +78,7 @@ class TestPostSelectedStates:
 
 
 class TestChannelOutputs:
-    """Positivity is no longer checked on construction, so it is checked here."""
+    """The oracle's outputs are Hermitian, have unit trace and are positive."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -91,8 +91,7 @@ class TestChannelOutputs:
     @example(seed=1, d_s=6, d_i=5, eta=1.0)
     def test_outputs_are_density_matrices(self, seed, d_s, d_i, eta):
         state = haar_random_state(d_s, d_i, seed=seed)
-        for rho in channel_outputs(state, eta):
-            m = rho.mat
+        for m in channel_outputs(state, eta):
             assert max_abs_diff(m, m.conj().T) <= 1e-12
             assert abs(np.trace(m) - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(m)[0] >= -1e-12
@@ -115,8 +114,8 @@ class TestTraceIdentities:
     ])
     def test_all_three(self, seed, d_s, d_i, eta):
         state = haar_random_state(d_s, d_i, seed=seed)
-        phi = projector(state).mat
-        rho0, rho1 = (rho.mat for rho in channel_outputs(state, eta))
+        phi = projector(state)
+        rho0, rho1 = channel_outputs(state, eta)
         purity_i = purity(idler_reduction(state))
 
         overlap_probe_noise = np.trace(phi @ rho1).real
@@ -204,5 +203,5 @@ class TestCiBaseline:
         state = haar_random_state(3, 3, seed=13)
         base = product_baseline_state(state)
         got = np.sort(np.abs(base[:, 0]) ** 2)[::-1]
-        spec = np.sort(np.linalg.eigvalsh(idler_reduction(state).mat))[::-1]
+        spec = np.sort(np.linalg.eigvalsh(idler_reduction(state)))[::-1]
         assert np.allclose(got, spec, atol=1e-10)

@@ -80,8 +80,7 @@ def test_cli_reaches_every_public_function(tmp_path, monkeypatch, capsys):
         expected.update(
             (f"{module.__name__}.{name}", code) for name, code in written_code(module).items()
         )
-    assert "qillum.states.DensityMatrix.__init__" in expected
-    assert "qillum.states.DensityMatrix.dim" in expected  # a property
+    assert "qillum.states.density_from_dict" in expected
     assert "qillum.analysis.OptimalityReport.__init__" not in expected  # generated
     unreached = sorted(name for name, code in expected.items() if code not in entered)
     assert unreached == []

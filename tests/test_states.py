@@ -7,16 +7,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qillum.states import (
-    DensityMatrix,
-    densities_to_json,
-    density_from_dict,
-    schmidt_probe,
-    state_from_dict,
-)
+from qillum.states import DEFAULT_TOL, densities_to_json, density_from_dict, schmidt_probe
 from conftest import (
     bell_state,
     density_to_dict,
@@ -26,6 +20,7 @@ from conftest import (
     max_abs_diff,
     partial_trace,
     projector,
+    pure_state_dict,
     purity,
     random_projective_povm,
     schmidt_amplitudes,
@@ -65,40 +60,41 @@ def matrix_lists(draw):
     return list(np.array(values).view(complex).reshape(count, dim, dim))
 
 
-def pure_state_dict(amp):
-    """The wire-format object of the pure state with amplitude matrix ``amp``."""
-    d_s, d_i = np.shape(amp)
-    pairs = [[z.real, z.imag] for z in np.asarray(amp, dtype=complex).reshape(-1).tolist()]
-    return {"d_s": d_s, "d_i": d_i, "amplitudes": pairs}
+class TestStoredDensity:
+    """The decoder on the density-matrix format: shape, Hermiticity, trace,
+    then positivity."""
 
-
-class TestDensityMatrix:
     def test_accepts_valid(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        assert rho.dim == 2
+        rho = density_from_dict(density_to_dict(np.diag([0.25, 0.75])))
+        assert rho.shape == (2, 2) and rho.dtype == complex
         assert purity(rho) == pytest.approx(0.625)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
-        skew = np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex)
+            density_from_dict(density_to_dict(np.array([[0.5, 0.5], [0.0, 0.5]])))
+        skew = density_to_dict(np.array([[0.5, 1e-6], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(skew, tol=1e-9)
-        DensityMatrix(skew, tol=1e-3)  # accepted when the caller loosens it
+            density_from_dict(skew, tol=1e-9)
+        density_from_dict(skew, tol=1e-3)  # accepted when the caller loosens it
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (1, 2, 2)])
     def test_rejects_non_square(self, shape):
-        with pytest.raises(ValueError, match="square"):
-            DensityMatrix(np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match="does not match dim|malformed"):
+            density_from_dict(density_to_dict(np.zeros(shape)))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.diag([0.5, 0.6]).astype(complex))
+            density_from_dict(density_to_dict(np.diag([0.5, 0.6])))
+        near = density_to_dict(np.diag([0.5, 0.5 + 1e-12]))
+        with pytest.raises(ValueError, match=r"trace is 1\.000000000001\d*\+0j, expected 1"):
+            density_from_dict(near, tol=1e-13)
+        density_from_dict(near, tol=1e-11)
 
     def test_matrix_is_read_only(self):
-        rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
-        with pytest.raises(ValueError):
-            rho.mat[0, 0] = 9.0
+        for obj in (density_to_dict(np.eye(2) / 2), pure_state_dict(bell_state(2))):
+            rho = density_from_dict(obj)
+            with pytest.raises(ValueError):
+                rho[0, 0] = 9.0
 
 
 class TestBellState:
@@ -120,7 +116,7 @@ class TestBellState:
 class TestReductions:
     def test_bell_idler_reduction(self):
         rho = idler_reduction(bell_state(2))
-        assert max_abs_diff(rho.mat, np.eye(2) / 2) < 1e-12
+        assert max_abs_diff(rho, np.eye(2) / 2) < 1e-12
 
     def test_product_state_pure_idler(self):
         amp = np.zeros((2, 2), dtype=complex)
@@ -131,14 +127,14 @@ class TestReductions:
     def test_skewed_superposition(self):
         amp = np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(complex)
         rho = idler_reduction(amp)
-        assert max_abs_diff(rho.mat, np.diag([0.8, 0.2])) < 1e-12
+        assert max_abs_diff(rho, np.diag([0.8, 0.2])) < 1e-12
 
     def test_reductions_share_nonzero_spectra(self):
         for seed, (d_s, d_i) in enumerate([(2, 5), (4, 3), (5, 5)]):
             st = haar_random_state(d_s, d_i, seed=seed)
-            rho_s = partial_trace(projector(st).mat, d_s, d_i, side="right")
+            rho_s = partial_trace(projector(st), d_s, d_i, side="right")
             ws = np.linalg.eigvalsh(rho_s)[::-1]
-            wi = np.linalg.eigvalsh(idler_reduction(st).mat)[::-1]
+            wi = np.linalg.eigvalsh(idler_reduction(st))[::-1]
             r = min(d_s, d_i)
             assert np.allclose(ws[:r], wi[:r], atol=1e-10)
             assert np.allclose(ws[r:], 0.0, atol=1e-10)
@@ -147,16 +143,14 @@ class TestReductions:
 
 class TestEffectiveRank:
     def test_pure_state(self):
-        assert effective_rank_k(DensityMatrix(np.diag([1.0, 0, 0]).astype(complex))) == pytest.approx(1.0)
+        assert effective_rank_k(np.diag([1.0, 0, 0])) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [2, 3, 7])
     def test_maximally_mixed(self, d):
-        rho = DensityMatrix(np.eye(d, dtype=complex) / d)
-        assert effective_rank_k(rho) == pytest.approx(d, abs=1e-10)
+        assert effective_rank_k(np.eye(d) / d) == pytest.approx(d, abs=1e-10)
 
     def test_two_level_example(self):
-        rho = DensityMatrix(np.diag([0.8, 0.2]).astype(complex))
-        assert effective_rank_k(rho) == pytest.approx(1 / 0.68, abs=1e-12)
+        assert effective_rank_k(np.diag([0.8, 0.2])) == pytest.approx(1 / 0.68, abs=1e-12)
 
     def test_schmidt_rank_bound(self):
         for seed, (d_s, d_i) in enumerate([(2, 2), (3, 5), (5, 2), (4, 4)]):
@@ -229,7 +223,7 @@ class TestSchmidtFamilyState:
     def test_prescribed_spectrum(self):
         lam = schmidt_probe(4, [0.5, 0.3, 0.2])
         rho = idler_reduction(schmidt_amplitudes(4, lam))
-        assert max_abs_diff(rho.mat, np.diag([0.5, 0.3, 0.2])) < 1e-12
+        assert max_abs_diff(rho, np.diag([0.5, 0.3, 0.2])) < 1e-12
         assert effective_rank_k(rho) == pytest.approx(1 / 0.38, abs=1e-12)
 
     def test_rejects_bad_spectra(self):
@@ -291,38 +285,55 @@ class TestJsonFormat:
         """A pure state decodes to its projector, built from the same
         amplitudes as the dense oracle's."""
         st = haar_random_state(2, 3, seed=8)
-        back = state_from_dict(pure_state_dict(st))
-        assert isinstance(back, DensityMatrix) and back.dim == 6
-        assert max_abs_diff(back.mat, projector(st).mat) == 0.0
+        back = density_from_dict(pure_state_dict(st))
+        assert back.shape == (6, 6) and max_abs_diff(back, projector(st)) == 0.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.integers(2, 96).flatmap(lambda d_s: st.tuples(st.just(d_s), st.integers(1, 96 // d_s))),
+    )
+    @example(seed=0, dims=(2, 1))
+    @example(seed=1, dims=(2, 48))
+    def test_projector_needs_no_second_check(self, seed, dims):
+        """Hermitian to a few ulps: ``np.outer`` is not exactly conjugate-symmetric."""
+        rho = density_from_dict(pure_state_dict(haar_random_state(*dims, seed=seed)))
+        assert rho.shape == (dims[0] * dims[1],) * 2 and not rho.flags.writeable
+        assert abs(np.trace(rho) - 1.0) <= DEFAULT_TOL
+        assert max_abs_diff(rho, rho.conj().T) <= 4 * np.finfo(float).eps
 
     def test_state_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="squared norm 2, expected 1"):
-            state_from_dict(pure_state_dict([[1.0], [1.0]]))
+            density_from_dict(pure_state_dict([[1.0], [1.0]]))
         with pytest.raises(ValueError, match="squared norm 0.5"):
-            state_from_dict(pure_state_dict(np.full((2, 1), 0.5)))
-        state_from_dict(pure_state_dict(np.full((2, 1), 0.5)), tol=0.6)  # within a loose tol
+            density_from_dict(pure_state_dict(np.full((2, 1), 0.5)))
+        density_from_dict(pure_state_dict(np.full((2, 1), 0.5)), tol=0.6)  # within a loose tol
+        near = pure_state_dict([[math.sqrt(0.5)], [math.sqrt(0.5 + 1e-12)]])
+        with pytest.raises(ValueError, match=r"squared norm 1\.000000000001\d*, expected 1"):
+            density_from_dict(near, tol=1e-13)
+        density_from_dict(near, tol=1e-11)
 
     def test_state_rejects_small_signal(self):
         with pytest.raises(ValueError, match="signal dimension must be >= 2, got 1"):
-            state_from_dict(pure_state_dict([[1.0, 0.0]]))
+            density_from_dict(pure_state_dict([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="idler dimension must be >= 1, got 0"):
-            state_from_dict({"d_s": 2, "d_i": 0, "amplitudes": []})
+            density_from_dict({"d_s": 2, "d_i": 0, "amplitudes": []})
 
     def test_state_rejects_wrong_length(self):
         obj = {"d_s": 2, "d_i": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(ValueError, match="expected 4 amplitudes, got 2"):
-            state_from_dict(obj)
+            density_from_dict(obj)
 
     def test_state_projector_is_rank_one(self):
-        rho = state_from_dict(pure_state_dict(bell_state(2)))
-        w = np.linalg.eigvalsh(rho.mat)
+        rho = density_from_dict(pure_state_dict(bell_state(2)))
+        w = np.linalg.eigvalsh(rho)
         assert np.allclose(sorted(w)[-1], 1.0)
         assert np.allclose(w[:-1], 0.0, atol=1e-12)
 
     def test_density_round_trip(self):
         rho = idler_reduction(haar_random_state(3, 3, seed=2))
-        back = density_from_dict(json.loads(densities_to_json([rho.mat]))[0])
-        assert max_abs_diff(back.mat, rho.mat) == 0.0
+        back = density_from_dict(json.loads(densities_to_json([rho]))[0])
+        assert max_abs_diff(back, rho) == 0.0
 
     def test_density_entries_print_like_per_entry_floats(self):
         """The encoder's text equals ``json``'s of a ``float`` per part,
@@ -343,12 +354,16 @@ class TestJsonFormat:
         assert densities_to_json(mats) == json.dumps([density_to_dict(m) for m in mats], sort_keys=True)
 
     def test_malformed_inputs(self):
-        with pytest.raises(ValueError):
-            state_from_dict({"d_s": 2, "d_i": 2})
+        # the format is chosen by key, amplitudes first
+        both = {**density_to_dict(np.eye(4) / 4), **pure_state_dict(bell_state(2))}
+        assert max_abs_diff(density_from_dict(both), projector(bell_state(2))) == 0.0
+        for obj in ({"d_s": 2, "d_i": 2}, {"dim": 1}, [], ["amplitudes"], None):
+            with pytest.raises(ValueError, match="neither a pure state nor a density matrix"):
+                density_from_dict(obj)
         with pytest.raises(ValueError):
             density_from_dict({"dim": 2, "entries": [[[1, 0]]]})
         # the right number of values, in the wrong shape
         with pytest.raises(ValueError, match=r"expected \[re, im\] pairs"):
-            state_from_dict({"d_s": 2, "d_i": 1, "amplitudes": [[1, 0, 0], [0]]})
+            density_from_dict({"d_s": 2, "d_i": 1, "amplitudes": [[1, 0, 0], [0]]})
         with pytest.raises(ValueError, match="rows differ in length"):
             density_from_dict({"dim": 2, "entries": [[[0.5, 0], [0, 0], [0, 0]], [[0.5, 0]]]})
