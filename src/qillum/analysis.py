@@ -8,22 +8,23 @@ Neither the sweep nor the optimality check diagonalizes anything or
 builds a dense ``(d_s d_i)``-dimensional matrix: a probe is its Schmidt
 weights ``lam``, and its error one secular root
 (:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep is one
-float table, columns over the whole eta grid, checked once finished: the
-direct overlap from traces of ``diag(lam)`` against the closed form, and
-the error against the closed forms that bracket it.  The optimality check
-takes each sample's weights from one stacked singular-value
+float table in one pass: a stacked kernel call per idler width, each
+closed form once, and the checks once finished (the direct overlap against
+the closed form, the error against the closed forms that bracket it).  The
+optimality check takes each sample's weights from one stacked singular-value
 decomposition.  The dense channel outputs are the tests' oracle for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
-from .discrimination import channel_overlap, flat_probe_error, h01_closed_form, schmidt_helstrom_error
+from .discrimination import _efficiencies, channel_overlap, flat_probe_error, h01_closed_form, schmidt_helstrom_error
 
 #: A sweep family: its probe's Schmidt weights ``lam`` at each signal
 #: dimension ``d_s``, a 1-D float array of length ``d_i`` that sums to 1
@@ -41,8 +42,8 @@ SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err"
 #: Largest number of rows (eta x dimension x family) one sweep may have.
 MAX_SWEEP_ROWS = 10_000
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
-#: (1 MiB of complex amplitudes), so its memory does not grow with the
-#: sample count: 1024 samples per chunk at d = 8, 16 at d = 64.
+#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and weights times
+#: etas a sweep holds: memory does not grow with the samples or the grid.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -89,17 +90,17 @@ def run_sweep(
     point, ordered lexicographically (eta outermost, then dimension, then
     family), with the columns :data:`SWEEP_COLUMNS`.
 
-    Each (dimension, family) probe's weights ``lam`` are built once, and
-    each of its columns is one call over the whole eta grid: the closed
-    form at ``k_i = 1 / sum(lam^2)``, ``h01_direct`` from traces of
-    ``diag(lam)`` (its independent check) and ``p_err`` from the kernel;
-    ``p_err_ci`` is a closed form.  The cross-checks run once, on the
-    finished table: the two overlaps agree, and ``p_err`` lies between the
-    Bell probe's error and ``p_err_ci``, within 1e-12.  Raises
-    ``ValueError`` for grid entries outside their ranges, a grid of more
-    than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
-    dimension, and its subclass :class:`VerificationError` for a row that
-    fails its cross-checks.
+    Each distinct (dimension, family) probe's weights ``lam`` are built
+    once and held until they times the eta count reach
+    :data:`_CHUNK_AMPLITUDES`; then the held probes of each width ``d_i``
+    are one kernel call for ``p_err`` and one for ``h01_direct`` (traces of
+    ``diag(lam)``), over the whole eta grid, each on its own ``d_s``.  The
+    closed forms are one call each over all rows.  The checks run once, on
+    the finished table: the two overlaps agree, and ``p_err`` lies between
+    the Bell probe's error and ``p_err_ci``, within 1e-12.  Raises
+    ``ValueError`` for grid entries outside their ranges, a grid of more than
+    :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    dimension, and its subclass :class:`VerificationError` for a failed row.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
@@ -112,28 +113,34 @@ def run_sweep(
         if d < 2:
             raise ValueError(f"signal dimension must be >= 2, got {d}")
 
-    probes, ones = {}, np.ones(len(etas))  # x * ones spreads x over the grid exactly
-    for d_s in dict.fromkeys(dims):
-        p_err_ci = flat_probe_error(etas, d_s, p0)
-        h01_rank_one = h01_closed_form(etas, d_s, 1.0)
-        for f, family in enumerate(families):
-            lam = family(d_s)
-            # sum(lam^2) added in index order: np.sum's pairwise order
-            # can move the last bit of k_i
-            k_i = 1.0 / float(np.cumsum(lam * lam)[-1])
-            h01_closed = h01_closed_form(etas, d_s, k_i)
-            values = dict(
-                eta=etas, d_s=d_s, d_i=lam.size, k_i=k_i, h01_closed=h01_closed,
-                h01_direct=channel_overlap(lam, etas, d_s),
-                p_err=schmidt_helstrom_error(np.sort(lam), etas, d_s, p0),
-                p_err_ci=p_err_ci, advantage=h01_rank_one - h01_closed,
-            )
-            probes[d_s, f] = np.column_stack([values[name] * ones for name in SWEEP_COLUMNS])
+    eta = _efficiencies(etas)
+    # each distinct probe once, in first-seen order: column j of the (eta, probe) blocks
+    probes = {key: j for j, key in enumerate(dict.fromkeys(product(dims, range(len(families)))))}
+    d_s, d_i, purity = np.array([d for d, _ in probes], dtype=float), *np.empty((2, len(probes)))
+    p_err, h01_direct = np.empty((2, eta.size, len(probes)))
+    held, amplitudes = {}, 0  # d_i -> [(j, lam)] not yet evaluated
+    for (d, f), j in probes.items():
+        lam = families[f](d)
+        held.setdefault(lam.size, []).append((j, lam))
+        amplitudes += lam.size * eta.size
+        if amplitudes < _CHUNK_AMPLITUDES and j < len(probes) - 1:
+            continue
+        for group in held.values():  # a stack of one width gives each row its 1-D result
+            cols, lam = [k for k, _ in group], np.stack([weights for _, weights in group])
+            # sum(lam^2) added in index order: np.sum's pairwise order can move the last bit of k_i
+            d_i[cols], purity[cols] = lam.shape[1], np.cumsum(lam * lam, axis=-1)[:, -1]
+            p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0)
+            h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols])
+        held, amplitudes = {}, 0
 
-    # (eta, probe, column), flattened to the rows in their output order
-    blocks = [probes[d_s, f] for d_s in dims for f in range(len(families))]
-    table = np.stack(blocks, axis=1).reshape(n_rows, len(SWEEP_COLUMNS))
-    column = dict(zip(SWEEP_COLUMNS, table.T))
+    # (eta, probe) flattened to the rows in their output order
+    order = [probes[key] for key in product(dims, range(len(families)))]
+    per_probe = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=1.0 / purity, h01_direct=h01_direct, p_err=p_err)
+    column = {name: np.broadcast_to(x, p_err.shape)[:, order].reshape(-1) for name, x in per_probe.items()}
+    column["h01_closed"] = h01_closed_form(column["eta"], column["d_s"], column["k_i"])
+    column["p_err_ci"] = flat_probe_error(column["eta"], column["d_s"], p0)
+    column["advantage"] = h01_closed_form(column["eta"], column["d_s"], 1.0) - column["h01_closed"]
+    table = np.column_stack([column[name] for name in SWEEP_COLUMNS])
     gap = np.abs(column["h01_closed"] - column["h01_direct"])
     # every probe's error lies between the Bell probe's (as many weights) and the unentangled one's
     p, ci = column["p_err"], column["p_err_ci"]
@@ -186,21 +193,20 @@ def _best_schmidt_metrics(
 
 
 def verify_bell_optimality(
-    d_s: int,
-    d_i: int,
+    d: int,
     n_samples: int,
     seed: int,
     eta: float = 0.5,
     p0: float = 0.5,
     tol: float = DEFAULT_TOL,
 ) -> OptimalityReport:
-    """Sample random pure inputs and compare them to the entangled reference.
+    """Sample random pure inputs on ``d`` signal and ``d`` idler modes and
+    compare them to the maximally entangled state.
 
-    The reference is the maximally entangled state on ``d = min(d_s, d_i)``
-    paired dimensions; with ``d_s = d_i`` its overlap and error probability
-    are minimal over all inputs, so both margins (best sampled minus
-    reference) stay non-negative up to numerical noise.  Identical
-    arguments always produce an identical report.
+    Its overlap and error probability are minimal over all inputs, so both
+    margins (best sampled minus reference) stay non-negative up to
+    numerical noise.  Identical arguments always produce an identical
+    report.
 
     No dense channel output is built.  Sample ``k`` is
     :func:`~qillum.states.haar_random_amplitudes` of the ``k``-th child seed
@@ -214,17 +220,16 @@ def verify_bell_optimality(
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    d = min(d_s, d_i)
     if d < 2:
-        raise ValueError(f"reference dimension min(d_s, d_i) must be >= 2, got {d}")
+        raise ValueError(f"reference dimension must be >= 2, got {d}")
     bell_h01, bell_p_err = _best_schmidt_metrics(np.full((1, d), 1.0 / d), eta, d, p0)
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
-    step = max(1, _CHUNK_AMPLITUDES // (d_s * d_i))
+    step = max(1, _CHUNK_AMPLITUDES // (d * d))
     best_h01 = np.inf
     best_p_err = np.inf
     for first in range(0, n_samples, step):
-        amplitudes = haar_random_amplitudes(d_s, d_i, child_seeds[first : first + step])
+        amplitudes = haar_random_amplitudes(d, d, child_seeds[first : first + step])
         weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
         # the weights sum to the sample's squared norm; NaN fails the test
         total = np.sum(weights, axis=1)
@@ -235,15 +240,15 @@ def verify_bell_optimality(
                 f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, "
                 f"expected 1 within {tol:.1e}"
             )
-        h01, p_err = _best_schmidt_metrics(weights, eta, d_s, p0)
+        h01, p_err = _best_schmidt_metrics(weights, eta, d, p0)
         best_h01 = min(best_h01, h01)
         best_p_err = min(best_p_err, p_err)
 
     margin_h01 = best_h01 - bell_h01
     margin_p_err = best_p_err - bell_p_err
     return OptimalityReport(
-        d_s=int(d_s),
-        d_i=int(d_i),
+        d_s=int(d),
+        d_i=int(d),
         n_samples=int(n_samples),
         seed=int(seed),
         eta=float(eta),

@@ -198,7 +198,7 @@ def cmd_sweep(args, tol: float) -> int:
 
 def cmd_verify_bell(args, tol: float) -> int:
     report = verify_bell_optimality(
-        args.d, args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
+        args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
     )
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 2 if report.margin < MARGIN_FLOOR else 0

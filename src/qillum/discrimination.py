@@ -35,6 +35,15 @@ def _efficiencies(eta) -> np.ndarray:
     return eta
 
 
+def _signal_dims(d_s) -> np.ndarray:
+    """``d_s`` as an array, every entry at least 2; NaN fails."""
+    d_s = np.asarray(d_s)
+    ok = d_s >= 2
+    if not ok.all():
+        raise ValueError(f"signal dimension must be >= 2, got {d_s[~ok][0]}")
+    return d_s
+
+
 def _weighted_difference(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> np.ndarray:
     """``p0 rho0 - (1 - p0) rho1``, the operator whose spectrum decides the test."""
     if rho0.shape != rho1.shape:
@@ -56,7 +65,7 @@ def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float
     return float(min(max(value, 0.0), 1.0))
 
 
-def schmidt_helstrom_error(weights, eta, d_s: int, p0: float = 0.5):
+def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
     """Minimum error probability of the illumination channel, from the
     probe's Schmidt weights ``lam`` alone.
 
@@ -76,13 +85,13 @@ def schmidt_helstrom_error(weights, eta, d_s: int, p0: float = 0.5):
     :func:`helstrom_error` on the dense channel outputs, clipped to [0, 1].
 
     ``weights`` is one probe's weights (1-D) or an ``(n, d_i)`` stack, and
-    ``eta`` one value or an array broadcasting against its leading axis: a
-    float is returned for 1-D weights and one ``eta``, else an array, no
-    row of which depends on another.  Negative weights count as 0.
+    ``eta`` and ``d_s`` each one value or an array broadcasting against its
+    leading axis: a float is returned for 1-D weights, one ``eta`` and one
+    ``d_s``, else an array, no entry of which depends on another, so a
+    stacked call equals its rows' 1-D calls bit for bit.  Negative weights
+    count as 0.
     """
-    eta = _efficiencies(eta)
-    if d_s < 2:
-        raise ValueError(f"signal dimension must be >= 2, got {d_s}")
+    eta, d_s = _efficiencies(eta), _signal_dims(d_s)
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
     lam = np.clip(np.asarray(weights, dtype=float), 0.0, None)
@@ -90,7 +99,7 @@ def schmidt_helstrom_error(weights, eta, d_s: int, p0: float = 0.5):
         raise ValueError(f"expected 1-D weights or a 2-D stack, got shape {lam.shape}")
     c = p0 * (1.0 - eta) - (1.0 - p0)
     # one row per (eta, probe) pair, broadcast by an exact product with 1
-    d_i, ones = lam.shape[-1], np.ones(np.broadcast_shapes(eta.shape, lam.shape[:-1]))
+    d_i, ones = lam.shape[-1], np.ones(np.broadcast_shapes(eta.shape, d_s.shape, lam.shape[:-1]))
     a, s, base = ((x * ones).reshape(-1) for x in (p0 * eta, -c / d_s, p0 * (1.0 - eta)))
     stack = np.broadcast_to(np.sort(lam)[..., ::-1], ones.shape + (d_i,)).reshape(-1, d_i)
     p_err = np.where(s > 0.0, p0, 1.0 - p0)  # mu = 0, or p1 where c >= 0
@@ -117,7 +126,8 @@ def flat_probe_error(eta, n, p0: float = 0.5):
     ``c/n`` ``n - 1`` times (``c = p0 (1 - eta) - p1``).  The secular root
     grows as the weights spread (Schur concavity), so every probe's error
     lies between this at ``n = d_s d_i`` (the Bell probe) and at ``n = d_s``
-    (the unentangled probe).  ``eta`` and ``n`` may be arrays, unchecked.
+    (the unentangled probe).  ``eta`` and ``n`` may be arrays broadcasting
+    against each other, unchecked.
     """
     eta = np.asarray(eta, dtype=float)
     c = p0 * (1.0 - eta) - (1.0 - p0)
@@ -142,10 +152,10 @@ def optimal_povm(
     return e0, np.eye(len(rho0)) - e0
 
 
-def channel_overlap(weights, eta, d_s: int):
+def channel_overlap(weights, eta, d_s):
     """Normalized overlap ``Tr[rho0 rho1] / sqrt(Tr[rho0^2] Tr[rho1^2])`` of
     the channel outputs of a pure probe on ``d_s`` signal modes, from its
-    Schmidt weights ``lam`` (1-D).
+    Schmidt weights ``lam`` (1-D, or an ``(n, d_i)`` stack).
 
     With the idler reduction ``phi = diag(lam)``, ``rho1 = I/d_s (x) phi``
     and ``rho0 = eta |psi><psi| + (1 - eta) rho1``, the overlap needs three
@@ -157,20 +167,20 @@ def channel_overlap(weights, eta, d_s: int):
 
     at O(d_i), with ``sum(lam^2)`` added in index order.  None of them goes
     through the effective rank, so the result is an independent check of
-    :func:`h01_closed_form`.  ``eta`` is one value (a float is returned) or
-    an array of values sharing the traces (an array is returned).  The
-    result is clipped to ``[0, 1]``.
+    :func:`h01_closed_form`.  ``eta`` and ``d_s`` broadcast as in
+    :func:`schmidt_helstrom_error`: one value each and 1-D weights give a
+    float, anything else an array.  The result is clipped to ``[0, 1]``.
     """
     eta = _efficiencies(eta)
     lam = np.asarray(weights, dtype=float)
-    v = purity_1 = float(np.cumsum(lam * lam)[-1]) / d_s
+    v = purity_1 = np.cumsum(lam * lam, axis=-1)[..., -1] / d_s
     cross = eta * v + (1.0 - eta) * purity_1
     purity_0 = eta**2 + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) ** 2 * purity_1
     h = np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)
     return float(h) if h.ndim == 0 else h
 
 
-def h01_closed_form(eta, d_s: int, k_i: float):
+def h01_closed_form(eta, d_s, k_i):
     """Overlap of the two hypothesis states, from the physical parameters.
 
     For the post-selected model the normalized overlap of target-present
@@ -180,13 +190,13 @@ def h01_closed_form(eta, d_s: int, k_i: float):
 
     where ``k_i`` is the effective rank (inverse purity) of the idler
     reduction.  ``k_i`` is accepted as a real number; integers are the
-    extremal cases.  ``eta`` is one value or an array, as in
-    :func:`channel_overlap`.
+    extremal cases.  ``eta``, ``d_s`` and ``k_i`` are each one value or
+    arrays broadcasting against each other: a float is returned for three
+    values, else an array.
     """
-    eta = _efficiencies(eta)
-    if d_s < 2:
-        raise ValueError(f"signal dimension must be >= 2, got {d_s}")
-    if not k_i >= 1.0:
-        raise ValueError(f"effective idler rank must be >= 1, got {k_i}")
+    eta, d_s, k_i = _efficiencies(eta), _signal_dims(d_s), np.asarray(k_i)
+    ok = k_i >= 1.0
+    if not ok.all():
+        raise ValueError(f"effective idler rank must be >= 1, got {k_i[~ok][0]}")
     h = 1.0 / np.sqrt(1.0 + eta**2 * (d_s * k_i - 1.0))
     return float(h) if h.ndim == 0 else h

@@ -112,6 +112,23 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("etas, dims, families", [
+        ([k / 100 for k in range(1, 91)], range(1000, 1100), [uniform_rank_family(1000)]),
+        ([0.5], range(2, 3001), [bell_family(), uniform_rank_family(2)]),
+    ])
+    def test_memory_bound_over_many_probes(self, etas, dims, families):
+        """Held weights are evaluated once their count times the eta grid's
+        reaches 2^16: holding all 100 probes of the first grid until the end
+        took 647 MB, and the second grid holds 4.5 million weights over
+        3000 idler widths."""
+        tracemalloc.start()
+        try:
+            run_sweep(etas, dims, families)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("family, d_i", [
         (bell_family(), 5), (uniform_rank_family(3), 3), (fixed_spectrum_family([0.5, 0.0, 0.2, 0.3]), 4),
     ])
@@ -169,7 +186,9 @@ class TestSweepRecordValidation:
     def test_checks_follow_every_probe(self, monkeypatch):
         """A family infeasible at a later dimension is a ValueError (exit 1),
         even where an earlier probe already fails a cross-check (exit 2)."""
-        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s: np.full(len(eta), np.nan))
+        monkeypatch.setattr(
+            analysis, "channel_overlap", lambda lam, eta, d_s: np.full(np.broadcast_shapes(eta.shape, d_s.shape), np.nan)
+        )
         with pytest.raises(ValueError, match="exceeds") as caught:
             run_sweep([0.5], [4, 2], [uniform_rank_family(3)])
         assert not isinstance(caught.value, VerificationError)
@@ -180,20 +199,26 @@ class TestSweepRecordValidation:
 class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
-    def test_one_kernel_call_per_probe(self, monkeypatch):
+    def test_one_kernel_call_per_idler_width(self, monkeypatch):
+        """The probes of one width are one stacked call over the eta column,
+        each with its own d_s, until the held weights times the grid reach
+        the chunk bound; the baseline is a closed form."""
         exact = analysis.schmidt_helstrom_error
         calls = []
 
-        def counted(weights, etas, *args):
-            calls.append((len(weights), len(etas)))
-            return exact(weights, etas, *args)
+        def counted(weights, etas, d_s, p0):
+            calls.append((weights.shape, etas.shape, d_s.tolist()))
+            return exact(weights, etas, d_s, p0)
 
         monkeypatch.setattr(analysis, "schmidt_helstrom_error", counted)
         families = [bell_family(), uniform_rank_family(2), fixed_spectrum_family([0.5, 0.3, 0.2])]
-        table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5], families)
-        assert len(table) == 24
-        # per dimension, one call per family; the baseline is a closed form
-        assert calls == [(3, 4), (2, 4), (3, 4), (5, 4), (2, 4), (3, 4)]
+        table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], families)
+        assert len(table) == 36
+        assert calls == [((3, 3), (4, 1), [3, 3, 5]), ((2, 2), (4, 1), [3, 5]), ((1, 5), (4, 1), [5])]
+        calls.clear()
+        # 2000 weights x 40 etas pass 2^16 at the second probe: two flushes
+        run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [uniform_rank_family(1000)])
+        assert [shape for shape, _, _ in calls] == [(2, 1000), (1, 1000)]
 
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_baseline_column_is_the_closed_form(self, p0):
@@ -259,14 +284,14 @@ class TestVerifyMonotonicity:
 
 class TestVerifyBellOptimality:
     def test_square_case_margins(self):
-        report = verify_bell_optimality(2, 2, 200, seed=11)
+        report = verify_bell_optimality(2, 200, seed=11)
         assert report.margin >= -1e-9
         assert report.margin_h01 >= -1e-9
         assert report.margin_p_err >= -1e-9
 
     def test_self_comparison_margin_is_zero(self):
         """The reference is the kernel and the closed form on flat weights."""
-        report = verify_bell_optimality(3, 3, 5, seed=1)
+        report = verify_bell_optimality(3, 5, seed=1)
         flat = np.full(3, 1.0 / 3)
         h01 = h01_closed_form(report.eta, 3, 1.0 / float(np.sum(flat * flat)))
         p_err = schmidt_helstrom_error(flat, report.eta, 3, report.p0)
@@ -274,34 +299,36 @@ class TestVerifyBellOptimality:
         assert p_err - report.bell_p_err == 0.0
 
     def test_bell_matches_closed_form(self):
-        report = verify_bell_optimality(3, 3, 10, seed=2, eta=0.5)
+        report = verify_bell_optimality(3, 10, seed=2, eta=0.5)
         assert report.bell_h01 == pytest.approx(h01_closed_form(0.5, 3, 3.0), abs=1e-9)
 
-    def test_rectangular_case_rank_capped(self):
-        report = verify_bell_optimality(2, 4, 300, seed=4, eta=0.5)
-        floor = h01_closed_form(0.5, 2, 2.0)
+    def test_sampled_overlap_floored_by_reference(self):
+        """No sample's overlap falls below the closed form at k_i = d, the
+        largest effective rank on d idler modes, which the reference attains."""
+        report = verify_bell_optimality(4, 300, seed=4, eta=0.5)
+        floor = h01_closed_form(0.5, 4, 4.0)
         assert report.best_sampled_h01 >= floor - 1e-9
         assert report.bell_h01 == pytest.approx(floor, abs=1e-9)
 
     def test_deterministic_for_fixed_seed(self):
-        a = verify_bell_optimality(2, 2, 50, seed=33)
-        b = verify_bell_optimality(2, 2, 50, seed=33)
+        a = verify_bell_optimality(2, 50, seed=33)
+        b = verify_bell_optimality(2, 50, seed=33)
         assert a == b
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            verify_bell_optimality(2, 2, 0, seed=0)
+            verify_bell_optimality(2, 0, seed=0)
 
-    @pytest.mark.parametrize("d_s, d_i", [(3, 3), (2, 4), (4, 2), (3, 5)])
+    @pytest.mark.parametrize("d, seed", [(3, 3), (2, 4), (4, 2), (3, 5)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("p0", [0.0, 0.4, 1.0])
-    def test_matches_dense_loop(self, d_s, d_i, eta, p0):
+    def test_matches_dense_loop(self, d, seed, eta, p0):
         """Every field against a per-sample loop over the dense oracle."""
-        n, seed = 12, 7
-        report = verify_bell_optimality(d_s, d_i, n, seed, eta=eta, p0=p0)
-        bell_h01, bell_p_err = evaluate_state_metrics(bell_state(min(d_s, d_i)), eta, p0)
+        n = 12
+        report = verify_bell_optimality(d, n, seed, eta=eta, p0=p0)
+        bell_h01, bell_p_err = evaluate_state_metrics(bell_state(d), eta, p0)
         dense = [
-            evaluate_state_metrics(haar_random_state(d_s, d_i, int(s)), eta, p0)
+            evaluate_state_metrics(haar_random_state(d, d, int(s)), eta, p0)
             for s in np.random.SeedSequence(seed).generate_state(n)
         ]
         best_h01 = min(h for h, _ in dense)
@@ -318,7 +345,7 @@ class TestVerifyBellOptimality:
         got = dataclasses.asdict(report)
         for name, value in expected.items():
             assert abs(got[name] - value) <= 1e-12, name
-        assert (got["d_s"], got["d_i"], got["n_samples"], got["seed"]) == (d_s, d_i, n, seed)
+        assert (got["d_s"], got["d_i"], got["n_samples"], got["seed"]) == (d, d, n, seed)
         assert (got["eta"], got["p0"]) == (eta, p0)
 
     @pytest.mark.parametrize("spoil", [1.001, np.nan])
@@ -333,7 +360,7 @@ class TestVerifyBellOptimality:
 
         monkeypatch.setattr(np.linalg, "svd", spoiled)
         with pytest.raises(ValueError, match="sample 3: Schmidt weights sum to (1.00|nan)"):
-            verify_bell_optimality(3, 3, 5, seed=1)
+            verify_bell_optimality(3, 5, seed=1)
 
     def test_bell_effective_rank_equals_dimension(self):
         for d in range(2, 7):

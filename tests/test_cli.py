@@ -68,6 +68,16 @@ class TestSweep:
         assert main(["sweep", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
 
+    def test_dense_golden_csv(self, tmp_path):
+        """Bell rows of 16 and 24 weights beside rank-4 ones: every other
+        golden has at most 4 weights a probe, below the kernel's pairwise
+        sums, which start at 8."""
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0:0.25:1", "--d", "16,4,24,8", "--family", "uniform-rank:4", "--family", "bell",
+                "--priors", "0.3", "--out", str(out)]
+        assert main(["sweep", *argv]) == 0
+        assert out.read_bytes() == (DATA / "sweep_dense_golden.csv").read_bytes()
+
     @pytest.mark.parametrize("p0", ["0.37", "0.8"])
     def test_spectrum_golden_csv(self, tmp_path, p0):
         """Rows of user spectra: unsorted with a zero weight, and near rank one

@@ -283,6 +283,39 @@ class TestSchmidtHelstrom:
             assert column[k] == single and broadcast[k] == single
             assert stacked[k] == schmidt_helstrom_error(weights[k], eta, d_s, p0)
 
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d_i=st.integers(1, 12),
+        dims=st.lists(st.integers(2, 40), min_size=1, max_size=5),
+        tiny=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
+        n_tiny=st.integers(0, 11),
+        etas=st.lists(UNIT, min_size=1, max_size=6),
+        p0=UNIT,
+    )
+    @example(seed=0, d_i=1, dims=[2, 40, 2], tiny=0.0, n_tiny=0, etas=[0.0, 1.0], p0=0.3)
+    @example(seed=1, d_i=12, dims=[3, 12, 7], tiny=0.0, n_tiny=11, etas=[1.0, 0.0, 0.5], p0=0.5)
+    @example(seed=2, d_i=9, dims=[9, 2], tiny=1e-12, n_tiny=4, etas=[0.25, 0.75], p0=0.8)
+    @example(seed=3, d_i=8, dims=[5], tiny=1e-13, n_tiny=3, etas=[0.5], p0=0.5)
+    def test_per_row_signal_dimension_equals_row_calls(self, seed, d_i, dims, tiny, n_tiny, etas, p0):
+        """A stack of probes of one width, each on its own ``d_s``, over an
+        eta column gives exactly each (eta, probe) pair's 1-D scalar call, for
+        the error and the direct overlap; rows may carry zero weights or
+        weights around 1e-12."""
+        weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(dims))
+        weights[:, : min(n_tiny, d_i - 1)] = tiny
+        weights /= weights.sum(axis=1, keepdims=True)
+        eta = np.array(etas)[:, None]
+        p_err = schmidt_helstrom_error(weights, eta, np.array(dims), p0)
+        overlap = channel_overlap(weights, eta, np.array(dims))
+        assert p_err.shape == overlap.shape == (len(etas), len(dims))
+        for k, e in enumerate(etas):
+            for j, (lam, d_s) in enumerate(zip(weights, dims)):
+                single = schmidt_helstrom_error(lam, e, d_s, p0)
+                direct = channel_overlap(lam, e, d_s)
+                assert isinstance(single, float) and isinstance(direct, float)
+                assert p_err[k, j] == single and overlap[k, j] == direct
+
     def test_memory_does_not_grow_with_the_grid(self):
         """300 efficiencies at d_i = 128 would be a 39 MB stack of
         d_i x d_i blocks; the secular root needs a few arrays of one weight
@@ -305,6 +338,11 @@ class TestSchmidtHelstrom:
                     schmidt_helstrom_error(weights, eta, d_s, p0)
         with pytest.raises(ValueError, match="shape"):
             schmidt_helstrom_error(np.ones((2, 2, 2)) / 2, 0.5, 2, 0.5)
+        # a per-row d_s names its first bad entry, as a scalar one names itself
+        for d_s in (1, [2, 1, 0], [3, np.nan]):
+            bad = str(np.ravel(d_s)[1 if np.ndim(d_s) else 0])
+            with pytest.raises(ValueError, match=f"^signal dimension must be >= 2, got {bad}$"):
+                schmidt_helstrom_error(np.full((np.size(d_s), 2), 0.5), 0.5, d_s, 0.5)
 
 
 def spectrum(seed, d_i, tiny=0.0, n_tiny=0):
@@ -527,6 +565,32 @@ class TestClosedForm:
             single = h01_closed_form(eta, d_s, k_i)
             assert isinstance(single, float) and value == single
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        etas=st.lists(UNIT, min_size=1, max_size=8),
+        rows=st.lists(
+            st.tuples(st.integers(2, 64), st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0))),
+            min_size=1, max_size=6,
+        ),
+        p0=UNIT,
+    )
+    @example(etas=[0.0, 1.0], rows=[(2, 1.0), (64, 64.0)], p0=0.5)
+    @example(etas=[1.0, 0.3], rows=[(7, 1.0 + 1e-12)], p0=0.0)
+    def test_per_row_signal_dimension_equals_scalar_calls(self, etas, rows, p0):
+        """Per-row ``d_s`` (and ``k_i``) broadcast against an eta column, in
+        the overlap's and the flat probe's closed forms, give exactly the
+        scalar calls."""
+        d_s, k_i = (np.array(x) for x in zip(*rows))
+        eta = np.array(etas)[:, None]
+        column = h01_closed_form(eta, d_s, k_i)
+        flat = flat_probe_error(eta, d_s, p0)
+        assert column.shape == flat.shape == (len(etas), len(rows))
+        for k, e in enumerate(etas):
+            for j, (d, rank) in enumerate(rows):
+                single = h01_closed_form(e, d, rank)
+                assert isinstance(single, float) and column[k, j] == single
+                assert flat[k, j] == flat_probe_error(e, d, p0)
+
     @pytest.mark.parametrize("etas", [[0.5, np.nan], [0.2, 1.5], [0.0, -1e-300]])
     def test_any_bad_eta_in_an_array_is_rejected(self, etas):
         """Every function taking an eta array names the first bad entry; NaN
@@ -546,6 +610,10 @@ class TestClosedForm:
             h01_closed_form(0.5, 1, 1.0)
         with pytest.raises(ValueError):
             h01_closed_form(0.5, 2, 0.5)
+        with pytest.raises(ValueError, match="^signal dimension must be >= 2, got 1$"):
+            h01_closed_form([0.5, 0.5], [2, 1], 1.0)
+        with pytest.raises(ValueError, match="^effective idler rank must be >= 1, got nan$"):
+            h01_closed_form(0.5, [2, 3], [1.0, np.nan])
 
     @pytest.mark.parametrize("seed,d_s,d_i", [(0, 2, 2), (1, 3, 4), (2, 5, 3), (3, 4, 4)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])
