@@ -12,7 +12,8 @@ float table in one pass: a stacked kernel call per idler width, each
 closed form once, and the checks once finished (the direct overlap against
 the closed form, the error against the closed forms that bracket it).  The
 optimality check takes each sample's weights from one stacked singular-value
-decomposition.  The dense channel outputs are the tests' oracle for both.
+decomposition and holds each sample's error to the same bracket.  The dense
+channel outputs are the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .discrimination import _efficiencies, channel_overlap, flat_probe_error, h0
 Family = Callable[[int], np.ndarray]
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
+#: How far a probe's ``p_err`` may stray outside the closed-form bracket
+#: [Bell probe, unentangled probe] that holds every probe's exact error.
+BRACKET_TOL = 1e-12
 #: The columns of a sweep table (:func:`run_sweep`), in CSV order:
 #: ``h01_closed`` is the closed-form overlap at the effective idler rank
 #: ``k_i``, ``h01_direct`` the same from traces of ``diag(lam)`` (never
@@ -97,10 +101,11 @@ def run_sweep(
     ``diag(lam)``), over the whole eta grid, each on its own ``d_s``.  The
     closed forms are one call each over all rows.  The checks run once, on
     the finished table: the two overlaps agree, and ``p_err`` lies between
-    the Bell probe's error and ``p_err_ci``, within 1e-12.  Raises
-    ``ValueError`` for grid entries outside their ranges, a grid of more than
-    :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
-    dimension, and its subclass :class:`VerificationError` for a failed row.
+    the Bell probe's error and ``p_err_ci``, within :data:`BRACKET_TOL`.
+    Raises ``ValueError`` for grid entries outside their ranges, a grid of
+    more than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a
+    requested dimension, and its subclass :class:`VerificationError` for a
+    failed row.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
@@ -147,7 +152,7 @@ def run_sweep(
     bell = flat_probe_error(column["eta"], column["d_s"] * column["d_i"], p0)
     for ok, failure in (
         (gap < RECORD_AGREEMENT_TOL, lambda r: f"closed/direct overlap disagree by {gap[r]:.3e}"),
-        ((bell - 1e-12 <= p) & (p <= ci + 1e-12), lambda r: f"p_err={p[r]} outside [{bell[r]}, {ci[r]}]"),
+        ((bell - BRACKET_TOL <= p) & (p <= ci + BRACKET_TOL), lambda r: f"p_err={p[r]} outside [{bell[r]}, {ci[r]}]"),
     ):
         bad = np.flatnonzero(~ok)  # NaN fails every check
         if bad.size:
@@ -178,18 +183,15 @@ class OptimalityReport:
     margin: float
 
 
-def _best_schmidt_metrics(
-    weights: np.ndarray, eta: float, d_s: int, p0: float
-) -> tuple[float, float]:
-    """Smallest overlap and smallest minimum error over an ``(n, r)`` stack of
-    Schmidt weights, one row per pure input.
+def _schmidt_metrics(weights: np.ndarray, eta: float, d_s: int, p0: float) -> tuple[float, np.ndarray]:
+    """Smallest overlap, and each row's minimum error, over an ``(n, r)``
+    stack of Schmidt weights, one row per pure input.
 
     The overlap falls as the effective rank ``k_i = 1 / sum(lam^2)`` rises,
     so the smallest overlap is the closed form at the largest ``k_i``.
     """
     k_i = float(np.max(1.0 / np.sum(weights * weights, axis=1)))
-    p_err = float(np.min(schmidt_helstrom_error(weights, eta, d_s, p0)))
-    return h01_closed_form(eta, d_s, k_i), p_err
+    return h01_closed_form(eta, d_s, k_i), schmidt_helstrom_error(weights, eta, d_s, p0)
 
 
 def verify_bell_optimality(
@@ -216,13 +218,23 @@ def verify_bell_optimality(
     :func:`~qillum.discrimination.h01_closed_form` and its errors from one
     stacked call of :func:`~qillum.discrimination.schmidt_helstrom_error`.
     The reference goes the same route with the flat weights ``1/d``.  Each
-    sample's weights must sum to 1 within ``tol``.
+    sample's weights must sum to 1 within ``tol``, else ``ValueError``.
+
+    Every probe's exact error lies between the closed forms
+    :func:`~qillum.discrimination.flat_probe_error` at ``d^2`` (the Bell
+    probe) and at ``d`` (the unentangled probe), since the secular root is
+    Schur concave in the weights.  Both ends are computed once, and each
+    chunk's errors are held to them within :data:`BRACKET_TOL` by one
+    comparison; a sample outside (or NaN) raises
+    :class:`VerificationError` naming it, which ``verify-bell`` reports
+    with exit 2.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     if d < 2:
         raise ValueError(f"reference dimension must be >= 2, got {d}")
-    bell_h01, bell_p_err = _best_schmidt_metrics(np.full((1, d), 1.0 / d), eta, d, p0)
+    bell_h01, (bell_p_err,) = _schmidt_metrics(np.full((1, d), 1.0 / d), eta, d, p0)
+    low, high = float(flat_probe_error(eta, d * d, p0)), float(flat_probe_error(eta, d, p0))
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
     step = max(1, _CHUNK_AMPLITUDES // (d * d))
@@ -240,9 +252,13 @@ def verify_bell_optimality(
                 f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, "
                 f"expected 1 within {tol:.1e}"
             )
-        h01, p_err = _best_schmidt_metrics(weights, eta, d, p0)
+        h01, p_err = _schmidt_metrics(weights, eta, d, p0)
+        bad = np.flatnonzero(~((low - BRACKET_TOL <= p_err) & (p_err <= high + BRACKET_TOL)))
+        if bad.size:
+            k = int(bad[0])
+            raise VerificationError(f"sample {first + k}: p_err={p_err[k]} outside [{low}, {high}]")
         best_h01 = min(best_h01, h01)
-        best_p_err = min(best_p_err, p_err)
+        best_p_err = min(best_p_err, float(np.min(p_err)))
 
     margin_h01 = best_h01 - bell_h01
     margin_p_err = best_p_err - bell_p_err
@@ -254,7 +270,7 @@ def verify_bell_optimality(
         eta=float(eta),
         p0=float(p0),
         bell_h01=bell_h01,
-        bell_p_err=bell_p_err,
+        bell_p_err=float(bell_p_err),
         best_sampled_h01=float(best_h01),
         best_sampled_p_err=float(best_p_err),
         margin_h01=float(margin_h01),

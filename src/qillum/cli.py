@@ -184,11 +184,7 @@ def cmd_sweep(args, tol: float) -> int:
     dims = parse_int_grid(args.d)
     names = args.family or ["bell"]
     families = [parse_family(f, tol) for f in names]
-    try:
-        table = run_sweep(etas, dims, families, p0=args.p0)
-    except VerificationError as exc:
-        print(f"numerical verification failed: {exc}", file=sys.stderr)
-        return 2
+    table = run_sweep(etas, dims, families, p0=args.p0)
     out = Path(args.out)
     out.write_text(render_sweep_csv(table))
     if args.plot:
@@ -281,6 +277,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args, tol)
+    except VerificationError as exc:  # a ValueError, so caught first
+        print(f"numerical verification failed: {exc}", file=sys.stderr)
+        return 2
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,20 +58,26 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     Returns an ``(len(seeds), d_s, d_i)`` stack whose entry ``k`` is the
     amplitude matrix of the state drawn from ``seeds[k]``: independent
     standard complex Gaussians, normalized, which is the rotation-invariant
-    distribution on the unit sphere.  The same seed always yields the same
-    matrix.  The matrices are not validated; the caller checks what it
-    relies on (``verify-bell`` checks that each one's Schmidt weights sum
-    to 1).
+    distribution on the unit sphere.  The matrices are not validated; the
+    caller checks what it relies on (``verify-bell`` checks that each one's
+    Schmidt weights sum to 1).
+
+    A seed keeps its matrix: ``np.random.default_rng(seed)`` draws
+    ``2 d_s d_i`` normals, the real parts then the imaginary parts, and the
+    row is divided by the square root of two BLAS dots, of its real and its
+    imaginary parts, as ``np.linalg.norm`` takes it.  Only the generators
+    are per seed; the norms and the division are one call each.
     """
     if d_s < 2 or d_i < 1:
         raise ValueError(f"invalid dimensions ({d_s}, {d_i})")
     n = d_s * d_i
+    normals = np.empty((len(seeds), 2 * n))
+    for row, seed in zip(normals, seeds):
+        np.random.default_rng(int(seed)).standard_normal(out=row)
     stack = np.empty((len(seeds), n), dtype=complex)
-    for row, seed in zip(stack, seeds):
-        rng = np.random.default_rng(int(seed))
-        row.real = rng.standard_normal(n)
-        row.imag = rng.standard_normal(n)
-        row /= np.linalg.norm(row)
+    stack.real, stack.imag = normals[:, :n], normals[:, n:]
+    # vecdot is ddot on each row's strided parts; a pairwise sum (norm over an axis, einsum) moves last bits
+    stack /= np.sqrt(np.vecdot(stack.real, stack.real) + np.vecdot(stack.imag, stack.imag))[:, None]
     return stack.reshape(-1, d_s, d_i)
 
 

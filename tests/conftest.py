@@ -14,9 +14,10 @@ matrix; between the dense minimum error and the package's secular root
 sits :func:`schmidt_helstrom_oracle`, a stacked eigensolve of the
 Schmidt-space blocks.  :func:`pure_state_dict` and :func:`density_to_dict`
 build wire-format objects; the latter is also the byte oracle of the
-package's JSON encoder.  The package computes the same numbers from a
-probe's Schmidt weights without any matrix of that size; the tests hold it
-to these.
+package's JSON encoder.  :func:`haar_amplitudes_oracle` is the
+per-sample Haar sampler that the package's batched one must match bit for
+bit.  The package computes the same numbers from a probe's Schmidt weights
+without any matrix of that size; the tests hold it to these.
 """
 
 import numpy as np
@@ -180,6 +181,21 @@ def haar_random_state(d_s, d_i, seed):
     """Amplitude matrix of the uniformly random pure state that
     ``haar_random_amplitudes`` draws from ``seed``."""
     return haar_random_amplitudes(d_s, d_i, [seed])[0]
+
+
+def haar_amplitudes_oracle(d_s, d_i, seeds):
+    """The sampler ``haar_random_amplitudes`` batches, one sample at a
+    time: per seed its own generator, ``n = d_s d_i`` normals for the real
+    parts, ``n`` more for the imaginary parts, and the row divided by its
+    ``np.linalg.norm``.  The package must give the same bits."""
+    n = d_s * d_i
+    stack = np.empty((len(seeds), n), dtype=complex)
+    for row, seed in zip(stack, seeds):
+        rng = np.random.default_rng(int(seed))
+        row.real = rng.standard_normal(n)
+        row.imag = rng.standard_normal(n)
+        row /= np.linalg.norm(row)
+    return stack.reshape(-1, d_s, d_i)
 
 
 def pure_state_dict(amp):

@@ -10,7 +10,7 @@ import pytest
 
 from qillum import analysis, cli
 from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
-from qillum.discrimination import helstrom_error, optimal_povm
+from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
 from qillum.states import density_from_dict
 from conftest import density_to_dict, ginibre, povm_error, pure_state_dict, random_density
 
@@ -281,6 +281,20 @@ class TestParserReuse:
         self.golden_sweep(tmp_path)
 
 
+@pytest.fixture
+def chunks(monkeypatch):
+    """The number of samples in each chunk verify-bell draws, in order."""
+    sizes = []
+    exact = analysis.haar_random_amplitudes
+
+    def counted(d_s, d_i, seeds):
+        sizes.append(len(seeds))
+        return exact(d_s, d_i, seeds)
+
+    monkeypatch.setattr(analysis, "haar_random_amplitudes", counted)
+    return sizes
+
+
 class TestVerifyBell:
     GOLDEN_ARGS = ["--d", "4", "--samples", "20", "--seed", "3", "--eta", "0.3", "--p0", "0.4"]
 
@@ -288,22 +302,48 @@ class TestVerifyBell:
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
         assert capsys.readouterr().out == (DATA / "verify_bell_golden.json").read_text()
 
-    def test_chunking_does_not_change_the_report(self, capsys, monkeypatch):
+    def test_chunking_does_not_change_the_report(self, capsys, monkeypatch, chunks):
         """One chunk or seven of at most three samples: the same stdout."""
-        chunks = []
-        exact = analysis.haar_random_amplitudes
-
-        def counted(d_s, d_i, seeds):
-            chunks.append(len(seeds))
-            return exact(d_s, d_i, seeds)
-
-        monkeypatch.setattr(analysis, "haar_random_amplitudes", counted)
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
         whole = capsys.readouterr().out
         monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 3 * 4 * 4)
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
         assert capsys.readouterr().out == whole
         assert chunks == [20] + [3] * 6 + [2]
+
+    def test_golden_report_past_a_chunk(self, capsys, chunks):
+        """1100 samples at d = 8: a chunk of 1024 and one of 76."""
+        assert main(["verify-bell", "--d", "8", "--samples", "1100", "--seed", "2", "--eta", "0.5"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_bell_d8_golden.json").read_text()
+        assert chunks == [1024, 76]
+
+    @pytest.mark.parametrize("end", ["bell", "unentangled", "nan"])
+    def test_sample_outside_the_bracket_exits_2(self, capsys, monkeypatch, end):
+        """Sample 4, in the second chunk of three samples, is moved past
+        one end of its closed-form bracket (or to NaN); the reference and
+        the other samples keep their errors."""
+        value = {
+            "bell": flat_probe_error(0.5, 9) - 1e-9,
+            "unentangled": flat_probe_error(0.5, 3) + 1e-9,
+            "nan": math.nan,
+        }[end]
+        calls = []
+        exact = analysis.schmidt_helstrom_error
+
+        def spoiled(weights, *args):
+            p_err = exact(weights, *args)
+            calls.append(len(p_err))
+            if len(calls) == 3:
+                p_err[1] = value
+            return p_err
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", spoiled)
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 3 * 3 * 3)
+        assert main(["verify-bell", "--d", "3", "--samples", "5", "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical verification failed: sample 4: p_err=")
+        assert calls == [1, 3, 2]
 
     def test_negative_zero_is_printed_as_zero(self, capsys):
         argv = ["verify-bell", "--d", "3", "--samples", "4", "--seed", "1"]

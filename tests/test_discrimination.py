@@ -1,5 +1,6 @@
 """Tests for measurement error probabilities and the overlap measure."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -411,6 +412,28 @@ def exact_error(weights, eta, d_s, p0):
         return (1 - norm) / 2
 
 
+def t_transform(weights, i, j, t):
+    """``weights`` with part of the gap between entries ``i`` and ``j``
+    moved from the larger to the smaller: a share ``t`` of it, rounded down
+    to whole units of the larger entry's ulp, or nothing where the smaller
+    is not a whole number of those units.  Both new entries are then exact
+    and lie between the old two, and their sum is kept exactly: the result
+    is majorized by ``weights`` (a T-transform toward flat)."""
+    out = np.array(weights, dtype=float)
+    i, j = (i, j) if out[i] >= out[j] else (j, i)
+    big, small = out[i], out[j]
+    unit = math.ulp(big)
+    if math.fmod(small, unit) == 0.0:
+        shift = math.floor(t * (big - small) / unit) * unit
+        out[i], out[j] = big - shift, small + shift
+    return out
+
+
+#: Schmidt weights before normalization: exact zeros, tiny ones down to
+#: 1e-300 and any in between.
+RAW_WEIGHT = st.one_of(st.sampled_from([0.0, 1e-300, 1e-150, 1e-12]), st.floats(1e-300, 1.0))
+
+
 class TestSecularRoot:
     """The structure the kernel relies on: ``p0 rho0 - p1 rho1`` has at most
     one positive eigenvalue, the secular root, whose vector is known, and
@@ -499,6 +522,37 @@ class TestSecularRoot:
         assert np.all(p_err <= flat_probe_error(etas, d_s, p0) + 1e-15)
         tie = p0 * (1.0 - etas) - (1.0 - p0) >= 0.0
         assert np.all(p_err[tie] == 1.0 - p0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        raw=st.lists(RAW_WEIGHT, min_size=1, max_size=8),
+        i=st.integers(0, 7),
+        j=st.integers(0, 7),
+        t=UNIT,
+        d_s=st.integers(2, 16),
+        eta=UNIT,
+        p0=UNIT,
+    )
+    @example(raw=[1.0], i=0, j=0, t=0.5, d_s=2, eta=0.5, p0=0.5)
+    @example(raw=[0.7, 0.0, 0.3], i=0, j=1, t=0.25, d_s=3, eta=1.0, p0=0.4)
+    @example(raw=[0.5, 1e-300, 0.25, 0.0], i=2, j=3, t=1.0, d_s=4, eta=0.3, p0=0.5)
+    @example(raw=[1e-300, 2e-300, 0.0], i=0, j=1, t=0.5, d_s=8, eta=0.9, p0=0.6)
+    @example(raw=[0.75, 0.25], i=0, j=1, t=1.0 - 2.0**-53, d_s=2, eta=0.5, p0=0.5)
+    def test_schur_concave(self, raw, i, j, t, d_s, eta, p0):
+        """A T-transform toward flat never raises the error (the secular
+        root never falls) and never lowers the effective rank ``k_i``, so
+        never raises the closed-form overlap.  ``k_i`` is summed over the
+        weights in descending order, as verify-bell's singular values come;
+        in another order a swap alone can move it by an ulp either way."""
+        total = math.fsum(raw)
+        assume(total > 0.0)
+        weights = np.array(raw) / total
+        flatter = t_transform(weights, i % weights.size, j % weights.size, t)
+        assert math.fsum(flatter) == math.fsum(weights)
+        assert schmidt_helstrom_error(flatter, eta, d_s, p0) <= schmidt_helstrom_error(weights, eta, d_s, p0) + 1e-15
+        k_i, k_flat = (1.0 / np.sum(np.sort(w)[::-1] ** 2) for w in (weights, flatter))
+        assert k_flat >= k_i
+        assert h01_closed_form(eta, d_s, k_flat) <= h01_closed_form(eta, d_s, k_i)
 
 
 class TestHsDistinguishability:

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qillum.states import DEFAULT_TOL, densities_to_json, density_from_dict, schmidt_probe
+from qillum.states import DEFAULT_TOL, densities_to_json, density_from_dict, haar_random_amplitudes, schmidt_probe
 from conftest import (
     bell_state,
     density_to_dict,
     effective_rank_k,
+    haar_amplitudes_oracle,
     haar_random_state,
     idler_reduction,
     max_abs_diff,
@@ -168,6 +169,26 @@ class TestHaarRandomState:
         a = haar_random_state(3, 4, seed=123)
         b = haar_random_state(3, 4, seed=123)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d_s, d_i", [(d_s, d_i) for d_s in (2, 3, 8, 64) for d_i in (1, d_s, 5)])
+    @pytest.mark.parametrize("n", [0, 1, 100])
+    def test_batch_equals_the_per_sample_oracle(self, d_s, d_i, n):
+        """Bit for bit, so every seed keeps its sample."""
+        seeds = np.random.SeedSequence(d_s * d_i + n).generate_state(n)
+        got = haar_random_amplitudes(d_s, d_i, seeds)
+        assert np.array_equal(got.view(float), haar_amplitudes_oracle(d_s, d_i, seeds).view(float))
+
+    def test_batch_longer_than_a_chunk_equals_the_oracle(self):
+        """1025 samples at d = 8, more than verify-bell's 1024 a chunk."""
+        seeds = np.random.SeedSequence(17).generate_state(1025)
+        got = haar_random_amplitudes(8, 8, seeds)
+        assert np.array_equal(got.view(float), haar_amplitudes_oracle(8, 8, seeds).view(float))
+
+    @pytest.mark.parametrize("d_s, d_i", [(2, 1), (3, 3), (8, 5), (64, 64)])
+    def test_single_state_equals_the_oracle(self, d_s, d_i):
+        for seed in (0, 7, 2**32 - 1):
+            want = haar_amplitudes_oracle(d_s, d_i, [seed])[0]
+            assert np.array_equal(haar_random_state(d_s, d_i, seed).view(float), want.view(float))
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
