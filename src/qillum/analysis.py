@@ -8,12 +8,12 @@ Neither the sweep nor the optimality check diagonalizes anything or
 builds a dense ``(d_s d_i)``-dimensional matrix: a probe is its Schmidt
 weights ``lam``, and its error one secular root
 (:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep is one
-float table in one pass: a stacked kernel call per idler width, each
-closed form once, and the checks once finished (the direct overlap against
-the closed form, the error against the closed forms that bracket it).  The
-optimality check takes each sample's weights from one stacked singular-value
-decomposition and holds each sample's error to the same bracket.  The dense
-channel outputs are the tests' oracle for both.
+float table in one pass: a kernel call per chunk of zero-padded probes,
+each closed form once, and the checks once finished (the direct overlap
+against the closed form, the error against the closed forms that bracket
+it).  The optimality check takes each sample's weights from one stacked
+singular-value decomposition and holds each sample's error to the same
+bracket.  The dense channel outputs are the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
-from .discrimination import _efficiencies, channel_overlap, flat_probe_error, h01_closed_form, schmidt_helstrom_error
+from .discrimination import _efficiencies, _signal_dims, channel_overlap, flat_probe_error, h01_closed_form
+from .discrimination import schmidt_helstrom_error
 
 #: A sweep family: its probe's Schmidt weights ``lam`` at each signal
 #: dimension ``d_s``, a 1-D float array of length ``d_i`` that sums to 1
@@ -46,8 +47,8 @@ SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err"
 #: Largest number of rows (eta x dimension x family) one sweep may have.
 MAX_SWEEP_ROWS = 10_000
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
-#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and weights times
-#: etas a sweep holds: memory does not grow with the samples or the grid.
+#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and zero-padded weights
+#: times etas per sweep chunk: memory grows with neither the samples nor the grid.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -84,28 +85,23 @@ def fixed_spectrum_family(spectrum: Sequence[float], tol: float = DEFAULT_TOL) -
     return lambda d_s: schmidt_probe(d_s, spec, tol)
 
 
-def run_sweep(
-    etas: Iterable[float],
-    dims: Iterable[int],
-    families: Sequence[Family],
-    p0: float = 0.5,
-) -> np.ndarray:
+def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Family], p0: float = 0.5) -> np.ndarray:
     """Evaluate the full pipeline on a grid, as a float table: one row per
     point, ordered lexicographically (eta outermost, then dimension, then
     family), with the columns :data:`SWEEP_COLUMNS`.
 
-    Each distinct (dimension, family) probe's weights ``lam`` are built
-    once and held until they times the eta count reach
-    :data:`_CHUNK_AMPLITUDES`; then the held probes of each width ``d_i``
-    are one kernel call for ``p_err`` and one for ``h01_direct`` (traces of
-    ``diag(lam)``), over the whole eta grid, each on its own ``d_s``.  The
-    closed forms are one call each over all rows.  The checks run once, on
-    the finished table: the two overlaps agree, and ``p_err`` lies between
-    the Bell probe's error and ``p_err_ci``, within :data:`BRACKET_TOL`.
-    Raises ``ValueError`` for grid entries outside their ranges, a grid of
-    more than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a
-    requested dimension, and its subclass :class:`VerificationError` for a
-    failed row.
+    Each distinct (dimension, family) probe's weights ``lam`` are built once
+    and taken in chunks, zero-padded to their widest, of at most
+    :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
+    alone): a chunk is one kernel call for ``p_err`` and one for
+    ``h01_direct`` (traces of ``diag(lam)``), over the whole eta grid, each
+    probe on its own ``d_s``, and the padding changes no bit.  The closed
+    forms are one call each over all rows.  The checks run once, on the
+    finished table: the two overlaps agree, and ``p_err`` lies between the
+    Bell probe's error and ``p_err_ci``, within :data:`BRACKET_TOL`.  Raises
+    ``ValueError`` for grid entries outside their ranges, a grid of more
+    than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    dimension, and its subclass :class:`VerificationError` for a failed row.
     """
     etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
@@ -114,30 +110,32 @@ def run_sweep(
     n_rows = len(etas) * len(dims) * len(families)
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
-    for d in dims:
-        if d < 2:
-            raise ValueError(f"signal dimension must be >= 2, got {d}")
+    _signal_dims(dims)
 
     eta = _efficiencies(etas)
     # each distinct probe once, in first-seen order: column j of the (eta, probe) blocks
     probes = {key: j for j, key in enumerate(dict.fromkeys(product(dims, range(len(families)))))}
     d_s, d_i, purity = np.array([d for d, _ in probes], dtype=float), *np.empty((2, len(probes)))
     p_err, h01_direct = np.empty((2, eta.size, len(probes)))
-    held, amplitudes = {}, 0  # d_i -> [(j, lam)] not yet evaluated
+
+    def evaluate(first, chunk):  # probes first, first + 1, ... as one zero-padded stack
+        cols, sizes = slice(first, first + len(chunk)), [lam.size for lam in chunk]
+        lam = np.zeros((len(chunk), max(sizes)))
+        lam[np.arange(lam.shape[1]) < np.array(sizes)[:, None]] = np.concatenate(chunk)
+        # sum(lam^2) in index order, so padding adds exact zeros: np.sum's pairwise order would not
+        d_i[cols], purity[cols] = sizes, np.cumsum(lam * lam, axis=-1)[:, -1]
+        p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0)
+        h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols])
+
+    chunk, width = [], 0
     for (d, f), j in probes.items():
         lam = families[f](d)
-        held.setdefault(lam.size, []).append((j, lam))
-        amplitudes += lam.size * eta.size
-        if amplitudes < _CHUNK_AMPLITUDES and j < len(probes) - 1:
-            continue
-        for group in held.values():  # a stack of one width gives each row its 1-D result
-            cols, lam = [k for k, _ in group], np.stack([weights for _, weights in group])
-            # sum(lam^2) added in index order: np.sum's pairwise order can move the last bit of k_i
-            d_i[cols], purity[cols] = lam.shape[1], np.cumsum(lam * lam, axis=-1)[:, -1]
-            p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0)
-            h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols])
-        held, amplitudes = {}, 0
-
+        width = max(width, lam.size)
+        if chunk and (len(chunk) + 1) * width * eta.size > _CHUNK_AMPLITUDES:
+            evaluate(j - len(chunk), chunk)
+            chunk, width = [], lam.size
+        chunk.append(lam)
+    evaluate(len(probes) - len(chunk), chunk)
     # (eta, probe) flattened to the rows in their output order
     order = [probes[key] for key in product(dims, range(len(families)))]
     per_probe = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=1.0 / purity, h01_direct=h01_direct, p_err=p_err)

@@ -89,7 +89,8 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
     leading axis: a float is returned for 1-D weights, one ``eta`` and one
     ``d_s``, else an array, no entry of which depends on another, so a
     stacked call equals its rows' 1-D calls bit for bit.  Negative weights
-    count as 0.
+    count as 0, and zeros enter no sum (rows are grouped by their count of
+    nonzero weights), so a zero-padded row equals the 1-D call on the rest.
     """
     eta, d_s = _efficiencies(eta), _signal_dims(d_s)
     if not 0.0 <= p0 <= 1.0:
@@ -103,18 +104,29 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
     a, s, base = ((x * ones).reshape(-1) for x in (p0 * eta, -c / d_s, p0 * (1.0 - eta)))
     stack = np.broadcast_to(np.sort(lam)[..., ::-1], ones.shape + (d_i,)).reshape(-1, d_i)
     p_err = np.where(s > 0.0, p0, 1.0 - p0)  # mu = 0, or p1 where c >= 0
-    rows = np.flatnonzero((s > 0.0) & (a * np.count_nonzero(stack, axis=-1) > s))
-    lam, a, s, base = stack[rows], a[rows, None], s[rows, None], base[rows]
+    support = np.count_nonzero(stack, axis=-1)
+    rows = np.flatnonzero((s > 0.0) & (a * support > s))
+    sizes = support[rows[:1]].tolist() or [0]  # the rows' distinct support sizes, ascending ([0]: no rows)
+    if (support[rows] != sizes).any():  # several: order the rows by support size
+        rows = rows[np.argsort(support[rows], kind="stable")]
+        sizes = np.unique(support[rows]).tolist()
+    def sums(x, size):  # row r over its first size[r] entries, one np.sum (add.reduce) a size: a 1-D call's bits
+        ends = np.searchsorted(size, sizes, side="right").tolist() if len(sizes) > 1 else [len(x)]
+        parts = [np.add.reduce(x[lo:hi, :k], axis=-1, keepdims=True) for lo, hi, k in zip([0, *ends], ends, sizes)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    lam, a, s, base, size = stack[rows], a[rows, None], s[rows, None], base[rows], support[rows]
     mu = np.max(lam * (a * np.arange(1, d_i + 1) - s), axis=-1, keepdims=True)
-    rising = np.ones_like(mu, dtype=bool)  # a row stops once its root is reached
-    while rising.any():
-        g = mu + s * lam
-        q, z = lam / g, mu / g  # z in (0, 1]: no overflow at tiny mu
-        total = np.sum(q, axis=-1, keepdims=True)
-        rise = total * (a * total - 1.0) / np.sum(q * z, axis=-1, keepdims=True)
-        mu = np.where(rising, mu + mu * rise, mu)  # the Newton step, relative to mu
-        rising &= rise > np.finfo(float).eps
-    p_err[rows] = base + (a * s)[:, 0] * np.sum(lam * lam / (mu + s * lam), axis=-1)
+    live, m, w, sl, al, k = np.arange(rows.size), mu, lam, s, a, size  # the rows still rising
+    while live.size:
+        g = m + sl * w
+        q, z = w / g, m / g  # z in (0, 1]: no overflow at tiny mu
+        total = sums(q, k)
+        rise = total * (al * total - 1.0) / sums(q * z, k)
+        m, rising = m + m * rise, rise[:, 0] > np.finfo(float).eps  # the Newton step, relative to mu
+        if not rising.all():  # a row leaves once its root is reached
+            mu[live] = m
+            live, m, w, sl, al, k = (x[rising] for x in (live, m, w, sl, al, k))
+    p_err[rows] = base + (a * s * sums(lam * lam / (mu + s * lam), size))[:, 0]
     p_err = np.clip(p_err.reshape(ones.shape), 0.0, 1.0)
     return float(p_err) if p_err.ndim == 0 else p_err
 

@@ -30,12 +30,12 @@ DEFAULT_TOL = 1e-9
 def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Schmidt weights ``lam`` of the probe ``sum_m sqrt(lam_m) |m>|m>`` on
     ``d_s`` signal modes and ``len(spectrum)`` idler levels, whose idler
-    reduction is ``diag(lam)``: a 1-D float array, the squared coefficients
-    ``sqrt(spectrum)`` scaled to unit length by an exactly rounded sum
-    (:func:`math.fsum`), so it does not depend on the order of the entries
-    or on the BLAS build.  The spectrum must have between 1 and ``d_s``
-    entries, none below ``-1e-12``, and a positive sum within ``tol`` of 1.
-    Entries below zero count as 0.
+    reduction is ``diag(lam)``: a descending 1-D float array, the squared
+    coefficients ``sqrt(spectrum)`` scaled to unit length by an exactly
+    rounded sum (:func:`math.fsum`), so no sum over it depends on the order
+    of the entries or on the BLAS build.  The spectrum must have between 1
+    and ``d_s`` entries, none below ``-1e-12``, and a positive sum within
+    ``tol`` of 1.  Entries below zero count as 0.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
     if spec.size < 1 or spec.size > d_s:
@@ -49,7 +49,7 @@ def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"spectrum sums to {total!r}; a probe needs a positive sum")
     root = np.sqrt(np.clip(spec, 0.0, None))
     root *= 1.0 / math.sqrt(math.fsum(root * root))
-    return root * root
+    return np.sort(root * root)[::-1]
 
 
 def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:

@@ -3,6 +3,7 @@ dependence of the error probability on the whole spectrum."""
 
 import dataclasses
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -117,10 +118,11 @@ class TestRunSweep:
         ([0.5], range(2, 3001), [bell_family(), uniform_rank_family(2)]),
     ])
     def test_memory_bound_over_many_probes(self, etas, dims, families):
-        """Held weights are evaluated once their count times the eta grid's
-        reaches 2^16: holding all 100 probes of the first grid until the end
-        took 647 MB, and the second grid holds 4.5 million weights over
-        3000 idler widths."""
+        """A chunk of probes, zero-padded to its widest, is evaluated before
+        its weights times the eta grid pass 2^16: holding all 100 probes of
+        the first grid until the end took 647 MB, and the second grid's
+        4.5 million weights (36 MB), of widths 2 to 3000, would take 144 MB
+        padded to one stack."""
         tracemalloc.start()
         try:
             run_sweep(etas, dims, families)
@@ -199,26 +201,58 @@ class TestSweepRecordValidation:
 class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
-    def test_one_kernel_call_per_idler_width(self, monkeypatch):
-        """The probes of one width are one stacked call over the eta column,
-        each with its own d_s, until the held weights times the grid reach
-        the chunk bound; the baseline is a closed form."""
-        exact = analysis.schmidt_helstrom_error
+    def test_one_kernel_call_per_chunk(self, monkeypatch):
+        """The probes of a chunk, of any widths, are one zero-padded stack:
+        one error and one overlap call over the eta column, each probe with
+        its own d_s.  A chunk ends before its padded weights times the grid
+        would pass the chunk bound; the baseline is a closed form."""
+        exact_error, exact_overlap = analysis.schmidt_helstrom_error, analysis.channel_overlap
         calls = []
 
-        def counted(weights, etas, d_s, p0):
-            calls.append((weights.shape, etas.shape, d_s.tolist()))
-            return exact(weights, etas, d_s, p0)
+        def error_counted(weights, etas, d_s, p0):
+            calls.append(("error", weights.shape, etas.shape, d_s.tolist()))
+            return exact_error(weights, etas, d_s, p0)
 
-        monkeypatch.setattr(analysis, "schmidt_helstrom_error", counted)
+        def overlap_counted(weights, etas, d_s):
+            calls.append(("overlap", weights.shape, etas.shape, d_s.tolist()))
+            return exact_overlap(weights, etas, d_s)
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", error_counted)
+        monkeypatch.setattr(analysis, "channel_overlap", overlap_counted)
         families = [bell_family(), uniform_rank_family(2), fixed_spectrum_family([0.5, 0.3, 0.2])]
         table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], families)
         assert len(table) == 36
-        assert calls == [((3, 3), (4, 1), [3, 3, 5]), ((2, 2), (4, 1), [3, 5]), ((1, 5), (4, 1), [5])]
+        assert calls == [(kind, (6, 5), (4, 1), [3, 3, 3, 5, 5, 5]) for kind in ("error", "overlap")]
         calls.clear()
-        # 2000 weights x 40 etas pass 2^16 at the second probe: two flushes
+        # a second probe would make 2 x 1000 weights x 40 etas, past 2^16: a chunk a probe
         run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [uniform_rank_family(1000)])
-        assert [shape for shape, _, _ in calls] == [(2, 1000), (1, 1000)]
+        assert [shape for kind, shape, _, _ in calls if kind == "error"] == [(1, 1000)] * 3
+        assert len(calls) == 6
+        calls.clear()
+        # widths 2 and 3 share a chunk; padded to 1000 with the third probe they would pass 2^16
+        run_sweep(np.linspace(0, 1, 40), [2, 3, 1000], [bell_family()])
+        assert [shape for kind, shape, _, _ in calls if kind == "error"] == [(2, 3), (1, 1000)]
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("etas, dims", [
+        ([0.0, 0.2, 0.5, 0.9, 1.0], [9, 17, 40, 9, 12]),
+        (np.linspace(0.0, 1.0, 51), range(9, 300, 9)),
+    ])
+    def test_rows_equal_sweeps_of_one_family(self, etas, dims):
+        """A grid of mixed widths, whose chunks pad narrow probes with zeros,
+        gives each family's rows exactly as a sweep of that family alone:
+        flat, rank-limited and user spectra, with exact zeros, weights of
+        1e-300 and one weight (d_i = 1)."""
+        families = [
+            bell_family(),
+            uniform_rank_family(2),
+            fixed_spectrum_family([0.5, 0.0, 0.3, 0.0, 0.2]),
+            fixed_spectrum_family([1e-300, 0.4, 1e-12, 0.0, 0.3, 0.2, 0.1 - 1e-12, 0.0, 1e-300]),
+            uniform_rank_family(1),
+        ]
+        table = run_sweep(etas, dims, families, 0.4)
+        for f, family in enumerate(families):
+            assert np.array_equal(table[f :: len(families)], run_sweep(etas, dims, [family], 0.4)), f
 
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_baseline_column_is_the_closed_form(self, p0):
@@ -471,6 +505,16 @@ class TestFixedSpectrumFamily:
         r = sweep_columns(run_sweep([0.5], [3], [fam]))
         assert r["k_i"][0] == pytest.approx(1 / (0.36 + 0.16), abs=1e-10)
         assert r["d_i"][0] == 2
+
+    def test_entry_order_does_not_move_a_row(self):
+        """All 120 orders of a spectrum's entries give one row, bit for bit:
+        k_i summed in the entries' order took two values an ulp apart."""
+        spectrum = np.array([1e-300, 0.695713033936472, 0.6116909670278784, 1e-12, 0.8503356083660849])
+        spectrum /= spectrum.sum()
+        etas = [0.0, 0.25, 0.5, 1.0]
+        families = [fixed_spectrum_family(spectrum[list(order)]) for order in permutations(range(5))]
+        table = run_sweep(etas, [5, 9], families, 0.37)
+        assert len(families) == 120 and len(np.unique(table, axis=0)) == len(etas) * 2
 
 
 class TestUnentangledError:

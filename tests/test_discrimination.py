@@ -317,6 +317,42 @@ class TestSchmidtHelstrom:
                 assert isinstance(single, float) and isinstance(direct, float)
                 assert p_err[k, j] == single and overlap[k, j] == direct
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.sampled_from([1e-300, 1e-150, 1e-12]), st.floats(1e-300, 1.0)),
+                     min_size=1, max_size=40).filter(any),
+            min_size=1, max_size=5,
+        ),
+        pad=st.integers(0, 12),
+        dims=st.lists(st.integers(2, 8), min_size=5, max_size=5),
+        etas=st.lists(UNIT, min_size=1, max_size=3),
+        p0=UNIT,
+    )
+    @example(rows=[[1.0], [0.0] * 20 + [1.0]], pad=3, dims=[2, 3, 2, 2, 2], etas=[0.5, 1.0], p0=0.5)
+    @example(rows=[[0.25] * 4, [0.0, 0.5, 0.0, 0.5] + [0.0] * 30, [1e-300] * 9 + [1.0]], pad=0,
+             dims=[4, 8, 2, 2, 2], etas=[0.0, 0.7, 1.0], p0=0.37)
+    @example(rows=[[1.0 / 9] * 9, [1.0 / 16] * 16, [1.0 / 40] * 40, [1e-12] * 8 + [0.5]], pad=1,
+             dims=[8, 2, 5, 3, 2], etas=[1.0], p0=0.4)
+    @example(rows=[[0.139, 0.124, 0.02, 0.005, 0.208, 0.072, 0.073, 0.071, 0.059, 0.007, 0.0, 0.096], [0.025] * 40],
+             pad=0, dims=[2, 2, 2, 2, 2], etas=[0.3], p0=0.5)
+    def test_zero_padded_row_equals_its_nonzero_weights(self, rows, pad, dims, etas, p0):
+        """A stack of probes of any widths, each padded with zeros to one
+        width, gives exactly each (eta, probe) pair's 1-D call on the
+        probe's nonzero weights: zeros anywhere, up to 40 weights (past the
+        pairwise sums, which start at 8), one weight, and weights down to
+        1e-300."""
+        width = max(map(len, rows)) + pad
+        stack = np.zeros((len(rows), width))
+        for r, weights in enumerate(rows):
+            stack[r, : len(weights)] = np.array(weights) / math.fsum(weights)
+        d_s, eta = np.array(dims[: len(rows)]), np.array(etas)[:, None]
+        p_err = schmidt_helstrom_error(stack, eta, d_s, p0)
+        assert p_err.shape == (len(etas), len(rows))
+        for k, e in enumerate(etas):
+            for j, lam in enumerate(stack):
+                assert p_err[k, j] == schmidt_helstrom_error(lam[lam != 0.0], e, int(d_s[j]), p0)
+
     def test_memory_does_not_grow_with_the_grid(self):
         """300 efficiencies at d_i = 128 would be a 39 MB stack of
         d_i x d_i blocks; the secular root needs a few arrays of one weight

@@ -156,7 +156,7 @@ class TestTraceIdentities:
         else:
             # schmidt_probe pairs idler level m with signal mode m, so its
             # idler dimension is at most d_s; the tiny weights come first,
-            # so the spectrum is unsorted
+            # so the spectrum is unsorted (its weights come back descending)
             weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()

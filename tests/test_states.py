@@ -256,11 +256,11 @@ class TestSchmidtFamilyState:
             schmidt_probe(3, [0.5, 0.3])  # sums to 0.8
 
     def test_diagonal_holds_unit_roots_of_the_spectrum(self):
-        """The weights are 1-D floats whose roots, the probe's diagonal,
-        have unit length."""
+        """The weights are 1-D floats, the spectrum in descending order,
+        whose roots, the probe's diagonal, have unit length."""
         lam = schmidt_probe(5, [0.0, 0.52, 0.01, 0.47])
         assert lam.shape == (4,) and lam.dtype == float
-        assert max_abs_diff(np.sqrt(lam), np.sqrt([0.0, 0.52, 0.01, 0.47])) < 1e-15
+        assert max_abs_diff(np.sqrt(lam), np.sqrt([0.52, 0.47, 0.01, 0.0])) < 1e-15
         assert abs(np.linalg.norm(np.sqrt(lam)) - 1.0) < 1e-15
 
     def test_sum_tolerance(self):
@@ -280,14 +280,15 @@ class TestSchmidtFamilyState:
 
     def test_negative_entries_count_as_zero(self):
         lam = schmidt_probe(3, [0.5, -1e-13, 0.5 + 1e-13])
-        assert lam[1] == 0.0
+        assert lam[2] == 0.0  # the smallest weight, last
         with pytest.raises(ValueError, match="non-negative"):
             schmidt_probe(3, [0.5, np.nan, 0.5])
 
-    def test_permuting_the_spectrum_permutes_the_weights_exactly(self):
-        """The normalization is an exactly rounded sum, so the weights do not
-        depend on the order of the entries (nor on BLAS) to the last bit:
-        near-rank-one, unsorted and random spectra, with zeros."""
+    def test_permuting_the_spectrum_keeps_the_weights_exactly(self):
+        """The normalization is an exactly rounded sum and the weights come
+        sorted, so they do not depend on the order of the entries (nor on
+        BLAS) to the last bit: near-rank-one, unsorted and random spectra,
+        with zeros."""
         rng = np.random.default_rng(20)
         spectra = [[0.999999999998, 1e-12, 1e-12], [0.0, 0.52, 0.01, 0.47]]
         for d in rng.integers(2, 41, size=300):
@@ -298,7 +299,8 @@ class TestSchmidtFamilyState:
             spec = np.asarray(spec)
             lam = schmidt_probe(spec.size, spec)
             for order in (rng.permutation(spec.size), np.arange(spec.size)[::-1]):
-                assert np.array_equal(schmidt_probe(spec.size, spec[order]), lam[order])
+                assert np.array_equal(schmidt_probe(spec.size, spec[order]), lam)
+            assert np.all(lam[:-1] >= lam[1:])
 
 
 class TestJsonFormat:
