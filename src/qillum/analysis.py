@@ -9,11 +9,13 @@ builds a dense ``(d_s d_i)``-dimensional matrix: a probe is its Schmidt
 weights ``lam``, and its error one secular root
 (:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep is one
 float table in one pass: a kernel call per chunk of zero-padded probes,
-each closed form once, and the checks once finished (the direct overlap
-against the closed form, the error against the closed forms that bracket
-it).  The optimality check takes each sample's weights from one stacked
-singular-value decomposition and holds each sample's error to the same
-bracket.  The dense channel outputs are the tests' oracle for both.
+each closed form once over stacked arguments, and the checks once finished
+(the direct overlap against the closed form, the error against the closed
+forms that bracket it).  The optimality check takes its Bell reference
+from the closed forms alone, each sample's weights from one stacked
+singular-value decomposition and each chunk's errors from one kernel
+call, and holds each sample's error to the same bracket.  The dense
+channel outputs are the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
-from .discrimination import _efficiencies, _signal_dims, channel_overlap, flat_probe_error, h01_closed_form
+from .discrimination import _efficiencies, _prior, _signal_dims, channel_overlap, flat_probe_error, h01_closed_form
 from .discrimination import schmidt_helstrom_error
 
 #: A sweep family: its probe's Schmidt weights ``lam`` at each signal
@@ -96,11 +98,12 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Fam
     alone): a chunk is one kernel call for ``p_err`` and one for
     ``h01_direct`` (traces of ``diag(lam)``), over the whole eta grid, each
     probe on its own ``d_s``, and the padding changes no bit.  The closed
-    forms are one call each over all rows.  The checks run once, on the
-    finished table: the two overlaps agree, and ``p_err`` lies between the
-    Bell probe's error and ``p_err_ci``, within :data:`BRACKET_TOL`.  Raises
-    ``ValueError`` for grid entries outside their ranges, a grid of more
-    than :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    forms are one stacked call each, written with the rest into one
+    preallocated table, and the checks run once on it: the two overlaps
+    agree, and ``p_err`` lies between the Bell probe's error and
+    ``p_err_ci``, within :data:`BRACKET_TOL`.  Raises ``ValueError`` for
+    grid entries outside their ranges, a grid of more than
+    :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a failed row.
     """
     etas = [float(e) for e in etas]
@@ -136,18 +139,21 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Fam
             chunk, width = [], lam.size
         chunk.append(lam)
     evaluate(len(probes) - len(chunk), chunk)
-    # (eta, probe) flattened to the rows in their output order
+    # the (eta, probe) blocks in output order; the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)
     order = [probes[key] for key in product(dims, range(len(families)))]
-    per_probe = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=1.0 / purity, h01_direct=h01_direct, p_err=p_err)
-    column = {name: np.broadcast_to(x, p_err.shape)[:, order].reshape(-1) for name, x in per_probe.items()}
-    column["h01_closed"] = h01_closed_form(column["eta"], column["d_s"], column["k_i"])
-    column["p_err_ci"] = flat_probe_error(column["eta"], column["d_s"], p0)
-    column["advantage"] = h01_closed_form(column["eta"], column["d_s"], 1.0) - column["h01_closed"]
-    table = np.column_stack([column[name] for name in SWEEP_COLUMNS])
+    d_s, d_i, k_i = d_s[order], d_i[order], 1.0 / purity[order]
+    h01_closed, h01_ci = h01_closed_form(eta[:, None], d_s, np.stack((k_i, np.ones_like(k_i)))[:, None])
+    p_err_ci, bell = flat_probe_error(eta[:, None], np.stack((d_s, d_s * d_i))[:, None], p0)
+    blocks = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=k_i, h01_closed=h01_closed, h01_direct=h01_direct[:, order],
+                  p_err=p_err[:, order], p_err_ci=p_err_ci, advantage=h01_ci - h01_closed)
+    table = np.empty((eta.size, len(order), len(SWEEP_COLUMNS)))
+    for k, name in enumerate(SWEEP_COLUMNS):
+        table[..., k] = blocks[name]
+    table = table.reshape(-1, len(SWEEP_COLUMNS))
+    column = dict(zip(SWEEP_COLUMNS, table.T))
     gap = np.abs(column["h01_closed"] - column["h01_direct"])
     # every probe's error lies between the Bell probe's (as many weights) and the unentangled one's
-    p, ci = column["p_err"], column["p_err_ci"]
-    bell = flat_probe_error(column["eta"], column["d_s"] * column["d_i"], p0)
+    p, ci, bell = column["p_err"], column["p_err_ci"], bell.reshape(-1)
     for ok, failure in (
         (gap < RECORD_AGREEMENT_TOL, lambda r: f"closed/direct overlap disagree by {gap[r]:.3e}"),
         ((bell - BRACKET_TOL <= p) & (p <= ci + BRACKET_TOL), lambda r: f"p_err={p[r]} outside [{bell[r]}, {ci[r]}]"),
@@ -181,17 +187,6 @@ class OptimalityReport:
     margin: float
 
 
-def _schmidt_metrics(weights: np.ndarray, eta: float, d_s: int, p0: float) -> tuple[float, np.ndarray]:
-    """Smallest overlap, and each row's minimum error, over an ``(n, r)``
-    stack of Schmidt weights, one row per pure input.
-
-    The overlap falls as the effective rank ``k_i = 1 / sum(lam^2)`` rises,
-    so the smallest overlap is the closed form at the largest ``k_i``.
-    """
-    k_i = float(np.max(1.0 / np.sum(weights * weights, axis=1)))
-    return h01_closed_form(eta, d_s, k_i), schmidt_helstrom_error(weights, eta, d_s, p0)
-
-
 def verify_bell_optimality(
     d: int,
     n_samples: int,
@@ -208,36 +203,35 @@ def verify_bell_optimality(
     numerical noise.  Identical arguments always produce an identical
     report.
 
-    No dense channel output is built.  Sample ``k`` is
+    The reference is :func:`~qillum.discrimination.h01_closed_form` at
+    ``k_i = d`` and :func:`~qillum.discrimination.flat_probe_error` at
+    ``d^2`` weights, checked (``eta``, ``d``, ``p0``) and computed before
+    any sample is drawn.  No dense channel output is built.  Sample ``k`` is
     :func:`~qillum.states.haar_random_amplitudes` of the ``k``-th child seed
     of ``seed``.  The samples are taken in chunks of
     :data:`_CHUNK_AMPLITUDES` amplitudes; each chunk's Schmidt weights come
-    from one stacked ``svd`` (squared singular values), its overlaps from
-    :func:`~qillum.discrimination.h01_closed_form` and its errors from one
-    stacked call of :func:`~qillum.discrimination.schmidt_helstrom_error`.
-    The reference goes the same route with the flat weights ``1/d``.  Each
-    sample's weights must sum to 1 within ``tol``, else ``ValueError``.
+    from one stacked ``svd`` (squared singular values) and its errors from
+    one stacked :func:`~qillum.discrimination.schmidt_helstrom_error` call.
+    The overlap falls as ``k_i = 1 / sum(lam^2)`` rises, so the smallest is
+    the closed form at the largest ``k_i``.  Each sample's weights must sum
+    to 1 within ``tol``, else ``ValueError``.
 
-    Every probe's exact error lies between the closed forms
-    :func:`~qillum.discrimination.flat_probe_error` at ``d^2`` (the Bell
-    probe) and at ``d`` (the unentangled probe), since the secular root is
-    Schur concave in the weights.  Both ends are computed once, and each
-    chunk's errors are held to them within :data:`BRACKET_TOL` by one
-    comparison; a sample outside (or NaN) raises
-    :class:`VerificationError` naming it, which ``verify-bell`` reports
-    with exit 2.
+    Every probe's exact error lies between ``flat_probe_error`` at ``d^2``
+    (the reference) and at ``d`` (the unentangled probe), since the secular
+    root is Schur concave in the weights.  Each chunk's errors are held to
+    them within :data:`BRACKET_TOL` by one comparison; a sample outside (or
+    NaN) raises :class:`VerificationError` naming it, which ``verify-bell``
+    reports with exit 2.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    if d < 2:
-        raise ValueError(f"reference dimension must be >= 2, got {d}")
-    bell_h01, (bell_p_err,) = _schmidt_metrics(np.full((1, d), 1.0 / d), eta, d, p0)
-    low, high = float(flat_probe_error(eta, d * d, p0)), float(flat_probe_error(eta, d, p0))
+    bell_h01 = h01_closed_form(eta, d, d)  # checks eta and d
+    p0 = _prior(p0)
+    bell_p_err, unentangled = flat_probe_error(eta, np.array([d * d, d]), p0).tolist()
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
     step = max(1, _CHUNK_AMPLITUDES // (d * d))
-    best_h01 = np.inf
-    best_p_err = np.inf
+    best_k_i, best_p_err = -np.inf, np.inf
     for first in range(0, n_samples, step):
         amplitudes = haar_random_amplitudes(d, d, child_seeds[first : first + step])
         weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
@@ -250,28 +244,28 @@ def verify_bell_optimality(
                 f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, "
                 f"expected 1 within {tol:.1e}"
             )
-        h01, p_err = _schmidt_metrics(weights, eta, d, p0)
-        bad = np.flatnonzero(~((low - BRACKET_TOL <= p_err) & (p_err <= high + BRACKET_TOL)))
+        p_err = schmidt_helstrom_error(weights, eta, d, p0)
+        bad = np.flatnonzero(~((bell_p_err - BRACKET_TOL <= p_err) & (p_err <= unentangled + BRACKET_TOL)))
         if bad.size:
             k = int(bad[0])
-            raise VerificationError(f"sample {first + k}: p_err={p_err[k]} outside [{low}, {high}]")
-        best_h01 = min(best_h01, h01)
+            raise VerificationError(f"sample {first + k}: p_err={p_err[k]} outside [{bell_p_err}, {unentangled}]")
+        best_k_i = max(best_k_i, float(np.max(1.0 / np.sum(weights * weights, axis=1))))
         best_p_err = min(best_p_err, float(np.min(p_err)))
 
-    margin_h01 = best_h01 - bell_h01
-    margin_p_err = best_p_err - bell_p_err
+    best_h01 = h01_closed_form(eta, d, best_k_i)
+    margin_h01, margin_p_err = best_h01 - bell_h01, best_p_err - bell_p_err
     return OptimalityReport(
         d_s=int(d),
         d_i=int(d),
         n_samples=int(n_samples),
         seed=int(seed),
         eta=float(eta),
-        p0=float(p0),
+        p0=p0,
         bell_h01=bell_h01,
-        bell_p_err=float(bell_p_err),
-        best_sampled_h01=float(best_h01),
-        best_sampled_p_err=float(best_p_err),
-        margin_h01=float(margin_h01),
-        margin_p_err=float(margin_p_err),
-        margin=float(min(margin_h01, margin_p_err)),
+        bell_p_err=bell_p_err,
+        best_sampled_h01=best_h01,
+        best_sampled_p_err=best_p_err,
+        margin_h01=margin_h01,
+        margin_p_err=margin_p_err,
+        margin=min(margin_h01, margin_p_err),
     )

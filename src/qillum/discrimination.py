@@ -44,13 +44,18 @@ def _signal_dims(d_s) -> np.ndarray:
     return d_s
 
 
+def _prior(p0) -> float:
+    """``p0`` as a float in ``[0, 1]``; NaN fails."""
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
+    return float(p0)
+
+
 def _weighted_difference(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> np.ndarray:
     """``p0 rho0 - (1 - p0) rho1``, the operator whose spectrum decides the test."""
     if rho0.shape != rho1.shape:
         raise ValueError(f"dimension mismatch: {len(rho0)} vs {len(rho1)}")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
-    p0 = float(p0)
+    p0 = _prior(p0)
     return p0 * rho0 - (1.0 - p0) * rho1
 
 
@@ -92,9 +97,7 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
     count as 0, and zeros enter no sum (rows are grouped by their count of
     nonzero weights), so a zero-padded row equals the 1-D call on the rest.
     """
-    eta, d_s = _efficiencies(eta), _signal_dims(d_s)
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
+    eta, d_s, p0 = _efficiencies(eta), _signal_dims(d_s), _prior(p0)
     lam = np.clip(np.asarray(weights, dtype=float), 0.0, None)
     if lam.ndim not in (1, 2):
         raise ValueError(f"expected 1-D weights or a 2-D stack, got shape {lam.shape}")
@@ -133,18 +136,19 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
 
 def flat_probe_error(eta, n, p0: float = 0.5):
     """Minimum error probability of a probe with ``d_i`` flat Schmidt weights
-    on ``d_s`` signal modes, in closed form with ``n = d_s d_i``:
-    ``p0 rho0 - p1 rho1`` has the eigenvalue ``p0 eta + c/n`` once and
-    ``c/n`` ``n - 1`` times (``c = p0 (1 - eta) - p1``).  The secular root
-    grows as the weights spread (Schur concavity), so every probe's error
-    lies between this at ``n = d_s d_i`` (the Bell probe) and at ``n = d_s``
-    (the unentangled probe).  ``eta`` and ``n`` may be arrays broadcasting
-    against each other, unchecked.
+    on ``d_s`` signal modes, with ``n = d_s d_i``: ``p0 rho0 - p1 rho1`` has
+    the eigenvalue ``p0 eta + c/n`` once and ``c/n`` ``n - 1`` times
+    (``c = p0 (1 - eta) - p1``), so the error is ``p1`` where ``c >= 0``,
+    else ``p0 (1 - eta) - c/n`` where the first is positive, else ``p0``: the
+    kernel's form, in which no sum cancels.  The secular root grows as the
+    weights spread (Schur concavity), so every probe's error lies between
+    this at ``n = d_s d_i`` (the Bell probe) and at ``n = d_s`` (the
+    unentangled probe).  ``eta`` and ``n`` broadcast, unchecked.
     """
     eta = np.asarray(eta, dtype=float)
-    c = p0 * (1.0 - eta) - (1.0 - p0)
-    norm = np.abs(p0 * eta + c / n) + (n - 1) * np.abs(c) / n
-    return np.clip(0.5 * (1.0 - norm), 0.0, 1.0)
+    base = p0 * (1.0 - eta)
+    c = base - (1.0 - p0)
+    return np.where(c >= 0.0, 1.0 - p0, np.where(p0 * eta + c / n > 0.0, base - c / n, p0))[()]
 
 
 def optimal_povm(

@@ -16,9 +16,13 @@ Schmidt-space blocks.  :func:`pure_state_dict` and :func:`density_to_dict`
 build wire-format objects; the latter is also the byte oracle of the
 package's JSON encoder.  :func:`haar_amplitudes_oracle` is the
 per-sample Haar sampler that the package's batched one must match bit for
-bit.  The package computes the same numbers from a probe's Schmidt weights
-without any matrix of that size; the tests hold it to these.
+bit.  :func:`exact_flat_error` is a flat probe's error as an exact
+rational.  The package computes the same numbers from a probe's Schmidt
+weights without any matrix of that size; the tests hold it to these.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -300,6 +304,26 @@ def unentangled_error(eta, d_s, p0=0.5):
     c = p0 * (1.0 - eta) - (1.0 - p0)
     norm = abs(p0 * eta + c / d_s) + (d_s - 1) * abs(c) / d_s
     return float(min(max(0.5 * (1.0 - norm), 0.0), 1.0))
+
+
+def exact_flat_error(eta, n, p0=0.5):
+    """Minimum error probability of a probe with ``n = d_s d_i`` flat
+    weights, as the exact rational at the float inputs: the eigenvalue form
+    of :func:`unentangled_error` in :class:`~fractions.Fraction` arithmetic,
+    the oracle for the package's ``flat_probe_error``.
+    """
+    eta, p0 = Fraction(eta), Fraction(p0)
+    c = p0 * (1 - eta) - (1 - p0)
+    norm = abs(p0 * eta + c / n) + (n - 1) * abs(c) / n
+    return (1 - norm) / 2
+
+
+def float_neighbours(exact):
+    """The float nearest the rational ``exact`` and the floats on either side
+    of it: a result within one step of the correctly rounded value is one
+    of these three."""
+    nearest = float(exact)
+    return math.nextafter(nearest, -math.inf), nearest, math.nextafter(nearest, math.inf)
 
 
 def schmidt_helstrom_oracle(weights, eta, d_s, p0=0.5):

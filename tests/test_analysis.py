@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qillum import analysis
 from qillum.states import schmidt_probe
-from qillum.discrimination import h01_closed_form, schmidt_helstrom_error
+from qillum.discrimination import flat_probe_error, h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import (
     SWEEP_COLUMNS,
     VerificationError,
@@ -27,6 +27,8 @@ from conftest import (
     bell_state,
     effective_rank_k,
     evaluate_state_metrics,
+    exact_flat_error,
+    float_neighbours,
     haar_random_state,
     idler_reduction,
     product_baseline_state,
@@ -256,12 +258,14 @@ class TestSweepColumns:
 
     @pytest.mark.parametrize("p0", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_baseline_column_is_the_closed_form(self, p0):
+        """``p_err_ci`` is the unentangled probe's exact error at the float
+        inputs, within one step of its correctly rounded value."""
         etas, dims = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0], [2, 3, 7, 16]
         table = run_sweep(etas, dims, [bell_family(), uniform_rank_family(1)], p0)
         assert len(table) == 48
         r = sweep_columns(table)
         for eta, d_s, p_err_ci in zip(r["eta"].tolist(), r["d_s"].tolist(), r["p_err_ci"].tolist()):
-            assert p_err_ci == unentangled_error(eta, int(d_s), p0)
+            assert p_err_ci in float_neighbours(exact_flat_error(eta, int(d_s), p0)), (eta, d_s)
         if p0 in (0.0, 1.0):
             # a certain prior is never mistaken
             assert r["p_err"].tolist() == [0.0] * 48
@@ -324,13 +328,31 @@ class TestVerifyBellOptimality:
         assert report.margin_p_err >= -1e-9
 
     def test_self_comparison_margin_is_zero(self):
-        """The reference is the kernel and the closed form on flat weights."""
+        """The kernel and the overlap on flat weights give the reference."""
         report = verify_bell_optimality(3, 5, seed=1)
         flat = np.full(3, 1.0 / 3)
         h01 = h01_closed_form(report.eta, 3, 1.0 / float(np.sum(flat * flat)))
         p_err = schmidt_helstrom_error(flat, report.eta, 3, report.p0)
         assert h01 - report.bell_h01 == 0.0
         assert p_err - report.bell_p_err == 0.0
+
+    @pytest.mark.parametrize("d, eta, p0", [(2, 0.5, 0.5), (3, 0.5, 0.5), (4, 0.3, 0.4), (5, 0.9, 0.2), (8, 1.0, 0.7)])
+    def test_reference_is_the_closed_forms(self, monkeypatch, d, eta, p0):
+        """``bell_p_err`` is the Bell end of the bracket and ``bell_h01`` the
+        overlap at k_i = d, bit for bit; the kernel runs once a chunk, on
+        the samples only."""
+        exact, calls = analysis.schmidt_helstrom_error, []
+
+        def counted(weights, *args):
+            calls.append(len(weights))
+            return exact(weights, *args)
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", counted)
+        monkeypatch.setattr(analysis, "_CHUNK_AMPLITUDES", 4 * d * d)
+        report = verify_bell_optimality(d, 10, seed=d, eta=eta, p0=p0)
+        assert report.bell_p_err == flat_probe_error(eta, d * d, p0)
+        assert report.bell_h01 == h01_closed_form(eta, d, d)
+        assert calls == [4, 4, 2]
 
     def test_bell_matches_closed_form(self):
         report = verify_bell_optimality(3, 10, seed=2, eta=0.5)

@@ -302,6 +302,11 @@ class TestVerifyBell:
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
         assert capsys.readouterr().out == (DATA / "verify_bell_golden.json").read_text()
 
+    def test_readme_report(self, capsys):
+        """README's example, at d = 3, where the flat weight 1/d is not dyadic."""
+        assert main(["verify-bell", "--d", "3", "--samples", "200", "--seed", "1", "--eta", "0.5"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_bell_d3_golden.json").read_text()
+
     def test_chunking_does_not_change_the_report(self, capsys, monkeypatch, chunks):
         """One chunk or seven of at most three samples: the same stdout."""
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
@@ -320,8 +325,9 @@ class TestVerifyBell:
     @pytest.mark.parametrize("end", ["bell", "unentangled", "nan"])
     def test_sample_outside_the_bracket_exits_2(self, capsys, monkeypatch, end):
         """Sample 4, in the second chunk of three samples, is moved past
-        one end of its closed-form bracket (or to NaN); the reference and
-        the other samples keep their errors."""
+        one end of its closed-form bracket (or to NaN); the other samples
+        keep their errors.  The kernel runs once a chunk, never on the
+        reference's flat weights."""
         value = {
             "bell": flat_probe_error(0.5, 9) - 1e-9,
             "unentangled": flat_probe_error(0.5, 3) + 1e-9,
@@ -333,7 +339,7 @@ class TestVerifyBell:
         def spoiled(weights, *args):
             p_err = exact(weights, *args)
             calls.append(len(p_err))
-            if len(calls) == 3:
+            if len(calls) == 2:
                 p_err[1] = value
             return p_err
 
@@ -343,7 +349,17 @@ class TestVerifyBell:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical verification failed: sample 4: p_err=")
-        assert calls == [1, 3, 2]
+        assert calls == [3, 2]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--p0", "1.5", "prior p0 must lie in [0, 1], got 1.5"),
+        ("--eta", "2", "eta must be in [0, 1], got 2.0"),
+    ])
+    def test_bad_parameter_exits_1_before_sampling(self, capsys, chunks, option, value, message):
+        assert main(["verify-bell", "--d", "8", "--samples", "2000", "--seed", "1", option, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert chunks == []
 
     def test_negative_zero_is_printed_as_zero(self, capsys):
         argv = ["verify-bell", "--d", "3", "--samples", "4", "--seed", "1"]
