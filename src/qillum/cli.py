@@ -7,17 +7,21 @@ CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
 through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
 weights: flat for ``bell`` and ``uniform-rank:<r>``, read from a JSON list
 for ``spectrum:<file>``.  ``helstrom`` reads two state files in either wire
-format of :mod:`~qillum.states` and prints the error through :func:`_fmt`;
-with ``--povm`` it also prints the optimal measurement as
-:func:`~qillum.states.densities_to_json` writes it.
+format of :mod:`~qillum.states`, each parsed by ``orjson`` as strict JSON
+(``NaN``, ``Infinity`` and literals beyond double range fail there) and
+decoded by :func:`~qillum.states.density_from_dict`, and prints the error
+through :func:`_fmt`; with ``--povm`` it also prints the optimal
+measurement as :func:`~qillum.states.densities_to_json` writes it, once it
+has checked that the measurement attains the error.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
 failure.  A run that runs out of memory (an oversized dimension) also
 exits 1.  The ``QI_TOL`` environment variable overrides the default
-validation tolerance of 1e-9 for stored states (``helstrom``), for the
-Schmidt weights of ``verify-bell``'s samples and for the sum of a
-``sweep`` ``spectrum:`` file (a sum of 0 fails at any tolerance); it must
-be a finite number above 0, else the run stops with exit 1.  ``sweep``'s
+validation tolerance of 1e-9 for stored states (``helstrom``, whose
+``--povm`` check allows ``dim`` times it), for the Schmidt weights of
+``verify-bell``'s samples and for the sum of a ``sweep`` ``spectrum:``
+file (a sum of 0 fails at any tolerance); it must be a finite number
+above 0, else the run stops with exit 1.  ``sweep``'s
 ``bell`` and ``uniform-rank`` probes are exact, and ``sweep`` holds its
 two overlap routes to a fixed agreement bound.
 """
@@ -32,6 +36,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers
 from .discrimination import helstrom_error, optimal_povm
@@ -201,9 +207,11 @@ def cmd_verify_bell(args, tol: float) -> int:
 
 
 def _load_density(path: str, tol: float):
+    import orjson  # here, not at module level: sweep and verify-bell never pay its import
+
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = orjson.loads(Path(path).read_bytes())
+    except (OSError, json.JSONDecodeError) as exc:  # orjson's error subclasses json's
         raise CliError(f"cannot read state file {path!r}: {exc}") from exc
     try:
         return density_from_dict(obj, tol)
@@ -211,12 +219,30 @@ def _load_density(path: str, tol: float):
         raise CliError(f"invalid state in {path!r}: {exc}") from exc
 
 
+def _check_povm_error(rho0, rho1, p0: float, povm, error: float, tol: float) -> None:
+    """Raise :class:`VerificationError` unless the measurement ``povm``
+    attains ``error``, ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``, within ``dim *
+    tol`` (:func:`optimal_povm`'s slack) plus ``16 dim`` float steps.  Each
+    trace of a product of Hermitian matrices is one ``vdot``: O(dim^2)."""
+    e0, e1 = povm
+    attained = p0 * np.vdot(e1, rho0).real + (1.0 - p0) * np.vdot(e0, rho1).real
+    gap, bound = abs(attained - error), len(rho0) * (tol + 16.0 * np.finfo(float).eps)
+    if not gap <= bound:
+        raise VerificationError(
+            f"the measurement attains error {attained!r}, not {error!r}: gap {gap:.3e} > bound {bound:.3e}"
+        )
+
+
 def cmd_helstrom(args, tol: float) -> int:
     rho0 = _load_density(args.state0, tol)
     rho1 = _load_density(args.state1, tol)
-    print(_fmt(helstrom_error(rho0, rho1, args.p0)))
+    error = helstrom_error(rho0, rho1, args.p0)
+    lines = [_fmt(error)]
     if args.povm:
-        print(densities_to_json(optimal_povm(rho0, rho1, args.p0, tol)))
+        povm = optimal_povm(rho0, rho1, args.p0, tol)
+        _check_povm_error(rho0, rho1, args.p0, povm, error, tol)
+        lines.append(densities_to_json(povm))
+    print("\n".join(lines))
     return 0
 
 

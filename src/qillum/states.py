@@ -11,8 +11,10 @@ is its complex ``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing
 signal mode ``s`` with idler level ``i`` (:func:`haar_random_amplitudes`).
 Matrices leave the package as JSON text (:func:`densities_to_json`).
 Every check is phrased so that a NaN fails it (``not defect <= tol``): any
-comparison with NaN is false, and JSON input may hold ``NaN`` or
-``Infinity``.
+comparison with NaN is false, and an object passed to
+:func:`density_from_dict` may hold NaN or an infinity, as Python's ``json``
+decodes from ``NaN``, ``Infinity`` or ``1e400``.  The command line's
+reader rejects those already when it parses a file.
 """
 
 from __future__ import annotations

@@ -34,6 +34,14 @@ from qillum.analysis import SWEEP_COLUMNS
 #: Floats in [0, 1] that draw both endpoints often (for eta and p0).
 UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
+#: Parts whose text is easy to get wrong: signed zeros, the smallest
+#: subnormal, both sides of repr's switches to exponent form (below 1e-4,
+#: from 1e16), integral values and the infinities.
+AWKWARD_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4, -1.0000000000000002e-4,
+    9999999999999998.0, 1e16, -1.0000000000000002e16, 1.0, -2.0, 3.0, 1e300, math.inf, -math.inf,
+]
+
 
 def max_abs_diff(a, b):
     """Largest entrywise magnitude of ``a - b``."""

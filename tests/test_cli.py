@@ -2,17 +2,23 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qillum import analysis, cli
 from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
 from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
-from qillum.states import density_from_dict
-from conftest import density_to_dict, ginibre, povm_error, pure_state_dict, random_density
+from qillum.states import DEFAULT_TOL, density_from_dict
+from conftest import AWKWARD_PARTS, density_to_dict, ginibre, povm_error, pure_state_dict, random_density
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,7 +39,7 @@ MIXED_4 = {
 MIXED_2 = {"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
 # squared norm 0.5: invalid at any sensible tolerance
 HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
-# json writes these as NaN, which Python's json reads back
+# json writes these as NaN, which the state-file reader rejects
 NAN_AMPLITUDE = {"d_s": 2, "d_i": 1, "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}
 NAN_DIAGONAL = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
 
@@ -405,20 +411,33 @@ def random_state_object(rng, dim, spec):
     return density_to_dict(random_density(rng, dim, spec[1]))
 
 
+#: The benchmark's shapes of state pair: ``(seed, dim, spec0, spec1)``, the
+#: specs as :func:`random_state_object` takes them.
+BENCHMARK_PAIRS = [
+    (1, 32, ("amp", 8, 4), ("rho", 3)),
+    (2, 32, ("rho", 32), ("rho", 1)),
+    (3, 48, ("rho", 48), ("amp", 6, 8)),
+    (4, 64, ("amp", 8, 8), ("amp", 16, 4)),
+    (5, 64, ("rho", 2), ("rho", 64)),
+    (6, 96, ("amp", 12, 8), ("rho", 5)),
+    (7, 96, ("rho", 96), ("rho", 48)),
+]
+
+#: README's example state files, byte for byte.
+README_STATES = {
+    "bell.json": '{"d_s": 2, "d_i": 2, "amplitudes": [[0.7071067811865476, 0], [0, 0], [0, 0], '
+                 '[0.7071067811865476, 0]]}',
+    "mixed.json": '{"dim": 4, "entries": [[[0.25, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.25, 0], [0, 0], '
+                  '[0, 0]], [[0, 0], [0, 0], [0.25, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0.25, 0]]]}',
+}
+
+
 class TestHelstrom:
     def test_povm_output_unchanged(self, tmp_path, capsys):
         assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 0
         assert capsys.readouterr().out == (DATA / "helstrom_povm.txt").read_text()
 
-    @pytest.mark.parametrize("seed, dim, spec0, spec1", [
-        (1, 32, ("amp", 8, 4), ("rho", 3)),
-        (2, 32, ("rho", 32), ("rho", 1)),
-        (3, 48, ("rho", 48), ("amp", 6, 8)),
-        (4, 64, ("amp", 8, 8), ("amp", 16, 4)),
-        (5, 64, ("rho", 2), ("rho", 64)),
-        (6, 96, ("amp", 12, 8), ("rho", 5)),
-        (7, 96, ("rho", 96), ("rho", 48)),
-    ])
+    @pytest.mark.parametrize("seed, dim, spec0, spec1", BENCHMARK_PAIRS)
     def test_povm_text_at_benchmark_sizes(self, tmp_path, capsys, seed, dim, spec0, spec1):
         """The benchmark's shapes of pair: the measurement prints as
         ``json.dumps`` of the per-element objects, and it attains the
@@ -464,6 +483,176 @@ class TestHelstrom:
         bad = {"dim": 2, "entries": [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]}
         assert run_helstrom(tmp_path, bad, bad) == 1
         assert "positive" in capsys.readouterr().err
+
+    def test_readme_example_golden(self, tmp_path, capsys):
+        """README's files and command, as the console-script CI step runs them."""
+        for name, text in README_STATES.items():
+            (tmp_path / name).write_text(text + "\n")
+        argv = ["helstrom", "--state0", str(tmp_path / "bell.json"), "--state1", str(tmp_path / "mixed.json"),
+                "--p0", "0.5", "--povm"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / "helstrom_readme_golden.txt").read_text()
+
+    def test_povm_that_misses_the_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        """Swapped elements attain ``1 - error``: the run stops before printing."""
+        exact = cli.optimal_povm
+        monkeypatch.setattr(cli, "optimal_povm", lambda *args: exact(*args)[::-1])
+        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
+
+    def test_povm_check_passes_at_tiny_tolerance(self, tmp_path, monkeypatch, capsys):
+        """At ``QI_TOL = 1e-300`` the check's bound is its 16 float steps a
+        dimension alone, and a correct run still passes with the same bytes.
+        The pair is exact in binary (unit norm, unit trace), so it passes
+        validation there too."""
+        pure = {"d_s": 2, "d_i": 2, "amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]}
+        mixed = {"dim": 4, "entries": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
+        assert run_helstrom(tmp_path, pure, mixed, "--p0", "0.35", "--povm") == 0
+        want = capsys.readouterr().out
+        monkeypatch.setenv("QI_TOL", "1e-300")
+        assert run_helstrom(tmp_path, pure, mixed, "--p0", "0.35", "--povm") == 0
+        assert capsys.readouterr().out == want
+
+    def test_povm_check_holds_at_tiny_tolerance(self):
+        """``helstrom_povm.txt``'s pair and the benchmark's shapes: their
+        files fail validation at ``1e-300`` (a norm or trace off by an ulp),
+        so the check is run on the decoded matrices directly."""
+        cases = [(density_from_dict(BELL_2), density_from_dict(MIXED_4), 0.35)]
+        for seed, dim, spec0, spec1 in BENCHMARK_PAIRS:
+            rng = np.random.default_rng(seed)
+            rho0, rho1 = (density_from_dict(random_state_object(rng, dim, s)) for s in (spec0, spec1))
+            cases.append((rho0, rho1, round(float(rng.uniform(0.2, 0.8)), 6)))
+        for rho0, rho1, p0 in cases:
+            error = helstrom_error(rho0, rho1, p0)
+            for tol in (1e-9, 1e-300):
+                cli._check_povm_error(rho0, rho1, p0, optimal_povm(rho0, rho1, p0, tol), error, tol)
+
+
+def float_texts(x):
+    """JSON texts that read back as the float ``x``: the shortest, 17
+    significant digits and 40 digits of its exact value (``json``'s
+    ``Infinity`` for an infinity)."""
+    if not math.isfinite(x):
+        return st.just(json.dumps(x))
+    return st.sampled_from([json.dumps(x), f"{x:.16e}", f"{Decimal(x):.39e}"])
+
+
+@st.composite
+def awkward_texts(draw):
+    """JSON number texts a parser may round differently: an awkward,
+    subnormal or any float in one of :func:`float_texts`' forms; a 17- to
+    40-digit truncation of, or the exact tie between, a float and its
+    neighbour towards 0; a random 40-digit decimal, down to the subnormals
+    and beyond double range; an integer beyond 64 bits."""
+    kind = draw(st.sampled_from(["float", "near-tie", "digits", "integer"]))
+    if kind == "integer":
+        return str(draw(st.integers(2**64, 2**300)) * draw(st.sampled_from([1, -1])))
+    if kind == "digits":
+        return f"{draw(st.integers(10**39, 10**40 - 1))}e{draw(st.integers(-365, 290))}"
+    x = draw(st.one_of(
+        st.sampled_from(AWKWARD_PARTS), st.floats(allow_nan=False), st.floats(-1e-307, 1e-307), st.floats(-1.0, 1.0),
+    ))
+    if kind == "float":
+        return draw(float_texts(x))
+    if not (math.isfinite(x) and x != 0.0):
+        return json.dumps(x)
+    tie = (Decimal(x) + Decimal(math.nextafter(x, 0.0))) / 2
+    return f"{tie:e}" if draw(st.booleans()) else f"{tie:.{draw(st.integers(16, 39))}e}"
+
+
+@st.composite
+def state_files(draw):
+    """``(text, tol)``: a state file in either wire format.  Either a valid
+    random state written in :func:`float_texts`' forms, read at the default
+    tolerance, or one whose every number is from :func:`awkward_texts`,
+    read at ``1e300`` so that most finite ones decode."""
+    fmt = draw(st.sampled_from(["amplitudes", "entries"]))
+    d_s, d_i = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    dim = d_s * d_i if fmt == "amplitudes" else draw(st.integers(1, 3))
+    dims = [str, lambda d: f"{d}.0", lambda d: f"{d}e0"]
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        obj = random_state_object(rng, dim, ("amp", d_s, d_i) if fmt == "amplitudes" else ("rho", dim))
+        parts = np.ravel(obj[fmt]).tolist()
+        numbers, tol = [draw(float_texts(x)) for x in parts], DEFAULT_TOL
+    else:
+        numbers, tol = [draw(awkward_texts()) for _ in range(2 * dim * (1 if fmt == "amplitudes" else dim))], 1e300
+    pairs = [f"[{re}, {im}]" for re, im in zip(numbers[::2], numbers[1::2])]
+    if fmt == "amplitudes":
+        head = f'"d_s": {draw(st.sampled_from(dims))(d_s)}, "d_i": {draw(st.sampled_from(dims))(d_i)}'
+        body = ", ".join(pairs)
+    else:
+        head = f'"dim": {draw(st.sampled_from(dims))(dim)}'
+        body = ", ".join(f"[{', '.join(pairs[r * dim:(r + 1) * dim])}]" for r in range(dim))
+    return f'{{{head}, "{fmt}": [{body}]}}', tol
+
+
+class TestStateFileReading:
+    """``cli._load_density`` reads a file with ``orjson`` and decodes it with
+    :func:`~qillum.states.density_from_dict`; the decoded matrix is the one
+    ``json`` gives, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=state_files())
+    @example(case=('{"dim": 1, "entries": [[[1.7976931348623158e308, 0]]]}', 1e300))
+    @example(case=('{"dim": 1, "entries": [[[1e-400, -0.0]]]}', 1e300))
+    @example(case=('{"d_s": 2, "d_i": 1, "amplitudes": [[18446744073709551616, -0], [-9223372036854775809, 0]]}', 1e300))
+    @example(case=('{"d_s": 2, "d_i": 1, "amplitudes": [[2.4703282292062327e-324, 0], [1, 0]]}', 1e-9))
+    def test_decodes_as_json_does(self, tmp_path_factory, case):
+        text, tol = case
+        path = tmp_path_factory.mktemp("state") / "state.json"
+        path.write_text(text)
+        # json reads 1e400 as inf, and inf - inf warns; so does the Hermiticity
+        # check on entries near the largest float, on both routes
+        with np.errstate(all="ignore"):
+            try:
+                got = cli._load_density(str(path), tol)
+            except CliError:
+                got = None
+            try:
+                want = density_from_dict(json.loads(text), tol)
+            except ValueError:
+                want = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("template", [
+        '{{"d_s": 2, "d_i": 1, "amplitudes": [[{}, 0], [0, 0]]}}',
+        '{{"dim": {}, "entries": [[[1, 0]]]}}',
+    ], ids=["amplitude", "dim"])
+    def test_rejects_non_finite_when_read(self, tmp_path, capsys, literal, template):
+        bad = tmp_path / "bad.json"
+        bad.write_text(template.format(literal))
+        argv = ["helstrom", "--state0", str(bad), "--state1", write_json(tmp_path / "ok.json", MIXED_2)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read state file {str(bad)!r}")
+        assert captured.out == ""
+
+    def test_orjson_is_imported_by_helstrom_only(self, tmp_path):
+        """Importing ``cli``, ``sweep`` and ``verify-bell`` leave ``orjson``
+        unimported, so its import time and memory stay out of them."""
+        states = [write_json(tmp_path / "s0.json", BELL_2), write_json(tmp_path / "s1.json", MIXED_4)]
+        script = f"""
+import contextlib, io, sys
+from qillum import cli
+assert "orjson" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["sweep", "--eta", "0.5", "--d", "2", "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+    assert "orjson" not in sys.modules
+    assert cli.main(["verify-bell", "--d", "2", "--samples", "2", "--seed", "1"]) == 0
+    assert "orjson" not in sys.modules
+    assert cli.main(["helstrom", "--state0", {states[0]!r}, "--state1", {states[1]!r}]) == 0
+assert "orjson" in sys.modules
+"""
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestProblemValidation:

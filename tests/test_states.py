@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qillum.states import DEFAULT_TOL, densities_to_json, density_from_dict, haar_random_amplitudes, schmidt_probe
 from conftest import (
+    AWKWARD_PARTS,
     bell_state,
     density_to_dict,
     effective_rank_k,
@@ -26,15 +27,6 @@ from conftest import (
     random_projective_povm,
     schmidt_amplitudes,
 )
-
-#: Parts whose text is easy to get wrong: signed zeros, the smallest
-#: subnormal, both sides of repr's switches to exponent form (below 1e-4,
-#: from 1e16), integral values and the infinities.
-AWKWARD_PARTS = [
-    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4, -1.0000000000000002e-4,
-    9999999999999998.0, 1e16, -1.0000000000000002e16, 1.0, -2.0, 3.0, 1e300, math.inf, -math.inf,
-]
-
 
 @st.composite
 def matrix_lists(draw):
