@@ -2,28 +2,30 @@
 one-off minimum-error queries on states stored as JSON files.
 
 The parser is built on the first :func:`main` call and reused for the
-process.  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table as
-CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
+process.  Every input file is parsed by :func:`_read_json` with ``orjson``
+as strict JSON (``NaN``, ``Infinity`` and literals beyond double range
+fail there).  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table
+as CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
 through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
 weights: flat for ``bell`` and ``uniform-rank:<r>``, read from a JSON list
-for ``spectrum:<file>``.  ``helstrom`` reads two state files in either wire
-format of :mod:`~qillum.states`, each parsed by ``orjson`` as strict JSON
-(``NaN``, ``Infinity`` and literals beyond double range fail there) and
-decoded by :func:`~qillum.states.density_from_dict`, and prints the error
-through :func:`_fmt`; with ``--povm`` it also prints the optimal
-measurement as :func:`~qillum.states.densities_to_json` writes it, once it
-has checked that the measurement attains the error.
+for ``spectrum:<file>``.  ``helstrom`` decodes two state files in either
+wire format of :mod:`~qillum.states` by
+:func:`~qillum.states.density_from_dict`, and prints the error through
+:func:`_fmt`; with ``--povm`` it also prints the optimal measurement as
+:func:`~qillum.states.densities_to_json` writes it, once it has checked
+that the measurement attains the error.
 
-Exit codes: 0 success, 1 validation or usage error, 2 numerical-verification
-failure.  A run that runs out of memory (an oversized dimension) also
-exits 1.  The ``QI_TOL`` environment variable overrides the default
-validation tolerance of 1e-9 for stored states (``helstrom``, whose
-``--povm`` check allows ``dim`` times it), for the Schmidt weights of
-``verify-bell``'s samples and for the sum of a ``sweep`` ``spectrum:``
-file (a sum of 0 fails at any tolerance); it must be a finite number
-above 0, else the run stops with exit 1.  ``sweep``'s
-``bell`` and ``uniform-rank`` probes are exact, and ``sweep`` holds its
-two overlap routes to a fixed agreement bound.
+Exit codes: 0 success, 1 validation or usage error (``ValueError``,
+``OSError``), 2 numerical-verification failure (``VerificationError``).
+A run that runs out of memory (an oversized dimension) also exits 1.  The
+``QI_TOL`` environment variable overrides the default validation
+tolerance of 1e-9 for stored states (``helstrom``, whose ``--povm`` check
+allows ``dim`` times it), for the Schmidt weights of ``verify-bell``'s
+samples and for the sum of a ``sweep`` ``spectrum:`` file (a sum of 0
+fails at any tolerance); it must be a finite number above 0, else the run
+stops with exit 1.  ``sweep``'s ``bell`` and ``uniform-rank`` probes are
+exact, and ``sweep`` holds its two overlap routes to a fixed agreement
+bound.
 """
 
 from __future__ import annotations
@@ -53,13 +55,8 @@ from .analysis import (
 )
 
 CSV_HEADER = ",".join(SWEEP_COLUMNS)
-MARGIN_FLOOR = -1e-9
 #: Largest number of points a ``start:step:stop`` range may expand to.
 MAX_RANGE_POINTS = 10_000
-
-
-class CliError(Exception):
-    """Invalid configuration or input; maps to exit code 1."""
 
 
 def _fmt(x: float) -> str:
@@ -80,29 +77,29 @@ def parse_float_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(f"range must be start:step:stop, got {text!r}")
+            raise ValueError(f"range must be start:step:stop, got {text!r}")
         try:
             start, step, stop = (number(p) for p in parts)
         except ValueError as exc:
-            raise CliError(f"non-numeric range {text!r}") from exc
+            raise ValueError(f"non-numeric range {text!r}") from exc
         if step <= 0:
-            raise CliError(f"range step must be positive, got {step}")
+            raise ValueError(f"range step must be positive, got {step}")
         values = []
         v = start
         while v <= stop + step / 2:
             if len(values) == MAX_RANGE_POINTS:
-                raise CliError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+                raise ValueError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
             values.append(v)
             v = start + step * len(values)
         if not values:
-            raise CliError(f"range {text!r} is empty")
+            raise ValueError(f"range {text!r} is empty")
         return values
     try:
         values = [number(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"non-numeric list {text!r}") from exc
+        raise ValueError(f"non-numeric list {text!r}") from exc
     if not values:
-        raise CliError("grid must be non-empty")
+        raise ValueError("grid must be non-empty")
     return values
 
 
@@ -111,7 +108,7 @@ def parse_int_grid(text: str) -> list[int]:
     ints = []
     for v in values:
         if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
-            raise CliError(f"expected integers, got {v}")
+            raise ValueError(f"expected integers, got {v}")
         ints.append(int(round(v)))
     return ints
 
@@ -125,23 +122,19 @@ def parse_family(text: str, tol: float) -> Family:
         try:
             rank = int(text.split(":", 1)[1])
         except ValueError as exc:
-            raise CliError(f"bad rank in {text!r}") from exc
+            raise ValueError(f"bad rank in {text!r}") from exc
         return uniform_rank_family(rank)
     if text.startswith("spectrum:"):
         path = text.split(":", 1)[1]
-        try:
-            spectrum = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read spectrum file {path!r}: {exc}") from exc
+        spectrum = _read_json(path, "spectrum")
         if not isinstance(spectrum, list) or not spectrum:
-            raise CliError(f"spectrum file {path!r} must hold a non-empty list")
+            raise ValueError(f"spectrum file {path!r} must hold a non-empty list")
         try:
             require_numbers(spectrum)
-            values = [float(x) for x in spectrum]
-        except (ValueError, OverflowError) as exc:
-            raise CliError(f"spectrum file {path!r}: {exc}") from exc
-        return fixed_spectrum_family(values, tol)
-    raise CliError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
+        except ValueError as exc:
+            raise ValueError(f"spectrum file {path!r}: {exc}") from exc
+        return fixed_spectrum_family(spectrum, tol)
+    raise ValueError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
 def render_sweep_csv(table) -> str:
@@ -203,20 +196,25 @@ def cmd_verify_bell(args, tol: float) -> int:
         args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
     )
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
-    return 2 if report.margin < MARGIN_FLOOR else 0
+    return 0
+
+
+def _read_json(path: str, what: str):
+    """The value in the JSON file ``path``, parsed by ``orjson``."""
+    from orjson import loads  # here, not at module level: a run that reads no file never imports it
+
+    try:
+        return loads(Path(path).read_bytes())
+    except (OSError, json.JSONDecodeError) as exc:  # orjson's error subclasses json's
+        raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _load_density(path: str, tol: float):
-    import orjson  # here, not at module level: sweep and verify-bell never pay its import
-
-    try:
-        obj = orjson.loads(Path(path).read_bytes())
-    except (OSError, json.JSONDecodeError) as exc:  # orjson's error subclasses json's
-        raise CliError(f"cannot read state file {path!r}: {exc}") from exc
+    obj = _read_json(path, "state")
     try:
         return density_from_dict(obj, tol)
     except ValueError as exc:
-        raise CliError(f"invalid state in {path!r}: {exc}") from exc
+        raise ValueError(f"invalid state in {path!r}: {exc}") from exc
 
 
 def _check_povm_error(rho0, rho1, p0: float, povm, error: float, tol: float) -> None:
@@ -225,7 +223,7 @@ def _check_povm_error(rho0, rho1, p0: float, povm, error: float, tol: float) -> 
     tol`` (:func:`optimal_povm`'s slack) plus ``16 dim`` float steps.  Each
     trace of a product of Hermitian matrices is one ``vdot``: O(dim^2)."""
     e0, e1 = povm
-    attained = p0 * np.vdot(e1, rho0).real + (1.0 - p0) * np.vdot(e0, rho1).real
+    attained = float(p0 * np.vdot(e1, rho0).real + (1.0 - p0) * np.vdot(e0, rho1).real)
     gap, bound = abs(attained - error), len(rho0) * (tol + 16.0 * np.finfo(float).eps)
     if not gap <= bound:
         raise VerificationError(
@@ -246,6 +244,7 @@ def cmd_helstrom(args, tol: float) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qillum",
@@ -283,15 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused for the process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
@@ -306,7 +299,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:  # a ValueError, so caught first
         print(f"numerical verification failed: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from itertools import chain
 
 import numpy as np
@@ -100,7 +101,7 @@ def require_numbers(values: list) -> None:
     One pass over the entries."""
     if not set(map(type, values)) <= {int, float}:
         bad = next(x for x in values if type(x) not in (int, float))
-        raise ValueError(f"{bad!r} is not a number")
+        raise ValueError(f"{reprlib.repr(bad)} is not a number")  # repr recurses through a deep nest
 
 
 def _dimension(obj: dict, key: str) -> int:
@@ -214,10 +215,12 @@ def _stored_density(obj: dict, tol: float) -> np.ndarray:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
     if mat.shape != (dim, dim):  # so square, of dimension at least 1
         raise ValueError(f"entries shape {mat.shape} does not match dim {dim}")
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    # entries near the largest float overflow both: an infinite defect, an infinite or NaN trace, each fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(mat - mat.conj().T)))
+        tr = complex(np.trace(mat))
     if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
-    tr = complex(np.trace(mat))
     if not abs(tr - 1.0) <= tol:
         raise ValueError(f"trace is {tr:.17g}, expected 1 within {tol:.1e}")
     w_min = np.linalg.eigvalsh(mat)[0]

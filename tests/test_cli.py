@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qillum import analysis, cli
-from qillum.cli import MAX_RANGE_POINTS, CliError, main, parse_float_grid
+from qillum.cli import MAX_RANGE_POINTS, main, parse_float_grid
 from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
 from qillum.states import DEFAULT_TOL, density_from_dict
 from conftest import AWKWARD_PARTS, density_to_dict, ginibre, povm_error, pure_state_dict, random_density
@@ -42,6 +42,10 @@ HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
 # json writes these as NaN, which the state-file reader rejects
 NAN_AMPLITUDE = {"d_s": 2, "d_i": 1, "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}
 NAN_DIAGONAL = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+# nested past the recursion limit: orjson reads it, and ``repr`` cannot print it
+DEEP = "[" * 100_000 + "]" * 100_000
+# half the largest float, rounded up: a sum or difference of two overflows
+BIG = 8.98846567431158e307
 
 
 def write_json(path, obj):
@@ -56,6 +60,14 @@ def run_helstrom(tmp_path, state0, state1, *extra):
         "--state1", write_json(tmp_path / "s1.json", state1),
         *extra,
     ])
+
+
+def run_python(*args):
+    """``python *args`` in a subprocess that imports ``qillum`` from this
+    checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 @pytest.fixture(autouse=True)
@@ -232,13 +244,14 @@ class TestSweep:
         assert f"more than {analysis.MAX_SWEEP_ROWS}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rejects_non_finite_spectrum(self, tmp_path, capsys):
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_rejects_non_finite_spectrum(self, tmp_path, capsys, literal):
         spec = tmp_path / "spec.json"
-        spec.write_text("[0.5, NaN, 0.5]")
+        spec.write_text(f"[0.5, {literal}, 0.5]")
         out = tmp_path / "sweep.csv"
         argv = ["--eta", "0.5", "--d", "3", "--family", f"spectrum:{spec}", "--out", str(out)]
         assert main(["sweep", *argv]) == 1
-        assert capsys.readouterr().err.startswith("error: spectrum entries")
+        assert capsys.readouterr().err.startswith(f"error: cannot read spectrum file {str(spec)!r}")
         assert not out.exists()
 
     def test_error_may_rise_with_idler_rank(self, tmp_path):
@@ -389,9 +402,9 @@ class TestGridParsing:
 
     def test_range_cap(self):
         assert len(parse_float_grid(f"0:1:{MAX_RANGE_POINTS - 1}")) == MAX_RANGE_POINTS
-        with pytest.raises(CliError, match="points"):
+        with pytest.raises(ValueError, match="points"):
             parse_float_grid(f"0:1:{MAX_RANGE_POINTS}")
-        with pytest.raises(CliError, match="points"):
+        with pytest.raises(ValueError, match="points"):
             parse_float_grid("0:1:inf")
 
     def test_huge_range_exits_1(self, tmp_path, capsys):
@@ -501,6 +514,7 @@ class TestHelstrom:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
+        assert "np.float64" not in captured.err
 
     def test_povm_check_passes_at_tiny_tolerance(self, tmp_path, monkeypatch, capsys):
         """At ``QI_TOL = 1e-300`` the check's bound is its 16 float steps a
@@ -604,12 +618,11 @@ class TestStateFileReading:
         text, tol = case
         path = tmp_path_factory.mktemp("state") / "state.json"
         path.write_text(text)
-        # json reads 1e400 as inf, and inf - inf warns; so does the Hermiticity
-        # check on entries near the largest float, on both routes
+        # json reads 1e400 as inf, and arithmetic on an infinity may warn
         with np.errstate(all="ignore"):
             try:
                 got = cli._load_density(str(path), tol)
-            except CliError:
+            except ValueError:
                 got = None
             try:
                 want = density_from_dict(json.loads(text), tol)
@@ -634,8 +647,9 @@ class TestStateFileReading:
         assert captured.out == ""
 
     def test_orjson_is_imported_by_helstrom_only(self, tmp_path):
-        """Importing ``cli``, ``sweep`` and ``verify-bell`` leave ``orjson``
-        unimported, so its import time and memory stay out of them."""
+        """Importing ``cli`` and the runs that read no file, ``sweep`` and
+        ``verify-bell``, leave ``orjson`` unimported, so its import time and
+        memory stay out of them."""
         states = [write_json(tmp_path / "s0.json", BELL_2), write_json(tmp_path / "s1.json", MIXED_4)]
         script = f"""
 import contextlib, io, sys
@@ -649,9 +663,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["helstrom", "--state0", {states[0]!r}, "--state1", {states[1]!r}]) == 0
 assert "orjson" in sys.modules
 """
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        done = run_python("-c", script)
         assert done.returncode == 0, done.stderr
 
 
@@ -722,6 +734,30 @@ class TestProblemValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("family, text", [
+        ("spectrum", DEEP),
+        ("state", f'{{"d_s": {DEEP}, "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}}'),
+        ("state", f'{{"dim": 1, "entries": [[[1, {DEEP}]]]}}'),
+        ("state", f'{{"dim": 1, "entries": [[[0.0, {BIG}]]]}}'),
+        ("state", f'{{"dim": 2, "entries": [[[{BIG}, 0], [0, 0]], [[0, 0], [{BIG}, 0]]]}}'),
+        ("state", json.dumps(density_to_dict(np.diag([BIG, BIG, 0, 0, 0, 0, -BIG, -BIG]).astype(complex)))),
+    ], ids=["spectrum-deep", "d_s-deep", "entry-deep", "hermiticity-overflow", "trace-overflow", "trace-nan"])
+    def test_exits_1_cleanly(self, tmp_path, capsys, family, text):
+        """A value nested past the recursion limit, or entries whose
+        Hermiticity defect or trace overflows, end in one ``error:`` line:
+        no traceback, no warning, from the shell and in-process."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if family == "spectrum":
+            argv = ["sweep", "--eta", "0.5", "--d", "2", "--family", f"spectrum:{bad}", "--out", str(tmp_path / "x.csv")]
+        else:
+            argv = ["helstrom", "--state0", str(bad), "--state1", write_json(tmp_path / "ok.json", MIXED_2)]
+        done = run_python("-m", "qillum.cli", *argv)
+        assert done.returncode == 1
+        assert re.fullmatch(r"error: [^\n]*\n", done.stderr), done.stderr
+        assert main(argv) == 1  # pytest turns a warning into an exception here
+        assert capsys.readouterr().err == done.stderr
 
 
 class TestOutOfMemory:
