@@ -15,7 +15,8 @@ forms that bracket it).  The optimality check takes its Bell reference
 from the closed forms alone, each sample's weights from one stacked
 singular-value decomposition and each chunk's errors from one kernel
 call, and holds each sample's error to the same bracket.  The dense
-channel outputs are the tests' oracle for both.
+channel outputs are the tests' oracle for both.  Both take their
+parameters unchecked: :mod:`qillum.cli` checks them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
-from .discrimination import _efficiencies, _prior, _signal_dims, channel_overlap, flat_probe_error, h01_closed_form
-from .discrimination import schmidt_helstrom_error
+from .discrimination import channel_overlap, flat_probe_error, h01_closed_form, schmidt_helstrom_error
 
 #: A sweep family: its probe's Schmidt weights ``lam`` at each signal
 #: dimension ``d_s``, a 1-D float array of length ``d_i`` that sums to 1
@@ -46,8 +46,6 @@ BRACKET_TOL = 1e-12
 #: the unentangled baseline (in closed form) and ``advantage`` the
 #: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
-#: Largest number of rows (eta x dimension x family) one sweep may have.
-MAX_SWEEP_ROWS = 10_000
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
 #: (1 MiB of complex amplitudes; 1024 samples at d = 8), and zero-padded weights
 #: times etas per sweep chunk: memory grows with neither the samples nor the grid.
@@ -101,21 +99,12 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Fam
     forms are one stacked call each, written with the rest into one
     preallocated table, and the checks run once on it: the two overlaps
     agree, and ``p_err`` lies between the Bell probe's error and
-    ``p_err_ci``, within :data:`BRACKET_TOL`.  Raises ``ValueError`` for
-    grid entries outside their ranges, a grid of more than
-    :data:`MAX_SWEEP_ROWS` rows or families infeasible at a requested
+    ``p_err_ci``, within :data:`BRACKET_TOL`.  The grid and ``p0`` are
+    unchecked.  Raises ``ValueError`` for families infeasible at a requested
     dimension, and its subclass :class:`VerificationError` for a failed row.
     """
-    etas = [float(e) for e in etas]
     dims = [int(d) for d in dims]
-    if not etas or not dims or not families:
-        raise ValueError("grid axes must be non-empty")
-    n_rows = len(etas) * len(dims) * len(families)
-    if n_rows > MAX_SWEEP_ROWS:
-        raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
-    _signal_dims(dims)
-
-    eta = _efficiencies(etas)
+    eta = np.array([float(e) for e in etas])
     # each distinct probe once, in first-seen order: column j of the (eta, probe) blocks
     probes = {key: j for j, key in enumerate(dict.fromkeys(product(dims, range(len(families)))))}
     d_s, d_i, purity = np.array([d for d, _ in probes], dtype=float), *np.empty((2, len(probes)))
@@ -205,8 +194,8 @@ def verify_bell_optimality(
 
     The reference is :func:`~qillum.discrimination.h01_closed_form` at
     ``k_i = d`` and :func:`~qillum.discrimination.flat_probe_error` at
-    ``d^2`` weights, checked (``eta``, ``d``, ``p0``) and computed before
-    any sample is drawn.  No dense channel output is built.  Sample ``k`` is
+    ``d^2`` weights (the arguments are unchecked), computed before any
+    sample is drawn.  No dense channel output is built.  Sample ``k`` is
     :func:`~qillum.states.haar_random_amplitudes` of the ``k``-th child seed
     of ``seed``.  The samples are taken in chunks of
     :data:`_CHUNK_AMPLITUDES` amplitudes; each chunk's Schmidt weights come
@@ -226,10 +215,7 @@ def verify_bell_optimality(
     d``, while Cauchy-Schwarz gives ``k_i <= d / (sum lam)^2``, and ``sum
     lam`` was within 2.4e-15 of 1 on every sample measured (``d`` 2 to 128).
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    bell_h01 = h01_closed_form(eta, d, d)  # checks eta and d
-    p0 = _prior(p0)
+    bell_h01 = h01_closed_form(eta, d, d)
     bell_p_err, unentangled = flat_probe_error(eta, np.array([d * d, d]), p0).tolist()
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples)
@@ -263,7 +249,7 @@ def verify_bell_optimality(
         n_samples=int(n_samples),
         seed=int(seed),
         eta=float(eta),
-        p0=p0,
+        p0=float(p0),
         bell_h01=bell_h01,
         bell_p_err=bell_p_err,
         best_sampled_h01=best_h01,

@@ -15,6 +15,11 @@ wire format of :mod:`~qillum.states` by
 :func:`~qillum.states.densities_to_json` writes it, once it has checked
 that the measurement attains the error.
 
+Every user parameter is checked here once, before any file is read, and
+the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and
+``d`` at least 2, NaN failing each (:func:`_check_parameters`); ``--d``
+integral; ``--samples`` at least 1; a sweep at most :data:`MAX_SWEEP_ROWS` rows.
+
 Exit codes: 0 success, 1 validation or usage error (``ValueError``,
 ``OSError``), 2 numerical-verification failure (``VerificationError``).
 A run that runs out of memory (an oversized dimension) also exits 1.  The
@@ -55,8 +60,9 @@ from .analysis import (
 )
 
 CSV_HEADER = ",".join(SWEEP_COLUMNS)
-#: Largest number of points a ``start:step:stop`` range may expand to.
-MAX_RANGE_POINTS = 10_000
+#: Largest number of rows (eta x dimension x family) one sweep may have, so
+#: also of points a ``start:step:stop`` range may expand to.
+MAX_SWEEP_ROWS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -71,7 +77,7 @@ def number(text: str) -> float:
 def parse_float_grid(text: str) -> list[float]:
     """Parse '0,0.5,1' or 'start:step:stop' (stop inclusive within step/2).
 
-    A range may expand to at most :data:`MAX_RANGE_POINTS` points.
+    A range may expand to at most :data:`MAX_SWEEP_ROWS` points.
     """
     text = text.strip()
     if ":" in text:
@@ -87,8 +93,8 @@ def parse_float_grid(text: str) -> list[float]:
         values = []
         v = start
         while v <= stop + step / 2:
-            if len(values) == MAX_RANGE_POINTS:
-                raise ValueError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+            if len(values) == MAX_SWEEP_ROWS:
+                raise ValueError(f"range {text!r} has more than {MAX_SWEEP_ROWS} points")
             values.append(v)
             v = start + step * len(values)
         if not values:
@@ -105,12 +111,24 @@ def parse_float_grid(text: str) -> list[float]:
 
 def parse_int_grid(text: str) -> list[int]:
     values = parse_float_grid(text)
-    ints = []
     for v in values:
-        if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
+        if not (math.isfinite(v) and v == int(v)):
             raise ValueError(f"expected integers, got {v}")
-        ints.append(int(round(v)))
-    return ints
+    return [int(v) for v in values]
+
+
+def _check_parameters(etas, dims, p0: float) -> None:
+    """Raise ``ValueError`` naming the first ``eta`` outside ``[0, 1]``, the
+    first signal dimension below 2, or a prior ``p0`` outside ``[0, 1]``;
+    NaN fails each."""
+    for values, ok, rule in (
+        (etas, lambda x: 0.0 <= x <= 1.0, "eta must be in [0, 1]"),
+        (dims, lambda x: x >= 2, "signal dimension must be >= 2"),
+        ([p0], lambda x: 0.0 <= x <= 1.0, "prior p0 must lie in [0, 1]"),
+    ):
+        bad = [x for x in values if not ok(x)]
+        if bad:
+            raise ValueError(f"{rule}, got {bad[0]}")
 
 
 def parse_family(text: str, tol: float) -> Family:
@@ -182,6 +200,10 @@ def cmd_sweep(args, tol: float) -> int:
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
     names = args.family or ["bell"]
+    _check_parameters(etas, dims, args.p0)
+    n_rows = len(etas) * len(dims) * len(names)
+    if n_rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
     families = [parse_family(f, tol) for f in names]
     table = run_sweep(etas, dims, families, p0=args.p0)
     out = Path(args.out)
@@ -192,6 +214,9 @@ def cmd_sweep(args, tol: float) -> int:
 
 
 def cmd_verify_bell(args, tol: float) -> int:
+    _check_parameters([args.eta], [args.d], args.p0)
+    if args.samples < 1:
+        raise ValueError(f"need at least one sample, got {args.samples}")
     report = verify_bell_optimality(
         args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
     )
@@ -232,8 +257,11 @@ def _check_povm_error(rho0, rho1, p0: float, povm, error: float, tol: float) -> 
 
 
 def cmd_helstrom(args, tol: float) -> int:
+    _check_parameters([], [], args.p0)
     rho0 = _load_density(args.state0, tol)
     rho1 = _load_density(args.state1, tol)
+    if rho0.shape != rho1.shape:
+        raise ValueError(f"dimension mismatch: {len(rho0)} vs {len(rho1)}")
     error = helstrom_error(rho0, rho1, args.p0)
     lines = [_fmt(error)]
     if args.povm:

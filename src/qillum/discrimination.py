@@ -6,8 +6,9 @@ binary hypothesis test between ``rho0`` (prior ``p0``) and ``rho1`` (prior
 measurement that attains it; and the normalized Hilbert-Schmidt overlap,
 which needs only traces of matrix products.  The states arrive as square
 complex arrays, already validated where they entered
-(:func:`~qillum.states.density_from_dict`); only their dimensions and the
-prior are checked here.
+(:func:`~qillum.states.density_from_dict`), and the parameters (``eta``,
+``d_s``, ``p0``) where the user gave them (:mod:`qillum.cli`): nothing is
+checked here.
 
 On the illumination channel a pure probe enters only through its Schmidt
 weights ``lam``: :func:`schmidt_helstrom_error` takes the minimum error
@@ -26,46 +27,13 @@ import numpy as np
 from .states import DEFAULT_TOL
 
 
-def _efficiencies(eta) -> np.ndarray:
-    """``eta`` as a float array, every entry in ``[0, 1]``; NaN fails."""
-    eta = np.asarray(eta, dtype=float)
-    ok = (0.0 <= eta) & (eta <= 1.0)
-    if not ok.all():
-        raise ValueError(f"eta must be in [0, 1], got {eta[~ok][0]}")
-    return eta
-
-
-def _signal_dims(d_s) -> np.ndarray:
-    """``d_s`` as an array, every entry at least 2; NaN fails."""
-    d_s = np.asarray(d_s)
-    ok = d_s >= 2
-    if not ok.all():
-        raise ValueError(f"signal dimension must be >= 2, got {d_s[~ok][0]}")
-    return d_s
-
-
-def _prior(p0) -> float:
-    """``p0`` as a float in ``[0, 1]``; NaN fails."""
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"prior p0 must lie in [0, 1], got {p0}")
-    return float(p0)
-
-
-def _weighted_difference(rho0: np.ndarray, rho1: np.ndarray, p0: float) -> np.ndarray:
-    """``p0 rho0 - (1 - p0) rho1``, the operator whose spectrum decides the test."""
-    if rho0.shape != rho1.shape:
-        raise ValueError(f"dimension mismatch: {len(rho0)} vs {len(rho1)}")
-    p0 = _prior(p0)
-    return p0 * rho0 - (1.0 - p0) * rho1
-
-
 def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float:
     """Minimum achievable error probability over all measurements.
 
     Equals ``(1 - ||p0 rho0 - p1 rho1||_1) / 2`` and never exceeds the
-    smaller prior.
+    smaller prior.  The states' shapes and ``p0`` are unchecked.
     """
-    w = np.linalg.eigvalsh(_weighted_difference(rho0, rho1, p0))
+    w = np.linalg.eigvalsh(p0 * rho0 - (1.0 - p0) * rho1)
     value = 0.5 * (1.0 - float(np.sum(np.abs(w))))
     return float(min(max(value, 0.0), 1.0))
 
@@ -96,11 +64,10 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
     stacked call equals its rows' 1-D calls bit for bit.  Negative weights
     count as 0, and zeros enter no sum (rows are grouped by their count of
     nonzero weights), so a zero-padded row equals the 1-D call on the rest.
+    ``eta``, ``d_s`` and ``p0`` are unchecked.
     """
-    eta, d_s, p0 = _efficiencies(eta), _signal_dims(d_s), _prior(p0)
+    eta, d_s = np.asarray(eta, dtype=float), np.asarray(d_s)
     lam = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-    if lam.ndim not in (1, 2):
-        raise ValueError(f"expected 1-D weights or a 2-D stack, got shape {lam.shape}")
     c = p0 * (1.0 - eta) - (1.0 - p0)
     # one row per (eta, probe) pair, broadcast by an exact product with 1
     d_i, ones = lam.shape[-1], np.ones(np.broadcast_shapes(eta.shape, d_s.shape, lam.shape[:-1]))
@@ -159,9 +126,10 @@ def optimal_povm(
     ``E0`` projects onto the non-negative eigenspace of ``p0 rho0 - p1 rho1``
     (eigenvalues above ``-tol`` count as non-negative, which shifts the
     attained error by at most ``dim * tol``); ``E1 = I - E0`` is its
-    complement.  Both are orthogonal projectors by construction.
+    complement.  Both are orthogonal projectors by construction.  The
+    states' shapes and ``p0`` are unchecked.
     """
-    w, v = np.linalg.eigh(_weighted_difference(rho0, rho1, p0))
+    w, v = np.linalg.eigh(p0 * rho0 - (1.0 - p0) * rho1)
     keep = v[:, w >= -tol]
     e0 = keep @ keep.conj().T
     e0 = 0.5 * (e0 + e0.conj().T)
@@ -185,13 +153,15 @@ def channel_overlap(weights, eta, d_s):
     through the effective rank, so the result is an independent check of
     :func:`h01_closed_form`.  ``eta`` and ``d_s`` broadcast as in
     :func:`schmidt_helstrom_error`: one value each and 1-D weights give a
-    float, anything else an array.  The result is clipped to ``[0, 1]``.
+    float, anything else an array.  The result is clipped to ``[0, 1]``;
+    ``eta`` and ``d_s`` are unchecked.
     """
-    eta = _efficiencies(eta)
+    eta = np.asarray(eta, dtype=float)
     lam = np.asarray(weights, dtype=float)
     v = purity_1 = np.cumsum(lam * lam, axis=-1)[..., -1] / d_s
     cross = eta * v + (1.0 - eta) * purity_1
-    purity_0 = eta**2 + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) ** 2 * purity_1
+    # products, not ** 2: a float64 scalar's power can round apart from an array's square
+    purity_0 = eta * eta + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) * (1.0 - eta) * purity_1
     h = np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)
     return float(h) if h.ndim == 0 else h
 
@@ -208,11 +178,8 @@ def h01_closed_form(eta, d_s, k_i):
     reduction.  ``k_i`` is accepted as a real number; integers are the
     extremal cases.  ``eta``, ``d_s`` and ``k_i`` are each one value or
     arrays broadcasting against each other: a float is returned for three
-    values, else an array.
+    values, else an array.  All three are unchecked.
     """
-    eta, d_s, k_i = _efficiencies(eta), _signal_dims(d_s), np.asarray(k_i)
-    ok = k_i >= 1.0
-    if not ok.all():
-        raise ValueError(f"effective idler rank must be >= 1, got {k_i[~ok][0]}")
+    eta, d_s, k_i = np.asarray(eta, dtype=float), np.asarray(d_s), np.asarray(k_i)
     h = 1.0 / np.sqrt(1.0 + eta**2 * (d_s * k_i - 1.0))
     return float(h) if h.ndim == 0 else h

@@ -61,9 +61,9 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     Returns an ``(len(seeds), d_s, d_i)`` stack whose entry ``k`` is the
     amplitude matrix of the state drawn from ``seeds[k]``: independent
     standard complex Gaussians, normalized, which is the rotation-invariant
-    distribution on the unit sphere.  The matrices are not validated; the
-    caller checks what it relies on (``verify-bell`` checks that each one's
-    Schmidt weights sum to 1).
+    distribution on the unit sphere.  Neither the dimensions nor the
+    matrices are checked; the caller checks what it relies on (``verify-bell``
+    checks that each one's Schmidt weights sum to 1).
 
     A seed keeps its matrix: ``np.random.default_rng(seed)`` draws
     ``2 d_s d_i`` normals, the real parts then the imaginary parts, and the
@@ -71,8 +71,6 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     imaginary parts, as ``np.linalg.norm`` takes it.  Only the generators
     are per seed; the norms and the division are one call each.
     """
-    if d_s < 2 or d_i < 1:
-        raise ValueError(f"invalid dimensions ({d_s}, {d_i})")
     n = d_s * d_i
     normals = np.empty((len(seeds), 2 * n))
     for row, seed in zip(normals, seeds):

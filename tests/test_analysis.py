@@ -66,14 +66,8 @@ class TestRunSweep:
         assert keys == sorted(keys)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            run_sweep([], [2], [bell_family()])
-        with pytest.raises(ValueError):
-            run_sweep([1.5], [2], [bell_family()])
-        with pytest.raises(ValueError):
-            run_sweep([0.5], [1], [bell_family()])
-        with pytest.raises(ValueError):
-            run_sweep([0.5], [2], [uniform_rank_family(3)])  # rank > d_s
+        with pytest.raises(ValueError, match="^rank 3 exceeds the signal dimension 2$"):
+            run_sweep([0.5], [2], [uniform_rank_family(3)])
 
     def test_ci_column_matches_rank_one_family(self):
         r = sweep_columns(run_sweep([0.6], [3], [uniform_rank_family(1)]))
@@ -370,10 +364,6 @@ class TestVerifyBellOptimality:
         a = verify_bell_optimality(2, 50, seed=33)
         b = verify_bell_optimality(2, 50, seed=33)
         assert a == b
-
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            verify_bell_optimality(2, 0, seed=0)
 
     @pytest.mark.parametrize("d, seed", [(3, 3), (2, 4), (4, 2), (3, 5)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])

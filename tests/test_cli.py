@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qillum import analysis, cli
-from qillum.cli import MAX_RANGE_POINTS, main, parse_float_grid
+from qillum.cli import MAX_SWEEP_ROWS, main, parse_float_grid
 from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
 from qillum.states import DEFAULT_TOL, density_from_dict
 from conftest import AWKWARD_PARTS, density_to_dict, ginibre, povm_error, pure_state_dict, random_density
@@ -241,7 +241,7 @@ class TestSweep:
         argv = ["--eta", "0:0.001:1", "--d", "2:1:20", "--family", "bell",
                 "--family", "uniform-rank:2", "--out", str(out)]
         assert main(["sweep", *argv]) == 1
-        assert f"more than {analysis.MAX_SWEEP_ROWS}" in capsys.readouterr().err
+        assert f"more than {MAX_SWEEP_ROWS}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
@@ -401,9 +401,9 @@ class TestGridParsing:
         assert parse_float_grid("2:1:5") == [2.0, 3.0, 4.0, 5.0]
 
     def test_range_cap(self):
-        assert len(parse_float_grid(f"0:1:{MAX_RANGE_POINTS - 1}")) == MAX_RANGE_POINTS
+        assert len(parse_float_grid(f"0:1:{MAX_SWEEP_ROWS - 1}")) == MAX_SWEEP_ROWS
         with pytest.raises(ValueError, match="points"):
-            parse_float_grid(f"0:1:{MAX_RANGE_POINTS}")
+            parse_float_grid(f"0:1:{MAX_SWEEP_ROWS}")
         with pytest.raises(ValueError, match="points"):
             parse_float_grid("0:1:inf")
 
@@ -411,6 +411,15 @@ class TestGridParsing:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "0:1e-12:1", "--d", "2", "--out", str(out)]) == 1
         assert "points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", ["3.9999999999", "2.0000000001"])
+    def test_d_must_be_an_exact_integer(self, tmp_path, capsys, d):
+        """A signal dimension within a hair of an integer is not rounded to
+        it, as a state file's ``d_s`` is not."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", "--d", d, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: expected integers, got {d}\n"
         assert not out.exists()
 
 
@@ -734,6 +743,32 @@ class TestProblemValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("etas", ["0.5,nan", "0.2,1.5", "0,-1e-300"])
+    def test_any_bad_eta_in_an_array_is_rejected(self, tmp_path, capsys, etas):
+        """The message names the first bad entry of an eta grid; NaN fails
+        too."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", etas, "--d", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: eta must be in [0, 1], got {float(etas.split(',')[1])}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--eta", "0.5", "--d", "2,1", "--out", "{out}"], "signal dimension must be >= 2, got 1"),
+        (["sweep", "--eta", "0.5", "--d", "2", "--priors", "1.5", "--out", "{out}"], "prior p0 must lie in [0, 1], got 1.5"),
+        (["sweep", "--eta", "0.5", "--d", "2", "--priors", "nan", "--out", "{out}"], "prior p0 must lie in [0, 1], got nan"),
+        # a bad parameter is named before any file is read, here a missing one
+        (["sweep", "--eta", "2", "--d", "2", "--family", "spectrum:{missing}", "--out", "{out}"],
+         "eta must be in [0, 1], got 2.0"),
+        (["helstrom", "--p0", "1.5", "--state0", "{missing}", "--state1", "{missing}"],
+         "prior p0 must lie in [0, 1], got 1.5"),
+    ], ids=["sweep-d-1", "sweep-priors-1.5", "sweep-priors-nan", "sweep-before-files", "helstrom-before-files"])
+    def test_names_the_bad_parameter(self, tmp_path, capsys, argv, message):
+        out, missing = tmp_path / "sweep.csv", tmp_path / "missing.json"
+        assert main([a.format(out=out, missing=missing) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {message}\n", "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("family, text", [
         ("spectrum", DEEP),

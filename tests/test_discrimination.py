@@ -64,23 +64,6 @@ class TestPovmError:
         assert povm_error(ZERO, PLUS, 0.5, povm) == pytest.approx(0.25, abs=1e-12)
 
 
-class TestProblemValidation:
-    def test_rejects_dim_mismatch(self):
-        other = np.eye(3) / 3
-        for call in (
-            lambda: helstrom_error(ZERO, other),
-            lambda: optimal_povm(ZERO, other),
-        ):
-            with pytest.raises(ValueError, match="dimension"):
-                call()
-
-    def test_rejects_bad_priors(self):
-        for p0 in (-0.1, 1.5, float("nan")):
-            for call in (helstrom_error, optimal_povm):
-                with pytest.raises(ValueError, match="prior"):
-                    call(ZERO, PLUS, p0)
-
-
 class TestHelstrom:
     def test_identical_states(self):
         assert helstrom_error(PLUS, PLUS, p0=0.3) == pytest.approx(0.3, abs=1e-12)
@@ -175,9 +158,15 @@ class TestSchmidtHelstrom:
     @example(seed=4, haar=False, d_s=5, d_i=4, tiny=1e-12, n_tiny=2, eta=1.0, p0=0.5)
     @example(seed=5, haar=False, d_s=4, d_i=4, tiny=1e-13, n_tiny=1, eta=0.5, p0=0.5)
     @example(seed=6, haar=False, d_s=2, d_i=1, tiny=0.0, n_tiny=0, eta=1.0, p0=1.0)
+    @example(seed=0, haar=True, d_s=2, d_i=5, tiny=0.0, n_tiny=0, eta=1 / 3, p0=1 / 3)
     def test_matches_dense(self, seed, haar, d_s, d_i, tiny, n_tiny, eta, p0):
         if haar:
             state, weights = haar_weights(d_s, d_i, seed)
+            # the idler reduction has rank at most d_s, so its d_i - d_s
+            # smallest eigenvalues are zeros that eigvalsh returns as noise
+            # near 1e-17; at a tie (a d_s = s) the exact error of such
+            # weights moves by about the square root of that noise
+            weights[: max(d_i - d_s, 0)] = 0.0
         else:
             # schmidt_probe pairs idler level m with signal mode m, so its
             # idler dimension is at most d_s
@@ -301,6 +290,7 @@ class TestSchmidtHelstrom:
     @example(seed=1, d_i=12, dims=[3, 12, 7], tiny=0.0, n_tiny=11, etas=[1.0, 0.0, 0.5], p0=0.5)
     @example(seed=2, d_i=9, dims=[9, 2], tiny=1e-12, n_tiny=4, etas=[0.25, 0.75], p0=0.8)
     @example(seed=3, d_i=8, dims=[5], tiny=1e-13, n_tiny=3, etas=[0.5], p0=0.5)
+    @example(seed=0, d_i=1, dims=[21], tiny=0.0, n_tiny=0, etas=[0.1686305389478389], p0=0.0)
     def test_per_row_signal_dimension_equals_row_calls(self, seed, d_i, dims, tiny, n_tiny, etas, p0):
         """A stack of probes of one width, each on its own ``d_s``, over an
         eta column gives exactly each (eta, probe) pair's 1-D scalar call, for
@@ -370,19 +360,6 @@ class TestSchmidtHelstrom:
             tracemalloc.stop()
         assert peak < 4e6
         assert column[-1] == schmidt_helstrom_error(weights, 1.0, 128, 0.4)
-
-    def test_rejects_bad_parameters(self):
-        for weights in ([1.0], [[1.0], [1.0]]):
-            for eta, d_s, p0 in ((1.5, 2, 0.5), (np.nan, 2, 0.5), (0.5, 1, 0.5), (0.5, 2, np.nan)):
-                with pytest.raises(ValueError):
-                    schmidt_helstrom_error(weights, eta, d_s, p0)
-        with pytest.raises(ValueError, match="shape"):
-            schmidt_helstrom_error(np.ones((2, 2, 2)) / 2, 0.5, 2, 0.5)
-        # a per-row d_s names its first bad entry, as a scalar one names itself
-        for d_s in (1, [2, 1, 0], [3, np.nan]):
-            bad = str(np.ravel(d_s)[1 if np.ndim(d_s) else 0])
-            with pytest.raises(ValueError, match=f"^signal dimension must be >= 2, got {bad}$"):
-                schmidt_helstrom_error(np.full((np.size(d_s), 2), 0.5), 0.5, d_s, 0.5)
 
 
 def spectrum(seed, d_i, tiny=0.0, n_tiny=0):
@@ -703,30 +680,6 @@ class TestClosedForm:
                 single = h01_closed_form(e, d, rank)
                 assert isinstance(single, float) and column[k, j] == single
                 assert flat[k, j] == flat_probe_error(e, d, p0)
-
-    @pytest.mark.parametrize("etas", [[0.5, np.nan], [0.2, 1.5], [0.0, -1e-300]])
-    def test_any_bad_eta_in_an_array_is_rejected(self, etas):
-        """Every function taking an eta array names the first bad entry; NaN
-        fails too."""
-        bad = str(etas[1])
-        with pytest.raises(ValueError, match=f"got {bad}$"):
-            h01_closed_form(etas, 2, 1.0)
-        with pytest.raises(ValueError, match=f"got {bad}$"):
-            schmidt_helstrom_error([0.5, 0.5], etas, 2, 0.5)
-        with pytest.raises(ValueError, match=f"got {bad}$"):
-            channel_overlap([0.5, 0.5], etas, 2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            h01_closed_form(1.5, 2, 1.0)
-        with pytest.raises(ValueError):
-            h01_closed_form(0.5, 1, 1.0)
-        with pytest.raises(ValueError):
-            h01_closed_form(0.5, 2, 0.5)
-        with pytest.raises(ValueError, match="^signal dimension must be >= 2, got 1$"):
-            h01_closed_form([0.5, 0.5], [2, 1], 1.0)
-        with pytest.raises(ValueError, match="^effective idler rank must be >= 1, got nan$"):
-            h01_closed_form(0.5, [2, 3], [1.0, np.nan])
 
     @pytest.mark.parametrize("seed,d_s,d_i", [(0, 2, 2), (1, 3, 4), (2, 5, 3), (3, 4, 4)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])

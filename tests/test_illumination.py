@@ -43,10 +43,6 @@ class TestScenario:
         for eta in (1.2, -0.1):
             with pytest.raises(ValueError, match="eta"):
                 channel_outputs(amplitudes, eta)
-            with pytest.raises(ValueError, match="eta"):
-                channel_overlap([0.5, 0.5], eta, 2)
-        with pytest.raises(ValueError, match="eta"):
-            channel_overlap([0.5, 0.5], [0.5, np.nan], 2)
 
 
 class TestPostSelectedStates:

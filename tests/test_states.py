@@ -182,12 +182,6 @@ class TestHaarRandomState:
             want = haar_amplitudes_oracle(d_s, d_i, [seed])[0]
             assert np.array_equal(haar_random_state(d_s, d_i, seed).view(float), want.view(float))
 
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            haar_random_state(1, 2, seed=0)
-        with pytest.raises(ValueError):
-            haar_random_state(2, 0, seed=0)
-
     def test_mean_effective_rank_cross_generator(self):
         # Library samples against an independent sampler on another bit
         # generator; the two mean inverse purities must agree within 3 sigma.
