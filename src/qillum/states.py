@@ -9,7 +9,8 @@ matrix after its shape, Hermiticity, trace and positivity checks.  A sweep
 probe is its Schmidt weights (:func:`schmidt_probe`).  A random pure state
 is its complex ``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing
 signal mode ``s`` with idler level ``i`` (:func:`haar_random_amplitudes`).
-Matrices leave the package as JSON text (:func:`densities_to_json`).
+Matrices leave the package as ``json``'s JSON text, most of its numbers
+formatted by ``orjson`` (:func:`densities_to_json`).
 Every check is phrased so that a NaN fails it (``not defect <= tol``): any
 comparison with NaN is false, and an object passed to
 :func:`density_from_dict` may hold NaN or an infinity, as Python's ``json``
@@ -126,9 +127,15 @@ def densities_to_json(mats) -> str:
     ``json.dumps`` with ``sort_keys=True``: ``[re, im]`` pairs, row-major,
     each part in ``json``'s shortest round-trip float text.
 
-    Each distinct magnitude is formatted once, by one ``json.dumps`` of
-    their sorted list, and a sign is prefixed wherever ``np.signbit`` is
-    set, so ``-0.0`` keeps its sign and ``-inf`` reads ``-Infinity``.  A
+    Each distinct magnitude is formatted once, and a sign is prefixed
+    wherever ``np.signbit`` is set, so ``-0.0`` keeps its sign and ``-inf``
+    reads ``-Infinity``.  The sorted magnitudes are formatted a run at a
+    time, by ``orjson`` where it writes ``json``'s bytes: the same shortest
+    round-trip digits (Ryu; ``repr``'s dtoa keeps the same rule), laid out
+    alike below 1e-9 and in [1e-4, 1e16), and in [1e-9, 1e-5) once the
+    exponent's zero is put back (``e-6`` becomes ``e-06``).  Two runs stay
+    on ``json``: [1e-5, 1e-4), where orjson writes ``0.00001`` for
+    ``1e-05``, and [1e16, inf], where it writes ``1e16`` and ``null``.  A
     NaN would print as ``NaN`` or ``-NaN``, against ``json``'s ``NaN``:
     none reaches here, since every matrix the package prints is built from
     validated, finite input.  The bytes do not depend on how many
@@ -138,7 +145,7 @@ def densities_to_json(mats) -> str:
     """
     parts = np.stack([np.stack((m.real, m.imag), -1) for m in mats])
     mag, index = np.unique(np.abs(parts), return_inverse=True)
-    text = np.array(json.dumps(mag.tolist())[1:-1].split(", "), dtype=object)
+    text = np.array(_magnitude_texts(mag), dtype=object)
     # what precedes a part: the imaginary part of a pair, the real part of
     # a pair within a row, of a row's first pair, of the matrix's first;
     # then the same followed by a minus sign
@@ -157,6 +164,17 @@ def densities_to_json(mats) -> str:
         del pieces
     out[-1] = "]]]}]"
     return "".join(out)
+
+
+def _magnitude_texts(mag: np.ndarray) -> list:
+    """``json.dumps(mag.tolist())[1:-1].split(", ")`` for sorted magnitudes, a run at a time."""
+    import orjson  # here, not at module level: only helstrom --povm prints a measurement
+
+    tiny, small, e5, mid, big = np.split(mag, np.searchsorted(mag, [1e-9, 1e-5, 1e-4, 1e16]))
+    fast = [orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY) for run in (tiny, small, mid)]
+    slow = [json.dumps(run.tolist(), separators=(",", ":")).encode() for run in (e5, big)]
+    runs = (fast[0], fast[1].replace(b"e-", b"e-0"), slow[0], fast[2], slow[1])
+    return b",".join(r[1:-1] for r in runs if r != b"[]").decode().split(",")
 
 
 def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -515,6 +515,16 @@ class TestHelstrom:
         assert main(argv) == 0
         assert capsys.readouterr().out == (DATA / "helstrom_readme_golden.txt").read_text()
 
+    def test_povm_output_across_the_cuts(self, capsys):
+        """A 16-dimensional measurement whose parts fall on both sides of
+        every cut where orjson's float layout leaves ``json``'s (``e-05``
+        to ``e-09``, ``0.000d``, two-digit exponents): the golden was cut
+        before orjson formatted any of them."""
+        argv = ["helstrom", "--state0", str(DATA / "geometric_pure.json"), "--state1", str(DATA / "mixed_16.json"),
+                "--p0", "0.5", "--povm"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / "helstrom_povm_ranges_golden.txt").read_text()
+
     def test_povm_that_misses_the_error_exits_2(self, tmp_path, monkeypatch, capsys):
         """Swapped elements attain ``1 - error``: the run stops before printing."""
         exact = cli.optimal_povm

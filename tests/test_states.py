@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qillum.states import DEFAULT_TOL, densities_to_json, density_from_dict, haar_random_amplitudes, schmidt_probe
+from qillum.states import _magnitude_texts
 from conftest import (
     AWKWARD_PARTS,
     bell_state,
@@ -51,6 +52,22 @@ def matrix_lists(draw):
         count = 1
         values = draw(st.lists(st.floats(allow_nan=False), min_size=size, max_size=size, unique_by=abs))
     return list(np.array(values).view(complex).reshape(count, dim, dim))
+
+
+#: Where ``_magnitude_texts`` hands a sorted run of magnitudes from one
+#: formatter to the next: orjson's float layout differs from ``json``'s
+#: on either side of each.
+CUTS = np.array([1e-9, 1e-5, 1e-4, 1e16])
+#: A part in each range the cuts bound, and each cut itself; some negative.
+RANGE_PARTS = [3e-10, -1e-9, 2.5e-7, -1e-5, 3e-5, 1e-4, -0.5, 1e16]
+#: Signed zero, both infinities, the range ends, and the last float below three cuts.
+EDGE_PARTS = [-0.0, math.inf, -math.inf, 1.7976931348623157e308, -5e-324, -9.999999999999999e-10,
+              9.999999999999999e-06, -9999999999999998.0]
+
+
+def json_texts(mag):
+    """``json``'s text of each magnitude, the oracle for ``_magnitude_texts``."""
+    return json.dumps(mag.tolist())[1:-1].split(", ")
 
 
 class TestStoredDensity:
@@ -355,12 +372,34 @@ class TestJsonFormat:
         assert "[[[0.5, -0.0], [-0.0, 5e-324]], [[1e+300, -1e+300], [-0.0, 0.0]]]" in text
 
     @given(matrix_lists())
+    @example([np.array(RANGE_PARTS).view(complex).reshape(2, 2)])
+    @example([np.array(EDGE_PARTS).view(complex).reshape(2, 2)])
+    @example(list(np.array(RANGE_PARTS + EDGE_PARTS).view(complex).reshape(2, 2, 2)))
     def test_encoder_equals_json_dumps(self, mats):
         """Byte for byte the text of ``json.dumps`` of the per-matrix
         objects.  No NaN is drawn: the encoder would print ``-NaN`` for a
         negative one, but the only matrices it prints, a measurement's,
         come from validated, finite states."""
         assert densities_to_json(mats) == json.dumps([density_to_dict(m) for m in mats], sort_keys=True)
+
+    def test_magnitudes_near_each_cut(self):
+        """Every float within 50 steps of a cut, the cut included."""
+        mag = (CUTS.view(np.int64)[:, None] + np.arange(-50, 51)).view(float).ravel()
+        assert _magnitude_texts(mag) == json_texts(mag)
+
+    def test_magnitudes_at_every_binary_exponent(self):
+        """Every power of two with its two neighbours, 0, the least and
+        largest floats and ``inf``."""
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        ends = [0.0, 5e-324, np.finfo(float).max, math.inf]
+        mag = np.unique(np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf), ends]))
+        assert _magnitude_texts(mag) == json_texts(mag)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_magnitudes_of_raw_bit_patterns(self, words):
+        """Any float's magnitude, NaN included: both sides print ``NaN``."""
+        mag = np.unique(np.abs(np.array(words, dtype=np.uint64).view(float)))
+        assert _magnitude_texts(mag) == json_texts(mag)
 
     def test_malformed_inputs(self):
         # the format is chosen by key, amplitudes first
