@@ -12,9 +12,9 @@ for ``spectrum:<file>``.  ``helstrom`` decodes two state files in either
 wire format of :mod:`~qillum.states` by
 :func:`~qillum.states.density_from_dict`, and prints the error through
 :func:`_fmt`; with ``--povm`` it also prints the optimal measurement,
-once it has checked that the measurement attains the error, as
-:func:`~qillum.states.densities_to_json` writes it: ``json``'s text, most
-of its numbers formatted by ``orjson``.
+once it has checked that the measurement attains the error (so no NaN
+or infinity is printed), as :func:`~qillum.states.densities_to_json`
+writes it: ``orjson``'s compact JSON.
 
 Every user parameter is checked here once, before any file is read, and
 the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and

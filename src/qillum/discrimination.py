@@ -85,6 +85,7 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
         parts = [np.add.reduce(x[lo:hi, :k], axis=-1, keepdims=True) for lo, hi, k in zip([0, *ends], ends, sizes)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
     lam, a, s, base, size = stack[rows], a[rows, None], s[rows, None], base[rows], support[rows]
+    del stack, support  # the gathered rows are all the loop needs: free the stack before its peak
     mu = np.max(lam * (a * np.arange(1, d_i + 1) - s), axis=-1, keepdims=True)
     live, m, w, sl, al, k = np.arange(rows.size), mu, lam, s, a, size  # the rows still rising
     while live.size:

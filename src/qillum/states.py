@@ -9,8 +9,8 @@ matrix after its shape, Hermiticity, trace and positivity checks.  A sweep
 probe is its Schmidt weights (:func:`schmidt_probe`).  A random pure state
 is its complex ``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing
 signal mode ``s`` with idler level ``i`` (:func:`haar_random_amplitudes`).
-Matrices leave the package as ``json``'s JSON text, most of its numbers
-formatted by ``orjson`` (:func:`densities_to_json`).
+Matrices leave the package as ``orjson``'s compact JSON, whose floats
+read back exactly (:func:`densities_to_json`).
 Every check is phrased so that a NaN fails it (``not defect <= tol``): any
 comparison with NaN is false, and an object passed to
 :func:`density_from_dict` may hold NaN or an infinity, as Python's ``json``
@@ -20,7 +20,6 @@ reader rejects those already when it parses a file.
 
 from __future__ import annotations
 
-import json
 import math
 import reprlib
 from itertools import chain
@@ -123,58 +122,17 @@ def _complex_pairs(pairs: list) -> np.ndarray:
 
 def densities_to_json(mats) -> str:
     """A list of square complex matrices of one dimension (a measurement's
-    elements) as a JSON list in the density-matrix wire format, the text of
-    ``json.dumps`` with ``sort_keys=True``: ``[re, im]`` pairs, row-major,
-    each part in ``json``'s shortest round-trip float text.
-
-    Each distinct magnitude is formatted once, and a sign is prefixed
-    wherever ``np.signbit`` is set, so ``-0.0`` keeps its sign and ``-inf``
-    reads ``-Infinity``.  The sorted magnitudes are formatted a run at a
-    time, by ``orjson`` where it writes ``json``'s bytes: the same shortest
-    round-trip digits (Ryu; ``repr``'s dtoa keeps the same rule), laid out
-    alike below 1e-9 and in [1e-4, 1e16), and in [1e-9, 1e-5) once the
-    exponent's zero is put back (``e-6`` becomes ``e-06``).  Two runs stay
-    on ``json``: [1e-5, 1e-4), where orjson writes ``0.00001`` for
-    ``1e-05``, and [1e16, inf], where it writes ``1e16`` and ``null``.  A
-    NaN would print as ``NaN`` or ``-NaN``, against ``json``'s ``NaN``:
-    none reaches here, since every matrix the package prints is built from
-    validated, finite input.  The bytes do not depend on how many
-    magnitudes repeat, only the speed does: an optimal measurement's
-    ``E0`` is Hermitian and ``E1 = I - E0``, so of its ``4 dim^2`` parts
-    about ``dim^2 + dim`` magnitudes are distinct.
+    elements) as compact JSON in the density-matrix wire format: ``[re,
+    im]`` pairs, row-major, as ``orjson`` writes them, each part in its
+    shortest round-trip float text, so ``json.loads`` reads back every part
+    bit for bit, signed zeros included.  orjson would write a NaN or an
+    infinity as ``null``; none reaches here, since ``cli`` stops a
+    measurement whose attained error is not finite before printing it.
     """
-    parts = np.stack([np.stack((m.real, m.imag), -1) for m in mats])
-    mag, index = np.unique(np.abs(parts), return_inverse=True)
-    text = np.array(_magnitude_texts(mag), dtype=object)
-    # what precedes a part: the imaginary part of a pair, the real part of
-    # a pair within a row, of a row's first pair, of the matrix's first;
-    # then the same followed by a minus sign
-    before = (", ", "], [", "]], [[", f'{{"dim": {parts.shape[1]}, "entries": [[[')
-    prefixes = np.array([*before, *(s + "-" for s in before)], dtype=object)
-    where = np.zeros(parts.shape[1:], dtype=np.intp)
-    where[..., 0] = 1
-    where[:, 0, 0] = 2
-    where[0, 0, 0] = 3
-    out = ["["]
-    for part, idx in zip(parts, index.reshape(parts.shape)):
-        # one matrix at a time, its pieces freed before the next's are
-        # built: they are the largest intermediate
-        pieces = np.stack((prefixes[where + len(before) * np.signbit(part)], text[idx]), -1)
-        out += ["".join(pieces.ravel().tolist()), "]]]}, "]
-        del pieces
-    out[-1] = "]]]}]"
-    return "".join(out)
-
-
-def _magnitude_texts(mag: np.ndarray) -> list:
-    """``json.dumps(mag.tolist())[1:-1].split(", ")`` for sorted magnitudes, a run at a time."""
     import orjson  # here, not at module level: only helstrom --povm prints a measurement
 
-    tiny, small, e5, mid, big = np.split(mag, np.searchsorted(mag, [1e-9, 1e-5, 1e-4, 1e16]))
-    fast = [orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY) for run in (tiny, small, mid)]
-    slow = [json.dumps(run.tolist(), separators=(",", ":")).encode() for run in (e5, big)]
-    runs = (fast[0], fast[1].replace(b"e-", b"e-0"), slow[0], fast[2], slow[1])
-    return b",".join(r[1:-1] for r in runs if r != b"[]").decode().split(",")
+    objs = [{"dim": len(m), "entries": np.stack((m.real, m.imag), -1)} for m in mats]
+    return orjson.dumps(objs, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -13,8 +13,8 @@ Between that and the package's overlap from the weights alone sits
 matrix; between the dense minimum error and the package's secular root
 sits :func:`schmidt_helstrom_oracle`, a stacked eigensolve of the
 Schmidt-space blocks.  :func:`pure_state_dict` and :func:`density_to_dict`
-build wire-format objects; the latter is also the byte oracle of the
-package's JSON encoder.  :func:`haar_amplitudes_oracle` is the
+build wire-format objects, and :func:`assert_reads_back` holds decoded ones
+to their matrices bit for bit.  :func:`haar_amplitudes_oracle` is the
 per-sample Haar sampler that the package's batched one must match bit for
 bit.  :func:`exact_flat_error` is a flat probe's error as an exact
 rational.  The package computes the same numbers from a probe's Schmidt
@@ -219,10 +219,18 @@ def pure_state_dict(amp):
 
 def density_to_dict(mat):
     """A square complex matrix as a wire-format object: ``[re, im]`` float
-    pairs from one ``tolist``, row-major.  ``json.dumps`` of a list of
-    these, with ``sort_keys=True``, is the byte oracle for the package's
-    ``densities_to_json``."""
+    pairs from one ``tolist``, row-major."""
     return {"dim": mat.shape[0], "entries": np.stack((mat.real, mat.imag), -1).tolist()}
+
+
+def assert_reads_back(objs, mats):
+    """The decoded wire-format objects ``objs`` hold the matrices ``mats``:
+    each dimension, and every part bit for bit, signed zeros included."""
+    assert [e["dim"] for e in objs] == [len(m) for m in mats]
+    got = np.array([e["entries"] for e in objs], dtype=float)
+    want = np.stack([np.stack((m.real, m.imag), -1) for m in mats])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def povm_error(rho0, rho1, p0, povm):

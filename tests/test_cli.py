@@ -18,7 +18,15 @@ from qillum import analysis, cli
 from qillum.cli import MAX_SWEEP_ROWS, main, parse_float_grid
 from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
 from qillum.states import DEFAULT_TOL, density_from_dict
-from conftest import AWKWARD_PARTS, density_to_dict, ginibre, povm_error, pure_state_dict, random_density
+from conftest import (
+    AWKWARD_PARTS,
+    assert_reads_back,
+    density_to_dict,
+    ginibre,
+    povm_error,
+    pure_state_dict,
+    random_density,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -461,8 +469,8 @@ class TestHelstrom:
 
     @pytest.mark.parametrize("seed, dim, spec0, spec1", BENCHMARK_PAIRS)
     def test_povm_text_at_benchmark_sizes(self, tmp_path, capsys, seed, dim, spec0, spec1):
-        """The benchmark's shapes of pair: the measurement prints as
-        ``json.dumps`` of the per-element objects, and it attains the
+        """The benchmark's shapes of pair: the printed measurement reads back
+        as ``optimal_povm``'s elements bit for bit, and it attains the
         printed error."""
         rng = np.random.default_rng(seed)
         obj0, obj1 = random_state_object(rng, dim, spec0), random_state_object(rng, dim, spec1)
@@ -470,15 +478,11 @@ class TestHelstrom:
         assert run_helstrom(tmp_path, obj0, obj1, "--p0", repr(p0), "--povm") == 0
         out = capsys.readouterr().out
         rho0, rho1 = density_from_dict(obj0), density_from_dict(obj1)
-        povm = optimal_povm(rho0, rho1, p0)
-        text = json.dumps([density_to_dict(e) for e in povm], sort_keys=True)
-        assert out == f"{cli._fmt(helstrom_error(rho0, rho1, p0))}\n{text}\n"
         line0, line1 = out.splitlines()
-        elements = json.loads(line1)
-        assert [e["dim"] for e in elements] == [dim, dim]
-        parsed = [np.array(e["entries"]).view(complex)[..., 0] for e in elements]
-        assert [e.shape for e in parsed] == [(dim, dim)] * 2
-        assert povm_error(rho0, rho1, p0, parsed) == pytest.approx(float(line0), abs=dim * 1e-9)
+        assert line0 == cli._fmt(helstrom_error(rho0, rho1, p0))
+        povm = optimal_povm(rho0, rho1, p0)
+        assert_reads_back(json.loads(line1), povm)
+        assert povm_error(rho0, rho1, p0, povm) == pytest.approx(float(line0), abs=dim * 1e-9)
 
     @pytest.mark.parametrize("state0, state1, extra", [
         (NAN_AMPLITUDE, NAN_AMPLITUDE, []),
@@ -515,11 +519,10 @@ class TestHelstrom:
         assert main(argv) == 0
         assert capsys.readouterr().out == (DATA / "helstrom_readme_golden.txt").read_text()
 
-    def test_povm_output_across_the_cuts(self, capsys):
-        """A 16-dimensional measurement whose parts fall on both sides of
-        every cut where orjson's float layout leaves ``json``'s (``e-05``
-        to ``e-09``, ``0.000d``, two-digit exponents): the golden was cut
-        before orjson formatted any of them."""
+    def test_povm_output_over_sixteen_decades(self, capsys):
+        """A 16-dimensional measurement whose parts' magnitudes run from
+        about 1e-16 to 1: the golden pins orjson 3.8.3's float layout in
+        fixed and exponent form (``0.0000d``, ``e-6`` to ``e-16``)."""
         argv = ["helstrom", "--state0", str(DATA / "geometric_pure.json"), "--state1", str(DATA / "mixed_16.json"),
                 "--p0", "0.5", "--povm"]
         assert main(argv) == 0
@@ -534,6 +537,25 @@ class TestHelstrom:
         assert captured.out == ""
         assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
         assert "np.float64" not in captured.err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_povm_exits_2(self, tmp_path, monkeypatch, capsys, bad):
+        """A measurement with a NaN or infinite entry attains a non-finite
+        error, so the check stops it before anything is printed: orjson
+        would print such an entry as ``null``."""
+        exact = cli.optimal_povm
+
+        def tainted(*args):
+            e0, e1 = exact(*args)
+            e0 = e0.copy()
+            e0[0, 0] = bad
+            return e0, e1
+
+        monkeypatch.setattr(cli, "optimal_povm", tainted)
+        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
 
     def test_povm_check_passes_at_tiny_tolerance(self, tmp_path, monkeypatch, capsys):
         """At ``QI_TOL = 1e-300`` the check's bound is its 16 float steps a
