@@ -14,9 +14,10 @@ the whole ``eta`` grid, with the columns ``analysis.SWEEP_COLUMNS`` names.
 The dense minimum error, with the optimal measurement, serves arbitrary
 stored states, each decoded once into a read-only complex array.  Inputs
 are validated once, where they enter: files in :mod:`qillum.states`, user
-parameters in :mod:`qillum.cli`; the rest takes them unchecked.  Import
-the submodules: :mod:`qillum.states`, :mod:`qillum.discrimination`,
-:mod:`qillum.analysis` and the command line, :mod:`qillum.cli`.
+parameters (a sweep's families among them, parsed into weights once) in
+:mod:`qillum.cli`; the rest takes them unchecked.  Import the submodules:
+:mod:`qillum.states`, :mod:`qillum.discrimination`, :mod:`qillum.analysis`
+and the command line, :mod:`qillum.cli`.
 """
 
 __version__ = "0.1.0"

@@ -16,24 +16,21 @@ from the closed forms alone, each sample's weights from one stacked
 singular-value decomposition and each chunk's errors from one kernel
 call, and holds each sample's error to the same bracket.  The dense
 channel outputs are the tests' oracle for both.  Both take their
-parameters unchecked: :mod:`qillum.cli` checks them.
+parameters unchecked, a sweep's families among them: :mod:`qillum.cli`
+checks each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import DEFAULT_TOL, haar_random_amplitudes, schmidt_probe
+from .states import DEFAULT_TOL, haar_random_amplitudes
 from .discrimination import channel_overlap, flat_probe_error, h01_closed_form, schmidt_helstrom_error
 
-#: A sweep family: its probe's Schmidt weights ``lam`` at each signal
-#: dimension ``d_s``, a 1-D float array of length ``d_i`` that sums to 1
-#: (:func:`~qillum.states.schmidt_probe`).
-Family = Callable[[int], np.ndarray]
 #: Required agreement between the closed-form and direct overlap columns.
 RECORD_AGREEMENT_TOL = 1e-9
 #: How far a probe's ``p_err`` may stray outside the closed-form bracket
@@ -56,42 +53,16 @@ class VerificationError(ValueError):
     """A computed result failed one of its numerical cross-checks."""
 
 
-def bell_family() -> Family:
-    """Maximally entangled input at every dimension: ``d_s`` Schmidt weights
-    ``1/d_s``, each the correctly rounded quotient."""
-    return lambda d_s: np.full(d_s, 1.0 / d_s)
-
-
-def uniform_rank_family(rank: int) -> Family:
-    """Input with a flat reduced spectrum of the given rank (so k_i = rank):
-    ``rank`` Schmidt weights ``1/rank``, each the correctly rounded
-    quotient, checked against each signal dimension before they are
-    allocated."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-
-    def probe(d_s: int) -> np.ndarray:
-        if rank > d_s:
-            raise ValueError(f"rank {rank} exceeds the signal dimension {d_s}")
-        return np.full(rank, 1.0 / rank)
-
-    return probe
-
-
-def fixed_spectrum_family(spectrum: Sequence[float], tol: float = DEFAULT_TOL) -> Family:
-    """Input with one prescribed reduced spectrum at every dimension; its sum
-    must be 1 within ``tol`` (see :func:`~qillum.states.schmidt_probe`)."""
-    spec = np.asarray(spectrum, dtype=float)
-    return lambda d_s: schmidt_probe(d_s, spec, tol)
-
-
-def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Family], p0: float = 0.5) -> np.ndarray:
+def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[np.ndarray | None],
+              p0: float = 0.5) -> np.ndarray:
     """Evaluate the full pipeline on a grid, as a float table: one row per
     point, ordered lexicographically (eta outermost, then dimension, then
     family), with the columns :data:`SWEEP_COLUMNS`.
 
-    Each distinct (dimension, family) probe's weights ``lam`` are built once
-    and taken in chunks, zero-padded to their widest, of at most
+    A family is its probe's Schmidt weights ``lam`` at every dimension
+    (:func:`~qillum.states.schmidt_probe`), or ``None`` for the Bell probe's,
+    ``np.full(d_s, 1.0 / d_s)``, built at each dimension.  The probes are
+    taken in output order, in chunks zero-padded to their widest, of at most
     :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
     alone): a chunk is one kernel call for ``p_err`` and one for
     ``h01_direct`` (traces of ``diag(lam)``), over the whole eta grid, each
@@ -99,16 +70,15 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Fam
     forms are one stacked call each, written with the rest into one
     preallocated table, and the checks run once on it: the two overlaps
     agree, and ``p_err`` lies between the Bell probe's error and
-    ``p_err_ci``, within :data:`BRACKET_TOL`.  The grid and ``p0`` are
-    unchecked.  Raises ``ValueError`` for families infeasible at a requested
-    dimension, and its subclass :class:`VerificationError` for a failed row.
+    ``p_err_ci``, within :data:`BRACKET_TOL`.  The arguments are unchecked
+    (:mod:`qillum.cli` holds each family to the smallest dimension); a
+    failed row raises :class:`VerificationError`.
     """
     dims = [int(d) for d in dims]
     eta = np.array([float(e) for e in etas])
-    # each distinct probe once, in first-seen order: column j of the (eta, probe) blocks
-    probes = {key: j for j, key in enumerate(dict.fromkeys(product(dims, range(len(families)))))}
-    d_s, d_i, purity = np.array([d for d, _ in probes], dtype=float), *np.empty((2, len(probes)))
-    p_err, h01_direct = np.empty((2, eta.size, len(probes)))
+    n = len(dims) * len(families)  # column j of the (eta, probe) blocks is probe j in output order
+    d_s, d_i, purity = np.repeat(np.array(dims, dtype=float), len(families)), *np.empty((2, n))
+    p_err, h01_direct = np.empty((2, eta.size, n))
 
     def evaluate(first, chunk):  # probes first, first + 1, ... as one zero-padded stack
         cols, sizes = slice(first, first + len(chunk)), [lam.size for lam in chunk]
@@ -120,22 +90,21 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[Fam
         h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols])
 
     chunk, width = [], 0
-    for (d, f), j in probes.items():
-        lam = families[f](d)
+    for j, (d, lam) in enumerate(product(dims, families)):
+        lam = np.full(d, 1.0 / d) if lam is None else lam
         width = max(width, lam.size)
         if chunk and (len(chunk) + 1) * width * eta.size > _CHUNK_AMPLITUDES:
             evaluate(j - len(chunk), chunk)
             chunk, width = [], lam.size
         chunk.append(lam)
-    evaluate(len(probes) - len(chunk), chunk)
-    # the (eta, probe) blocks in output order; the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)
-    order = [probes[key] for key in product(dims, range(len(families)))]
-    d_s, d_i, k_i = d_s[order], d_i[order], 1.0 / purity[order]
+    evaluate(n - len(chunk), chunk)
+    # the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)
+    k_i = 1.0 / purity
     h01_closed, h01_ci = h01_closed_form(eta[:, None], d_s, np.stack((k_i, np.ones_like(k_i)))[:, None])
     p_err_ci, bell = flat_probe_error(eta[:, None], np.stack((d_s, d_s * d_i))[:, None], p0)
-    blocks = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=k_i, h01_closed=h01_closed, h01_direct=h01_direct[:, order],
-                  p_err=p_err[:, order], p_err_ci=p_err_ci, advantage=h01_ci - h01_closed)
-    table = np.empty((eta.size, len(order), len(SWEEP_COLUMNS)))
+    blocks = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=k_i, h01_closed=h01_closed, h01_direct=h01_direct,
+                  p_err=p_err, p_err_ci=p_err_ci, advantage=h01_ci - h01_closed)
+    table = np.empty((eta.size, n, len(SWEEP_COLUMNS)))
     for k, name in enumerate(SWEEP_COLUMNS):
         table[..., k] = blocks[name]
     table = table.reshape(-1, len(SWEEP_COLUMNS))

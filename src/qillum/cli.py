@@ -7,19 +7,22 @@ as strict JSON (``NaN``, ``Infinity`` and literals beyond double range
 fail there).  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table
 as CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
 through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
-weights: flat for ``bell`` and ``uniform-rank:<r>``, read from a JSON list
-for ``spectrum:<file>``.  ``helstrom`` decodes two state files in either
-wire format of :mod:`~qillum.states` by
-:func:`~qillum.states.density_from_dict`, and prints the error through
-:func:`_fmt`; with ``--povm`` it also prints the optimal measurement,
-once it has checked that the measurement attains the error (so no NaN
-or infinity is printed), as :func:`~qillum.states.densities_to_json`
-writes it: ``orjson``'s compact JSON.
+weights, built once a sweep (Bell's at each dimension): flat for ``bell``
+and ``uniform-rank:<r>``, read from a JSON list for ``spectrum:<file>``.
+``helstrom`` decodes two state files in either wire format of
+:mod:`~qillum.states` by :func:`~qillum.states.density_from_dict`, and
+prints the error through :func:`_fmt`; with ``--povm`` it also prints the
+optimal measurement, once it has checked that the measurement attains the
+error (so no NaN or infinity is printed), as
+:func:`~qillum.states.densities_to_json` writes it: ``orjson``'s compact JSON.
 
 Every user parameter is checked here once, before any file is read, and
 the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and
 ``d`` at least 2, NaN failing each (:func:`_check_parameters`); ``--d``
-integral; ``--samples`` at least 1; a sweep at most :data:`MAX_SWEEP_ROWS` rows.
+integral; ``--samples`` at least 1; a sweep at most :data:`MAX_SWEEP_ROWS`
+rows, and ``--out`` not a ``--plot`` file.  Then each family is checked
+against the smallest ``--d`` (:func:`parse_family`), before any probe is
+evaluated.
 
 Exit codes: 0 success, 1 validation or usage error (``ValueError``,
 ``OSError``), 2 numerical-verification failure (``VerificationError``).
@@ -47,18 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers
+from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers, schmidt_probe
 from .discrimination import helstrom_error, optimal_povm
-from .analysis import (
-    SWEEP_COLUMNS,
-    Family,
-    VerificationError,
-    bell_family,
-    fixed_spectrum_family,
-    run_sweep,
-    uniform_rank_family,
-    verify_bell_optimality,
-)
+from .analysis import SWEEP_COLUMNS, VerificationError, run_sweep, verify_bell_optimality
 
 CSV_HEADER = ",".join(SWEEP_COLUMNS)
 #: Largest number of rows (eta x dimension x family) one sweep may have, so
@@ -132,17 +126,24 @@ def _check_parameters(etas, dims, p0: float) -> None:
             raise ValueError(f"{rule}, got {bad[0]}")
 
 
-def parse_family(text: str, tol: float) -> Family:
-    """The sweep family named by ``text``; a ``spectrum:`` file's sum must be
-    1 within ``tol``."""
+def parse_family(text: str, tol: float, d_s: int) -> np.ndarray | None:
+    """The weights :func:`~qillum.analysis.run_sweep` takes for the family
+    ``text``, at most ``d_s`` (the smallest signal dimension): ``None``
+    for ``bell``; ``rank`` weights ``1/rank`` for ``uniform-rank:<rank>``,
+    checked before they are allocated; a ``spectrum:`` file's
+    :func:`~qillum.states.schmidt_probe`, its sum 1 within ``tol``."""
     if text == "bell":
-        return bell_family()
+        return None
     if text.startswith("uniform-rank:"):
         try:
             rank = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad rank in {text!r}") from exc
-        return uniform_rank_family(rank)
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if rank > d_s:
+            raise ValueError(f"rank {rank} exceeds the signal dimension {d_s}")
+        return np.full(rank, 1.0 / rank)
     if text.startswith("spectrum:"):
         path = text.split(":", 1)[1]
         spectrum = _read_json(path, "spectrum")
@@ -152,7 +153,9 @@ def parse_family(text: str, tol: float) -> Family:
             require_numbers(spectrum)
         except ValueError as exc:
             raise ValueError(f"spectrum file {path!r}: {exc}") from exc
-        return fixed_spectrum_family(spectrum, tol)
+        if len(spectrum) > d_s:
+            raise ValueError(f"spectrum length {len(spectrum)} not in [1, {d_s}]")
+        return schmidt_probe(spectrum, tol)
     raise ValueError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
@@ -198,6 +201,9 @@ def render_gnuplot_script(csv_path: Path, dims: list[int], families: list[str]) 
 
 
 def cmd_sweep(args, tol: float) -> int:
+    out = Path(args.out)
+    if args.plot and out.suffix in (".gp", ".png"):
+        raise ValueError(f"--out {args.out!r} would be overwritten by the plot's own {out.suffix} file")
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
     names = args.family or ["bell"]
@@ -205,9 +211,8 @@ def cmd_sweep(args, tol: float) -> int:
     n_rows = len(etas) * len(dims) * len(names)
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
-    families = [parse_family(f, tol) for f in names]
+    families = [parse_family(f, tol, min(dims)) for f in names]
     table = run_sweep(etas, dims, families, p0=args.p0)
-    out = Path(args.out)
     out.write_text(render_sweep_csv(table))
     if args.plot:
         out.with_suffix(".gp").write_text(render_gnuplot_script(out, dims, names))

@@ -6,9 +6,10 @@ once.  A state read from a file, in either wire format, becomes a
 read-only complex density matrix (:func:`density_from_dict`): a pure state
 its projector, whose amplitudes' squared norm is its trace, and a stored
 matrix after its shape, Hermiticity, trace and positivity checks.  A sweep
-probe is its Schmidt weights (:func:`schmidt_probe`).  A random pure state
-is its complex ``(d_s, d_i)`` amplitude matrix, entry ``[s, i]`` pairing
-signal mode ``s`` with idler level ``i`` (:func:`haar_random_amplitudes`).
+probe is its Schmidt weights (:func:`schmidt_probe`), built once per sweep
+from a ``spectrum:`` file.  A random pure state is its complex ``(d_s,
+d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s`` with
+idler level ``i`` (:func:`haar_random_amplitudes`).
 Matrices leave the package as ``orjson``'s compact JSON, whose floats
 read back exactly (:func:`densities_to_json`).
 Every check is phrased so that a NaN fails it (``not defect <= tol``): any
@@ -30,19 +31,18 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def schmidt_probe(d_s: int, spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
+def schmidt_probe(spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Schmidt weights ``lam`` of the probe ``sum_m sqrt(lam_m) |m>|m>`` on
-    ``d_s`` signal modes and ``len(spectrum)`` idler levels, whose idler
-    reduction is ``diag(lam)``: a descending 1-D float array, the squared
-    coefficients ``sqrt(spectrum)`` scaled to unit length by an exactly
-    rounded sum (:func:`math.fsum`), so no sum over it depends on the order
-    of the entries or on the BLAS build.  The spectrum must have between 1
-    and ``d_s`` entries, none below ``-1e-12``, and a positive sum within
-    ``tol`` of 1.  Entries below zero count as 0.
+    ``len(spectrum)`` idler levels, whose idler reduction is ``diag(lam)``:
+    a descending 1-D float array, the squared coefficients
+    ``sqrt(spectrum)`` scaled to unit length by an exactly rounded sum
+    (:func:`math.fsum`), so no sum over it depends on the order of the
+    entries or on the BLAS build.  The spectrum must have no entry below
+    ``-1e-12`` and a positive sum within ``tol`` of 1; entries below zero
+    count as 0.  Its length is not checked: :mod:`qillum.cli` holds it to
+    the smallest signal dimension of a sweep.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
-    if spec.size < 1 or spec.size > d_s:
-        raise ValueError(f"spectrum length {spec.size} not in [1, {d_s}]")
     if not np.all(spec >= -1e-12):
         raise ValueError("spectrum entries must be non-negative")
     total = float(spec.sum())

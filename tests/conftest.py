@@ -1,7 +1,9 @@
 """Shared state builders, random-object generators and dense oracles for
 the test suite.
 
-A pure state is its complex ``(d_s, d_i)`` amplitude matrix
+A sweep family is what ``run_sweep`` takes: :data:`BELL`,
+:func:`uniform_rank` or a spectrum's ``schmidt_probe`` weights.  A pure
+state is its complex ``(d_s, d_i)`` amplitude matrix
 (:func:`schmidt_amplitudes` builds it from a sweep probe's Schmidt
 weights).  The dense oracle of the illumination channel lives here: the
 state's projector (:func:`projector`), the idler reduction as its partial
@@ -41,6 +43,17 @@ AWKWARD_PARTS = [
     0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4, -1.0000000000000002e-4,
     9999999999999998.0, 1e16, -1.0000000000000002e16, 1.0, -2.0, 3.0, 1e300, math.inf, -math.inf,
 ]
+
+
+#: The Bell family as ``run_sweep`` takes it: ``d_s`` weights ``1/d_s`` at
+#: each dimension, built there.
+BELL = None
+
+
+def uniform_rank(rank):
+    """The weights of the family ``uniform-rank:<rank>``: ``rank`` weights,
+    each the correctly rounded ``1/rank``."""
+    return np.full(rank, 1.0 / rank)
 
 
 def max_abs_diff(a, b):

@@ -10,19 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qillum import analysis
-from qillum.states import schmidt_probe
+from qillum import analysis, cli
+from qillum.states import DEFAULT_TOL, schmidt_probe
 from qillum.discrimination import flat_probe_error, h01_closed_form, schmidt_helstrom_error
-from qillum.analysis import (
-    SWEEP_COLUMNS,
-    VerificationError,
-    bell_family,
-    fixed_spectrum_family,
-    run_sweep,
-    uniform_rank_family,
-    verify_bell_optimality,
-)
+from qillum.analysis import SWEEP_COLUMNS, VerificationError, run_sweep, verify_bell_optimality
 from conftest import (
+    BELL,
     UNIT,
     bell_state,
     effective_rank_k,
@@ -35,12 +28,27 @@ from conftest import (
     schmidt_amplitudes,
     sweep_columns,
     unentangled_error,
+    uniform_rank,
 )
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The sweep kernels' calls, in order, as ``(kind, weights, etas shape,
+    d_s list)``, ``kind`` being ``"error"`` or ``"overlap"``."""
+    calls = []
+    for kind, name in (("error", "schmidt_helstrom_error"), ("overlap", "channel_overlap")):
+        def counted(weights, etas, d_s, *rest, kind=kind, exact=getattr(analysis, name)):
+            calls.append((kind, weights.copy(), etas.shape, d_s.tolist()))
+            return exact(weights, etas, d_s, *rest)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
 
 
 class TestRunSweep:
     def test_single_point_zero_signal(self):
-        table = run_sweep([0.0], [2], [bell_family()])
+        table = run_sweep([0.0], [2], [BELL])
         assert table.shape == (1, len(SWEEP_COLUMNS))
         r = sweep_columns(table)
         assert r["h01_closed"][0] == 1.0
@@ -48,29 +56,34 @@ class TestRunSweep:
         assert r["p_err"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_bell_qubit_full_signal(self):
-        r = sweep_columns(run_sweep([1.0], [2], [bell_family()]))
+        r = sweep_columns(run_sweep([1.0], [2], [BELL]))
         assert r["h01_closed"][0] == pytest.approx(0.5, abs=1e-12)
         # trace-norm oracle: 0.5 * (bell projector - I/4) has eigenvalues
         # 0.5 * {3/4, -1/4, -1/4, -1/4}, so the norm is 0.75 and p_err 0.125
         assert r["p_err"][0] == pytest.approx(0.125, abs=1e-12)
 
     def test_overlap_column_strictly_decreasing_in_eta(self):
-        table = run_sweep([0.0, 0.25, 0.5, 0.75, 1.0], [2], [bell_family()])
+        table = run_sweep([0.0, 0.25, 0.5, 0.75, 1.0], [2], [BELL])
         h = sweep_columns(table)["h01_direct"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
 
     def test_lexicographic_ordering(self):
-        table = run_sweep([0.2, 0.7], [2, 3], [uniform_rank_family(1), bell_family()])
+        table = run_sweep([0.2, 0.7], [2, 3], [uniform_rank(1), BELL])
         r = sweep_columns(table)
         keys = list(zip(r["eta"].tolist(), r["d_s"].tolist(), r["k_i"].tolist()))
         assert keys == sorted(keys)
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError, match="^rank 3 exceeds the signal dimension 2$"):
-            run_sweep([0.5], [2], [uniform_rank_family(3)])
+    def test_rejects_bad_grid(self, tmp_path, monkeypatch, capsys):
+        """A family wider than a dimension never reaches ``run_sweep``: the
+        command line names it, exits 1 and writes no CSV."""
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("run_sweep was called"))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--eta", "0.5", "--d", "2", "--family", "uniform-rank:3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: rank 3 exceeds the signal dimension 2\n"
+        assert not out.exists()
 
     def test_ci_column_matches_rank_one_family(self):
-        r = sweep_columns(run_sweep([0.6], [3], [uniform_rank_family(1)]))
+        r = sweep_columns(run_sweep([0.6], [3], [uniform_rank(1)]))
         assert r["p_err"][0] == pytest.approx(r["p_err_ci"][0], abs=1e-12)
         assert r["advantage"][0] == pytest.approx(0.0, abs=1e-12)
 
@@ -79,7 +92,7 @@ class TestRunSweep:
         takes 16.8 MB; the sweep holds nothing larger than d_s x d_i."""
         tracemalloc.start()
         try:
-            run_sweep([0.5], [32], [bell_family()])
+            run_sweep([0.5], [32], [BELL])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -91,7 +104,7 @@ class TestRunSweep:
         would take 16 MB, and its idler reduction another 16 MB."""
         tracemalloc.start()
         try:
-            run_sweep([0.5], [1000], [bell_family()])
+            run_sweep([0.5], [1000], [BELL])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -103,15 +116,15 @@ class TestRunSweep:
         3000 weights."""
         tracemalloc.start()
         try:
-            run_sweep([0.5], [3000], [bell_family()])
+            run_sweep([0.5], [3000], [BELL])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("etas, dims, families", [
-        ([k / 100 for k in range(1, 91)], range(1000, 1100), [uniform_rank_family(1000)]),
-        ([0.5], range(2, 3001), [bell_family(), uniform_rank_family(2)]),
+        ([k / 100 for k in range(1, 91)], range(1000, 1100), [uniform_rank(1000)]),
+        ([0.5], range(2, 3001), [BELL, uniform_rank(2)]),
     ])
     def test_memory_bound_over_many_probes(self, etas, dims, families):
         """A chunk of probes, zero-padded to its widest, is evaluated before
@@ -127,30 +140,41 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("family, d_i", [
-        (bell_family(), 5), (uniform_rank_family(3), 3), (fixed_spectrum_family([0.5, 0.0, 0.2, 0.3]), 4),
-    ])
-    def test_families_return_weights(self, family, d_i):
-        lam = family(5)
+    @pytest.mark.parametrize("text, d_i", [("bell", 5), ("uniform-rank:3", 3), ("spectrum", 4)])
+    def test_families_return_weights(self, tmp_path, kernel_calls, text, d_i):
+        """The weights each family reaches the kernels with at d_s = 5:
+        parsed once, but Bell's built by ``run_sweep`` at the dimension."""
+        if text == "spectrum":
+            spec = tmp_path / "spec.json"
+            spec.write_text("[0.5, 0.0, 0.2, 0.3]")
+            text = f"spectrum:{spec}"
+        family = cli.parse_family(text, DEFAULT_TOL, 5)
+        assert (family is None) == (text == "bell")
+        run_sweep([0.5], [5], [family])
+        (lam,) = kernel_calls[0][1]
         assert lam.ndim == 1 and lam.dtype == float and lam.size == d_i
         assert abs(lam.sum() - 1.0) <= 1e-15
+        assert family is None or np.array_equal(lam, family)
 
-    def test_bell_weights_are_exactly_one_over_d(self):
+    def test_bell_weights_are_exactly_one_over_d(self, kernel_calls):
         """Each weight is the correctly rounded 1/d; squaring a rounded
         1/sqrt(d) misses it at 583 of d in [2, 1000), d = 2 among them."""
-        bell = bell_family()
-        for d in range(2, 1000):
-            lam = bell(d)
-            assert lam.size == d and np.all(lam == 1.0 / d), d
+        run_sweep([0.5], range(2, 1000), [BELL])
+        rows = [(lam, int(d)) for kind, stack, _, d_s in kernel_calls if kind == "error" for lam, d in zip(stack, d_s)]
+        assert [d for _, d in rows] == list(range(2, 1000))
+        for lam, d in rows:
+            assert np.all(lam[:d] == 1.0 / d) and not lam[d:].any(), d
 
-    def test_uniform_rank_weights_are_bell_weights(self):
+    def test_uniform_rank_weights_are_bell_weights(self, kernel_calls):
         """Bit for bit, so their sweep rows are equal: rescaling ``sqrt(1/d)``
         missed 1/d at 153 of d in [1, 300)."""
         for d in range(1, 65):
-            assert np.array_equal(uniform_rank_family(d)(d), bell_family()(d)), d
-            if d in (2, 7, 14, 49, 64):
-                table = run_sweep(np.linspace(0.0, 1.0, 21), [d], [bell_family(), uniform_rank_family(d)])
-                assert np.array_equal(table[0::2], table[1::2]), d
+            rank = cli.parse_family(f"uniform-rank:{d}", DEFAULT_TOL, d)
+            kernel_calls.clear()
+            table = run_sweep(np.linspace(0.0, 1.0, 21), [d], [BELL, rank])
+            (_, (bell, flat), *_), _ = kernel_calls  # one error call, one overlap call
+            assert np.array_equal(bell, rank) and np.array_equal(flat, rank), d
+            assert np.array_equal(table[0::2], table[1::2]), d
 
 
 class TestSweepRecordValidation:
@@ -161,14 +185,14 @@ class TestSweepRecordValidation:
         exact = analysis.channel_overlap
         monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s: exact(lam, eta, d_s) - 0.05)
         with pytest.raises(VerificationError, match="disagree by 5.000e-02 at"):
-            run_sweep([0.5], [2], [bell_family()])
+            run_sweep([0.5], [2], [BELL])
 
     def test_rejects_out_of_range_probability(self, monkeypatch):
         """A probe's error above the unentangled one's leaves the bracket."""
         exact = analysis.schmidt_helstrom_error
         monkeypatch.setattr(analysis, "schmidt_helstrom_error", lambda *args: exact(*args) + 0.2)
         with pytest.raises(VerificationError, match=r"^p_err=0\.5125\d* outside \[0\.3125, 0\.375\] at \(eta=0\.5,"):
-            run_sweep([0.5], [2], [bell_family()])
+            run_sweep([0.5], [2], [BELL])
 
     def test_rejects_out_of_range_baseline(self, monkeypatch):
         """An unentangled error below the probe's leaves the bracket."""
@@ -179,56 +203,53 @@ class TestSweepRecordValidation:
 
         monkeypatch.setattr(analysis, "flat_probe_error", baseline_skewed)
         with pytest.raises(VerificationError, match=r"^p_err=0\.3125\d* outside \[0\.3125, -0\.625\] at"):
-            run_sweep([0.5], [2], [bell_family()])
+            run_sweep([0.5], [2], [BELL])
 
-    def test_checks_follow_every_probe(self, monkeypatch):
-        """A family infeasible at a later dimension is a ValueError (exit 1),
-        even where an earlier probe already fails a cross-check (exit 2)."""
+    def test_checks_follow_every_probe(self, tmp_path, monkeypatch, capsys, kernel_calls):
+        """A family infeasible at a later dimension exits 1 before any probe
+        is evaluated, even where an earlier probe would fail a cross-check
+        (exit 2)."""
         monkeypatch.setattr(
             analysis, "channel_overlap", lambda lam, eta, d_s: np.full(np.broadcast_shapes(eta.shape, d_s.shape), np.nan)
         )
-        with pytest.raises(ValueError, match="exceeds") as caught:
-            run_sweep([0.5], [4, 2], [uniform_rank_family(3)])
-        assert not isinstance(caught.value, VerificationError)
-        with pytest.raises(VerificationError, match="disagree by nan"):
-            run_sweep([0.5], [4, 2], [uniform_rank_family(2)])
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--eta", "0.5", "--d", "4,2", "--out", str(out)]
+        assert cli.main([*argv, "--family", "uniform-rank:3"]) == 1
+        assert capsys.readouterr().err == "error: rank 3 exceeds the signal dimension 2\n"
+        assert kernel_calls == [] and not out.exists()
+        assert cli.main([*argv, "--family", "uniform-rank:2"]) == 2
+        assert "disagree by nan" in capsys.readouterr().err
+        assert len(kernel_calls) == 1 and not out.exists()
 
 
 class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
-    def test_one_kernel_call_per_chunk(self, monkeypatch):
+    def test_one_kernel_call_per_chunk(self, kernel_calls):
         """The probes of a chunk, of any widths, are one zero-padded stack:
         one error and one overlap call over the eta column, each probe with
-        its own d_s.  A chunk ends before its padded weights times the grid
-        would pass the chunk bound; the baseline is a closed form."""
-        exact_error, exact_overlap = analysis.schmidt_helstrom_error, analysis.channel_overlap
-        calls = []
+        its own d_s, in output order, a repeated d_s again.  A chunk ends
+        before its padded weights times the grid would pass the chunk bound;
+        the baseline is a closed form."""
+        def calls():
+            shapes = [(kind, lam.shape, etas, d_s) for kind, lam, etas, d_s in kernel_calls]
+            kernel_calls.clear()
+            return shapes
 
-        def error_counted(weights, etas, d_s, p0):
-            calls.append(("error", weights.shape, etas.shape, d_s.tolist()))
-            return exact_error(weights, etas, d_s, p0)
-
-        def overlap_counted(weights, etas, d_s):
-            calls.append(("overlap", weights.shape, etas.shape, d_s.tolist()))
-            return exact_overlap(weights, etas, d_s)
-
-        monkeypatch.setattr(analysis, "schmidt_helstrom_error", error_counted)
-        monkeypatch.setattr(analysis, "channel_overlap", overlap_counted)
-        families = [bell_family(), uniform_rank_family(2), fixed_spectrum_family([0.5, 0.3, 0.2])]
+        families = [BELL, uniform_rank(2), schmidt_probe([0.5, 0.3, 0.2])]
         table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], families)
         assert len(table) == 36
-        assert calls == [(kind, (6, 5), (4, 1), [3, 3, 3, 5, 5, 5]) for kind in ("error", "overlap")]
-        calls.clear()
+        assert calls() == [(kind, (9, 5), (4, 1), [3, 3, 3, 5, 5, 5, 3, 3, 3]) for kind in ("error", "overlap")]
         # a second probe would make 2 x 1000 weights x 40 etas, past 2^16: a chunk a probe
-        run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [uniform_rank_family(1000)])
-        assert [shape for kind, shape, _, _ in calls if kind == "error"] == [(1, 1000)] * 3
-        assert len(calls) == 6
-        calls.clear()
+        run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [uniform_rank(1000)])
+        shapes = calls()
+        assert [shape for kind, shape, _, _ in shapes if kind == "error"] == [(1, 1000)] * 3
+        assert len(shapes) == 6
         # widths 2 and 3 share a chunk; padded to 1000 with the third probe they would pass 2^16
-        run_sweep(np.linspace(0, 1, 40), [2, 3, 1000], [bell_family()])
-        assert [shape for kind, shape, _, _ in calls if kind == "error"] == [(2, 3), (1, 1000)]
-        assert len(calls) == 4
+        run_sweep(np.linspace(0, 1, 40), [2, 3, 1000], [BELL])
+        shapes = calls()
+        assert [shape for kind, shape, _, _ in shapes if kind == "error"] == [(2, 3), (1, 1000)]
+        assert len(shapes) == 4
 
     @pytest.mark.parametrize("etas, dims", [
         ([0.0, 0.2, 0.5, 0.9, 1.0], [9, 17, 40, 9, 12]),
@@ -240,11 +261,11 @@ class TestSweepColumns:
         flat, rank-limited and user spectra, with exact zeros, weights of
         1e-300 and one weight (d_i = 1)."""
         families = [
-            bell_family(),
-            uniform_rank_family(2),
-            fixed_spectrum_family([0.5, 0.0, 0.3, 0.0, 0.2]),
-            fixed_spectrum_family([1e-300, 0.4, 1e-12, 0.0, 0.3, 0.2, 0.1 - 1e-12, 0.0, 1e-300]),
-            uniform_rank_family(1),
+            BELL,
+            uniform_rank(2),
+            schmidt_probe([0.5, 0.0, 0.3, 0.0, 0.2]),
+            schmidt_probe([1e-300, 0.4, 1e-12, 0.0, 0.3, 0.2, 0.1 - 1e-12, 0.0, 1e-300]),
+            uniform_rank(1),
         ]
         table = run_sweep(etas, dims, families, 0.4)
         for f, family in enumerate(families):
@@ -255,7 +276,7 @@ class TestSweepColumns:
         """``p_err_ci`` is the unentangled probe's exact error at the float
         inputs, within one step of its correctly rounded value."""
         etas, dims = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0], [2, 3, 7, 16]
-        table = run_sweep(etas, dims, [bell_family(), uniform_rank_family(1)], p0)
+        table = run_sweep(etas, dims, [BELL, uniform_rank(1)], p0)
         assert len(table) == 48
         r = sweep_columns(table)
         for eta, d_s, p_err_ci in zip(r["eta"].tolist(), r["d_s"].tolist(), r["p_err_ci"].tolist()):
@@ -267,7 +288,7 @@ class TestSweepColumns:
     def test_rows_equal_single_point_sweeps(self):
         """Each row of a grid equals a sweep of its point alone."""
         etas, dims = [0.2, 0.0, 1.0, 0.65], [4, 3, 4]
-        families = [bell_family(), fixed_spectrum_family([0.7, 1e-12, 0.3 - 1e-12])]
+        families = [BELL, schmidt_probe([0.7, 1e-12, 0.3 - 1e-12])]
         table = run_sweep(etas, dims, families, 0.37)
         points = [(e, d, f) for e in etas for d in dims for f in families]
         assert len(table) == len(points)
@@ -279,14 +300,14 @@ class TestVerifyMonotonicity:
     def test_eta_axis_rank_one(self):
         # closed form collapses to 1/sqrt(1 + eta^2) for d_s=2, k_i=1
         etas = [0.0, 0.25, 0.5, 0.75, 1.0]
-        r = sweep_columns(run_sweep(etas, [2], [uniform_rank_family(1)]))
+        r = sweep_columns(run_sweep(etas, [2], [uniform_rank(1)]))
         expected = [1 / np.sqrt(1 + e**2) for e in etas]
         assert np.allclose(r["h01_closed"], expected, atol=1e-12)
         h = r["h01_direct"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
 
     def test_bell_dimension_axis(self):
-        r = sweep_columns(run_sweep([0.5], [2, 3, 4, 5], [bell_family()]))
+        r = sweep_columns(run_sweep([0.5], [2, 3, 4, 5], [BELL]))
         h = r["h01_direct"].tolist()
         p = r["p_err"].tolist()
         assert all(b < a for a, b in zip(h, h[1:]))
@@ -295,7 +316,7 @@ class TestVerifyMonotonicity:
     def test_rank_axis_at_fixed_dimension(self):
         """Flat spectra of rising rank form a majorization chain, so the error
         may not rise along them either."""
-        families = [uniform_rank_family(r) for r in (1, 2, 3, 4)]
+        families = [uniform_rank(r) for r in (1, 2, 3, 4)]
         r = sweep_columns(run_sweep([0.7], [4], families))
         h = r["h01_direct"].tolist()
         p = r["p_err"].tolist()
@@ -306,7 +327,7 @@ class TestVerifyMonotonicity:
         """Along eta, along d_s and along the families (flat ranks 1, 2, then
         d_s: a majorization chain), neither measure rises."""
         etas, dims = [0.0, 0.5, 1.0], [2, 3, 4]
-        families = [uniform_rank_family(1), uniform_rank_family(2), bell_family()]
+        families = [uniform_rank(1), uniform_rank(2), BELL]
         r = sweep_columns(run_sweep(etas, dims, families))
         grid = np.column_stack((r["h01_direct"], r["p_err"]))
         grid = grid.reshape(len(etas), len(dims), len(families), 2)
@@ -412,16 +433,16 @@ class TestVerifyBellOptimality:
         for d in range(2, 7):
             k = effective_rank_k(idler_reduction(bell_state(d)))
             assert k == pytest.approx(d, abs=1e-10)
-            assert sweep_columns(run_sweep([0.5], [d], [bell_family()]))["k_i"][0] == pytest.approx(d, abs=1e-12)
+            assert sweep_columns(run_sweep([0.5], [d], [BELL]))["k_i"][0] == pytest.approx(d, abs=1e-12)
 
 
 def spectrum_rows(*spectra):
     """Sweep rows at d_s = 4, eta = 1/2 and p0 = 1/2, one per idler spectrum,
     as dicts by column name, each held to the dense route within 1e-12."""
-    table = run_sweep([0.5], [4], [fixed_spectrum_family(s) for s in spectra])
+    table = run_sweep([0.5], [4], [schmidt_probe(s) for s in spectra])
     rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table.tolist()]
     for spec, r in zip(spectra, rows):
-        h01, p_err = evaluate_state_metrics(schmidt_amplitudes(4, schmidt_probe(4, spec)), 0.5)
+        h01, p_err = evaluate_state_metrics(schmidt_amplitudes(4, schmidt_probe(spec)), 0.5)
         assert abs(r["h01_closed"] - h01) <= 1e-12
         assert abs(r["p_err"] - p_err) <= 1e-12
     return rows
@@ -456,9 +477,9 @@ class TestSweepMatchesDenseOracle:
         entries = entries[:d_s]
         assume(max(entries) >= 1e-3)
         spectrum = np.array(entries) / sum(entries)
-        (row,) = run_sweep([eta], [d_s], [fixed_spectrum_family(spectrum)], p0).tolist()
+        (row,) = run_sweep([eta], [d_s], [schmidt_probe(spectrum)], p0).tolist()
         record = dict(zip(SWEEP_COLUMNS, row))
-        state = schmidt_amplitudes(d_s, schmidt_probe(d_s, spectrum))
+        state = schmidt_amplitudes(d_s, schmidt_probe(spectrum))
         h01, p_err = evaluate_state_metrics(state, eta, p0)
         assert record["d_i"] == spectrum.size
         assert abs(record["k_i"] - effective_rank_k(idler_reduction(state))) <= 1e-12
@@ -513,7 +534,7 @@ class TestCiSignalMarginalChoice:
 
 class TestFixedSpectrumFamily:
     def test_builds_requested_spectrum(self):
-        fam = fixed_spectrum_family([0.6, 0.4])
+        fam = schmidt_probe([0.6, 0.4])
         r = sweep_columns(run_sweep([0.5], [3], [fam]))
         assert r["k_i"][0] == pytest.approx(1 / (0.36 + 0.16), abs=1e-10)
         assert r["d_i"][0] == 2
@@ -524,7 +545,7 @@ class TestFixedSpectrumFamily:
         spectrum = np.array([1e-300, 0.695713033936472, 0.6116909670278784, 1e-12, 0.8503356083660849])
         spectrum /= spectrum.sum()
         etas = [0.0, 0.25, 0.5, 1.0]
-        families = [fixed_spectrum_family(spectrum[list(order)]) for order in permutations(range(5))]
+        families = [schmidt_probe(spectrum[list(order)]) for order in permutations(range(5))]
         table = run_sweep(etas, [5, 9], families, 0.37)
         assert len(families) == 120 and len(np.unique(table, axis=0)) == len(etas) * 2
 

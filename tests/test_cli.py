@@ -104,10 +104,9 @@ class TestSweep:
         assert main(["sweep", *argv]) == 0
         assert out.read_bytes() == (DATA / "sweep_dense_golden.csv").read_bytes()
 
-    @pytest.mark.parametrize("p0", ["0.37", "0.8"])
-    def test_spectrum_golden_csv(self, tmp_path, p0):
-        """Rows of user spectra: unsorted with a zero weight, and near rank one
-        with weights of 1e-12, beside a flat spectrum."""
+    @staticmethod
+    def spectrum_sweep(tmp_path, p0):
+        """The CSV bytes of the spectrum goldens' sweep."""
         families = []
         for name, spec in (("tilted", [0, 0.52, 0.01, 0.47]),
                            ("near_pure", [0.999999999998, 1e-12, 1e-12])):
@@ -116,8 +115,14 @@ class TestSweep:
         argv = ["--eta", "0:0.25:1", "--d", "4,5,7", *families, "--family", "uniform-rank:3",
                 "--priors", p0, "--out", str(out)]
         assert main(["sweep", *argv]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("p0", ["0.37", "0.8"])
+    def test_spectrum_golden_csv(self, tmp_path, p0):
+        """Rows of user spectra: unsorted with a zero weight, and near rank one
+        with weights of 1e-12, beside a flat spectrum."""
         # no column goes through BLAS or LAPACK, so every byte is pinned
-        assert out.read_bytes() == (DATA / f"sweep_spectrum_golden_p{p0}.csv").read_bytes()
+        assert self.spectrum_sweep(tmp_path, p0) == (DATA / f"sweep_spectrum_golden_p{p0}.csv").read_bytes()
 
     @pytest.mark.parametrize("offset, qi_tol, code", [
         (5e-4, None, 1), (5e-4, "1e-3", 0), (1e-10, None, 0), (1e-10, "1e-12", 1),
@@ -149,6 +154,67 @@ class TestSweep:
         assert main(["sweep", *argv]) == 1
         assert capsys.readouterr().err == "error: rank 1000000000000 exceeds the signal dimension 4\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "2", "--family", "spectrum:{wide}"], "spectrum length 3 not in [1, 2]"),
+        (["--d", "4", "--family", "uniform-rank:0"], "rank must be >= 1, got 0"),
+        (["--d", "4", "--family", "uniform-rank:-2"], "rank must be >= 1, got -2"),
+        # named at the smallest --d, and before a later family's file is read
+        (["--d", "3,2", "--family", "uniform-rank:4"], "rank 4 exceeds the signal dimension 2"),
+        (["--d", "4,3", "--family", "uniform-rank:4", "--family", "spectrum:{missing}"],
+         "rank 4 exceeds the signal dimension 3"),
+    ], ids=["spectrum-wider-than-d", "rank-0", "rank-negative", "smallest-d", "first-family"])
+    def test_infeasible_family_exits_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        """An infeasible family exits 1 before ``run_sweep`` is called, and
+        no CSV is written."""
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("run_sweep was called"))
+        files = {"wide": write_json(tmp_path / "wide.json", [0.5, 0.3, 0.2]), "missing": tmp_path / "missing.json"}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", *(a.format(**files) for a in argv), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_spectrum_is_checked_once_per_sweep(self, tmp_path, monkeypatch):
+        """A ``spectrum:`` file is checked and normalized once, not at each
+        of the three dimensions, and the rows stay those of the golden."""
+        exact, calls = cli.schmidt_probe, []
+        monkeypatch.setattr(cli, "schmidt_probe", lambda *args: calls.append(args) or exact(*args))
+        assert self.spectrum_sweep(tmp_path, "0.37") == (DATA / "sweep_spectrum_golden_p0.37.csv").read_bytes()
+        assert len(calls) == 2
+
+    def test_repeated_dimension_repeats_its_rows(self, tmp_path):
+        """Every probe is evaluated in output order, a repeated d_s again:
+        with ``--d 4,2,4`` both d_s = 4 blocks of each eta are the ``--d 4``
+        rows, byte for byte, whatever widths share their chunk."""
+        spec = write_json(tmp_path / "spec.json", [0.3, 0.7])
+        argv = ["sweep", "--eta", "0:0.25:1", "--family", "bell", "--family", "uniform-rank:2",
+                "--family", f"spectrum:{spec}"]
+        outs = {d: tmp_path / f"d{d}.csv" for d in ("4,2,4", "4")}
+        for d, out in outs.items():
+            assert main([*argv, "--d", d, "--out", str(out)]) == 0
+        rows = {d: out.read_text().splitlines()[1:] for d, out in outs.items()}
+        assert len(rows["4,2,4"]) == 45
+        for k in range(5):
+            block = rows["4,2,4"][9 * k : 9 * k + 9]
+            assert block[0:3] == block[6:9] == rows["4"][3 * k : 3 * k + 3]
+            assert all(row.split(",")[1] == "2" for row in block[3:6])
+
+    @pytest.mark.parametrize("suffix", [".gp", ".png"])
+    def test_out_named_like_a_plot_file_exits_1(self, tmp_path, monkeypatch, capsys, suffix):
+        """With ``--plot`` the script goes to ``--out`` with the suffix
+        ``.gp``, and gnuplot draws to it with ``.png``: an ``--out`` of either
+        suffix would be overwritten, so the run stops before any work.
+        Without ``--plot`` that name is a CSV like any other."""
+        out = tmp_path / f"sweep{suffix}"
+        argv = ["sweep", "--eta", "0.5", "--d", "2", "--out", str(out)]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("run_sweep was called"))
+            assert main([*argv, "--plot"]) == 1
+        message = f"error: --out {str(out)!r} would be overwritten by the plot's own {suffix} file\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv) == 0
+        assert out.read_text().startswith(cli.CSV_HEADER)
 
     def test_verification_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         exact = analysis.channel_overlap

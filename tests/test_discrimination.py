@@ -18,12 +18,9 @@ from qillum.discrimination import (
     optimal_povm,
     schmidt_helstrom_error,
 )
-from qillum.analysis import (
-    bell_family,
-    run_sweep,
-    uniform_rank_family,
-)
+from qillum.analysis import run_sweep
 from conftest import (
+    BELL,
     UNIT,
     channel_outputs,
     effective_rank_k,
@@ -43,6 +40,7 @@ from conftest import (
     schmidt_helstrom_oracle,
     sweep_columns,
     unentangled_error,
+    uniform_rank,
 )
 
 
@@ -173,7 +171,7 @@ class TestSchmidtHelstrom:
             weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()
-            state = schmidt_amplitudes(d_s, schmidt_probe(d_s, weights))
+            state = schmidt_amplitudes(d_s, schmidt_probe(weights))
         dense = helstrom_error(*channel_outputs(state, eta), p0)
         assert abs(schmidt_helstrom_error(weights, eta, d_s, p0) - dense) <= 1e-12
 
@@ -717,10 +715,10 @@ class TestAdvantage:
         return advantage
 
     def test_product_input_gives_zero(self):
-        assert self.advantage(uniform_rank_family(1), 0.8, 2) == pytest.approx(0.0, abs=1e-10)
+        assert self.advantage(uniform_rank(1), 0.8, 2) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_qubit_anchor(self):
-        got = self.advantage(bell_family(), 1.0, 2)
+        got = self.advantage(BELL, 1.0, 2)
         assert got == pytest.approx(1 / np.sqrt(2) - 0.5, abs=1e-10)
 
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.7])
@@ -728,12 +726,12 @@ class TestAdvantage:
         # tabulating 1/sqrt(1 + eta^2 (d-1)) - 1/sqrt(1 + eta^2 (d^2-1))
         # shows a strict increase over d in 2..6 for these eta; at strong
         # signal (eta near 1) the same tabulation peaks around d=4 instead
-        vals = [self.advantage(bell_family(), eta, d) for d in range(2, 7)]
+        vals = [self.advantage(BELL, eta, d) for d in range(2, 7)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("eta", [0.25, 0.6, 1.0])
     def test_matches_closed_form_tabulation(self, eta):
-        vals = [self.advantage(bell_family(), eta, d) for d in range(2, 7)]
+        vals = [self.advantage(BELL, eta, d) for d in range(2, 7)]
         expected = [
             h01_closed_form(eta, d, 1.0) - h01_closed_form(eta, d, float(d))
             for d in range(2, 7)

@@ -156,7 +156,7 @@ class TestTraceIdentities:
             weights = np.random.default_rng(seed).dirichlet(np.ones(min(d_i, d_s)))
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()
-            lam = schmidt_probe(d_s, weights)
+            lam = schmidt_probe(weights)
             state = schmidt_amplitudes(d_s, lam)
         dense = hs_distinguishability(*channel_outputs(state, eta))
         structured = channel_overlap(lam, eta, d_s)

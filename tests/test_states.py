@@ -247,33 +247,31 @@ class TestSchmidtFamilyState:
     ``diag(spectrum)``."""
 
     def test_rank_one_is_product(self):
-        lam = schmidt_probe(3, [1.0])
+        lam = schmidt_probe([1.0])
         assert lam.tolist() == [1.0]
         assert effective_rank_k(idler_reduction(schmidt_amplitudes(3, lam))) == pytest.approx(1.0)
 
     def test_uniform_matches_bell(self):
-        lam = schmidt_probe(3, np.full(3, 1 / 3))
+        lam = schmidt_probe(np.full(3, 1 / 3))
         assert max_abs_diff(lam, np.full(3, 1 / 3)) < 1e-15
         assert max_abs_diff(schmidt_amplitudes(3, lam), bell_state(3)) < 1e-12
 
     def test_prescribed_spectrum(self):
-        lam = schmidt_probe(4, [0.5, 0.3, 0.2])
+        lam = schmidt_probe([0.5, 0.3, 0.2])
         rho = idler_reduction(schmidt_amplitudes(4, lam))
         assert max_abs_diff(rho, np.diag([0.5, 0.3, 0.2])) < 1e-12
         assert effective_rank_k(rho) == pytest.approx(1 / 0.38, abs=1e-12)
 
     def test_rejects_bad_spectra(self):
         with pytest.raises(ValueError):
-            schmidt_probe(2, [0.5, 0.3, 0.2])  # longer than d_s
+            schmidt_probe([0.7, 0.7, -0.4])
         with pytest.raises(ValueError):
-            schmidt_probe(3, [0.7, 0.7, -0.4])
-        with pytest.raises(ValueError):
-            schmidt_probe(3, [0.5, 0.3])  # sums to 0.8
+            schmidt_probe([0.5, 0.3])  # sums to 0.8
 
     def test_diagonal_holds_unit_roots_of_the_spectrum(self):
         """The weights are 1-D floats, the spectrum in descending order,
         whose roots, the probe's diagonal, have unit length."""
-        lam = schmidt_probe(5, [0.0, 0.52, 0.01, 0.47])
+        lam = schmidt_probe([0.0, 0.52, 0.01, 0.47])
         assert lam.shape == (4,) and lam.dtype == float
         assert max_abs_diff(np.sqrt(lam), np.sqrt([0.52, 0.47, 0.01, 0.0])) < 1e-15
         assert abs(np.linalg.norm(np.sqrt(lam)) - 1.0) < 1e-15
@@ -281,23 +279,23 @@ class TestSchmidtFamilyState:
     def test_sum_tolerance(self):
         off = [0.5, 0.5005]  # sums to 1 + 5e-4
         with pytest.raises(ValueError, match="sums to 1.0005,"):
-            schmidt_probe(2, off)
-        lam = schmidt_probe(2, off, tol=1e-3)
+            schmidt_probe(off)
+        lam = schmidt_probe(off, tol=1e-3)
         assert abs(lam.sum() - 1.0) < 1e-15
         with pytest.raises(ValueError, match="sums to"):
-            schmidt_probe(2, [0.5, 0.5 + 1e-10], tol=1e-12)
+            schmidt_probe([0.5, 0.5 + 1e-10], tol=1e-12)
 
     def test_rejects_zero_sum_at_any_tolerance(self):
         with pytest.raises(ValueError, match="positive sum"):
-            schmidt_probe(2, [0.0, 0.0], tol=1.0)
+            schmidt_probe([0.0, 0.0], tol=1.0)
         with pytest.raises(ValueError, match="positive sum"):
-            schmidt_probe(2, [-1e-12, 0.0], tol=2.0)
+            schmidt_probe([-1e-12, 0.0], tol=2.0)
 
     def test_negative_entries_count_as_zero(self):
-        lam = schmidt_probe(3, [0.5, -1e-13, 0.5 + 1e-13])
+        lam = schmidt_probe([0.5, -1e-13, 0.5 + 1e-13])
         assert lam[2] == 0.0  # the smallest weight, last
         with pytest.raises(ValueError, match="non-negative"):
-            schmidt_probe(3, [0.5, np.nan, 0.5])
+            schmidt_probe([0.5, np.nan, 0.5])
 
     def test_permuting_the_spectrum_keeps_the_weights_exactly(self):
         """The normalization is an exactly rounded sum and the weights come
@@ -312,9 +310,9 @@ class TestSchmidtFamilyState:
             spectra.append(spec / spec.sum() if spec.any() else np.full(d, 1.0 / d))
         for spec in spectra:
             spec = np.asarray(spec)
-            lam = schmidt_probe(spec.size, spec)
+            lam = schmidt_probe(spec)
             for order in (rng.permutation(spec.size), np.arange(spec.size)[::-1]):
-                assert np.array_equal(schmidt_probe(spec.size, spec[order]), lam)
+                assert np.array_equal(schmidt_probe(spec[order]), lam)
             assert np.all(lam[:-1] >= lam[1:])
 
 
