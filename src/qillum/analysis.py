@@ -45,7 +45,8 @@ BRACKET_TOL = 1e-12
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
 #: (1 MiB of complex amplitudes; 1024 samples at d = 8), and zero-padded weights
-#: times etas per sweep chunk: memory grows with neither the samples nor the grid.
+#: times etas per sweep chunk.  A sweep probe wider than that is a chunk of its
+#: own over the whole eta grid, at about 45 bytes per (eta x weight) cell.
 _CHUNK_AMPLITUDES = 1 << 16
 
 

@@ -20,9 +20,8 @@ Every user parameter is checked here once, before any file is read, and
 the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and
 ``d`` at least 2, NaN failing each (:func:`_check_parameters`); ``--d``
 integral; ``--samples`` at least 1; a sweep at most :data:`MAX_SWEEP_ROWS`
-rows, and ``--out`` not a ``--plot`` file.  Then each family is checked
-against the smallest ``--d`` (:func:`parse_family`), before any probe is
-evaluated.
+rows.  Then each family is checked against the smallest ``--d``
+(:func:`parse_family`), before any probe is evaluated.
 
 Exit codes: 0 success, 1 validation or usage error (``ValueError``,
 ``OSError``), 2 numerical-verification failure (``VerificationError``).
@@ -45,6 +44,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -72,7 +72,8 @@ def number(text: str) -> float:
 def parse_float_grid(text: str) -> list[float]:
     """Parse '0,0.5,1' or 'start:step:stop' (stop inclusive within step/2).
 
-    A range may expand to at most :data:`MAX_SWEEP_ROWS` points.
+    A range's start, step and stop are finite, and it may expand to at most
+    :data:`MAX_SWEEP_ROWS` points.
     """
     text = text.strip()
     if ":" in text:
@@ -83,6 +84,9 @@ def parse_float_grid(text: str) -> list[float]:
             start, step, stop = (number(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"non-numeric range {text!r}") from exc
+        for name, value in zip(("start", "step", "stop"), (start, step, stop)):
+            if not math.isfinite(value):
+                raise ValueError(f"range {text!r}: {name} must be finite, got {value}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
         values = []
@@ -165,45 +169,7 @@ def render_sweep_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gnuplot_string(text: str) -> str:
-    """``text`` as a single-quoted gnuplot string: a quote is doubled, and a
-    backslash or a double quote stands for itself."""
-    return "'" + text.replace("'", "''") + "'"
-
-
-def render_gnuplot_script(csv_path: Path, dims: list[int], families: list[str]) -> str:
-    """Overlap and error against eta, one curve per distinct (d_s, family): an
-    ``every`` stride of one eta's row count from one of the curve's rows.
-    The plotted columns are found by name in :data:`SWEEP_COLUMNS`.  File
-    names and titles are single-quoted gnuplot strings."""
-    rows = {d: j * len(families) for j, d in enumerate(dims)}  # a repeated d_s: its last rows
-    curves = [(row + f, f"d_s={d} {name}") for d, row in rows.items() for f, name in enumerate(families)]
-    lines = [
-        "# Overlap and minimum error probability versus eta, one curve per dimension and family.",
-        'set datafile separator ","',
-        "set terminal pngcairo size 1200,500",
-        f"set output {_gnuplot_string(csv_path.with_suffix('.png').name)}",
-        "set multiplot layout 1,2",
-        'set xlabel "eta"',
-        "set key outside",
-    ]
-    x = SWEEP_COLUMNS.index("eta") + 1
-    for label, column, kind in (("normalized overlap", "h01_direct", "overlap"), ("error probability", "p_err", "p_err")):
-        y = SWEEP_COLUMNS.index(column) + 1
-        plots = ", \\\n  ".join(
-            f"{_gnuplot_string(csv_path.name)} skip 1 every {len(dims) * len(families)}::{first} "
-            f"using {x}:{y} with linespoints title {_gnuplot_string(f'{kind} {title}')}"
-            for first, title in curves
-        )
-        lines += [f'set ylabel "{label}"', f"plot {plots}"]
-    lines.append("unset multiplot")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sweep(args, tol: float) -> int:
-    out = Path(args.out)
-    if args.plot and out.suffix in (".gp", ".png"):
-        raise ValueError(f"--out {args.out!r} would be overwritten by the plot's own {out.suffix} file")
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
     names = args.family or ["bell"]
@@ -213,9 +179,7 @@ def cmd_sweep(args, tol: float) -> int:
         raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
     families = [parse_family(f, tol, min(dims)) for f in names]
     table = run_sweep(etas, dims, families, p0=args.p0)
-    out.write_text(render_sweep_csv(table))
-    if args.plot:
-        out.with_suffix(".gp").write_text(render_gnuplot_script(out, dims, names))
+    Path(args.out).write_text(render_sweep_csv(table))
     return 0
 
 
@@ -296,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--priors", dest="p0", type=number, default=0.5, metavar="P0")
     sweep.add_argument("--out", required=True, help="CSV output path")
-    sweep.add_argument("--plot", action="store_true", help="also write a gnuplot script")
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify-bell", help="sample random inputs against the entangled reference")
@@ -313,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     hel.add_argument("--p0", type=number, default=0.5)
     hel.add_argument("--povm", action="store_true", help="also print the optimal measurement")
     hel.set_defaults(func=cmd_helstrom)
+    for command in sub.choices.values():  # argparse's own reads -inf, -nan and -1e-3 as options
+        command._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

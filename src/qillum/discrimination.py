@@ -151,8 +151,9 @@ def channel_overlap(weights, eta, d_s):
         Tr[rho0^2] = eta^2 + 2 eta (1 - eta) v + (1 - eta)^2 Tr[rho1^2],
 
     at O(d_i), with ``sum(lam^2)`` added in index order.  None of them goes
-    through the effective rank, so the result is an independent check of
-    :func:`h01_closed_form`.  ``eta`` and ``d_s`` broadcast as in
+    through the effective rank, so the result checks the algebra of
+    :func:`h01_closed_form`, but not ``sum(lam^2)``: ``run_sweep`` takes its
+    ``k_i`` by the same ``cumsum``.  ``eta`` and ``d_s`` broadcast as in
     :func:`schmidt_helstrom_error`: one value each and 1-D weights give a
     float, anything else an array.  The result is clipped to ``[0, 1]``;
     ``eta`` and ``d_s`` are unchecked.

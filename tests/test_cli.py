@@ -201,20 +201,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("suffix", [".gp", ".png"])
     def test_out_named_like_a_plot_file_exits_1(self, tmp_path, monkeypatch, capsys, suffix):
-        """With ``--plot`` the script goes to ``--out`` with the suffix
-        ``.gp``, and gnuplot draws to it with ``.png``: an ``--out`` of either
-        suffix would be overwritten, so the run stops before any work.
-        Without ``--plot`` that name is a CSV like any other."""
+        """``sweep`` writes its CSV and nothing else: ``--plot`` is an unknown
+        option, which stops the run before any work, and an ``--out`` ending
+        in ``.gp`` or ``.png`` is a CSV like any other."""
         out = tmp_path / f"sweep{suffix}"
         argv = ["sweep", "--eta", "0.5", "--d", "2", "--out", str(out)]
         with monkeypatch.context() as patched:
             patched.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("run_sweep was called"))
             assert main([*argv, "--plot"]) == 1
-        message = f"error: --out {str(out)!r} would be overwritten by the plot's own {suffix} file\n"
-        assert capsys.readouterr() == ("", message)
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.endswith("error: unrecognized arguments: --plot\n")
         assert list(tmp_path.iterdir()) == []
         assert main(argv) == 0
         assert out.read_text().startswith(cli.CSV_HEADER)
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_verification_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         exact = analysis.channel_overlap
@@ -245,65 +245,6 @@ class TestSweep:
         text = outs[2].read_text()
         assert text.splitlines()[1].startswith("0,3,")
         assert outs[0].read_text() == text and outs[1].read_text() == text
-
-    def test_plot_has_one_curve_per_dimension_and_family(self, tmp_path):
-        """Each curve's ``every`` clause picks exactly the CSV rows of its
-        dimension and family, once per eta; a repeated dimension has one
-        curve.  The CSV has no family column: a row's family is its index
-        modulo the number of families."""
-        families = ["bell", "uniform-rank:1", "uniform-rank:2"]
-        out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--eta", "0:0.25:1", "--d", "4,2,4,3", "--plot", "--out", str(out)]
-        for name in families:
-            argv += ["--family", name]
-        assert main(argv) == 0
-        header, *rows = (line.split(",") for line in out.read_text().splitlines())
-        script = out.with_suffix(".gp").read_text()
-        plots = [line for line in script.splitlines() if line.startswith("plot ")]
-        assert len(plots) == 2
-        for column, name in ((6, "h01_direct"), (7, "p_err")):
-            assert header[column - 1] == name
-            curves = re.findall(
-                rf'skip 1 every (\d+)::(\d+) using 1:{column} with linespoints '
-                r"title '\S+ d_s=(\d+) (\S+)'",
-                script,
-            )
-            assert sorted((int(d), f) for *_, d, f in curves) == [
-                (d, f) for d in (2, 3, 4) for f in sorted(families)
-            ]
-            for stride, first, d, family in curves:
-                picked = rows[int(first) :: int(stride)]
-                assert len(picked) == 5
-                assert [float(row[0]) for row in picked] == [0.0, 0.25, 0.5, 0.75, 1.0]
-                assert all(row[1] == d for row in picked)
-                assert int(first) % len(families) == families.index(family)
-
-    def test_plot_titles_keep_quotes_in_file_names(self, tmp_path):
-        """File names and titles are single-quoted gnuplot strings, in which a
-        doubled quote stands for one and a double quote or a backslash
-        stands for itself."""
-        spec = write_json(tmp_path / """it's "q".json""", [0.5, 0.5])
-        out = tmp_path / """x"y'z\\w.csv"""
-        argv = ["sweep", "--eta", "0,1", "--d", "2", "--family", f"spectrum:{spec}", "--plot", "--out", str(out)]
-        assert main(argv) == 0
-        script = out.with_suffix(".gp").read_text()
-        quoted = r"'((?:[^']|'')*)'"
-        titles = re.findall(rf"title {quoted}$", script, re.M)
-        assert [t.replace("''", "'") for t in titles] == [f"{kind} d_s=2 spectrum:{spec}" for kind in ("overlap", "p_err")]
-        (png,) = re.findall(rf"^set output {quoted}$", script, re.M)
-        assert png.replace("''", "'") == """x"y'z\\w.png"""
-        data = re.findall(rf"^(?:plot |  ){quoted} skip 1 ", script, re.M)
-        assert [d.replace("''", "'") for d in data] == [out.name] * 2
-
-    def test_plot_columns_follow_the_column_names(self, tmp_path, monkeypatch):
-        """The script plots the columns named ``eta``, ``h01_direct`` and
-        ``p_err`` wherever the header puts them."""
-        out = tmp_path / "sweep.csv"
-        script = cli.render_gnuplot_script(out, [2], ["bell"])
-        assert re.findall(r"using (\d+):(\d+) ", script) == [("1", "6"), ("1", "7")]
-        monkeypatch.setattr(cli, "SWEEP_COLUMNS", tuple(reversed(analysis.SWEEP_COLUMNS)))
-        script = cli.render_gnuplot_script(out, [2], ["bell"])
-        assert re.findall(r"using (\d+):(\d+) ", script) == [("9", "4"), ("9", "3")]
 
     def test_bad_grid_exits_1(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -478,7 +419,7 @@ class TestGridParsing:
         assert len(parse_float_grid(f"0:1:{MAX_SWEEP_ROWS - 1}")) == MAX_SWEEP_ROWS
         with pytest.raises(ValueError, match="points"):
             parse_float_grid(f"0:1:{MAX_SWEEP_ROWS}")
-        with pytest.raises(ValueError, match="points"):
+        with pytest.raises(ValueError, match="stop must be finite, got inf"):
             parse_float_grid("0:1:inf")
 
     def test_huge_range_exits_1(self, tmp_path, capsys):
@@ -860,7 +801,21 @@ class TestProblemValidation:
          "eta must be in [0, 1], got 2.0"),
         (["helstrom", "--p0", "1.5", "--state0", "{missing}", "--state1", "{missing}"],
          "prior p0 must lie in [0, 1], got 1.5"),
-    ], ids=["sweep-d-1", "sweep-priors-1.5", "sweep-priors-nan", "sweep-before-files", "helstrom-before-files"])
+        # a range is checked for a non-finite part before it is expanded
+        (["sweep", "--eta=0:inf:1", "--d", "2", "--out", "{out}"], "range '0:inf:1': step must be finite, got inf"),
+        (["sweep", "--eta=0:0.1:inf", "--d", "2", "--out", "{out}"], "range '0:0.1:inf': stop must be finite, got inf"),
+        (["sweep", "--eta=-inf:1:0", "--d", "2", "--out", "{out}"], "range '-inf:1:0': start must be finite, got -inf"),
+        (["sweep", "--eta=0:nan:1", "--d", "2", "--out", "{out}"], "range '0:nan:1': step must be finite, got nan"),
+        # a value after its option that starts with "-" and is not a plain decimal is read as the value
+        (["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "-inf"], "eta must be in [0, 1], got -inf"),
+        (["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "-nan"], "eta must be in [0, 1], got nan"),
+        (["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "-1e-3"], "eta must be in [0, 1], got -0.001"),
+        (["sweep", "--eta", "0.5", "--d", "2", "--priors", "-1e-3", "--out", "{out}"], "prior p0 must lie in [0, 1], got -0.001"),
+        (["sweep", "--eta", "-0.5:0.1:0", "--d", "2", "--out", "{out}"], "eta must be in [0, 1], got -0.5"),
+        (["sweep", "--eta", "0.5", "--d", "-2,3", "--out", "{out}"], "signal dimension must be >= 2, got -2"),
+    ], ids=["sweep-d-1", "sweep-priors-1.5", "sweep-priors-nan", "sweep-before-files", "helstrom-before-files",
+            "range-step-inf", "range-stop-inf", "range-start-inf", "range-step-nan",
+            "eta-minus-inf", "eta-minus-nan", "eta-minus-1e-3", "priors-minus-1e-3", "eta-minus-range", "d-minus-list"])
     def test_names_the_bad_parameter(self, tmp_path, capsys, argv, message):
         out, missing = tmp_path / "sweep.csv", tmp_path / "missing.json"
         assert main([a.format(out=out, missing=missing) for a in argv]) == 1

@@ -1,5 +1,6 @@
 """Every public function and hand-written method of ``states``,
-``discrimination`` and ``analysis`` is reached from the command line.
+``discrimination``, ``analysis`` and ``cli`` is reached from the command
+line.
 
 Code that only tests reach does not belong in the package: a builder or an
 oracle the tests need lives in ``conftest``.  The commands are traced with
@@ -11,6 +12,8 @@ checked; of the dunder methods only ``__init__`` is.
 import inspect
 import json
 import sys
+
+import pytest
 
 from qillum import analysis, cli, discrimination, states
 
@@ -55,7 +58,7 @@ def test_cli_reaches_every_public_function(tmp_path, monkeypatch, capsys):
     mixed.write_text(json.dumps(MIXED_4))
     commands = [
         ["sweep", "--eta", "0:0.5:1", "--d", "4,5", "--family", "bell", "--family", "uniform-rank:2",
-         "--family", f"spectrum:{spec}", "--plot", "--out", str(tmp_path / "sweep.csv")],
+         "--family", f"spectrum:{spec}", "--priors", "0.3", "--out", str(tmp_path / "sweep.csv")],
         ["verify-bell", "--d", "3", "--samples", "5", "--seed", "1"],
         ["helstrom", "--state0", str(pure), "--state1", str(mixed), "--povm"],
     ]
@@ -69,18 +72,22 @@ def test_cli_reaches_every_public_function(tmp_path, monkeypatch, capsys):
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        codes = [cli.main(argv) for argv in commands]
+        codes = [cli.main(argv) for argv in commands[:-1]]
+        monkeypatch.setattr(sys, "argv", ["qillum", *commands[-1]])
+        with pytest.raises(SystemExit) as done:
+            cli.console_main()
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0] and done.value.code == 0
 
     expected = {}
-    for module in (states, discrimination, analysis):
+    for module in (states, discrimination, analysis, cli):
         expected.update(
             (f"{module.__name__}.{name}", code) for name, code in written_code(module).items()
         )
     assert "qillum.states.density_from_dict" in expected
     assert "qillum.analysis.OptimalityReport.__init__" not in expected  # generated
+    assert "qillum.cli.console_main" in expected
     unreached = sorted(name for name, code in expected.items() if code not in entered)
     assert unreached == []
