@@ -152,7 +152,6 @@ def verify_bell_optimality(
     seed: int,
     eta: float = 0.5,
     p0: float = 0.5,
-    tol: float = DEFAULT_TOL,
 ) -> OptimalityReport:
     """Sample random pure inputs on ``d`` signal and ``d`` idler modes and
     compare them to the maximally entangled state.
@@ -173,7 +172,7 @@ def verify_bell_optimality(
     one stacked :func:`~qillum.discrimination.schmidt_helstrom_error` call.
     The overlap falls as ``k_i = 1 / sum(lam^2)`` rises, so the smallest is
     the closed form at the largest ``k_i``.  Each sample's weights must sum
-    to 1 within ``tol``, else ``ValueError``.
+    to 1 within :data:`~qillum.states.DEFAULT_TOL`, else ``ValueError``.
 
     Every probe's exact error lies between ``flat_probe_error`` at ``d^2``
     (the reference) and at ``d`` (the unentangled probe), since the secular
@@ -196,12 +195,12 @@ def verify_bell_optimality(
         weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
         # the weights sum to the sample's squared norm; NaN fails the test
         total = np.sum(weights, axis=1)
-        bad = np.flatnonzero(~(np.abs(total - 1.0) <= tol))
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= DEFAULT_TOL))
         if bad.size:
             k = int(bad[0])
             raise ValueError(
                 f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, "
-                f"expected 1 within {tol:.1e}"
+                f"expected 1 within {DEFAULT_TOL:.1e}"
             )
         p_err = schmidt_helstrom_error(weights, eta, d, p0)
         bad = np.flatnonzero(~((bell_p_err - BRACKET_TOL <= p_err) & (p_err <= unentangled + BRACKET_TOL)))

@@ -25,15 +25,13 @@ rows.  Then each family is checked against the smallest ``--d``
 
 Exit codes: 0 success, 1 validation or usage error (``ValueError``,
 ``OSError``), 2 numerical-verification failure (``VerificationError``).
-A run that runs out of memory (an oversized dimension) also exits 1.  The
-``QI_TOL`` environment variable overrides the default validation
-tolerance of 1e-9 for stored states (``helstrom``, whose ``--povm`` check
-allows ``dim`` times it), for the Schmidt weights of ``verify-bell``'s
-samples and for the sum of a ``sweep`` ``spectrum:`` file (a sum of 0
-fails at any tolerance); it must be a finite number above 0, else the run
-stops with exit 1.  ``sweep``'s ``bell`` and ``uniform-rank`` probes are
-exact, and ``sweep`` holds its two overlap routes to a fixed agreement
-bound.
+A run that runs out of memory (an oversized dimension) also exits 1.  One
+fixed validation tolerance, :data:`~qillum.states.DEFAULT_TOL` (1e-9),
+holds for stored states (``helstrom``, whose ``--povm`` check allows
+``dim`` times it), for the Schmidt weights of ``verify-bell``'s samples
+and for the sum of a ``sweep`` ``spectrum:`` file; no setting changes it.
+``sweep``'s ``bell`` and ``uniform-rank`` probes are exact, and ``sweep``
+holds its two overlap routes to a fixed agreement bound.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -130,12 +127,12 @@ def _check_parameters(etas, dims, p0: float) -> None:
             raise ValueError(f"{rule}, got {bad[0]}")
 
 
-def parse_family(text: str, tol: float, d_s: int) -> np.ndarray | None:
+def parse_family(text: str, d_s: int) -> np.ndarray | None:
     """The weights :func:`~qillum.analysis.run_sweep` takes for the family
     ``text``, at most ``d_s`` (the smallest signal dimension): ``None``
     for ``bell``; ``rank`` weights ``1/rank`` for ``uniform-rank:<rank>``,
     checked before they are allocated; a ``spectrum:`` file's
-    :func:`~qillum.states.schmidt_probe`, its sum 1 within ``tol``."""
+    :func:`~qillum.states.schmidt_probe`, which checks its sum."""
     if text == "bell":
         return None
     if text.startswith("uniform-rank:"):
@@ -159,7 +156,7 @@ def parse_family(text: str, tol: float, d_s: int) -> np.ndarray | None:
             raise ValueError(f"spectrum file {path!r}: {exc}") from exc
         if len(spectrum) > d_s:
             raise ValueError(f"spectrum length {len(spectrum)} not in [1, {d_s}]")
-        return schmidt_probe(spectrum, tol)
+        return schmidt_probe(spectrum)
     raise ValueError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
@@ -169,7 +166,7 @@ def render_sweep_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args, tol: float) -> int:
+def cmd_sweep(args) -> int:
     etas = parse_float_grid(args.eta)
     dims = parse_int_grid(args.d)
     names = args.family or ["bell"]
@@ -177,19 +174,17 @@ def cmd_sweep(args, tol: float) -> int:
     n_rows = len(etas) * len(dims) * len(names)
     if n_rows > MAX_SWEEP_ROWS:
         raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
-    families = [parse_family(f, tol, min(dims)) for f in names]
+    families = [parse_family(f, min(dims)) for f in names]
     table = run_sweep(etas, dims, families, p0=args.p0)
     Path(args.out).write_text(render_sweep_csv(table))
     return 0
 
 
-def cmd_verify_bell(args, tol: float) -> int:
+def cmd_verify_bell(args) -> int:
     _check_parameters([args.eta], [args.d], args.p0)
     if args.samples < 1:
         raise ValueError(f"need at least one sample, got {args.samples}")
-    report = verify_bell_optimality(
-        args.d, args.samples, args.seed, eta=args.eta, p0=args.p0, tol=tol
-    )
+    report = verify_bell_optimality(args.d, args.samples, args.seed, eta=args.eta, p0=args.p0)
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 
@@ -204,39 +199,40 @@ def _read_json(path: str, what: str):
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
-def _load_density(path: str, tol: float):
+def _load_density(path: str):
     obj = _read_json(path, "state")
     try:
-        return density_from_dict(obj, tol)
+        return density_from_dict(obj)
     except ValueError as exc:
         raise ValueError(f"invalid state in {path!r}: {exc}") from exc
 
 
-def _check_povm_error(rho0, rho1, p0: float, povm, error: float, tol: float) -> None:
+def _check_povm_error(rho0, rho1, p0: float, povm, error: float) -> None:
     """Raise :class:`VerificationError` unless the measurement ``povm``
     attains ``error``, ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``, within ``dim *
-    tol`` (:func:`optimal_povm`'s slack) plus ``16 dim`` float steps.  Each
-    trace of a product of Hermitian matrices is one ``vdot``: O(dim^2)."""
+    DEFAULT_TOL`` (:func:`optimal_povm`'s slack) plus ``16 dim`` float
+    steps.  Each trace of a product of Hermitian matrices is one ``vdot``:
+    O(dim^2)."""
     e0, e1 = povm
     attained = float(p0 * np.vdot(e1, rho0).real + (1.0 - p0) * np.vdot(e0, rho1).real)
-    gap, bound = abs(attained - error), len(rho0) * (tol + 16.0 * np.finfo(float).eps)
+    gap, bound = abs(attained - error), len(rho0) * (DEFAULT_TOL + 16.0 * np.finfo(float).eps)
     if not gap <= bound:
         raise VerificationError(
             f"the measurement attains error {attained!r}, not {error!r}: gap {gap:.3e} > bound {bound:.3e}"
         )
 
 
-def cmd_helstrom(args, tol: float) -> int:
+def cmd_helstrom(args) -> int:
     _check_parameters([], [], args.p0)
-    rho0 = _load_density(args.state0, tol)
-    rho1 = _load_density(args.state1, tol)
+    rho0 = _load_density(args.state0)
+    rho1 = _load_density(args.state1)
     if rho0.shape != rho1.shape:
         raise ValueError(f"dimension mismatch: {len(rho0)} vs {len(rho1)}")
     error = helstrom_error(rho0, rho1, args.p0)
     lines = [_fmt(error)]
     if args.povm:
-        povm = optimal_povm(rho0, rho1, args.p0, tol)
-        _check_povm_error(rho0, rho1, args.p0, povm, error, tol)
+        povm = optimal_povm(rho0, rho1, args.p0)
+        _check_povm_error(rho0, rho1, args.p0, povm, error)
         lines.append(densities_to_json(povm))
     print("\n".join(lines))
     return 0
@@ -278,23 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     hel.set_defaults(func=cmd_helstrom)
     for command in sub.choices.values():  # argparse's own reads -inf, -nan and -1e-3 as options
         command._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # parse_args would name them with the top-level usage, not the subcommand's
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        tol = float(os.environ.get("QI_TOL", DEFAULT_TOL))
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0.0):
-        print("error: QI_TOL must be a finite number above 0", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args, tol)
+        return args.func(args)
     except VerificationError as exc:  # a ValueError, so caught first
         print(f"numerical verification failed: {exc}", file=sys.stderr)
         return 2

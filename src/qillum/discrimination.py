@@ -119,19 +119,17 @@ def flat_probe_error(eta, n, p0: float = 0.5):
     return np.where(c >= 0.0, 1.0 - p0, np.where(p0 * eta + c / n > 0.0, base - c / n, p0))[()]
 
 
-def optimal_povm(
-    rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def optimal_povm(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """The measurement ``(E0, E1)`` attaining the minimum error probability.
 
     ``E0`` projects onto the non-negative eigenspace of ``p0 rho0 - p1 rho1``
-    (eigenvalues above ``-tol`` count as non-negative, which shifts the
-    attained error by at most ``dim * tol``); ``E1 = I - E0`` is its
-    complement.  Both are orthogonal projectors by construction.  The
-    states' shapes and ``p0`` are unchecked.
+    (eigenvalues above ``-DEFAULT_TOL`` count as non-negative, which shifts
+    the attained error by at most ``dim * DEFAULT_TOL``); ``E1 = I - E0``
+    is its complement.  Both are orthogonal projectors by construction.
+    The states' shapes and ``p0`` are unchecked.
     """
     w, v = np.linalg.eigh(p0 * rho0 - (1.0 - p0) * rho1)
-    keep = v[:, w >= -tol]
+    keep = v[:, w >= -DEFAULT_TOL]
     e0 = keep @ keep.conj().T
     e0 = 0.5 * (e0 + e0.conj().T)
     return e0, np.eye(len(rho0)) - e0

@@ -12,8 +12,8 @@ d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s`` with
 idler level ``i`` (:func:`haar_random_amplitudes`).
 Matrices leave the package as ``orjson``'s compact JSON, whose floats
 read back exactly (:func:`densities_to_json`).
-Every check is phrased so that a NaN fails it (``not defect <= tol``): any
-comparison with NaN is false, and an object passed to
+Every check is phrased so that a NaN fails it (``not defect <=
+DEFAULT_TOL``): any comparison with NaN is false, and an object passed to
 :func:`density_from_dict` may hold NaN or an infinity, as Python's ``json``
 decodes from ``NaN``, ``Infinity`` or ``1e400``.  The command line's
 reader rejects those already when it parses a file.
@@ -27,18 +27,18 @@ from itertools import chain
 
 import numpy as np
 
-#: Default validation tolerance (max entry magnitude) used across the package.
+#: The one validation tolerance (max entry magnitude) used across the package.
 DEFAULT_TOL = 1e-9
 
 
-def schmidt_probe(spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
+def schmidt_probe(spectrum) -> np.ndarray:
     """Schmidt weights ``lam`` of the probe ``sum_m sqrt(lam_m) |m>|m>`` on
     ``len(spectrum)`` idler levels, whose idler reduction is ``diag(lam)``:
     a descending 1-D float array, the squared coefficients
     ``sqrt(spectrum)`` scaled to unit length by an exactly rounded sum
     (:func:`math.fsum`), so no sum over it depends on the order of the
     entries or on the BLAS build.  The spectrum must have no entry below
-    ``-1e-12`` and a positive sum within ``tol`` of 1; entries below zero
+    ``-1e-12`` and a sum within :data:`DEFAULT_TOL` of 1; entries below zero
     count as 0.  Its length is not checked: :mod:`qillum.cli` holds it to
     the smallest signal dimension of a sweep.
     """
@@ -46,10 +46,8 @@ def schmidt_probe(spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.all(spec >= -1e-12):
         raise ValueError("spectrum entries must be non-negative")
     total = float(spec.sum())
-    if not abs(total - 1.0) <= tol:
-        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {tol:.1e}")
-    if not total > 0.0:
-        raise ValueError(f"spectrum sums to {total!r}; a probe needs a positive sum")
+    if not abs(total - 1.0) <= DEFAULT_TOL:
+        raise ValueError(f"spectrum sums to {total!r}, expected 1 within {DEFAULT_TOL:.1e}")
     root = np.sqrt(np.clip(spec, 0.0, None))
     root *= 1.0 / math.sqrt(math.fsum(root * root))
     return np.sort(root * root)[::-1]
@@ -135,30 +133,30 @@ def densities_to_json(mats) -> str:
     return orjson.dumps(objs, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
-def density_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:
+def density_from_dict(obj: dict) -> np.ndarray:
     """Decode a state from either JSON wire format as a read-only complex
     density matrix; ``amplitudes`` wins when both keys are present.
 
     A pure state becomes its projector, of dimension ``d_s * d_i``.  It
     needs ``d_s >= 2``, ``d_i >= 1``, ``d_s * d_i`` amplitudes and a
-    squared norm within ``tol`` of 1; that norm is the projector's trace,
+    squared norm within :data:`DEFAULT_TOL` of 1; that norm is the projector's trace,
     and the projector is Hermitian and positive by construction, so it is
     not checked again.  A stored matrix must have the shape ``(dim, dim)``,
     be Hermitian (max entry magnitude) and have unit trace (absolute value)
-    within ``tol``, and be positive semidefinite: no eigenvalue below
-    ``-tol``.  Anything else raises ``ValueError``.
+    within :data:`DEFAULT_TOL`, and be positive semidefinite: no eigenvalue
+    below ``-DEFAULT_TOL``.  Anything else raises ``ValueError``.
     """
     if isinstance(obj, dict) and "amplitudes" in obj:
-        rho = _pure_projector(obj, tol)
+        rho = _pure_projector(obj)
     elif isinstance(obj, dict) and "entries" in obj:
-        rho = _stored_density(obj, tol)
+        rho = _stored_density(obj)
     else:
         raise ValueError("neither a pure state nor a density matrix")
     rho.setflags(write=False)
     return rho
 
 
-def _pure_projector(obj: dict, tol: float) -> np.ndarray:
+def _pure_projector(obj: dict) -> np.ndarray:
     try:
         d_s = _dimension(obj, "d_s")
         d_i = _dimension(obj, "d_i")
@@ -172,12 +170,12 @@ def _pure_projector(obj: dict, tol: float) -> np.ndarray:
     if amp.size != d_s * d_i:
         raise ValueError(f"expected {d_s * d_i} amplitudes, got {amp.size}")
     norm_sq = float(np.real(np.vdot(amp, amp)))
-    if not abs(norm_sq - 1.0) <= tol:
+    if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"amplitudes have squared norm {norm_sq:.17g}, expected 1")
     return np.outer(amp, amp.conj())
 
 
-def _stored_density(obj: dict, tol: float) -> np.ndarray:
+def _stored_density(obj: dict) -> np.ndarray:
     try:
         dim = _dimension(obj, "dim")
         rows = obj["entries"]
@@ -193,11 +191,11 @@ def _stored_density(obj: dict, tol: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.max(np.abs(mat - mat.conj().T)))
         tr = complex(np.trace(mat))
-    if not defect <= tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
-    if not abs(tr - 1.0) <= tol:
-        raise ValueError(f"trace is {tr:.17g}, expected 1 within {tol:.1e}")
+    if not defect <= DEFAULT_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {DEFAULT_TOL:.3e}")
+    if not abs(tr - 1.0) <= DEFAULT_TOL:
+        raise ValueError(f"trace is {tr:.17g}, expected 1 within {DEFAULT_TOL:.1e}")
     w_min = np.linalg.eigvalsh(mat)[0]
-    if not w_min >= -tol:
+    if not w_min >= -DEFAULT_TOL:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
     return mat

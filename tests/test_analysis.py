@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qillum import analysis, cli
-from qillum.states import DEFAULT_TOL, schmidt_probe
+from qillum.states import schmidt_probe
 from qillum.discrimination import flat_probe_error, h01_closed_form, schmidt_helstrom_error
 from qillum.analysis import SWEEP_COLUMNS, VerificationError, run_sweep, verify_bell_optimality
 from conftest import (
@@ -148,7 +148,7 @@ class TestRunSweep:
             spec = tmp_path / "spec.json"
             spec.write_text("[0.5, 0.0, 0.2, 0.3]")
             text = f"spectrum:{spec}"
-        family = cli.parse_family(text, DEFAULT_TOL, 5)
+        family = cli.parse_family(text, 5)
         assert (family is None) == (text == "bell")
         run_sweep([0.5], [5], [family])
         (lam,) = kernel_calls[0][1]
@@ -169,7 +169,7 @@ class TestRunSweep:
         """Bit for bit, so their sweep rows are equal: rescaling ``sqrt(1/d)``
         missed 1/d at 153 of d in [1, 300)."""
         for d in range(1, 65):
-            rank = cli.parse_family(f"uniform-rank:{d}", DEFAULT_TOL, d)
+            rank = cli.parse_family(f"uniform-rank:{d}", d)
             kernel_calls.clear()
             table = run_sweep(np.linspace(0.0, 1.0, 21), [d], [BELL, rank])
             (_, (bell, flat), *_), _ = kernel_calls  # one error call, one overlap call

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qillum import analysis, cli
+from qillum import analysis, cli, discrimination, states
 from qillum.cli import MAX_SWEEP_ROWS, main, parse_float_grid
 from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
 from qillum.states import DEFAULT_TOL, density_from_dict
@@ -78,11 +78,6 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-@pytest.fixture(autouse=True)
-def default_tolerance(monkeypatch):
-    monkeypatch.delenv("QI_TOL", raising=False)
-
-
 class TestSweep:
     GOLDEN_ARGS = [
         "--eta", "0:0.25:1", "--d", "2,3,4",
@@ -124,12 +119,8 @@ class TestSweep:
         # no column goes through BLAS or LAPACK, so every byte is pinned
         assert self.spectrum_sweep(tmp_path, p0) == (DATA / f"sweep_spectrum_golden_p{p0}.csv").read_bytes()
 
-    @pytest.mark.parametrize("offset, qi_tol, code", [
-        (5e-4, None, 1), (5e-4, "1e-3", 0), (1e-10, None, 0), (1e-10, "1e-12", 1),
-    ])
-    def test_spectrum_sum_honours_qi_tol(self, tmp_path, monkeypatch, capsys, offset, qi_tol, code):
-        if qi_tol is not None:
-            monkeypatch.setenv("QI_TOL", qi_tol)
+    @pytest.mark.parametrize("offset, code", [(5e-4, 1), (2e-9, 1), (1e-10, 0)])
+    def test_spectrum_sum_is_held_to_the_tolerance(self, tmp_path, capsys, offset, code):
         spec = write_json(tmp_path / "spec.json", [0.5, 0.5 + offset])
         out = tmp_path / "sweep.csv"
         argv = ["--eta", "0.5", "--d", "2", "--family", f"spectrum:{spec}", "--out", str(out)]
@@ -138,13 +129,12 @@ class TestSweep:
         if code:
             assert capsys.readouterr().err.startswith("error: spectrum sums to")
 
-    def test_zero_spectrum_exits_1_at_any_tolerance(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QI_TOL", "1")
+    def test_zero_spectrum_exits_1_at_any_tolerance(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", [0, 0])
         out = tmp_path / "sweep.csv"
         argv = ["--eta", "0.5", "--d", "2", "--family", f"spectrum:{spec}", "--out", str(out)]
         assert main(["sweep", *argv]) == 1
-        assert capsys.readouterr().err == "error: spectrum sums to 0.0; a probe needs a positive sum\n"
+        assert capsys.readouterr().err == "error: spectrum sums to 0.0, expected 1 within 1.0e-09\n"
         assert not out.exists()
 
     def test_rank_is_checked_before_allocating(self, tmp_path, capsys):
@@ -403,11 +393,6 @@ class TestVerifyBell:
         assert main([*argv, "--eta", "0", "--p0", "0"]) == 0
         assert capsys.readouterr().out == report
 
-    def test_honours_qi_tol(self, monkeypatch):
-        # no sample's Schmidt weights sum to 1 within 1e-30
-        monkeypatch.setenv("QI_TOL", "1e-30")
-        assert main(["verify-bell", "--d", "3", "--samples", "3", "--seed", "1"]) == 1
-
 
 class TestGridParsing:
     def test_range_points_unchanged(self):
@@ -565,22 +550,24 @@ class TestHelstrom:
         assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
 
     def test_povm_check_passes_at_tiny_tolerance(self, tmp_path, monkeypatch, capsys):
-        """At ``QI_TOL = 1e-300`` the check's bound is its 16 float steps a
-        dimension alone, and a correct run still passes with the same bytes.
-        The pair is exact in binary (unit norm, unit trace), so it passes
-        validation there too."""
+        """With ``DEFAULT_TOL`` at 1e-300 the check's bound is its 16 float
+        steps a dimension alone, and a correct run still passes with the same
+        bytes.  The pair is exact in binary (unit norm, unit trace), so it
+        passes validation there too."""
         pure = {"d_s": 2, "d_i": 2, "amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]}
         mixed = {"dim": 4, "entries": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
         assert run_helstrom(tmp_path, pure, mixed, "--p0", "0.35", "--povm") == 0
         want = capsys.readouterr().out
-        monkeypatch.setenv("QI_TOL", "1e-300")
+        for module in (states, discrimination, cli):  # validation, optimal_povm's cutoff and the check
+            monkeypatch.setattr(module, "DEFAULT_TOL", 1e-300)
         assert run_helstrom(tmp_path, pure, mixed, "--p0", "0.35", "--povm") == 0
         assert capsys.readouterr().out == want
 
-    def test_povm_check_holds_at_tiny_tolerance(self):
+    def test_povm_check_holds_at_tiny_tolerance(self, monkeypatch):
         """``helstrom_povm.txt``'s pair and the benchmark's shapes: their
         files fail validation at ``1e-300`` (a norm or trace off by an ulp),
-        so the check is run on the decoded matrices directly."""
+        so the check is run on the decoded matrices directly, with
+        ``DEFAULT_TOL`` patched where the cutoff and the check read it."""
         cases = [(density_from_dict(BELL_2), density_from_dict(MIXED_4), 0.35)]
         for seed, dim, spec0, spec1 in BENCHMARK_PAIRS:
             rng = np.random.default_rng(seed)
@@ -588,8 +575,10 @@ class TestHelstrom:
             cases.append((rho0, rho1, round(float(rng.uniform(0.2, 0.8)), 6)))
         for rho0, rho1, p0 in cases:
             error = helstrom_error(rho0, rho1, p0)
-            for tol in (1e-9, 1e-300):
-                cli._check_povm_error(rho0, rho1, p0, optimal_povm(rho0, rho1, p0, tol), error, tol)
+            for tol in (DEFAULT_TOL, 1e-300):
+                monkeypatch.setattr(discrimination, "DEFAULT_TOL", tol)
+                monkeypatch.setattr(cli, "DEFAULT_TOL", tol)
+                cli._check_povm_error(rho0, rho1, p0, optimal_povm(rho0, rho1, p0), error)
 
 
 def float_texts(x):
@@ -626,10 +615,10 @@ def awkward_texts(draw):
 
 @st.composite
 def state_files(draw):
-    """``(text, tol)``: a state file in either wire format.  Either a valid
-    random state written in :func:`float_texts`' forms, read at the default
-    tolerance, or one whose every number is from :func:`awkward_texts`,
-    read at ``1e300`` so that most finite ones decode."""
+    """``(text, valid)``: a state file in either wire format.  Either a
+    valid random state written in :func:`float_texts`' forms, or one whose
+    every number is from :func:`awkward_texts`, which hardly ever decodes to
+    a state."""
     fmt = draw(st.sampled_from(["amplitudes", "entries"]))
     d_s, d_i = draw(st.integers(2, 3)), draw(st.integers(1, 2))
     dim = d_s * d_i if fmt == "amplitudes" else draw(st.integers(1, 3))
@@ -638,9 +627,9 @@ def state_files(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         obj = random_state_object(rng, dim, ("amp", d_s, d_i) if fmt == "amplitudes" else ("rho", dim))
         parts = np.ravel(obj[fmt]).tolist()
-        numbers, tol = [draw(float_texts(x)) for x in parts], DEFAULT_TOL
+        numbers, valid = [draw(float_texts(x)) for x in parts], True
     else:
-        numbers, tol = [draw(awkward_texts()) for _ in range(2 * dim * (1 if fmt == "amplitudes" else dim))], 1e300
+        numbers, valid = [draw(awkward_texts()) for _ in range(2 * dim * (1 if fmt == "amplitudes" else dim))], False
     pairs = [f"[{re}, {im}]" for re, im in zip(numbers[::2], numbers[1::2])]
     if fmt == "amplitudes":
         head = f'"d_s": {draw(st.sampled_from(dims))(d_s)}, "d_i": {draw(st.sampled_from(dims))(d_i)}'
@@ -648,36 +637,46 @@ def state_files(draw):
     else:
         head = f'"dim": {draw(st.sampled_from(dims))(dim)}'
         body = ", ".join(f"[{', '.join(pairs[r * dim:(r + 1) * dim])}]" for r in range(dim))
-    return f'{{{head}, "{fmt}": [{body}]}}', tol
+    return f'{{{head}, "{fmt}": [{body}]}}', valid
+
+
+def json_numbers(value):
+    """The numbers in a decoded JSON value, in document order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in json_numbers(item)]
+    return [value]
 
 
 class TestStateFileReading:
-    """``cli._load_density`` reads a file with ``orjson`` and decodes it with
-    :func:`~qillum.states.density_from_dict`; the decoded matrix is the one
-    ``json`` gives, bit for bit."""
+    """``cli._read_json`` reads a file with ``orjson`` as ``json`` reads
+    it, number by number, and ``cli._load_density`` decodes a valid state
+    to the matrix :func:`~qillum.states.density_from_dict` gives on
+    ``json``'s reading, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=state_files())
-    @example(case=('{"dim": 1, "entries": [[[1.7976931348623158e308, 0]]]}', 1e300))
-    @example(case=('{"dim": 1, "entries": [[[1e-400, -0.0]]]}', 1e300))
-    @example(case=('{"d_s": 2, "d_i": 1, "amplitudes": [[18446744073709551616, -0], [-9223372036854775809, 0]]}', 1e300))
-    @example(case=('{"d_s": 2, "d_i": 1, "amplitudes": [[2.4703282292062327e-324, 0], [1, 0]]}', 1e-9))
+    @example(case=('{"dim": 1, "entries": [[[1.7976931348623158e308, 0]]]}', False))
+    @example(case=('{"dim": 1, "entries": [[[1e-400, -0.0]]]}', False))
+    @example(case=('{"d_s": 2, "d_i": 1, "amplitudes": [[18446744073709551616, -0], [-9223372036854775809, 0]]}', False))
+    @example(case=('{"d_s": 2, "d_i": 1, "amplitudes": [[2.4703282292062327e-324, 0], [1, 0]]}', True))
     def test_decodes_as_json_does(self, tmp_path_factory, case):
-        text, tol = case
+        text, valid = case
         path = tmp_path_factory.mktemp("state") / "state.json"
         path.write_text(text)
-        # json reads 1e400 as inf, and arithmetic on an infinity may warn
-        with np.errstate(all="ignore"):
-            try:
-                got = cli._load_density(str(path), tol)
-            except ValueError:
-                got = None
-            try:
-                want = density_from_dict(json.loads(text), tol)
-            except ValueError:
-                want = None
-        assert (got is None) == (want is None)
-        if got is not None:
+        want = json_numbers(json.loads(text))
+        try:
+            got = json_numbers(cli._read_json(str(path), "state"))
+        except ValueError:  # strict JSON: json's reading holds an infinity (1e400 or Infinity)
+            assert not all(map(math.isfinite, want))
+            return
+        # orjson reads an integer beyond 64 bits as its nearest float; repr tells every float's bits apart
+        want = [float(x) if type(x) is int and not -2**63 <= x < 2**64 else x for x in want]
+        assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+        if valid:
+            got = cli._load_density(str(path))
+            want = density_from_dict(json.loads(text))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -823,6 +822,23 @@ class TestProblemValidation:
         assert (captured.err, captured.out) == (f"error: {message}\n", "")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, argv, usage", [
+        ("sweep", ["--eta", "0.5", "--d", "2", "--plot", "--out", "{out}"],
+         "usage: qillum sweep [-h] --eta ETA --d D [--family FAMILY] [--priors P0] --out OUT"),
+        ("helstrom", ["--state0", "{out}", "--state1", "{out}", "--plot"],
+         "usage: qillum helstrom [-h] --state0 STATE0 --state1 STATE1 [--p0 P0] [--povm]"),
+    ], ids=["sweep", "helstrom"])
+    def test_unknown_option_gets_its_subcommands_usage(self, tmp_path, monkeypatch, capsys, command, argv, usage):
+        """An unknown option is reported with the usage of the subcommand
+        it was given to, not the top-level one, and nothing is run."""
+        monkeypatch.setenv("COLUMNS", "120")  # argparse wraps the usage line to the terminal's width
+        out = tmp_path / "sweep.csv"
+        assert main([command, *(a.format(out=out) for a in argv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == usage
+        assert captured.err.endswith(f"qillum {command}: error: unrecognized arguments: --plot\n")
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("family, text", [
         ("spectrum", DEEP),
         ("state", f'{{"d_s": {DEEP}, "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}}'),
@@ -869,16 +885,22 @@ class TestOutOfMemory:
         assert not out.exists()
 
 
-class TestTolerance:
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
-    def test_rejects_unusable_qi_tol(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("QI_TOL", value)
-        assert run_helstrom(tmp_path, HALF_NORM, HALF_NORM) == 1
-        captured = capsys.readouterr()
-        assert "QI_TOL" in captured.err
-        assert captured.out == ""
+class TestFixedTolerance:
+    """Every check holds to ``DEFAULT_TOL``: no environment variable, ``QI_TOL``
+    included, loosens any of them."""
 
-    def test_accepts_finite_positive_qi_tol(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QI_TOL", "1e-6")
-        assert run_helstrom(tmp_path, BELL_2, BELL_2) == 0
-        assert math.isclose(float(capsys.readouterr().out), 0.5, abs_tol=1e-12)
+    def test_environment_changes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QI_TOL", "1")
+        for name, text in README_STATES.items():
+            (tmp_path / name).write_text(text + "\n")
+        argv = ["helstrom", "--state0", str(tmp_path / "bell.json"), "--state1", str(tmp_path / "mixed.json"),
+                "--p0", "0.5", "--povm"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / "helstrom_readme_golden.txt").read_text()
+        assert run_helstrom(tmp_path, pure_state_dict([[1.0], [1.0]]), MIXED_2) == 1
+        assert "squared norm 2, expected 1" in capsys.readouterr().err
+        spec = write_json(tmp_path / "spec.json", [0.5, 0.5005])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", "--d", "2", "--family", f"spectrum:{spec}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: spectrum sums to 1.0005,")
+        assert not out.exists()

@@ -108,7 +108,7 @@ class TestOptimalPovm:
         rng = np.random.default_rng(seed)
         rho0 = random_density(rng, dim, min(rank0, dim))
         rho1 = random_density(rng, dim, min(rank1, dim))
-        e0, e1 = optimal_povm(rho0, rho1, p0, TOL)
+        e0, e1 = optimal_povm(rho0, rho1, p0)
         for e in (e0, e1):
             assert max_abs_diff(e, e.conj().T) <= 1e-12
             assert np.linalg.eigvalsh(e)[0] >= -TOL

@@ -49,7 +49,6 @@ def written_code(module):
 
 
 def test_cli_reaches_every_public_function(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("QI_TOL", raising=False)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps([0, 0.52, 0.01, 0.47]))
     pure = tmp_path / "pure.json"

@@ -94,10 +94,9 @@ class TestStoredDensity:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             density_from_dict(density_to_dict(np.array([[0.5, 0.5], [0.0, 0.5]])))
-        skew = density_to_dict(np.array([[0.5, 1e-6], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="Hermitian"):
-            density_from_dict(skew, tol=1e-9)
-        density_from_dict(skew, tol=1e-3)  # accepted when the caller loosens it
+            density_from_dict(density_to_dict(np.array([[0.5, 2e-9], [0.0, 0.5]])))
+        density_from_dict(density_to_dict(np.array([[0.5, 5e-10], [0.0, 0.5]])))  # within DEFAULT_TOL
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (1, 2, 2)])
     def test_rejects_non_square(self, shape):
@@ -107,10 +106,9 @@ class TestStoredDensity:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             density_from_dict(density_to_dict(np.diag([0.5, 0.6])))
-        near = density_to_dict(np.diag([0.5, 0.5 + 1e-12]))
-        with pytest.raises(ValueError, match=r"trace is 1\.000000000001\d*\+0j, expected 1"):
-            density_from_dict(near, tol=1e-13)
-        density_from_dict(near, tol=1e-11)
+        with pytest.raises(ValueError, match=r"trace is 1\.000000002\d*\+0j, expected 1"):
+            density_from_dict(density_to_dict(np.diag([0.5, 0.5 + 2e-9])))
+        density_from_dict(density_to_dict(np.diag([0.5, 0.5 + 5e-10])))
 
     def test_matrix_is_read_only(self):
         for obj in (density_to_dict(np.eye(2) / 2), pure_state_dict(bell_state(2))):
@@ -280,16 +278,16 @@ class TestSchmidtFamilyState:
         off = [0.5, 0.5005]  # sums to 1 + 5e-4
         with pytest.raises(ValueError, match="sums to 1.0005,"):
             schmidt_probe(off)
-        lam = schmidt_probe(off, tol=1e-3)
+        with pytest.raises(ValueError, match=r"sums to 1\.000000002\d*, expected 1 within 1\.0e-09"):
+            schmidt_probe([0.5, 0.5 + 2e-9])
+        lam = schmidt_probe([0.5, 0.5 + 5e-10])
         assert abs(lam.sum() - 1.0) < 1e-15
-        with pytest.raises(ValueError, match="sums to"):
-            schmidt_probe([0.5, 0.5 + 1e-10], tol=1e-12)
 
     def test_rejects_zero_sum_at_any_tolerance(self):
-        with pytest.raises(ValueError, match="positive sum"):
-            schmidt_probe([0.0, 0.0], tol=1.0)
-        with pytest.raises(ValueError, match="positive sum"):
-            schmidt_probe([-1e-12, 0.0], tol=2.0)
+        with pytest.raises(ValueError, match="sums to 0.0, expected 1"):
+            schmidt_probe([0.0, 0.0])
+        with pytest.raises(ValueError, match="sums to -1e-12, expected 1"):
+            schmidt_probe([-1e-12, 0.0])
 
     def test_negative_entries_count_as_zero(self):
         lam = schmidt_probe([0.5, -1e-13, 0.5 + 1e-13])
@@ -343,11 +341,9 @@ class TestJsonFormat:
             density_from_dict(pure_state_dict([[1.0], [1.0]]))
         with pytest.raises(ValueError, match="squared norm 0.5"):
             density_from_dict(pure_state_dict(np.full((2, 1), 0.5)))
-        density_from_dict(pure_state_dict(np.full((2, 1), 0.5)), tol=0.6)  # within a loose tol
-        near = pure_state_dict([[math.sqrt(0.5)], [math.sqrt(0.5 + 1e-12)]])
-        with pytest.raises(ValueError, match=r"squared norm 1\.000000000001\d*, expected 1"):
-            density_from_dict(near, tol=1e-13)
-        density_from_dict(near, tol=1e-11)
+        with pytest.raises(ValueError, match=r"squared norm 1\.000000002\d*, expected 1"):
+            density_from_dict(pure_state_dict([[math.sqrt(0.5)], [math.sqrt(0.5 + 2e-9)]]))
+        density_from_dict(pure_state_dict([[math.sqrt(0.5)], [math.sqrt(0.5 + 5e-10)]]))
 
     def test_state_rejects_small_signal(self):
         with pytest.raises(ValueError, match="signal dimension must be >= 2, got 1"):
