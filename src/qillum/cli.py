@@ -19,9 +19,9 @@ error (so no NaN or infinity is printed), as
 Every user parameter is checked here once, before any file is read, and
 the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and
 ``d`` at least 2, NaN failing each (:func:`_check_parameters`); ``--d``
-integral; ``--samples`` at least 1; a sweep at most :data:`MAX_SWEEP_ROWS`
-rows.  Then each family is checked against the smallest ``--d``
-(:func:`parse_family`), before any probe is evaluated.
+integral; ``--samples`` at least 1; ``--seed`` at least 0; a sweep at
+most :data:`MAX_SWEEP_ROWS` rows.  Then each family is checked against the
+smallest ``--d`` (:func:`parse_family`), before any probe is evaluated.
 
 Exit codes: 0 success, 1 validation or usage error (``ValueError``,
 ``OSError``), 2 numerical-verification failure (``VerificationError``).
@@ -184,6 +184,8 @@ def cmd_verify_bell(args) -> int:
     _check_parameters([args.eta], [args.d], args.p0)
     if args.samples < 1:
         raise ValueError(f"need at least one sample, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     report = verify_bell_optimality(args.d, args.samples, args.seed, eta=args.eta, p0=args.p0)
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0

@@ -5,7 +5,12 @@ This is where data enters the package, so this is where it is checked,
 once.  A state read from a file, in either wire format, becomes a
 read-only complex density matrix (:func:`density_from_dict`): a pure state
 its projector, whose amplitudes' squared norm is its trace, and a stored
-matrix after its shape, Hermiticity, trace and positivity checks.  A sweep
+matrix after its shape, Hermiticity, trace and positivity checks.
+Positivity (no eigenvalue below ``-DEFAULT_TOL``) is certified by one
+Cholesky factorization of ``rho + (DEFAULT_TOL - delta) I``, ``delta = 4
+(n + 1) 2**-53 (1 + (n + 1) DEFAULT_TOL)`` in dimension ``n``, no full
+eigensolve; only a matrix whose factorization fails is diagonalized, to
+decide and to name its smallest eigenvalue.  A sweep
 probe is its Schmidt weights (:func:`schmidt_probe`), built once per sweep
 from a ``spectrum:`` file.  A random pure state is its complex ``(d_s,
 d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s`` with
@@ -144,7 +149,13 @@ def density_from_dict(obj: dict) -> np.ndarray:
     not checked again.  A stored matrix must have the shape ``(dim, dim)``,
     be Hermitian (max entry magnitude) and have unit trace (absolute value)
     within :data:`DEFAULT_TOL`, and be positive semidefinite: no eigenvalue
-    below ``-DEFAULT_TOL``.  Anything else raises ``ValueError``.
+    below ``-DEFAULT_TOL``.  Positivity is certified by one Cholesky
+    factorization of ``rho + (DEFAULT_TOL - delta) I``, where ``delta = 4 (n
+    + 1) 2**-53 (1 + (n + 1) DEFAULT_TOL)`` bounds the factorization's
+    rounding error in dimension ``n`` (:func:`_certified_psd` derives it).
+    Only a matrix whose factorization fails is diagonalized (``eigvalsh``),
+    to decide and to name its smallest eigenvalue.  Anything else raises
+    ``ValueError``.
     """
     if isinstance(obj, dict) and "amplitudes" in obj:
         rho = _pure_projector(obj)
@@ -195,7 +206,43 @@ def _stored_density(obj: dict) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {DEFAULT_TOL:.3e}")
     if not abs(tr - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"trace is {tr:.17g}, expected 1 within {DEFAULT_TOL:.1e}")
+    if _certified_psd(mat):
+        return mat
     w_min = np.linalg.eigvalsh(mat)[0]
     if not w_min >= -DEFAULT_TOL:
         raise ValueError(f"not positive semidefinite: min eigenvalue {w_min:.3e}")
     return mat
+
+
+def _certified_psd(mat: np.ndarray) -> bool:
+    """Whether one Cholesky factorization proves that no eigenvalue of the
+    Hermitian matrix in ``mat``'s lower triangle, the one ``eigvalsh``
+    reads, lies below ``-DEFAULT_TOL``.  ``False`` proves nothing.
+
+    With ``n = len(mat)`` and ``u = 2**-53`` it factors ``B = mat + c I``,
+    ``c = DEFAULT_TOL - delta``, ``delta = 4 (n + 1) u (1 + (n + 1)
+    DEFAULT_TOL)``: a copy of ``mat`` whose diagonal is raised, with no
+    identity built and no norm taken.  If the factorization runs to
+    completion, its computed factor ``R`` has ``R*R = B + dB`` with ``|dB|
+    <= g |R*||R|`` entrywise (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3, for any order of summation, so for
+    LAPACK's blocked code too).  Thm 10.3's ``gamma_{n+1}`` becomes ``g =
+    sqrt(2) gamma_{2n+2} < 2.9 (n + 1) u`` once each complex product is
+    counted as two real ones.  Since ``R*R`` is positive semidefinite,
+    ``lambda_min(B) >= -||dB||_2 >= -g ||R||_F^2``, and ``||R||_F^2 =
+    tr(R*R) <= tr(B) / (1 - g)``.  Every pivot was positive, so every
+    diagonal entry of ``B`` is, and rounding the raised diagonal moved ``B``
+    by at most ``u tr(B)``.  The trace check has held ``tr(mat)`` within
+    ``DEFAULT_TOL`` of 1, so ``tr(B) <= 1 + (n + 1) DEFAULT_TOL`` up to a
+    factor ``1 + O(n u)``.  Together ``lambda_min(mat) >= -c - (g + u) (1 +
+    O(n u)) tr(B) >= -c - delta = -DEFAULT_TOL``: ``g + u < 3.4 (n + 1) u``,
+    and ``4 / 3.4`` covers the factor at any ``n`` a matrix in memory has.
+    """
+    n = len(mat)
+    raised = mat.copy()
+    raised.flat[:: n + 1] += DEFAULT_TOL - 4 * (n + 1) * 2.0**-53 * (1 + (n + 1) * DEFAULT_TOL)
+    try:
+        np.linalg.cholesky(raised)
+    except np.linalg.LinAlgError:
+        return False
+    return True

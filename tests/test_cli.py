@@ -497,10 +497,16 @@ class TestHelstrom:
         assert capsys.readouterr().out == want
 
     def test_rejects_negative_eigenvalue(self, tmp_path, capsys):
-        # Hermitian with unit trace, but eigenvalues 1.2 and -0.2
-        bad = {"dim": 2, "entries": [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]}
-        assert run_helstrom(tmp_path, bad, bad) == 1
-        assert "positive" in capsys.readouterr().err
+        """Hermitian with unit trace, but eigenvalues 1.2 and -0.2: the
+        Cholesky certificate fails at the first or at the second pivot, and
+        the smallest eigenvalue is named, as the console-script CI step
+        pins it."""
+        message = f"invalid state in {str(tmp_path / 's0.json')!r}: not positive semidefinite: min eigenvalue -2.000e-01"
+        for entries in ([[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]],
+                        [[[0.5, 0.0], [0.7, 0.0]], [[0.7, 0.0], [0.5, 0.0]]]):
+            assert run_helstrom(tmp_path, {"dim": 2, "entries": entries}, MIXED_2) == 1
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
     def test_readme_example_golden(self, tmp_path, capsys):
         """README's files and command, as the console-script CI step runs them."""
@@ -812,9 +818,11 @@ class TestProblemValidation:
         (["sweep", "--eta", "0.5", "--d", "2", "--priors", "-1e-3", "--out", "{out}"], "prior p0 must lie in [0, 1], got -0.001"),
         (["sweep", "--eta", "-0.5:0.1:0", "--d", "2", "--out", "{out}"], "eta must be in [0, 1], got -0.5"),
         (["sweep", "--eta", "0.5", "--d", "-2,3", "--out", "{out}"], "signal dimension must be >= 2, got -2"),
+        (["verify-bell", "--d", "3", "--samples", "3", "--seed", "-1", "--eta", "0.5"], "seed must be >= 0, got -1"),
     ], ids=["sweep-d-1", "sweep-priors-1.5", "sweep-priors-nan", "sweep-before-files", "helstrom-before-files",
             "range-step-inf", "range-stop-inf", "range-start-inf", "range-step-nan",
-            "eta-minus-inf", "eta-minus-nan", "eta-minus-1e-3", "priors-minus-1e-3", "eta-minus-range", "d-minus-list"])
+            "eta-minus-inf", "eta-minus-nan", "eta-minus-1e-3", "priors-minus-1e-3", "eta-minus-range", "d-minus-list",
+            "seed-minus-1"])
     def test_names_the_bad_parameter(self, tmp_path, capsys, argv, message):
         out, missing = tmp_path / "sweep.csv", tmp_path / "missing.json"
         assert main([a.format(out=out, missing=missing) for a in argv]) == 1

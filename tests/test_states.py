@@ -25,7 +25,9 @@ from conftest import (
     projector,
     pure_state_dict,
     purity,
+    random_density,
     random_projective_povm,
+    random_unitary,
     schmidt_amplitudes,
 )
 
@@ -109,6 +111,55 @@ class TestStoredDensity:
         with pytest.raises(ValueError, match=r"trace is 1\.000000002\d*\+0j, expected 1"):
             density_from_dict(density_to_dict(np.diag([0.5, 0.5 + 2e-9])))
         density_from_dict(density_to_dict(np.diag([0.5, 0.5 + 5e-10])))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.integers(2, 96).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(1, dim - 1))),
+        smallest=st.sampled_from([-1.001e-9, -0.999e-9, 0.0, 1e-12]),
+    )
+    @example(seed=0, dims=(2, 1), smallest=-1.001e-9)
+    @example(seed=1, dims=(96, 1), smallest=-1.001e-9)
+    @example(seed=2, dims=(96, 95), smallest=-0.999e-9)
+    @example(seed=3, dims=(96, 95), smallest=1e-12)
+    def test_positivity_edge(self, seed, dims, smallest):
+        """``U diag(lam) U*`` through JSON floats, with ``rank`` positive
+        eigenvalues summing to ``1 - smallest``, then ``smallest``, then
+        zeros: rejected, with the smallest eigenvalue named, exactly when
+        it lies below ``-DEFAULT_TOL``.  A 1-dimensional state of unit
+        trace has no room for a second eigenvalue; ``smallest = 1e-12`` at
+        ``rank = dim - 1`` is full rank."""
+        dim, rank = dims
+        rng = np.random.default_rng(seed)
+        lam = np.zeros(dim)
+        lam[:rank] = rng.dirichlet(np.ones(rank)) * (1.0 - smallest)
+        lam[rank] = smallest
+        u = random_unitary(rng, dim)
+        rho = (u * lam) @ u.conj().T
+        obj = json.loads(json.dumps(density_to_dict(0.5 * (rho + rho.conj().T))))
+        if smallest < -DEFAULT_TOL:
+            with pytest.raises(ValueError) as info:
+                density_from_dict(obj)
+            assert str(info.value) == "not positive semidefinite: min eigenvalue -1.001e-09"
+        else:
+            assert density_from_dict(obj).shape == (dim, dim)
+
+    @pytest.mark.parametrize("dim, rank", [(1, 1), (32, 1), (32, 3), (32, 32), (48, 48), (64, 2), (64, 64),
+                                           (96, 5), (96, 48), (96, 96)])
+    def test_positive_state_needs_no_eigensolver(self, monkeypatch, dim, rank):
+        """The benchmark's stored shapes, Ginibre states of ranks 1 to full
+        through JSON floats, are certified by the Cholesky factorization
+        alone: neither ``eigvalsh`` nor ``eigh`` is called."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        objs = [json.loads(json.dumps(density_to_dict(random_density(np.random.default_rng(seed), dim, rank))))
+                for seed in range(3)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for obj in objs:
+            rho = density_from_dict(obj)
+            assert np.array_equal(rho.view(float).reshape(dim, dim, 2), obj["entries"])
 
     def test_matrix_is_read_only(self):
         for obj in (density_to_dict(np.eye(2) / 2), pure_state_dict(bell_state(2))):
