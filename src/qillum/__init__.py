@@ -11,8 +11,10 @@ singular-value decomposition): the error is one secular root, bracketed
 by the closed forms of the Bell and the unentangled probe, and the
 overlap three traces of ``diag(lam)``.  A sweep is one float table over
 the whole ``eta`` grid, with the columns ``analysis.SWEEP_COLUMNS`` names.
-The dense minimum error, with the optimal measurement, serves arbitrary
-stored states, each decoded once into a read-only complex array.  Inputs
+The minimum error, with the optimal measurement, serves arbitrary stored
+states, each decoded once into a read-only complex array (a pure state
+into its amplitude vector), from one decomposition per query: a 2x2
+problem for two pure states, else one dense eigensolve.  Inputs
 are validated once, where they enter: files in :mod:`qillum.states`, user
 parameters (a sweep's families among them, parsed into weights once) in
 :mod:`qillum.cli`; the rest takes them unchecked.  Import the submodules:

@@ -10,10 +10,13 @@ through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
 weights, built once a sweep (Bell's at each dimension): flat for ``bell``
 and ``uniform-rank:<r>``, read from a JSON list for ``spectrum:<file>``.
 ``helstrom`` decodes two state files in either wire format of
-:mod:`~qillum.states` by :func:`~qillum.states.density_from_dict`, and
-prints the error through :func:`_fmt`; with ``--povm`` it also prints the
-optimal measurement, once it has checked that the measurement attains the
-error (so no NaN or infinity is printed), as
+:mod:`~qillum.states` by :func:`~qillum.states.density_from_dict` (a pure
+state to its amplitude vector), diagonalizes the pair once
+(:func:`~qillum.discrimination.diagonalize`: two pure states in a 2x2
+problem, any other pair in one dense eigensolve) and prints the error
+through :func:`_fmt`; with ``--povm`` it also prints the optimal
+measurement, from the same decomposition, once it has checked that the
+measurement attains the error (so no NaN or infinity is printed), as
 :func:`~qillum.states.densities_to_json` writes it: ``orjson``'s compact JSON.
 
 Every user parameter is checked here once, before any file is read, and
@@ -48,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .states import DEFAULT_TOL, densities_to_json, density_from_dict, require_numbers, schmidt_probe
-from .discrimination import helstrom_error, optimal_povm
+from .discrimination import diagonalize, helstrom_error, optimal_povm
 from .analysis import SWEEP_COLUMNS, VerificationError, run_sweep, verify_bell_optimality
 
 CSV_HEADER = ",".join(SWEEP_COLUMNS)
@@ -209,32 +212,41 @@ def _load_density(path: str):
         raise ValueError(f"invalid state in {path!r}: {exc}") from exc
 
 
-def _check_povm_error(rho0, rho1, p0: float, povm, error: float) -> None:
+def _check_povm_error(state0, state1, p0: float, povm, error: float) -> None:
     """Raise :class:`VerificationError` unless the measurement ``povm``
     attains ``error``, ``p0 Tr[rho0 E1] + p1 Tr[rho1 E0]``, within ``dim *
     DEFAULT_TOL`` (:func:`optimal_povm`'s slack) plus ``16 dim`` float
-    steps.  Each trace of a product of Hermitian matrices is one ``vdot``:
-    O(dim^2)."""
+    steps.  A trace of a product of Hermitian matrices is one ``vdot``, and
+    ``Tr[rho E] = <psi|E|psi>`` for a pure state's amplitude vector: O(dim^2)."""
     e0, e1 = povm
-    attained = float(p0 * np.vdot(e1, rho0).real + (1.0 - p0) * np.vdot(e0, rho1).real)
-    gap, bound = abs(attained - error), len(rho0) * (DEFAULT_TOL + 16.0 * np.finfo(float).eps)
+    attained = float(p0 * _expectation(state0, e1) + (1.0 - p0) * _expectation(state1, e0))
+    gap, bound = abs(attained - error), len(state0) * (DEFAULT_TOL + 16.0 * np.finfo(float).eps)
     if not gap <= bound:
         raise VerificationError(
             f"the measurement attains error {attained!r}, not {error!r}: gap {gap:.3e} > bound {bound:.3e}"
         )
 
 
+def _expectation(state, e) -> float:
+    if state.ndim == 2:
+        return np.vdot(e, state).real
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or infinite E: the gap check fails
+        return np.vdot(state, e @ state).real
+
+
 def cmd_helstrom(args) -> int:
     _check_parameters([], [], args.p0)
-    rho0 = _load_density(args.state0)
-    rho1 = _load_density(args.state1)
-    if rho0.shape != rho1.shape:
-        raise ValueError(f"dimension mismatch: {len(rho0)} vs {len(rho1)}")
-    error = helstrom_error(rho0, rho1, args.p0)
+    state0 = _load_density(args.state0)
+    state1 = _load_density(args.state1)
+    if len(state0) != len(state1):
+        raise ValueError(f"dimension mismatch: {len(state0)} vs {len(state1)}")
+    spectrum = diagonalize(state0, state1, args.p0, vectors=args.povm)
+    error = helstrom_error(spectrum)
     lines = [_fmt(error)]
     if args.povm:
-        povm = optimal_povm(rho0, rho1, args.p0)
-        _check_povm_error(rho0, rho1, args.p0, povm, error)
+        povm = optimal_povm(spectrum)
+        del spectrum  # the eigenvectors go before the measurement is encoded
+        _check_povm_error(state0, state1, args.p0, povm, error)
         lines.append(densities_to_json(povm))
     print("\n".join(lines))
     return 0

@@ -4,11 +4,18 @@ Two routes to the same question: the exact minimum error probability of a
 binary hypothesis test between ``rho0`` (prior ``p0``) and ``rho1`` (prior
 ``1 - p0``), via the spectrum of ``p0 rho0 - (1 - p0) rho1``, with the
 measurement that attains it; and the normalized Hilbert-Schmidt overlap,
-which needs only traces of matrix products.  The states arrive as square
-complex arrays, already validated where they entered
-(:func:`~qillum.states.density_from_dict`), and the parameters (``eta``,
-``d_s``, ``p0``) where the user gave them (:mod:`qillum.cli`): nothing is
-checked here.
+which needs only traces of matrix products.  A state arrives as a complex
+array, already validated where it entered
+(:func:`~qillum.states.density_from_dict`): a density matrix, or a pure
+state's amplitude vector ``psi`` standing for ``|psi><psi|``; and the
+parameters (``eta``, ``d_s``, ``p0``) where the user gave them
+(:mod:`qillum.cli`): nothing is checked here.
+
+A query on two stored states is diagonalized once (:func:`diagonalize`),
+and :func:`helstrom_error` and :func:`optimal_povm` both read that one
+decomposition.  Two pure states span a 2x2 problem, solved at O(dim) with
+no ``dim x dim`` array (but the measurement's); any other pair is one
+dense eigensolve, with a pure state's projector built for it.
 
 On the illumination channel a pure probe enters only through its Schmidt
 weights ``lam``: :func:`schmidt_helstrom_error` takes the minimum error
@@ -16,25 +23,105 @@ from one secular root, :func:`flat_probe_error` in closed form for flat
 weights (the Bell and the unentangled probe, its two ends),
 :func:`channel_overlap` the overlap from three traces of ``diag(lam)`` and
 :func:`h01_closed_form` from the physical parameters.  ``sweep`` and
-``verify-bell`` use these; the dense :func:`helstrom_error` serves
-``helstrom`` on arbitrary stored states and is the tests' oracle.
+``verify-bell`` use these; :func:`helstrom_error` serves ``helstrom`` on
+arbitrary stored states and, on dense matrices, is the tests' oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .states import DEFAULT_TOL
 
 
-def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float:
-    """Minimum achievable error probability over all measurements.
+def diagonalize(state0: np.ndarray, state1: np.ndarray, p0: float = 0.5, vectors: bool = False):
+    """``D = p0 rho0 - p1 rho1`` diagonalized once, as ``(deficit, w, v)``
+    for :func:`helstrom_error` and :func:`optimal_povm`; ``deficit`` is ``1
+    - ||D||_1``.  A state is a density matrix or a pure state's amplitude
+    vector; their dimensions and ``p0`` are unchecked.
 
-    Equals ``(1 - ||p0 rho0 - p1 rho1||_1) / 2`` and never exceeds the
-    smaller prior.  The states' shapes and ``p0`` are unchecked.
+    Two amplitude vectors: the pair's 2x2 problem (:func:`_pure_pair`), with
+    ``w`` ``None`` and, for ``vectors``, ``v`` an orthonormal basis of the
+    range of ``E1``: ``D``'s unit eigenvector whose eigenvalue lies below
+    ``-DEFAULT_TOL`` (a ``dim x 1`` matrix), or none (``dim x 0``).
+    Any other pair: one ``eigvalsh``, or with ``vectors`` one ``eigh``, of
+    the dense ``D``, a pure state taken as its projector; ``w`` is every
+    eigenvalue, ascending, ``v`` their eigenvectors (``None`` without
+    ``vectors``), and ``deficit`` is ``1 - sum(|w|)``.
     """
-    w = np.linalg.eigvalsh(p0 * rho0 - (1.0 - p0) * rho1)
-    value = 0.5 * (1.0 - float(np.sum(np.abs(w))))
+    if state0.ndim == state1.ndim == 1:
+        return _pure_pair(state0, state1, p0, vectors)
+    rho0, rho1 = (np.outer(s, s.conj()) if s.ndim == 1 else s for s in (state0, state1))
+    op = p0 * rho0 - (1.0 - p0) * rho1
+    w, v = np.linalg.eigh(op) if vectors else (np.linalg.eigvalsh(op), None)
+    return 1.0 - float(np.sum(np.abs(w))), w, v
+
+
+def _pure_pair(psi0: np.ndarray, psi1: np.ndarray, p0: float, vectors: bool):
+    """:func:`diagonalize` for two amplitude vectors, at O(dim).
+
+    With the squared norms ``n0``, ``n1`` and ``c = <psi0|psi1>``, each
+    rounded once from exact products (:func:`_exact_dot`), ``m = p0 n0 + p1
+    n1`` and ``x = 4 p0 p1 |c|^2 + (1 - m)(1 + m)``, ``1 - m`` taken as ``p0
+    (1 - n0) + p1 (1 - n1)``, the deficit is ``1 - ||D||_1 = x / (1 + s)``
+    (Helstrom, *Quantum Detection and Estimation Theory*, 1976), ``s =
+    ||D||_1 = sqrt((p0 n0 - p1 n1)^2 + 4 p0 p1 n0 b^2)``, ``b = |r|`` the
+    part ``r = psi1 - (c / n0) psi0`` of ``psi1`` orthogonal to ``psi0``.
+    ``x`` keeps its digits where ``s`` is near 1 (a small error), and ``s``,
+    unlike ``sqrt(1 - x)``, keeps them where ``D`` is near 0 (parallel
+    states at equal priors).  In the orthonormal basis ``u0 = psi0 /
+    sqrt(n0)``, ``u1 = r / b``, ``psi1 = a u0 + b u1`` with ``a = c /
+    sqrt(n0)``, and ``D`` is the 2x2 matrix ``[[p0 n0 - p1 |a|^2, -p1 a b],
+    [-p1 conj(a) b, -p1 b^2]]``, of determinant ``-p0 p1 n0 b^2 <= 0``: at
+    most one eigenvalue is negative.
+    """
+    p1 = 1.0 - p0
+    x0, x1 = psi0.view(float), psi1.view(float)  # [re, im, re, im, ...]
+    d0, d1 = _exact_dot(x0, -x0, 1.0), _exact_dot(x1, -x1, 1.0)
+    c = complex(_exact_dot(x0, x1), _exact_dot(x0, np.stack((psi1.imag, -psi1.real), -1).reshape(-1)))
+    n0, n1, c2 = 1.0 - d0, 1.0 - d1, c.real * c.real + c.imag * c.imag
+    r = psi1 - (c / n0) * psi0
+    b2 = float(np.vdot(r, r).real)
+    s = math.sqrt((p0 * n0 - p1 * n1) ** 2 + 4.0 * p0 * p1 * n0 * b2)
+    short = p0 * d0 + p1 * d1  # 1 - m
+    deficit = (4.0 * p0 * p1 * c2 + short * (2.0 - short)) / (1.0 + s)
+    if not vectors:
+        return deficit, None, None
+    root0, b = math.sqrt(n0), math.sqrt(b2)
+    a = c / root0
+    w, v = np.linalg.eigh(np.array([[p0 * n0 - p1 * c2 / n0, -p1 * a * b], [-p1 * a.conjugate() * b, -p1 * b2]]))
+    if not w[0] < -DEFAULT_TOL:
+        return deficit, None, np.empty((len(psi0), 0), dtype=complex)
+    u1 = r / b if b > 0.0 else r  # 0 where psi1 is parallel to psi0, and so is D's range
+    return deficit, None, (v[0, 0] * (psi0 / root0) + v[1, 0] * u1)[:, None]
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray, start: float = 0.0) -> float:
+    """``start + sum(a * b)`` of two real vectors, rounded once: each product
+    split exactly into ``hi + lo`` (Dekker's product, exact for entries of
+    magnitude up to about 1, as a state's are, above the subnormals), the
+    lot added by :func:`math.fsum`."""
+    def halves(x):
+        t = 134217729.0 * x  # 2**27 + 1
+        high = t - (t - x)
+        return high, x - high
+
+    (ah, al), (bh, bl) = halves(a), halves(b)
+    hi = a * b
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return math.fsum(np.concatenate(([start], hi, lo)).tolist())
+
+
+def helstrom_error(spectrum) -> float:
+    """Minimum achievable error probability over all measurements, from
+    :func:`diagonalize`'s ``(deficit, w, v)``.
+
+    Equals ``(1 - ||p0 rho0 - p1 rho1||_1) / 2``, clipped to ``[0, 1]``, and
+    never exceeds the smaller prior.
+    """
+    value = 0.5 * spectrum[0]
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -119,20 +206,26 @@ def flat_probe_error(eta, n, p0: float = 0.5):
     return np.where(c >= 0.0, 1.0 - p0, np.where(p0 * eta + c / n > 0.0, base - c / n, p0))[()]
 
 
-def optimal_povm(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """The measurement ``(E0, E1)`` attaining the minimum error probability.
+def optimal_povm(spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The measurement ``(E0, E1)`` attaining the minimum error probability,
+    from :func:`diagonalize`'s ``(deficit, w, v)`` taken with ``vectors``.
 
-    ``E0`` projects onto the non-negative eigenspace of ``p0 rho0 - p1 rho1``
-    (eigenvalues above ``-DEFAULT_TOL`` count as non-negative, which shifts
-    the attained error by at most ``dim * DEFAULT_TOL``); ``E1 = I - E0``
-    is its complement.  Both are orthogonal projectors by construction.
-    The states' shapes and ``p0`` are unchecked.
+    Dense: ``E0`` projects onto the non-negative eigenspace of ``p0 rho0 -
+    p1 rho1`` (eigenvalues above ``-DEFAULT_TOL`` count as non-negative,
+    which shifts the attained error by at most ``dim * DEFAULT_TOL``), and
+    ``E1 = I - E0`` is its complement.  Two pure states: ``E1`` projects
+    onto ``v``, the one eigenvector below ``-DEFAULT_TOL`` or none, and
+    ``E0 = I - E1``.  Both are orthogonal projectors by construction.
     """
-    w, v = np.linalg.eigh(p0 * rho0 - (1.0 - p0) * rho1)
+    _, w, v = spectrum
+    if w is None:
+        e1 = v @ v.conj().T
+        e1 = 0.5 * (e1 + e1.conj().T)
+        return np.eye(len(v)) - e1, e1
     keep = v[:, w >= -DEFAULT_TOL]
     e0 = keep @ keep.conj().T
     e0 = 0.5 * (e0 + e0.conj().T)
-    return e0, np.eye(len(rho0)) - e0
+    return e0, np.eye(len(v)) - e0
 
 
 def channel_overlap(weights, eta, d_s):

@@ -3,9 +3,11 @@ states.
 
 This is where data enters the package, so this is where it is checked,
 once.  A state read from a file, in either wire format, becomes a
-read-only complex density matrix (:func:`density_from_dict`): a pure state
-its projector, whose amplitudes' squared norm is its trace, and a stored
-matrix after its shape, Hermiticity, trace and positivity checks.
+read-only complex array (:func:`density_from_dict`): a pure state its
+amplitude vector, whose squared norm is checked, and a stored density
+matrix that matrix, after its shape, Hermiticity, trace and positivity
+checks.  No projector is built here: :mod:`~qillum.discrimination` builds
+one only where a pure state meets a stored one.
 Positivity (no eigenvalue below ``-DEFAULT_TOL``) is certified by one
 Cholesky factorization of ``rho + (DEFAULT_TOL - delta) I``, ``delta = 4
 (n + 1) 2**-53 (1 + (n + 1) DEFAULT_TOL)`` in dimension ``n``, no full
@@ -140,34 +142,35 @@ def densities_to_json(mats) -> str:
 
 def density_from_dict(obj: dict) -> np.ndarray:
     """Decode a state from either JSON wire format as a read-only complex
-    density matrix; ``amplitudes`` wins when both keys are present.
+    array; ``amplitudes`` wins when both keys are present.
 
-    A pure state becomes its projector, of dimension ``d_s * d_i``.  It
-    needs ``d_s >= 2``, ``d_i >= 1``, ``d_s * d_i`` amplitudes and a
-    squared norm within :data:`DEFAULT_TOL` of 1; that norm is the projector's trace,
-    and the projector is Hermitian and positive by construction, so it is
-    not checked again.  A stored matrix must have the shape ``(dim, dim)``,
-    be Hermitian (max entry magnitude) and have unit trace (absolute value)
-    within :data:`DEFAULT_TOL`, and be positive semidefinite: no eigenvalue
-    below ``-DEFAULT_TOL``.  Positivity is certified by one Cholesky
-    factorization of ``rho + (DEFAULT_TOL - delta) I``, where ``delta = 4 (n
-    + 1) 2**-53 (1 + (n + 1) DEFAULT_TOL)`` bounds the factorization's
-    rounding error in dimension ``n`` (:func:`_certified_psd` derives it).
+    A pure state becomes its amplitude vector ``psi`` (1-D, signal-major),
+    of dimension ``d_s * d_i``; it stands for the density matrix
+    ``|psi><psi|``, which is not built.  It needs ``d_s >= 2``, ``d_i >=
+    1``, ``d_s * d_i`` amplitudes and a squared norm (the projector's
+    trace) within :data:`DEFAULT_TOL` of 1.  A stored density matrix (2-D)
+    must have the shape ``(dim, dim)``, be Hermitian (max entry magnitude)
+    and have unit trace (absolute value) within :data:`DEFAULT_TOL`, and be
+    positive semidefinite: no eigenvalue below ``-DEFAULT_TOL``.
+    Positivity is certified by one Cholesky factorization of ``rho +
+    (DEFAULT_TOL - delta) I``, where ``delta = 4 (n + 1) 2**-53 (1 + (n + 1)
+    DEFAULT_TOL)`` bounds the factorization's rounding error in dimension
+    ``n`` (:func:`_certified_psd` derives it).
     Only a matrix whose factorization fails is diagonalized (``eigvalsh``),
     to decide and to name its smallest eigenvalue.  Anything else raises
     ``ValueError``.
     """
     if isinstance(obj, dict) and "amplitudes" in obj:
-        rho = _pure_projector(obj)
+        state = _pure_amplitudes(obj)
     elif isinstance(obj, dict) and "entries" in obj:
-        rho = _stored_density(obj)
+        state = _stored_density(obj)
     else:
         raise ValueError("neither a pure state nor a density matrix")
-    rho.setflags(write=False)
-    return rho
+    state.setflags(write=False)
+    return state
 
 
-def _pure_projector(obj: dict) -> np.ndarray:
+def _pure_amplitudes(obj: dict) -> np.ndarray:
     try:
         d_s = _dimension(obj, "d_s")
         d_i = _dimension(obj, "d_i")
@@ -183,7 +186,7 @@ def _pure_projector(obj: dict) -> np.ndarray:
     norm_sq = float(np.real(np.vdot(amp, amp)))
     if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"amplitudes have squared norm {norm_sq:.17g}, expected 1")
-    return np.outer(amp, amp.conj())
+    return amp
 
 
 def _stored_density(obj: dict) -> np.ndarray:

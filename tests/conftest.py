@@ -30,7 +30,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qillum.states import haar_random_amplitudes
-from qillum.discrimination import helstrom_error
+from qillum.discrimination import diagonalize, helstrom_error
 from qillum.analysis import SWEEP_COLUMNS
 
 #: Floats in [0, 1] that draw both endpoints often (for eta and p0).
@@ -387,4 +387,4 @@ def evaluate_state_metrics(amp, eta, p0=0.5):
     The oracle for the closed form and the Schmidt-space kernel.
     """
     rho0, rho1 = channel_outputs(amp, eta)
-    return hs_distinguishability(rho0, rho1), helstrom_error(rho0, rho1, p0)
+    return hs_distinguishability(rho0, rho1), helstrom_error(diagonalize(rho0, rho1, p0))

@@ -1,11 +1,14 @@
 """Tests for the command-line front end, run in-process through ``main``."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -16,13 +19,14 @@ from hypothesis import strategies as st
 
 from qillum import analysis, cli, discrimination, states
 from qillum.cli import MAX_SWEEP_ROWS, main, parse_float_grid
-from qillum.discrimination import flat_probe_error, helstrom_error, optimal_povm
+from qillum.discrimination import diagonalize, flat_probe_error, helstrom_error, optimal_povm
 from qillum.states import DEFAULT_TOL, density_from_dict
 from conftest import (
     AWKWARD_PARTS,
     assert_reads_back,
     density_to_dict,
     ginibre,
+    max_abs_diff,
     povm_error,
     pure_state_dict,
     random_density,
@@ -45,6 +49,8 @@ MIXED_4 = {
     ],
 }
 MIXED_2 = {"dim": 2, "entries": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+# a second pure state for BELL_2: the pair takes the 2x2 route
+ZERO_4 = {"d_s": 2, "d_i": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 # squared norm 0.5: invalid at any sensible tolerance
 HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
 # json writes these as NaN, which the state-file reader rejects
@@ -461,20 +467,26 @@ class TestHelstrom:
 
     @pytest.mark.parametrize("seed, dim, spec0, spec1", BENCHMARK_PAIRS)
     def test_povm_text_at_benchmark_sizes(self, tmp_path, capsys, seed, dim, spec0, spec1):
-        """The benchmark's shapes of pair: the printed measurement reads back
-        as ``optimal_povm``'s elements bit for bit, and it attains the
-        printed error."""
+        """The benchmark's shapes of pair: the printed error and measurement
+        are ``helstrom_error``'s and ``optimal_povm``'s on one
+        ``diagonalize``, the measurement bit for bit, and it attains the
+        printed error; the pure pair's error is mpmath's to the printed
+        digit."""
         rng = np.random.default_rng(seed)
         obj0, obj1 = random_state_object(rng, dim, spec0), random_state_object(rng, dim, spec1)
         p0 = round(float(rng.uniform(0.2, 0.8)), 6)
         assert run_helstrom(tmp_path, obj0, obj1, "--p0", repr(p0), "--povm") == 0
         out = capsys.readouterr().out
-        rho0, rho1 = density_from_dict(obj0), density_from_dict(obj1)
+        state0, state1 = density_from_dict(obj0), density_from_dict(obj1)
         line0, line1 = out.splitlines()
-        assert line0 == cli._fmt(helstrom_error(rho0, rho1, p0))
-        povm = optimal_povm(rho0, rho1, p0)
+        spectrum = diagonalize(state0, state1, p0, vectors=True)
+        assert line0 == cli._fmt(helstrom_error(spectrum))
+        povm = optimal_povm(spectrum)
         assert_reads_back(json.loads(line1), povm)
+        rho0, rho1 = (np.outer(s, s.conj()) if s.ndim == 1 else s for s in (state0, state1))
         assert povm_error(rho0, rho1, p0, povm) == pytest.approx(float(line0), abs=dim * 1e-9)
+        if state0.ndim == state1.ndim == 1:
+            assert_printed_digits(line0, pure_error_mp(state0, state1, p0))
 
     @pytest.mark.parametrize("state0, state1, extra", [
         (NAN_AMPLITUDE, NAN_AMPLITUDE, []),
@@ -527,14 +539,16 @@ class TestHelstrom:
         assert capsys.readouterr().out == (DATA / "helstrom_povm_ranges_golden.txt").read_text()
 
     def test_povm_that_misses_the_error_exits_2(self, tmp_path, monkeypatch, capsys):
-        """Swapped elements attain ``1 - error``: the run stops before printing."""
+        """Swapped elements attain ``1 - error``: the run stops before
+        printing, on the dense and on the pure pair's route."""
         exact = cli.optimal_povm
         monkeypatch.setattr(cli, "optimal_povm", lambda *args: exact(*args)[::-1])
-        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
-        assert "np.float64" not in captured.err
+        for state1 in (MIXED_4, ZERO_4):
+            assert run_helstrom(tmp_path, BELL_2, state1, "--p0", "0.35", "--povm") == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
+            assert "np.float64" not in captured.err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_povm_exits_2(self, tmp_path, monkeypatch, capsys, bad):
@@ -550,10 +564,11 @@ class TestHelstrom:
             return e0, e1
 
         monkeypatch.setattr(cli, "optimal_povm", tainted)
-        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
+        for state1 in (MIXED_4, ZERO_4):  # the dense and the pure pair's route
+            assert run_helstrom(tmp_path, BELL_2, state1, "--p0", "0.35", "--povm") == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(r"numerical verification failed: .*gap \S+ > bound \S+\n", captured.err)
 
     def test_povm_check_passes_at_tiny_tolerance(self, tmp_path, monkeypatch, capsys):
         """With ``DEFAULT_TOL`` at 1e-300 the check's bound is its 16 float
@@ -564,7 +579,7 @@ class TestHelstrom:
         mixed = {"dim": 4, "entries": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]}
         assert run_helstrom(tmp_path, pure, mixed, "--p0", "0.35", "--povm") == 0
         want = capsys.readouterr().out
-        for module in (states, discrimination, cli):  # validation, optimal_povm's cutoff and the check
+        for module in (states, discrimination, cli):  # validation, the measurement's cutoff and the check
             monkeypatch.setattr(module, "DEFAULT_TOL", 1e-300)
         assert run_helstrom(tmp_path, pure, mixed, "--p0", "0.35", "--povm") == 0
         assert capsys.readouterr().out == want
@@ -572,19 +587,166 @@ class TestHelstrom:
     def test_povm_check_holds_at_tiny_tolerance(self, monkeypatch):
         """``helstrom_povm.txt``'s pair and the benchmark's shapes: their
         files fail validation at ``1e-300`` (a norm or trace off by an ulp),
-        so the check is run on the decoded matrices directly, with
+        so the check is run on the decoded states directly, with
         ``DEFAULT_TOL`` patched where the cutoff and the check read it."""
         cases = [(density_from_dict(BELL_2), density_from_dict(MIXED_4), 0.35)]
         for seed, dim, spec0, spec1 in BENCHMARK_PAIRS:
             rng = np.random.default_rng(seed)
-            rho0, rho1 = (density_from_dict(random_state_object(rng, dim, s)) for s in (spec0, spec1))
-            cases.append((rho0, rho1, round(float(rng.uniform(0.2, 0.8)), 6)))
-        for rho0, rho1, p0 in cases:
-            error = helstrom_error(rho0, rho1, p0)
+            state0, state1 = (density_from_dict(random_state_object(rng, dim, s)) for s in (spec0, spec1))
+            cases.append((state0, state1, round(float(rng.uniform(0.2, 0.8)), 6)))
+        for state0, state1, p0 in cases:
+            error = helstrom_error(diagonalize(state0, state1, p0))
             for tol in (DEFAULT_TOL, 1e-300):
                 monkeypatch.setattr(discrimination, "DEFAULT_TOL", tol)
                 monkeypatch.setattr(cli, "DEFAULT_TOL", tol)
-                cli._check_povm_error(rho0, rho1, p0, optimal_povm(rho0, rho1, p0), error)
+                povm = optimal_povm(diagonalize(state0, state1, p0, vectors=True))
+                cli._check_povm_error(state0, state1, p0, povm, error)
+
+
+def pure_error_mp(psi0, psi1, p0):
+    """``(1 - ||p0 |psi0><psi0| - p1 |psi1><psi1| ||_1) / 2`` at 80 digits,
+    for the float amplitudes as stored and ``p1 = 1 - p0`` exactly, clipped
+    to ``[0, 1]``: the rank-2 difference has the trace norm ``sqrt(m^2 - 4
+    p0 p1 |<psi0|psi1>|^2)``, ``m = p0 |psi0|^2 + p1 |psi1|^2``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        z0, z1 = ([mpmath.mpc(z) for z in psi.tolist()] for psi in (psi0, psi1))
+        n0, n1 = (mpmath.fsum(z.real**2 + z.imag**2 for z in zs) for zs in (z0, z1))
+        c = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(z0, z1))
+        p0 = mpmath.mpf(p0)
+        m = p0 * n0 + (1 - p0) * n1
+        value = (1 - mpmath.sqrt(m**2 - 4 * p0 * (1 - p0) * abs(c) ** 2)) / 2
+        return min(max(value, mpmath.mpf(0)), mpmath.mpf(1))
+
+
+def assert_printed_digits(text, want):
+    """The printed error ``text`` lies within one unit of the 12th
+    significant digit of the mpmath value ``want``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        if want == 0:
+            assert text == "0"
+            return
+        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(want)) - 11)
+        assert abs(mpmath.mpf(text) - want) <= unit, (text, mpmath.nstr(want, 20))
+
+
+def pure_pair(rng, n, kind, theta=0.0):
+    """Two unit amplitude vectors of dimension ``n``: independent Haar
+    vectors, or the first with itself (``equal``), times ``e^{i theta}``
+    (``phase``), or with a Haar vector made orthogonal to it in floats
+    (``orthogonal``, two Gram-Schmidt passes)."""
+    base0, base1 = (g / np.linalg.norm(g) for g in ginibre(rng, n, 2).T)
+    if kind == "equal":
+        base1 = base0
+    elif kind == "phase":
+        base1 = np.exp(1j * theta) * base0
+    elif kind == "orthogonal":
+        for _ in range(2):
+            base1 = base1 - np.vdot(base0, base1) * base0
+        base1 = base1 / np.linalg.norm(base1)
+    return base0, base1
+
+
+def amplitude_object(psi):
+    return {"d_s": len(psi), "d_i": 1, "amplitudes": np.stack((psi.real, psi.imag), -1).tolist()}
+
+
+#: A squared-norm offset within the tolerance: the validation's own
+#: rounding keeps the stored norm inside it.
+NORM_OFFSET = st.one_of(st.just(0.0), st.floats(-0.99e-9, 0.99e-9))
+
+
+class TestPurePair:
+    """Two pure states take the 2x2 route: no ``dim x dim`` array without
+    ``--povm``, and an error right to the printed digit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(2, 64), st.integers(2, 2048)),
+        kind=st.sampled_from(["haar", "equal", "phase", "orthogonal"]),
+        theta=st.floats(-math.pi, math.pi),
+        offsets=st.tuples(NORM_OFFSET, NORM_OFFSET),
+        p0=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+    )
+    @example(seed=1, n=1024, kind="haar", theta=0.0, offsets=(0.0, 0.0), p0=0.5)
+    @example(seed=2, n=2048, kind="haar", theta=0.0, offsets=(0.9e-9, -0.9e-9), p0=0.3)
+    @example(seed=3, n=2048, kind="orthogonal", theta=0.0, offsets=(-0.9e-9, -0.5e-9), p0=0.7)
+    @example(seed=4, n=16, kind="equal", theta=0.0, offsets=(0.0, 0.0), p0=0.5)
+    @example(seed=5, n=16, kind="equal", theta=0.0, offsets=(0.9e-9, -0.9e-9), p0=0.5)
+    @example(seed=6, n=33, kind="phase", theta=2.0, offsets=(0.3e-9, 0.3e-9), p0=0.5)
+    @example(seed=7, n=8, kind="orthogonal", theta=0.0, offsets=(-0.9e-9, 0.0), p0=1.0)
+    @example(seed=8, n=8, kind="haar", theta=0.0, offsets=(0.0, -0.9e-9), p0=0.0)
+    def test_error_to_the_printed_digit(self, tmp_path_factory, seed, n, kind, theta, offsets, p0):
+        """Against 80-digit mpmath on the amplitudes as stored, squared
+        norms off 1 by up to ``0.99 DEFAULT_TOL``; up to 64 dimensions the
+        printed measurement is Hermitian, sums to ``I``, has ``E1`` of rank
+        at most 1 and attains the error within the check's bound."""
+        bases = pure_pair(np.random.default_rng(seed), n, kind, theta)
+        psi0, psi1 = (psi * math.sqrt(1.0 + d) for psi, d in zip(bases, offsets))
+        povm = ["--povm"] if n <= 64 else []
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run_helstrom(tmp_path_factory.mktemp("pair"), amplitude_object(psi0), amplitude_object(psi1),
+                                "--p0", repr(p0), *povm) == 0
+        lines = out.getvalue().splitlines()
+        assert_printed_digits(lines[0], pure_error_mp(psi0, psi1, p0))
+        if povm:
+            e0, e1 = (np.array(e["entries"]).view(complex)[..., 0] for e in json.loads(lines[1]))
+            assert np.array_equal(e0, e0.conj().T) and np.array_equal(e1, e1.conj().T)
+            assert max_abs_diff(e0 + e1, np.eye(n)) <= 4 * np.finfo(float).eps
+            assert np.linalg.eigvalsh(e1)[-2] <= 1e-12
+            attained = povm_error(np.outer(psi0, psi0.conj()), np.outer(psi1, psi1.conj()), p0, (e0, e1))
+            assert abs(attained - float(lines[0])) <= n * (DEFAULT_TOL + 16 * np.finfo(float).eps)
+
+    def test_pure_pair_at_1e5_dims_builds_no_matrix(self, tmp_path, capsys):
+        """A projector at 1e5 dimensions would take 160 GB."""
+        n = 10**5
+        psi0, psi1 = pure_pair(np.random.default_rng(9), n, "haar")
+        paths = [write_json(tmp_path / f"s{k}.json", amplitude_object(psi)) for k, psi in enumerate((psi0, psi1))]
+        tracemalloc.start()
+        try:
+            assert main(["helstrom", "--state0", paths[0], "--state1", paths[1], "--p0", "0.4"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        want = 0.5 * (1.0 - math.sqrt(1.0 - 4 * 0.4 * 0.6 * abs(np.vdot(psi0, psi1)) ** 2))
+        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-9)
+
+
+class TestRoute:
+    """Which eigensolves a query makes, from wrapped ``numpy.linalg.eigh``
+    and ``eigvalsh``: ``(name, size)`` per call."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, len(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("state0, state1", [(BELL_2, MIXED_4), (MIXED_4, BELL_2), (MIXED_4, MIXED_4)],
+                             ids=["pure-stored", "stored-pure", "stored-stored"])
+    def test_dense_pair(self, tmp_path, capsys, eig_calls, state0, state1):
+        """One ``eigh`` with ``--povm``, one ``eigvalsh`` without."""
+        assert run_helstrom(tmp_path, state0, state1, "--p0", "0.35", "--povm") == 0
+        assert eig_calls == [("eigh", 4)]
+        eig_calls.clear()
+        assert run_helstrom(tmp_path, state0, state1, "--p0", "0.35") == 0
+        assert eig_calls == [("eigvalsh", 4)]
+
+    def test_pure_pair(self, tmp_path, capsys, eig_calls):
+        """No eigensolve without ``--povm``, one 2x2 ``eigh`` with it."""
+        obj0, obj1 = (amplitude_object(psi) for psi in pure_pair(np.random.default_rng(10), 64, "haar"))
+        assert run_helstrom(tmp_path, obj0, obj1, "--p0", "0.35") == 0
+        assert eig_calls == []
+        assert run_helstrom(tmp_path, obj0, obj1, "--p0", "0.35", "--povm") == 0
+        assert eig_calls == [("eigh", 2)]
 
 
 def float_texts(x):
@@ -658,7 +820,7 @@ def json_numbers(value):
 class TestStateFileReading:
     """``cli._read_json`` reads a file with ``orjson`` as ``json`` reads
     it, number by number, and ``cli._load_density`` decodes a valid state
-    to the matrix :func:`~qillum.states.density_from_dict` gives on
+    to the array :func:`~qillum.states.density_from_dict` gives on
     ``json``'s reading, bit for bit."""
 
     @settings(max_examples=300, deadline=None)

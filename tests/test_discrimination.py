@@ -14,6 +14,7 @@ from qillum.discrimination import (
     channel_overlap,
     flat_probe_error,
     h01_closed_form,
+    diagonalize,
     helstrom_error,
     optimal_povm,
     schmidt_helstrom_error,
@@ -64,31 +65,31 @@ class TestPovmError:
 
 class TestHelstrom:
     def test_identical_states(self):
-        assert helstrom_error(PLUS, PLUS, p0=0.3) == pytest.approx(0.3, abs=1e-12)
+        assert helstrom_error(diagonalize(PLUS, PLUS, p0=0.3)) == pytest.approx(0.3, abs=1e-12)
 
     def test_orthogonal_states(self):
-        assert helstrom_error(ZERO, ONE) == pytest.approx(0.0, abs=1e-12)
+        assert helstrom_error(diagonalize(ZERO, ONE)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vs_plus(self):
         # weighted difference has eigenvalues +-1/(2 sqrt(2))
         expected = 0.5 * (1 - 1 / np.sqrt(2))
-        assert helstrom_error(ZERO, PLUS) == pytest.approx(expected, abs=1e-12)
+        assert helstrom_error(diagonalize(ZERO, PLUS)) == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_by_smaller_prior(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             p0 = float(rng.uniform(0, 1))
             rho0, rho1 = random_density(rng, 4), random_density(rng, 4)
-            assert 0.0 <= helstrom_error(rho0, rho1, p0) <= min(p0, 1 - p0) + 1e-12
+            assert 0.0 <= helstrom_error(diagonalize(rho0, rho1, p0)) <= min(p0, 1 - p0) + 1e-12
 
 
 class TestOptimalPovm:
     def test_orthogonal_pure_states(self):
-        povm = optimal_povm(ZERO, ONE)
+        povm = optimal_povm(diagonalize(ZERO, ONE, vectors=True))
         assert povm_error(ZERO, ONE, 0.5, povm) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_states_larger_prior_wins(self):
-        e0, _ = optimal_povm(PLUS, PLUS, p0=0.7)
+        e0, _ = optimal_povm(diagonalize(PLUS, PLUS, p0=0.7, vectors=True))
         assert max_abs_diff(e0, np.eye(2)) < 1e-10
 
     @settings(deadline=None, max_examples=60)
@@ -108,12 +109,12 @@ class TestOptimalPovm:
         rng = np.random.default_rng(seed)
         rho0 = random_density(rng, dim, min(rank0, dim))
         rho1 = random_density(rng, dim, min(rank1, dim))
-        e0, e1 = optimal_povm(rho0, rho1, p0)
+        e0, e1 = optimal_povm(diagonalize(rho0, rho1, p0, vectors=True))
         for e in (e0, e1):
             assert max_abs_diff(e, e.conj().T) <= 1e-12
             assert np.linalg.eigvalsh(e)[0] >= -TOL
         assert max_abs_diff(e0 + e1, np.eye(dim)) <= 1e-12
-        floor = helstrom_error(rho0, rho1, p0)
+        floor = helstrom_error(diagonalize(rho0, rho1, p0))
         assert abs(povm_error(rho0, rho1, p0, (e0, e1)) - floor) <= dim * TOL
         assert floor <= min(p0, 1.0 - p0) + 1e-12
 
@@ -122,7 +123,7 @@ class TestOptimalPovm:
         for _ in range(10):
             dim = int(rng.integers(2, 7))
             rho0, rho1 = random_density(rng, dim), random_density(rng, dim)
-            floor = helstrom_error(rho0, rho1)
+            floor = helstrom_error(diagonalize(rho0, rho1))
             for maker in (random_projective_povm, random_two_outcome_povm):
                 for _ in range(10):
                     challenger = maker(rng, dim)
@@ -172,7 +173,7 @@ class TestSchmidtHelstrom:
             weights[: min(n_tiny, weights.size - 1)] = tiny
             weights /= weights.sum()
             state = schmidt_amplitudes(d_s, schmidt_probe(weights))
-        dense = helstrom_error(*channel_outputs(state, eta), p0)
+        dense = helstrom_error(diagonalize(*channel_outputs(state, eta), p0))
         assert abs(schmidt_helstrom_error(weights, eta, d_s, p0) - dense) <= 1e-12
 
     @pytest.mark.parametrize("p0", [0.3, 0.5, 0.8])
@@ -510,7 +511,7 @@ class TestSecularRoot:
             chi = chi.reshape(-1) / np.linalg.norm(chi)
             assert abs(np.vdot(chi, v[:, -1])) >= 1.0 - 1e-9
             # the optimal measurement's "target present" outcome holds chi
-            e0, _ = optimal_povm(rho0, rho1, p0)
+            e0, _ = optimal_povm(diagonalize(rho0, rho1, p0, vectors=True))
             assert abs(np.vdot(chi, e0 @ chi) - 1.0) <= 1e-9
 
     @settings(deadline=None, max_examples=150)
@@ -747,8 +748,8 @@ class TestMixtureChallenge:
         for seed in range(5):
             state = haar_random_state(2, 2, seed=seed)
             rho0, rho1 = channel_outputs(state, float(rng.uniform(0.2, 1.0)))
-            floor = helstrom_error(rho0, rho1)
-            attained = povm_error(rho0, rho1, 0.5, optimal_povm(rho0, rho1))
+            floor = helstrom_error(diagonalize(rho0, rho1))
+            attained = povm_error(rho0, rho1, 0.5, optimal_povm(diagonalize(rho0, rho1, vectors=True)))
             assert attained == pytest.approx(floor, abs=1e-10)
             for _ in range(20):
                 challenger = random_two_outcome_povm(rng, 4)
