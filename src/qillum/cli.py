@@ -5,8 +5,8 @@ The parser is built on the first :func:`main` call and reused for the
 process.  Every input file is parsed by :func:`_read_json` with ``orjson``
 as strict JSON (``NaN``, ``Infinity`` and literals beyond double range
 fail there).  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table
-as CSV under the header :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell
-through :func:`_fmt`.  A ``--family`` names a probe by its Schmidt
+as CSV under :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell through
+:data:`_fmt` (``"%.12g" % x``).  A ``--family`` is a probe's Schmidt
 weights, built once a sweep (Bell's at each dimension): flat for ``bell``
 and ``uniform-rank:<r>``, read from a JSON list for ``spectrum:<file>``.
 ``helstrom`` decodes two state files in either wire format of
@@ -14,7 +14,7 @@ and ``uniform-rank:<r>``, read from a JSON list for ``spectrum:<file>``.
 state to its amplitude vector), diagonalizes the pair once
 (:func:`~qillum.discrimination.diagonalize`: two pure states in a 2x2
 problem, any other pair in one dense eigensolve) and prints the error
-through :func:`_fmt`; with ``--povm`` it also prints the optimal
+through :data:`_fmt`; with ``--povm`` it also prints the optimal
 measurement, from the same decomposition, once it has checked that the
 measurement attains the error (so no NaN or infinity is printed), as
 :func:`~qillum.states.densities_to_json` writes it: ``orjson``'s compact JSON.
@@ -60,8 +60,8 @@ CSV_HEADER = ",".join(SWEEP_COLUMNS)
 MAX_SWEEP_ROWS = 10_000
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+#: A float to 12 significant figures, as ``format(x, ".12g")`` writes it: every printed number's formatter.
+_fmt = "%.12g".__mod__
 
 
 def number(text: str) -> float:
@@ -73,7 +73,8 @@ def parse_float_grid(text: str) -> list[float]:
     """Parse '0,0.5,1' or 'start:step:stop' (stop inclusive within step/2).
 
     A range's start, step and stop are finite, and it may expand to at most
-    :data:`MAX_SWEEP_ROWS` points.
+    :data:`MAX_SWEEP_ROWS` points.  Point ``k`` is ``start + k step`` on the
+    decimals written (``repr``), rounded once: ``0:0.1:1`` gives ``0.3``.
     """
     text = text.strip()
     if ":" in text:
@@ -89,13 +90,14 @@ def parse_float_grid(text: str) -> list[float]:
                 raise ValueError(f"range {text!r}: {name} must be finite, got {value}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
-        values = []
-        v = start
-        while v <= stop + step / 2:
-            if len(values) == MAX_SWEEP_ROWS:
-                raise ValueError(f"range {text!r} has more than {MAX_SWEEP_ROWS} points")
-            values.append(v)
-            v = start + step * len(values)
+        from decimal import Context, Decimal, localcontext  # here, not at module level: only a range needs it
+        values, v, origin, unit = [], start, Decimal(repr(start)), Decimal(repr(step))
+        with localcontext(Context(prec=800)):  # exact: start + k step on two doubles' decimals has < 700 digits
+            while v <= stop + step / 2:
+                if len(values) == MAX_SWEEP_ROWS:
+                    raise ValueError(f"range {text!r} has more than {MAX_SWEEP_ROWS} points")
+                values.append(v)
+                v = float(origin + len(values) * unit)
         if not values:
             raise ValueError(f"range {text!r} is empty")
         return values
@@ -164,9 +166,9 @@ def parse_family(text: str, d_s: int) -> np.ndarray | None:
 
 
 def render_sweep_csv(table) -> str:
-    """A checked sweep table as CSV, every cell through :func:`_fmt`."""
-    lines = [CSV_HEADER] + [",".join(map(_fmt, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    """A checked sweep table as CSV: each cell, a Python float, through one :data:`_fmt` call."""
+    cells = map(_fmt, table.ravel().tolist())  # zip(*[cells] * n) deals them out in rows of n
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*[cells] * table.shape[1])), ""])
 
 
 def cmd_sweep(args) -> int:

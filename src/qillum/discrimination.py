@@ -35,6 +35,8 @@ import numpy as np
 
 from .states import DEFAULT_TOL
 
+_EPS = np.finfo(float).eps
+
 
 def diagonalize(state0: np.ndarray, state1: np.ndarray, p0: float = 0.5, vectors: bool = False):
     """``D = p0 rho0 - p1 rho1`` diagonalized once, as ``(deficit, w, v)``
@@ -154,38 +156,39 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5):
     ``eta``, ``d_s`` and ``p0`` are unchecked.
     """
     eta, d_s = np.asarray(eta, dtype=float), np.asarray(d_s)
-    lam = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+    lam = np.maximum(np.asarray(weights, dtype=float), 0.0)
     c = p0 * (1.0 - eta) - (1.0 - p0)
     # one row per (eta, probe) pair, broadcast by an exact product with 1
-    d_i, ones = lam.shape[-1], np.ones(np.broadcast_shapes(eta.shape, d_s.shape, lam.shape[:-1]))
+    d_i, ones = lam.shape[-1], np.ones(np.broadcast(eta, d_s, lam[..., 0]).shape)
     a, s, base = ((x * ones).reshape(-1) for x in (p0 * eta, -c / d_s, p0 * (1.0 - eta)))
-    stack = np.broadcast_to(np.sort(lam)[..., ::-1], ones.shape + (d_i,)).reshape(-1, d_i)
+    lam.sort()
+    stack = (lam[..., ::-1] * ones[..., None]).reshape(-1, d_i)
     p_err = np.where(s > 0.0, p0, 1.0 - p0)  # mu = 0, or p1 where c >= 0
-    support = np.count_nonzero(stack, axis=-1)
-    rows = np.flatnonzero((s > 0.0) & (a * support > s))
+    support = (stack != 0.0).sum(axis=-1)
+    rows = ((s > 0.0) & (a * support > s)).nonzero()[0]
     sizes = support[rows[:1]].tolist() or [0]  # the rows' distinct support sizes, ascending ([0]: no rows)
     if (support[rows] != sizes).any():  # several: order the rows by support size
-        rows = rows[np.argsort(support[rows], kind="stable")]
-        sizes = np.unique(support[rows]).tolist()
+        rows = rows[support[rows].argsort(kind="stable")]
+        sizes = sorted(set(support[rows].tolist()))
     def sums(x, size):  # row r over its first size[r] entries, one np.sum (add.reduce) a size: a 1-D call's bits
-        ends = np.searchsorted(size, sizes, side="right").tolist() if len(sizes) > 1 else [len(x)]
+        ends = size.searchsorted(sizes, side="right").tolist() if len(sizes) > 1 else [len(x)]
         parts = [np.add.reduce(x[lo:hi, :k], axis=-1, keepdims=True) for lo, hi, k in zip([0, *ends], ends, sizes)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
     lam, a, s, base, size = stack[rows], a[rows, None], s[rows, None], base[rows], support[rows]
     del stack, support  # the gathered rows are all the loop needs: free the stack before its peak
-    mu = np.max(lam * (a * np.arange(1, d_i + 1) - s), axis=-1, keepdims=True)
+    mu = (lam * (a * np.arange(1, d_i + 1) - s)).max(axis=-1, keepdims=True)
     live, m, w, sl, al, k = np.arange(rows.size), mu, lam, s, a, size  # the rows still rising
     while live.size:
         g = m + sl * w
         q, z = w / g, m / g  # z in (0, 1]: no overflow at tiny mu
         total = sums(q, k)
         rise = total * (al * total - 1.0) / sums(q * z, k)
-        m, rising = m + m * rise, rise[:, 0] > np.finfo(float).eps  # the Newton step, relative to mu
+        m, rising = m + m * rise, rise[:, 0] > _EPS  # the Newton step, relative to mu
         if not rising.all():  # a row leaves once its root is reached
             mu[live] = m
             live, m, w, sl, al, k = (x[rising] for x in (live, m, w, sl, al, k))
     p_err[rows] = base + (a * s * sums(lam * lam / (mu + s * lam), size))[:, 0]
-    p_err = np.clip(p_err.reshape(ones.shape), 0.0, 1.0)
+    p_err = np.minimum(np.maximum(p_err.reshape(ones.shape), 0.0), 1.0)
     return float(p_err) if p_err.ndim == 0 else p_err
 
 

@@ -70,16 +70,16 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     matrices are checked; the caller checks what it relies on (``verify-bell``
     checks that each one's Schmidt weights sum to 1).
 
-    A seed keeps its matrix: ``np.random.default_rng(seed)`` draws
-    ``2 d_s d_i`` normals, the real parts then the imaginary parts, and the
-    row is divided by the square root of two BLAS dots, of its real and its
-    imaginary parts, as ``np.linalg.norm`` takes it.  Only the generators
-    are per seed; the norms and the division are one call each.
+    A seed keeps its matrix: ``Generator(PCG64(seed))`` (named, not left to
+    ``default_rng``'s default) draws ``2 d_s d_i`` normals, real parts then
+    imaginary parts, and the row is divided by the root of two BLAS dots, of
+    its real and imaginary parts, as ``np.linalg.norm`` takes it.  Only the
+    generators are per seed; the norms and the division are one call each.
     """
     n = d_s * d_i
     normals = np.empty((len(seeds), 2 * n))
     for row, seed in zip(normals, seeds):
-        np.random.default_rng(int(seed)).standard_normal(out=row)
+        np.random.Generator(np.random.PCG64(int(seed))).standard_normal(out=row)
     stack = np.empty((len(seeds), n), dtype=complex)
     stack.real, stack.imag = normals[:, :n], normals[:, n:]
     # vecdot is ddot on each row's strided parts; a pairwise sum (norm over an axis, einsum) moves last bits

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,49 @@ class TestSweep:
         assert "closed/direct overlap disagree by nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_weight_fails_the_bracket(self, tmp_path, monkeypatch, capsys):
+        """A NaN weight reaches the kernel (the overlap columns stay
+        finite): its error is NaN, which the bracket check fails."""
+        exact = analysis.schmidt_helstrom_error
+
+        def spoiled(lam, *args):
+            lam = lam.copy()
+            lam[0, 0] = math.nan
+            return exact(lam, *args)
+
+        monkeypatch.setattr(analysis, "schmidt_helstrom_error", spoiled)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.5", "--d", "3", "--out", str(out)]) == 2
+        assert "numerical verification failed: p_err=nan outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_cell_goes_through_fmt(self, tmp_path, monkeypatch):
+        """``cli._fmt`` is the CSV's per-cell formatter, called once a cell
+        with a Python float: a formatter patched in its place writes every
+        data cell."""
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return format(x, ".6g")
+
+        monkeypatch.setattr(cli, "_fmt", counting)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == cli.CSV_HEADER and len(rows) == 5 * 3 * 2
+        assert len(calls) == len(rows) * len(analysis.SWEEP_COLUMNS)
+        assert all(type(x) is float for x in calls)
+        assert [cell for row in rows for cell in row.split(",")] == [format(x, ".6g") for x in calls]
+
+    def test_largest_grid_renders_as_a_per_row_join(self):
+        """The 9999 rows of ``--eta 0:0.01:1 --d 2:1:100``, against a
+        per-row join of ``format(float(x), ".12g")``."""
+        table = analysis.run_sweep(parse_float_grid("0:0.01:1"), cli.parse_int_grid("2:1:100"), [None])
+        assert len(table) == 9999
+        rows = [",".join(format(float(x), ".12g") for x in row) for row in table]
+        assert cli.render_sweep_csv(table) == "\n".join([cli.CSV_HEADER, *rows]) + "\n"
+
     def test_negative_zero_is_written_as_zero(self, tmp_path):
         """``-0`` reads as 0, in a list or as a range start, and as the prior;
         nothing else in the CSV changes."""
@@ -352,24 +396,29 @@ class TestVerifyBell:
         assert capsys.readouterr().out == (DATA / "verify_bell_d8_golden.json").read_text()
         assert chunks == [1024, 76]
 
-    @pytest.mark.parametrize("end", ["bell", "unentangled", "nan"])
+    @pytest.mark.parametrize("end", ["bell", "unentangled", "nan", "nan-weight"])
     def test_sample_outside_the_bracket_exits_2(self, capsys, monkeypatch, end):
         """Sample 4, in the second chunk of three samples, is moved past
-        one end of its closed-form bracket (or to NaN); the other samples
-        keep their errors.  The kernel runs once a chunk, never on the
+        one end of its closed-form bracket (or to NaN, or given a NaN weight,
+        for which the kernel itself returns NaN); the other samples keep
+        their errors.  The kernel runs once a chunk, never on the
         reference's flat weights."""
         value = {
             "bell": flat_probe_error(0.5, 9) - 1e-9,
             "unentangled": flat_probe_error(0.5, 3) + 1e-9,
             "nan": math.nan,
+            "nan-weight": None,
         }[end]
         calls = []
         exact = analysis.schmidt_helstrom_error
 
         def spoiled(weights, *args):
+            calls.append(len(weights))
+            if len(calls) == 2 and value is None:
+                weights = weights.copy()
+                weights[1, 0] = math.nan
             p_err = exact(weights, *args)
-            calls.append(len(p_err))
-            if len(calls) == 2:
+            if len(calls) == 2 and value is not None:
                 p_err[1] = value
             return p_err
 
@@ -403,8 +452,20 @@ class TestVerifyBell:
 class TestGridParsing:
     def test_range_points_unchanged(self):
         assert parse_float_grid("0:0.25:1") == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert parse_float_grid("0:0.1:1") == [0.1 * k for k in range(11)]
+        assert parse_float_grid("0:0.1:1") == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         assert parse_float_grid("2:1:5") == [2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("text", [
+        "0:0.1:1", "-1:0.3:1", "0.7:0.07:1.4", "1e-30:1:3", "9007199254740992:1.0000000000000002:9007199254741000",
+    ])
+    def test_range_points_round_once_from_the_decimals(self, text):
+        """Point k is ``start + k step`` on the decimals written, rounded
+        once, against exact rationals.  Past 2**53 the exact sum is just
+        above a tie between two floats; rounded first to Decimal's default
+        28 digits it would land on the tie and round down."""
+        start, step, _ = (Fraction(part) for part in text.split(":"))
+        points = parse_float_grid(text)
+        assert points == [float(start + k * step) for k in range(len(points))]
 
     def test_range_cap(self):
         assert len(parse_float_grid(f"0:1:{MAX_SWEEP_ROWS - 1}")) == MAX_SWEEP_ROWS

@@ -312,7 +312,8 @@ class TestSchmidtHelstrom:
     @settings(deadline=None, max_examples=150)
     @given(
         rows=st.lists(
-            st.lists(st.one_of(st.just(0.0), st.sampled_from([1e-300, 1e-150, 1e-12]), st.floats(1e-300, 1.0)),
+            st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1e-300, 1e-150, 1e-12]),
+                               st.floats(1e-300, 1.0)),
                      min_size=1, max_size=40).filter(any),
             min_size=1, max_size=5,
         ),
@@ -328,12 +329,18 @@ class TestSchmidtHelstrom:
              dims=[8, 2, 5, 3, 2], etas=[1.0], p0=0.4)
     @example(rows=[[0.139, 0.124, 0.02, 0.005, 0.208, 0.072, 0.073, 0.071, 0.059, 0.007, 0.0, 0.096], [0.025] * 40],
              pad=0, dims=[2, 2, 2, 2, 2], etas=[0.3], p0=0.5)
+    @example(rows=[[0.5, -0.0, 0.5], [-0.0, 1.0], [0.25, -0.0, 0.0, 0.75]], pad=2, dims=[2, 3, 4, 2, 2],
+             etas=[0.0, 1.0], p0=0.0)
+    @example(rows=[[0.5, -0.0, 0.5], [-0.0, 1.0], [0.25, -0.0, 0.0, 0.75]], pad=2, dims=[2, 3, 4, 2, 2],
+             etas=[0.0, 1.0], p0=1.0)
+    @example(rows=[[0.5, -0.0, 0.5], [-0.0] * 9 + [1.0], [0.25, -0.0, 0.0, 0.75] * 3], pad=1, dims=[2, 3, 4, 2, 2],
+             etas=[0.0, 0.6, 1.0], p0=0.4)
     def test_zero_padded_row_equals_its_nonzero_weights(self, rows, pad, dims, etas, p0):
         """A stack of probes of any widths, each padded with zeros to one
         width, gives exactly each (eta, probe) pair's 1-D call on the
-        probe's nonzero weights: zeros anywhere, up to 40 weights (past the
-        pairwise sums, which start at 8), one weight, and weights down to
-        1e-300."""
+        probe's nonzero weights: zeros (or ``-0.0``, which counts as zero)
+        anywhere, up to 40 weights (past the pairwise sums, which start at
+        8), one weight, and weights down to 1e-300."""
         width = max(map(len, rows)) + pad
         stack = np.zeros((len(rows), width))
         for r, weights in enumerate(rows):
@@ -344,6 +351,16 @@ class TestSchmidtHelstrom:
         for k, e in enumerate(etas):
             for j, lam in enumerate(stack):
                 assert p_err[k, j] == schmidt_helstrom_error(lam[lam != 0.0], e, int(d_s[j]), p0)
+
+    @pytest.mark.parametrize("eta, p0", [(0.5, 0.3), (0.5, 0.5), (1.0, 0.5)])
+    def test_nan_weight_gives_nan(self, eta, p0):
+        """Where its row takes a secular root, a NaN weight gives a NaN
+        error, which the drivers' bracket checks fail; the other rows of the
+        stack keep their 1-D results."""
+        stack = np.array([[0.5, math.nan, 0.5], [0.5, 0.25, 0.25]])
+        p_err = schmidt_helstrom_error(stack, eta, 4, p0)
+        assert math.isnan(p_err[0]) and math.isnan(schmidt_helstrom_error(stack[0], eta, 4, p0))
+        assert p_err[1] == schmidt_helstrom_error(stack[1], eta, 4, p0)
 
     def test_memory_does_not_grow_with_the_grid(self):
         """300 efficiencies at d_i = 128 would be a 39 MB stack of
