@@ -7,17 +7,18 @@ inputs backs the claim that the maximally entangled state is the best probe.
 Neither the sweep nor the optimality check diagonalizes anything or
 builds a dense ``(d_s d_i)``-dimensional matrix: a probe is its Schmidt
 weights ``lam``, and its error one secular root
-(:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep is one
-float table in one pass: a kernel call per chunk of zero-padded probes,
-each closed form once over stacked arguments, and the checks once finished
-(the direct overlap against the closed form, the error against the closed
-forms that bracket it).  The optimality check takes its Bell reference
-from the closed forms alone, each sample's weights from one stacked
-singular-value decomposition and each chunk's errors from one kernel
-call, and holds each sample's error to the same bracket.  The dense
-channel outputs are the tests' oracle for both.  Both take their
-parameters unchecked, a sweep's families among them: :mod:`qillum.cli`
-checks each once.
+(:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep probe is
+its distinct weights and the count of each, so a flat probe is one weight
+at any dimension.  A sweep is one float table in one pass: a kernel call
+per chunk of padded probes, each closed form once over stacked arguments,
+and the checks once finished (the direct overlap against the closed form,
+the error against the closed forms that bracket it).  The optimality
+check takes its Bell reference from the closed forms alone, each sample's
+weights from one stacked singular-value decomposition and each chunk's
+errors from one kernel call, and holds each sample's error to the same
+bracket.  The dense channel outputs are the tests' oracle for both.  Both
+take their parameters unchecked, a sweep's families among them:
+:mod:`qillum.cli` checks each once.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ BRACKET_TOL = 1e-12
 #: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
-#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and zero-padded weights
-#: times etas per sweep chunk.  A sweep probe wider than that is a chunk of its
-#: own over the whole eta grid, at about 45 bytes per (eta x weight) cell.
+#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and padded distinct
+#: weights times etas per sweep chunk.  A flat probe is one weight; only a
+#: ``spectrum:`` probe with more distinct weights than that is a chunk of its own
+#: over the whole eta grid, at about 45 bytes per (eta x weight) cell.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -54,18 +56,21 @@ class VerificationError(ValueError):
     """A computed result failed one of its numerical cross-checks."""
 
 
-def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[np.ndarray | None],
-              p0: float = 0.5) -> np.ndarray:
+def run_sweep(etas: Iterable[float], dims: Iterable[int],
+              families: Sequence[tuple[np.ndarray, np.ndarray] | None], p0: float = 0.5) -> np.ndarray:
     """Evaluate the full pipeline on a grid, as a float table: one row per
     point, ordered lexicographically (eta outermost, then dimension, then
     family), with the columns :data:`SWEEP_COLUMNS`.
 
-    A family is its probe's Schmidt weights ``lam`` at every dimension
-    (:func:`~qillum.states.schmidt_probe`), or ``None`` for the Bell probe's,
-    ``np.full(d_s, 1.0 / d_s)``, built at each dimension.  The probes are
-    taken in output order, in chunks zero-padded to their widest, of at most
-    :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
-    alone): a chunk is one kernel call for ``p_err`` and one for
+    A family is its probe at every dimension as ``(lam, m)``: the distinct
+    Schmidt weights ``lam``, descending, and the count ``m`` of each
+    (:func:`~qillum.cli.parse_family`), or ``None`` for the Bell probe's,
+    the weight ``1/d_s`` ``d_s`` times, built at each dimension.  So a flat
+    probe is one weight at any dimension, ``d_i`` is ``sum(m)`` and the
+    purity ``sum(m lam^2)``.  The probes are taken in output order, in
+    chunks padded with weight 0 and count 0 to their widest, of at most
+    :data:`_CHUNK_AMPLITUDES` distinct weights times etas (one probe may
+    pass it alone): a chunk is one kernel call for ``p_err`` and one for
     ``h01_direct`` (traces of ``diag(lam)``), over the whole eta grid, each
     probe on its own ``d_s``, and the padding changes no bit.  The closed
     forms are one stacked call each, written with the rest into one
@@ -81,23 +86,24 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int], families: Sequence[np.
     d_s, d_i, purity = np.repeat(np.array(dims, dtype=float), len(families)), *np.empty((2, n))
     p_err, h01_direct = np.empty((2, eta.size, n))
 
-    def evaluate(first, chunk):  # probes first, first + 1, ... as one zero-padded stack
-        cols, sizes = slice(first, first + len(chunk)), [lam.size for lam in chunk]
-        lam = np.zeros((len(chunk), max(sizes)))
-        lam[np.arange(lam.shape[1]) < np.array(sizes)[:, None]] = np.concatenate(chunk)
-        # sum(lam^2) in index order, so padding adds exact zeros: np.sum's pairwise order would not
-        d_i[cols], purity[cols] = sizes, np.cumsum(lam * lam, axis=-1)[:, -1]
-        p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0)
-        h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols])
+    def evaluate(first, chunk):  # probes first, first + 1, ... as one stack padded with weight 0, count 0
+        cols, sizes = slice(first, first + len(chunk)), [lam.size for lam, _ in chunk]
+        lam, m = np.zeros((2, len(chunk), max(sizes)))
+        held = np.arange(lam.shape[1]) < np.array(sizes)[:, None]
+        lam[held], m[held] = (np.concatenate(parts) for parts in zip(*chunk))
+        # sum(m lam^2) in index order, so padding adds exact zeros: np.sum's pairwise order would not
+        d_i[cols], purity[cols] = m.sum(axis=-1), np.cumsum(m * lam * lam, axis=-1)[:, -1]
+        p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, m)
+        h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], m)
 
     chunk, width = [], 0
-    for j, (d, lam) in enumerate(product(dims, families)):
-        lam = np.full(d, 1.0 / d) if lam is None else lam
-        width = max(width, lam.size)
+    for j, (d, probe) in enumerate(product(dims, families)):
+        probe = (np.array([1.0 / d]), np.array([d])) if probe is None else probe
+        width = max(width, probe[0].size)
         if chunk and (len(chunk) + 1) * width * eta.size > _CHUNK_AMPLITUDES:
             evaluate(j - len(chunk), chunk)
-            chunk, width = [], lam.size
-        chunk.append(lam)
+            chunk, width = [], probe[0].size
+        chunk.append(probe)
     evaluate(n - len(chunk), chunk)
     # the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)
     k_i = 1.0 / purity

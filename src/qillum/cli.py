@@ -6,9 +6,10 @@ process.  Every input file is parsed by :func:`_read_json` with ``orjson``
 as strict JSON (``NaN``, ``Infinity`` and literals beyond double range
 fail there).  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table
 as CSV under :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell through
-:data:`_fmt` (``"%.12g" % x``).  A ``--family`` is a probe's Schmidt
-weights, built once a sweep (Bell's at each dimension): flat for ``bell``
-and ``uniform-rank:<r>``, read from a JSON list for ``spectrum:<file>``.
+:data:`_fmt` (``"%.12g" % x``).  A ``--family`` is a probe's distinct
+Schmidt weights and the count of each, built once a sweep (Bell's at each
+dimension): one weight for ``bell`` and ``uniform-rank:<r>``, read from a
+JSON list for ``spectrum:<file>`` and grouped.
 ``helstrom`` decodes two state files in either wire format of
 :mod:`~qillum.states` by :func:`~qillum.states.density_from_dict` (a pure
 state to its amplitude vector), diagonalizes the pair once
@@ -132,12 +133,14 @@ def _check_parameters(etas, dims, p0: float) -> None:
             raise ValueError(f"{rule}, got {bad[0]}")
 
 
-def parse_family(text: str, d_s: int) -> np.ndarray | None:
-    """The weights :func:`~qillum.analysis.run_sweep` takes for the family
-    ``text``, at most ``d_s`` (the smallest signal dimension): ``None``
-    for ``bell``; ``rank`` weights ``1/rank`` for ``uniform-rank:<rank>``,
-    checked before they are allocated; a ``spectrum:`` file's
-    :func:`~qillum.states.schmidt_probe`, which checks its sum."""
+def parse_family(text: str, d_s: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The probe :func:`~qillum.analysis.run_sweep` takes for the family
+    ``text``, at most ``d_s`` (the smallest signal dimension) weights wide:
+    ``None`` for ``bell``; the weight ``1/rank`` with the count ``rank`` for
+    ``uniform-rank:<rank>``, at O(1) for any rank; for a ``spectrum:`` file
+    its :func:`~qillum.states.schmidt_probe`, which checks its sum, as its
+    distinct weights, descending (equal weights grouped by exact equality),
+    and their counts."""
     if text == "bell":
         return None
     if text.startswith("uniform-rank:"):
@@ -149,7 +152,7 @@ def parse_family(text: str, d_s: int) -> np.ndarray | None:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if rank > d_s:
             raise ValueError(f"rank {rank} exceeds the signal dimension {d_s}")
-        return np.full(rank, 1.0 / rank)
+        return np.array([1.0 / rank]), np.array([rank])
     if text.startswith("spectrum:"):
         path = text.split(":", 1)[1]
         spectrum = _read_json(path, "spectrum")
@@ -161,7 +164,8 @@ def parse_family(text: str, d_s: int) -> np.ndarray | None:
             raise ValueError(f"spectrum file {path!r}: {exc}") from exc
         if len(spectrum) > d_s:
             raise ValueError(f"spectrum length {len(spectrum)} not in [1, {d_s}]")
-        return schmidt_probe(spectrum)
+        lam, counts = np.unique(schmidt_probe(spectrum), return_counts=True)
+        return lam[::-1], counts[::-1]
     raise ValueError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 

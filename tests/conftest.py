@@ -2,7 +2,8 @@
 the test suite.
 
 A sweep family is what ``run_sweep`` takes: :data:`BELL`,
-:func:`uniform_rank` or a spectrum's ``schmidt_probe`` weights.  A pure
+:func:`uniform_rank` or a spectrum's :func:`spectrum_family`, distinct
+weights with their counts.  A pure
 state is its complex ``(d_s, d_i)`` amplitude matrix
 (:func:`schmidt_amplitudes` builds it from a sweep probe's Schmidt
 weights).  The dense oracle of the illumination channel lives here: the
@@ -19,7 +20,8 @@ build wire-format objects, and :func:`assert_reads_back` holds decoded ones
 to their matrices bit for bit.  :func:`haar_amplitudes_oracle` is the
 per-sample Haar sampler that the package's batched one must match bit for
 bit.  :func:`exact_flat_error` is a flat probe's error as an exact
-rational.  The package computes the same numbers from a probe's Schmidt
+rational, and :func:`assert_printed_digits` holds a printed number to an
+mpmath value.  The package computes the same numbers from a probe's Schmidt
 weights without any matrix of that size; the tests hold it to these.
 """
 
@@ -27,9 +29,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from qillum.states import haar_random_amplitudes
+from qillum.states import haar_random_amplitudes, schmidt_probe
 from qillum.discrimination import diagonalize, helstrom_error
 from qillum.analysis import SWEEP_COLUMNS
 
@@ -51,9 +54,17 @@ BELL = None
 
 
 def uniform_rank(rank):
-    """The weights of the family ``uniform-rank:<rank>``: ``rank`` weights,
-    each the correctly rounded ``1/rank``."""
-    return np.full(rank, 1.0 / rank)
+    """The family ``uniform-rank:<rank>`` as ``run_sweep`` takes it: the
+    correctly rounded ``1/rank``, ``rank`` times."""
+    return np.array([1.0 / rank]), np.array([rank])
+
+
+def spectrum_family(spectrum):
+    """The family ``spectrum:<file>`` of a file holding ``spectrum``, as
+    ``run_sweep`` takes it: the distinct weights of its ``schmidt_probe``,
+    descending, and the count of each."""
+    lam, counts = np.unique(schmidt_probe(spectrum), return_counts=True)
+    return lam[::-1], counts[::-1]
 
 
 def max_abs_diff(a, b):
@@ -244,6 +255,18 @@ def assert_reads_back(objs, mats):
     want = np.stack([np.stack((m.real, m.imag), -1) for m in mats])
     assert got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_printed_digits(text, want):
+    """The printed number ``text`` lies within one unit of the 12th
+    significant digit of the mpmath value ``want`` (``"0"`` where it is 0)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        if want == 0:
+            assert text == "0"
+            return
+        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(want))) - 11)
+        assert abs(mpmath.mpf(text) - want) <= unit, (text, mpmath.nstr(want, 20))
 
 
 def povm_error(rho0, rho1, p0, povm):

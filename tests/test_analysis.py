@@ -2,6 +2,7 @@
 dependence of the error probability on the whole spectrum."""
 
 import dataclasses
+import math
 import tracemalloc
 from itertools import permutations
 
@@ -26,6 +27,7 @@ from conftest import (
     idler_reduction,
     product_baseline_state,
     schmidt_amplitudes,
+    spectrum_family,
     sweep_columns,
     unentangled_error,
     uniform_rank,
@@ -34,12 +36,13 @@ from conftest import (
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The sweep kernels' calls, in order, as ``(kind, weights, etas shape,
-    d_s list)``, ``kind`` being ``"error"`` or ``"overlap"``."""
+    """The sweep kernels' calls, in order, as ``(kind, weights, counts, etas
+    shape, d_s list)``, ``kind`` being ``"error"`` or ``"overlap"``; the
+    counts are each kernel's last argument."""
     calls = []
     for kind, name in (("error", "schmidt_helstrom_error"), ("overlap", "channel_overlap")):
         def counted(weights, etas, d_s, *rest, kind=kind, exact=getattr(analysis, name)):
-            calls.append((kind, weights.copy(), etas.shape, d_s.tolist()))
+            calls.append((kind, weights.copy(), rest[-1].copy(), etas.shape, d_s.tolist()))
             return exact(weights, etas, d_s, *rest)
 
         monkeypatch.setattr(analysis, name, counted)
@@ -123,15 +126,16 @@ class TestRunSweep:
         assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("etas, dims, families", [
-        ([k / 100 for k in range(1, 91)], range(1000, 1100), [uniform_rank(1000)]),
+        ([k / 100 for k in range(1, 91)], range(1000, 1100), [spectrum_family(np.arange(1.0, 1001.0) / 500500.0)]),
         ([0.5], range(2, 3001), [BELL, uniform_rank(2)]),
     ])
     def test_memory_bound_over_many_probes(self, etas, dims, families):
-        """A chunk of probes, zero-padded to its widest, is evaluated before
-        its weights times the eta grid pass 2^16: holding all 100 probes of
-        the first grid until the end took 647 MB, and the second grid's
-        4.5 million weights (36 MB), of widths 2 to 3000, would take 144 MB
-        padded to one stack."""
+        """A chunk of probes, padded to its widest, is evaluated before its
+        distinct weights times the eta grid pass 2^16: holding all 100
+        probes of the first grid, of 1000 distinct weights each, until the
+        end took 647 MB.  The second grid's 6000 flat probes, 4.5 million
+        weights (36 MB) written out, were 144 MB padded to one stack; they
+        are one weight each."""
         tracemalloc.start()
         try:
             run_sweep(etas, dims, families)
@@ -140,40 +144,76 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("text, d_i", [("bell", 5), ("uniform-rank:3", 3), ("spectrum", 4)])
-    def test_families_return_weights(self, tmp_path, kernel_calls, text, d_i):
-        """The weights each family reaches the kernels with at d_s = 5:
-        parsed once, but Bell's built by ``run_sweep`` at the dimension."""
-        if text == "spectrum":
+    @pytest.mark.parametrize("d", [10**3, 10**7])
+    def test_flat_probes_take_memory_independent_of_d(self, d):
+        """``bell`` and ``uniform-rank:1000`` are one weight each at any
+        dimension, so a sweep of them over 11 etas stays under one bound at
+        d = 10^3 and at 10^7.  Written out and padded over the eta grid,
+        they took 0.8 MiB at d = 10^3 and 4.0 GB of peak RSS at 10^7."""
+        families = [cli.parse_family(text, d) for text in ("bell", "uniform-rank:1000")]
+        tracemalloc.start()
+        try:
+            table = run_sweep([k / 10 for k in range(11)], [d], families)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**17
+        assert sweep_columns(table)["d_i"].tolist() == [d, 1000] * 11
+
+    @pytest.mark.parametrize("text, d_i, counts", [
+        ("bell", 5, [5]),
+        ("uniform-rank:3", 3, [3]),
+        ("spectrum", 4, [1, 1, 1, 1]),
+        ("spectrum-tied", 7, [2, 4, 1]),
+    ], ids=["bell-5", "uniform-rank:3-3", "spectrum-4", "spectrum-tied-7"])
+    def test_families_return_weights(self, tmp_path, kernel_calls, text, d_i, counts):
+        """The distinct weights, descending, and their counts that each
+        family reaches the kernels with at d_s = 7 (Bell's at d_s = 5):
+        parsed once, but Bell's built by ``run_sweep`` at the dimension.  A
+        flat family is one weight; a spectrum's equal weights are grouped
+        (zeros too), and no unequal ones."""
+        entries = {"spectrum": [0.5, 0.0, 0.2, 0.3], "spectrum-tied": [0.125, 0.25, 0.125, 0.0, 0.125, 0.25, 0.125]}
+        if text in entries:
             spec = tmp_path / "spec.json"
-            spec.write_text("[0.5, 0.0, 0.2, 0.3]")
+            spec.write_text(str(entries[text]))
+            lam = schmidt_probe(entries[text])
             text = f"spectrum:{spec}"
-        family = cli.parse_family(text, 5)
+        else:
+            lam = np.full(d_i, 1.0 / d_i)
+        family = cli.parse_family(text, 7)
         assert (family is None) == (text == "bell")
-        run_sweep([0.5], [5], [family])
-        (lam,) = kernel_calls[0][1]
-        assert lam.ndim == 1 and lam.dtype == float and lam.size == d_i
-        assert abs(lam.sum() - 1.0) <= 1e-15
-        assert family is None or np.array_equal(lam, family)
+        run_sweep([0.5], [d_i if family is None else 7], [family])
+        (_, (weights,), (m,), _, _), (_, (weights_overlap,), (m_overlap,), _, _) = kernel_calls
+        assert weights.dtype == m.dtype == float and m.tolist() == counts
+        assert np.array_equal(np.repeat(weights, counts), lam) and np.all(np.diff(weights) < 0.0)
+        assert np.array_equal(weights_overlap, weights) and np.array_equal(m_overlap, m)
+        assert abs(math.fsum(m * weights) - 1.0) <= 1e-15
+        assert family is None or (np.array_equal(weights, family[0]) and np.array_equal(m, family[1]))
 
     def test_bell_weights_are_exactly_one_over_d(self, kernel_calls):
-        """Each weight is the correctly rounded 1/d; squaring a rounded
-        1/sqrt(d) misses it at 583 of d in [2, 1000), d = 2 among them."""
+        """The Bell probe's one weight is the correctly rounded 1/d, with the
+        count d; squaring a rounded 1/sqrt(d) misses it at 583 of d in [2,
+        1000), d = 2 among them."""
         run_sweep([0.5], range(2, 1000), [BELL])
-        rows = [(lam, int(d)) for kind, stack, _, d_s in kernel_calls if kind == "error" for lam, d in zip(stack, d_s)]
-        assert [d for _, d in rows] == list(range(2, 1000))
-        for lam, d in rows:
-            assert np.all(lam[:d] == 1.0 / d) and not lam[d:].any(), d
+        rows = [
+            (lam, m, int(d))
+            for kind, stack, counts, _, d_s in kernel_calls if kind == "error"
+            for lam, m, d in zip(stack, counts, d_s)
+        ]
+        assert [d for _, _, d in rows] == list(range(2, 1000))
+        for lam, m, d in rows:
+            assert lam.tolist() == [1.0 / d] and m.tolist() == [d], d
 
     def test_uniform_rank_weights_are_bell_weights(self, kernel_calls):
-        """Bit for bit, so their sweep rows are equal: rescaling ``sqrt(1/d)``
-        missed 1/d at 153 of d in [1, 300)."""
-        for d in range(1, 65):
+        """Weight and count bit for bit, so their sweep rows are equal:
+        rescaling ``sqrt(1/d)`` missed 1/d at 153 of d in [1, 300)."""
+        for d in [*range(1, 65), 1000, 10**7]:
             rank = cli.parse_family(f"uniform-rank:{d}", d)
             kernel_calls.clear()
             table = run_sweep(np.linspace(0.0, 1.0, 21), [d], [BELL, rank])
-            (_, (bell, flat), *_), _ = kernel_calls  # one error call, one overlap call
-            assert np.array_equal(bell, rank) and np.array_equal(flat, rank), d
+            (_, (bell, flat), (bell_m, flat_m), *_), _ = kernel_calls  # one error call, one overlap call
+            assert np.array_equal(bell, rank[0]) and np.array_equal(flat, rank[0]), d
+            assert np.array_equal(bell_m, rank[1]) and np.array_equal(flat_m, rank[1]), d
             assert np.array_equal(table[0::2], table[1::2]), d
 
 
@@ -183,7 +223,7 @@ class TestSweepRecordValidation:
 
     def test_rejects_disagreeing_overlap_columns(self, monkeypatch):
         exact = analysis.channel_overlap
-        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s: exact(lam, eta, d_s) - 0.05)
+        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s, m: exact(lam, eta, d_s, m) - 0.05)
         with pytest.raises(VerificationError, match="disagree by 5.000e-02 at"):
             run_sweep([0.5], [2], [BELL])
 
@@ -210,7 +250,8 @@ class TestSweepRecordValidation:
         is evaluated, even where an earlier probe would fail a cross-check
         (exit 2)."""
         monkeypatch.setattr(
-            analysis, "channel_overlap", lambda lam, eta, d_s: np.full(np.broadcast_shapes(eta.shape, d_s.shape), np.nan)
+            analysis, "channel_overlap",
+            lambda lam, eta, d_s, m: np.full(np.broadcast_shapes(eta.shape, d_s.shape), np.nan),
         )
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--eta", "0.5", "--d", "4,2", "--out", str(out)]
@@ -226,29 +267,36 @@ class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
     def test_one_kernel_call_per_chunk(self, kernel_calls):
-        """The probes of a chunk, of any widths, are one zero-padded stack:
-        one error and one overlap call over the eta column, each probe with
-        its own d_s, in output order, a repeated d_s again.  A chunk ends
-        before its padded weights times the grid would pass the chunk bound;
-        the baseline is a closed form."""
+        """The probes of a chunk, of any numbers of distinct weights, are one
+        stack padded with weight 0 and count 0: one error and one overlap
+        call over the eta column, each probe with its own d_s, in output
+        order, a repeated d_s again.  A flat probe is one weight at any
+        dimension.  A chunk ends before its padded weights times the grid
+        would pass the chunk bound; the baseline is a closed form."""
         def calls():
-            shapes = [(kind, lam.shape, etas, d_s) for kind, lam, etas, d_s in kernel_calls]
+            shapes = [(kind, lam.shape, m.shape, etas, d_s) for kind, lam, m, etas, d_s in kernel_calls]
             kernel_calls.clear()
             return shapes
 
-        families = [BELL, uniform_rank(2), schmidt_probe([0.5, 0.3, 0.2])]
+        families = [BELL, uniform_rank(2), spectrum_family([0.5, 0.3, 0.2])]
         table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], families)
         assert len(table) == 36
-        assert calls() == [(kind, (9, 5), (4, 1), [3, 3, 3, 5, 5, 5, 3, 3, 3]) for kind in ("error", "overlap")]
+        assert calls() == [(kind, (9, 3), (9, 3), (4, 1), [3, 3, 3, 5, 5, 5, 3, 3, 3]) for kind in ("error", "overlap")]
+        # Bell and a flat rank at d = 10^7 are one weight each: one chunk
+        run_sweep(np.linspace(0, 1, 40), [10**7, 10**7 + 1], [BELL, uniform_rank(1000)])
+        dims = [10**7] * 2 + [10**7 + 1] * 2
+        assert calls() == [(kind, (4, 1), (4, 1), (40, 1), dims) for kind in ("error", "overlap")]
         # a second probe would make 2 x 1000 weights x 40 etas, past 2^16: a chunk a probe
-        run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [uniform_rank(1000)])
+        wide = spectrum_family(np.arange(1.0, 1001.0) / 500500.0)  # 1000 distinct weights
+        run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [wide])
         shapes = calls()
-        assert [shape for kind, shape, _, _ in shapes if kind == "error"] == [(1, 1000)] * 3
+        assert [shape for kind, shape, _, _, _ in shapes if kind == "error"] == [(1, 1000)] * 3
         assert len(shapes) == 6
         # widths 2 and 3 share a chunk; padded to 1000 with the third probe they would pass 2^16
-        run_sweep(np.linspace(0, 1, 40), [2, 3, 1000], [BELL])
+        narrow = [spectrum_family([0.75, 0.25]), spectrum_family([0.5, 0.3, 0.2])]
+        run_sweep(np.linspace(0, 1, 40), [1000], [*narrow, wide])
         shapes = calls()
-        assert [shape for kind, shape, _, _ in shapes if kind == "error"] == [(2, 3), (1, 1000)]
+        assert [shape for kind, shape, _, _, _ in shapes if kind == "error"] == [(2, 3), (1, 1000)]
         assert len(shapes) == 4
 
     @pytest.mark.parametrize("etas, dims", [
@@ -263,8 +311,8 @@ class TestSweepColumns:
         families = [
             BELL,
             uniform_rank(2),
-            schmidt_probe([0.5, 0.0, 0.3, 0.0, 0.2]),
-            schmidt_probe([1e-300, 0.4, 1e-12, 0.0, 0.3, 0.2, 0.1 - 1e-12, 0.0, 1e-300]),
+            spectrum_family([0.5, 0.0, 0.3, 0.0, 0.2]),
+            spectrum_family([1e-300, 0.4, 1e-12, 0.0, 0.3, 0.2, 0.1 - 1e-12, 0.0, 1e-300]),
             uniform_rank(1),
         ]
         table = run_sweep(etas, dims, families, 0.4)
@@ -288,7 +336,7 @@ class TestSweepColumns:
     def test_rows_equal_single_point_sweeps(self):
         """Each row of a grid equals a sweep of its point alone."""
         etas, dims = [0.2, 0.0, 1.0, 0.65], [4, 3, 4]
-        families = [BELL, schmidt_probe([0.7, 1e-12, 0.3 - 1e-12])]
+        families = [BELL, spectrum_family([0.7, 1e-12, 0.3 - 1e-12])]
         table = run_sweep(etas, dims, families, 0.37)
         points = [(e, d, f) for e in etas for d in dims for f in families]
         assert len(table) == len(points)
@@ -439,7 +487,7 @@ class TestVerifyBellOptimality:
 def spectrum_rows(*spectra):
     """Sweep rows at d_s = 4, eta = 1/2 and p0 = 1/2, one per idler spectrum,
     as dicts by column name, each held to the dense route within 1e-12."""
-    table = run_sweep([0.5], [4], [schmidt_probe(s) for s in spectra])
+    table = run_sweep([0.5], [4], [spectrum_family(s) for s in spectra])
     rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table.tolist()]
     for spec, r in zip(spectra, rows):
         h01, p_err = evaluate_state_metrics(schmidt_amplitudes(4, schmidt_probe(spec)), 0.5)
@@ -477,7 +525,7 @@ class TestSweepMatchesDenseOracle:
         entries = entries[:d_s]
         assume(max(entries) >= 1e-3)
         spectrum = np.array(entries) / sum(entries)
-        (row,) = run_sweep([eta], [d_s], [schmidt_probe(spectrum)], p0).tolist()
+        (row,) = run_sweep([eta], [d_s], [spectrum_family(spectrum)], p0).tolist()
         record = dict(zip(SWEEP_COLUMNS, row))
         state = schmidt_amplitudes(d_s, schmidt_probe(spectrum))
         h01, p_err = evaluate_state_metrics(state, eta, p0)
@@ -534,7 +582,7 @@ class TestCiSignalMarginalChoice:
 
 class TestFixedSpectrumFamily:
     def test_builds_requested_spectrum(self):
-        fam = schmidt_probe([0.6, 0.4])
+        fam = spectrum_family([0.6, 0.4])
         r = sweep_columns(run_sweep([0.5], [3], [fam]))
         assert r["k_i"][0] == pytest.approx(1 / (0.36 + 0.16), abs=1e-10)
         assert r["d_i"][0] == 2
@@ -545,7 +593,7 @@ class TestFixedSpectrumFamily:
         spectrum = np.array([1e-300, 0.695713033936472, 0.6116909670278784, 1e-12, 0.8503356083660849])
         spectrum /= spectrum.sum()
         etas = [0.0, 0.25, 0.5, 1.0]
-        families = [schmidt_probe(spectrum[list(order)]) for order in permutations(range(5))]
+        families = [spectrum_family(spectrum[list(order)]) for order in permutations(range(5))]
         table = run_sweep(etas, [5, 9], families, 0.37)
         assert len(families) == 120 and len(np.unique(table, axis=0)) == len(etas) * 2
 

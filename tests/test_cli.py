@@ -24,6 +24,7 @@ from qillum.discrimination import diagonalize, flat_probe_error, helstrom_error,
 from qillum.states import DEFAULT_TOL, density_from_dict
 from conftest import (
     AWKWARD_PARTS,
+    assert_printed_digits,
     assert_reads_back,
     density_to_dict,
     ginibre,
@@ -227,7 +228,7 @@ class TestSweep:
 
     def test_nan_overlap_exits_2(self, tmp_path, monkeypatch, capsys):
         """A NaN in the direct overlap column fails the agreement check."""
-        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s: np.full(len(eta), np.nan))
+        monkeypatch.setattr(analysis, "channel_overlap", lambda lam, eta, d_s, m: np.full(len(eta), np.nan))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--eta", "0.5", "--d", "3", "--out", str(out)]) == 2
         assert "closed/direct overlap disagree by nan" in capsys.readouterr().err
@@ -678,18 +679,6 @@ def pure_error_mp(psi0, psi1, p0):
         m = p0 * n0 + (1 - p0) * n1
         value = (1 - mpmath.sqrt(m**2 - 4 * p0 * (1 - p0) * abs(c) ** 2)) / 2
         return min(max(value, mpmath.mpf(0)), mpmath.mpf(1))
-
-
-def assert_printed_digits(text, want):
-    """The printed error ``text`` lies within one unit of the 12th
-    significant digit of the mpmath value ``want``."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(80):
-        if want == 0:
-            assert text == "0"
-            return
-        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(want)) - 11)
-        assert abs(mpmath.mpf(text) - want) <= unit, (text, mpmath.nstr(want, 20))
 
 
 def pure_pair(rng, n, kind, theta=0.0):
