@@ -11,8 +11,8 @@ singular-value decomposition): the error is one secular root, bracketed
 by the closed forms of the Bell and the unentangled probe, and the
 overlap three traces of ``diag(lam)``.  A sweep is one float table over
 the whole ``eta`` grid, with the columns ``analysis.SWEEP_COLUMNS`` names;
-its probes are their distinct weights and counts, so a flat probe costs
-the same at any dimension.
+a probe there is its weights and their number of copies, so a flat probe
+is one weight and costs the same at any dimension.
 The minimum error, with the optimal measurement, serves arbitrary stored
 states, each decoded once into a read-only complex array (a pure state
 into its amplitude vector), from one decomposition per query: a 2x2

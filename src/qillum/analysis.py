@@ -8,17 +8,17 @@ Neither the sweep nor the optimality check diagonalizes anything or
 builds a dense ``(d_s d_i)``-dimensional matrix: a probe is its Schmidt
 weights ``lam``, and its error one secular root
 (:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep probe is
-its distinct weights and the count of each, so a flat probe is one weight
-at any dimension.  A sweep is one float table in one pass: a kernel call
-per chunk of padded probes, each closed form once over stacked arguments,
-and the checks once finished (the direct overlap against the closed form,
-the error against the closed forms that bracket it).  The optimality
-check takes its Bell reference from the closed forms alone, each sample's
-weights from one stacked singular-value decomposition and each chunk's
-errors from one kernel call, and holds each sample's error to the same
-bracket.  The dense channel outputs are the tests' oracle for both.  Both
-take their parameters unchecked, a sweep's families among them:
-:mod:`qillum.cli` checks each once.
+its weights and a number of copies of them all, so a flat probe is one
+weight at any dimension.  A sweep is one float table in one pass: a
+kernel call per chunk of zero-padded probes, each closed form once over
+stacked arguments, and the checks once finished (the direct overlap
+against the closed form, the error against the closed forms that bracket
+it).  The optimality check takes its Bell reference from the closed forms
+alone, each sample's weights from one stacked singular-value
+decomposition and each chunk's errors from one kernel call, and holds
+each sample's error to the same bracket.  The dense channel outputs are
+the tests' oracle for both.  Both take their parameters unchecked, a
+sweep's families among them: :mod:`qillum.cli` checks each once.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ BRACKET_TOL = 1e-12
 #: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
-#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and padded distinct
-#: weights times etas per sweep chunk.  A flat probe is one weight; only a
-#: ``spectrum:`` probe with more distinct weights than that is a chunk of its own
-#: over the whole eta grid, at about 45 bytes per (eta x weight) cell.
+#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and zero-padded weights
+#: times etas per sweep chunk.  A flat probe is one weight; only a ``spectrum:``
+#: probe with more weights than that, equal or not, is a chunk of its own over
+#: the whole eta grid, at about 44 bytes per (eta x weight) cell.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -57,20 +57,20 @@ class VerificationError(ValueError):
 
 
 def run_sweep(etas: Iterable[float], dims: Iterable[int],
-              families: Sequence[tuple[np.ndarray, np.ndarray] | None], p0: float = 0.5) -> np.ndarray:
+              families: Sequence[tuple[np.ndarray, int] | None], p0: float = 0.5) -> np.ndarray:
     """Evaluate the full pipeline on a grid, as a float table: one row per
     point, ordered lexicographically (eta outermost, then dimension, then
     family), with the columns :data:`SWEEP_COLUMNS`.
 
-    A family is its probe at every dimension as ``(lam, m)``: the distinct
-    Schmidt weights ``lam``, descending, and the count ``m`` of each
+    A family is its probe at every dimension as ``(lam, copies)``: Schmidt
+    weights ``lam``, each appearing ``copies`` times
     (:func:`~qillum.cli.parse_family`), or ``None`` for the Bell probe's,
-    the weight ``1/d_s`` ``d_s`` times, built at each dimension.  So a flat
-    probe is one weight at any dimension, ``d_i`` is ``sum(m)`` and the
-    purity ``sum(m lam^2)``.  The probes are taken in output order, in
-    chunks padded with weight 0 and count 0 to their widest, of at most
-    :data:`_CHUNK_AMPLITUDES` distinct weights times etas (one probe may
-    pass it alone): a chunk is one kernel call for ``p_err`` and one for
+    ``([1/d_s], d_s)``, built at each dimension.  So a flat probe is one
+    weight at any dimension, ``d_i`` is ``copies`` times the weights'
+    number and the purity ``sum(copies lam^2)``.  The probes are taken in
+    output order, in chunks zero-padded to their widest, of at most
+    :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
+    alone): a chunk is one kernel call for ``p_err`` and one for
     ``h01_direct`` (traces of ``diag(lam)``), over the whole eta grid, each
     probe on its own ``d_s``, and the padding changes no bit.  The closed
     forms are one stacked call each, written with the rest into one
@@ -86,19 +86,19 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     d_s, d_i, purity = np.repeat(np.array(dims, dtype=float), len(families)), *np.empty((2, n))
     p_err, h01_direct = np.empty((2, eta.size, n))
 
-    def evaluate(first, chunk):  # probes first, first + 1, ... as one stack padded with weight 0, count 0
-        cols, sizes = slice(first, first + len(chunk)), [lam.size for lam, _ in chunk]
-        lam, m = np.zeros((2, len(chunk), max(sizes)))
-        held = np.arange(lam.shape[1]) < np.array(sizes)[:, None]
-        lam[held], m[held] = (np.concatenate(parts) for parts in zip(*chunk))
-        # sum(m lam^2) in index order, so padding adds exact zeros: np.sum's pairwise order would not
-        d_i[cols], purity[cols] = m.sum(axis=-1), np.cumsum(m * lam * lam, axis=-1)[:, -1]
-        p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, m)
-        h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], m)
+    def evaluate(first, chunk):  # probes first, first + 1, ... as one zero-padded stack
+        cols, (weights, copies) = slice(first, first + len(chunk)), zip(*chunk)
+        sizes, copies = np.array([w.size for w in weights]), np.array(copies, dtype=float)
+        lam = np.zeros((len(chunk), sizes.max()))
+        lam[np.arange(lam.shape[1]) < sizes[:, None]] = np.concatenate(weights)
+        # sum(copies lam^2) in index order, so padding adds exact zeros: np.sum's pairwise order would not
+        d_i[cols], purity[cols] = copies * sizes, np.cumsum(copies[:, None] * lam * lam, axis=-1)[:, -1]
+        p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, copies)
+        h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], copies)
 
     chunk, width = [], 0
     for j, (d, probe) in enumerate(product(dims, families)):
-        probe = (np.array([1.0 / d]), np.array([d])) if probe is None else probe
+        probe = (np.array([1.0 / d]), d) if probe is None else probe
         width = max(width, probe[0].size)
         if chunk and (len(chunk) + 1) * width * eta.size > _CHUNK_AMPLITUDES:
             evaluate(j - len(chunk), chunk)

@@ -4,12 +4,14 @@ one-off minimum-error queries on states stored as JSON files.
 The parser is built on the first :func:`main` call and reused for the
 process.  Every input file is parsed by :func:`_read_json` with ``orjson``
 as strict JSON (``NaN``, ``Infinity`` and literals beyond double range
-fail there).  ``sweep`` writes :func:`~qillum.analysis.run_sweep`'s table
-as CSV under :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell through
-:data:`_fmt` (``"%.12g" % x``).  A ``--family`` is a probe's distinct
-Schmidt weights and the count of each, built once a sweep (Bell's at each
+fail there), once it is known to nest no deeper than
+:data:`MAX_JSON_DEPTH`.  ``sweep`` writes
+:func:`~qillum.analysis.run_sweep`'s table as CSV under
+:data:`~qillum.analysis.SWEEP_COLUMNS`, each cell through
+:data:`_fmt` (``"%.12g" % x``).  A ``--family`` is a probe's Schmidt
+weights and their number of copies, built once a sweep (Bell's at each
 dimension): one weight for ``bell`` and ``uniform-rank:<r>``, read from a
-JSON list for ``spectrum:<file>`` and grouped.
+JSON list for ``spectrum:<file>``.
 ``helstrom`` decodes two state files in either wire format of
 :mod:`~qillum.states` by :func:`~qillum.states.density_from_dict` (a pure
 state to its amplitude vector), diagonalizes the pair once
@@ -59,6 +61,13 @@ CSV_HEADER = ",".join(SWEEP_COLUMNS)
 #: Largest number of rows (eta x dimension x family) one sweep may have, so
 #: also of points a ``start:step:stop`` range may expand to.
 MAX_SWEEP_ROWS = 10_000
+
+
+#: Deepest nesting of JSON arrays and objects an input file may have (a valid one has 4):
+#: orjson recurses a level at a time, and 10^6 levels overflow its stack (SIGSEGV).
+MAX_JSON_DEPTH = 1 << 14
+#: ``bytes.translate`` arguments that keep a text's brackets, ``[{`` as the byte +1 and ``]}`` as -1.
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff"), bytes(sorted(set(range(256)) - set(b"[{]}")))
 
 
 #: A float to 12 significant figures, as ``format(x, ".12g")`` writes it: every printed number's formatter.
@@ -133,14 +142,14 @@ def _check_parameters(etas, dims, p0: float) -> None:
             raise ValueError(f"{rule}, got {bad[0]}")
 
 
-def parse_family(text: str, d_s: int) -> tuple[np.ndarray, np.ndarray] | None:
+def parse_family(text: str, d_s: int) -> tuple[np.ndarray, int] | None:
     """The probe :func:`~qillum.analysis.run_sweep` takes for the family
-    ``text``, at most ``d_s`` (the smallest signal dimension) weights wide:
-    ``None`` for ``bell``; the weight ``1/rank`` with the count ``rank`` for
-    ``uniform-rank:<rank>``, at O(1) for any rank; for a ``spectrum:`` file
-    its :func:`~qillum.states.schmidt_probe`, which checks its sum, as its
-    distinct weights, descending (equal weights grouped by exact equality),
-    and their counts."""
+    ``text``, at most ``d_s`` (the smallest signal dimension) weights wide,
+    as its weights and their number of copies: ``None`` for ``bell``;
+    ``([1/rank], rank)`` for ``uniform-rank:<rank>``, at O(1) for any rank;
+    ``(schmidt_probe(spectrum), 1)`` for a ``spectrum:`` file, each entry a
+    weight of its own (:func:`~qillum.states.schmidt_probe` checks the
+    sum)."""
     if text == "bell":
         return None
     if text.startswith("uniform-rank:"):
@@ -152,7 +161,7 @@ def parse_family(text: str, d_s: int) -> tuple[np.ndarray, np.ndarray] | None:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if rank > d_s:
             raise ValueError(f"rank {rank} exceeds the signal dimension {d_s}")
-        return np.array([1.0 / rank]), np.array([rank])
+        return np.array([1.0 / rank]), rank
     if text.startswith("spectrum:"):
         path = text.split(":", 1)[1]
         spectrum = _read_json(path, "spectrum")
@@ -164,8 +173,7 @@ def parse_family(text: str, d_s: int) -> tuple[np.ndarray, np.ndarray] | None:
             raise ValueError(f"spectrum file {path!r}: {exc}") from exc
         if len(spectrum) > d_s:
             raise ValueError(f"spectrum length {len(spectrum)} not in [1, {d_s}]")
-        lam, counts = np.unique(schmidt_probe(spectrum), return_counts=True)
-        return lam[::-1], counts[::-1]
+        return schmidt_probe(spectrum), 1
     raise ValueError(f"unknown family {text!r}; use bell, uniform-rank:<r> or spectrum:<file>")
 
 
@@ -201,12 +209,21 @@ def cmd_verify_bell(args) -> int:
 
 
 def _read_json(path: str, what: str):
-    """The value in the JSON file ``path``, parsed by ``orjson``."""
+    """The value in the JSON file ``path``, parsed by ``orjson`` unless its
+    brackets, those in strings too, nest deeper than :data:`MAX_JSON_DEPTH`.
+    Only a file with more opening brackets than that is scanned, so no dense
+    state up to dimension 127 is."""
     from orjson import loads  # here, not at module level: a run that reads no file never imports it
 
     try:
-        return loads(Path(path).read_bytes())
-    except (OSError, json.JSONDecodeError) as exc:  # orjson's error subclasses json's
+        data = Path(path).read_bytes()
+        chars = np.frombuffer(data, dtype=np.uint8)  # numpy counts a vector at a time, bytes.count a byte
+        if np.count_nonzero(chars == ord("[")) + np.count_nonzero(chars == ord("{")) > MAX_JSON_DEPTH:
+            steps = np.frombuffer(data.translate(*_BRACKET_STEPS), dtype=np.int8)
+            if np.cumsum(steps, dtype=np.int64).max() > MAX_JSON_DEPTH:
+                raise ValueError(f"nested deeper than {MAX_JSON_DEPTH}")
+        return loads(data)
+    except (OSError, ValueError) as exc:  # orjson's error subclasses json's, a ValueError
         raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 

@@ -18,8 +18,8 @@ no ``dim x dim`` array (but the measurement's); any other pair is one
 dense eigensolve, with a pure state's projector built for it.
 
 On the illumination channel a pure probe enters only through its Schmidt
-weights ``lam``, each equal weight once with its count if counts are
-given: :func:`schmidt_helstrom_error` takes the minimum error from one
+weights ``lam`` (a flat probe as one weight with its number of
+copies): :func:`schmidt_helstrom_error` takes the minimum error from one
 secular root, :func:`flat_probe_error` in closed form for flat
 weights (the Bell and the unentangled probe, its two ends),
 :func:`channel_overlap` the overlap from three traces of ``diag(lam)`` and
@@ -128,7 +128,7 @@ def helstrom_error(spectrum) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5, counts=None):
+def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5, copies=1):
     """Minimum error probability of the illumination channel, from the
     probe's Schmidt weights ``lam`` alone.
 
@@ -147,54 +147,36 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5, counts=None):
     for weights summing to 1 but free of its cancellation.  It equals
     :func:`helstrom_error` on the dense channel outputs, clipped to [0, 1].
 
-    With ``counts``, ``weights[j]`` stands for ``counts[j]`` equal weights:
-    equal poles of the secular equation combine into one, as they do before
-    LAPACK's divide-and-conquer eigensolver solves its own (``dlaed2``).
-    Every sum is then ``sum(m f(lam))``, ``m`` the counts, and the start is
-    taken at each weight's last index ``K`` (its count plus those of the
-    larger weights), where ``lam (a k - s)`` is largest, so a flat probe
-    is one weight at any ``d_i``.  Counts all 1 give the call without them
-    bit for bit.
+    ``copies`` stands for a probe whose every weight appears that many
+    times: each sum above, and the start's ``k``, then gains that factor,
+    so the probe is these weights with ``a = p0 eta copies``.  A flat probe
+    is one weight with ``copies`` its rank, at any ``d_i``.
 
-    ``weights`` is one probe's weights (1-D) or an ``(n, d_i)`` stack,
-    ``counts`` (non-negative integers, unchecked) ``None`` or of the same
-    shape, and ``eta`` and ``d_s`` each one value or an array broadcasting
-    against its leading axis: a float is returned for 1-D weights, one
-    ``eta`` and one ``d_s``, else an array, no entry of which depends on
-    another, so a stacked call equals its rows' 1-D calls bit for bit.
-    Negative weights, and weights of count 0, count as 0, and zeros enter no
-    sum (rows are grouped by their count of nonzero weights), so a row
-    padded with zero weights or zero counts equals the 1-D call on the
-    rest.  A probe's weights are gathered once per row that takes a root,
-    not copied once per ``eta``.  ``eta``, ``d_s`` and ``p0`` are unchecked.
+    ``weights`` is one probe's weights (1-D) or an ``(n, d_i)`` stack, and
+    ``eta``, ``d_s`` and ``copies`` each one value or an array broadcasting
+    against its leading axis: a float is returned for 1-D weights and one
+    value of each, else an array, no entry of which depends on another, so
+    a stacked call equals its rows' 1-D calls bit for bit.  Negative weights
+    count as 0, and zeros enter no sum (rows are grouped by their count of
+    nonzero weights), so a zero-padded row equals the 1-D call on the rest.
+    A probe's weights are gathered once per row that takes a root, not
+    copied once per ``eta``.  ``eta``, ``d_s``, ``p0`` and ``copies`` are
+    unchecked.
     """
     eta, d_s = np.asarray(eta, dtype=float), np.asarray(d_s)
     lam = np.maximum(np.asarray(weights, dtype=float), 0.0)
     c = p0 * (1.0 - eta) - (1.0 - p0)
-    d_i, probes, shape = lam.shape[-1], lam.shape[:-1], np.broadcast(eta, d_s, lam[..., 0]).shape
+    d_i, shape = lam.shape[-1], np.broadcast(eta, d_s, copies, lam[..., 0]).shape
     ones = np.ones(shape)
-    a, s, base = ((x * ones).reshape(-1) for x in (p0 * eta, -c / d_s, p0 * (1.0 - eta)))
+    a, s, base = ((x * ones).reshape(-1) for x in (p0 * eta * copies, -c / d_s, p0 * (1.0 - eta)))
     # row r of the (eta, probe) pairs, flattened, is probe probe[r]'s
-    probe = (np.arange(lam.size // d_i).reshape(probes) + np.zeros(shape, dtype=int)).reshape(-1)
+    probe = (np.arange(lam.size // d_i).reshape(lam.shape[:-1]) + np.zeros(shape, dtype=int)).reshape(-1)
     lam = lam.reshape(-1, d_i)
-    mult = None if counts is None else np.asarray(counts, dtype=float).reshape(-1, d_i)
-    if mult is not None and ((mult == 1.0) | (lam == 0.0)).all():
-        mult = None  # no weight repeats: the plain sums, without a mass array (8 bytes a cell)
-    if mult is None:
-        lam.sort()
-        lam = mass = lam[:, ::-1]
-        last = np.arange(1, d_i + 1)  # each weight's index, 1-based
-        support = count = (lam != 0.0).sum(axis=-1)
-    else:  # descending, each weight with its mass m lam and its last index, the counts up to it
-        lam[mult == 0.0] = 0.0
-        order, at = lam.argsort(axis=-1, kind="stable")[:, ::-1], np.arange(len(lam))[:, None]
-        lam, mult = lam[at, order], mult[at, order]
-        mult[lam == 0.0] = 0.0
-        mass, last = mult * lam, mult.cumsum(axis=-1)
-        support, count = (lam != 0.0).sum(axis=-1), last[:, -1]
-    support, count = support[probe], count[probe]
+    lam.sort()
+    lam = lam[:, ::-1]
+    support = (lam != 0.0).sum(axis=-1)[probe]
     p_err = np.where(s > 0.0, p0, 1.0 - p0)  # mu = 0, or p1 where c >= 0
-    rows = ((s > 0.0) & (a * count > s)).nonzero()[0]
+    rows = ((s > 0.0) & (a * support > s)).nonzero()[0]
     sizes = support[rows[:1]].tolist() or [0]  # the rows' distinct support sizes, ascending ([0]: no rows)
     if (support[rows] != sizes).any():  # several: order the rows by support size
         rows = rows[support[rows].argsort(kind="stable")]
@@ -203,21 +185,19 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5, counts=None):
         ends = size.searchsorted(sizes, side="right").tolist() if len(sizes) > 1 else [len(x)]
         parts = [np.add.reduce(x[lo:hi, :k], axis=-1, keepdims=True) for lo, hi, k in zip([0, *ends], ends, sizes)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    pick = probe[rows]
-    lam, a, s, base, size = lam[pick], a[rows, None], s[rows, None], base[rows], support[rows]
-    mass, last = (lam, last) if mult is None else (mass[pick], last[pick])
-    mu = (lam * (a * last - s)).max(axis=-1, keepdims=True)
-    live, m, w, wm, sl, al, k = np.arange(rows.size), mu, lam, mass, s, a, size  # the rows still rising
+    lam, a, s, base, size = lam[probe[rows]], a[rows, None], s[rows, None], base[rows], support[rows]
+    mu = (lam * (a * np.arange(1, d_i + 1) - s)).max(axis=-1, keepdims=True)
+    live, m, w, sl, al, k = np.arange(rows.size), mu, lam, s, a, size  # the rows still rising
     while live.size:
         g = m + sl * w
-        q, z = wm / g, m / g  # z in (0, 1]: no overflow at tiny mu
+        q, z = w / g, m / g  # z in (0, 1]: no overflow at tiny mu
         total = sums(q, k)
         rise = total * (al * total - 1.0) / sums(q * z, k)
         m, rising = m + m * rise, rise[:, 0] > _EPS  # the Newton step, relative to mu
         if not rising.all():  # a row leaves once its root is reached
             mu[live] = m
-            live, m, w, wm, sl, al, k = (x[rising] for x in (live, m, w, wm, sl, al, k))
-    p_err[rows] = base + (a * s * sums(mass * lam / (mu + s * lam), size))[:, 0]
+            live, m, w, sl, al, k = (x[rising] for x in (live, m, w, sl, al, k))
+    p_err[rows] = base + (a * s * sums(lam * lam / (mu + s * lam), size))[:, 0]
     p_err = np.minimum(np.maximum(p_err.reshape(shape), 0.0), 1.0)
     return float(p_err) if p_err.ndim == 0 else p_err
 
@@ -261,11 +241,11 @@ def optimal_povm(spectrum) -> tuple[np.ndarray, np.ndarray]:
     return e0, np.eye(len(v)) - e0
 
 
-def channel_overlap(weights, eta, d_s, counts=None):
+def channel_overlap(weights, eta, d_s, copies=1):
     """Normalized overlap ``Tr[rho0 rho1] / sqrt(Tr[rho0^2] Tr[rho1^2])`` of
     the channel outputs of a pure probe on ``d_s`` signal modes, from its
-    Schmidt weights ``lam`` (1-D, or an ``(n, d_i)`` stack), each standing
-    for ``counts`` equal weights if given (of the same shape).
+    Schmidt weights ``lam`` (1-D, or an ``(n, d_i)`` stack), each weight
+    appearing ``copies`` times.
 
     With the idler reduction ``phi = diag(lam)``, ``rho1 = I/d_s (x) phi``
     and ``rho0 = eta |psi><psi| + (1 - eta) rho1``, the overlap needs three
@@ -275,19 +255,18 @@ def channel_overlap(weights, eta, d_s, counts=None):
         Tr[rho0 rho1] = eta v + (1 - eta) Tr[rho1^2],
         Tr[rho0^2] = eta^2 + 2 eta (1 - eta) v + (1 - eta)^2 Tr[rho1^2],
 
-    at O(d_i), with ``Tr[phi^2] = sum(m lam^2)`` (``m`` the counts, or 1)
-    added in index order, so a weight or a count of 0 adds an exact zero.
-    None of them goes through the effective rank, so the result checks the
-    algebra of :func:`h01_closed_form`, but not ``sum(m lam^2)``:
-    ``run_sweep`` takes its ``k_i`` by the same ``cumsum``.  ``eta`` and
-    ``d_s`` broadcast as in :func:`schmidt_helstrom_error`: one value each
-    and 1-D weights give a float, anything else an array.  The result is
-    clipped to ``[0, 1]``; ``eta``, ``d_s`` and ``counts`` are unchecked.
+    at O(d_i), with ``Tr[phi^2] = sum(copies lam^2)`` added in index order,
+    so a zero weight adds an exact zero.  None of them goes through the
+    effective rank, so the result checks the algebra of
+    :func:`h01_closed_form`, but not ``sum(copies lam^2)``: ``run_sweep``
+    takes its ``k_i`` by the same ``cumsum``.  ``eta``, ``d_s`` and
+    ``copies`` broadcast as in :func:`schmidt_helstrom_error`: one value
+    each and 1-D weights give a float, anything else an array.  The result
+    is clipped to ``[0, 1]``; ``eta``, ``d_s`` and ``copies`` are unchecked.
     """
     eta = np.asarray(eta, dtype=float)
     lam = np.asarray(weights, dtype=float)
-    mass = lam if counts is None else counts * lam
-    v = purity_1 = np.cumsum(mass * lam, axis=-1)[..., -1] / d_s
+    v = purity_1 = np.cumsum(np.expand_dims(copies, -1) * lam * lam, axis=-1)[..., -1] / d_s
     cross = eta * v + (1.0 - eta) * purity_1
     # products, not ** 2: a float64 scalar's power can round apart from an array's square
     purity_0 = eta * eta + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) * (1.0 - eta) * purity_1

@@ -2,8 +2,8 @@
 the test suite.
 
 A sweep family is what ``run_sweep`` takes: :data:`BELL`,
-:func:`uniform_rank` or a spectrum's :func:`spectrum_family`, distinct
-weights with their counts.  A pure
+:func:`uniform_rank` or a spectrum's :func:`spectrum_family`, weights with
+their number of copies.  A pure
 state is its complex ``(d_s, d_i)`` amplitude matrix
 (:func:`schmidt_amplitudes` builds it from a sweep probe's Schmidt
 weights).  The dense oracle of the illumination channel lives here: the
@@ -48,23 +48,21 @@ AWKWARD_PARTS = [
 ]
 
 
-#: The Bell family as ``run_sweep`` takes it: ``d_s`` weights ``1/d_s`` at
-#: each dimension, built there.
+#: The Bell family as ``run_sweep`` takes it: the weight ``1/d_s`` with
+#: ``d_s`` copies at each dimension, built there.
 BELL = None
 
 
 def uniform_rank(rank):
     """The family ``uniform-rank:<rank>`` as ``run_sweep`` takes it: the
-    correctly rounded ``1/rank``, ``rank`` times."""
-    return np.array([1.0 / rank]), np.array([rank])
+    correctly rounded ``1/rank``, with ``rank`` copies."""
+    return np.array([1.0 / rank]), rank
 
 
 def spectrum_family(spectrum):
     """The family ``spectrum:<file>`` of a file holding ``spectrum``, as
-    ``run_sweep`` takes it: the distinct weights of its ``schmidt_probe``,
-    descending, and the count of each."""
-    lam, counts = np.unique(schmidt_probe(spectrum), return_counts=True)
-    return lam[::-1], counts[::-1]
+    ``run_sweep`` takes it: its ``schmidt_probe``, one copy."""
+    return schmidt_probe(spectrum), 1
 
 
 def max_abs_diff(a, b):

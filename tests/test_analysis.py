@@ -36,9 +36,9 @@ from conftest import (
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The sweep kernels' calls, in order, as ``(kind, weights, counts, etas
+    """The sweep kernels' calls, in order, as ``(kind, weights, copies, etas
     shape, d_s list)``, ``kind`` being ``"error"`` or ``"overlap"``; the
-    counts are each kernel's last argument."""
+    copies are each kernel's last argument."""
     calls = []
     for kind, name in (("error", "schmidt_helstrom_error"), ("overlap", "channel_overlap")):
         def counted(weights, etas, d_s, *rest, kind=kind, exact=getattr(analysis, name)):
@@ -131,8 +131,8 @@ class TestRunSweep:
     ])
     def test_memory_bound_over_many_probes(self, etas, dims, families):
         """A chunk of probes, padded to its widest, is evaluated before its
-        distinct weights times the eta grid pass 2^16: holding all 100
-        probes of the first grid, of 1000 distinct weights each, until the
+        weights times the eta grid pass 2^16: holding all 100
+        probes of the first grid, of 1000 weights each, until the
         end took 647 MB.  The second grid's 6000 flat probes, 4.5 million
         weights (36 MB) written out, were 144 MB padded to one stack; they
         are one weight each."""
@@ -160,18 +160,18 @@ class TestRunSweep:
         assert peak < 2**17
         assert sweep_columns(table)["d_i"].tolist() == [d, 1000] * 11
 
-    @pytest.mark.parametrize("text, d_i, counts", [
-        ("bell", 5, [5]),
-        ("uniform-rank:3", 3, [3]),
-        ("spectrum", 4, [1, 1, 1, 1]),
-        ("spectrum-tied", 7, [2, 4, 1]),
+    @pytest.mark.parametrize("text, d_i, copies", [
+        ("bell", 5, 5),
+        ("uniform-rank:3", 3, 3),
+        ("spectrum", 4, 1),
+        ("spectrum-tied", 7, 1),
     ], ids=["bell-5", "uniform-rank:3-3", "spectrum-4", "spectrum-tied-7"])
-    def test_families_return_weights(self, tmp_path, kernel_calls, text, d_i, counts):
-        """The distinct weights, descending, and their counts that each
-        family reaches the kernels with at d_s = 7 (Bell's at d_s = 5):
-        parsed once, but Bell's built by ``run_sweep`` at the dimension.  A
-        flat family is one weight; a spectrum's equal weights are grouped
-        (zeros too), and no unequal ones."""
+    def test_families_return_weights(self, tmp_path, kernel_calls, text, d_i, copies):
+        """The weights, descending, and the copies that each family reaches
+        the kernels with at d_s = 7 (Bell's at d_s = 5): parsed once, but
+        Bell's built by ``run_sweep`` at the dimension.  A flat family is one
+        weight with its rank as copies; a spectrum is each of its entries,
+        equal ones and zeros too, with one copy."""
         entries = {"spectrum": [0.5, 0.0, 0.2, 0.3], "spectrum-tied": [0.125, 0.25, 0.125, 0.0, 0.125, 0.25, 0.125]}
         if text in entries:
             spec = tmp_path / "spec.json"
@@ -184,28 +184,28 @@ class TestRunSweep:
         assert (family is None) == (text == "bell")
         run_sweep([0.5], [d_i if family is None else 7], [family])
         (_, (weights,), (m,), _, _), (_, (weights_overlap,), (m_overlap,), _, _) = kernel_calls
-        assert weights.dtype == m.dtype == float and m.tolist() == counts
-        assert np.array_equal(np.repeat(weights, counts), lam) and np.all(np.diff(weights) < 0.0)
-        assert np.array_equal(weights_overlap, weights) and np.array_equal(m_overlap, m)
+        assert weights.dtype == m.dtype == float and m == copies
+        assert np.array_equal(np.repeat(weights, copies), lam) and np.all(np.diff(weights) <= 0.0)
+        assert np.array_equal(weights_overlap, weights) and m_overlap == m
         assert abs(math.fsum(m * weights) - 1.0) <= 1e-15
-        assert family is None or (np.array_equal(weights, family[0]) and np.array_equal(m, family[1]))
+        assert family is None or (np.array_equal(weights, family[0]) and m == family[1])
 
     def test_bell_weights_are_exactly_one_over_d(self, kernel_calls):
-        """The Bell probe's one weight is the correctly rounded 1/d, with the
-        count d; squaring a rounded 1/sqrt(d) misses it at 583 of d in [2,
+        """The Bell probe's one weight is the correctly rounded 1/d, with d
+        copies; squaring a rounded 1/sqrt(d) misses it at 583 of d in [2,
         1000), d = 2 among them."""
         run_sweep([0.5], range(2, 1000), [BELL])
         rows = [
             (lam, m, int(d))
-            for kind, stack, counts, _, d_s in kernel_calls if kind == "error"
-            for lam, m, d in zip(stack, counts, d_s)
+            for kind, stack, copies, _, d_s in kernel_calls if kind == "error"
+            for lam, m, d in zip(stack, copies, d_s)
         ]
         assert [d for _, _, d in rows] == list(range(2, 1000))
         for lam, m, d in rows:
-            assert lam.tolist() == [1.0 / d] and m.tolist() == [d], d
+            assert lam.tolist() == [1.0 / d] and m == d, d
 
     def test_uniform_rank_weights_are_bell_weights(self, kernel_calls):
-        """Weight and count bit for bit, so their sweep rows are equal:
+        """Weight and copies bit for bit, so their sweep rows are equal:
         rescaling ``sqrt(1/d)`` missed 1/d at 153 of d in [1, 300)."""
         for d in [*range(1, 65), 1000, 10**7]:
             rank = cli.parse_family(f"uniform-rank:{d}", d)
@@ -213,7 +213,7 @@ class TestRunSweep:
             table = run_sweep(np.linspace(0.0, 1.0, 21), [d], [BELL, rank])
             (_, (bell, flat), (bell_m, flat_m), *_), _ = kernel_calls  # one error call, one overlap call
             assert np.array_equal(bell, rank[0]) and np.array_equal(flat, rank[0]), d
-            assert np.array_equal(bell_m, rank[1]) and np.array_equal(flat_m, rank[1]), d
+            assert bell_m == flat_m == rank[1], d
             assert np.array_equal(table[0::2], table[1::2]), d
 
 
@@ -267,12 +267,12 @@ class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
     def test_one_kernel_call_per_chunk(self, kernel_calls):
-        """The probes of a chunk, of any numbers of distinct weights, are one
-        stack padded with weight 0 and count 0: one error and one overlap
-        call over the eta column, each probe with its own d_s, in output
-        order, a repeated d_s again.  A flat probe is one weight at any
-        dimension.  A chunk ends before its padded weights times the grid
-        would pass the chunk bound; the baseline is a closed form."""
+        """The probes of a chunk, of any numbers of weights, are one
+        zero-padded stack with one number of copies a probe: one error and
+        one overlap call over the eta column, each probe with its own d_s,
+        in output order, a repeated d_s again.  A flat probe is one weight
+        at any dimension.  A chunk ends before its padded weights times the
+        grid would pass the chunk bound; the baseline is a closed form."""
         def calls():
             shapes = [(kind, lam.shape, m.shape, etas, d_s) for kind, lam, m, etas, d_s in kernel_calls]
             kernel_calls.clear()
@@ -281,13 +281,13 @@ class TestSweepColumns:
         families = [BELL, uniform_rank(2), spectrum_family([0.5, 0.3, 0.2])]
         table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], families)
         assert len(table) == 36
-        assert calls() == [(kind, (9, 3), (9, 3), (4, 1), [3, 3, 3, 5, 5, 5, 3, 3, 3]) for kind in ("error", "overlap")]
+        assert calls() == [(kind, (9, 3), (9,), (4, 1), [3, 3, 3, 5, 5, 5, 3, 3, 3]) for kind in ("error", "overlap")]
         # Bell and a flat rank at d = 10^7 are one weight each: one chunk
         run_sweep(np.linspace(0, 1, 40), [10**7, 10**7 + 1], [BELL, uniform_rank(1000)])
         dims = [10**7] * 2 + [10**7 + 1] * 2
-        assert calls() == [(kind, (4, 1), (4, 1), (40, 1), dims) for kind in ("error", "overlap")]
+        assert calls() == [(kind, (4, 1), (4,), (40, 1), dims) for kind in ("error", "overlap")]
         # a second probe would make 2 x 1000 weights x 40 etas, past 2^16: a chunk a probe
-        wide = spectrum_family(np.arange(1.0, 1001.0) / 500500.0)  # 1000 distinct weights
+        wide = spectrum_family(np.arange(1.0, 1001.0) / 500500.0)  # 1000 weights
         run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [wide])
         shapes = calls()
         assert [shape for kind, shape, _, _, _ in shapes if kind == "error"] == [(1, 1000)] * 3

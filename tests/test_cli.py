@@ -58,8 +58,10 @@ HALF_NORM = {"d_s": 2, "d_i": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}
 # json writes these as NaN, which the state-file reader rejects
 NAN_AMPLITUDE = {"d_s": 2, "d_i": 1, "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}
 NAN_DIAGONAL = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
-# nested past the recursion limit: orjson reads it, and ``repr`` cannot print it
-DEEP = "[" * 100_000 + "]" * 100_000
+# nested past Python's recursion limit, not past cli.MAX_JSON_DEPTH: orjson reads it, and ``repr`` cannot print it
+DEEP = "[" * 10_000 + "]" * 10_000
+# nested 10^6 deep, arrays and objects: orjson overflowed its stack on these (SIGSEGV, exit 139)
+DEEPEST_ARRAYS, DEEPEST_OBJECTS = "[" * 10**6 + "]" * 10**6, '{"a": ' * 10**6 + "1" + "}" * 10**6
 # half the largest float, rounded up: a sum or difference of two overflows
 BIG = 8.98846567431158e307
 
@@ -179,6 +181,19 @@ class TestSweep:
         monkeypatch.setattr(cli, "schmidt_probe", lambda *args: calls.append(args) or exact(*args))
         assert self.spectrum_sweep(tmp_path, "0.37") == (DATA / "sweep_spectrum_golden_p0.37.csv").read_bytes()
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("p0", ["0.3", "0.5"])
+    def test_flat_spectrum_prints_the_uniform_rank_rows(self, tmp_path, p0):
+        """A ``spectrum:`` file of four equal weights, four weights of one
+        copy, prints the bytes of ``uniform-rank:4``, one weight of four
+        copies."""
+        spec = write_json(tmp_path / "flat.json", [0.25, 0.25, 0.25, 0.25])
+        outs = {family: tmp_path / f"{k}.csv" for k, family in enumerate([f"spectrum:{spec}", "uniform-rank:4"])}
+        for family, out in outs.items():
+            argv = ["sweep", "--eta", "0:0.05:1", "--d", "4:1:12", "--family", family, "--priors", p0, "--out", str(out)]
+            assert main(argv) == 0
+        spectrum, rank = (out.read_bytes() for out in outs.values())
+        assert spectrum == rank and spectrum.count(b"\n") == 1 + 21 * 9
 
     def test_repeated_dimension_repeats_its_rows(self, tmp_path):
         """Every probe is evaluated in output order, a repeated d_s again:
@@ -911,6 +926,21 @@ class TestStateFileReading:
         assert captured.err.startswith(f"error: cannot read state file {str(bad)!r}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "1}")], ids=["arrays", "objects"])
+    def test_nesting_bound_is_exact(self, tmp_path, opening, closing):
+        """``MAX_JSON_DEPTH`` levels are parsed and one more is refused; a
+        shallow text with more brackets than the bound is scanned and
+        passes."""
+        path = tmp_path / "nested.json"
+        depth = cli.MAX_JSON_DEPTH
+        path.write_text(opening * depth + closing + closing[-1] * (depth - 1))
+        cli._read_json(str(path), "spectrum")
+        path.write_text(opening * (depth + 1) + closing + closing[-1] * depth)
+        with pytest.raises(ValueError, match=f"nested deeper than {depth}$"):
+            cli._read_json(str(path), "spectrum")
+        path.write_text("[" + "[0.5, 0], " * depth + "[0.5, 0]]")
+        assert len(cli._read_json(str(path), "spectrum")) == depth + 1
+
     def test_orjson_is_imported_by_helstrom_only(self, tmp_path):
         """Importing ``cli`` and the runs that read no file, ``sweep`` and
         ``verify-bell``, leave ``orjson`` unimported, so its import time and
@@ -1061,16 +1091,19 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("family, text", [
         ("spectrum", DEEP),
+        ("spectrum", DEEPEST_ARRAYS),
+        ("state", DEEPEST_OBJECTS),
         ("state", f'{{"d_s": {DEEP}, "d_i": 1, "amplitudes": [[1, 0], [0, 0]]}}'),
         ("state", f'{{"dim": 1, "entries": [[[1, {DEEP}]]]}}'),
         ("state", f'{{"dim": 1, "entries": [[[0.0, {BIG}]]]}}'),
         ("state", f'{{"dim": 2, "entries": [[[{BIG}, 0], [0, 0]], [[0, 0], [{BIG}, 0]]]}}'),
         ("state", json.dumps(density_to_dict(np.diag([BIG, BIG, 0, 0, 0, 0, -BIG, -BIG]).astype(complex)))),
-    ], ids=["spectrum-deep", "d_s-deep", "entry-deep", "hermiticity-overflow", "trace-overflow", "trace-nan"])
+    ], ids=["spectrum-deep", "spectrum-deepest", "state-deepest", "d_s-deep", "entry-deep", "hermiticity-overflow",
+            "trace-overflow", "trace-nan"])
     def test_exits_1_cleanly(self, tmp_path, capsys, family, text):
-        """A value nested past the recursion limit, or entries whose
-        Hermiticity defect or trace overflows, end in one ``error:`` line:
-        no traceback, no warning, from the shell and in-process."""
+        """A value nested past the recursion limit or 10^6 deep, or entries
+        whose Hermiticity defect or trace overflows, end in one ``error:``
+        line: no traceback, no warning, from the shell and in-process."""
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         if family == "spectrum":

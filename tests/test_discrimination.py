@@ -588,50 +588,50 @@ class TestSecularRoot:
 
 
 @st.composite
-def grouped_probe(draw, max_count=2000):
-    """A probe as distinct Schmidt weights and their counts, of up to 6
-    groups: weights as :data:`RAW_WEIGHT` draws them (exact zeros among
-    them), scaled so that the expanded weights sum to about 1, and counts
-    from 1 to ``max_count``."""
+def copied_probe(draw, max_copies=2000):
+    """A probe as Schmidt weights and their number of copies: up to 6
+    distinct weights as :data:`RAW_WEIGHT` draws them (exact zeros among
+    them), scaled so that the copied weights sum to about 1, and copies
+    from 1 to ``max_copies``."""
     raw = draw(st.lists(RAW_WEIGHT, min_size=1, max_size=6, unique=True).filter(any))
-    counts = np.array(draw(st.lists(st.integers(1, max_count), min_size=len(raw), max_size=len(raw))))
-    return np.array(raw) / math.fsum(np.repeat(raw, counts)), counts
+    copies = draw(st.integers(1, max_copies))
+    return np.array(raw) / (copies * math.fsum(raw)), copies
 
 
 def padded_stack(probes):
-    """The ``(weights, counts)`` probes as two stacks, one row per probe,
-    padded with weight 0 and count 0 to the widest."""
-    width = max(len(w) for w, _ in probes)
-    weights, counts = np.zeros((2, len(probes), width))
-    for r, (w, m) in enumerate(probes):
-        weights[r, : len(w)], counts[r, : len(m)] = w, m
-    return weights, counts
+    """The ``(weights, copies)`` probes as a weight stack, one row per
+    probe, zero-padded to the widest, and a vector of the copies."""
+    weights = np.zeros((len(probes), max(len(w) for w, _ in probes)))
+    for r, (w, _) in enumerate(probes):
+        weights[r, : len(w)] = w
+    return weights, np.array([m for _, m in probes])
 
 
 class TestCounts:
-    """A probe given as its distinct weights and their counts: each weight
-    stands for ``count`` equal weights in every sum of the error kernel and
-    of the direct overlap."""
+    """A probe given as its weights and a number of copies: each weight is
+    counted ``copies`` times in every sum of the error kernel and of the
+    direct overlap."""
 
     @settings(deadline=None, max_examples=120)
     @given(
-        probes=st.lists(grouped_probe(), min_size=1, max_size=5),
+        probes=st.lists(copied_probe(), min_size=1, max_size=5),
         dims=st.lists(st.integers(2, 40), min_size=5, max_size=5),
         etas=st.lists(UNIT, min_size=1, max_size=4),
         p0=UNIT,
     )
-    @example(probes=[(np.array([0.5]), np.array([2])), (np.array([0.25, 0.0]), np.array([4, 3]))],
-             dims=[2, 8, 2, 2, 2], etas=[0.0, 0.5, 1.0], p0=0.5)
+    @example(probes=[(np.array([0.5]), 2), (np.array([0.125, 0.0]), 8)], dims=[2, 8, 2, 2, 2], etas=[0.0, 0.5, 1.0],
+             p0=0.5)
     def test_stacked_equals_rows(self, probes, dims, etas, p0):
-        """A stack of padded probes, each on its own ``d_s``, over an eta
-        column gives exactly each (eta, probe) pair's 1-D scalar call."""
-        weights, counts = padded_stack(probes)
+        """A stack of padded probes, each on its own ``d_s`` and with its
+        own copies, over an eta column gives exactly each (eta, probe)
+        pair's 1-D scalar call."""
+        weights, copies = padded_stack(probes)
         eta, d_s = np.array(etas)[:, None], np.array(dims[: len(probes)])
-        p_err = schmidt_helstrom_error(weights, eta, d_s, p0, counts)
-        overlap = channel_overlap(weights, eta, d_s, counts)
+        p_err = schmidt_helstrom_error(weights, eta, d_s, p0, copies)
+        overlap = channel_overlap(weights, eta, d_s, copies)
         assert p_err.shape == overlap.shape == (len(etas), len(probes))
         for k, e in enumerate(etas):
-            for j, (lam, m) in enumerate(zip(weights, counts)):
+            for j, (lam, (_, m)) in enumerate(zip(weights, probes)):
                 single = schmidt_helstrom_error(lam, e, int(d_s[j]), p0, m)
                 direct = channel_overlap(lam, e, int(d_s[j]), m)
                 assert isinstance(single, float) and isinstance(direct, float)
@@ -639,32 +639,28 @@ class TestCounts:
 
     @settings(deadline=None, max_examples=150)
     @given(
-        probe=grouped_probe(),
-        pads=st.lists(st.tuples(st.integers(0, 6), st.one_of(st.just(0.0), RAW_WEIGHT), st.integers(0, 50)),
-                      min_size=1, max_size=6),
+        probe=copied_probe(),
+        pads=st.lists(st.integers(0, 6), min_size=1, max_size=6),
         d_s=st.integers(2, 16),
         eta=UNIT,
         p0=UNIT,
     )
-    @example(probe=(np.array([0.5, 0.25]), np.array([1, 2])), pads=[(1, 0.3, 0)], d_s=4, eta=0.5, p0=0.5)
-    @example(probe=(np.array([0.125]), np.array([8])), pads=[(0, 0.0, 5), (1, 0.9, 0)], d_s=8, eta=1.0, p0=0.4)
-    # the root is 0 (a x 2 < s) unless the zero weight's count of 50 were counted
-    @example(probe=(np.array([0.5]), np.array([2])), pads=[(1, 0.0, 50)], d_s=2, eta=0.1, p0=0.3)
-    # eight weights and a count-0 one among them: a ninth entry would regroup np.sum's pairwise order
-    @example(probe=(np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.03, 0.02]), np.ones(8, dtype=int)),
-             pads=[(4, 0.11, 3)], d_s=4, eta=1.0, p0=0.5)
+    @example(probe=(np.array([0.25, 0.125]), 2), pads=[1], d_s=4, eta=0.5, p0=0.5)
+    @example(probe=(np.array([0.125]), 8), pads=[0, 1], d_s=8, eta=1.0, p0=0.4)
+    # the root is 0 (a x 1 < s) unless the zero weight were counted
+    @example(probe=(np.array([0.5]), 2), pads=[1], d_s=2, eta=0.1, p0=0.3)
+    # eight weights and a zero among them: a ninth entry would regroup np.sum's pairwise order
+    @example(probe=(np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.03, 0.02]), 1), pads=[4], d_s=4, eta=1.0, p0=0.5)
     def test_padding_changes_no_bit(self, probe, pads, d_s, eta, p0):
-        """Entries of weight 0 (any count) or of count 0 (any weight),
-        anywhere, change no bit of either result."""
+        """Zero weights, anywhere and at any copies, change no bit of either
+        result."""
         lam, m = probe
-        weights, counts = list(lam), list(m)
-        for at, pad, count in pads:
-            at = min(at, len(weights))
-            weights.insert(at, pad)
-            counts.insert(at, 0 if pad else count)  # a zero weight, or a zero count
-        weights, counts = np.array(weights), np.array(counts)
-        assert schmidt_helstrom_error(weights, eta, d_s, p0, counts) == schmidt_helstrom_error(lam, eta, d_s, p0, m)
-        assert channel_overlap(weights, eta, d_s, counts) == channel_overlap(lam, eta, d_s, m)
+        weights = list(lam)
+        for at in pads:
+            weights.insert(min(at, len(weights)), 0.0)
+        weights = np.array(weights)
+        assert schmidt_helstrom_error(weights, eta, d_s, p0, m) == schmidt_helstrom_error(lam, eta, d_s, p0, m)
+        assert channel_overlap(weights, eta, d_s, m) == channel_overlap(lam, eta, d_s, m)
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -674,38 +670,39 @@ class TestCounts:
         p0=UNIT,
     )
     def test_unit_counts_are_no_counts(self, rows, d_s, etas, p0):
-        """Counts all 1, or none, give the same bits, stacked or not."""
-        weights, _ = padded_stack([(np.array(r) / math.fsum(r), []) for r in rows])
-        counts, eta = np.ones_like(weights), np.array(etas)[:, None]  # the padding's count 1 too
-        assert np.array_equal(schmidt_helstrom_error(weights, eta, d_s, p0, counts),
+        """One copy a probe, as ``run_sweep`` passes it (a float array),
+        gives the default's bits, stacked or not."""
+        weights, copies = padded_stack([(np.array(r) / math.fsum(r), 1.0) for r in rows])
+        eta = np.array(etas)[:, None]
+        assert np.array_equal(schmidt_helstrom_error(weights, eta, d_s, p0, copies),
                               schmidt_helstrom_error(weights, eta, d_s, p0))
-        assert np.array_equal(channel_overlap(weights, eta, d_s, counts), channel_overlap(weights, eta, d_s))
+        assert np.array_equal(channel_overlap(weights, eta, d_s, copies), channel_overlap(weights, eta, d_s))
         for e in etas:
             single = schmidt_helstrom_error(weights[0], e, d_s, p0)
-            assert schmidt_helstrom_error(weights[0], e, d_s, p0, counts[0]) == single
+            assert schmidt_helstrom_error(weights[0], e, d_s, p0, copies[0]) == single
 
     @settings(deadline=None, max_examples=60)
     @given(rank=st.integers(1, 6), extra=st.integers(0, 3), eta=UNIT, p0=UNIT)
     @example(rank=6, extra=0, eta=1.0, p0=0.5)
     @example(rank=1, extra=3, eta=0.0, p0=1.0)
     def test_flat_probe_matches_the_dense_oracle(self, rank, extra, eta, p0):
-        """The weight ``1/rank`` with the count ``rank`` against the dense
+        """The weight ``1/rank`` with ``rank`` copies against the dense
         channel outputs of the flat probe on ``d_s = rank + extra`` (at
         least 2) signal modes."""
         d_s = max(rank + extra, 2)
         h01, p_err = evaluate_state_metrics(schmidt_amplitudes(d_s, np.full(rank, 1.0 / rank)), eta, p0)
-        assert abs(schmidt_helstrom_error([1.0 / rank], eta, d_s, p0, [rank]) - p_err) <= 1e-12
-        assert abs(channel_overlap([1.0 / rank], eta, d_s, [rank]) - h01) <= 1e-12
+        assert abs(schmidt_helstrom_error([1.0 / rank], eta, d_s, p0, rank) - p_err) <= 1e-12
+        assert abs(channel_overlap([1.0 / rank], eta, d_s, rank) - h01) <= 1e-12
 
     @settings(deadline=None, max_examples=200)
-    @given(probe=grouped_probe(), small=grouped_probe(max_count=7), d_s=st.integers(2, 40), eta=UNIT, p0=UNIT)
-    @example(probe=(np.array([1e-3]), np.array([1000])), small=(np.array([0.25, 0.125]), np.array([2, 4])),
-             d_s=24, eta=1.0, p0=0.5)
+    @given(probe=copied_probe(), small=copied_probe(max_copies=7), d_s=st.integers(2, 40), eta=UNIT, p0=UNIT)
+    @example(probe=(np.array([1e-3]), 1000), small=(np.array([0.25, 0.125, 0.125]), 2), d_s=24, eta=1.0, p0=0.5)
     def test_grouped_matches_expanded(self, probe, small, d_s, eta, p0):
-        """A grouped probe is within 8 ulps of its weights written out,
-        ``count`` times each.  The overlap is compared at counts up to 7:
-        the expanded form's purity, summed in index order, drifts as
-        ``n eps`` over ``n`` weights, and the grouped one does not."""
+        """A probe's ``k`` weights with ``m`` copies are within 8 ulps of
+        the weights written out, ``m`` times each.  The overlap is compared
+        at copies up to 7: the expanded form's purity, summed in index
+        order, drifts as ``n eps`` over ``n`` weights, and the copied one
+        does not."""
         def ulps(got, want):
             return abs(got - want) / math.ulp(want)
 
