@@ -56,6 +56,14 @@ class VerificationError(ValueError):
     """A computed result failed one of its numerical cross-checks."""
 
 
+def _check_rows(ok: np.ndarray, error: type[ValueError], message) -> None:
+    """Raise ``error(message(r))`` for the first row ``r`` where ``ok`` is
+    false.  ``ok`` is a comparison, false at NaN, so NaN fails every check."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise error(message(int(bad[0])))
+
+
 def run_sweep(etas: Iterable[float], dims: Iterable[int],
               families: Sequence[tuple[np.ndarray, int] | None], p0: float = 0.5) -> np.ndarray:
     """Evaluate the full pipeline on a grid, as a float table: one row per
@@ -123,13 +131,10 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
         (gap < RECORD_AGREEMENT_TOL, lambda r: f"closed/direct overlap disagree by {gap[r]:.3e}"),
         ((bell - BRACKET_TOL <= p) & (p <= ci + BRACKET_TOL), lambda r: f"p_err={p[r]} outside [{bell[r]}, {ci[r]}]"),
     ):
-        bad = np.flatnonzero(~ok)  # NaN fails every check
-        if bad.size:
-            r = bad[0]
-            raise VerificationError(
-                f"{failure(r)} at (eta={column['eta'][r]}, d_s={int(column['d_s'][r])}, "
-                f"d_i={int(column['d_i'][r])}, k_i={column['k_i'][r]})"
-            )
+        _check_rows(ok, VerificationError, lambda r: (
+            f"{failure(r)} at (eta={column['eta'][r]}, d_s={int(column['d_s'][r])}, "
+            f"d_i={int(column['d_i'][r])}, k_i={column['k_i'][r]})"
+        ))
     return table
 
 
@@ -199,20 +204,14 @@ def verify_bell_optimality(
     for first in range(0, n_samples, step):
         amplitudes = haar_random_amplitudes(d, d, child_seeds[first : first + step])
         weights = np.linalg.svd(amplitudes, compute_uv=False) ** 2
-        # the weights sum to the sample's squared norm; NaN fails the test
+        # the weights sum to the sample's squared norm
         total = np.sum(weights, axis=1)
-        bad = np.flatnonzero(~(np.abs(total - 1.0) <= DEFAULT_TOL))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, "
-                f"expected 1 within {DEFAULT_TOL:.1e}"
-            )
+        _check_rows(np.abs(total - 1.0) <= DEFAULT_TOL, ValueError, lambda k: (
+            f"sample {first + k}: Schmidt weights sum to {total[k]:.17g}, expected 1 within {DEFAULT_TOL:.1e}"
+        ))
         p_err = schmidt_helstrom_error(weights, eta, d, p0)
-        bad = np.flatnonzero(~((bell_p_err - BRACKET_TOL <= p_err) & (p_err <= unentangled + BRACKET_TOL)))
-        if bad.size:
-            k = int(bad[0])
-            raise VerificationError(f"sample {first + k}: p_err={p_err[k]} outside [{bell_p_err}, {unentangled}]")
+        _check_rows((bell_p_err - BRACKET_TOL <= p_err) & (p_err <= unentangled + BRACKET_TOL), VerificationError,
+                    lambda k: f"sample {first + k}: p_err={p_err[k]} outside [{bell_p_err}, {unentangled}]")
         best_k_i = max(best_k_i, float(np.max(1.0 / np.sum(weights * weights, axis=1))))
         best_p_err = min(best_p_err, float(np.min(p_err)))
 

@@ -28,6 +28,8 @@ the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and
 integral; ``--samples`` at least 1; ``--seed`` at least 0; a sweep at
 most :data:`MAX_SWEEP_ROWS` rows.  Then each family is checked against the
 smallest ``--d`` (:func:`parse_family`), before any probe is evaluated.
+``helstrom --povm`` prints a measurement of at most :data:`MAX_POVM_DIM`
+dimensions, checked once both states are read, before any eigensolve.
 
 Exit codes: 0 success, 1 validation or usage error (``ValueError``,
 ``OSError``), 2 numerical-verification failure (``VerificationError``).
@@ -61,6 +63,10 @@ CSV_HEADER = ",".join(SWEEP_COLUMNS)
 #: Largest number of rows (eta x dimension x family) one sweep may have, so
 #: also of points a ``start:step:stop`` range may expand to.
 MAX_SWEEP_ROWS = 10_000
+#: Largest dimension ``helstrom --povm`` prints a measurement for: two dense
+#: ``dim x dim`` complex matrices as text, at about 270 bytes of peak memory an
+#: entry (over 1 GiB at 2048 dimensions).  The error alone has no cap.
+MAX_POVM_DIM = 2048
 
 
 #: Deepest nesting of JSON arrays and objects an input file may have (a valid one has 4):
@@ -263,6 +269,9 @@ def cmd_helstrom(args) -> int:
     state1 = _load_density(args.state1)
     if len(state0) != len(state1):
         raise ValueError(f"dimension mismatch: {len(state0)} vs {len(state1)}")
+    if args.povm and len(state0) > MAX_POVM_DIM:
+        raise ValueError(f"--povm prints at most {MAX_POVM_DIM} dimensions, got {len(state0)}; "
+                         "the error alone, without --povm, has no cap")
     spectrum = diagonalize(state0, state1, args.p0, vectors=args.povm)
     error = helstrom_error(spectrum)
     lines = [_fmt(error)]

@@ -231,14 +231,10 @@ def optimal_povm(spectrum) -> tuple[np.ndarray, np.ndarray]:
     ``E0 = I - E1``.  Both are orthogonal projectors by construction.
     """
     _, w, v = spectrum
-    if w is None:
-        e1 = v @ v.conj().T
-        e1 = 0.5 * (e1 + e1.conj().T)
-        return np.eye(len(v)) - e1, e1
-    keep = v[:, w >= -DEFAULT_TOL]
-    e0 = keep @ keep.conj().T
-    e0 = 0.5 * (e0 + e0.conj().T)
-    return e0, np.eye(len(v)) - e0
+    basis = v if w is None else v[:, w >= -DEFAULT_TOL]  # of E1's range for two pure states, else E0's
+    e = basis @ basis.conj().T
+    e = 0.5 * (e + e.conj().T)
+    return (np.eye(len(v)) - e, e) if w is None else (e, np.eye(len(v)) - e)
 
 
 def channel_overlap(weights, eta, d_s, copies=1):

@@ -116,11 +116,12 @@ def _dimension(obj: dict, key: str) -> int:
     return int(value)
 
 
-def _complex_pairs(pairs: list) -> np.ndarray:
-    """``[[re, im], ...]`` as a complex vector."""
-    if set(map(len, pairs)) - {2}:
+def _complex_pairs(rows: list) -> np.ndarray:
+    """Rows of ``[[re, im], ...]`` pairs as one complex vector, row after
+    row: the parts are flattened once, with no list of the pairs built."""
+    if set(map(len, chain.from_iterable(rows))) - {2}:
         raise ValueError("expected [re, im] pairs")
-    flat = list(chain.from_iterable(pairs))
+    flat = list(chain.from_iterable(chain.from_iterable(rows)))
     require_numbers(flat)
     return np.array(flat, dtype=float).view(complex)
 
@@ -174,7 +175,7 @@ def _pure_amplitudes(obj: dict) -> np.ndarray:
     try:
         d_s = _dimension(obj, "d_s")
         d_i = _dimension(obj, "d_i")
-        amp = _complex_pairs(obj["amplitudes"])
+        amp = _complex_pairs([obj["amplitudes"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pure-state object: {exc}") from exc
     if d_s < 2:
@@ -196,7 +197,7 @@ def _stored_density(obj: dict) -> np.ndarray:
         widths = set(map(len, rows))
         if len(widths) > 1:
             raise ValueError("rows differ in length")
-        mat = _complex_pairs(list(chain.from_iterable(rows))).reshape(len(rows), *widths)
+        mat = _complex_pairs(rows).reshape(len(rows), *widths)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
     if mat.shape != (dim, dim):  # so square, of dimension at least 1

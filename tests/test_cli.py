@@ -779,6 +779,29 @@ class TestPurePair:
         want = 0.5 * (1.0 - math.sqrt(1.0 - 4 * 0.4 * 0.6 * abs(np.vdot(psi0, psi1)) ** 2))
         assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-9)
 
+    def test_povm_above_the_cap_exits_1_before_any_matrix(self, tmp_path, capsys):
+        """One dimension past ``MAX_POVM_DIM`` ``--povm`` exits 1 with one
+        line naming the cap, having allocated under 1% of one ``dim x dim``
+        complex matrix (67 MB); without ``--povm`` the pair prints its error."""
+        n = cli.MAX_POVM_DIM + 1
+        psi0, psi1 = pure_pair(np.random.default_rng(11), n, "haar")
+        paths = [write_json(tmp_path / f"s{k}.json", amplitude_object(psi)) for k, psi in enumerate((psi0, psi1))]
+        argv = ["helstrom", "--state0", paths[0], "--state1", paths[1], "--p0", "0.4"]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--povm"]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 16 * n * n
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --povm prints at most {cli.MAX_POVM_DIM} dimensions, got {n}; "
+                                "the error alone, without --povm, has no cap\n")
+        assert main(argv) == 0
+        want = 0.5 * (1.0 - math.sqrt(1.0 - 4 * 0.4 * 0.6 * abs(np.vdot(psi0, psi1)) ** 2))
+        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-9)
+
 
 class TestRoute:
     """Which eigensolves a query makes, from wrapped ``numpy.linalg.eigh``

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from decimal import Context, Decimal
+from functools import partial
 
 import numpy as np
 import pytest
@@ -213,144 +214,6 @@ class TestSchmidtHelstrom:
         _, weights = haar_weights(d_s, d_i, seed)
         lo, hi = etas
         assert schmidt_helstrom_error(weights, hi, d_s, p0) <= schmidt_helstrom_error(weights, lo, d_s, p0) + 1e-12
-
-    @settings(deadline=None, max_examples=120)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
-        d_i=st.integers(1, 8),
-        d_s=st.integers(2, 8),
-        tiny=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
-        n_tiny=st.integers(0, 7),
-        eta=UNIT,
-        p0=UNIT,
-    )
-    @example(seed=0, n=1, d_i=1, d_s=2, tiny=0.0, n_tiny=0, eta=0.0, p0=0.0)
-    @example(seed=1, n=4, d_i=1, d_s=8, tiny=0.0, n_tiny=0, eta=1.0, p0=1.0)
-    @example(seed=2, n=5, d_i=8, d_s=3, tiny=0.0, n_tiny=7, eta=1.0, p0=0.0)
-    @example(seed=3, n=3, d_i=6, d_s=6, tiny=1e-12, n_tiny=3, eta=0.0, p0=1.0)
-    @example(seed=4, n=6, d_i=4, d_s=5, tiny=1e-13, n_tiny=2, eta=0.5, p0=0.5)
-    @example(seed=5, n=2, d_i=5, d_s=4, tiny=1e-11, n_tiny=4, eta=1.0, p0=0.5)
-    def test_stacked_equals_rows(self, seed, n, d_i, d_s, tiny, n_tiny, eta, p0):
-        """A stack of probes gives each row's 1-D result; rows may carry
-        zero weights or weights around 1e-12."""
-        weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=n)
-        weights[:, : min(n_tiny, d_i - 1)] = tiny
-        weights /= weights.sum(axis=1, keepdims=True)
-        stacked = schmidt_helstrom_error(weights, eta, d_s, p0)
-        assert isinstance(stacked, np.ndarray) and stacked.shape == (n,)
-        for row, value in zip(weights, stacked):
-            single = schmidt_helstrom_error(row, eta, d_s, p0)
-            assert isinstance(single, float)
-            assert abs(value - single) <= 1e-15
-
-    @settings(deadline=None, max_examples=120)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d_i=st.integers(1, 8),
-        d_s=st.integers(2, 8),
-        tiny=st.sampled_from([0.0, 1e-13, 1e-12]),
-        n_tiny=st.integers(0, 7),
-        etas=st.lists(UNIT, min_size=1, max_size=6),
-        p0=UNIT,
-    )
-    @example(seed=0, d_i=1, d_s=2, tiny=0.0, n_tiny=0, etas=[0.0, 1.0], p0=0.0)
-    @example(seed=1, d_i=1, d_s=8, tiny=0.0, n_tiny=0, etas=[1.0, 0.0, 0.5], p0=1.0)
-    @example(seed=2, d_i=8, d_s=3, tiny=0.0, n_tiny=7, etas=[1.0, 0.0], p0=0.0)
-    @example(seed=3, d_i=6, d_s=6, tiny=1e-12, n_tiny=3, etas=[0.0, 1.0, 0.3], p0=1.0)
-    @example(seed=4, d_i=4, d_s=5, tiny=1e-13, n_tiny=2, etas=[0.5] * 6, p0=0.5)
-    def test_eta_array_equals_scalar_calls(self, seed, d_i, d_s, tiny, n_tiny, etas, p0):
-        """One probe over an eta grid, and a stack with one eta per row, give
-        exactly the per-eta results."""
-        weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(etas))
-        weights[:, : min(n_tiny, d_i - 1)] = tiny
-        weights /= weights.sum(axis=1, keepdims=True)
-        column = schmidt_helstrom_error(weights[0], etas, d_s, p0)
-        stacked = schmidt_helstrom_error(weights, etas, d_s, p0)
-        broadcast = schmidt_helstrom_error(weights[:1], etas, d_s, p0)
-        assert column.shape == stacked.shape == broadcast.shape == (len(etas),)
-        for k, eta in enumerate(etas):
-            single = schmidt_helstrom_error(weights[0], eta, d_s, p0)
-            assert isinstance(single, float)
-            assert column[k] == single and broadcast[k] == single
-            assert stacked[k] == schmidt_helstrom_error(weights[k], eta, d_s, p0)
-
-    @settings(deadline=None, max_examples=120)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d_i=st.integers(1, 12),
-        dims=st.lists(st.integers(2, 40), min_size=1, max_size=5),
-        tiny=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
-        n_tiny=st.integers(0, 11),
-        etas=st.lists(UNIT, min_size=1, max_size=6),
-        p0=UNIT,
-    )
-    @example(seed=0, d_i=1, dims=[2, 40, 2], tiny=0.0, n_tiny=0, etas=[0.0, 1.0], p0=0.3)
-    @example(seed=1, d_i=12, dims=[3, 12, 7], tiny=0.0, n_tiny=11, etas=[1.0, 0.0, 0.5], p0=0.5)
-    @example(seed=2, d_i=9, dims=[9, 2], tiny=1e-12, n_tiny=4, etas=[0.25, 0.75], p0=0.8)
-    @example(seed=3, d_i=8, dims=[5], tiny=1e-13, n_tiny=3, etas=[0.5], p0=0.5)
-    @example(seed=0, d_i=1, dims=[21], tiny=0.0, n_tiny=0, etas=[0.1686305389478389], p0=0.0)
-    def test_per_row_signal_dimension_equals_row_calls(self, seed, d_i, dims, tiny, n_tiny, etas, p0):
-        """A stack of probes of one width, each on its own ``d_s``, over an
-        eta column gives exactly each (eta, probe) pair's 1-D scalar call, for
-        the error and the direct overlap; rows may carry zero weights or
-        weights around 1e-12."""
-        weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(dims))
-        weights[:, : min(n_tiny, d_i - 1)] = tiny
-        weights /= weights.sum(axis=1, keepdims=True)
-        eta = np.array(etas)[:, None]
-        p_err = schmidt_helstrom_error(weights, eta, np.array(dims), p0)
-        overlap = channel_overlap(weights, eta, np.array(dims))
-        assert p_err.shape == overlap.shape == (len(etas), len(dims))
-        for k, e in enumerate(etas):
-            for j, (lam, d_s) in enumerate(zip(weights, dims)):
-                single = schmidt_helstrom_error(lam, e, d_s, p0)
-                direct = channel_overlap(lam, e, d_s)
-                assert isinstance(single, float) and isinstance(direct, float)
-                assert p_err[k, j] == single and overlap[k, j] == direct
-
-    @settings(deadline=None, max_examples=150)
-    @given(
-        rows=st.lists(
-            st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from([1e-300, 1e-150, 1e-12]),
-                               st.floats(1e-300, 1.0)),
-                     min_size=1, max_size=40).filter(any),
-            min_size=1, max_size=5,
-        ),
-        pad=st.integers(0, 12),
-        dims=st.lists(st.integers(2, 8), min_size=5, max_size=5),
-        etas=st.lists(UNIT, min_size=1, max_size=3),
-        p0=UNIT,
-    )
-    @example(rows=[[1.0], [0.0] * 20 + [1.0]], pad=3, dims=[2, 3, 2, 2, 2], etas=[0.5, 1.0], p0=0.5)
-    @example(rows=[[0.25] * 4, [0.0, 0.5, 0.0, 0.5] + [0.0] * 30, [1e-300] * 9 + [1.0]], pad=0,
-             dims=[4, 8, 2, 2, 2], etas=[0.0, 0.7, 1.0], p0=0.37)
-    @example(rows=[[1.0 / 9] * 9, [1.0 / 16] * 16, [1.0 / 40] * 40, [1e-12] * 8 + [0.5]], pad=1,
-             dims=[8, 2, 5, 3, 2], etas=[1.0], p0=0.4)
-    @example(rows=[[0.139, 0.124, 0.02, 0.005, 0.208, 0.072, 0.073, 0.071, 0.059, 0.007, 0.0, 0.096], [0.025] * 40],
-             pad=0, dims=[2, 2, 2, 2, 2], etas=[0.3], p0=0.5)
-    @example(rows=[[0.5, -0.0, 0.5], [-0.0, 1.0], [0.25, -0.0, 0.0, 0.75]], pad=2, dims=[2, 3, 4, 2, 2],
-             etas=[0.0, 1.0], p0=0.0)
-    @example(rows=[[0.5, -0.0, 0.5], [-0.0, 1.0], [0.25, -0.0, 0.0, 0.75]], pad=2, dims=[2, 3, 4, 2, 2],
-             etas=[0.0, 1.0], p0=1.0)
-    @example(rows=[[0.5, -0.0, 0.5], [-0.0] * 9 + [1.0], [0.25, -0.0, 0.0, 0.75] * 3], pad=1, dims=[2, 3, 4, 2, 2],
-             etas=[0.0, 0.6, 1.0], p0=0.4)
-    def test_zero_padded_row_equals_its_nonzero_weights(self, rows, pad, dims, etas, p0):
-        """A stack of probes of any widths, each padded with zeros to one
-        width, gives exactly each (eta, probe) pair's 1-D call on the
-        probe's nonzero weights: zeros (or ``-0.0``, which counts as zero)
-        anywhere, up to 40 weights (past the pairwise sums, which start at
-        8), one weight, and weights down to 1e-300."""
-        width = max(map(len, rows)) + pad
-        stack = np.zeros((len(rows), width))
-        for r, weights in enumerate(rows):
-            stack[r, : len(weights)] = np.array(weights) / math.fsum(weights)
-        d_s, eta = np.array(dims[: len(rows)]), np.array(etas)[:, None]
-        p_err = schmidt_helstrom_error(stack, eta, d_s, p0)
-        assert p_err.shape == (len(etas), len(rows))
-        for k, e in enumerate(etas):
-            for j, lam in enumerate(stack):
-                assert p_err[k, j] == schmidt_helstrom_error(lam[lam != 0.0], e, int(d_s[j]), p0)
 
     @pytest.mark.parametrize("eta, p0", [(0.5, 0.3), (0.5, 0.5), (1.0, 0.5)])
     def test_nan_weight_gives_nan(self, eta, p0):
@@ -598,88 +461,10 @@ def copied_probe(draw, max_copies=2000):
     return np.array(raw) / (copies * math.fsum(raw)), copies
 
 
-def padded_stack(probes):
-    """The ``(weights, copies)`` probes as a weight stack, one row per
-    probe, zero-padded to the widest, and a vector of the copies."""
-    weights = np.zeros((len(probes), max(len(w) for w, _ in probes)))
-    for r, (w, _) in enumerate(probes):
-        weights[r, : len(w)] = w
-    return weights, np.array([m for _, m in probes])
-
-
 class TestCounts:
     """A probe given as its weights and a number of copies: each weight is
     counted ``copies`` times in every sum of the error kernel and of the
     direct overlap."""
-
-    @settings(deadline=None, max_examples=120)
-    @given(
-        probes=st.lists(copied_probe(), min_size=1, max_size=5),
-        dims=st.lists(st.integers(2, 40), min_size=5, max_size=5),
-        etas=st.lists(UNIT, min_size=1, max_size=4),
-        p0=UNIT,
-    )
-    @example(probes=[(np.array([0.5]), 2), (np.array([0.125, 0.0]), 8)], dims=[2, 8, 2, 2, 2], etas=[0.0, 0.5, 1.0],
-             p0=0.5)
-    def test_stacked_equals_rows(self, probes, dims, etas, p0):
-        """A stack of padded probes, each on its own ``d_s`` and with its
-        own copies, over an eta column gives exactly each (eta, probe)
-        pair's 1-D scalar call."""
-        weights, copies = padded_stack(probes)
-        eta, d_s = np.array(etas)[:, None], np.array(dims[: len(probes)])
-        p_err = schmidt_helstrom_error(weights, eta, d_s, p0, copies)
-        overlap = channel_overlap(weights, eta, d_s, copies)
-        assert p_err.shape == overlap.shape == (len(etas), len(probes))
-        for k, e in enumerate(etas):
-            for j, (lam, (_, m)) in enumerate(zip(weights, probes)):
-                single = schmidt_helstrom_error(lam, e, int(d_s[j]), p0, m)
-                direct = channel_overlap(lam, e, int(d_s[j]), m)
-                assert isinstance(single, float) and isinstance(direct, float)
-                assert p_err[k, j] == single and overlap[k, j] == direct
-
-    @settings(deadline=None, max_examples=150)
-    @given(
-        probe=copied_probe(),
-        pads=st.lists(st.integers(0, 6), min_size=1, max_size=6),
-        d_s=st.integers(2, 16),
-        eta=UNIT,
-        p0=UNIT,
-    )
-    @example(probe=(np.array([0.25, 0.125]), 2), pads=[1], d_s=4, eta=0.5, p0=0.5)
-    @example(probe=(np.array([0.125]), 8), pads=[0, 1], d_s=8, eta=1.0, p0=0.4)
-    # the root is 0 (a x 1 < s) unless the zero weight were counted
-    @example(probe=(np.array([0.5]), 2), pads=[1], d_s=2, eta=0.1, p0=0.3)
-    # eight weights and a zero among them: a ninth entry would regroup np.sum's pairwise order
-    @example(probe=(np.array([0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.03, 0.02]), 1), pads=[4], d_s=4, eta=1.0, p0=0.5)
-    def test_padding_changes_no_bit(self, probe, pads, d_s, eta, p0):
-        """Zero weights, anywhere and at any copies, change no bit of either
-        result."""
-        lam, m = probe
-        weights = list(lam)
-        for at in pads:
-            weights.insert(min(at, len(weights)), 0.0)
-        weights = np.array(weights)
-        assert schmidt_helstrom_error(weights, eta, d_s, p0, m) == schmidt_helstrom_error(lam, eta, d_s, p0, m)
-        assert channel_overlap(weights, eta, d_s, m) == channel_overlap(lam, eta, d_s, m)
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        rows=st.lists(st.lists(RAW_WEIGHT, min_size=1, max_size=12).filter(any), min_size=1, max_size=4),
-        d_s=st.integers(2, 16),
-        etas=st.lists(UNIT, min_size=1, max_size=3),
-        p0=UNIT,
-    )
-    def test_unit_counts_are_no_counts(self, rows, d_s, etas, p0):
-        """One copy a probe, as ``run_sweep`` passes it (a float array),
-        gives the default's bits, stacked or not."""
-        weights, copies = padded_stack([(np.array(r) / math.fsum(r), 1.0) for r in rows])
-        eta = np.array(etas)[:, None]
-        assert np.array_equal(schmidt_helstrom_error(weights, eta, d_s, p0, copies),
-                              schmidt_helstrom_error(weights, eta, d_s, p0))
-        assert np.array_equal(channel_overlap(weights, eta, d_s, copies), channel_overlap(weights, eta, d_s))
-        for e in etas:
-            single = schmidt_helstrom_error(weights[0], e, d_s, p0)
-            assert schmidt_helstrom_error(weights[0], e, d_s, p0, copies[0]) == single
 
     @settings(deadline=None, max_examples=60)
     @given(rank=st.integers(1, 6), extra=st.integers(0, 3), eta=UNIT, p0=UNIT)
@@ -711,6 +496,142 @@ class TestCounts:
         assert ulps(schmidt_helstrom_error(lam, eta, d_s, p0, m), expanded) <= 8
         expanded = channel_overlap(np.repeat(small_lam, small_m), eta, d_s)
         assert ulps(channel_overlap(small_lam, eta, d_s, small_m), expanded) <= 8
+
+
+def probe(raw, copies=1, d_s=2):
+    """A stacked probe ``(weights, copies, d_s)``, its copied weights summing to about 1."""
+    return np.array(raw, dtype=float) / (copies * math.fsum(raw)), copies, d_s
+
+
+def dirichlet_probes(seed, d_i, dims, tiny=0.0, n_tiny=0):
+    """A probe of one copy per entry of ``dims``: Dirichlet weights of width
+    ``d_i``, the first ``min(n_tiny, d_i - 1)`` set to ``tiny`` before normalization."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(dims))
+    weights[:, : min(n_tiny, d_i - 1)] = tiny
+    weights /= weights.sum(axis=1, keepdims=True)
+    return [(w, 1, d_s) for w, d_s in zip(weights, dims)]
+
+
+def stacked_probes(max_width):
+    """1 to 6 probes of up to ``max_width`` weights, not all zero (``-0.0``,
+    tiny ones down to 1e-300), 1 copy (the default) or up to 2000, 2 to 40 signal modes."""
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e-150, 1e-13, 1e-12, 1e-11]), st.floats(1e-300, 1.0))
+    raw = st.lists(weight, min_size=1, max_size=max_width).filter(any)
+    probes = st.builds(probe, raw, st.one_of(st.just(1), st.integers(1, 2000)), st.integers(2, 40))
+    return st.lists(probes, min_size=1, max_size=6)
+
+
+def padded(probes, pad=0):
+    """The probes' weights zero-padded to ``pad`` past the widest, their
+    copies as a float array (as ``run_sweep`` passes them) and their ``d_s``."""
+    stack = np.zeros((len(probes), max(w.size for w, _, _ in probes) + pad))
+    for r, (w, _, _) in enumerate(probes):
+        stack[r, : w.size] = w
+    return stack, np.array([m for _, m, _ in probes], dtype=float), np.array([d for _, _, d in probes])
+
+
+def scalar_call(f, *args, copies=1):
+    """``f(*args)`` on one value each, a float; one copy takes the default."""
+    value = f(*args) if copies == 1 else f(*args, copies=copies)
+    assert isinstance(value, float)
+    return value
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
+
+
+class TestStacking:
+    """The two contracts ``sweep`` batches probes on: a stacked or broadcast
+    call of the kernel, the direct overlap or a closed form equals its
+    cells' scalar calls bit for bit, and zero weights change no bit."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(probes=stacked_probes(12), etas=st.lists(UNIT, min_size=1, max_size=6), p0=UNIT)
+    @example(probes=dirichlet_probes(0, 1, [2]), etas=[0.0], p0=0.0)
+    @example(probes=dirichlet_probes(1, 1, [8] * 4), etas=[1.0], p0=1.0)
+    @example(probes=dirichlet_probes(2, 8, [3] * 5, n_tiny=7), etas=[1.0], p0=0.0)
+    @example(probes=dirichlet_probes(3, 6, [6] * 3, tiny=1e-12, n_tiny=3), etas=[0.0], p0=1.0)
+    @example(probes=dirichlet_probes(4, 4, [5] * 6, tiny=1e-13, n_tiny=2), etas=[0.5], p0=0.5)
+    @example(probes=dirichlet_probes(5, 5, [4] * 2, tiny=1e-11, n_tiny=4), etas=[1.0], p0=0.5)
+    @example(probes=dirichlet_probes(0, 1, [2] * 2), etas=[0.0, 1.0], p0=0.0)
+    @example(probes=dirichlet_probes(1, 1, [8] * 3), etas=[1.0, 0.0, 0.5], p0=1.0)
+    @example(probes=dirichlet_probes(2, 8, [3] * 2, n_tiny=7), etas=[1.0, 0.0], p0=0.0)
+    @example(probes=dirichlet_probes(3, 6, [6] * 3, tiny=1e-12, n_tiny=3), etas=[0.0, 1.0, 0.3], p0=1.0)
+    @example(probes=dirichlet_probes(4, 4, [5] * 6, tiny=1e-13, n_tiny=2), etas=[0.5] * 6, p0=0.5)
+    @example(probes=dirichlet_probes(0, 1, [2, 40, 2]), etas=[0.0, 1.0], p0=0.3)
+    @example(probes=dirichlet_probes(1, 12, [3, 12, 7], n_tiny=11), etas=[1.0, 0.0, 0.5], p0=0.5)
+    @example(probes=dirichlet_probes(2, 9, [9, 2], tiny=1e-12, n_tiny=4), etas=[0.25, 0.75], p0=0.8)
+    @example(probes=dirichlet_probes(3, 8, [5], tiny=1e-13, n_tiny=3), etas=[0.5], p0=0.5)
+    @example(probes=dirichlet_probes(0, 1, [21]), etas=[0.1686305389478389], p0=0.0)
+    @example(probes=[probe([0.5], 2, 2), probe([0.125, 0.0], 8, 8)], etas=[0.0, 0.5, 1.0], p0=0.5)
+    def test_layouts_equal_scalar_calls(self, probes, etas, p0):
+        """Every layout of the kernel and the overlap gives each (eta, probe)
+        cell's scalar call bit for bit: the first probe's 1-D weights and its
+        ``(1, W)`` row over an eta vector; the zero-padded stack with one eta
+        per row (a scalar for one eta) and over an eta column, each row with
+        its own ``d_s`` and float copies.  A cell of one copy takes the default."""
+        stack, copies, d_s = padded(probes)
+        eta, rows = np.array(etas), np.arange(len(probes))
+        at = rows % eta.size  # row r's eta in the layout of one eta per row
+        for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
+            cells = np.array([[scalar_call(f, lam, e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
+                              for e in etas])
+            assert_same_bits(f(stack[0], eta, d_s[0], copies=copies[0]), cells[:, 0])
+            assert_same_bits(f(stack[:1], eta, d_s[0], copies=copies[0]), cells[:, 0])
+            assert_same_bits(f(stack, eta[at] if eta.size > 1 else etas[0], d_s, copies=copies), cells[at, rows])
+            assert_same_bits(f(stack, eta[:, None], d_s, copies=copies), cells)
+
+    @settings(deadline=None, max_examples=60)
+    @given(probes=stacked_probes(40), pad=st.integers(0, 12), etas=st.lists(UNIT, min_size=1, max_size=3), p0=UNIT)
+    @example(probes=[probe([1.0], 1, 2), probe([0.0] * 20 + [1.0], 1, 3)], pad=3, etas=[0.5, 1.0], p0=0.5)
+    @example(probes=[probe([0.25] * 4, 1, 4), probe([0.0, 0.5, 0.0, 0.5] + [0.0] * 30, 1, 8),
+                     probe([1e-300] * 9 + [1.0], 1, 2)], pad=0, etas=[0.0, 0.7, 1.0], p0=0.37)
+    @example(probes=[probe([1.0 / 9] * 9, 1, 8), probe([1.0 / 16] * 16, 1, 2), probe([1.0 / 40] * 40, 1, 5),
+                     probe([1e-12] * 8 + [0.5], 1, 3)], pad=1, etas=[1.0], p0=0.4)
+    @example(probes=[probe([0.139, 0.124, 0.02, 0.005, 0.208, 0.072, 0.073, 0.071, 0.059, 0.007, 0.0, 0.096], 1, 2),
+                     probe([0.025] * 40, 1, 2)], pad=0, etas=[0.3], p0=0.5)
+    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0, 1.0], 1, 3), probe([0.25, -0.0, 0.0, 0.75], 1, 4)],
+             pad=2, etas=[0.0, 1.0], p0=0.0)
+    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0, 1.0], 1, 3), probe([0.25, -0.0, 0.0, 0.75], 1, 4)],
+             pad=2, etas=[0.0, 1.0], p0=1.0)
+    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0] * 9 + [1.0], 1, 3),
+                     probe([0.25, -0.0, 0.0, 0.75] * 3, 1, 4)], pad=1, etas=[0.0, 0.6, 1.0], p0=0.4)
+    @example(probes=[probe([0.25, 0.0, 0.125], 2, 4)], pad=0, etas=[0.5], p0=0.5)
+    @example(probes=[probe([0.0, 0.0, 0.125], 8, 8)], pad=0, etas=[1.0], p0=0.4)
+    # the root is 0 (a x 1 < s) unless the zero weight were counted
+    @example(probes=[probe([0.5, 0.0], 2, 2)], pad=0, etas=[0.1], p0=0.3)
+    # eight weights and a zero among them: a ninth entry would regroup np.sum's pairwise order
+    @example(probes=[probe([0.3, 0.2, 0.15, 0.12, 0.0, 0.1, 0.08, 0.03, 0.02], 1, 4)], pad=0, etas=[1.0], p0=0.5)
+    def test_zeros_change_no_bit(self, probes, pad, etas, p0):
+        """A stack of probes of mixed widths, zero-padded to ``pad`` past the
+        widest, over an eta column gives each (eta, probe) cell's 1-D call on
+        the probe's nonzero weights bit for bit, for the kernel and the
+        overlap: zeros or ``-0.0`` anywhere, up to 40 weights (past the pairwise
+        sums, which start at 8), one weight, weights down to 1e-300, any copies."""
+        stack, copies, d_s = padded(probes, pad)
+        for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
+            cells = np.array([[f(lam[lam != 0.0], e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
+                              for e in etas])
+            assert_same_bits(f(stack, np.array(etas)[:, None], d_s, copies=copies), cells)
+
+    @settings(deadline=None, max_examples=50)
+    @given(etas=st.lists(UNIT, min_size=1, max_size=8), p0=UNIT, rows=st.lists(
+        st.tuples(st.integers(2, 64), st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0))),
+        min_size=1, max_size=6))
+    @example(etas=[0.0, 1.0], rows=[(2, 1.0)], p0=0.5)
+    @example(etas=[1.0, 0.3, 0.0], rows=[(64, 64.0)], p0=0.5)
+    @example(etas=[0.0, 1.0], rows=[(2, 1.0), (64, 64.0)], p0=0.5)
+    @example(etas=[1.0, 0.3], rows=[(7, 1.0 + 1e-12)], p0=0.0)
+    def test_closed_forms_equal_scalar_calls(self, etas, rows, p0):
+        """``h01_closed_form`` and ``flat_probe_error`` (at ``n = d_s``) over
+        an eta vector, and over an eta column with ``d_s`` and ``k_i`` per
+        row, give each cell's scalar call, a float, bit for bit."""
+        (d0, k0), (d_s, k_i) = rows[0], (np.array(x) for x in zip(*rows))
+        for f in (h01_closed_form, lambda eta, n, _: flat_probe_error(eta, n, p0)):
+            cells = np.array([[scalar_call(f, e, d, k) for d, k in rows] for e in etas])
+            assert_same_bits(f(etas, d0, k0), cells[:, 0])
+            assert_same_bits(f(np.array(etas)[:, None], d_s, k_i), cells)
 
 
 class TestFlatProbeError:
@@ -781,47 +702,6 @@ class TestClosedForm:
     def test_anchor_values(self):
         assert h01_closed_form(1.0, 2, 2.0) == pytest.approx(0.5, abs=1e-15)
         assert h01_closed_form(1.0, 2, 1.0) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        etas=st.lists(UNIT, min_size=1, max_size=8),
-        d_s=st.integers(2, 64),
-        k_i=st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0)),
-    )
-    @example(etas=[0.0, 1.0], d_s=2, k_i=1.0)
-    @example(etas=[1.0, 0.3, 0.0], d_s=64, k_i=64.0)
-    def test_eta_array_equals_scalar_calls(self, etas, d_s, k_i):
-        column = h01_closed_form(etas, d_s, k_i)
-        assert isinstance(column, np.ndarray) and column.shape == (len(etas),)
-        for value, eta in zip(column, etas):
-            single = h01_closed_form(eta, d_s, k_i)
-            assert isinstance(single, float) and value == single
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        etas=st.lists(UNIT, min_size=1, max_size=8),
-        rows=st.lists(
-            st.tuples(st.integers(2, 64), st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0))),
-            min_size=1, max_size=6,
-        ),
-        p0=UNIT,
-    )
-    @example(etas=[0.0, 1.0], rows=[(2, 1.0), (64, 64.0)], p0=0.5)
-    @example(etas=[1.0, 0.3], rows=[(7, 1.0 + 1e-12)], p0=0.0)
-    def test_per_row_signal_dimension_equals_scalar_calls(self, etas, rows, p0):
-        """Per-row ``d_s`` (and ``k_i``) broadcast against an eta column, in
-        the overlap's and the flat probe's closed forms, give exactly the
-        scalar calls."""
-        d_s, k_i = (np.array(x) for x in zip(*rows))
-        eta = np.array(etas)[:, None]
-        column = h01_closed_form(eta, d_s, k_i)
-        flat = flat_probe_error(eta, d_s, p0)
-        assert column.shape == flat.shape == (len(etas), len(rows))
-        for k, e in enumerate(etas):
-            for j, (d, rank) in enumerate(rows):
-                single = h01_closed_form(e, d, rank)
-                assert isinstance(single, float) and column[k, j] == single
-                assert flat[k, j] == flat_probe_error(e, d, p0)
 
     @pytest.mark.parametrize("seed,d_s,d_i", [(0, 2, 2), (1, 3, 4), (2, 5, 3), (3, 4, 4)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])
