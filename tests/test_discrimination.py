@@ -137,6 +137,99 @@ def haar_weights(d_s, d_i, seed):
     return state, np.linalg.eigvalsh(idler_reduction(state))
 
 
+def probe(raw, copies=1, d_s=2):
+    """A stacked probe ``(weights, copies, d_s)``, its copied weights summing to about 1."""
+    return np.array(raw, dtype=float) / (copies * math.fsum(raw)), copies, d_s
+
+
+def dirichlet_probes(seed, d_i, dims, tiny=0.0, n_tiny=0):
+    """A probe of one copy per entry of ``dims``: Dirichlet weights of width
+    ``d_i``, the first ``min(n_tiny, d_i - 1)`` set to ``tiny`` before normalization."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(dims))
+    weights[:, : min(n_tiny, d_i - 1)] = tiny
+    weights /= weights.sum(axis=1, keepdims=True)
+    return [(w, 1, d_s) for w, d_s in zip(weights, dims)]
+
+
+def stacked_probes(max_width, max_copies=2000):
+    """1 to 6 probes of up to ``max_width`` weights, not all zero (``-0.0``,
+    tiny ones down to 1e-300), 1 copy (the default) or up to ``max_copies``, 2 to 40 signal modes."""
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e-150, 1e-13, 1e-12, 1e-11]), st.floats(1e-300, 1.0))
+    raw = st.lists(weight, min_size=1, max_size=max_width).filter(any)
+    probes = st.builds(probe, raw, st.one_of(st.just(1), st.integers(1, max_copies)), st.integers(2, 40))
+    return st.lists(probes, min_size=1, max_size=6)
+
+
+def padded(probes, pad=0):
+    """The probes' weights zero-padded to ``pad`` past the widest, their
+    copies as a float array (as ``run_sweep`` passes them) and their ``d_s``."""
+    stack = np.zeros((len(probes), max(w.size for w, _, _ in probes) + pad))
+    for r, (w, _, _) in enumerate(probes):
+        stack[r, : w.size] = w
+    return stack, np.array([m for _, m, _ in probes], dtype=float), np.array([d for _, _, d in probes])
+
+
+def scalar_call(f, *args, copies=1):
+    """``f(*args)`` on one value each, a float; one copy takes the default."""
+    value = f(*args) if copies == 1 else f(*args, copies=copies)
+    assert isinstance(value, float)
+    return value
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
+
+
+def layouts(f, probes, etas, copies=True):
+    """``f`` in each layout ``sweep`` uses, by name, with the index of its
+    cells in the (eta, probe) grid: ``vector`` the first probe's 1-D weights
+    over the eta vector, ``row`` its ``(1, W)`` row over it, ``per_row`` the
+    zero-padded stack with one eta per row (a scalar for one eta), ``column``
+    the stack over an eta column; each row with its own ``d_s`` and, unless
+    ``copies`` is false, its float copies."""
+    stack, m, d_s = padded(probes)
+    kw = (lambda r: {"copies": m[r]}) if copies else (lambda r: {})
+    eta, rows = np.array(etas), np.arange(len(probes))
+    at = rows % eta.size  # row r's eta in the layout of one eta per row
+    return {
+        "vector": (f(stack[0], eta, d_s[0], **kw(0)), (slice(None), 0)),
+        "row": (f(stack[:1], eta, d_s[0], **kw(0)), (slice(None), 0)),
+        "per_row": (f(stack, eta[at] if eta.size > 1 else etas[0], d_s, **kw(rows)), (at, rows)),
+        "column": (f(stack, eta[:, None], d_s, **kw(rows)), (slice(None), slice(None))),
+    }
+
+
+def assert_layouts(probes, etas, p0, *names):
+    """The named layouts of the kernel and the overlap give each (eta, probe)
+    cell's scalar call bit for bit; a cell of one copy takes the default."""
+    stack, _, _ = padded(probes)
+    for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
+        cells = np.array([[scalar_call(f, lam, e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
+                          for e in etas])
+        calls = layouts(f, probes, etas)
+        for name in names:
+            got, at = calls[name]
+            assert_same_bits(got, cells[at])
+
+
+def assert_zeros_change_no_bit(probes, pad, etas, p0):
+    """A stack of probes of mixed widths, zero-padded to ``pad`` past the
+    widest, over an eta column gives each (eta, probe) cell's 1-D call on the
+    probe's nonzero weights bit for bit, for the kernel and the overlap."""
+    stack, copies, d_s = padded(probes, pad)
+    for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
+        cells = np.array([[f(lam[lam != 0.0], e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
+                          for e in etas])
+        assert_same_bits(f(stack, np.array(etas)[:, None], d_s, copies=copies), cells)
+
+
+def closed_form_cells(etas, rows, p0):
+    """``h01_closed_form`` and ``flat_probe_error`` (at ``n = d_s``), each
+    with its scalar calls, floats, over the (eta, ``(d_s, k_i)`` row) grid."""
+    for f in (h01_closed_form, lambda eta, n, _: flat_probe_error(eta, n, p0)):
+        yield f, np.array([[scalar_call(f, e, d, k) for d, k in rows] for e in etas])
+
+
 class TestSchmidtHelstrom:
     """The Schmidt-space kernel against dense Helstrom on the channel outputs."""
 
@@ -214,6 +307,66 @@ class TestSchmidtHelstrom:
         _, weights = haar_weights(d_s, d_i, seed)
         lo, hi = etas
         assert schmidt_helstrom_error(weights, hi, d_s, p0) <= schmidt_helstrom_error(weights, lo, d_s, p0) + 1e-12
+
+    @settings(deadline=None, max_examples=30)
+    @given(probes=stacked_probes(12, max_copies=1), eta=UNIT, p0=UNIT)
+    @example(probes=dirichlet_probes(0, 1, [2]), eta=0.0, p0=0.0)
+    @example(probes=dirichlet_probes(1, 1, [8] * 4), eta=1.0, p0=1.0)
+    @example(probes=dirichlet_probes(2, 8, [3] * 5, n_tiny=7), eta=1.0, p0=0.0)
+    @example(probes=dirichlet_probes(3, 6, [6] * 3, tiny=1e-12, n_tiny=3), eta=0.0, p0=1.0)
+    @example(probes=dirichlet_probes(4, 4, [5] * 6, tiny=1e-13, n_tiny=2), eta=0.5, p0=0.5)
+    @example(probes=dirichlet_probes(5, 5, [4] * 2, tiny=1e-11, n_tiny=4), eta=1.0, p0=0.5)
+    def test_stacked_equals_rows(self, probes, eta, p0):
+        """A stack of probes at one scalar eta gives each row's 1-D call bit
+        for bit; rows may carry zero weights or weights around 1e-12."""
+        assert_layouts(probes, [eta], p0, "per_row")
+
+    @settings(deadline=None, max_examples=40)
+    @given(probes=stacked_probes(12, max_copies=1), etas=st.lists(UNIT, min_size=1, max_size=6), p0=UNIT)
+    @example(probes=dirichlet_probes(0, 1, [2] * 2), etas=[0.0, 1.0], p0=0.0)
+    @example(probes=dirichlet_probes(1, 1, [8] * 3), etas=[1.0, 0.0, 0.5], p0=1.0)
+    @example(probes=dirichlet_probes(2, 8, [3] * 2, n_tiny=7), etas=[1.0, 0.0], p0=0.0)
+    @example(probes=dirichlet_probes(3, 6, [6] * 3, tiny=1e-12, n_tiny=3), etas=[0.0, 1.0, 0.3], p0=1.0)
+    @example(probes=dirichlet_probes(4, 4, [5] * 6, tiny=1e-13, n_tiny=2), etas=[0.5] * 6, p0=0.5)
+    def test_eta_array_equals_scalar_calls(self, probes, etas, p0):
+        """One probe's 1-D weights and its ``(1, W)`` row over an eta vector,
+        and a stack with one eta per row, give exactly the per-eta results."""
+        assert_layouts(probes, etas, p0, "vector", "row", "per_row")
+
+    @settings(deadline=None, max_examples=40)
+    @given(probes=stacked_probes(12, max_copies=1), etas=st.lists(UNIT, min_size=1, max_size=6), p0=UNIT)
+    @example(probes=dirichlet_probes(0, 1, [2, 40, 2]), etas=[0.0, 1.0], p0=0.3)
+    @example(probes=dirichlet_probes(1, 12, [3, 12, 7], n_tiny=11), etas=[1.0, 0.0, 0.5], p0=0.5)
+    @example(probes=dirichlet_probes(2, 9, [9, 2], tiny=1e-12, n_tiny=4), etas=[0.25, 0.75], p0=0.8)
+    @example(probes=dirichlet_probes(3, 8, [5], tiny=1e-13, n_tiny=3), etas=[0.5], p0=0.5)
+    @example(probes=dirichlet_probes(0, 1, [21]), etas=[0.1686305389478389], p0=0.0)
+    def test_per_row_signal_dimension_equals_row_calls(self, probes, etas, p0):
+        """A stack of probes, each on its own ``d_s``, over an eta column
+        gives exactly each (eta, probe) cell's 1-D scalar call, for the error
+        and the direct overlap."""
+        assert_layouts(probes, etas, p0, "column")
+
+    @settings(deadline=None, max_examples=40)
+    @given(probes=stacked_probes(40, max_copies=1), pad=st.integers(0, 12), etas=st.lists(UNIT, min_size=1, max_size=3),
+           p0=UNIT)
+    @example(probes=[probe([1.0], 1, 2), probe([0.0] * 20 + [1.0], 1, 3)], pad=3, etas=[0.5, 1.0], p0=0.5)
+    @example(probes=[probe([0.25] * 4, 1, 4), probe([0.0, 0.5, 0.0, 0.5] + [0.0] * 30, 1, 8),
+                     probe([1e-300] * 9 + [1.0], 1, 2)], pad=0, etas=[0.0, 0.7, 1.0], p0=0.37)
+    @example(probes=[probe([1.0 / 9] * 9, 1, 8), probe([1.0 / 16] * 16, 1, 2), probe([1.0 / 40] * 40, 1, 5),
+                     probe([1e-12] * 8 + [0.5], 1, 3)], pad=1, etas=[1.0], p0=0.4)
+    @example(probes=[probe([0.139, 0.124, 0.02, 0.005, 0.208, 0.072, 0.073, 0.071, 0.059, 0.007, 0.0, 0.096], 1, 2),
+                     probe([0.025] * 40, 1, 2)], pad=0, etas=[0.3], p0=0.5)
+    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0, 1.0], 1, 3), probe([0.25, -0.0, 0.0, 0.75], 1, 4)],
+             pad=2, etas=[0.0, 1.0], p0=0.0)
+    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0, 1.0], 1, 3), probe([0.25, -0.0, 0.0, 0.75], 1, 4)],
+             pad=2, etas=[0.0, 1.0], p0=1.0)
+    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0] * 9 + [1.0], 1, 3),
+                     probe([0.25, -0.0, 0.0, 0.75] * 3, 1, 4)], pad=1, etas=[0.0, 0.6, 1.0], p0=0.4)
+    def test_zero_padded_row_equals_its_nonzero_weights(self, probes, pad, etas, p0):
+        """Zeros (or ``-0.0``, which counts as zero) anywhere, up to 40 weights
+        (past the pairwise sums, which start at 8), one weight, and weights
+        down to 1e-300: each row gives its nonzero weights' 1-D call."""
+        assert_zeros_change_no_bit(probes, pad, etas, p0)
 
     @pytest.mark.parametrize("eta, p0", [(0.5, 0.3), (0.5, 0.5), (1.0, 0.5)])
     def test_nan_weight_gives_nan(self, eta, p0):
@@ -466,6 +619,38 @@ class TestCounts:
     counted ``copies`` times in every sum of the error kernel and of the
     direct overlap."""
 
+    @settings(deadline=None, max_examples=30)
+    @given(probes=stacked_probes(12), etas=st.lists(UNIT, min_size=1, max_size=4), p0=UNIT)
+    @example(probes=[probe([0.5], 2, 2), probe([0.125, 0.0], 8, 8)], etas=[0.0, 0.5, 1.0], p0=0.5)
+    def test_stacked_equals_rows(self, probes, etas, p0):
+        """A stack of padded probes, each on its own ``d_s`` and with its own
+        copies, over an eta column gives exactly each (eta, probe) cell's 1-D
+        scalar call."""
+        assert_layouts(probes, etas, p0, "column")
+
+    @settings(deadline=None, max_examples=30)
+    @given(probes=stacked_probes(40), pad=st.integers(0, 6), etas=st.lists(UNIT, min_size=1, max_size=3), p0=UNIT)
+    @example(probes=[probe([0.25, 0.0, 0.125], 2, 4)], pad=0, etas=[0.5], p0=0.5)
+    @example(probes=[probe([0.0, 0.0, 0.125], 8, 8)], pad=0, etas=[1.0], p0=0.4)
+    # the root is 0 (a x 1 < s) unless the zero weight were counted
+    @example(probes=[probe([0.5, 0.0], 2, 2)], pad=0, etas=[0.1], p0=0.3)
+    # eight weights and a zero among them: a ninth entry would regroup np.sum's pairwise order
+    @example(probes=[probe([0.3, 0.2, 0.15, 0.12, 0.0, 0.1, 0.08, 0.03, 0.02], 1, 4)], pad=0, etas=[1.0], p0=0.5)
+    def test_padding_changes_no_bit(self, probes, pad, etas, p0):
+        """Zero weights, anywhere and at any copies, change no bit of either
+        result."""
+        assert_zeros_change_no_bit(probes, pad, etas, p0)
+
+    @settings(deadline=None, max_examples=30)
+    @given(probes=stacked_probes(12, max_copies=1), etas=st.lists(UNIT, min_size=1, max_size=3), p0=UNIT)
+    def test_unit_counts_are_no_counts(self, probes, etas, p0):
+        """One copy a probe, as ``run_sweep`` passes it (a float array),
+        gives the default's bits in every layout."""
+        for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
+            default = layouts(f, probes, etas, copies=False)
+            for name, (got, _) in layouts(f, probes, etas).items():
+                assert_same_bits(got, default[name][0])
+
     @settings(deadline=None, max_examples=60)
     @given(rank=st.integers(1, 6), extra=st.integers(0, 3), eta=UNIT, p0=UNIT)
     @example(rank=6, extra=0, eta=1.0, p0=0.5)
@@ -496,142 +681,6 @@ class TestCounts:
         assert ulps(schmidt_helstrom_error(lam, eta, d_s, p0, m), expanded) <= 8
         expanded = channel_overlap(np.repeat(small_lam, small_m), eta, d_s)
         assert ulps(channel_overlap(small_lam, eta, d_s, small_m), expanded) <= 8
-
-
-def probe(raw, copies=1, d_s=2):
-    """A stacked probe ``(weights, copies, d_s)``, its copied weights summing to about 1."""
-    return np.array(raw, dtype=float) / (copies * math.fsum(raw)), copies, d_s
-
-
-def dirichlet_probes(seed, d_i, dims, tiny=0.0, n_tiny=0):
-    """A probe of one copy per entry of ``dims``: Dirichlet weights of width
-    ``d_i``, the first ``min(n_tiny, d_i - 1)`` set to ``tiny`` before normalization."""
-    weights = np.random.default_rng(seed).dirichlet(np.ones(d_i), size=len(dims))
-    weights[:, : min(n_tiny, d_i - 1)] = tiny
-    weights /= weights.sum(axis=1, keepdims=True)
-    return [(w, 1, d_s) for w, d_s in zip(weights, dims)]
-
-
-def stacked_probes(max_width):
-    """1 to 6 probes of up to ``max_width`` weights, not all zero (``-0.0``,
-    tiny ones down to 1e-300), 1 copy (the default) or up to 2000, 2 to 40 signal modes."""
-    weight = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e-150, 1e-13, 1e-12, 1e-11]), st.floats(1e-300, 1.0))
-    raw = st.lists(weight, min_size=1, max_size=max_width).filter(any)
-    probes = st.builds(probe, raw, st.one_of(st.just(1), st.integers(1, 2000)), st.integers(2, 40))
-    return st.lists(probes, min_size=1, max_size=6)
-
-
-def padded(probes, pad=0):
-    """The probes' weights zero-padded to ``pad`` past the widest, their
-    copies as a float array (as ``run_sweep`` passes them) and their ``d_s``."""
-    stack = np.zeros((len(probes), max(w.size for w, _, _ in probes) + pad))
-    for r, (w, _, _) in enumerate(probes):
-        stack[r, : w.size] = w
-    return stack, np.array([m for _, m, _ in probes], dtype=float), np.array([d for _, _, d in probes])
-
-
-def scalar_call(f, *args, copies=1):
-    """``f(*args)`` on one value each, a float; one copy takes the default."""
-    value = f(*args) if copies == 1 else f(*args, copies=copies)
-    assert isinstance(value, float)
-    return value
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
-
-
-class TestStacking:
-    """The two contracts ``sweep`` batches probes on: a stacked or broadcast
-    call of the kernel, the direct overlap or a closed form equals its
-    cells' scalar calls bit for bit, and zero weights change no bit."""
-
-    @settings(deadline=None, max_examples=80)
-    @given(probes=stacked_probes(12), etas=st.lists(UNIT, min_size=1, max_size=6), p0=UNIT)
-    @example(probes=dirichlet_probes(0, 1, [2]), etas=[0.0], p0=0.0)
-    @example(probes=dirichlet_probes(1, 1, [8] * 4), etas=[1.0], p0=1.0)
-    @example(probes=dirichlet_probes(2, 8, [3] * 5, n_tiny=7), etas=[1.0], p0=0.0)
-    @example(probes=dirichlet_probes(3, 6, [6] * 3, tiny=1e-12, n_tiny=3), etas=[0.0], p0=1.0)
-    @example(probes=dirichlet_probes(4, 4, [5] * 6, tiny=1e-13, n_tiny=2), etas=[0.5], p0=0.5)
-    @example(probes=dirichlet_probes(5, 5, [4] * 2, tiny=1e-11, n_tiny=4), etas=[1.0], p0=0.5)
-    @example(probes=dirichlet_probes(0, 1, [2] * 2), etas=[0.0, 1.0], p0=0.0)
-    @example(probes=dirichlet_probes(1, 1, [8] * 3), etas=[1.0, 0.0, 0.5], p0=1.0)
-    @example(probes=dirichlet_probes(2, 8, [3] * 2, n_tiny=7), etas=[1.0, 0.0], p0=0.0)
-    @example(probes=dirichlet_probes(3, 6, [6] * 3, tiny=1e-12, n_tiny=3), etas=[0.0, 1.0, 0.3], p0=1.0)
-    @example(probes=dirichlet_probes(4, 4, [5] * 6, tiny=1e-13, n_tiny=2), etas=[0.5] * 6, p0=0.5)
-    @example(probes=dirichlet_probes(0, 1, [2, 40, 2]), etas=[0.0, 1.0], p0=0.3)
-    @example(probes=dirichlet_probes(1, 12, [3, 12, 7], n_tiny=11), etas=[1.0, 0.0, 0.5], p0=0.5)
-    @example(probes=dirichlet_probes(2, 9, [9, 2], tiny=1e-12, n_tiny=4), etas=[0.25, 0.75], p0=0.8)
-    @example(probes=dirichlet_probes(3, 8, [5], tiny=1e-13, n_tiny=3), etas=[0.5], p0=0.5)
-    @example(probes=dirichlet_probes(0, 1, [21]), etas=[0.1686305389478389], p0=0.0)
-    @example(probes=[probe([0.5], 2, 2), probe([0.125, 0.0], 8, 8)], etas=[0.0, 0.5, 1.0], p0=0.5)
-    def test_layouts_equal_scalar_calls(self, probes, etas, p0):
-        """Every layout of the kernel and the overlap gives each (eta, probe)
-        cell's scalar call bit for bit: the first probe's 1-D weights and its
-        ``(1, W)`` row over an eta vector; the zero-padded stack with one eta
-        per row (a scalar for one eta) and over an eta column, each row with
-        its own ``d_s`` and float copies.  A cell of one copy takes the default."""
-        stack, copies, d_s = padded(probes)
-        eta, rows = np.array(etas), np.arange(len(probes))
-        at = rows % eta.size  # row r's eta in the layout of one eta per row
-        for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
-            cells = np.array([[scalar_call(f, lam, e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
-                              for e in etas])
-            assert_same_bits(f(stack[0], eta, d_s[0], copies=copies[0]), cells[:, 0])
-            assert_same_bits(f(stack[:1], eta, d_s[0], copies=copies[0]), cells[:, 0])
-            assert_same_bits(f(stack, eta[at] if eta.size > 1 else etas[0], d_s, copies=copies), cells[at, rows])
-            assert_same_bits(f(stack, eta[:, None], d_s, copies=copies), cells)
-
-    @settings(deadline=None, max_examples=60)
-    @given(probes=stacked_probes(40), pad=st.integers(0, 12), etas=st.lists(UNIT, min_size=1, max_size=3), p0=UNIT)
-    @example(probes=[probe([1.0], 1, 2), probe([0.0] * 20 + [1.0], 1, 3)], pad=3, etas=[0.5, 1.0], p0=0.5)
-    @example(probes=[probe([0.25] * 4, 1, 4), probe([0.0, 0.5, 0.0, 0.5] + [0.0] * 30, 1, 8),
-                     probe([1e-300] * 9 + [1.0], 1, 2)], pad=0, etas=[0.0, 0.7, 1.0], p0=0.37)
-    @example(probes=[probe([1.0 / 9] * 9, 1, 8), probe([1.0 / 16] * 16, 1, 2), probe([1.0 / 40] * 40, 1, 5),
-                     probe([1e-12] * 8 + [0.5], 1, 3)], pad=1, etas=[1.0], p0=0.4)
-    @example(probes=[probe([0.139, 0.124, 0.02, 0.005, 0.208, 0.072, 0.073, 0.071, 0.059, 0.007, 0.0, 0.096], 1, 2),
-                     probe([0.025] * 40, 1, 2)], pad=0, etas=[0.3], p0=0.5)
-    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0, 1.0], 1, 3), probe([0.25, -0.0, 0.0, 0.75], 1, 4)],
-             pad=2, etas=[0.0, 1.0], p0=0.0)
-    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0, 1.0], 1, 3), probe([0.25, -0.0, 0.0, 0.75], 1, 4)],
-             pad=2, etas=[0.0, 1.0], p0=1.0)
-    @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0] * 9 + [1.0], 1, 3),
-                     probe([0.25, -0.0, 0.0, 0.75] * 3, 1, 4)], pad=1, etas=[0.0, 0.6, 1.0], p0=0.4)
-    @example(probes=[probe([0.25, 0.0, 0.125], 2, 4)], pad=0, etas=[0.5], p0=0.5)
-    @example(probes=[probe([0.0, 0.0, 0.125], 8, 8)], pad=0, etas=[1.0], p0=0.4)
-    # the root is 0 (a x 1 < s) unless the zero weight were counted
-    @example(probes=[probe([0.5, 0.0], 2, 2)], pad=0, etas=[0.1], p0=0.3)
-    # eight weights and a zero among them: a ninth entry would regroup np.sum's pairwise order
-    @example(probes=[probe([0.3, 0.2, 0.15, 0.12, 0.0, 0.1, 0.08, 0.03, 0.02], 1, 4)], pad=0, etas=[1.0], p0=0.5)
-    def test_zeros_change_no_bit(self, probes, pad, etas, p0):
-        """A stack of probes of mixed widths, zero-padded to ``pad`` past the
-        widest, over an eta column gives each (eta, probe) cell's 1-D call on
-        the probe's nonzero weights bit for bit, for the kernel and the
-        overlap: zeros or ``-0.0`` anywhere, up to 40 weights (past the pairwise
-        sums, which start at 8), one weight, weights down to 1e-300, any copies."""
-        stack, copies, d_s = padded(probes, pad)
-        for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
-            cells = np.array([[f(lam[lam != 0.0], e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
-                              for e in etas])
-            assert_same_bits(f(stack, np.array(etas)[:, None], d_s, copies=copies), cells)
-
-    @settings(deadline=None, max_examples=50)
-    @given(etas=st.lists(UNIT, min_size=1, max_size=8), p0=UNIT, rows=st.lists(
-        st.tuples(st.integers(2, 64), st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0))),
-        min_size=1, max_size=6))
-    @example(etas=[0.0, 1.0], rows=[(2, 1.0)], p0=0.5)
-    @example(etas=[1.0, 0.3, 0.0], rows=[(64, 64.0)], p0=0.5)
-    @example(etas=[0.0, 1.0], rows=[(2, 1.0), (64, 64.0)], p0=0.5)
-    @example(etas=[1.0, 0.3], rows=[(7, 1.0 + 1e-12)], p0=0.0)
-    def test_closed_forms_equal_scalar_calls(self, etas, rows, p0):
-        """``h01_closed_form`` and ``flat_probe_error`` (at ``n = d_s``) over
-        an eta vector, and over an eta column with ``d_s`` and ``k_i`` per
-        row, give each cell's scalar call, a float, bit for bit."""
-        (d0, k0), (d_s, k_i) = rows[0], (np.array(x) for x in zip(*rows))
-        for f in (h01_closed_form, lambda eta, n, _: flat_probe_error(eta, n, p0)):
-            cells = np.array([[scalar_call(f, e, d, k) for d, k in rows] for e in etas])
-            assert_same_bits(f(etas, d0, k0), cells[:, 0])
-            assert_same_bits(f(np.array(etas)[:, None], d_s, k_i), cells)
 
 
 class TestFlatProbeError:
@@ -694,6 +743,9 @@ class TestHsDistinguishability:
             hs_distinguishability(ZERO, np.eye(3) / 3)
 
 
+K_I = st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0))
+
+
 class TestClosedForm:
     def test_zero_signal(self):
         for d_s, k_i in [(2, 1.0), (3, 2.5), (6, 6.0)]:
@@ -702,6 +754,27 @@ class TestClosedForm:
     def test_anchor_values(self):
         assert h01_closed_form(1.0, 2, 2.0) == pytest.approx(0.5, abs=1e-15)
         assert h01_closed_form(1.0, 2, 1.0) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+
+    @settings(deadline=None, max_examples=50)
+    @given(etas=st.lists(UNIT, min_size=1, max_size=8), d_s=st.integers(2, 64), k_i=K_I, p0=UNIT)
+    @example(etas=[0.0, 1.0], d_s=2, k_i=1.0, p0=0.5)
+    @example(etas=[1.0, 0.3, 0.0], d_s=64, k_i=64.0, p0=0.5)
+    def test_eta_array_equals_scalar_calls(self, etas, d_s, k_i, p0):
+        for f, cells in closed_form_cells(etas, [(d_s, k_i)], p0):
+            assert_same_bits(f(etas, d_s, k_i), cells[:, 0])
+
+    @settings(deadline=None, max_examples=50)
+    @given(etas=st.lists(UNIT, min_size=1, max_size=8), p0=UNIT,
+           rows=st.lists(st.tuples(st.integers(2, 64), K_I), min_size=1, max_size=6))
+    @example(etas=[0.0, 1.0], rows=[(2, 1.0), (64, 64.0)], p0=0.5)
+    @example(etas=[1.0, 0.3], rows=[(7, 1.0 + 1e-12)], p0=0.0)
+    def test_per_row_signal_dimension_equals_scalar_calls(self, etas, rows, p0):
+        """Per-row ``d_s`` (and ``k_i``) broadcast against an eta column, in
+        the overlap's and the flat probe's closed forms, give exactly the
+        scalar calls."""
+        d_s, k_i = (np.array(x) for x in zip(*rows))
+        for f, cells in closed_form_cells(etas, rows, p0):
+            assert_same_bits(f(np.array(etas)[:, None], d_s, k_i), cells)
 
     @pytest.mark.parametrize("seed,d_s,d_i", [(0, 2, 2), (1, 3, 4), (2, 5, 3), (3, 4, 4)])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 1.0])
