@@ -10,7 +10,7 @@ weights ``lam``, and its error one secular root
 (:func:`~qillum.discrimination.schmidt_helstrom_error`).  A sweep probe is
 its weights and a number of copies of them all, so a flat probe is one
 weight at any dimension.  A sweep is one float table in one pass: a
-kernel call per chunk of zero-padded probes, each closed form once over
+kernel call per stack of probes of one width, each closed form once over
 stacked arguments, and the checks once finished (the direct overlap
 against the closed form, the error against the closed forms that bracket
 it).  The optimality check takes its Bell reference from the closed forms
@@ -45,10 +45,11 @@ BRACKET_TOL = 1e-12
 #: closed-form overlap gap between the two; ``d_s`` and ``d_i`` are integral.
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
-#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and zero-padded weights
-#: times etas per sweep chunk.  A flat probe is one weight; only a ``spectrum:``
-#: probe with more weights than that, equal or not, is a chunk of its own over
-#: the whole eta grid, at about 44 bytes per (eta x weight) cell.
+#: (1 MiB of complex amplitudes; 1024 samples at d = 8), and weights times etas
+#: per sweep stack, whose probes share one width.  A flat probe is one weight;
+#: only a ``spectrum:`` probe with more weights than that, equal or not, is a
+#: stack of its own over the whole eta grid, at about 44 bytes per (eta x
+#: weight) cell.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -76,11 +77,12 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     ``([1/d_s], d_s)``, built at each dimension.  So a flat probe is one
     weight at any dimension, ``d_i`` is ``copies`` times the weights'
     number and the purity ``sum(copies lam^2)``.  The probes are taken in
-    output order, in chunks zero-padded to their widest, of at most
+    output order and grouped by width, widths in first-seen order, so every
+    flat probe is in one group.  Each group is cut into stacks of at most
     :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
-    alone): a chunk is one kernel call for ``p_err`` and one for
-    ``h01_direct`` (traces of ``diag(lam)``), over the whole eta grid, each
-    probe on its own ``d_s``, and the padding changes no bit.  The closed
+    alone), each holding only its probes' own weights: a stack is one kernel
+    call for ``p_err`` and one for ``h01_direct`` (traces of ``diag(lam)``),
+    over the whole eta grid, each probe on its own ``d_s``.  The closed
     forms are one stacked call each, written with the rest into one
     preallocated table, and the checks run once on it: the two overlaps
     agree, and ``p_err`` lies between the Bell probe's error and
@@ -93,26 +95,19 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     n = len(dims) * len(families)  # column j of the (eta, probe) blocks is probe j in output order
     d_s, d_i, purity = np.repeat(np.array(dims, dtype=float), len(families)), *np.empty((2, n))
     p_err, h01_direct = np.empty((2, eta.size, n))
-
-    def evaluate(first, chunk):  # probes first, first + 1, ... as one zero-padded stack
-        cols, (weights, copies) = slice(first, first + len(chunk)), zip(*chunk)
-        sizes, copies = np.array([w.size for w in weights]), np.array(copies, dtype=float)
-        lam = np.zeros((len(chunk), sizes.max()))
-        lam[np.arange(lam.shape[1]) < sizes[:, None]] = np.concatenate(weights)
-        # sum(copies lam^2) in index order, so padding adds exact zeros: np.sum's pairwise order would not
-        d_i[cols], purity[cols] = copies * sizes, np.cumsum(copies[:, None] * lam * lam, axis=-1)[:, -1]
-        p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, copies)
-        h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], copies)
-
-    chunk, width = [], 0
+    stacks = {}  # the probes as (column, lam, copies) by width, widths in first-seen order
     for j, (d, probe) in enumerate(product(dims, families)):
-        probe = (np.array([1.0 / d]), d) if probe is None else probe
-        width = max(width, probe[0].size)
-        if chunk and (len(chunk) + 1) * width * eta.size > _CHUNK_AMPLITUDES:
-            evaluate(j - len(chunk), chunk)
-            chunk, width = [], probe[0].size
-        chunk.append(probe)
-    evaluate(n - len(chunk), chunk)
+        lam, copies = (np.array([1.0 / d]), d) if probe is None else probe
+        stacks.setdefault(lam.size, []).append((j, lam, copies))
+    for width, stack in stacks.items():
+        step = max(1, _CHUNK_AMPLITUDES // (width * eta.size))
+        for first in range(0, len(stack), step):
+            cols, lam, copies = zip(*stack[first : first + step])
+            cols, lam, copies = np.array(cols), np.array(lam), np.array(copies, dtype=float)
+            # sum(copies lam^2) in index order: it keeps k_i's bytes until the purity gets an exactly rounded sum
+            d_i[cols], purity[cols] = copies * width, np.cumsum(copies[:, None] * lam * lam, axis=-1)[:, -1]
+            p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, copies)
+            h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], copies)
     # the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)
     k_i = 1.0 / purity
     h01_closed, h01_ci = h01_closed_form(eta[:, None], d_s, np.stack((k_i, np.ones_like(k_i)))[:, None])

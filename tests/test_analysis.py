@@ -130,12 +130,11 @@ class TestRunSweep:
         ([0.5], range(2, 3001), [BELL, uniform_rank(2)]),
     ])
     def test_memory_bound_over_many_probes(self, etas, dims, families):
-        """A chunk of probes, padded to its widest, is evaluated before its
-        weights times the eta grid pass 2^16: holding all 100
-        probes of the first grid, of 1000 weights each, until the
-        end took 647 MB.  The second grid's 6000 flat probes, 4.5 million
-        weights (36 MB) written out, were 144 MB padded to one stack; they
-        are one weight each."""
+        """A stack of probes of one width is evaluated before its weights
+        times the eta grid pass 2^16: holding all 100 probes of the first
+        grid, of 1000 weights each, until the end took 647 MB.  The second
+        grid's 6000 flat probes, 4.5 million weights (36 MB) written out,
+        were 144 MB padded to one stack; they are one weight each."""
         tracemalloc.start()
         try:
             run_sweep(etas, dims, families)
@@ -266,48 +265,56 @@ class TestSweepRecordValidation:
 class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
-    def test_one_kernel_call_per_chunk(self, kernel_calls):
-        """The probes of a chunk, of any numbers of weights, are one
-        zero-padded stack with one number of copies a probe: one error and
-        one overlap call over the eta column, each probe with its own d_s,
-        in output order, a repeated d_s again.  A flat probe is one weight
-        at any dimension.  A chunk ends before its padded weights times the
-        grid would pass the chunk bound; the baseline is a closed form."""
+    def test_one_kernel_call_per_stack_of_one_width(self, kernel_calls):
+        """The probes of one width, in output order, are one stack of their
+        own weights with one number of copies a probe: one error and one
+        overlap call over the eta column, each probe with its own d_s, a
+        repeated d_s again.  Widths go in first-seen order, and a flat probe
+        is one weight at any dimension.  A stack ends before its weights
+        times the grid would pass the chunk bound; the baseline is a closed
+        form."""
         def calls():
             shapes = [(kind, lam.shape, m.shape, etas, d_s) for kind, lam, m, etas, d_s in kernel_calls]
             kernel_calls.clear()
             return shapes
 
-        families = [BELL, uniform_rank(2), spectrum_family([0.5, 0.3, 0.2])]
-        table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], families)
-        assert len(table) == 36
-        assert calls() == [(kind, (9, 3), (9,), (4, 1), [3, 3, 3, 5, 5, 5, 3, 3, 3]) for kind in ("error", "overlap")]
-        # Bell and a flat rank at d = 10^7 are one weight each: one chunk
+        # Bell and a flat rank are one weight each: one stack, at d = 10^7 too
+        table = run_sweep([0.0, 0.3, 0.7, 1.0], [3, 5, 3], [BELL, uniform_rank(2)])
+        assert len(table) == 24
+        assert calls() == [(kind, (6, 1), (6,), (4, 1), [3, 3, 5, 5, 3, 3]) for kind in ("error", "overlap")]
         run_sweep(np.linspace(0, 1, 40), [10**7, 10**7 + 1], [BELL, uniform_rank(1000)])
         dims = [10**7] * 2 + [10**7 + 1] * 2
         assert calls() == [(kind, (4, 1), (4,), (40, 1), dims) for kind in ("error", "overlap")]
-        # a second probe would make 2 x 1000 weights x 40 etas, past 2^16: a chunk a probe
+        # each stack is exactly its probes' weights, no padding, the width first seen first
+        spread, pair = spectrum_family([0.5, 0.0, 0.2, 0.3]), spectrum_family([0.75, 0.25])
+        run_sweep([0.0, 0.5, 1.0], [3, 5], [spread, BELL, pair, uniform_rank(2)])
+        stacks = [(lam.tolist(), m.tolist(), d_s) for kind, lam, m, _, d_s in kernel_calls if kind == "error"]
+        assert stacks == [
+            ([spread[0].tolist()] * 2, [1, 1], [3, 5]),
+            ([[1 / 3], [0.5], [1 / 5], [0.5]], [3, 2, 5, 2], [3, 3, 5, 5]),
+            ([pair[0].tolist()] * 2, [1, 1], [3, 5]),
+        ]
+        assert [lam.tolist() for kind, lam, *_ in kernel_calls if kind == "overlap"] == [lam for lam, _, _ in stacks]
+        kernel_calls.clear()
+        # a second probe would make 2 x 1000 weights x 40 etas, past 2^16: a call a probe
         wide = spectrum_family(np.arange(1.0, 1001.0) / 500500.0)  # 1000 weights
         run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [wide])
-        shapes = calls()
-        assert [shape for kind, shape, _, _, _ in shapes if kind == "error"] == [(1, 1000)] * 3
-        assert len(shapes) == 6
-        # widths 2 and 3 share a chunk; padded to 1000 with the third probe they would pass 2^16
+        dims = (1000, 1001, 1002)
+        assert calls() == [(kind, (1, 1000), (1,), (40, 1), [d]) for d in dims for kind in ("error", "overlap")]
+        # widths 2, 3 and 1000 in one grid: three stacks, in first-seen order
         narrow = [spectrum_family([0.75, 0.25]), spectrum_family([0.5, 0.3, 0.2])]
         run_sweep(np.linspace(0, 1, 40), [1000], [*narrow, wide])
-        shapes = calls()
-        assert [shape for kind, shape, _, _, _ in shapes if kind == "error"] == [(2, 3), (1, 1000)]
-        assert len(shapes) == 4
+        assert [shape for kind, shape, *_ in calls() if kind == "error"] == [(1, 2), (1, 3), (1, 1000)]
 
     @pytest.mark.parametrize("etas, dims", [
         ([0.0, 0.2, 0.5, 0.9, 1.0], [9, 17, 40, 9, 12]),
         (np.linspace(0.0, 1.0, 51), range(9, 300, 9)),
     ])
     def test_rows_equal_sweeps_of_one_family(self, etas, dims):
-        """A grid of mixed widths, whose chunks pad narrow probes with zeros,
-        gives each family's rows exactly as a sweep of that family alone:
-        flat, rank-limited and user spectra, with exact zeros, weights of
-        1e-300 and one weight (d_i = 1)."""
+        """A grid of mixed widths, a stack per width, gives each family's
+        rows exactly as a sweep of that family alone: flat, rank-limited
+        and user spectra, with exact zeros, weights of 1e-300 and one
+        weight (d_i = 1)."""
         families = [
             BELL,
             uniform_rank(2),

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -128,6 +129,21 @@ class TestSweep:
         with weights of 1e-12, beside a flat spectrum."""
         # no column goes through BLAS or LAPACK, so every byte is pinned
         assert self.spectrum_sweep(tmp_path, p0) == (DATA / f"sweep_spectrum_golden_p{p0}.csv").read_bytes()
+
+    def test_mixed_widths_golden_csv(self, tmp_path):
+        """Probes of widths 1, 12 and 9 over 21 etas: a 12-wide spectrum with
+        exact zeros and a weight of 1e-300, a 9-wide one and two flat
+        probes, each stacked with its own width.  The golden was cut when
+        they were zero-padded into one stack of mixed supports."""
+        spectra = {"A": [0.3, 0, 0.2, 1e-300, 0.15, 0.1, 0, 0.08, 0.07, 0.05, 0.03, 0.02],
+                   "B": [0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03]}
+        files = {name: write_json(tmp_path / f"{name}.json", spec) for name, spec in spectra.items()}
+        out = tmp_path / "sweep.csv"
+        argv = ["--eta", "0:0.05:1", "--d", "12,13,17", "--family", "bell", "--family", f"spectrum:{files['A']}",
+                "--family", "uniform-rank:3", "--family", f"spectrum:{files['B']}", "--priors", "0.4",
+                "--out", str(out)]
+        assert main(["sweep", *argv]) == 0
+        assert out.read_bytes() == (DATA / "sweep_mixed_widths_golden.csv").read_bytes()
 
     @pytest.mark.parametrize("offset, code", [(5e-4, 1), (2e-9, 1), (1e-10, 0)])
     def test_spectrum_sum_is_held_to_the_tolerance(self, tmp_path, capsys, offset, code):
@@ -1138,6 +1154,109 @@ class TestProblemValidation:
         assert re.fullmatch(r"error: [^\n]*\n", done.stderr), done.stderr
         assert main(argv) == 1  # pytest turns a warning into an exception here
         assert capsys.readouterr().err == done.stderr
+
+
+# README's pure and mixed states, a spectrum, and one argv of each command that reads them
+FUZZ_FILES = {**{name: json.loads(text) for name, text in README_STATES.items()}, "spec.json": [0.5, 0.3, 0.2]}
+FUZZ_ARGVS = [
+    ["sweep", "--eta", "0:0.5:1", "--d", "3,4", "--family", "bell", "--family", "spectrum:spec.json",
+     "--family", "uniform-rank:2", "--priors", "0.4", "--out", "out.csv"],
+    ["verify-bell", "--d", "3", "--samples", "4", "--seed", "1", "--eta", "0.5", "--p0", "0.3"],
+    ["helstrom", "--state0", "bell.json", "--state1", "mixed.json", "--p0", "0.5", "--povm"],
+]
+# every rank, sample count and dimension these can make is at most 4, but a sweep's --d of 1e308, whose
+# probes are still one weight or a file's entries
+FUZZ_TOKENS = [
+    "sweep", "verify-bell", "helstrom", "--eta", "--d", "--family", "--priors", "--out", "--samples", "--seed",
+    "--p0", "--povm", "--state0", "--state1", "--plot", "bell.json", "mixed.json", "spec.json", "out.csv",
+    "spectrum:spec.json", "spectrum:bell.json", "spectrum:missing.json", "uniform-rank:3", "uniform-rank:0",
+    "uniform-rank:x", "bell", "0", "1", "2", "3", "-1", "0.5", "1.5", "nan", "-inf", "1e-3", "1e308", "5e-324",
+    "0:0.5:1", "2:1:4", "4,2", "", "x",
+]
+FUZZ_VALUES = ["x", "0.5", True, None, [[0.5, 0]], [], {}, 1e308, 5e-324, 2**63, -1, 0, 2]
+FUZZ_KEYS = ["d_s", "d_i", "dim", "amplitudes", "entries", "x"]
+
+
+def json_paths(value, path=()):
+    """The path of every node of a decoded JSON value, the root's first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from json_paths(item, (*path, key))
+
+
+@st.composite
+def mutated_json(draw, value):
+    """``value`` after up to three mutations: a node dropped, replaced from
+    :data:`FUZZ_VALUES`, or moved to a key from :data:`FUZZ_KEYS`."""
+    value = json.loads(json.dumps(value))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(json_paths(value))))
+        new = json.loads(json.dumps(draw(st.sampled_from(FUZZ_VALUES))))
+        if not path:
+            value = new
+            continue
+        *head, key = path
+        parent = value
+        for step in head:
+            parent = parent[step]
+        action = draw(st.sampled_from(["drop", "replace", "rename"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace" or isinstance(parent, list):
+            parent[key] = new
+        else:
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = parent.pop(key)
+    return value
+
+
+@st.composite
+def fuzz_cases(draw):
+    """Mutated :data:`FUZZ_FILES` as text, and an argv of
+    :data:`FUZZ_ARGVS` with up to three tokens dropped, replaced or inserted
+    from :data:`FUZZ_TOKENS`."""
+    files = {name: json.dumps(draw(mutated_json(value))) for name, value in FUZZ_FILES.items()}
+    argv = list(draw(st.sampled_from(FUZZ_ARGVS)))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(argv)))
+        action, token = draw(st.sampled_from(["drop", "replace", "insert"])), draw(st.sampled_from(FUZZ_TOKENS))
+        if action == "insert" or k == len(argv):
+            argv.insert(k, token)
+        elif action == "drop":
+            del argv[k]
+        else:
+            argv[k] = token
+    return files, argv
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(case=fuzz_cases())
+    # a family's own error, which random mutations seldom reach
+    @example(case=({name: json.dumps(value) for name, value in FUZZ_FILES.items()},
+                   [*FUZZ_ARGVS[0][:-2], "--family", "uniform-rank:0", *FUZZ_ARGVS[0][-2:]]))
+    def test_exits_0_1_or_2_with_one_message(self, case):
+        """Mutated state and spectrum files and a mutated argv of any
+        command: ``main`` returns 0, 1 or 2 and raises nothing, warnings
+        included.  A failure prints exactly one message line, or argparse's
+        usage and one error line, and a success nothing on stderr."""
+        files, argv = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            for name, text in files.items():
+                Path(name).write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), (code, argv)
+        if code == 0:
+            assert err == "", argv
+        elif err.startswith("usage: qillum"):
+            assert code == 1, err
+            assert re.fullmatch(r"usage: qillum[^\n]*\n( [^\n]*\n)*qillum[^\n]*: error: [^\n]*\n", err), err
+        else:
+            assert re.fullmatch(r"(error|numerical verification failed): [^\n]*\n", err), err
+            assert err.startswith("error") == (code == 1), (code, err)
 
 
 class TestOutOfMemory:
