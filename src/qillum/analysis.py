@@ -171,11 +171,14 @@ def verify_bell_optimality(
     ``k_i = d`` and :func:`~qillum.discrimination.flat_probe_error` at
     ``d^2`` weights (the arguments are unchecked), computed before any
     sample is drawn.  No dense channel output is built.  Sample ``k`` is
-    :func:`~qillum.states.haar_random_amplitudes` of the ``k``-th child seed
-    of ``seed``.  The samples are taken in chunks of
-    :data:`_CHUNK_AMPLITUDES` amplitudes; each chunk's Schmidt weights come
-    from one stacked ``svd`` (squared singular values) and its errors from
-    one stacked :func:`~qillum.discrimination.schmidt_helstrom_error` call.
+    drawn from ``PCG64`` seeded with the ``k``-th word of
+    ``SeedSequence(seed).generate_state(n_samples)``.  The samples are taken
+    in chunks of :data:`_CHUNK_AMPLITUDES` amplitudes, each chunk one
+    :func:`~qillum.states.haar_random_amplitudes` call, which derives its
+    seeds' generator states in one pass and builds one generator.  Each
+    chunk's Schmidt weights come from one stacked ``svd`` (squared singular
+    values) and its errors from one stacked
+    :func:`~qillum.discrimination.schmidt_helstrom_error` call.
     The overlap falls as ``k_i = 1 / sum(lam^2)`` rises, so the smallest is
     the closed form at the largest ``k_i``.  Each sample's weights must sum
     to 1 within :data:`~qillum.states.DEFAULT_TOL`, else ``ValueError``.

@@ -25,9 +25,11 @@ measurement attains the error (so no NaN or infinity is printed), as
 Every user parameter is checked here once, before any file is read, and
 the modules below take it unchecked: ``eta`` and ``p0`` in ``[0, 1]`` and
 ``d`` at least 2, NaN failing each (:func:`_check_parameters`); ``--d``
-integral; ``--samples`` at least 1; ``--seed`` at least 0; a sweep at
-most :data:`MAX_SWEEP_ROWS` rows.  Then each family is checked against the
-smallest ``--d`` (:func:`parse_family`), before any probe is evaluated.
+integral, at most :data:`MAX_VERIFY_DIM` for ``verify-bell``;
+``--samples`` at least 1 and at most :data:`MAX_VERIFY_SAMPLES`; ``--seed``
+at least 0; a sweep at most :data:`MAX_SWEEP_ROWS` rows.  Then each
+family is checked against the smallest ``--d`` (:func:`parse_family`),
+before any probe is evaluated.
 ``helstrom --povm`` prints a measurement of at most :data:`MAX_POVM_DIM`
 dimensions, checked once both states are read, before any eigensolve.
 
@@ -67,6 +69,12 @@ MAX_SWEEP_ROWS = 10_000
 #: ``dim x dim`` complex matrices as text, at about 270 bytes of peak memory an
 #: entry (over 1 GiB at 2048 dimensions).  The error alone has no cap.
 MAX_POVM_DIM = 2048
+#: Largest ``--d`` ``verify-bell`` samples at: one sample takes about 40 d^2
+#: bytes (its normals, its amplitudes and the ``svd``'s workspace), 0.7 GB at the cap.
+MAX_VERIFY_DIM = 4096
+#: Largest ``--samples`` of ``verify-bell``, whose seeds, 4 bytes a sample, are
+#: drawn before the first sample (40 MB at the cap).
+MAX_VERIFY_SAMPLES = 10**7
 
 
 #: Deepest nesting of JSON arrays and objects an input file may have (a valid one has 4):
@@ -205,8 +213,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_bell(args) -> int:
     _check_parameters([args.eta], [args.d], args.p0)
+    if args.d > MAX_VERIFY_DIM:
+        raise ValueError(f"verify-bell samples at most {MAX_VERIFY_DIM} dimensions, got {args.d}")
     if args.samples < 1:
         raise ValueError(f"need at least one sample, got {args.samples}")
+    if args.samples > MAX_VERIFY_SAMPLES:
+        raise ValueError(f"verify-bell draws at most {MAX_VERIFY_SAMPLES} samples, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     report = verify_bell_optimality(args.d, args.samples, args.seed, eta=args.eta, p0=args.p0)

@@ -16,7 +16,11 @@ decide and to name its smallest eigenvalue.  A sweep
 probe is its Schmidt weights (:func:`schmidt_probe`), built once per sweep
 from a ``spectrum:`` file.  A random pure state is its complex ``(d_s,
 d_i)`` amplitude matrix, entry ``[s, i]`` pairing signal mode ``s`` with
-idler level ``i`` (:func:`haar_random_amplitudes`).
+idler level ``i`` (:func:`haar_random_amplitudes`), drawn from
+``PCG64(seed)``: the seeds' generator states are derived in one pass over
+all of them, with numpy's ``SeedSequence`` hash and PCG64's seeding
+written out on arrays (:func:`_pcg64_states`), and one generator draws
+every sample.
 Matrices leave the package as ``orjson``'s compact JSON, whose floats
 read back exactly (:func:`densities_to_json`).
 Every check is phrased so that a NaN fails it (``not defect <=
@@ -36,6 +40,9 @@ import numpy as np
 
 #: The one validation tolerance (max entry magnitude) used across the package.
 DEFAULT_TOL = 1e-9
+#: How far below zero a ``spectrum:`` entry may lie, as rounding in the file
+#: that wrote it; :func:`schmidt_probe` counts such an entry as 0.
+SPECTRUM_FLOOR = 1e-12
 
 
 def schmidt_probe(spectrum) -> np.ndarray:
@@ -45,12 +52,13 @@ def schmidt_probe(spectrum) -> np.ndarray:
     ``sqrt(spectrum)`` scaled to unit length by an exactly rounded sum
     (:func:`math.fsum`), so no sum over it depends on the order of the
     entries or on the BLAS build.  The spectrum must have no entry below
-    ``-1e-12`` and a sum within :data:`DEFAULT_TOL` of 1; entries below zero
-    count as 0.  Its length is not checked: :mod:`qillum.cli` holds it to
+    ``-SPECTRUM_FLOOR`` (:data:`SPECTRUM_FLOOR`, 1e-12) and a sum within
+    :data:`DEFAULT_TOL` of 1; entries between ``-SPECTRUM_FLOOR`` and 0 count
+    as 0.  Its length is not checked: :mod:`qillum.cli` holds it to
     the smallest signal dimension of a sweep.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1)
-    if not np.all(spec >= -1e-12):
+    if not np.all(spec >= -SPECTRUM_FLOOR):
         raise ValueError("spectrum entries must be non-negative")
     total = float(spec.sum())
     if not abs(total - 1.0) <= DEFAULT_TOL:
@@ -64,27 +72,89 @@ def haar_random_amplitudes(d_s: int, d_i: int, seeds) -> np.ndarray:
     """Amplitude matrices of uniformly random pure states, one per seed.
 
     Returns an ``(len(seeds), d_s, d_i)`` stack whose entry ``k`` is the
-    amplitude matrix of the state drawn from ``seeds[k]``: independent
-    standard complex Gaussians, normalized, which is the rotation-invariant
-    distribution on the unit sphere.  Neither the dimensions nor the
-    matrices are checked; the caller checks what it relies on (``verify-bell``
-    checks that each one's Schmidt weights sum to 1).
+    amplitude matrix of the state drawn from ``seeds[k]``, a seed below
+    ``2**32``: independent standard complex Gaussians, normalized, which is
+    the rotation-invariant distribution on the unit sphere.  Neither the
+    dimensions nor the matrices are checked; the caller checks what it
+    relies on (``verify-bell`` checks that each one's Schmidt weights sum to
+    1).
 
     A seed keeps its matrix: ``Generator(PCG64(seed))`` (named, not left to
     ``default_rng``'s default) draws ``2 d_s d_i`` normals, real parts then
     imaginary parts, and the row is divided by the root of two BLAS dots, of
-    its real and imaginary parts, as ``np.linalg.norm`` takes it.  Only the
-    generators are per seed; the norms and the division are one call each.
+    its real and imaginary parts, as ``np.linalg.norm`` takes it.  No
+    generator is built per seed: every seed's ``PCG64`` state comes from one
+    pass over the seeds (:func:`_pcg64_states`), and one generator, set to
+    each state in turn, draws each row.  The norms and the division are one
+    call each.
     """
     n = d_s * d_i
     normals = np.empty((len(seeds), 2 * n))
-    for row, seed in zip(normals, seeds):
-        np.random.Generator(np.random.PCG64(int(seed))).standard_normal(out=row)
+    bits = np.random.PCG64(0)
+    generator = np.random.Generator(bits)
+    for row, (state, inc) in zip(normals, _pcg64_states(np.asarray(seeds, dtype=np.uint32))):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
     stack = np.empty((len(seeds), n), dtype=complex)
     stack.real, stack.imag = normals[:, :n], normals[:, n:]
     # vecdot is ddot on each row's strided parts; a pairwise sum (norm over an axis, einsum) moves last bits
     stack /= np.sqrt(np.vecdot(stack.real, stack.real) + np.vecdot(stack.imag, stack.imag))[:, None]
     return stack.reshape(-1, d_s, d_i)
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, in numpy/random/bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s running hash of ``uint32`` words, from the
+    constant ``const``: each call XORs the words with the constant, steps it
+    to ``const * mult`` (mod ``2**32``), multiplies by it and folds the high
+    half into the low one."""
+    def hash_words(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        words = words * np.uint32(const)  # wraps mod 2**32, as the C code's uint32_t does
+        return words ^ words >> 16
+    return hash_words
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(s)`` for each seed ``s`` of the
+    ``uint32`` array ``seeds``, bit for bit.  It takes seeds below ``2**32``,
+    the dtype of ``SeedSequence.generate_state``'s words and so of every
+    seed ``verify-bell`` passes: each is one word of entropy, the only case
+    written out here.
+
+    ``SeedSequence(s)`` hashes the word into a pool of four (``mix_entropy``)
+    and ``generate_state(4, uint64)`` hashes the pool into four 64-bit words;
+    both run here as ``uint32`` arithmetic on whole arrays, each step once
+    for all seeds.  PCG64 (M. E. O'Neill, "PCG: A Family of Simple Fast
+    Space-Efficient Statistically Good Algorithms for Random Number
+    Generation", HMC-CS-2014-0905, 2014) seeds itself from them as
+    ``pcg64_srandom_r`` does: ``inc = 2 initseq + 1`` and ``state = ((inc +
+    initstate) M + inc) mod 2**128``, with ``initstate`` the first two words
+    and ``initseq`` the last two, in Python ints.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(seeds)] + [hashmix(np.zeros_like(seeds)) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    hash_words = _hasher(_INIT_B, _MULT_B)
+    words = np.array([hash_words(pool[k % 4]) for k in range(8)], dtype=np.uint64)
+    # each 64-bit word is two little-endian 32-bit ones; initstate is words 0 and 1, initseq 2 and 3
+    mask = (1 << 128) - 1
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << np.uint64(32)).tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & mask
+        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & mask, inc))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,47 @@ class TestVerifyBell:
         assert out == "" and message in err
         assert chunks == []
 
+    @pytest.mark.parametrize("option, value, message, size", [
+        ("--d", cli.MAX_VERIFY_DIM + 1,
+         f"verify-bell samples at most {cli.MAX_VERIFY_DIM} dimensions, got {cli.MAX_VERIFY_DIM + 1}",
+         40 * (cli.MAX_VERIFY_DIM + 1) ** 2),
+        ("--samples", cli.MAX_VERIFY_SAMPLES + 1,
+         f"verify-bell draws at most {cli.MAX_VERIFY_SAMPLES} samples, got {cli.MAX_VERIFY_SAMPLES + 1}",
+         4 * (cli.MAX_VERIFY_SAMPLES + 1)),
+    ], ids=["d", "samples"])
+    def test_above_the_cap_exits_1_before_any_allocation(self, capsys, chunks, option, value, message, size):
+        """One past ``MAX_VERIFY_DIM`` (one sample, about 40 d^2 bytes) or
+        ``MAX_VERIFY_SAMPLES`` (the seeds, 4 bytes a sample) exits 1 with one
+        line naming the cap, having allocated under 1% of that and drawn no
+        sample."""
+        argv = {"--d": "2", "--samples": "1", option: str(value)}
+        tracemalloc.start()
+        try:
+            assert main(["verify-bell", "--seed", "1", *(x for kv in argv.items() for x in kv)]) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * size
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert chunks == []
+
+    def test_one_generator_per_chunk(self, capsys, monkeypatch, chunks):
+        """1025 samples at d = 8 are two chunks, and each builds one
+        ``PCG64``, not one per sample: every seed's state comes from one
+        pass over the chunk's seeds."""
+        built = []
+        exact = np.random.PCG64
+
+        def counted(*args):
+            built.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        assert main(["verify-bell", "--d", "8", "--samples", "1025", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 1025
+        assert chunks == [1024, 1]
+        assert 1 <= len(built) <= len(chunks)
+
     def test_negative_zero_is_printed_as_zero(self, capsys):
         argv = ["verify-bell", "--d", "3", "--samples", "4", "--seed", "1"]
         assert main([*argv, "--eta", "-0", "--p0", "-0"]) == 0

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qillum.discrimination import diagonalize
-from qillum.states import DEFAULT_TOL, densities_to_json, density_from_dict, haar_random_amplitudes, schmidt_probe
+from qillum.states import (
+    DEFAULT_TOL,
+    SPECTRUM_FLOOR,
+    _pcg64_states,
+    densities_to_json,
+    density_from_dict,
+    haar_random_amplitudes,
+    schmidt_probe,
+)
 from conftest import (
     AWKWARD_PARTS,
     assert_reads_back,
@@ -291,6 +299,34 @@ class TestHaarRandomState:
         assert abs(purity_ind.mean() - 0.8) < 3 * se_p
 
 
+class TestPcg64Seeding:
+    """``_pcg64_states`` derives numpy's own ``PCG64(seed)`` state for every
+    seed below ``2**32`` at once, so the sampler built on it keeps every
+    seed's stream; both are held to numpy itself."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=0)
+    @example(seed=1)
+    @example(seed=2**31)
+    @example(seed=2**32 - 1)
+    @settings(deadline=None, max_examples=300)
+    def test_state_is_numpys_bit_for_bit(self, seed):
+        want = np.random.PCG64(seed).state["state"]
+        assert _pcg64_states(np.array([seed], dtype=np.uint32)) == [(want["state"], want["inc"])]
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), max_size=64),
+        d_s=st.integers(2, 5),
+        d_i=st.integers(1, 5),
+    )
+    @example(seeds=[], d_s=2, d_i=1)
+    @example(seeds=[0, 1, 2**31, 2**32 - 1], d_s=3, d_i=3)
+    @settings(deadline=None, max_examples=100)
+    def test_sampler_equals_the_per_seed_oracle(self, seeds, d_s, d_i):
+        got = haar_random_amplitudes(d_s, d_i, seeds)
+        assert np.array_equal(got.view(float), haar_amplitudes_oracle(d_s, d_i, seeds).view(float))
+
+
 class TestSchmidtFamilyState:
     """``schmidt_probe``'s Schmidt weights; the probe built from them
     (``conftest.schmidt_amplitudes``) must have the dense idler reduction
@@ -346,6 +382,13 @@ class TestSchmidtFamilyState:
         assert lam[2] == 0.0  # the smallest weight, last
         with pytest.raises(ValueError, match="non-negative"):
             schmidt_probe([0.5, np.nan, 0.5])
+
+    def test_the_floor_is_spectrum_floor(self):
+        """An entry at ``-SPECTRUM_FLOOR`` counts as 0; the float below it fails."""
+        assert SPECTRUM_FLOOR == 1e-12
+        assert schmidt_probe([0.5, -SPECTRUM_FLOOR, 0.5 + SPECTRUM_FLOOR])[2] == 0.0
+        with pytest.raises(ValueError, match="non-negative"):
+            schmidt_probe([0.5, math.nextafter(-SPECTRUM_FLOOR, -math.inf), 0.5 + SPECTRUM_FLOOR])
 
     def test_permuting_the_spectrum_keeps_the_weights_exactly(self):
         """The normalization is an exactly rounded sum and the weights come
