@@ -46,8 +46,9 @@ BRACKET_TOL = 1e-12
 SWEEP_COLUMNS = ("eta", "d_s", "d_i", "k_i", "h01_closed", "h01_direct", "p_err", "p_err_ci", "advantage")
 #: Amplitudes per chunk of Haar samples in :func:`verify_bell_optimality`
 #: (1 MiB of complex amplitudes; 1024 samples at d = 8), and weights times etas
-#: per sweep stack, whose probes share one width.  A flat probe is one weight;
-#: only a ``spectrum:`` probe with more weights than that, equal or not, is a
+#: per sweep stack, whose probes share one width: their count of nonzero
+#: weights (``d_i`` counts the zeros too).  A flat probe is one weight; only a
+#: ``spectrum:`` probe with more nonzero weights than that, equal or not, is a
 #: stack of its own over the whole eta grid, at about 44 bytes per (eta x
 #: weight) cell.
 _CHUNK_AMPLITUDES = 1 << 16
@@ -75,10 +76,12 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     weights ``lam``, each appearing ``copies`` times
     (:func:`~qillum.cli.parse_family`), or ``None`` for the Bell probe's,
     ``([1/d_s], d_s)``, built at each dimension.  So a flat probe is one
-    weight at any dimension, ``d_i`` is ``copies`` times the weights'
-    number and the purity ``sum(copies lam^2)``.  The probes are taken in
-    output order and grouped by width, widths in first-seen order, so every
-    flat probe is in one group.  Each group is cut into stacks of at most
+    weight at any dimension, ``d_i`` is ``copies`` times the number of
+    weights, zeros included, and the purity ``sum(copies lam^2)``.  Then a
+    probe's zero weights (a ``spectrum:`` file's zero entries) leave it and
+    enter no sum.  The probes are taken in output order and grouped by
+    width, their count of nonzero weights, widths in first-seen order, so
+    every flat probe is in one group.  Each group is cut into stacks of at most
     :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
     alone), each holding only its probes' own weights: a stack is one kernel
     call for ``p_err`` and one for ``h01_direct`` (traces of ``diag(lam)``),
@@ -98,6 +101,7 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     stacks = {}  # the probes as (column, lam, copies) by width, widths in first-seen order
     for j, (d, probe) in enumerate(product(dims, families)):
         lam, copies = (np.array([1.0 / d]), d) if probe is None else probe
+        d_i[j], lam = copies * lam.size, lam[lam != 0.0]  # a spectrum's zeros count in d_i alone
         stacks.setdefault(lam.size, []).append((j, lam, copies))
     for width, stack in stacks.items():
         step = max(1, _CHUNK_AMPLITUDES // (width * eta.size))
@@ -105,7 +109,7 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
             cols, lam, copies = zip(*stack[first : first + step])
             cols, lam, copies = np.array(cols), np.array(lam), np.array(copies, dtype=float)
             # sum(copies lam^2) in index order: it keeps k_i's bytes until the purity gets an exactly rounded sum
-            d_i[cols], purity[cols] = copies * width, np.cumsum(copies[:, None] * lam * lam, axis=-1)[:, -1]
+            purity[cols] = np.cumsum(copies[:, None] * lam * lam, axis=-1)[:, -1]
             p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, copies)
             h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], copies)
     # the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)

@@ -156,15 +156,16 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5, copies=1):
     ``eta``, ``d_s`` and ``copies`` each one value or an array broadcasting
     against its leading axis: a float is returned for 1-D weights and one
     value of each, else an array, no entry of which depends on another, so
-    a stacked call equals its rows' 1-D calls bit for bit.  Negative weights
-    count as 0, and zeros enter no sum (rows are grouped by their count of
-    nonzero weights), so a zero-padded row equals the 1-D call on the rest.
-    A probe's weights are gathered once per row that takes a root, not
-    copied once per ``eta``.  ``eta``, ``d_s``, ``p0`` and ``copies`` are
-    unchecked.
+    a stacked call equals its rows' 1-D calls bit for bit.  Each sum runs
+    over a row's full width, so zeros enter it as exact zeros (and may
+    regroup numpy's pairwise sums, moving the last bits), while the root
+    test counts only the nonzero weights: ``run_sweep`` drops a probe's
+    zeros before its call.  A probe's weights are gathered once per row
+    that takes a root, not copied once per ``eta``.  The weights, ``eta``,
+    ``d_s``, ``p0`` and ``copies`` are unchecked.
     """
     eta, d_s = np.asarray(eta, dtype=float), np.asarray(d_s)
-    lam = np.maximum(np.asarray(weights, dtype=float), 0.0)
+    lam = np.array(weights, dtype=float)  # a copy: it is sorted in place
     c = p0 * (1.0 - eta) - (1.0 - p0)
     d_i, shape = lam.shape[-1], np.broadcast(eta, d_s, copies, lam[..., 0]).shape
     ones = np.ones(shape)
@@ -177,27 +178,19 @@ def schmidt_helstrom_error(weights, eta, d_s, p0: float = 0.5, copies=1):
     support = (lam != 0.0).sum(axis=-1)[probe]
     p_err = np.where(s > 0.0, p0, 1.0 - p0)  # mu = 0, or p1 where c >= 0
     rows = ((s > 0.0) & (a * support > s)).nonzero()[0]
-    sizes = support[rows[:1]].tolist() or [0]  # the rows' distinct support sizes, ascending ([0]: no rows)
-    if (support[rows] != sizes).any():  # several: order the rows by support size
-        rows = rows[support[rows].argsort(kind="stable")]
-        sizes = sorted(set(support[rows].tolist()))
-    def sums(x, size):  # row r over its first size[r] entries, one np.sum (add.reduce) a size: a 1-D call's bits
-        ends = size.searchsorted(sizes, side="right").tolist() if len(sizes) > 1 else [len(x)]
-        parts = [np.add.reduce(x[lo:hi, :k], axis=-1, keepdims=True) for lo, hi, k in zip([0, *ends], ends, sizes)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    lam, a, s, base, size = lam[probe[rows]], a[rows, None], s[rows, None], base[rows], support[rows]
+    lam, a, s, base = lam[probe[rows]], a[rows, None], s[rows, None], base[rows]
     mu = (lam * (a * np.arange(1, d_i + 1) - s)).max(axis=-1, keepdims=True)
-    live, m, w, sl, al, k = np.arange(rows.size), mu, lam, s, a, size  # the rows still rising
+    live, m, w, sl, al = np.arange(rows.size), mu, lam, s, a  # the rows still rising
     while live.size:
         g = m + sl * w
         q, z = w / g, m / g  # z in (0, 1]: no overflow at tiny mu
-        total = sums(q, k)
-        rise = total * (al * total - 1.0) / sums(q * z, k)
+        total = np.add.reduce(q, axis=-1, keepdims=True)
+        rise = total * (al * total - 1.0) / np.add.reduce(q * z, axis=-1, keepdims=True)
         m, rising = m + m * rise, rise[:, 0] > _EPS  # the Newton step, relative to mu
         if not rising.all():  # a row leaves once its root is reached
             mu[live] = m
-            live, m, w, sl, al, k = (x[rising] for x in (live, m, w, sl, al, k))
-    p_err[rows] = base + (a * s * sums(lam * lam / (mu + s * lam), size))[:, 0]
+            live, m, w, sl, al = (x[rising] for x in (live, m, w, sl, al))
+    p_err[rows] = base + a[:, 0] * s[:, 0] * np.add.reduce(lam * lam / (mu + s * lam), axis=-1)
     p_err = np.minimum(np.maximum(p_err.reshape(shape), 0.0), 1.0)
     return float(p_err) if p_err.ndim == 0 else p_err
 

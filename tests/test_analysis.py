@@ -169,8 +169,9 @@ class TestRunSweep:
         """The weights, descending, and the copies that each family reaches
         the kernels with at d_s = 7 (Bell's at d_s = 5): parsed once, but
         Bell's built by ``run_sweep`` at the dimension.  A flat family is one
-        weight with its rank as copies; a spectrum is each of its entries,
-        equal ones and zeros too, with one copy."""
+        weight with its rank as copies; a spectrum is each of its nonzero
+        entries, equal ones too, with one copy.  ``d_i`` counts every entry,
+        zeros too."""
         entries = {"spectrum": [0.5, 0.0, 0.2, 0.3], "spectrum-tied": [0.125, 0.25, 0.125, 0.0, 0.125, 0.25, 0.125]}
         if text in entries:
             spec = tmp_path / "spec.json"
@@ -181,13 +182,14 @@ class TestRunSweep:
             lam = np.full(d_i, 1.0 / d_i)
         family = cli.parse_family(text, 7)
         assert (family is None) == (text == "bell")
-        run_sweep([0.5], [d_i if family is None else 7], [family])
+        table = run_sweep([0.5], [d_i if family is None else 7], [family])
         (_, (weights,), (m,), _, _), (_, (weights_overlap,), (m_overlap,), _, _) = kernel_calls
         assert weights.dtype == m.dtype == float and m == copies
-        assert np.array_equal(np.repeat(weights, copies), lam) and np.all(np.diff(weights) <= 0.0)
+        assert np.array_equal(np.repeat(weights, copies), lam[lam != 0.0]) and np.all(np.diff(weights) <= 0.0)
         assert np.array_equal(weights_overlap, weights) and m_overlap == m
         assert abs(math.fsum(m * weights) - 1.0) <= 1e-15
-        assert family is None or (np.array_equal(weights, family[0]) and m == family[1])
+        assert sweep_columns(table)["d_i"].tolist() == [d_i]
+        assert family is None or (np.array_equal(weights, family[0][family[0] != 0.0]) and m == family[1])
 
     def test_bell_weights_are_exactly_one_over_d(self, kernel_calls):
         """The Bell probe's one weight is the correctly rounded 1/d, with d
@@ -266,13 +268,13 @@ class TestSweepColumns:
     """A sweep evaluates each probe as columns over the eta grid."""
 
     def test_one_kernel_call_per_stack_of_one_width(self, kernel_calls):
-        """The probes of one width, in output order, are one stack of their
-        own weights with one number of copies a probe: one error and one
-        overlap call over the eta column, each probe with its own d_s, a
-        repeated d_s again.  Widths go in first-seen order, and a flat probe
-        is one weight at any dimension.  A stack ends before its weights
-        times the grid would pass the chunk bound; the baseline is a closed
-        form."""
+        """The probes of one width (count of nonzero weights), in output
+        order, are one stack of their own nonzero weights with one number of
+        copies a probe: one error and one overlap call over the eta column,
+        each probe with its own d_s, a repeated d_s again.  Widths go in
+        first-seen order, and a flat probe is one weight at any dimension.
+        A stack ends before its weights times the grid would pass the chunk
+        bound; the baseline is a closed form."""
         def calls():
             shapes = [(kind, lam.shape, m.shape, etas, d_s) for kind, lam, m, etas, d_s in kernel_calls]
             kernel_calls.clear()
@@ -285,12 +287,12 @@ class TestSweepColumns:
         run_sweep(np.linspace(0, 1, 40), [10**7, 10**7 + 1], [BELL, uniform_rank(1000)])
         dims = [10**7] * 2 + [10**7 + 1] * 2
         assert calls() == [(kind, (4, 1), (4,), (40, 1), dims) for kind in ("error", "overlap")]
-        # each stack is exactly its probes' weights, no padding, the width first seen first
+        # each stack is exactly its probes' nonzero weights, no padding, the width first seen first
         spread, pair = spectrum_family([0.5, 0.0, 0.2, 0.3]), spectrum_family([0.75, 0.25])
         run_sweep([0.0, 0.5, 1.0], [3, 5], [spread, BELL, pair, uniform_rank(2)])
         stacks = [(lam.tolist(), m.tolist(), d_s) for kind, lam, m, _, d_s in kernel_calls if kind == "error"]
         assert stacks == [
-            ([spread[0].tolist()] * 2, [1, 1], [3, 5]),
+            ([spread[0][:3].tolist()] * 2, [1, 1], [3, 5]),
             ([[1 / 3], [0.5], [1 / 5], [0.5]], [3, 2, 5, 2], [3, 3, 5, 5]),
             ([pair[0].tolist()] * 2, [1, 1], [3, 5]),
         ]
@@ -301,10 +303,10 @@ class TestSweepColumns:
         run_sweep(np.linspace(0, 1, 40), [1000, 1001, 1002], [wide])
         dims = (1000, 1001, 1002)
         assert calls() == [(kind, (1, 1000), (1,), (40, 1), [d]) for d in dims for kind in ("error", "overlap")]
-        # widths 2, 3 and 1000 in one grid: three stacks, in first-seen order
+        # widths 2, 3 and 1000 in one grid: three stacks, in first-seen order; four entries, one zero, are 3 wide
         narrow = [spectrum_family([0.75, 0.25]), spectrum_family([0.5, 0.3, 0.2])]
-        run_sweep(np.linspace(0, 1, 40), [1000], [*narrow, wide])
-        assert [shape for kind, shape, *_ in calls() if kind == "error"] == [(1, 2), (1, 3), (1, 1000)]
+        run_sweep(np.linspace(0, 1, 40), [1000], [*narrow, wide, spread])
+        assert [shape for kind, shape, *_ in calls() if kind == "error"] == [(1, 2), (2, 3), (1, 1000)]
 
     @pytest.mark.parametrize("etas, dims", [
         ([0.0, 0.2, 0.5, 0.9, 1.0], [9, 17, 40, 9, 12]),

@@ -212,15 +212,36 @@ def assert_layouts(probes, etas, p0, *names):
             assert_same_bits(got, cells[at])
 
 
-def assert_zeros_change_no_bit(probes, pad, etas, p0):
+def assert_zeros_keep_the_root_decision(probes, pad, etas, p0):
     """A stack of probes of mixed widths, zero-padded to ``pad`` past the
     widest, over an eta column gives each (eta, probe) cell's 1-D call on the
-    probe's nonzero weights bit for bit, for the kernel and the overlap."""
+    probe's nonzero weights: the overlap bit for bit (its zeros are added in
+    index order), the error within 8 ulps (its zeros regroup numpy's
+    pairwise sums) and so with the same root decision, which gives ``p0`` or
+    ``p1`` exactly where no root is taken."""
     stack, copies, d_s = padded(probes, pad)
     for f in (partial(schmidt_helstrom_error, p0=p0), channel_overlap):
         cells = np.array([[f(lam[lam != 0.0], e, d, copies=m) for lam, (_, m, d) in zip(stack, probes)]
                           for e in etas])
-        assert_same_bits(f(stack, np.array(etas)[:, None], d_s, copies=copies), cells)
+        got = f(stack, np.array(etas)[:, None], d_s, copies=copies)
+        if f is channel_overlap:
+            assert_same_bits(got, cells)
+        else:
+            assert np.all(np.abs(got - cells) <= 8 * np.spacing(cells)), (got, cells)
+
+
+def assert_zeros_change_no_sweep_bit(probes, pad, etas, p0):
+    """A sweep of the probes as families, each with ``pad`` more zeros after
+    its weights, gives the bytes of the sweep of their nonzero weights but
+    in ``d_i``, which counts every weight's copies."""
+    families = [(np.concatenate((w, np.zeros(pad))), m) for w, m, _ in probes]
+    dims = sorted({d for *_, d in probes})
+    with_zeros = sweep_columns(run_sweep(etas, dims, families, p0))
+    bare = sweep_columns(run_sweep(etas, dims, [(w[w != 0.0], m) for w, m in families], p0))
+    for name, column in with_zeros.items():
+        if name != "d_i":
+            assert_same_bits(column, bare[name])
+    assert with_zeros["d_i"].tolist() == [m * w.size for _ in etas for _ in dims for w, m in families]
 
 
 def closed_form_cells(etas, rows, p0):
@@ -362,11 +383,26 @@ class TestSchmidtHelstrom:
              pad=2, etas=[0.0, 1.0], p0=1.0)
     @example(probes=[probe([0.5, -0.0, 0.5], 1, 2), probe([-0.0] * 9 + [1.0], 1, 3),
                      probe([0.25, -0.0, 0.0, 0.75] * 3, 1, 4)], pad=1, etas=[0.0, 0.6, 1.0], p0=0.4)
+    # a < s < 2a: the first row takes no root, as its 1-D call on [1.0], unless its zero were counted
+    @example(probes=[probe([1.0, 0.0], 1, 2), probe([0.5, 0.5], 1, 2)], pad=1, etas=[0.8], p0=0.3)
     def test_zero_padded_row_equals_its_nonzero_weights(self, probes, pad, etas, p0):
         """Zeros (or ``-0.0``, which counts as zero) anywhere, up to 40 weights
         (past the pairwise sums, which start at 8), one weight, and weights
-        down to 1e-300: each row gives its nonzero weights' 1-D call."""
-        assert_zeros_change_no_bit(probes, pad, etas, p0)
+        down to 1e-300: each row gives its nonzero weights' 1-D call, the
+        error within 8 ulps and with the same root decision, the overlap
+        bit for bit.  ``run_sweep`` drops zeros before the kernel, so they
+        change no bit of a sweep (:meth:`TestCounts.test_padding_changes_no_bit`)."""
+        assert_zeros_keep_the_root_decision(probes, pad, etas, p0)
+
+    def test_leaves_its_weights_unchanged(self):
+        """The kernel sorts a copy of its weights: an unsorted stack and a
+        1-D float array, which ``np.asarray`` would not copy, keep their
+        bytes."""
+        stack, row = np.array([[0.1, 0.6, 0.0, 0.3], [0.25, 0.0, 0.5, 0.25]]), np.array([0.2, 0.0, 0.5, 0.3])
+        before = stack.tobytes(), row.tobytes()
+        schmidt_helstrom_error(stack, np.array([[0.3], [0.9]]), 4, 0.4)
+        schmidt_helstrom_error(row, 0.7, 4, 0.4)
+        assert (stack.tobytes(), row.tobytes()) == before
 
     @pytest.mark.parametrize("eta, p0", [(0.5, 0.3), (0.5, 0.5), (1.0, 0.5)])
     def test_nan_weight_gives_nan(self, eta, p0):
@@ -632,14 +668,15 @@ class TestCounts:
     @given(probes=stacked_probes(40), pad=st.integers(0, 6), etas=st.lists(UNIT, min_size=1, max_size=3), p0=UNIT)
     @example(probes=[probe([0.25, 0.0, 0.125], 2, 4)], pad=0, etas=[0.5], p0=0.5)
     @example(probes=[probe([0.0, 0.0, 0.125], 8, 8)], pad=0, etas=[1.0], p0=0.4)
-    # the root is 0 (a x 1 < s) unless the zero weight were counted
-    @example(probes=[probe([0.5, 0.0], 2, 2)], pad=0, etas=[0.1], p0=0.3)
+    # the root is 0 at eta 0.1 either way, and at 0.3 (a < s < 2a) unless the zero weight were counted
+    @example(probes=[probe([0.5, 0.0], 2, 2)], pad=0, etas=[0.1, 0.3], p0=0.3)
     # eight weights and a zero among them: a ninth entry would regroup np.sum's pairwise order
     @example(probes=[probe([0.3, 0.2, 0.15, 0.12, 0.0, 0.1, 0.08, 0.03, 0.02], 1, 4)], pad=0, etas=[1.0], p0=0.5)
     def test_padding_changes_no_bit(self, probes, pad, etas, p0):
-        """Zero weights, anywhere and at any copies, change no bit of either
-        result."""
-        assert_zeros_change_no_bit(probes, pad, etas, p0)
+        """Zero weights, anywhere and at any copies, change no bit of a sweep
+        but its ``d_i``, and no root decision of a stacked kernel call."""
+        assert_zeros_change_no_sweep_bit(probes, pad, etas, p0)
+        assert_zeros_keep_the_root_decision(probes, pad, etas, p0)
 
     @settings(deadline=None, max_examples=30)
     @given(probes=stacked_probes(12, max_copies=1), etas=st.lists(UNIT, min_size=1, max_size=3), p0=UNIT)
