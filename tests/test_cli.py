@@ -34,8 +34,10 @@ from conftest import (
     pure_state_dict,
     random_density,
 )
+import run_cli_cases
 
 DATA = Path(__file__).parent / "data"
+CLI_CASES = run_cli_cases.load_cases()
 
 BELL_2 = {
     "d_s": 2,
@@ -89,61 +91,27 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+class TestCliCases:
+    """The cases of ``tests/data/cli_cases.json``, each through ``main`` in a
+    working directory of its own; ``tests/run_cli_cases.py`` documents
+    their format and runs them through a command."""
+
+    @pytest.mark.parametrize("case", CLI_CASES, ids=[case["name"] for case in CLI_CASES])
+    def test_case(self, case):
+        assert run_cli_cases.run_case(case) == []
+
+    def test_manifest_is_sound(self):
+        """Every case has a unique name and its keys, every file it names is
+        in ``tests/data/``, and every file there is named by a case or a
+        test."""
+        assert run_cli_cases.validate(CLI_CASES) == []
+
+
 class TestSweep:
     GOLDEN_ARGS = [
         "--eta", "0:0.25:1", "--d", "2,3,4",
         "--family", "bell", "--family", "uniform-rank:2", "--priors", "0.3",
     ]
-
-    def test_golden_csv(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "sweep_golden.csv").read_bytes()
-
-    def test_dense_golden_csv(self, tmp_path):
-        """Bell rows of 16 and 24 weights beside rank-4 ones: every other
-        golden has at most 4 weights a probe, below the kernel's pairwise
-        sums, which start at 8."""
-        out = tmp_path / "sweep.csv"
-        argv = ["--eta", "0:0.25:1", "--d", "16,4,24,8", "--family", "uniform-rank:4", "--family", "bell",
-                "--priors", "0.3", "--out", str(out)]
-        assert main(["sweep", *argv]) == 0
-        assert out.read_bytes() == (DATA / "sweep_dense_golden.csv").read_bytes()
-
-    @staticmethod
-    def spectrum_sweep(tmp_path, p0):
-        """The CSV bytes of the spectrum goldens' sweep."""
-        families = []
-        for name, spec in (("tilted", [0, 0.52, 0.01, 0.47]),
-                           ("near_pure", [0.999999999998, 1e-12, 1e-12])):
-            families += ["--family", f"spectrum:{write_json(tmp_path / f'{name}.json', spec)}"]
-        out = tmp_path / "sweep.csv"
-        argv = ["--eta", "0:0.25:1", "--d", "4,5,7", *families, "--family", "uniform-rank:3",
-                "--priors", p0, "--out", str(out)]
-        assert main(["sweep", *argv]) == 0
-        return out.read_bytes()
-
-    @pytest.mark.parametrize("p0", ["0.37", "0.8"])
-    def test_spectrum_golden_csv(self, tmp_path, p0):
-        """Rows of user spectra: unsorted with a zero weight, and near rank one
-        with weights of 1e-12, beside a flat spectrum."""
-        # no column goes through BLAS or LAPACK, so every byte is pinned
-        assert self.spectrum_sweep(tmp_path, p0) == (DATA / f"sweep_spectrum_golden_p{p0}.csv").read_bytes()
-
-    def test_mixed_widths_golden_csv(self, tmp_path):
-        """Probes of widths 1, 12 and 9 over 21 etas: a 12-wide spectrum with
-        exact zeros and a weight of 1e-300, a 9-wide one and two flat
-        probes, each stacked with its own width.  The golden was cut when
-        they were zero-padded into one stack of mixed supports."""
-        spectra = {"A": [0.3, 0, 0.2, 1e-300, 0.15, 0.1, 0, 0.08, 0.07, 0.05, 0.03, 0.02],
-                   "B": [0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03]}
-        files = {name: write_json(tmp_path / f"{name}.json", spec) for name, spec in spectra.items()}
-        out = tmp_path / "sweep.csv"
-        argv = ["--eta", "0:0.05:1", "--d", "12,13,17", "--family", "bell", "--family", f"spectrum:{files['A']}",
-                "--family", "uniform-rank:3", "--family", f"spectrum:{files['B']}", "--priors", "0.4",
-                "--out", str(out)]
-        assert main(["sweep", *argv]) == 0
-        assert out.read_bytes() == (DATA / "sweep_mixed_widths_golden.csv").read_bytes()
 
     @pytest.mark.parametrize("offset, code", [(5e-4, 1), (2e-9, 1), (1e-10, 0)])
     def test_spectrum_sum_is_held_to_the_tolerance(self, tmp_path, capsys, offset, code):
@@ -195,7 +163,14 @@ class TestSweep:
         of the three dimensions, and the rows stay those of the golden."""
         exact, calls = cli.schmidt_probe, []
         monkeypatch.setattr(cli, "schmidt_probe", lambda *args: calls.append(args) or exact(*args))
-        assert self.spectrum_sweep(tmp_path, "0.37") == (DATA / "sweep_spectrum_golden_p0.37.csv").read_bytes()
+        families = []
+        for name, spec in (("tilted", [0, 0.52, 0.01, 0.47]), ("near_pure", [0.999999999998, 1e-12, 1e-12])):
+            families += ["--family", f"spectrum:{write_json(tmp_path / f'{name}.json', spec)}"]
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--eta", "0:0.25:1", "--d", "4,5,7", *families, "--family", "uniform-rank:3",
+                "--priors", "0.37", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "sweep_spectrum_golden_p0.37.csv").read_bytes()
         assert len(calls) == 2
 
     @pytest.mark.parametrize("p0", ["0.3", "0.5"])
@@ -404,15 +379,6 @@ def chunks(monkeypatch):
 class TestVerifyBell:
     GOLDEN_ARGS = ["--d", "4", "--samples", "20", "--seed", "3", "--eta", "0.3", "--p0", "0.4"]
 
-    def test_golden_report(self, capsys):
-        assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
-        assert capsys.readouterr().out == (DATA / "verify_bell_golden.json").read_text()
-
-    def test_readme_report(self, capsys):
-        """README's example, at d = 3, where the flat weight 1/d is not dyadic."""
-        assert main(["verify-bell", "--d", "3", "--samples", "200", "--seed", "1", "--eta", "0.5"]) == 0
-        assert capsys.readouterr().out == (DATA / "verify_bell_d3_golden.json").read_text()
-
     def test_chunking_does_not_change_the_report(self, capsys, monkeypatch, chunks):
         """One chunk or seven of at most three samples: the same stdout."""
         assert main(["verify-bell", *self.GOLDEN_ARGS]) == 0
@@ -423,9 +389,9 @@ class TestVerifyBell:
         assert chunks == [20] + [3] * 6 + [2]
 
     def test_golden_report_past_a_chunk(self, capsys, chunks):
-        """1100 samples at d = 8: a chunk of 1024 and one of 76."""
+        """1100 samples at d = 8 are a chunk of 1024 and one of 76; the
+        report's bytes are the ``verify_bell_report_past_a_chunk`` case's."""
         assert main(["verify-bell", "--d", "8", "--samples", "1100", "--seed", "2", "--eta", "0.5"]) == 0
-        assert capsys.readouterr().out == (DATA / "verify_bell_d8_golden.json").read_text()
         assert chunks == [1024, 76]
 
     @pytest.mark.parametrize("end", ["bell", "unentangled", "nan", "nan-weight"])
@@ -595,10 +561,6 @@ README_STATES = {
 
 
 class TestHelstrom:
-    def test_povm_output_unchanged(self, tmp_path, capsys):
-        assert run_helstrom(tmp_path, BELL_2, MIXED_4, "--p0", "0.35", "--povm") == 0
-        assert capsys.readouterr().out == (DATA / "helstrom_povm.txt").read_text()
-
     @pytest.mark.parametrize("seed, dim, spec0, spec1", BENCHMARK_PAIRS)
     def test_povm_text_at_benchmark_sizes(self, tmp_path, capsys, seed, dim, spec0, spec1):
         """The benchmark's shapes of pair: the printed error and measurement
@@ -645,32 +607,14 @@ class TestHelstrom:
     def test_rejects_negative_eigenvalue(self, tmp_path, capsys):
         """Hermitian with unit trace, but eigenvalues 1.2 and -0.2: the
         Cholesky certificate fails at the first or at the second pivot, and
-        the smallest eigenvalue is named, as the console-script CI step
-        pins it."""
+        the smallest eigenvalue is named, as the ``helstrom_negative_eigenvalue``
+        case pins it."""
         message = f"invalid state in {str(tmp_path / 's0.json')!r}: not positive semidefinite: min eigenvalue -2.000e-01"
         for entries in ([[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]],
                         [[[0.5, 0.0], [0.7, 0.0]], [[0.7, 0.0], [0.5, 0.0]]]):
             assert run_helstrom(tmp_path, {"dim": 2, "entries": entries}, MIXED_2) == 1
             captured = capsys.readouterr()
             assert (captured.err, captured.out) == (f"error: {message}\n", "")
-
-    def test_readme_example_golden(self, tmp_path, capsys):
-        """README's files and command, as the console-script CI step runs them."""
-        for name, text in README_STATES.items():
-            (tmp_path / name).write_text(text + "\n")
-        argv = ["helstrom", "--state0", str(tmp_path / "bell.json"), "--state1", str(tmp_path / "mixed.json"),
-                "--p0", "0.5", "--povm"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (DATA / "helstrom_readme_golden.txt").read_text()
-
-    def test_povm_output_over_sixteen_decades(self, capsys):
-        """A 16-dimensional measurement whose parts' magnitudes run from
-        about 1e-16 to 1: the golden pins orjson 3.8.3's float layout in
-        fixed and exponent form (``0.0000d``, ``e-6`` to ``e-16``)."""
-        argv = ["helstrom", "--state0", str(DATA / "geometric_pure.json"), "--state1", str(DATA / "mixed_16.json"),
-                "--p0", "0.5", "--povm"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (DATA / "helstrom_povm_ranges_golden.txt").read_text()
 
     def test_povm_that_misses_the_error_exits_2(self, tmp_path, monkeypatch, capsys):
         """Swapped elements attain ``1 - error``: the run stops before
@@ -1323,16 +1267,11 @@ class TestOutOfMemory:
 
 class TestFixedTolerance:
     """Every check holds to ``DEFAULT_TOL``: no environment variable, ``QI_TOL``
-    included, loosens any of them."""
+    included, loosens any of them.  The ``helstrom_readme_example_with_qi_tol``
+    case holds README's example to its golden under ``QI_TOL``."""
 
     def test_environment_changes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QI_TOL", "1")
-        for name, text in README_STATES.items():
-            (tmp_path / name).write_text(text + "\n")
-        argv = ["helstrom", "--state0", str(tmp_path / "bell.json"), "--state1", str(tmp_path / "mixed.json"),
-                "--p0", "0.5", "--povm"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (DATA / "helstrom_readme_golden.txt").read_text()
         assert run_helstrom(tmp_path, pure_state_dict([[1.0], [1.0]]), MIXED_2) == 1
         assert "squared norm 2, expected 1" in capsys.readouterr().err
         spec = write_json(tmp_path / "spec.json", [0.5, 0.5005])
