@@ -61,7 +61,7 @@ class VerificationError(ValueError):
 def _check_rows(ok: np.ndarray, error: type[ValueError], message) -> None:
     """Raise ``error(message(r))`` for the first row ``r`` where ``ok`` is
     false.  ``ok`` is a comparison, false at NaN, so NaN fails every check."""
-    bad = np.flatnonzero(~ok)
+    bad = (~ok).nonzero()[0]
     if bad.size:
         raise error(message(int(bad[0])))
 
@@ -77,9 +77,9 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     (:func:`~qillum.cli.parse_family`), or ``None`` for the Bell probe's,
     ``([1/d_s], d_s)``, built at each dimension.  So a flat probe is one
     weight at any dimension, ``d_i`` is ``copies`` times the number of
-    weights, zeros included, and the purity ``sum(copies lam^2)``.  Then a
-    probe's zero weights (a ``spectrum:`` file's zero entries) leave it and
-    enter no sum.  The probes are taken in output order and grouped by
+    weights, zeros included, and the purity ``sum(copies lam^2)``.  A
+    family's zero weights (a ``spectrum:`` file's zero entries) are dropped
+    once, for every dimension, and enter no sum.  The probes are taken in output order and grouped by
     width, their count of nonzero weights, widths in first-seen order, so
     every flat probe is in one group.  Each group is cut into stacks of at most
     :data:`_CHUNK_AMPLITUDES` weights times etas (one probe may pass it
@@ -98,24 +98,26 @@ def run_sweep(etas: Iterable[float], dims: Iterable[int],
     n = len(dims) * len(families)  # column j of the (eta, probe) blocks is probe j in output order
     d_s, d_i, purity = np.repeat(np.array(dims, dtype=float), len(families)), *np.empty((2, n))
     p_err, h01_direct = np.empty((2, eta.size, n))
+    # each family as (lam, copies, d_i) without its zero weights, which count in d_i alone; Bell's at each d
+    kept = [None if probe is None else (probe[0][probe[0] != 0.0], probe[1], probe[1] * probe[0].size)
+            for probe in families]
     stacks = {}  # the probes as (column, lam, copies) by width, widths in first-seen order
-    for j, (d, probe) in enumerate(product(dims, families)):
-        lam, copies = (np.array([1.0 / d]), d) if probe is None else probe
-        d_i[j], lam = copies * lam.size, lam[lam != 0.0]  # a spectrum's zeros count in d_i alone
-        stacks.setdefault(lam.size, []).append((j, lam, copies))
+    for j, (d, probe) in enumerate(product(dims, kept)):
+        lam, copies, d_i[j] = ((1.0 / d,), d, d) if probe is None else probe
+        stacks.setdefault(len(lam), []).append((j, lam, copies))
     for width, stack in stacks.items():
         step = max(1, _CHUNK_AMPLITUDES // (width * eta.size))
         for first in range(0, len(stack), step):
             cols, lam, copies = zip(*stack[first : first + step])
             cols, lam, copies = np.array(cols), np.array(lam), np.array(copies, dtype=float)
             # sum(copies lam^2) in index order: it keeps k_i's bytes until the purity gets an exactly rounded sum
-            purity[cols] = np.cumsum(copies[:, None] * lam * lam, axis=-1)[:, -1]
+            purity[cols] = (copies[:, None] * lam * lam).cumsum(axis=-1)[:, -1]
             p_err[:, cols] = schmidt_helstrom_error(lam, eta[:, None], d_s[cols], p0, copies)
             h01_direct[:, cols] = channel_overlap(lam, eta[:, None], d_s[cols], copies)
     # the overlap at k_i and 1, the error at d_s and d_s d_i (Bell)
     k_i = 1.0 / purity
-    h01_closed, h01_ci = h01_closed_form(eta[:, None], d_s, np.stack((k_i, np.ones_like(k_i)))[:, None])
-    p_err_ci, bell = flat_probe_error(eta[:, None], np.stack((d_s, d_s * d_i))[:, None], p0)
+    h01_closed, h01_ci = h01_closed_form(eta[:, None], d_s, np.array((k_i, np.ones(n)))[:, None])
+    p_err_ci, bell = flat_probe_error(eta[:, None], np.array((d_s, d_s * d_i))[:, None], p0)
     blocks = dict(eta=eta[:, None], d_s=d_s, d_i=d_i, k_i=k_i, h01_closed=h01_closed, h01_direct=h01_direct,
                   p_err=p_err, p_err_ci=p_err_ci, advantage=h01_ci - h01_closed)
     table = np.empty((eta.size, n, len(SWEEP_COLUMNS)))

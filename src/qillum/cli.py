@@ -1,17 +1,23 @@
 """Command-line front end: parameter sweeps, optimality verification and
 one-off minimum-error queries on states stored as JSON files.
 
-The parser is built on the first :func:`main` call and reused for the
-process.  Every input file is parsed by :func:`_read_json` with ``orjson``
+The parsers are built on the first :func:`main` call and reused for the
+process.  An argv whose first argument names a subcommand goes straight
+to that subcommand's parser, found in the ``choices`` of the top-level
+parser's subcommand action, as the top-level parse would hand it over
+(which takes every argument after the name for the subcommand, ``-h``
+too); any other argv (none, ``-h`` or ``--help`` first, an unknown name)
+is parsed by the top-level parser, for its help or its usage error.
+Every input file is parsed by :func:`_read_json` with ``orjson``
 as strict JSON (``NaN``, ``Infinity`` and literals beyond double range
 fail there), once it is known to nest no deeper than
 :data:`MAX_JSON_DEPTH`.  ``sweep`` writes
 :func:`~qillum.analysis.run_sweep`'s table as CSV under
 :data:`~qillum.analysis.SWEEP_COLUMNS`, each cell through
-:data:`_fmt` (``"%.12g" % x``).  A ``--family`` is a probe's Schmidt
-weights and their number of copies, built once a sweep (Bell's at each
-dimension): one weight for ``bell`` and ``uniform-rank:<r>``, read from a
-JSON list for ``spectrum:<file>``.
+:data:`_fmt` (``"%.12g" % x``), its ASCII bytes in one binary write.
+A ``--family`` is a probe's Schmidt weights and their number of copies,
+built once a sweep (Bell's at each dimension): one weight for ``bell``
+and ``uniform-rank:<r>``, read from a JSON list for ``spectrum:<file>``.
 ``helstrom`` decodes two state files in either wire format of
 :mod:`~qillum.states` by :func:`~qillum.states.density_from_dict` (a pure
 state to its amplitude vector), diagonalizes the pair once
@@ -47,7 +53,6 @@ holds its two overlap routes to a fixed agreement bound.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -207,7 +212,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"grid has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
     families = [parse_family(f, min(dims)) for f in names]
     table = run_sweep(etas, dims, families, p0=args.p0)
-    Path(args.out).write_text(render_sweep_csv(table))
+    with open(args.out, "wb") as out:  # the CSV is ASCII: its bytes, with no text layer
+        out.write(render_sweep_csv(table).encode("ascii"))
     return 0
 
 
@@ -222,7 +228,7 @@ def cmd_verify_bell(args) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     report = verify_bell_optimality(args.d, args.samples, args.seed, eta=args.eta, p0=args.p0)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    print(json.dumps(vars(report), indent=2, sort_keys=True))  # its fields, all scalars: no copy
     return 0
 
 
@@ -297,7 +303,10 @@ def cmd_helstrom(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommands' parsers by name (the
+    ``choices`` of its subcommand action), each of which sets ``func`` to
+    its command and ``parser`` to itself."""
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Distinguishability of single-photon illumination channels.",
@@ -333,12 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     for command in sub.choices.values():  # argparse's own reads -inf, -nan and -1e-3 as options
         command._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
         command.set_defaults(parser=command)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        if argv and argv[0] in commands:  # the top-level parse would hand it the rest, unread
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        else:
+            args, extra = parser.parse_known_args(argv)
         if extra:  # parse_args would name them with the top-level usage, not the subcommand's
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:

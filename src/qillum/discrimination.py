@@ -255,11 +255,11 @@ def channel_overlap(weights, eta, d_s, copies=1):
     """
     eta = np.asarray(eta, dtype=float)
     lam = np.asarray(weights, dtype=float)
-    v = purity_1 = np.cumsum(np.expand_dims(copies, -1) * lam * lam, axis=-1)[..., -1] / d_s
+    v = purity_1 = (np.asarray(copies)[..., None] * lam * lam).cumsum(axis=-1)[..., -1] / d_s
     cross = eta * v + (1.0 - eta) * purity_1
     # products, not ** 2: a float64 scalar's power can round apart from an array's square
     purity_0 = eta * eta + 2.0 * eta * (1.0 - eta) * v + (1.0 - eta) * (1.0 - eta) * purity_1
-    h = np.clip(cross / np.sqrt(purity_0 * purity_1), 0.0, 1.0)
+    h = np.minimum(np.maximum(cross / np.sqrt(purity_0 * purity_1), 0.0), 1.0)  # NaN stays NaN
     return float(h) if h.ndim == 0 else h
 
 

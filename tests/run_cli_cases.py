@@ -116,15 +116,21 @@ def _run_main(case, cwd):
 
 
 def _run_process(command, case, cwd, src=None):
-    """``command`` with the case's argv in ``cwd``; the entries of
-    ``PYTHONPATH``, ``src`` first, made absolute, since ``cwd`` is not the
-    caller's directory."""
-    env = {**os.environ, **case.get("env", {})}
+    """``command`` with the case's argv in ``cwd``, in :func:`process_env`."""
+    done = subprocess.run([*command, *case["argv"]], cwd=cwd, env=process_env(case.get("env", {}), src),
+                          capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def process_env(env, src=None) -> dict:
+    """The caller's environment with ``env`` on top, and the entries of
+    ``PYTHONPATH``, ``src`` first, made absolute, so that a subprocess run
+    in another directory imports the same ``qillum``."""
+    env = {**os.environ, **env}
     paths = [os.path.abspath(path) for path in [src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)] if path]
     if paths:
         env["PYTHONPATH"] = os.pathsep.join(paths)
-    done = subprocess.run([*command, *case["argv"]], cwd=cwd, env=env, capture_output=True)
-    return done.returncode, done.stdout, done.stderr
+    return env
 
 
 def _check(case, code, out, err, cwd) -> list[str]:

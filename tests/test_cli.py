@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -85,9 +84,8 @@ def run_helstrom(tmp_path, state0, state1, *extra):
 
 def run_python(*args):
     """``python *args`` in a subprocess that imports ``qillum`` from this
-    checkout."""
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    checkout, with the manifest runner's ``PYTHONPATH``."""
+    env = run_cli_cases.process_env({}, Path(cli.__file__).parents[1])
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
@@ -360,6 +358,32 @@ class TestParserReuse:
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: qillum")
         self.golden_sweep(tmp_path)
+
+
+class TestArgv:
+    """``main()`` reads ``sys.argv[1:]``, and a subcommand's argv goes
+    straight to the subcommand's parser from there as from a list."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", *TestSweep.GOLDEN_ARGS, "--out", "sweep.csv"], 0),
+        (["sweep", "--eta", "0.5", "--d", "2", "--plot", "--out", "sweep.csv"], 1),  # a usage error after the name
+    ], ids=["golden", "unknown-option"])
+    def test_none_reads_sys_argv(self, tmp_path, monkeypatch, capsys, argv, code):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "120")  # argparse wraps the usage line to the terminal's width
+        monkeypatch.setattr(sys, "argv", ["qillum", *argv])
+        monkeypatch.setattr(cli.build_parser()[0], "parse_known_args",
+                            lambda *args: pytest.fail("the top-level parser read a subcommand's argv"))
+        out, runs = tmp_path / "sweep.csv", []
+        for args in ([argv], []):
+            runs.append((main(*args), capsys.readouterr(), out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        if code == 0:
+            assert runs[0][2] == (DATA / "sweep_golden.csv").read_bytes()
+        else:
+            assert runs[0][1].err.endswith("qillum sweep: error: unrecognized arguments: --plot\n")
 
 
 @pytest.fixture
@@ -1067,9 +1091,7 @@ class TestProblemValidation:
         (["sweep", "--eta", "0.5", "--d", "2,1", "--out", "{out}"], "signal dimension must be >= 2, got 1"),
         (["sweep", "--eta", "0.5", "--d", "2", "--priors", "1.5", "--out", "{out}"], "prior p0 must lie in [0, 1], got 1.5"),
         (["sweep", "--eta", "0.5", "--d", "2", "--priors", "nan", "--out", "{out}"], "prior p0 must lie in [0, 1], got nan"),
-        # a bad parameter is named before any file is read, here a missing one
-        (["sweep", "--eta", "2", "--d", "2", "--family", "spectrum:{missing}", "--out", "{out}"],
-         "eta must be in [0, 1], got 2.0"),
+        # a bad parameter is named before any file is read, here a missing one (a bad eta: the manifest's case)
         (["helstrom", "--p0", "1.5", "--state0", "{missing}", "--state1", "{missing}"],
          "prior p0 must lie in [0, 1], got 1.5"),
         # a range is checked for a non-finite part before it is expanded
@@ -1078,16 +1100,16 @@ class TestProblemValidation:
         (["sweep", "--eta=-inf:1:0", "--d", "2", "--out", "{out}"], "range '-inf:1:0': start must be finite, got -inf"),
         (["sweep", "--eta=0:nan:1", "--d", "2", "--out", "{out}"], "range '0:nan:1': step must be finite, got nan"),
         # a value after its option that starts with "-" and is not a plain decimal is read as the value
-        (["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "-inf"], "eta must be in [0, 1], got -inf"),
+        # (-inf: the manifest's verify_bell_eta_minus_inf)
         (["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "-nan"], "eta must be in [0, 1], got nan"),
         (["verify-bell", "--d", "3", "--samples", "3", "--seed", "1", "--eta", "-1e-3"], "eta must be in [0, 1], got -0.001"),
         (["sweep", "--eta", "0.5", "--d", "2", "--priors", "-1e-3", "--out", "{out}"], "prior p0 must lie in [0, 1], got -0.001"),
         (["sweep", "--eta", "-0.5:0.1:0", "--d", "2", "--out", "{out}"], "eta must be in [0, 1], got -0.5"),
         (["sweep", "--eta", "0.5", "--d", "-2,3", "--out", "{out}"], "signal dimension must be >= 2, got -2"),
         (["verify-bell", "--d", "3", "--samples", "3", "--seed", "-1", "--eta", "0.5"], "seed must be >= 0, got -1"),
-    ], ids=["sweep-d-1", "sweep-priors-1.5", "sweep-priors-nan", "sweep-before-files", "helstrom-before-files",
+    ], ids=["sweep-d-1", "sweep-priors-1.5", "sweep-priors-nan", "helstrom-before-files",
             "range-step-inf", "range-stop-inf", "range-start-inf", "range-step-nan",
-            "eta-minus-inf", "eta-minus-nan", "eta-minus-1e-3", "priors-minus-1e-3", "eta-minus-range", "d-minus-list",
+            "eta-minus-nan", "eta-minus-1e-3", "priors-minus-1e-3", "eta-minus-range", "d-minus-list",
             "seed-minus-1"])
     def test_names_the_bad_parameter(self, tmp_path, capsys, argv, message):
         out, missing = tmp_path / "sweep.csv", tmp_path / "missing.json"
